@@ -56,9 +56,10 @@ bench-json:
 # MC suite runs 0.2s per benchmark — enough iterations that one-time pool
 # warm-up amortizes to zero against the 1-alloc/path baseline — while the
 # solve suite runs once so the process-wide caches are as cold as the
-# baseline's. The convergence benchmarks' pathsratio is gated at 1.5x
-# pseudo — antithetic's structural bound on this workload (see DESIGN.md,
-# "Sampling modes"); sobol sits far below it. BenchmarkFiguresFull — the
+# baseline's. The convergence benchmarks' pathsratio is gated at 1.0x
+# pseudo: no sampler may need more paths than pseudo, whose ratio is 1 by
+# definition (sobol sits at ~0.065; the adaptive stop is deterministic per
+# seed, so the gate cannot flake). BenchmarkFiguresFull — the
 # full 18-group artifact generation, first in the cold solve pass — is the
 # one wall-clock gate: 1.0s absolute, the sub-second reproduction promise
 # with wide headroom over the ~0.6s measured baseline.
@@ -66,7 +67,7 @@ bench-check:
 	@set -e; tmp=$$(mktemp); trap 'rm -f '$$tmp EXIT; \
 	$(GO) test -bench='^BenchmarkMC_' -benchmem -benchtime=0.2s -run='^$$' . > $$tmp; \
 	$(GO) test -bench='^Benchmark(Solve_|FiguresFull)' -benchmem -benchtime=1x -run='^$$' . >> $$tmp; \
-	$(GO) run ./tools/benchmc -against BENCH_mc.json,BENCH_solve.json -max-alloc-ratio 2 -max-paths-ratio 1.5 \
+	$(GO) run ./tools/benchmc -against BENCH_mc.json,BENCH_solve.json -max-alloc-ratio 2 -max-paths-ratio 1.0 \
 		-max-wall BenchmarkFiguresFull=1.0 < $$tmp
 	@set -e; bindir=$$(mktemp -d); trap 'rm -rf '$$bindir EXIT; \
 	$(GO) build -o $$bindir/swapd ./cmd/swapd; \

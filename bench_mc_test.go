@@ -181,15 +181,6 @@ func BenchmarkMC_ConvergencePseudo(b *testing.B) {
 	benchConvergence(b, qmc.ModePseudo)
 }
 
-// BenchmarkMC_ConvergenceAntithetic measures the antithetic pairs. On
-// this workload the success region is band-shaped, the pair correlation
-// is positive (~+0.29 at Table III) and the mode needs ~1.29x the pseudo
-// paths — see DESIGN.md, "Sampling modes". The bench-check gate holds it
-// under 1.5x so a regression to worse-than-structural cannot hide.
-func BenchmarkMC_ConvergenceAntithetic(b *testing.B) {
-	benchConvergence(b, qmc.ModeAntithetic)
-}
-
 // BenchmarkMC_ConvergenceSobol measures the scrambled-Sobol sequence,
 // the mode that delivers the headline precision win (~0.17x the pseudo
 // paths at Table III).

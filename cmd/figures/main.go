@@ -45,7 +45,7 @@ func run(args []string, out io.Writer) error {
 		ciWidth  = fs.Float64("ci-width", 0, "montecarlo artifact: adaptive stop once the Wilson 95% half-width is <= this (0 = fixed runs)")
 		chunk    = fs.Int("chunk", 0, "montecarlo artifact: engine chunk size (0 = default)")
 		maxPaths = fs.Int("max-paths", 0, "montecarlo artifact: hard cap on adaptive sampling (0 = default runs)")
-		sampler  = fs.String("sampler", "", `MC artifacts: sampling mode "pseudo", "antithetic", or "sobol" (default: per-artifact, see figures.Opts.Sampler)`)
+		sampler  = fs.String("sampler", "", `MC artifacts: sampling mode "pseudo" or "sobol" (default: per-artifact, see figures.Opts.Sampler)`)
 		timing   = fs.Bool("timing", false, "print a per-artifact-group wall-time breakdown after generation")
 		stats    = fs.Bool("cache-stats", false, "print solve-cache and quadrature-table hit/miss counters after generation")
 	)

@@ -76,7 +76,7 @@ func run(args []string, out io.Writer) error {
 		ciWidth  = fs.Float64("ci-width", 0, "adaptive Monte Carlo: stop once the Wilson 95% half-width is <= this (0 = fixed run count)")
 		chunk    = fs.Int("chunk", 0, "Monte Carlo engine chunk size (0 = default)")
 		maxPaths = fs.Int("max-paths", 0, "hard cap on adaptive sampling per scenario (0 = the run count)")
-		sampler  = fs.String("sampler", "", `Monte Carlo sampling mode: "pseudo" (default), "antithetic", or "sobol"`)
+		sampler  = fs.String("sampler", "", `Monte Carlo sampling mode: "pseudo" (default) or "sobol"`)
 		stats    = fs.Bool("cache-stats", false, "print solve-cache and quadrature-table hit/miss counters after the run")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -61,7 +61,7 @@ func run(args []string, out io.Writer) error {
 		packets    = fs.Int("packets", 0, "split the swap into n packets (companion protocol [20]; 0 = single shot)")
 		requote    = fs.Bool("requote", false, "with -packets: re-quote the rate per packet")
 		keepGoing  = fs.Bool("continue", false, "with -packets: continue after a failed packet instead of aborting")
-		sampler    = fs.String("sampler", "", `sampling mode: "pseudo" (default), "antithetic", or "sobol"`)
+		sampler    = fs.String("sampler", "", `sampling mode: "pseudo" (default) or "sobol"`)
 		scen       = fs.String("scenario", "", "simulate under a named scenario's parameters, rate, deposit and seed (explicit flags override)")
 		variants   = fs.String("variant", "", `simulate through the variant registry: "all" or a comma-separated key list`)
 		rounds     = fs.Int("rounds", 0, "round count for the repeated variant (0 = variant default)")

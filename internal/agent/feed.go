@@ -29,8 +29,8 @@ type PriceFeed struct {
 }
 
 // NewPriceFeed starts a feed at price p0 (time 0). The rng may be any
-// standard-normal source: *rand.Rand for pseudo sampling, or a sampler
-// wrapper feeding antithetic or low-discrepancy increments.
+// standard-normal source: *rand.Rand for pseudo sampling, or the
+// slab-fronted qmc.SlabNormals feeding low-discrepancy increments.
 func NewPriceFeed(proc gbm.Process, p0 float64, rng gbm.NormalSource) (*PriceFeed, error) {
 	if p0 <= 0 {
 		return nil, fmt.Errorf("%w: p0=%g must be > 0", ErrFeed, p0)

@@ -125,8 +125,8 @@ func (g Process) Quantile(q, p, tau float64) (float64, error) {
 }
 
 // NormalSource yields independent standard-normal variates. *rand.Rand and
-// the simulator's lazily seeded replica satisfy it, as do the sampler
-// wrappers that feed antithetic or low-discrepancy increments to the same
+// the simulator's lazily seeded replica satisfy it, as does
+// qmc.SlabNormals, which feeds low-discrepancy increments to the same
 // price process.
 type NormalSource interface {
 	NormFloat64() float64

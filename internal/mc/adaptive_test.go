@@ -138,7 +138,7 @@ func TestAdaptiveStopMatchesSequentialReference(t *testing.T) {
 	succ, n := 0, 0
 	wantPaths := 0
 	for i := 0; i < cfg.MaxPaths; i++ {
-		p, err := runner.RunPath(sweep.Seed(cfg.Seed, i))
+		p, err := runner.RunPath(i, sweep.Seed(cfg.Seed, i))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,7 +14,8 @@
 // only decide how many speculative chunks beyond the stopping point are
 // computed and discarded. Runners hand the engine reusable per-worker run
 // state: each worker slot owns one Runner, paths on a slot run
-// sequentially, and a Runner's result must depend only on the path seed.
+// sequentially, and a Runner's result must depend only on the path's
+// index and seed.
 package mc
 
 import (
@@ -52,41 +53,23 @@ type Path struct {
 
 // Runner executes paths with reusable internal state. A Runner is used by
 // one worker slot at a time (no internal locking needed), and RunPath must
-// be a pure function of seed: the engine's determinism contract relies on
-// a path's outcome not depending on which slot ran it or what ran before.
+// be a pure function of (index, seed): the engine's determinism contract
+// relies on a path's outcome not depending on which slot ran it or what
+// ran before. index is the path's global stream position; pseudo-mode
+// runners may ignore it, sobol-mode runners map it to a Sobol replicate
+// and point (qmc.SobolReplicate, qmc.SobolPoint).
 type Runner interface {
-	// RunPath executes one path for the given seed, reusing internal state.
-	RunPath(seed int64) (Path, error)
+	// RunPath executes the path at index with the given seed, reusing
+	// internal state.
+	RunPath(index int, seed int64) (Path, error)
 }
 
 // RunnerFunc adapts a function to the Runner interface (stateless runners,
 // tests).
-type RunnerFunc func(seed int64) (Path, error)
+type RunnerFunc func(index int, seed int64) (Path, error)
 
 // RunPath implements Runner.
-func (f RunnerFunc) RunPath(seed int64) (Path, error) { return f(seed) }
-
-// IndexedRunner is a Runner that also accepts the path's global index.
-// The variance-reduced sampler modes require it: the index determines the
-// antithetic pair member (qmc.PairNegated) or the Sobol replicate and
-// point (qmc.SobolReplicate, qmc.SobolPoint). RunPathIndexed must remain
-// a pure function of (index, seed) under the same contract as RunPath.
-type IndexedRunner interface {
-	Runner
-	RunPathIndexed(index int, seed int64) (Path, error)
-}
-
-// IndexedRunnerFunc adapts a function to IndexedRunner (tests); RunPath
-// delegates with index 0.
-type IndexedRunnerFunc func(index int, seed int64) (Path, error)
-
-// RunPath implements Runner.
-func (f IndexedRunnerFunc) RunPath(seed int64) (Path, error) { return f(0, seed) }
-
-// RunPathIndexed implements IndexedRunner.
-func (f IndexedRunnerFunc) RunPathIndexed(index int, seed int64) (Path, error) {
-	return f(index, seed)
-}
+func (f RunnerFunc) RunPath(index int, seed int64) (Path, error) { return f(index, seed) }
 
 // Config parameterises a streaming Monte Carlo estimate.
 type Config struct {
@@ -109,15 +92,11 @@ type Config struct {
 	// NewRunner constructs one reusable Runner per worker slot.
 	NewRunner func() (Runner, error)
 	// Sampler selects the sampling mode (zero value: pseudo, the golden
-	// default — byte-identical to every committed artifact). The
-	// variance-reduced modes require runners implementing IndexedRunner:
-	// in antithetic mode path i is seeded with sweep.Seed(Seed,
-	// qmc.PairBase(i)) so a pair shares its price-path seed, and the
-	// adaptive stopper switches from the raw-count Wilson interval to a
-	// sampler-aware estimator CI (pair-mean CLT, or a t interval over
-	// Sobol replicate means) — the Wilson interval cannot see variance
-	// reduction. Antithetic mode additionally requires an even ChunkSize
-	// so pairs never straddle a chunk boundary.
+	// default — byte-identical to every committed artifact). Every mode
+	// seeds path i with sweep.Seed(Seed, i); in sobol mode the adaptive
+	// stopper switches from the raw-count Wilson interval to a t interval
+	// over the Sobol replicate means — the Wilson interval cannot see
+	// variance reduction.
 	Sampler qmc.Mode
 	// OnProgress, when non-nil, is called after each chunk is merged into
 	// the running aggregate, with a snapshot of the merged prefix. Calls
@@ -141,8 +120,8 @@ type Progress struct {
 	Sampler qmc.Mode
 	// EstHalfWidth is the sampler-aware 95% half-width the adaptive
 	// stopper compares against CIWidth: the Wilson half-width in pseudo
-	// mode, the pair-mean CLT width in antithetic mode, the replicate-t
-	// width in sobol mode (+Inf while the estimator is undefined).
+	// mode, the replicate-t width in sobol mode (+Inf while the estimator
+	// is undefined).
 	EstHalfWidth float64
 	// Stopped reports that the adaptive criterion fired at this snapshot
 	// (always false in fixed-N mode).
@@ -204,24 +183,14 @@ type chunkResult struct {
 	n, successes, violations int
 	stages                   map[string]int
 	dur                      stats.Welford
-	// pairs accumulates antithetic pair means (one observation per
-	// completed (2k, 2k+1) pair; a MaxPaths-truncated final pair counts
-	// as a singleton). Chunks are pair-aligned, so pairs never straddle.
-	pairs stats.Welford
 	// repSucc/repN count successes and paths per Sobol replicate.
 	repSucc, repN [qmc.SobolReplicates]int
 }
 
-// Critical values of the sampler-aware estimator intervals.
-const (
-	// zNormal975 is the two-sided 95% standard normal critical value,
-	// used by the antithetic pair-mean CLT interval.
-	zNormal975 = 1.9599639845400545
-	// tReplicates975 is the two-sided 95% Student-t critical value at
-	// qmc.SobolReplicates−1 = 7 degrees of freedom, used by the interval
-	// over Sobol replicate means.
-	tReplicates975 = 2.3646242510102993
-)
+// tReplicates975 is the two-sided 95% Student-t critical value at
+// qmc.SobolReplicates−1 = 7 degrees of freedom, used by the interval over
+// Sobol replicate means.
+const tReplicates975 = 2.3646242510102993
 
 // Run executes the workload and streams the aggregation. See the package
 // comment for the determinism contract.
@@ -244,9 +213,6 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	if chunk == 0 {
 		chunk = DefaultChunkSize
 	}
-	if mode == qmc.ModeAntithetic && chunk%2 != 0 {
-		return Result{}, fmt.Errorf("%w: antithetic mode needs an even chunk size, got %d", ErrBadConfig, chunk)
-	}
 	numChunks := (cfg.MaxPaths + chunk - 1) / chunk
 	workers := sweep.Workers(cfg.Workers)
 	if workers > numChunks {
@@ -254,15 +220,12 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	}
 
 	// One reusable Runner per worker slot, shared across waves through a
-	// free list. The variance-reduced modes need index-aware runners.
+	// free list.
 	runners := make(chan Runner, workers)
 	for i := 0; i < workers; i++ {
 		r, err := cfg.NewRunner()
 		if err != nil {
 			return Result{}, fmt.Errorf("mc: runner %d: %w", i, err)
-		}
-		if _, ok := r.(IndexedRunner); !ok && mode.VarianceReduced() {
-			return Result{}, fmt.Errorf("%w: sampler %s requires a runner implementing IndexedRunner", ErrBadConfig, mode)
 		}
 		runners <- r
 	}
@@ -274,21 +237,8 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 			hi = cfg.MaxPaths
 		}
 		cr := chunkResult{stages: make(map[string]int)}
-		var pairSum float64
-		var pairN int
 		for i := lo; i < hi; i++ {
-			var p Path
-			var err error
-			switch mode {
-			case qmc.ModePseudo:
-				p, err = r.RunPath(sweep.Seed(cfg.Seed, i))
-			case qmc.ModeAntithetic:
-				// Pair members share the price-path seed; the runner
-				// flips the odd member's increments by index.
-				p, err = r.(IndexedRunner).RunPathIndexed(i, sweep.Seed(cfg.Seed, qmc.PairBase(i)))
-			default: // qmc.ModeSobol
-				p, err = r.(IndexedRunner).RunPathIndexed(i, sweep.Seed(cfg.Seed, i))
-			}
+			p, err := r.RunPath(i, sweep.Seed(cfg.Seed, i))
 			if err != nil {
 				return chunkResult{}, fmt.Errorf("path %d: %w", i, err)
 			}
@@ -301,17 +251,7 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 			}
 			cr.stages[p.Stage]++
 			cr.dur.Add(p.Duration)
-			switch mode {
-			case qmc.ModeAntithetic:
-				if p.Success {
-					pairSum++
-				}
-				pairN++
-				if i&1 == 1 || i == hi-1 {
-					cr.pairs.Add(pairSum / float64(pairN))
-					pairSum, pairN = 0, 0
-				}
-			case qmc.ModeSobol:
+			if mode == qmc.ModeSobol {
 				rep := qmc.SobolReplicate(i)
 				cr.repN[rep]++
 				if p.Success {
@@ -325,26 +265,16 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	// Sampler-aware estimator state, merged strictly in chunk order like
 	// every other accumulator, so the adaptive stop stays a pure function
 	// of (Seed, ChunkSize).
-	var pairs stats.Welford
 	var repSucc, repN [qmc.SobolReplicates]int
 	estHalf := func() float64 {
-		switch mode {
-		case qmc.ModeAntithetic:
-			if pairs.N < 2 {
+		var w stats.Welford
+		for rep := 0; rep < qmc.SobolReplicates; rep++ {
+			if repN[rep] == 0 {
 				return math.Inf(1)
 			}
-			return zNormal975 * math.Sqrt(pairs.Var()/float64(pairs.N))
-		case qmc.ModeSobol:
-			var w stats.Welford
-			for rep := 0; rep < qmc.SobolReplicates; rep++ {
-				if repN[rep] == 0 {
-					return math.Inf(1)
-				}
-				w.Add(float64(repSucc[rep]) / float64(repN[rep]))
-			}
-			return tReplicates975 * math.Sqrt(w.Var()/float64(w.N))
+			w.Add(float64(repSucc[rep]) / float64(repN[rep]))
 		}
-		return math.Inf(1)
+		return tReplicates975 * math.Sqrt(w.Var()/float64(w.N))
 	}
 
 	// Fixed-N mode runs every chunk in one sweep; adaptive mode dispatches
@@ -382,7 +312,6 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 			}
 			res.Duration.Merge(cr.dur)
 			res.Chunks++
-			pairs.Merge(cr.pairs)
 			for rep := 0; rep < qmc.SobolReplicates; rep++ {
 				repSucc[rep] += cr.repSucc[rep]
 				repN[rep] += cr.repN[rep]

@@ -18,7 +18,7 @@ import (
 // function of the path seed, as the engine contract requires.
 func bernoulli(p float64) func() (mc.Runner, error) {
 	return func() (mc.Runner, error) {
-		return mc.RunnerFunc(func(seed int64) (mc.Path, error) {
+		return mc.RunnerFunc(func(_ int, seed int64) (mc.Path, error) {
 			rng := rand.New(rand.NewSource(seed))
 			u := rng.Float64()
 			path := mc.Path{Success: u < p, Atomic: true, Duration: 10 * rng.Float64()}
@@ -66,7 +66,7 @@ func TestRunErrorsPropagate(t *testing.T) {
 		ChunkSize: 10,
 		Workers:   4,
 		NewRunner: func() (mc.Runner, error) {
-			return mc.RunnerFunc(func(seed int64) (mc.Path, error) {
+			return mc.RunnerFunc(func(_ int, seed int64) (mc.Path, error) {
 				if seed == sweep.Seed(0, 55) {
 					return mc.Path{}, boom
 				}
@@ -145,7 +145,7 @@ func TestRunStageHistogramAndViolations(t *testing.T) {
 		MaxPaths:  400,
 		ChunkSize: 64,
 		NewRunner: func() (mc.Runner, error) {
-			return mc.RunnerFunc(func(seed int64) (mc.Path, error) {
+			return mc.RunnerFunc(func(_ int, seed int64) (mc.Path, error) {
 				rng := rand.New(rand.NewSource(seed))
 				u := rng.Float64()
 				return mc.Path{

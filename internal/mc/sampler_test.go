@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 
 	"repro/internal/mc"
@@ -15,9 +14,9 @@ import (
 
 // thresholdRunner is a synthetic index-aware workload with a known
 // analytic structure: success iff the path's single standard-normal
-// increment exceeds Φ⁻¹(1−p). The antithetic member flips the increment's
-// sign; the sobol member reads it from the replicate's Sobol sequence.
-// Seed-derived draws keep every mode a pure function of (index, seed).
+// increment exceeds Φ⁻¹(1−p). The sobol member reads it from the
+// replicate's Sobol sequence. Seed-derived draws keep every mode a pure
+// function of (index, seed).
 func thresholdRunner(p float64, baseSeed int64, mode qmc.Mode) func() (mc.Runner, error) {
 	cut := math.Sqrt2 * math.Erfinv(2*(1-p)-1) // Φ⁻¹(1−p)
 	return func() (mc.Runner, error) {
@@ -31,18 +30,14 @@ func thresholdRunner(p float64, baseSeed int64, mode qmc.Mode) func() (mc.Runner
 				sobols[r] = s
 			}
 		}
-		return mc.IndexedRunnerFunc(func(index int, seed int64) (mc.Path, error) {
+		return mc.RunnerFunc(func(index int, seed int64) (mc.Path, error) {
 			var z float64
-			switch mode {
-			case qmc.ModeSobol:
+			if mode == qmc.ModeSobol {
 				var zs [1]float64
 				sobols[qmc.SobolReplicate(index)].Normals(qmc.SobolPoint(index), zs[:])
 				z = zs[0]
-			default:
+			} else {
 				z = rand.New(rand.NewSource(seed)).NormFloat64()
-				if qmc.PairNegated(index) {
-					z = -z
-				}
 			}
 			return mc.Path{Success: z > cut, Atomic: true, Stage: "done", Duration: 1}, nil
 		}), nil
@@ -58,107 +53,13 @@ func TestSamplerConfigValidation(t *testing.T) {
 		t.Error("unknown sampler accepted")
 	}
 
-	odd := base
-	odd.Sampler = qmc.ModeAntithetic
-	odd.ChunkSize = 31
-	odd.NewRunner = thresholdRunner(0.5, 1, qmc.ModeAntithetic)
-	if _, err := mc.Run(context.Background(), odd); err == nil {
-		t.Error("antithetic mode accepted an odd chunk size")
-	}
-
-	// Variance-reduced modes require IndexedRunner.
-	for _, m := range []qmc.Mode{qmc.ModeAntithetic, qmc.ModeSobol} {
-		cfg := base
-		cfg.Sampler = m
-		if _, err := mc.Run(context.Background(), cfg); err == nil {
-			t.Errorf("sampler %s accepted a non-indexed runner", m)
-		}
-	}
-
-	// Pseudo mode accepts plain runners and canonicalises the zero value.
+	// The zero value canonicalises to pseudo.
 	res, err := mc.Run(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Sampler != qmc.ModePseudo {
 		t.Errorf("Sampler = %q, want pseudo", res.Sampler)
-	}
-}
-
-// TestAntitheticPairSeeding pins the engine-side pairing: members of a
-// pair receive the same seed (the even member's), and the odd member is
-// the one flagged negated.
-func TestAntitheticPairSeeding(t *testing.T) {
-	var mu sync.Mutex
-	seeds := make(map[int]int64)
-	cfg := mc.Config{
-		Seed:     9,
-		MaxPaths: 64,
-		Sampler:  qmc.ModeAntithetic,
-		NewRunner: func() (mc.Runner, error) {
-			return mc.IndexedRunnerFunc(func(index int, seed int64) (mc.Path, error) {
-				mu.Lock()
-				seeds[index] = seed
-				mu.Unlock()
-				return mc.Path{Success: true, Atomic: true, Stage: "s", Duration: 1}, nil
-			}), nil
-		},
-	}
-	if _, err := mc.Run(context.Background(), cfg); err != nil {
-		t.Fatal(err)
-	}
-	if len(seeds) != 64 {
-		t.Fatalf("recorded %d indices, want 64", len(seeds))
-	}
-	for i := 0; i < 64; i += 2 {
-		if seeds[i] != seeds[i+1] {
-			t.Errorf("pair (%d, %d): seeds %d != %d", i, i+1, seeds[i], seeds[i+1])
-		}
-		if want := sweep.Seed(9, i); seeds[i] != want {
-			t.Errorf("path %d: seed %d, want sweep.Seed(9, %d) = %d", i, seeds[i], i, want)
-		}
-	}
-}
-
-// TestAntitheticPerfectPairStopsImmediately exercises the sampler-aware
-// stopper where the statistics are exact: at p = 0.5 the threshold is 0,
-// so every antithetic pair is (success, failure) with pair mean exactly
-// ½ — zero variance. The estimator interval collapses and the run stops
-// at the first boundary where the CLT interval is defined, while the
-// pseudo run needs thousands of paths for the same width.
-func TestAntitheticPerfectPairStopsImmediately(t *testing.T) {
-	base := mc.Config{
-		Seed:      5,
-		MaxPaths:  200000,
-		ChunkSize: 256,
-		CIWidth:   0.01,
-	}
-
-	anti := base
-	anti.Sampler = qmc.ModeAntithetic
-	anti.NewRunner = thresholdRunner(0.5, 5, qmc.ModeAntithetic)
-	ra, err := mc.Run(context.Background(), anti)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ra.Paths != 256 || !ra.Stopped {
-		t.Errorf("antithetic run used %d paths (stopped=%v), want immediate stop at 256", ra.Paths, ra.Stopped)
-	}
-	if ra.SuccessRate.P != 0.5 {
-		t.Errorf("antithetic SR = %v, want exactly 0.5", ra.SuccessRate.P)
-	}
-	if ra.EstHalfWidth != 0 || ra.HalfWidth() != 0 {
-		t.Errorf("perfect pairing should report zero estimator width, got %v", ra.EstHalfWidth)
-	}
-
-	pseudo := base
-	pseudo.NewRunner = thresholdRunner(0.5, 5, qmc.ModePseudo)
-	rp, err := mc.Run(context.Background(), pseudo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rp.Paths <= 10*ra.Paths {
-		t.Errorf("pseudo run used %d paths; expected far more than antithetic's %d", rp.Paths, ra.Paths)
 	}
 }
 
@@ -199,10 +100,10 @@ func TestSobolStopsEarlierThanPseudo(t *testing.T) {
 }
 
 // TestSamplerModesDeterministicAcrossWorkers extends the engine's
-// bit-reproducibility contract to the new modes: fixed-N and adaptive
-// results are identical at any worker count.
+// bit-reproducibility contract to every sampler mode: adaptive results
+// are identical at any worker count.
 func TestSamplerModesDeterministicAcrossWorkers(t *testing.T) {
-	for _, m := range []qmc.Mode{qmc.ModeAntithetic, qmc.ModeSobol} {
+	for _, m := range []qmc.Mode{qmc.ModePseudo, qmc.ModeSobol} {
 		cfg := mc.Config{
 			Seed:      31,
 			MaxPaths:  5000,
@@ -233,7 +134,7 @@ func TestSamplerModesDeterministicAcrossWorkers(t *testing.T) {
 // regression: hooking OnProgress must not change a fixed-N result in any
 // sampler mode.
 func TestFixedNByteIdenticalWithProgressAcrossModes(t *testing.T) {
-	for _, m := range []qmc.Mode{qmc.ModePseudo, qmc.ModeAntithetic, qmc.ModeSobol} {
+	for _, m := range []qmc.Mode{qmc.ModePseudo, qmc.ModeSobol} {
 		cfg := mc.Config{
 			Seed:      77,
 			MaxPaths:  3000,
@@ -257,24 +158,5 @@ func TestFixedNByteIdenticalWithProgressAcrossModes(t *testing.T) {
 		if !reflect.DeepEqual(plain, hooked) {
 			t.Errorf("%s: OnProgress perturbed the fixed-N result:\nplain  %+v\nhooked %+v", m, plain, hooked)
 		}
-	}
-}
-
-// TestAntitheticExactComplementarity pins the defining property end to
-// end through the engine: with a symmetric threshold the two members of
-// every pair land on opposite sides, so successes are exactly half.
-func TestAntitheticExactComplementarity(t *testing.T) {
-	cfg := mc.Config{
-		Seed:      3,
-		MaxPaths:  2048,
-		Sampler:   qmc.ModeAntithetic,
-		NewRunner: thresholdRunner(0.5, 3, qmc.ModeAntithetic),
-	}
-	res, err := mc.Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Successes*2 != res.Paths {
-		t.Errorf("successes = %d of %d, want exactly half", res.Successes, res.Paths)
 	}
 }

@@ -34,7 +34,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gbm"
-	"repro/internal/lazyrng"
 	"repro/internal/qmc"
 	"repro/internal/solvecache"
 	"repro/internal/stats"
@@ -71,13 +70,11 @@ type Config struct {
 	Seed int64
 	// Sampler selects how price increments are drawn (internal/qmc).
 	// Pseudo — the zero value — keeps the historical single sequential
-	// stream byte-for-byte. Antithetic gives runs (2k, 2k+1) a shared
-	// per-pair seed with the odd member's increments negated. Sobol draws
-	// each run's first qmc.MaxDim increments from a scrambled Sobol point
-	// (replicate-striped like the MC engine) padded by a per-run pseudo
-	// tail, so runs with many packets stay unbiased. Under the
-	// variance-reduced modes FractionStdErr is still the i.i.d. formula
-	// and overstates the error — a conservative bound.
+	// stream byte-for-byte. Sobol draws each run's first qmc.MaxDim
+	// increments from a scrambled Sobol point (replicate-striped like the
+	// MC engine) padded by a per-run pseudo tail, so runs with many
+	// packets stay unbiased. Under sobol FractionStdErr is still the
+	// i.i.d. formula and overstates the error — a conservative bound.
 	Sampler qmc.Mode
 }
 
@@ -98,36 +95,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("packetized: %w", err)
 	}
 	return nil
-}
-
-// sobolScrambleShard offsets the per-replicate Sobol scramble seeds into
-// a seed-stream region no run index reaches, mirroring the MC engine's
-// convention (internal/swapsim).
-const sobolScrambleShard = 1 << 30
-
-// runNormals serves a run's pre-filled Sobol slab first, then falls back
-// to the run's seeded pseudo stream, negating pseudo draws on antithetic
-// odd members. Pseudo-mode runs bypass it entirely so the historical
-// sequential stream is untouched.
-type runNormals struct {
-	rng  *rand.Rand
-	neg  bool
-	slab []float64
-	k    int
-}
-
-// NormFloat64 implements gbm.NormalSource.
-func (n *runNormals) NormFloat64() float64 {
-	if n.k < len(n.slab) {
-		v := n.slab[n.k]
-		n.k++
-		return v
-	}
-	v := n.rng.NormFloat64()
-	if n.neg {
-		return -v
-	}
-	return v
 }
 
 // Result aggregates the Monte Carlo estimate.
@@ -194,46 +161,26 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("packetized: %w", err)
 	}
+	// src is the active normal source for the run: the shared sequential
+	// stream in pseudo mode, the slab-fronted source repositioned per run
+	// in sobol mode.
 	var (
-		// src is the active normal source for the run: the shared pseudo
-		// stream in pseudo mode, a per-run reseeded (and possibly
-		// slab-fronted) source otherwise. The per-run stream rides one
-		// lazyrng source — math/rand's exact draws with an O(1) reseed —
-		// so reseeding every run costs nothing.
-		src    gbm.NormalSource
-		norm   runNormals
-		psrc   *lazyrng.Source
-		sobols [qmc.SobolReplicates]*qmc.Sobol
-		slab   [qmc.MaxDim]float64
+		src  gbm.NormalSource
+		norm *qmc.SlabNormals
 	)
-	switch mode {
-	case qmc.ModePseudo:
-		src = rand.New(rand.NewSource(cfg.Seed))
-	case qmc.ModeSobol:
-		for i := range sobols {
-			if sobols[i], err = qmc.NewSobol(qmc.MaxDim, sweep.Seed(cfg.Seed, sobolScrambleShard+i)); err != nil {
-				return Result{}, fmt.Errorf("packetized: %w", err)
-			}
+	if mode == qmc.ModeSobol {
+		if norm, err = qmc.NewSlabNormals(cfg.Seed); err != nil {
+			return Result{}, fmt.Errorf("packetized: %w", err)
 		}
-	}
-	if mode != qmc.ModePseudo {
-		psrc = lazyrng.New(0)
-		norm.rng = rand.New(psrc)
-		src = &norm
+		src = norm
+	} else {
+		src = rand.New(rand.NewSource(cfg.Seed))
 	}
 	full := 0
 	var fracSum, fracSq, packetsSum float64
 	for run := 0; run < cfg.Runs; run++ {
-		switch mode {
-		case qmc.ModeAntithetic:
-			psrc.Seed(sweep.Seed(cfg.Seed, qmc.PairBase(run)))
-			norm.neg = qmc.PairNegated(run)
-			norm.k = 0
-		case qmc.ModeSobol:
-			sobols[qmc.SobolReplicate(run)].Normals(qmc.SobolPoint(run), slab[:])
-			psrc.Seed(sweep.Seed(cfg.Seed, run))
-			norm.slab = slab[:]
-			norm.k = 0
+		if norm != nil {
+			norm.Reset(run, sweep.Seed(cfg.Seed, run))
 		}
 		price := cfg.Params.P0
 		done := 0

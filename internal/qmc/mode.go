@@ -1,24 +1,15 @@
 // Package qmc provides the variance-reduction sampling layer of the Monte
 // Carlo engine: the sampler-mode vocabulary shared by every layer that
-// names one (engine config, batch runner, CLIs, RPC params), an
-// antithetic-pair index mapping, and a scrambled Sobol low-discrepancy
-// sequence with vendored direction numbers (stdlib-only, like lazyrng's
-// cooked table).
+// names one (engine config, batch runner, CLIs, RPC params), a scrambled
+// Sobol low-discrepancy sequence with vendored direction numbers
+// (stdlib-only, like lazyrng's cooked table), and the slab-fronted normal
+// source the sobol-mode simulators draw price increments from.
 //
-// The three modes trade structure for statistical efficiency:
+// The two modes trade structure for statistical efficiency:
 //
 //   - Pseudo is the repository's historical sampler — lazily seeded
 //     math/rand-compatible draws — and stays the golden default: every
 //     committed artifact pins its stream byte-for-byte.
-//   - Antithetic runs paths in pairs (2k, 2k+1) that share a price-path
-//     seed with the sign of every normal increment flipped on the odd
-//     path. When the outcome is monotone in the increments the pair
-//     members are negatively correlated and the pair mean has
-//     below-binomial variance; on two-sided (band-shaped) success
-//     regions — like the swap game, where one agent stops on a falling
-//     price and the other on a rising one — the pair correlation can be
-//     positive and the mode loses to pseudo (see DESIGN.md, "Sampling
-//     modes").
 //   - Sobol replaces the price increments with a digitally shifted Sobol
 //     sequence mapped through the normal quantile, run as R independent
 //     randomizations (replicates) so the estimator keeps an unbiased,
@@ -41,16 +32,10 @@ type Mode string
 const (
 	// ModePseudo is plain pseudo-random sampling (the golden default).
 	ModePseudo Mode = "pseudo"
-	// ModeAntithetic samples antithetic pairs: path 2k+1 replays path
-	// 2k's price increments with flipped signs.
-	ModeAntithetic Mode = "antithetic"
 	// ModeSobol samples price increments from a scrambled Sobol sequence
 	// in replicated randomizations.
 	ModeSobol Mode = "sobol"
 )
-
-// Modes lists the registered modes in presentation order.
-func Modes() []Mode { return []Mode{ModePseudo, ModeAntithetic, ModeSobol} }
 
 // ParseMode resolves a mode name; "" resolves to ModePseudo so untouched
 // configurations keep the default.
@@ -58,12 +43,10 @@ func ParseMode(s string) (Mode, error) {
 	switch Mode(s) {
 	case "", ModePseudo:
 		return ModePseudo, nil
-	case ModeAntithetic:
-		return ModeAntithetic, nil
 	case ModeSobol:
 		return ModeSobol, nil
 	}
-	return "", fmt.Errorf("%w: %q (have pseudo, antithetic, sobol)", ErrBadMode, s)
+	return "", fmt.Errorf("%w: %q (have pseudo, sobol)", ErrBadMode, s)
 }
 
 // Canon returns the canonical spelling of m ("" canonicalises to
@@ -80,18 +63,9 @@ func (m Mode) String() string {
 
 // VarianceReduced reports whether the mode carries its own estimator CI:
 // raw-count Wilson intervals cannot see variance reduction (they observe
-// only successes out of n), so antithetic and Sobol runs stop on a
-// sampler-aware interval instead.
-func (m Mode) VarianceReduced() bool { return m == ModeAntithetic || m == ModeSobol }
-
-// PairBase maps a path index to the index whose price-path seed it
-// shares under antithetic pairing: the even member of its (2k, 2k+1)
-// pair.
-func PairBase(index int) int { return index &^ 1 }
-
-// PairNegated reports whether the path at index replays its pair base
-// with flipped increment signs (the odd pair member).
-func PairNegated(index int) bool { return index&1 == 1 }
+// only successes out of n), so Sobol runs stop on a sampler-aware
+// interval instead.
+func (m Mode) VarianceReduced() bool { return m == ModeSobol }
 
 // SobolReplicates is the number of independent randomizations a
 // sobol-mode run interleaves. Path i belongs to replicate

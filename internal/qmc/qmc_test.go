@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/sweep"
 )
 
 func TestParseMode(t *testing.T) {
@@ -14,8 +16,8 @@ func TestParseMode(t *testing.T) {
 	}{
 		{"", ModePseudo, true},
 		{"pseudo", ModePseudo, true},
-		{"antithetic", ModeAntithetic, true},
 		{"sobol", ModeSobol, true},
+		{"antithetic", "", false},
 		{"halton", "", false},
 		{"Sobol", "", false},
 	}
@@ -31,23 +33,6 @@ func TestParseMode(t *testing.T) {
 	}
 	if Mode("").String() != "pseudo" {
 		t.Errorf("zero Mode renders %q, want pseudo", Mode("").String())
-	}
-	if len(Modes()) != 3 {
-		t.Errorf("Modes() = %v, want 3 entries", Modes())
-	}
-}
-
-func TestPairMapping(t *testing.T) {
-	for _, c := range []struct {
-		index, base int
-		neg         bool
-	}{{0, 0, false}, {1, 0, true}, {2, 2, false}, {3, 2, true}, {100, 100, false}, {101, 100, true}} {
-		if got := PairBase(c.index); got != c.base {
-			t.Errorf("PairBase(%d) = %d, want %d", c.index, got, c.base)
-		}
-		if got := PairNegated(c.index); got != c.neg {
-			t.Errorf("PairNegated(%d) = %v, want %v", c.index, got, c.neg)
-		}
 	}
 }
 
@@ -294,5 +279,38 @@ func TestSobolIntegrationBeatsMC(t *testing.T) {
 	}
 	if qmcErr*4 > mcErr {
 		t.Errorf("mean |error|: sobol %.3g vs MC %.3g — expected ≥4x improvement", qmcErr/reps, mcErr/reps)
+	}
+}
+
+// TestSlabNormalsSlabThenTail pins the source's draw order: a path's
+// first MaxDim normals are its replicate's Sobol point, every later draw
+// comes from a pseudo stream seeded with the path seed, and Reset
+// repositions both — so a path is a pure function of (index, seed).
+func TestSlabNormalsSlabThenTail(t *testing.T) {
+	const seed = 11
+	n, err := NewSlabNormals(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, index := range []int{0, 5, 8, 1234} {
+		pathSeed := int64(1000 + index)
+		n.Reset(index, pathSeed)
+		s, err := NewSobol(MaxDim, sweep.Seed(seed, sobolScrambleShard+SobolReplicate(index)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want [MaxDim]float64
+		s.Normals(SobolPoint(index), want[:])
+		for d, w := range want {
+			if got := n.NormFloat64(); got != w {
+				t.Fatalf("index %d draw %d = %v, want slab %v", index, d, got, w)
+			}
+		}
+		tail := rand.New(rand.NewSource(pathSeed))
+		for k := 0; k < 3; k++ {
+			if got, w := n.NormFloat64(), tail.NormFloat64(); got != w {
+				t.Fatalf("index %d tail draw %d = %v, want %v", index, k, got, w)
+			}
+		}
 	}
 }

@@ -3,8 +3,10 @@ package qmc
 import (
 	"fmt"
 	"math"
+	"math/rand"
 
 	"repro/internal/lazyrng"
+	"repro/internal/sweep"
 )
 
 // MaxDim is the largest supported Sobol dimension: one dimension per
@@ -123,4 +125,62 @@ func (s *Sobol) Normals(index uint32, z []float64) {
 	for d, u := range z[:s.dim] {
 		z[d] = math.Sqrt2 * math.Erfinv(2*u-1)
 	}
+}
+
+// sobolScrambleShard offsets the per-replicate scramble seeds into a
+// seed-stream region no path index reaches (path seeds use
+// sweep.Seed(seed, i) for i < MaxPaths), so the replicates' digital shifts
+// are decorrelated from every path's pseudo tail.
+const sobolScrambleShard = 1 << 30
+
+// SlabNormals is the standard-normal source of a sobol-mode simulation.
+// Each path first drains a slab of MaxDim normals — its Sobol point, at
+// SobolPoint(index) of replicate SobolReplicate(index)'s randomization —
+// then falls back to a pseudo tail seeded with the path seed, so paths
+// that consume more than MaxDim increments stay unbiased. The tail rides
+// one lazyrng source (math/rand's exact draws with an O(1) reseed), so
+// repositioning per path costs nothing. It implements gbm.NormalSource
+// and is not safe for concurrent use.
+type SlabNormals struct {
+	sobols [SobolReplicates]*Sobol
+	slab   [MaxDim]float64
+	k      int
+	tail   *lazyrng.Source
+	rng    *rand.Rand
+}
+
+// NewSlabNormals builds the source of a run with base seed seed: one
+// scrambled sequence per replicate, replicate r shifted by
+// sweep.Seed(seed, sobolScrambleShard+r).
+func NewSlabNormals(seed int64) (*SlabNormals, error) {
+	n := &SlabNormals{tail: lazyrng.New(0)}
+	n.rng = rand.New(n.tail)
+	for r := range n.sobols {
+		s, err := NewSobol(MaxDim, sweep.Seed(seed, sobolScrambleShard+r))
+		if err != nil {
+			return nil, err
+		}
+		n.sobols[r] = s
+	}
+	return n, nil
+}
+
+// Reset positions the source at the start of the path with the given
+// global index and path seed: the slab refills from the path's Sobol
+// point and the pseudo tail reseeds.
+func (n *SlabNormals) Reset(index int, pathSeed int64) {
+	n.sobols[SobolReplicate(index)].Normals(SobolPoint(index), n.slab[:])
+	n.k = 0
+	n.tail.Seed(pathSeed)
+}
+
+// NormFloat64 returns the path's next standard normal: slab first, then
+// the pseudo tail.
+func (n *SlabNormals) NormFloat64() float64 {
+	if n.k < len(n.slab) {
+		v := n.slab[n.k]
+		n.k++
+		return v
+	}
+	return n.rng.NormFloat64()
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"math"
 	"time"
 
@@ -34,7 +33,7 @@ type SolveParams struct {
 	Chunk    int     `json:"chunk,omitempty"`
 	MaxPaths int     `json:"maxPaths,omitempty"`
 	// Sampler selects the validation's sampling mode: "" or "pseudo"
-	// (default), "antithetic", or "sobol" (see internal/qmc). Requests
+	// (default), or "sobol" (see internal/qmc). Requests
 	// with different samplers never coalesce.
 	Sampler string `json:"sampler,omitempty"`
 	// BudgetMs overrides the server's default request budget.
@@ -101,7 +100,7 @@ type solveResultWire struct {
 }
 
 // resolvedSolve is a fully resolved solve request: the scenario, the
-// variant keys, and the run options — everything the cell key hashes.
+// variant keys, and the run options — everything the row key hashes.
 type resolvedSolve struct {
 	sc   scenario.Scenario
 	keys []string
@@ -183,28 +182,11 @@ func (s *Server) resolveSolve(p SolveParams) (resolvedSolve, *Error) {
 		MCWorkers: s.cfg.MCWorkers,
 		SkipMC:    !p.MC,
 		Sampler:   sampler,
-		// The persistent store rides along unserialized (json:"-"), so the
-		// canonical solve key below is unchanged by its presence.
+		// The persistent store is plumbing, not a solve input: the row key
+		// ignores it.
 		Store: s.cfg.Store,
 	}
 	return resolvedSolve{sc: sc, keys: keys, opts: opts}, nil
-}
-
-// solveKey is the single-flight key of a resolved solve: a canonical JSON
-// encoding of everything that determines the answer. Two requests
-// coalesce exactly when the underlying computation would be identical.
-func solveKey(r resolvedSolve) string {
-	key, err := json.Marshal(struct {
-		Sc   scenario.Scenario
-		Keys []string
-		Opts variant.RunOpts
-	}{r.sc, r.keys, r.opts})
-	if err != nil {
-		// Scenario and RunOpts are plain data; encoding cannot fail. Fall
-		// back to an uncoalesceable key rather than wrongly sharing.
-		return fmt.Sprintf("unkeyed-%p", &r)
-	}
-	return string(key)
 }
 
 // solveCell computes one coalesced solve: the (scenario × variant) row
@@ -276,7 +258,12 @@ func (s *Server) handleSolve(ctx context.Context, raw json.RawMessage) (any, *Er
 	if rerr != nil {
 		return nil, rerr
 	}
-	key := solveKey(req)
+	// Two requests share a key — and so coalesce and share cached bytes —
+	// exactly when the underlying computation would be identical.
+	key, err := variant.RowKey(req.sc, req.keys, req.opts)
+	if err != nil {
+		return nil, Errorf(CodeInternalError, "keying solve: %v", err)
+	}
 	if val, ok := s.resp.get(key); ok {
 		return solveResultWire{
 			Scenario:  val.Scenario,

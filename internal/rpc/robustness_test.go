@@ -97,7 +97,7 @@ func TestSolvePanicSettlesWaiters(t *testing.T) {
 // connection serving.
 func TestStreamPanicIsolated(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	s.stream = func(ctx context.Context, cancel context.CancelFunc, sess *wsSession, id json.RawMessage, cfg simulateConfig) {
+	s.stream = func(ctx context.Context, cancel context.CancelFunc, sess *wsSession, id json.RawMessage, cfg simulateConfig) Response {
 		panic("boom")
 	}
 	conn := dialTest(t, ts.URL)

@@ -4,13 +4,15 @@ import (
 	"encoding/json"
 	"net/http"
 	"testing"
+
+	"repro/internal/variant"
 )
 
 // TestSolveSamplerParam pins the sampler parameter end to end: a sobol
 // solve succeeds and its MC check names the mode, the pseudo default
-// omits the field (historical responses unchanged), an unknown mode is
-// CodeInvalidParams, and requests with different samplers never share a
-// single-flight key.
+// omits the field (historical responses unchanged), an unknown or retired
+// mode is CodeInvalidParams, and requests with different samplers never
+// share a single-flight key.
 func TestSolveSamplerParam(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 
@@ -43,10 +45,12 @@ func TestSolveSamplerParam(t *testing.T) {
 		t.Errorf("pseudo MC check sampler = %q, want omitted", got)
 	}
 
-	resp, _ = post(t, ts.URL, rpcCall(3, "swap.solve",
-		`{"scenario":"tableIII","sampler":"halton"}`))
-	if resp.Error == nil || resp.Error.Code != CodeInvalidParams {
-		t.Fatalf("unknown sampler: error = %+v, want CodeInvalidParams", resp.Error)
+	for _, bad := range []string{"halton", "antithetic"} {
+		resp, _ = post(t, ts.URL, rpcCall(3, "swap.solve",
+			`{"scenario":"tableIII","sampler":"`+bad+`"}`))
+		if resp.Error == nil || resp.Error.Code != CodeInvalidParams {
+			t.Fatalf("sampler %q: error = %+v, want CodeInvalidParams", bad, resp.Error)
+		}
 	}
 
 	key := func(sampler string) string {
@@ -57,19 +61,23 @@ func TestSolveSamplerParam(t *testing.T) {
 		if rerr != nil {
 			t.Fatalf("resolve sampler=%q: %+v", sampler, rerr)
 		}
-		return solveKey(req)
+		k, err := variant.RowKey(req.sc, req.keys, req.opts)
+		if err != nil {
+			t.Fatalf("key sampler=%q: %v", sampler, err)
+		}
+		return k
 	}
 	if key("pseudo") != key("") {
 		t.Error("explicit pseudo and the default must coalesce")
 	}
-	if key("sobol") == key("pseudo") || key("antithetic") == key("pseudo") || key("sobol") == key("antithetic") {
+	if key("sobol") == key("pseudo") {
 		t.Error("different samplers must not share a single-flight key")
 	}
 }
 
 // TestWSSimulateSampler streams a sobol simulation: the terminal result
 // names the mode and carries the estimator half-width the adaptive
-// stopper uses; an unknown mode fails before the stream starts.
+// stopper uses; an unknown or retired mode fails before the stream starts.
 func TestWSSimulateSampler(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	conn := dialTest(t, ts.URL)
@@ -101,12 +109,14 @@ func TestWSSimulateSampler(t *testing.T) {
 		t.Errorf("estimator half-width = %v, want in (0, 1)", final.EstHalfWidth)
 	}
 
-	if err := conn.WriteMessage([]byte(rpcCall(12, "swap.simulate",
-		`{"scenario":"tableIII","runs":100,"sampler":"halton"}`))); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	m := readMsg(t, conn)
-	if m.Error == nil || m.Error.Code != CodeInvalidParams {
-		t.Fatalf("unknown sampler: frame = %+v, want CodeInvalidParams", m)
+	for _, bad := range []string{"halton", "antithetic"} {
+		if err := conn.WriteMessage([]byte(rpcCall(12, "swap.simulate",
+			`{"scenario":"tableIII","runs":100,"sampler":"`+bad+`"}`))); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		m := readMsg(t, conn)
+		if m.Error == nil || m.Error.Code != CodeInvalidParams {
+			t.Fatalf("sampler %q: frame = %+v, want CodeInvalidParams", bad, m)
+		}
 	}
 }

@@ -133,7 +133,7 @@ type Server struct {
 	inflight sync.WaitGroup
 
 	// flight coalesces concurrent identical solve requests in front of
-	// the process-wide solvecache (see solveKey).
+	// the process-wide solvecache, keyed by variant.RowKey.
 	flight solvecache.Flight[string, solveValue]
 
 	// resp is the serialized-response byte cache for swap.solve, keyed by
@@ -144,9 +144,9 @@ type Server struct {
 	// the real variant-registry solve.
 	solve func(req resolvedSolve) (solveValue, error)
 
-	// stream runs one simulate stream body; a test seam, defaulting to
-	// runStream.
-	stream func(ctx context.Context, cancel context.CancelFunc, sess *wsSession, id json.RawMessage, cfg simulateConfig)
+	// stream runs one simulate stream body and returns its terminal
+	// response; a test seam, defaulting to runStream.
+	stream func(ctx context.Context, cancel context.CancelFunc, sess *wsSession, id json.RawMessage, cfg simulateConfig) Response
 
 	// adm is the admission controller in front of the expensive methods.
 	adm *admission

@@ -36,10 +36,10 @@ type SimulateParams struct {
 	// EveryPaths throttles the stream: one progress notification per at
 	// least this many merged paths (default 512; 1 streams every chunk).
 	EveryPaths int `json:"everyPaths,omitempty"`
-	// Sampler selects the sampling mode: "" or "pseudo" (default),
-	// "antithetic", or "sobol" (see internal/qmc). In the variance-reduced
-	// modes the streamed halfWidth is the sampler-aware estimator
-	// interval the adaptive stopper watches, not the Wilson width.
+	// Sampler selects the sampling mode: "" or "pseudo" (default), or
+	// "sobol" (see internal/qmc). In sobol mode the streamed halfWidth is
+	// the sampler-aware estimator interval the adaptive stopper watches,
+	// not the Wilson width.
 	Sampler string `json:"sampler,omitempty"`
 	// BudgetMs overrides the server's default request budget.
 	BudgetMs int `json:"budgetMs,omitempty"`
@@ -282,28 +282,34 @@ func (s *Server) startStream(sess *wsSession, req Request) {
 		}
 	}()
 	go func() {
-		defer func() {
-			close(streamDone)
-			sess.mu.Lock()
-			delete(sess.streams, id)
-			sess.mu.Unlock()
-			cancel()
-			s.adm.release()
-			s.stats.streamsActive.Add(-1)
-			s.inflight.Done()
-		}()
-		// Panic isolation: a stream panic becomes its terminal error
-		// response, never a dead daemon.
-		defer func() {
-			if r := recover(); r != nil {
-				s.stats.panics.Add(1)
-				s.cfg.Logf("rpc: stream %s panicked (recovered): %v", id, r)
-				conn.WriteJSON(NewErrorResponse(req.ID,
-					Errorf(CodeInternalError, "internal error: stream panicked")))
-			}
-		}()
-		s.stream(ctx, cancel, sess, req.ID, cfg)
+		resp := s.guardStream(ctx, cancel, sess, req.ID, cfg)
+		// Settle the bookkeeping before the terminal frame goes out: a
+		// client that has read the frame must see the stream gone (no
+		// longer cancelable, not counted active, its slot released).
+		// inflight is released last, so drain still waits for the frame.
+		sess.mu.Lock()
+		delete(sess.streams, id)
+		sess.mu.Unlock()
+		cancel()
+		s.adm.release()
+		s.stats.streamsActive.Add(-1)
+		conn.WriteJSON(resp)
+		close(streamDone)
+		s.inflight.Done()
 	}()
+}
+
+// guardStream runs one stream body with panic isolation: a stream panic
+// becomes its terminal error response, never a dead daemon.
+func (s *Server) guardStream(ctx context.Context, cancel context.CancelFunc, sess *wsSession, id json.RawMessage, cfg simulateConfig) (resp Response) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.stats.panics.Add(1)
+			s.cfg.Logf("rpc: stream %s panicked (recovered): %v", id, r)
+			resp = NewErrorResponse(id, Errorf(CodeInternalError, "internal error: stream panicked"))
+		}
+	}()
+	return s.stream(ctx, cancel, sess, id, cfg)
 }
 
 // simulateConfig is a resolved swap.simulate request.
@@ -384,11 +390,12 @@ func (s *Server) resolveSimulate(p SimulateParams) (simulateConfig, *Error) {
 }
 
 // runStream executes one simulate stream: progress notifications while
-// the engine runs, then the terminal response (result, budget error, or
-// cancellation). cancel aborts the engine when the peer stops reading: a
-// progress write that fails or times out cancels the stream instead of
-// blocking the Monte Carlo engine behind a dead connection.
-func (s *Server) runStream(ctx context.Context, cancel context.CancelFunc, sess *wsSession, id json.RawMessage, cfg simulateConfig) {
+// the engine runs, then it returns the terminal response (result, budget
+// error, or cancellation) for the caller to write. cancel aborts the
+// engine when the peer stops reading: a progress write that fails or
+// times out cancels the stream instead of blocking the Monte Carlo engine
+// behind a dead connection.
+func (s *Server) runStream(ctx context.Context, cancel context.CancelFunc, sess *wsSession, id json.RawMessage, cfg simulateConfig) Response {
 	start := time.Now()
 	conn := sess.conn
 	snapshots := 0
@@ -422,8 +429,7 @@ func (s *Server) runStream(ctx context.Context, cancel context.CancelFunc, sess 
 	res, err := swapsim.MonteCarloCtx(ctx, cfg.mcc)
 	if err != nil {
 		s.stats.errors.Add(1)
-		conn.WriteJSON(NewErrorResponse(id, s.asRPCError(err)))
-		return
+		return NewErrorResponse(id, s.asRPCError(err))
 	}
 	stages := make(map[string]int, len(res.Stages))
 	for stage, n := range res.Stages {
@@ -440,5 +446,5 @@ func (s *Server) runStream(ctx context.Context, cancel context.CancelFunc, sess 
 		out.Sampler = string(res.Sampler)
 		out.EstHalfWidth = res.EstHalfWidth
 	}
-	conn.WriteJSON(NewResponse(id, out))
+	return NewResponse(id, out)
 }

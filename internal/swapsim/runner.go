@@ -13,7 +13,6 @@ import (
 	"repro/internal/oracle"
 	"repro/internal/qmc"
 	"repro/internal/sim"
-	"repro/internal/sweep"
 	"repro/internal/timeline"
 )
 
@@ -23,39 +22,6 @@ import (
 // them), so the secret reader gets the seed XORed with an arbitrary
 // constant instead of a derived stream.
 const secretStreamSalt = 0x5eC2e7B17e50F
-
-// sobolScrambleShard offsets the per-replicate Sobol scramble seeds into
-// a stream region no path index reaches (path seeds use sweep.Seed(seed,
-// i) for i < MaxPaths), so the R digital shifts are decorrelated from
-// every path's pseudo fallback stream.
-const sobolScrambleShard = 1 << 30
-
-// pathNormals adapts the per-path pseudo stream into a sampler-aware
-// standard-normal source for the price feed: it serves a pre-filled
-// quasi-random slab first (sobol mode), then falls back to the seeded
-// pseudo stream, negating every pseudo draw on antithetic odd members.
-// Pseudo-mode runners bypass it entirely — the feed holds the *rand.Rand
-// itself, so the golden draw stream is untouched.
-type pathNormals struct {
-	rng  *rand.Rand
-	neg  bool
-	slab []float64
-	k    int
-}
-
-// NormFloat64 implements gbm.NormalSource.
-func (n *pathNormals) NormFloat64() float64 {
-	if n.k < len(n.slab) {
-		v := n.slab[n.k]
-		n.k++
-		return v
-	}
-	v := n.rng.NormFloat64()
-	if n.neg {
-		return -v
-	}
-	return v
-}
 
 // Runner executes protocol paths with a preallocated simulation stack —
 // scheduler, both chains, price feed, agents and (with collateral) the
@@ -67,10 +33,9 @@ func (n *pathNormals) NormFloat64() float64 {
 // restores exactly the state a fresh stack would have, so a reused Runner
 // reproduces the outcomes of the one-shot Run path for path.
 type Runner struct {
-	cfg     Config
-	scale   float64
-	sampler qmc.Mode
-	tl      timeline.Timeline
+	cfg   Config
+	scale float64
+	tl    timeline.Timeline
 
 	sched  *sim.Scheduler
 	chainA *chain.Chain
@@ -85,17 +50,13 @@ type Runner struct {
 	// Alice's per-path preimages (deterministic, allocation- and
 	// syscall-free; secret bytes never influence an outcome).
 	secrets *lazyrng.SplitMix
-	// norm is the sampler-aware normal source the feed draws from in the
-	// variance-reduced modes (nil in pseudo mode, where the feed holds rng
-	// directly); slab is the per-path Sobol point mapped to normals, and
-	// sobols holds one scrambled sequence per randomization replicate.
-	norm   *pathNormals
-	slab   [qmc.MaxDim]float64
-	sobols [qmc.SobolReplicates]*qmc.Sobol
-	feed   *agent.PriceFeed
-	alice  *agent.Alice
-	bob    *agent.Bob
-	orc    *oracle.Oracle
+	// norm is the slab-fronted normal source the feed draws from in sobol
+	// mode (nil in pseudo mode, where the feed holds rng directly).
+	norm  *qmc.SlabNormals
+	feed  *agent.PriceFeed
+	alice *agent.Alice
+	bob   *agent.Bob
+	orc   *oracle.Oracle
 
 	fundAliceA, fundBobB, fundBobA float64
 
@@ -120,7 +81,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
-	r := &Runner{cfg: cfg, scale: cfg.InitialBalanceScale, sampler: mode}
+	r := &Runner{cfg: cfg, scale: cfg.InitialBalanceScale}
 	if r.scale <= 0 {
 		r.scale = 2
 	}
@@ -155,19 +116,13 @@ func NewRunner(cfg Config) (*Runner, error) {
 	r.rng = rand.New(r.src)
 	r.secrets = lazyrng.NewSplitMix(cfg.Seed ^ secretStreamSalt)
 	// Pseudo mode hands the feed the raw *rand.Rand — the exact source the
-	// goldens pin — while the variance-reduced modes interpose the
-	// sampler-aware wrapper.
+	// goldens pin — while sobol mode interposes the slab-fronted source.
 	var feedSrc gbm.NormalSource = r.rng
-	if mode.VarianceReduced() {
-		r.norm = &pathNormals{rng: r.rng}
-		feedSrc = r.norm
-	}
 	if mode == qmc.ModeSobol {
-		for i := range r.sobols {
-			if r.sobols[i], err = qmc.NewSobol(qmc.MaxDim, sweep.Seed(cfg.Seed, sobolScrambleShard+i)); err != nil {
-				return nil, fmt.Errorf("swapsim: %w", err)
-			}
+		if r.norm, err = qmc.NewSlabNormals(cfg.Seed); err != nil {
+			return nil, fmt.Errorf("swapsim: %w", err)
 		}
+		feedSrc = r.norm
 	}
 	if r.feed, err = agent.NewPriceFeed(cfg.Params.Price, cfg.Params.P0, feedSrc); err != nil {
 		return nil, fmt.Errorf("swapsim: %w", err)
@@ -199,24 +154,16 @@ func (r *Runner) RunOutcome(seed int64) (Outcome, error) {
 }
 
 // RunOutcomeIndexed executes the path at global stream index with the
-// given seed, applying the runner's sampler mode: antithetic odd members
-// negate every price increment of their (even-seeded) pair base, and
-// sobol paths draw the leading increments from point SobolPoint(index)
-// of replicate SobolReplicate(index)'s scrambled sequence, falling back
-// to the seeded pseudo stream past qmc.MaxDim draws. In pseudo mode the
-// index is ignored and the draw stream is byte-identical to the
-// historical runner. The returned Outcome's decision logs alias scratch
-// buffers that the next run overwrites; callers that keep a path's log
-// must copy it.
+// given seed, applying the runner's sampler mode: sobol paths draw the
+// leading increments from point SobolPoint(index) of replicate
+// SobolReplicate(index)'s scrambled sequence, falling back to the seeded
+// pseudo stream past qmc.MaxDim draws. In pseudo mode the index is
+// ignored and the draw stream is byte-identical to the historical runner.
+// The returned Outcome's decision logs alias scratch buffers that the
+// next run overwrites; callers that keep a path's log must copy it.
 func (r *Runner) RunOutcomeIndexed(index int, seed int64) (Outcome, error) {
-	switch r.sampler {
-	case qmc.ModeAntithetic:
-		r.norm.neg = qmc.PairNegated(index)
-		r.norm.slab, r.norm.k = nil, 0
-	case qmc.ModeSobol:
-		r.sobols[qmc.SobolReplicate(index)].Normals(qmc.SobolPoint(index), r.slab[:])
-		r.norm.neg = false
-		r.norm.slab, r.norm.k = r.slab[:], 0
+	if r.norm != nil {
+		r.norm.Reset(index, seed)
 	}
 	// The reset sequence replays the construction order of a fresh stack:
 	// scheduler and chains first, then halt windows, funding, price path,
@@ -312,13 +259,7 @@ func (r *Runner) RunOutcomeIndexed(index int, seed int64) (Outcome, error) {
 
 // RunPath implements mc.Runner: one reused-state path, reduced to the
 // engine's streaming aggregate.
-func (r *Runner) RunPath(seed int64) (mc.Path, error) {
-	return r.RunPathIndexed(0, seed)
-}
-
-// RunPathIndexed implements mc.IndexedRunner, enabling the
-// variance-reduced sampler modes of the streaming engine.
-func (r *Runner) RunPathIndexed(index int, seed int64) (mc.Path, error) {
+func (r *Runner) RunPath(index int, seed int64) (mc.Path, error) {
 	out, err := r.RunOutcomeIndexed(index, seed)
 	if err != nil {
 		return mc.Path{}, err

@@ -67,7 +67,7 @@ func ksStatistic(a, b []float64) float64 {
 }
 
 // durations collects per-path end times for the scenario under the mode,
-// replaying the engine's exact per-mode seeding on a single runner.
+// replaying the engine's exact seeding on a single runner.
 func durations(t *testing.T, sc scenario.Scenario, mode qmc.Mode, runs int) []float64 {
 	t.Helper()
 	r, err := swapsim.NewRunner(swapsim.Config{
@@ -81,11 +81,7 @@ func durations(t *testing.T, sc scenario.Scenario, mode qmc.Mode, runs int) []fl
 	}
 	out := make([]float64, runs)
 	for i := 0; i < runs; i++ {
-		seed := sweep.Seed(sc.Seed, i)
-		if mode == qmc.ModeAntithetic {
-			seed = sweep.Seed(sc.Seed, qmc.PairBase(i))
-		}
-		p, err := r.RunPathIndexed(i, seed)
+		p, err := r.RunPath(i, sweep.Seed(sc.Seed, i))
 		if err != nil {
 			t.Fatalf("%s/%s path %d: %v", sc.Name, mode, i, err)
 		}
@@ -95,14 +91,13 @@ func durations(t *testing.T, sc scenario.Scenario, mode qmc.Mode, runs int) []fl
 }
 
 // TestSamplerEquivalentInDistribution is the correctness pin for the
-// variance-reduced modes on the real protocol workload: on every scenario
-// preset, antithetic and sobol sampling must estimate the same success
-// rate as pseudo sampling (CI overlap of the Wilson intervals), produce
-// the same support of terminal stages within sampling noise, and draw
-// end-time samples from the same distribution (two-sample KS). The modes
-// change only the joint law across paths — every marginal is untouched —
-// so a failure here is a seeding or negation bug, not noise: all runs
-// are deterministic per seed.
+// variance-reduced mode on the real protocol workload: on every scenario
+// preset, sobol sampling must estimate the same success rate as pseudo
+// sampling (CI overlap of the Wilson intervals), produce the same support
+// of terminal stages within sampling noise, and draw end-time samples
+// from the same distribution (two-sample KS). The mode changes only the
+// joint law across paths — every marginal is untouched — so a failure
+// here is a seeding bug, not noise: all runs are deterministic per seed.
 func TestSamplerEquivalentInDistribution(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full preset sweep in -short mode")
@@ -116,7 +111,7 @@ func TestSamplerEquivalentInDistribution(t *testing.T) {
 			t.Parallel()
 			pseudo := mcFor(t, sc, qmc.ModePseudo, samplerRuns)
 			durPseudo := durations(t, sc, qmc.ModePseudo, samplerRuns)
-			for _, mode := range []qmc.Mode{qmc.ModeAntithetic, qmc.ModeSobol} {
+			for _, mode := range []qmc.Mode{qmc.ModeSobol} {
 				res := mcFor(t, sc, mode, samplerRuns)
 				if res.Sampler != mode {
 					t.Errorf("%s: result reports sampler %q", mode, res.Sampler)
@@ -200,13 +195,13 @@ func TestSamplerRejectsUnknownMode(t *testing.T) {
 }
 
 // TestSamplerDeterministicAcrossWorkers extends the engine determinism
-// contract to the real protocol runner in the variance-reduced modes.
+// contract to the real protocol runner in the variance-reduced mode.
 func TestSamplerDeterministicAcrossWorkers(t *testing.T) {
 	sc, err := scenario.Lookup("tableIII")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []qmc.Mode{qmc.ModeAntithetic, qmc.ModeSobol} {
+	for _, mode := range []qmc.Mode{qmc.ModeSobol} {
 		cfg := swapsim.MCConfig{
 			Config: swapsim.Config{
 				Params:     sc.Params,
@@ -239,14 +234,6 @@ func TestSamplerDeterministicAcrossWorkers(t *testing.T) {
 // TestSamplerConvergenceTableIII is the headline acceptance check: at the
 // Table III point, Sobol must reach the 0.01 estimator half-width in at
 // most half the Wilson-stopped pseudo baseline's paths (measured: ≈0.17×).
-// Antithetic is pinned at its measured behaviour instead: the swap's
-// success region is two-sided — Bob stops when the price falls, Alice
-// when it rises — so mirrored paths land symmetrically in or out of the
-// band and the pair correlation is positive (≈ +0.29 here), making
-// antithetic mildly counterproductive on this workload. The test bounds
-// that overhead so a regression past the structural (1+ρ) penalty still
-// fails; DESIGN.md's sampling-modes section documents the deviation from
-// the issue's original ≤0.5× target for antithetic.
 func TestSamplerConvergenceTableIII(t *testing.T) {
 	if testing.Short() {
 		t.Skip("adaptive convergence sweep in -short mode")
@@ -277,20 +264,13 @@ func TestSamplerConvergenceTableIII(t *testing.T) {
 		return res
 	}
 	pseudo := run(qmc.ModePseudo)
-	anti := run(qmc.ModeAntithetic)
 	sobol := run(qmc.ModeSobol)
-	t.Logf("paths to ±0.01: pseudo=%d antithetic=%d (%.2fx) sobol=%d (%.2fx)",
-		pseudo.Paths, anti.Paths, float64(anti.Paths)/float64(pseudo.Paths),
-		sobol.Paths, float64(sobol.Paths)/float64(pseudo.Paths))
-	for _, r := range []swapsim.MCResult{anti, sobol} {
-		if math.Abs(r.SuccessRate.P-pseudo.SuccessRate.P) > 0.03 {
-			t.Errorf("%s stopped at SR %.4f, pseudo at %.4f", r.Sampler, r.SuccessRate.P, pseudo.SuccessRate.P)
-		}
+	t.Logf("paths to ±0.01: pseudo=%d sobol=%d (%.2fx)",
+		pseudo.Paths, sobol.Paths, float64(sobol.Paths)/float64(pseudo.Paths))
+	if math.Abs(sobol.SuccessRate.P-pseudo.SuccessRate.P) > 0.03 {
+		t.Errorf("sobol stopped at SR %.4f, pseudo at %.4f", sobol.SuccessRate.P, pseudo.SuccessRate.P)
 	}
 	if 2*sobol.Paths > pseudo.Paths {
 		t.Errorf("sobol needed %d paths vs pseudo %d — want ≤ 0.5x", sobol.Paths, pseudo.Paths)
-	}
-	if float64(anti.Paths) > 1.5*float64(pseudo.Paths) {
-		t.Errorf("antithetic needed %d paths vs pseudo %d — exceeds the structural (1+ρ) ≈ 1.3x bound", anti.Paths, pseudo.Paths)
 	}
 }

@@ -79,9 +79,9 @@ type Config struct {
 	InitialBalanceScale float64
 	// Sampler selects how the price increments are drawn (see
 	// internal/qmc). The zero value is pseudo — the historical stream every
-	// committed golden pins byte-for-byte. The variance-reduced modes
-	// (antithetic, sobol) change only the increments' joint distribution
-	// across paths; each path's marginal law is unchanged.
+	// committed golden pins byte-for-byte. Sobol mode changes only the
+	// increments' joint distribution across paths; each path's marginal
+	// law is unchanged.
 	Sampler qmc.Mode
 }
 

@@ -36,9 +36,9 @@ type RunOpts struct {
 	MaxPaths int
 	// Sampler selects how the protocol simulations draw price increments
 	// (see internal/qmc): "" or "pseudo" keeps the golden default stream;
-	// "antithetic" and "sobol" are the variance-reduced modes. It applies
-	// to the swapsim-backed validations (basic, collateral); the variant
-	// games with bespoke closed-form samplers ignore it.
+	// "sobol" is the variance-reduced mode. It applies to the
+	// swapsim-backed validations (basic, collateral); the variant games
+	// with bespoke closed-form samplers ignore it.
 	Sampler qmc.Mode
 	// Variants overrides every scenario's variant selection: "" defers to
 	// the scenario (or the default trio), "all" solves every registered
@@ -84,7 +84,25 @@ type cellKeyMaterial struct {
 // they would produce the same report, so a key lookup can never serve a
 // stale result — a changed input is a different key.
 func CellKey(sc scenario.Scenario, variantKey string, opts RunOpts) (string, error) {
-	return store.Key(cellKeyMaterial{
+	return store.Key(cellMaterial(sc, variantKey, opts))
+}
+
+// RowKey returns the content key of a whole solved row: the scenario under
+// the given run options, solved for the ordered variant keys. It is built
+// from the same material as CellKey, so the two agree on which inputs
+// determine an answer; a daemon coalesces and caches identical requests
+// under it. Different variant orders are different rows.
+func RowKey(sc scenario.Scenario, variantKeys []string, opts RunOpts) (string, error) {
+	return store.Key(struct {
+		Cell     cellKeyMaterial `json:"cell"`
+		Variants []string        `json:"variants"`
+	}{cellMaterial(sc, "", opts), variantKeys})
+}
+
+// cellMaterial assembles the key material of one cell; RowKey passes an
+// empty variantKey and carries the selection beside it.
+func cellMaterial(sc scenario.Scenario, variantKey string, opts RunOpts) cellKeyMaterial {
+	return cellKeyMaterial{
 		Schema:   cellSchema,
 		Scenario: sc,
 		Variant:  variantKey,
@@ -94,7 +112,7 @@ func CellKey(sc scenario.Scenario, variantKey string, opts RunOpts) (string, err
 		MaxPaths: opts.MaxPaths,
 		Sampler:  opts.Sampler,
 		SkipMC:   opts.SkipMC,
-	})
+	}
 }
 
 // ScenarioReport is the solved (scenario × variant) row of one scenario:

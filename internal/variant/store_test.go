@@ -78,6 +78,36 @@ func TestCellKeySensitivity(t *testing.T) {
 	}
 }
 
+// TestRowKey pins the daemon's request key: it follows the same inputs as
+// CellKey, adds the ordered variant selection, and ignores the worker
+// count.
+func TestRowKey(t *testing.T) {
+	sc := testScenario(t)
+	base := RunOpts{Runs: 400}
+	key := func(keys []string, opts RunOpts) string {
+		t.Helper()
+		k, err := RowKey(sc, keys, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	k0 := key([]string{"basic", "collateral"}, base)
+	for name, k := range map[string]string{
+		"order":     key([]string{"collateral", "basic"}, base),
+		"selection": key([]string{"basic"}, base),
+		"sampler":   key([]string{"basic", "collateral"}, RunOpts{Runs: 400, Sampler: "sobol"}),
+		"skipMC":    key([]string{"basic", "collateral"}, RunOpts{Runs: 400, SkipMC: true}),
+	} {
+		if k == k0 {
+			t.Errorf("changing %s did not change the row key", name)
+		}
+	}
+	if k := key([]string{"basic", "collateral"}, RunOpts{Runs: 400, MCWorkers: 8}); k != k0 {
+		t.Error("the worker count changed the row key")
+	}
+}
+
 func TestRunReadsThroughStore(t *testing.T) {
 	sc := testScenario(t)
 	s, err := store.Open(t.TempDir())
