@@ -47,7 +47,7 @@ bench-smoke:
 bench-json:
 	$(GO) test -bench='^BenchmarkMC_' -benchmem -run='^$$' . | $(GO) run ./tools/benchmc -o BENCH_mc.json
 	$(GO) test -bench='^Benchmark(Solve_|FiguresFull)' -benchmem -benchtime=1x -run='^$$' . | $(GO) run ./tools/benchmc -o BENCH_solve.json \
-		-note "Amortized solve engine baseline (cold process: BenchmarkFiguresFull runs first and populates the process-wide caches); regenerate with make bench-json, CI gates allocs/op at 2x and BenchmarkFiguresFull wall time at 1.0s via make bench-check."
+		-note "Amortized solve engine baseline (cold process: BenchmarkFiguresFull runs first and populates the process-wide caches); regenerate with make bench-json, CI gates allocs/op at 2x and BenchmarkFiguresFull wall time at 1.0s via make bench-check. Recorded with $$($(GO) env GOVERSION) $$($(GO) env GOOS)/$$($(GO) env GOARCH), GOMAXPROCS=$${GOMAXPROCS:-$$(nproc)}."
 
 # CI's bench-regression smoke (bench-mc-regression and
 # bench-solve-regression jobs): a short run of both suites must stay

@@ -8,6 +8,7 @@ package repro_test
 import (
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/figures"
 	"repro/internal/scenario"
@@ -67,6 +68,39 @@ func BenchmarkSolve_ContSetCold(b *testing.B) {
 		if _, _, err := m.ContRangeT2(2.0); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSolve_FeasibleRateRangeCold measures the t1 feasibility scan of
+// Eq. 30 on a fresh Model per iteration: one unit-rate root scan, then
+// several hundred probe evaluations of A's t1 utility. It runs on Table
+// III and on the generated btc→evm cell u-btc-evm-001 (seed 1, a feasible
+// one), the per-cell cost the atlas pays for every basic report.
+func BenchmarkSolve_FeasibleRateRangeCold(b *testing.B) {
+	tableIII, err := scenario.Lookup("tableIII")
+	if err != nil {
+		b.Fatal(err)
+	}
+	universe, err := config.UniverseSpec{Chains: []string{"btc", "evm"}, Samples: 2, Seed: 1}.Generate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		p    utility.Params
+	}{{"tableIII", tableIII.Params}, {"btc-evm", universe[1].Params}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m, err := core.New(c.p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, ok, err := m.FeasibleRateRange(); err != nil || !ok {
+					b.Fatalf("feasible range: ok=%v err=%v", ok, err)
+				}
+			}
+		})
 	}
 }
 

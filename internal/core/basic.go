@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/dist"
 	"repro/internal/mathx"
 )
 
@@ -247,34 +248,18 @@ func (m *Model) contSetT2(pstar, q float64) mathx.IntervalSet {
 	})
 }
 
-// unitContSetT2 is the memoized unit-rate scan behind contSetT2Probe. It
-// shares the contSet memo's {1, 0} cell, so an exact solve at P* = 1 and
-// the probe path agree bit for bit.
+// unitContSetT2 is B's continuation region at the unit rate P* = 1, the
+// region every t1Probe table is built over. It shares the contSet memo's
+// {1, 0} cell with an exact solve at P* = 1.
+//
+// With q = 0 every term of U^B_t2(cont) − U^B_t2(stop) is 1-homogeneous in
+// (P*, y) — P̄_t3 ∝ P*, bobContT3 ∝ P*, and the truncated lognormal moment
+// ∝ y — so the region at any rate is this one scaled by P*, up to root
+// tolerance (~1e-11 relative) against contSetT2's direct scan.
 func (m *Model) unitContSetT2() mathx.IntervalSet {
 	return m.solve.contSet.Do(solveKey{1, 0}, func() mathx.IntervalSet {
 		return m.contSetT2Scan(1, 0)
 	})
-}
-
-// contSetT2Probe returns the basic game's continuation region via the
-// price-scale invariance of the t2 subgame: with q = 0 every term of
-// U^B_t2(cont) − U^B_t2(stop) is 1-homogeneous in (P*, y) — P̄_t3 ∝ P*,
-// bobContT3 ∝ P*, and the truncated lognormal moment ∝ y — so the region
-// at any rate is the unit-rate region scaled by P*. One 600-point root
-// scan per Model serves every probe, where the exact path pays one scan
-// per rate.
-//
-// The scaled endpoints agree with contSetT2's direct scan only to root
-// tolerance (~1e-11 relative), so this path is reserved for interior
-// probe evaluations — feasibility root-finding and optimum bracketing —
-// whose results are reported at far coarser precision. Anything memoized
-// or printed keeps the exact per-rate scan.
-func (m *Model) contSetT2Probe(pstar float64) mathx.IntervalSet {
-	unit := m.unitContSetT2()
-	if pstar == 1 {
-		return unit
-	}
-	return unit.Scale(pstar)
 }
 
 // contSetT2Scan is the uncached scan behind contSetT2.
@@ -329,22 +314,8 @@ func (m *Model) aliceContT1(pstar float64) float64 {
 }
 
 func (m *Model) aliceContT1Integrate(pstar float64) float64 {
-	return m.aliceContT1Over(pstar, m.contSetT2(pstar, 0))
-}
-
-// aliceContT1Probe is aliceContT1 evaluated over the scale-invariant probe
-// region instead of a fresh per-rate scan — the cheap evaluation behind the
-// feasibility scan's several hundred rate probes. It writes no memo cell:
-// probe values differ from the exact path at root tolerance and must never
-// be served to an exact query.
-func (m *Model) aliceContT1Probe(pstar float64) float64 {
-	return m.aliceContT1Over(pstar, m.contSetT2Probe(pstar))
-}
-
-// aliceContT1Over integrates Eq. 25 over a given t2 continuation region;
-// the exact and probe paths share it so they differ only in the region.
-func (m *Model) aliceContT1Over(pstar float64, set mathx.IntervalSet) float64 {
 	e := m.newT2Eval(pstar, 0)
+	set := m.contSetT2(pstar, 0)
 	tr := m.transitionTauA(m.params.P0)
 	// Stack-backed scratch for the default 64-point rule; larger orders
 	// spill to the heap.
@@ -444,17 +415,115 @@ func (m *Model) rateScanBound() float64 {
 	return 5*(1+a.Alpha)*m.params.P0*math.Exp(math.Max(pr.Mu, 0)*horizon) + 2
 }
 
+// t1Probe evaluates the basic game's t1 integrals — U^A_t1(cont) of Eq. 25
+// and SR of Eq. 31 — at many exchange rates from one unit-rate node table.
+// It is the kernel behind the several hundred interior probes of the
+// feasibility scan and the optimum search.
+//
+// With q = 0, substitute y = P*·u. B's region at rate P* is P*·U for the
+// unit-rate region U (unitContSetT2); U^A_t2(cont) is 1-homogeneous in
+// (P*, y) and the t3 success probability is 0-homogeneous; and
+// P*·pdf_{P0}(P*·u) = pdf_{P0/P*}(u) for the lognormal t1→t2 transition.
+// Both integrals over P*·U therefore become integrals over U whose
+// integrand values at U's Gauss–Legendre nodes do not depend on P*: a
+// probe only reweights them by the transition density, one exp per node
+// (plus two CDF calls per interval for A's stop probability), where an
+// exact evaluation pays a log, an exp and two erfc per node and a root
+// scan per rate.
+//
+// Probe values equal integration over unitContSetT2().Scale(P*) to
+// rounding (≤1e-12 relative) and the exact per-rate path to root
+// tolerance, so they are never memoized or served to an exact query. A
+// table lives for one scan: it is built inside the FeasibleRateRange and
+// OptimalRate memo closures and dropped with them, so a Model retains only
+// the scans' results.
+type t1Probe struct {
+	m   *Model
+	ivs []mathx.Interval // U's intervals, for the stop probability
+	muA float64          // log P0 + drift over τa: the transition's log-mean at P* = 1
+	// One entry per quadrature node u_i of U, interval by interval.
+	logU  []float64 // log u_i
+	coef  []float64 // w_i·half/(u_i·σA·√(2π)): mapped weight times density prefactor
+	alice []float64 // U^A_t2(cont)(u_i) at P* = 1
+	succ  []float64 // P[P_t3 > P̄_t3 | P_t2 = u_i] at P* = 1
+}
+
+// newT1Probe builds the unit-rate node table over unitContSetT2.
+func (m *Model) newT1Probe() *t1Probe {
+	ivs := m.unitContSetT2().Intervals()
+	n := m.gl.N() * len(ivs)
+	buf := make([]float64, 4*n)
+	p := &t1Probe{
+		m:     m,
+		ivs:   ivs,
+		muA:   math.Log(m.params.P0) + m.k.driftTauA,
+		logU:  buf[:0:n],
+		coef:  buf[n : n : 2*n],
+		alice: buf[2*n : 2*n : 3*n],
+		succ:  buf[3*n : 3*n],
+	}
+	e := m.newT2Eval(1, 0)
+	// logU holds the mapped nodes u_i until the loop below takes their logs.
+	for _, iv := range ivs {
+		p.logU = m.gl.MapNodes(p.logU, iv.Lo, iv.Hi)
+		p.coef = m.gl.MapWeights(p.coef, iv.Lo, iv.Hi)
+	}
+	for i, u := range p.logU {
+		logu := math.Log(u)
+		p.logU[i] = logu
+		p.coef[i] /= math.Sqrt2 * math.SqrtPi * u * m.k.sigTauA
+		p.alice = append(p.alice, e.aliceCont(logu))
+		p.succ = append(p.succ, e.succ(logu))
+	}
+	return p
+}
+
+// integrate returns Σ coef_i·exp(−z_i²/2)·vals_i with z_i the node's score
+// under the unit-coordinate transition law LogNormal(mu, σA): the t1
+// integral, over U, of a unit-rate integrand tabulated in vals.
+func (p *t1Probe) integrate(mu float64, vals []float64) float64 {
+	sig := p.m.k.sigTauA
+	var sum float64
+	for i, logu := range p.logU {
+		z := (logu - mu) / sig
+		sum += p.coef[i] * math.Exp(-0.5*z*z) * vals[i]
+	}
+	return sum
+}
+
+// aliceContT1 is U^A_t1(cont) (Eq. 25) at rate pstar, from the table.
+func (p *t1Probe) aliceContT1(pstar float64) float64 {
+	m := p.m
+	mu := p.muA - math.Log(pstar)
+	contPart := pstar * p.integrate(mu, p.alice)
+	tr := dist.LogNormal{Mu: mu, Sigma: m.k.sigTauA}
+	var prob float64
+	for _, iv := range p.ivs {
+		prob += tr.CDF(iv.Hi) - tr.CDF(iv.Lo)
+	}
+	stopPart := (1 - prob) * m.aliceStopT2(pstar)
+	return m.k.discATauA * (contPart + stopPart)
+}
+
+// successRate is SR(P*) (Eq. 31) at rate pstar, from the table; an empty
+// region tabulates no nodes and yields 0, as the exact path does.
+func (p *t1Probe) successRate(pstar float64) float64 {
+	return mathx.Clamp(p.integrate(p.muA-math.Log(pstar), p.succ), 0, 1)
+}
+
 // FeasibleRateRange returns the exchange-rate range (P̲*, P̄*) of Eq. 30
 // within which A initiates the swap at t1; with Table III parameters this is
 // the paper's Eq. 29, approximately (1.5, 2.5). ok is false when no rate is
 // viable (for instance under an exceedingly high discount rate, §III.F.2).
-// The scan — several hundred full t1 solves — is memoized on the Model. Each
-// probe uses the scale-invariant t2 region (contSetT2Probe), so the whole
-// scan costs one unit-rate root scan plus cheap quadratures; the boundary
-// rates it reports are accurate to root tolerance either way.
+// The scan — several hundred t1 evaluations — is memoized on the Model.
+// Each probe reweights one unit-rate node table (t1Probe), so the whole
+// scan costs one unit-rate root scan plus one exp per node and probe; the
+// boundary rates agree with a scan over the exact aliceContT1 to root
+// tolerance.
 func (m *Model) FeasibleRateRange() (mathx.Interval, bool, error) {
 	res := m.solve.ranges.Do(rangeKind{kind: 'F'}, func() rangeResult {
-		diff := func(pstar float64) float64 { return m.aliceContT1Probe(pstar) - pstar }
+		probe := m.newT1Probe()
+		diff := func(pstar float64) float64 { return probe.aliceContT1(pstar) - pstar }
 		lo, hi := 1e-3, m.rateScanBound()
 		roots := mathx.FindAllRoots(diff, lo, hi, m.scanN/2, m.tol)
 		set := mathx.FromSignChanges(diff, lo, hi, roots)
@@ -485,19 +554,7 @@ func (m *Model) successRate(pstar, q float64) float64 {
 }
 
 func (m *Model) successRateIntegrate(pstar, q float64) float64 {
-	return m.successRateOver(pstar, q, m.contSetT2(pstar, q))
-}
-
-// successRateProbe is SR(P*) over the scale-invariant probe region — the
-// cheap evaluation behind OptimalRate's grid search. Unmemoized: probe
-// values agree with the exact path only to root tolerance.
-func (m *Model) successRateProbe(pstar float64) float64 {
-	return m.successRateOver(pstar, 0, m.contSetT2Probe(pstar))
-}
-
-// successRateOver integrates Eq. 31 over a given t2 continuation region;
-// the exact and probe paths share it so they differ only in the region.
-func (m *Model) successRateOver(pstar, q float64, set mathx.IntervalSet) float64 {
+	set := m.contSetT2(pstar, q)
 	if set.Empty() {
 		return 0
 	}
@@ -526,6 +583,14 @@ func (m *Model) successRateOver(pstar, q float64, set mathx.IntervalSet) float64
 // range (the concave optimum of §III.F), along with the achieved success
 // rate. It returns ErrNotViable when no rate is feasible at t1. The search
 // is memoized on the Model.
+//
+// The search runs on t1Probe evaluations; the reported SR is the exact
+// SuccessRate at the returned rate. Compare results by that SR, not by the
+// rate: where SR sits on a plateau at ≈1 the maximiser is set by rounding.
+// Moving the probes from direct quadrature over the scaled unit region to
+// the t1Probe table, a change at rounding level, moved the returned rate by
+// more than 1e-4 on 7 of the 1536 cells of the atlas universe (at most
+// 0.003) while the SR there stayed equal to 1e-14.
 func (m *Model) OptimalRate() (pstar, sr float64, err error) {
 	res := m.solve.optimal.Do(rangeKind{kind: 'O'}, func() optResult {
 		rng, ok, err := m.FeasibleRateRange()
@@ -535,7 +600,7 @@ func (m *Model) OptimalRate() (pstar, sr float64, err error) {
 		// Bracket the optimum with cheap probe evaluations, then report
 		// the achieved SR from the exact memoized path so callers printing
 		// the value see the same bits as a direct SuccessRate(arg) call.
-		arg, _ := mathx.GridMax(m.successRateProbe, rng.Lo, rng.Hi, 64, 1e-9)
+		arg, _ := mathx.GridMax(m.newT1Probe().successRate, rng.Lo, rng.Hi, 64, 1e-9)
 		return optResult{arg: arg, val: m.successRate(arg, 0), ok: true}
 	})
 	if !res.ok {

@@ -105,6 +105,19 @@ func (gl *GaussLegendre) MapNodes(dst []float64, a, b float64) []float64 {
 	return dst
 }
 
+// MapWeights appends the rule's weights scaled onto [a, b] — half-width
+// times each weight — to dst and returns the extended slice, so that
+// Σ w[i]·f(nodes[i]) over MapWeights and MapNodes approximates the
+// integral of f. It serves callers that fold the weights into a reusable
+// node table.
+func (gl *GaussLegendre) MapWeights(dst []float64, a, b float64) []float64 {
+	half := 0.5 * (b - a)
+	for _, w := range gl.weights {
+		dst = append(dst, half*w)
+	}
+	return dst
+}
+
 // IntegrateMapped combines integrand values evaluated at MapNodes(dst, a, b)
 // into the quadrature sum. The accumulation order matches Integrate exactly,
 // so for the same integrand the two paths return identical floats.

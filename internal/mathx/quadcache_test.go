@@ -95,3 +95,25 @@ func TestMapNodesAppends(t *testing.T) {
 		t.Fatalf("MapNodes did not append: %v", out)
 	}
 }
+
+// TestMapWeightsIntegrates checks that the mapped weights, paired with the
+// mapped nodes, reproduce Integrate to rounding and append like MapNodes.
+func TestMapWeightsIntegrates(t *testing.T) {
+	gl := MustGaussLegendre(32)
+	f := func(x float64) float64 { return math.Exp(-x) * math.Sin(3*x+1) }
+	for _, c := range [][2]float64{{0, 1}, {-2, 5}, {1e-7, 4.2}} {
+		a, b := c[0], c[1]
+		nodes := gl.MapNodes(nil, a, b)
+		weights := gl.MapWeights(nil, a, b)
+		var got float64
+		for i, x := range nodes {
+			got += weights[i] * f(x)
+		}
+		if want := gl.Integrate(f, a, b); math.Abs(got-want) > 1e-14*(1+math.Abs(want)) {
+			t.Fatalf("weighted sum over [%g, %g] = %v, Integrate = %v", a, b, got, want)
+		}
+	}
+	if out := gl.MapWeights([]float64{7}, 0, 2); len(out) != 33 || out[0] != 7 {
+		t.Fatalf("MapWeights did not append: %v", out)
+	}
+}

@@ -59,8 +59,19 @@ type RunOpts struct {
 // key. Bump it whenever the Report schema (or anything influencing a solve
 // that is not captured in cellKeyMaterial) changes shape or meaning: old
 // entries then read as misses and re-solve, instead of decoding into a
-// struct they no longer match.
-const cellSchema = 1
+// struct they no longer match. Schema 2: the basic game's feasibility and
+// optimum scans moved to a unit-rate probe kernel, which moves the last
+// bits of stored feasibleLo/feasibleHi/optimalSR and plateau optimalRate
+// values.
+const cellSchema = 2
+
+// reportDigest pins the bytes the current cellSchema stands for: the
+// SHA-256 of the marshalled analytic reports of a fixed cell set (every
+// preset under every variant, plus generated universe cells under basic;
+// see TestReportBytesPinned). A change that moves any of those bytes fails
+// that test until cellSchema is bumped and this digest re-pinned, so
+// stored reports cannot silently mix with newly solved ones.
+const reportDigest = "5535eab273fd7d8f821b584fe582e40f070322a0b47d478baad218055a62b77c"
 
 // cellKeyMaterial is the complete solve input of one (scenario × variant)
 // cell, in canonical field order. MCWorkers is deliberately absent —
