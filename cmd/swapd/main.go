@@ -22,12 +22,13 @@
 //	               and swap.cancel
 //	GET  /healthz  liveness (503 while draining)
 //
-// Concurrent identical swap.solve requests coalesce through a
-// single-flight layer in front of the process-wide solve cache; repeat
-// requests are answered from a serialized-response byte cache
-// (-resp-cache entries, 0 disables), and -store points at a persistent
-// content-addressed result store shared with `scenarios atlas`, so a
-// restarted daemon starts warm. -cache-max-models bounds the shared
+// swap.solve works per (scenario × variant) cell, keyed by the same
+// content key as the persistent store: concurrent requests for a cell
+// coalesce on one computation, and a solved cell stays retained as wire
+// bytes (up to -resp-cache cells, 0 retains none), so a repeat request —
+// or any selection sharing its cells — is answered without solving.
+// -store points at a persistent content-addressed result store shared
+// with `scenarios atlas`, so a restarted daemon starts warm. -cache-max-models bounds the shared
 // solve-model cache (0 = default 512, negative = unbounded). Every
 // request runs under a context budget (budgetMs per request, capped at
 // -max-budget-ms). SIGINT/SIGTERM trigger a graceful shutdown: new
@@ -88,7 +89,7 @@ func run(args []string, out io.Writer) error {
 		faultSeed      = fs.Int64("fault-seed", 1, "seed of the fault injector's deterministic draws")
 
 		storeDir  = fs.String("store", "", "persistent solve-store directory (empty = no on-disk tier)")
-		respCache = fs.Int("resp-cache", 1024, "serialized-response cache entries for swap.solve (0 = disabled)")
+		respCache = fs.Int("resp-cache", 1024, "solved swap.solve cells retained as wire bytes (0 = none)")
 		maxModels = fs.Int("cache-max-models", 0, "bound on shared solve models (0 = default 512, negative = unbounded)")
 	)
 	if err := fs.Parse(args); err != nil {

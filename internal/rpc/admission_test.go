@@ -9,6 +9,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/scenario"
+	"repro/internal/variant"
 )
 
 // TestAdmissionQueueFull drives the controller directly through its three
@@ -101,18 +104,19 @@ func TestAdmissionDeadlineAware(t *testing.T) {
 func blockSolve(s *Server) (started chan struct{}, unblock chan struct{}) {
 	started = make(chan struct{}, 16)
 	unblock = make(chan struct{})
-	s.solve = func(req resolvedSolve) (solveValue, error) {
+	s.solve = func(g variant.Game, sc scenario.Scenario, opts variant.RunOpts) (variant.Report, error) {
 		started <- struct{}{}
 		<-unblock
-		return solveValue{Scenario: req.sc.Name}, nil
+		return variant.Report{Key: g.Key()}, nil
 	}
 	return started, unblock
 }
 
-// solveParams builds swap.solve params whose single-flight keys differ by
-// n, so concurrent test requests never coalesce into one computation.
+// solveParams builds single-cell swap.solve params whose cell keys differ
+// by n, so concurrent test requests never coalesce into one computation
+// and each request calls the solve seam once.
 func solveParams(n int) string {
-	return fmt.Sprintf(`{"scenario":"tableIII","runs":%d}`, n+1)
+	return fmt.Sprintf(`{"scenario":"tableIII","variant":"basic","runs":%d}`, n+1)
 }
 
 // TestOverloadSheds exercises the full server path under saturation: the

@@ -11,6 +11,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/scenario"
+	"repro/internal/variant"
 )
 
 // newDrainTestServer exposes an already-built Server over httptest;
@@ -33,9 +36,9 @@ func TestGracefulDrainUnderLoad(t *testing.T) {
 	s := NewServer(Config{})
 	ts := newDrainTestServer(t, s)
 	// A slow solve keeps POSTs genuinely in flight across the drain.
-	s.solve = func(req resolvedSolve) (solveValue, error) {
+	s.solve = func(g variant.Game, sc scenario.Scenario, opts variant.RunOpts) (variant.Report, error) {
 		time.Sleep(50 * time.Millisecond)
-		return solveValue{Scenario: req.sc.Name}, nil
+		return variant.Report{Key: g.Key()}, nil
 	}
 
 	// Several live streams, each proven producing before the drain.

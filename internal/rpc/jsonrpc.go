@@ -6,9 +6,11 @@
 // the client cancels, and mirrors cmd/scenarios' list/diff queries —
 // everything the one-shot CLIs compute, as a long-running daemon.
 //
-// Concurrent identical solve requests coalesce through a
-// solvecache.Flight single-flight layer in front of the process-wide
-// model cache, every request runs under a context budget, and shutdown is
+// Solve requests go through one per-cell tier keyed by variant.CellKey:
+// concurrent requests for a cell coalesce on one computation and solved
+// cells stay retained as wire bytes, in front of the persistent store and
+// the process-wide model cache. Every request runs under a context
+// budget, and shutdown is
 // graceful: in-flight requests drain, streams are cancelled with a
 // terminal error response, new requests are rejected. See DESIGN.md ("RPC
 // surface") for the layout and the budget/coalescing rules.

@@ -71,26 +71,27 @@ type MCCheckJSON struct {
 
 // SolveResult is swap.solve's result as a client decodes it. The server
 // side responds with solveResultWire — identical JSON, with the variants
-// block carried as preserialized bytes so cached responses skip the
-// marshal; the two must stay field-compatible (see TestSolveResultWire).
+// block joined from the cells' preserialized bytes so cached cells skip
+// the marshal; the two must stay field-compatible (see
+// TestSolveResultWire).
 type SolveResult struct {
 	// Scenario echoes the solved scenario's name.
 	Scenario string `json:"scenario"`
 	// Variants holds one report per solved cell, in selection order.
 	Variants []ReportJSON `json:"variants"`
-	// Coalesced reports that this response was served from another
+	// Coalesced reports that at least one cell was served from another
 	// request's in-flight computation (single-flight dedup).
 	Coalesced bool `json:"coalesced"`
-	// Cached reports that this response was served from the daemon's
-	// serialized-response cache without solving.
+	// Cached reports that every cell was served from the daemon's
+	// retained cell bytes without admission or solving.
 	Cached bool `json:"cached,omitempty"`
 	// ElapsedUs is the request's server-side latency in microseconds.
 	ElapsedUs int64 `json:"elapsedUs"`
 }
 
 // solveResultWire is the server-side form of SolveResult: the variants
-// block is the bytes marshaled once at solve time (and served verbatim on
-// every response-cache hit thereafter).
+// block is the join of the cells' bytes, each marshaled once at solve time
+// (see joinCells).
 type solveResultWire struct {
 	Scenario  string          `json:"scenario"`
 	Variants  json.RawMessage `json:"variants"`
@@ -99,19 +100,13 @@ type solveResultWire struct {
 	ElapsedUs int64           `json:"elapsedUs"`
 }
 
-// resolvedSolve is a fully resolved solve request: the scenario, the
-// variant keys, and the run options — everything the row key hashes.
+// resolvedSolve is a fully resolved solve request: the scenario, its
+// selected games with one variant.CellKey each, and the run options.
 type resolvedSolve struct {
-	sc   scenario.Scenario
-	keys []string
-	opts variant.RunOpts
-}
-
-// solveValue is the shared (coalesceable, cacheable) part of a solve
-// response: the scenario name and the variants block already marshaled.
-type solveValue struct {
-	Scenario string
-	Variants json.RawMessage
+	sc    scenario.Scenario
+	games []variant.Game
+	keys  []string
+	opts  variant.RunOpts
 }
 
 // decodeParams decodes a params object strictly (unknown fields are
@@ -159,10 +154,6 @@ func (s *Server) resolveSolve(p SolveParams) (resolvedSolve, *Error) {
 	if err != nil {
 		return resolvedSolve{}, Errorf(CodeInvalidParams, "%v", err)
 	}
-	keys := make([]string, len(games))
-	for i, g := range games {
-		keys[i] = g.Key()
-	}
 	if p.Runs < 0 || p.Runs > s.cfg.MaxRuns || p.MaxPaths < 0 || p.MaxPaths > s.cfg.MaxRuns {
 		return resolvedSolve{}, Errorf(CodeInvalidParams,
 			"runs/maxPaths must be in [0, %d]", s.cfg.MaxRuns)
@@ -182,33 +173,62 @@ func (s *Server) resolveSolve(p SolveParams) (resolvedSolve, *Error) {
 		MCWorkers: s.cfg.MCWorkers,
 		SkipMC:    !p.MC,
 		Sampler:   sampler,
-		// The persistent store is plumbing, not a solve input: the row key
-		// ignores it.
+		// The persistent store is plumbing, not a solve input: the cell
+		// key ignores it.
 		Store: s.cfg.Store,
 	}
-	return resolvedSolve{sc: sc, keys: keys, opts: opts}, nil
+	// Two requests share a cell — and so coalesce on it and share its
+	// bytes — exactly when its computation would be identical.
+	keys := make([]string, len(games))
+	for i, g := range games {
+		if keys[i], err = variant.CellKey(sc, g.Key(), opts); err != nil {
+			return resolvedSolve{}, Errorf(CodeInternalError, "keying solve: %v", err)
+		}
+	}
+	return resolvedSolve{sc: sc, games: games, keys: keys, opts: opts}, nil
 }
 
-// solveCell computes one coalesced solve: the (scenario × variant) row
-// through the variant registry, models shared via solvecache.
-func (s *Server) solveCell(req resolvedSolve) (solveValue, error) {
-	opts := req.opts
-	opts.Variants = "" // the scenario below carries the resolved keys
-	sc := req.sc
-	sc.Variants = req.keys
-	row, err := variant.Run(sc, opts)
-	if err != nil {
-		return solveValue{}, err
+// solveCells produces the request's cells in selection order through the
+// cell tier, each either retained, joined in flight, or computed here —
+// solved (or read from the persistent store) and marshaled once. shared
+// reports whether any cell came from another request's computation.
+func (s *Server) solveCells(req resolvedSolve) (cells [][]byte, shared bool, err error) {
+	cells = make([][]byte, len(req.games))
+	for i, g := range req.games {
+		var sh bool
+		// Waiters select on baseCtx (so shutdown unblocks them); the
+		// requester's own deadline is enforced by handleSolve.
+		cells[i], sh, err = s.cells.do(s.baseCtx, req.keys[i], func() ([]byte, error) {
+			r, err := s.solve(g, req.sc, req.opts)
+			if err != nil {
+				return nil, err
+			}
+			return json.Marshal(reportJSON(r))
+		})
+		if err != nil {
+			return nil, false, err
+		}
+		shared = shared || sh
 	}
-	reports := make([]ReportJSON, len(row.Reports))
-	for i, r := range row.Reports {
-		reports[i] = reportJSON(r)
+	return cells, shared, nil
+}
+
+// joinCells builds the variants block from the cells' bytes: byte for
+// byte what json.Marshal produces for the []ReportJSON they encode.
+func joinCells(cells [][]byte) json.RawMessage {
+	n := len(cells) + 1
+	for _, c := range cells {
+		n += len(c)
 	}
-	data, err := json.Marshal(reports)
-	if err != nil {
-		return solveValue{}, err
+	out := make([]byte, 0, n)
+	out = append(out, '[')
+	for i, c := range cells {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = append(out, c...)
 	}
-	return solveValue{Scenario: sc.Name, Variants: data}, nil
+	return append(out, ']')
 }
 
 // reportJSON converts a variant report to its wire form.
@@ -242,12 +262,13 @@ func reportJSON(r variant.Report) ReportJSON {
 	return out
 }
 
-// handleSolve serves swap.solve: resolve, hit the serialized-response
-// cache, else admit, coalesce, solve, respond. The requester waits under
-// its budget; the leader's computation runs to completion regardless,
-// because its result serves every waiter. Admission control and fault
-// injection run here rather than in call(): a response-cache hit answers
-// from memory and must not burn an admission slot.
+// handleSolve serves swap.solve: resolve, answer from retained cells, else
+// admit and produce the missing cells through the cell tier. The requester
+// waits under its budget; the cells' computations run to completion
+// regardless, because their results serve every waiter and stay retained.
+// Admission control and fault injection run here rather than in call(): a
+// request whose cells are all retained answers from memory and must not
+// burn an admission slot.
 func (s *Server) handleSolve(ctx context.Context, raw json.RawMessage) (any, *Error) {
 	start := time.Now()
 	var p SolveParams
@@ -258,16 +279,10 @@ func (s *Server) handleSolve(ctx context.Context, raw json.RawMessage) (any, *Er
 	if rerr != nil {
 		return nil, rerr
 	}
-	// Two requests share a key — and so coalesce and share cached bytes —
-	// exactly when the underlying computation would be identical.
-	key, err := variant.RowKey(req.sc, req.keys, req.opts)
-	if err != nil {
-		return nil, Errorf(CodeInternalError, "keying solve: %v", err)
-	}
-	if val, ok := s.resp.get(key); ok {
+	if cells, ok := s.cells.lookup(req.keys); ok {
 		return solveResultWire{
-			Scenario:  val.Scenario,
-			Variants:  val.Variants,
+			Scenario:  req.sc.Name,
+			Variants:  joinCells(cells),
 			Cached:    true,
 			ElapsedUs: time.Since(start).Microseconds(),
 		}, nil
@@ -285,7 +300,7 @@ func (s *Server) handleSolve(ctx context.Context, raw json.RawMessage) (any, *Er
 	}
 
 	type outcome struct {
-		val    solveValue
+		cells  [][]byte
 		shared bool
 		err    error
 	}
@@ -293,9 +308,9 @@ func (s *Server) handleSolve(ctx context.Context, raw json.RawMessage) (any, *Er
 	s.inflight.Add(1)
 	go func() {
 		defer s.inflight.Done()
-		// A solve panic must not kill the daemon: Flight settles its
-		// waiters (they see ErrFlightPanicked) and re-raises on the
-		// leader, whose requester gets the recover below.
+		// A solve panic must not kill the daemon: the cell tier settles
+		// the cell's waiters (they see errCellPanicked) and re-raises on
+		// the leader, whose requester gets the recover below.
 		defer func() {
 			if r := recover(); r != nil {
 				s.stats.panics.Add(1)
@@ -303,22 +318,17 @@ func (s *Server) handleSolve(ctx context.Context, raw json.RawMessage) (any, *Er
 				ch <- outcome{err: Errorf(CodeInternalError, "internal error: solve panicked")}
 			}
 		}()
-		// Waiters select on baseCtx (so shutdown unblocks them); the
-		// requester's own deadline is enforced by the select below.
-		val, shared, err := s.flight.Do(s.baseCtx, key, func() (solveValue, error) {
-			return s.solve(req)
-		})
-		ch <- outcome{val, shared, err}
+		cells, shared, err := s.solveCells(req)
+		ch <- outcome{cells, shared, err}
 	}()
 	select {
 	case o := <-ch:
 		if o.err != nil {
 			return nil, s.asRPCError(o.err)
 		}
-		s.resp.put(key, o.val)
 		return solveResultWire{
-			Scenario:  o.val.Scenario,
-			Variants:  o.val.Variants,
+			Scenario:  req.sc.Name,
+			Variants:  joinCells(o.cells),
 			Coalesced: o.shared,
 			ElapsedUs: time.Since(start).Microseconds(),
 		}, nil
@@ -495,9 +505,10 @@ type StatsResult struct {
 		SolveHits   uint64 `json:"solveHits"`
 		SolveMisses uint64 `json:"solveMisses"`
 	} `json:"solveCache"`
-	// RespCache is the serialized-response byte cache in front of the
-	// solve path (hits skip admission, solve and marshal).
-	RespCache respCacheStats `json:"respCache"`
+	// RespCache is the cell tier's retained wire bytes (hits skip
+	// admission, solve and marshal); Coalescing above is the same tier's
+	// in-flight side. Both count cells.
+	RespCache cellCacheStats `json:"respCache"`
 	// Store reports the persistent content-addressed store, when one is
 	// configured.
 	Store *StoreStatsJSON `json:"store,omitempty"`
@@ -529,11 +540,7 @@ func (s *Server) handleStats() (any, *Error) {
 		out.Requests.ByMethod[m] = n
 	}
 	s.stats.methodMu.Unlock()
-	fs := s.flight.Stats()
-	out.Coalescing.Leaders = fs.Leaders
-	out.Coalescing.Waiters = fs.Waiters
-	out.Coalescing.HitRate = fs.HitRate()
-	out.Coalescing.InFlight = s.flight.InFlight()
+	s.cells.report(&out)
 	out.Streams.Started = s.stats.streamsStarted.Load()
 	out.Streams.Active = s.stats.streamsActive.Load()
 	out.Streams.Snapshots = s.stats.snapshots.Load()
@@ -548,7 +555,6 @@ func (s *Server) handleStats() (any, *Error) {
 	out.SolveCache.Evicted = cs.Evicted
 	out.SolveCache.SolveHits = cs.SolveHits
 	out.SolveCache.SolveMisses = cs.SolveMisses
-	out.RespCache = s.resp.stats()
 	if s.cfg.Store != nil {
 		st := s.cfg.Store.Stats()
 		out.Store = &StoreStatsJSON{

@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/scenario"
+	"repro/internal/variant"
 )
 
 // mustInjector builds a fault injector or fails the test.
@@ -27,7 +29,7 @@ func mustInjector(t *testing.T, seed int64, spec string) *fault.Injector {
 // counter, and leaves the daemon serving.
 func TestSolvePanicIsolated(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	s.solve = func(req resolvedSolve) (solveValue, error) { panic("boom") }
+	s.solve = func(variant.Game, scenario.Scenario, variant.RunOpts) (variant.Report, error) { panic("boom") }
 
 	resp, status := post(t, ts.URL, rpcCall(1, "swap.solve", solveParams(0)))
 	if status != http.StatusOK {
@@ -44,20 +46,20 @@ func TestSolvePanicIsolated(t *testing.T) {
 	}
 
 	// The daemon survived: an honest solve still works.
-	s.solve = s.solveCell
+	s.solve = variant.RunCell
 	if resp, _ := post(t, ts.URL, rpcCall(2, "swap.solve", `{"scenario":"tableIII"}`)); resp.Error != nil {
 		t.Errorf("solve after recovered panic: %+v", resp.Error)
 	}
 }
 
 // TestSolvePanicSettlesWaiters checks the coalescing contract under a
-// leader panic: the waiter is settled with ErrFlightPanicked, mapped to
+// leader panic: the waiter is settled with errCellPanicked, mapped to
 // its own -32603 — never left hanging, never a dead daemon.
 func TestSolvePanicSettlesWaiters(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	entered := make(chan struct{}, 2)
 	release := make(chan struct{})
-	s.solve = func(req resolvedSolve) (solveValue, error) {
+	s.solve = func(variant.Game, scenario.Scenario, variant.RunOpts) (variant.Report, error) {
 		entered <- struct{}{}
 		<-release
 		panic("boom")
@@ -77,8 +79,8 @@ func TestSolvePanicSettlesWaiters(t *testing.T) {
 	}
 	<-entered // the leader is inside the solve
 	// The second request joins the leader's flight as a waiter.
-	waitFor(t, func() bool { return s.flight.Stats().Waiters >= 1 }, "waiter never coalesced")
-	close(release) // leader panics; Flight settles the waiter, then re-raises
+	waitFor(t, func() bool { return snapshot(s.cells).Coalescing.Waiters >= 1 }, "waiter never coalesced")
+	close(release) // leader panics; the cell tier settles the waiter, then re-raises
 	wg.Wait()
 	close(responses)
 

@@ -4,15 +4,13 @@ import (
 	"encoding/json"
 	"net/http"
 	"testing"
-
-	"repro/internal/variant"
 )
 
 // TestSolveSamplerParam pins the sampler parameter end to end: a sobol
 // solve succeeds and its MC check names the mode, the pseudo default
 // omits the field (historical responses unchanged), an unknown or retired
 // mode is CodeInvalidParams, and requests with different samplers never
-// share a single-flight key.
+// share a cell key.
 func TestSolveSamplerParam(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 
@@ -61,17 +59,13 @@ func TestSolveSamplerParam(t *testing.T) {
 		if rerr != nil {
 			t.Fatalf("resolve sampler=%q: %+v", sampler, rerr)
 		}
-		k, err := variant.RowKey(req.sc, req.keys, req.opts)
-		if err != nil {
-			t.Fatalf("key sampler=%q: %v", sampler, err)
-		}
-		return k
+		return req.keys[0]
 	}
 	if key("pseudo") != key("") {
 		t.Error("explicit pseudo and the default must coalesce")
 	}
 	if key("sobol") == key("pseudo") {
-		t.Error("different samplers must not share a single-flight key")
+		t.Error("different samplers must not share a cell key")
 	}
 }
 

@@ -12,8 +12,9 @@ import (
 	"time"
 
 	"repro/internal/fault"
-	"repro/internal/solvecache"
+	"repro/internal/scenario"
 	"repro/internal/store"
+	"repro/internal/variant"
 )
 
 // Config parameterises a Server. The zero value selects the defaults.
@@ -63,9 +64,10 @@ type Config struct {
 	// restarted daemon sharing a store directory serves warm quotes from
 	// its first request.
 	Store *store.Store
-	// RespCacheSize bounds the serialized-response byte cache for
-	// swap.solve, in entries (default 1024; negative disables). A hit
-	// skips admission, solve and marshal — see respCache.
+	// RespCacheSize bounds the cells swap.solve retains as wire bytes
+	// after solving them (default 1024; negative retains none, leaving
+	// only the coalescing of concurrent requests). A request whose cells
+	// are all retained skips admission, solve and marshal — see cellCache.
 	RespCacheSize int
 	// Fault is the chaos harness's injector; nil (the default) injects
 	// nothing. See internal/fault for the registry keys.
@@ -132,17 +134,15 @@ type Server struct {
 	// inflight counts requests and streams that must drain on shutdown.
 	inflight sync.WaitGroup
 
-	// flight coalesces concurrent identical solve requests in front of
-	// the process-wide solvecache, keyed by variant.RowKey.
-	flight solvecache.Flight[string, solveValue]
+	// cells is swap.solve's per-cell tier, keyed by variant.CellKey: it
+	// coalesces concurrent requests for a cell and retains solved cells'
+	// wire bytes, in front of the persistent store and the process-wide
+	// solvecache.
+	cells *cellCache
 
-	// resp is the serialized-response byte cache for swap.solve, keyed by
-	// the same canonical solve key the single-flight layer uses.
-	resp *respCache
-
-	// solve computes one coalesced solve cell; a test seam, defaulting to
-	// the real variant-registry solve.
-	solve func(req resolvedSolve) (solveValue, error)
+	// solve produces one cell's report; a test seam, defaulting to the
+	// variant runner's store read-through.
+	solve func(g variant.Game, sc scenario.Scenario, opts variant.RunOpts) (variant.Report, error)
 
 	// stream runs one simulate stream body and returns its terminal
 	// response; a test seam, defaulting to runStream.
@@ -197,8 +197,8 @@ func NewServer(cfg Config) *Server {
 		stats:      serverStats{start: time.Now(), byMethod: make(map[string]uint64)},
 	}
 	s.adm = newAdmission(s.cfg.MaxInflight, s.cfg.QueueDepth, s.cfg.QueueWait, s.cfg.ShedWindow)
-	s.resp = newRespCache(s.cfg.RespCacheSize)
-	s.solve = s.solveCell
+	s.cells = newCellCache(s.cfg.RespCacheSize)
+	s.solve = variant.RunCell
 	s.stream = s.runStream
 	return s
 }
@@ -366,9 +366,9 @@ func (s *Server) call(ctx context.Context, req Request) (result any, rerr *Error
 		}
 	}()
 	// swap.solve runs its own admission + fault sequence inside
-	// handleSolve, after the response-cache lookup: a cached repeat quote
-	// must not burn an admission slot (or an injected fault) on work the
-	// daemon is not doing.
+	// handleSolve, after the cell-tier lookup: a request whose cells are
+	// all retained must not burn an admission slot (or an injected fault)
+	// on work the daemon is not doing.
 	if req.Method != "swap.solve" {
 		if req.Method == "scenario.diff" {
 			if rerr := s.adm.acquire(ctx); rerr != nil {
@@ -433,7 +433,7 @@ func (s *Server) asRPCError(err error) *Error {
 	switch {
 	case errors.As(err, &rerr):
 		return rerr
-	case errors.Is(err, solvecache.ErrFlightPanicked):
+	case errors.Is(err, errCellPanicked):
 		// The coalesced leader panicked; waiters get the same isolation
 		// contract the leader's own requester does.
 		return Errorf(CodeInternalError, "internal error: coalesced computation panicked")

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/scenario"
+	"repro/internal/variant"
 )
 
 // contextWithTimeout builds a test-scoped context.
@@ -232,18 +233,17 @@ func TestScenarioDiff(t *testing.T) {
 	}
 }
 
-// TestSolveCoalescing fires N concurrent identical solves through a
-// gated solve seam and checks exactly one underlying computation runs,
-// with every other response marked Coalesced. Run under -race.
+// TestSolveCoalescing fires N concurrent identical solves of the default
+// trio through a gated solve seam and checks each cell is computed exactly
+// once, with every follower's response marked Coalesced. Run under -race.
 func TestSolveCoalescing(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	var calls atomic.Int32
 	gate := make(chan struct{})
-	realSolve := s.solve
-	s.solve = func(req resolvedSolve) (solveValue, error) {
+	s.solve = func(g variant.Game, sc scenario.Scenario, opts variant.RunOpts) (variant.Report, error) {
 		calls.Add(1)
 		<-gate
-		return realSolve(req)
+		return variant.RunCell(g, sc, opts)
 	}
 
 	const n = 16
@@ -252,7 +252,7 @@ func TestSolveCoalescing(t *testing.T) {
 	var wg sync.WaitGroup
 
 	// Establish the leader first so no goroutine can arrive after the
-	// flight settles.
+	// first cell settles.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -267,37 +267,39 @@ func TestSolveCoalescing(t *testing.T) {
 			results[i], errs[i] = solveOnce(ts.URL)
 		}(i)
 	}
-	// Release the computation only once all waiters joined the flight.
-	waitFor(t, func() bool { return s.flight.Stats().Waiters == n-1 }, "waiters did not join")
+	// Release the computation only once all followers wait on the first
+	// cell.
+	waitFor(t, func() bool { return snapshot(s.cells).Coalescing.Waiters == n-1 }, "waiters did not join")
 	close(gate)
 	wg.Wait()
 
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("underlying solves = %d, want 1", got)
+	cells := int32(len(variant.DefaultKeys()))
+	if got := calls.Load(); got != cells {
+		t.Fatalf("underlying cell solves = %d, want %d (one per cell)", got, cells)
 	}
-	coalesced := 0
 	for i := range results {
 		if errs[i] != nil {
 			t.Fatalf("request %d failed: %v", i, errs[i])
 		}
-		if results[i].Scenario != "tableIII" {
-			t.Fatalf("request %d solved %q", i, results[i].Scenario)
+		if results[i].Scenario != "tableIII" || len(results[i].Variants) != int(cells) {
+			t.Fatalf("request %d solved %q with %d cells", i, results[i].Scenario, len(results[i].Variants))
 		}
-		if results[i].Coalesced {
-			coalesced++
+		if i > 0 && !results[i].Coalesced {
+			t.Errorf("follower %d not marked coalesced", i)
 		}
-	}
-	if coalesced != n-1 {
-		t.Errorf("coalesced responses = %d, want %d", coalesced, n-1)
 	}
 
-	// The flight is empty again and stats agree.
-	if got := s.flight.InFlight(); got != 0 {
-		t.Errorf("in-flight after drain = %d, want 0", got)
+	// Nothing is in flight any more and the counters agree: one leader
+	// per cell, every other cell request a waiter or a retained hit.
+	st := snapshot(s.cells)
+	if st.Coalescing.InFlight != 0 {
+		t.Errorf("in-flight after drain = %d, want 0", st.Coalescing.InFlight)
 	}
-	fs := s.flight.Stats()
-	if fs.Leaders != 1 || fs.Waiters != n-1 {
-		t.Errorf("flight stats = %+v, want 1 leader / %d waiters", fs, n-1)
+	if st.Coalescing.Leaders != uint64(cells) {
+		t.Errorf("leaders = %d, want %d", st.Coalescing.Leaders, cells)
+	}
+	if got := st.Coalescing.Waiters + st.RespCache.Hits; got != uint64(n-1)*uint64(cells) {
+		t.Errorf("waiters + hits = %d, want %d", got, (n-1)*int(cells))
 	}
 }
 
@@ -341,10 +343,9 @@ func waitFor(t *testing.T, cond func() bool, msg string) {
 func TestSolveBudgetExceeded(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	gate := make(chan struct{})
-	realSolve := s.solve
-	s.solve = func(req resolvedSolve) (solveValue, error) {
+	s.solve = func(g variant.Game, sc scenario.Scenario, opts variant.RunOpts) (variant.Report, error) {
 		<-gate
-		return realSolve(req)
+		return variant.RunCell(g, sc, opts)
 	}
 	resp, _ := post(t, ts.URL, rpcCall(1, "swap.solve", `{"scenario":"tableIII","budgetMs":30}`))
 	if resp.Error == nil || resp.Error.Code != CodeBudgetExceeded {

@@ -76,7 +76,8 @@ const reportDigest = "5535eab273fd7d8f821b584fe582e40f070322a0b47d478baad218055a
 // cellKeyMaterial is the complete solve input of one (scenario × variant)
 // cell, in canonical field order. MCWorkers is deliberately absent —
 // results are bit-reproducible per (seed, chunk) at any worker count — and
-// so is Variants, which selects cells but does not parameterize one.
+// so are both variant selections (RunOpts.Variants and the scenario's own
+// Variants), which pick cells but do not parameterize one.
 type cellKeyMaterial struct {
 	Schema   int               `json:"schema"`
 	Scenario scenario.Scenario `json:"scenario"`
@@ -93,27 +94,11 @@ type cellKeyMaterial struct {
 // cell under the given run options: the store.Key of everything that
 // determines the cell's Report. Two invocations produce the same key iff
 // they would produce the same report, so a key lookup can never serve a
-// stale result — a changed input is a different key.
+// stale result — a changed input is a different key — and overlapping
+// selections of one scenario share their common cells.
 func CellKey(sc scenario.Scenario, variantKey string, opts RunOpts) (string, error) {
-	return store.Key(cellMaterial(sc, variantKey, opts))
-}
-
-// RowKey returns the content key of a whole solved row: the scenario under
-// the given run options, solved for the ordered variant keys. It is built
-// from the same material as CellKey, so the two agree on which inputs
-// determine an answer; a daemon coalesces and caches identical requests
-// under it. Different variant orders are different rows.
-func RowKey(sc scenario.Scenario, variantKeys []string, opts RunOpts) (string, error) {
-	return store.Key(struct {
-		Cell     cellKeyMaterial `json:"cell"`
-		Variants []string        `json:"variants"`
-	}{cellMaterial(sc, "", opts), variantKeys})
-}
-
-// cellMaterial assembles the key material of one cell; RowKey passes an
-// empty variantKey and carries the selection beside it.
-func cellMaterial(sc scenario.Scenario, variantKey string, opts RunOpts) cellKeyMaterial {
-	return cellKeyMaterial{
+	sc.Variants = nil
+	return store.Key(cellKeyMaterial{
 		Schema:   cellSchema,
 		Scenario: sc,
 		Variant:  variantKey,
@@ -123,7 +108,7 @@ func cellMaterial(sc scenario.Scenario, variantKey string, opts RunOpts) cellKey
 		MaxPaths: opts.MaxPaths,
 		Sampler:  opts.Sampler,
 		SkipMC:   opts.SkipMC,
-	}
+	})
 }
 
 // ScenarioReport is the solved (scenario × variant) row of one scenario:
@@ -167,12 +152,12 @@ func (sr ScenarioReport) Report(key string) (Report, bool) {
 	return Report{}, false
 }
 
-// runCell produces one (scenario × variant) cell's report, reading through
+// RunCell produces one (scenario × variant) cell's report, reading through
 // the persistent store when RunOpts.Store is set: a present, decodable
 // entry is returned without solving; otherwise the cell is solved and the
 // report written back (best effort — a failed Put costs nothing but the
-// amortization).
-func runCell(g Game, sc scenario.Scenario, opts RunOpts) (Report, error) {
+// amortization). The scenario must already be valid.
+func RunCell(g Game, sc scenario.Scenario, opts RunOpts) (Report, error) {
 	if opts.Store == nil {
 		return solveCell(g, sc, opts)
 	}
@@ -230,7 +215,7 @@ func Run(sc scenario.Scenario, opts RunOpts) (ScenarioReport, error) {
 	}
 	out := ScenarioReport{Scenario: sc, Reports: make([]Report, len(games))}
 	for i, g := range games {
-		if out.Reports[i], err = runCell(g, sc, opts); err != nil {
+		if out.Reports[i], err = RunCell(g, sc, opts); err != nil {
 			return ScenarioReport{}, err
 		}
 	}
@@ -267,7 +252,7 @@ func RunAll(ctx context.Context, scs []scenario.Scenario, workers int, opts RunO
 	}
 	reports, err := sweep.Map(ctx, len(cells), workers, func(i int) (Report, error) {
 		c := cells[i]
-		return runCell(c.game, scs[c.scenarioIdx], opts)
+		return RunCell(c.game, scs[c.scenarioIdx], opts)
 	})
 	if err != nil {
 		return nil, err

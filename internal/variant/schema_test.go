@@ -13,7 +13,7 @@ import (
 
 // TestReportBytesPinned guards the persistent store against staleness: the
 // analytic reports of every preset (all variants) and of 16 generated
-// universe cells (basic) are marshalled exactly as runCell stores them and
+// universe cells (basic) are marshalled exactly as RunCell stores them and
 // hashed, and the hash must equal reportDigest. Goldens round what they
 // print, so a change can move stored report bytes with every golden still
 // byte-identical; this test catches it. Other architectures may fuse

@@ -61,50 +61,28 @@ func TestCellKeySensitivity(t *testing.T) {
 		}
 	}
 	// Worker count and variant selection must NOT change the key: results
-	// are bit-reproducible at any worker count, and Variants selects cells
-	// rather than parameterizing one.
-	same := []RunOpts{
-		{Runs: 400, MCWorkers: 8},
-		{Runs: 400, Variants: "all"},
+	// are bit-reproducible at any worker count, and a selection — the
+	// run's or the scenario's own — picks cells rather than parameterizing
+	// one.
+	scSel := sc
+	scSel.Variants = []string{"basic"}
+	same := []struct {
+		name string
+		sc   scenario.Scenario
+		opts RunOpts
+	}{
+		{"mcWorkers", sc, RunOpts{Runs: 400, MCWorkers: 8}},
+		{"opts.Variants", sc, RunOpts{Runs: 400, Variants: "all"}},
+		{"scenario.Variants", scSel, base},
 	}
-	for i, opts := range same {
-		k, err := CellKey(sc, "basic", opts)
+	for _, c := range same {
+		k, err := CellKey(c.sc, "basic", c.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if k != k0 {
-			t.Errorf("neutral opts %d changed the cell key", i)
+			t.Errorf("neutral change %s changed the cell key", c.name)
 		}
-	}
-}
-
-// TestRowKey pins the daemon's request key: it follows the same inputs as
-// CellKey, adds the ordered variant selection, and ignores the worker
-// count.
-func TestRowKey(t *testing.T) {
-	sc := testScenario(t)
-	base := RunOpts{Runs: 400}
-	key := func(keys []string, opts RunOpts) string {
-		t.Helper()
-		k, err := RowKey(sc, keys, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return k
-	}
-	k0 := key([]string{"basic", "collateral"}, base)
-	for name, k := range map[string]string{
-		"order":     key([]string{"collateral", "basic"}, base),
-		"selection": key([]string{"basic"}, base),
-		"sampler":   key([]string{"basic", "collateral"}, RunOpts{Runs: 400, Sampler: "sobol"}),
-		"skipMC":    key([]string{"basic", "collateral"}, RunOpts{Runs: 400, SkipMC: true}),
-	} {
-		if k == k0 {
-			t.Errorf("changing %s did not change the row key", name)
-		}
-	}
-	if k := key([]string{"basic", "collateral"}, RunOpts{Runs: 400, MCWorkers: 8}); k != k0 {
-		t.Error("the worker count changed the row key")
 	}
 }
 

@@ -38,9 +38,11 @@
 // fraction of requests draws Zipf-style from -hot-keys stable keyed
 // solves, the rest are unique per request) and -warm replays the
 // byte-identical seeded stream a second time against the same daemon:
-// the report grows a warm row with per-pass response-cache and
-// solve-store hit deltas, gated by -min-warm-hit and -warm-faster —
-// the cache tiers' regression checks.
+// the report grows a warm row with the pass's cached responses (the
+// client's own tally of cached:true answers) and the server's per-cell
+// retained-cell and solve-store hit deltas, gated by -min-warm-hit (on
+// the client tally) and -warm-faster — the cache tiers' regression
+// checks.
 package main
 
 import (
@@ -57,6 +59,7 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -142,9 +145,13 @@ type Results struct {
 	// the panics the daemon absorbed instead of crashing.
 	ServerShed      uint64 `json:"server_shed"`
 	PanicsRecovered uint64 `json:"panics_recovered"`
+	// CachedResponses is the client's tally of successful responses
+	// marked cached:true (every cell served from retained bytes) — the
+	// -min-warm-hit gate reads it.
+	CachedResponses int `json:"cached_responses"`
 	// RespCacheHits and StoreHits are this pass's deltas of the server's
-	// response-cache and solve-store hit counters (swapd.stats snapshots
-	// bracketing the pass) — the warm-path gates read these.
+	// retained-cell and solve-store hit counters (swapd.stats snapshots
+	// bracketing the pass); both count cells, not requests.
 	RespCacheHits uint64 `json:"resp_cache_hits"`
 	StoreHits     uint64 `json:"store_hits"`
 }
@@ -181,7 +188,7 @@ func run(args []string, out io.Writer) error {
 		maxErrorRate    = fs.Float64("max-error-rate", 0.01, "fail when errors/requests exceeds this")
 		requireShed     = fs.Bool("require-shed", false, "fail unless the server shed at least one request (overload proof)")
 		minGoodput      = fs.Float64("min-goodput", 0, "fail unless goodput (successful QPS) >= this (0 = no gate)")
-		minWarmHit      = fs.Float64("min-warm-hit", 0, "fail unless the warm pass's resp-cache hits / requests >= this (needs -warm; 0 = no gate)")
+		minWarmHit      = fs.Float64("min-warm-hit", 0, "fail unless the warm pass's cached:true responses / requests >= this (needs -warm; 0 = no gate)")
 		warmFaster      = fs.Bool("warm-faster", false, "fail unless the warm pass's p50 and p99 beat the cold pass (needs -warm)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -261,7 +268,8 @@ func run(args []string, out io.Writer) error {
 			}
 		}
 	}
-	rep.Note = *note
+	rep.Note = fmt.Sprintf("%s. Recorded with %s %s/%s, GOMAXPROCS=%d.",
+		strings.TrimSuffix(*note, "."), runtime.Version(), runtime.GOOS, runtime.GOARCH, runtime.GOMAXPROCS(0))
 	rep.Config.QPS = *qps
 	rep.Config.DurationS = duration.Seconds()
 	rep.Config.Seed = *seed
@@ -337,9 +345,9 @@ func run(args []string, out io.Writer) error {
 		switch w := rep.Warm; {
 		case w == nil:
 			failures = append(failures, "-min-warm-hit needs -warm")
-		case w.Requests == 0 || float64(w.RespCacheHits)/float64(w.Requests) < *minWarmHit:
-			failures = append(failures, fmt.Sprintf("warm resp-cache hit rate %d/%d < required %.2f",
-				w.RespCacheHits, w.Requests, *minWarmHit))
+		case w.Requests == 0 || float64(w.CachedResponses)/float64(w.Requests) < *minWarmHit:
+			failures = append(failures, fmt.Sprintf("warm cached responses %d/%d < required %.2f",
+				w.CachedResponses, w.Requests, *minWarmHit))
 		}
 	}
 	if *warmFaster {
@@ -496,6 +504,7 @@ type job struct {
 type outcome struct {
 	latencyUs    float64
 	coalesced    bool
+	cached       bool
 	shed         bool
 	rpcErr       bool
 	transportErr bool
@@ -520,6 +529,7 @@ func generate(base string, cfg genConfig) (Report, map[int]string) {
 		mu        sync.Mutex
 		latencies []float64
 		coalesced int
+		cached    int
 		shed      int
 		rpcErrs   int
 		transport int
@@ -544,6 +554,9 @@ func generate(base string, cfg genConfig) (Report, map[int]string) {
 			latencies = append(latencies, o.latencyUs)
 			if o.coalesced {
 				coalesced++
+			}
+			if o.cached {
+				cached++
 			}
 			for len(histogram) <= o.retries {
 				histogram = append(histogram, 0)
@@ -628,6 +641,7 @@ func generate(base string, cfg genConfig) (Report, map[int]string) {
 	rep.Results.P99Us = percentile(latencies, 0.99)
 	rep.Results.MaxUs = percentile(latencies, 1)
 	rep.Results.Coalesced = coalesced
+	rep.Results.CachedResponses = cached
 	if st, ok := fetchStats(client, base); ok {
 		rep.Results.HitRate = st.hitRate
 		rep.Results.ServerShed = st.shed
@@ -700,6 +714,7 @@ const (
 // postResult is one HTTP attempt's classified response.
 type postResult struct {
 	coalesced    bool
+	cached       bool
 	result       json.RawMessage
 	errCode      int
 	errSet       bool
@@ -736,6 +751,7 @@ func send(client *http.Client, base string, j job, cfg genConfig) outcome {
 		default:
 			out.latencyUs = latency
 			out.coalesced = res.coalesced
+			out.cached = res.cached
 			out.result = res.result
 			out.shed, out.rpcErr, out.transportErr = false, false, false
 			return out
@@ -785,11 +801,12 @@ func post(client *http.Client, base string, body []byte) postResult {
 		}
 		return out
 	}
-	var coal struct {
+	var served struct {
 		Coalesced bool `json:"coalesced"`
+		Cached    bool `json:"cached"`
 	}
-	json.Unmarshal(envelope.Result, &coal)
-	return postResult{coalesced: coal.Coalesced, result: envelope.Result}
+	json.Unmarshal(envelope.Result, &served)
+	return postResult{coalesced: served.Coalesced, cached: served.Cached, result: envelope.Result}
 }
 
 // serverStats is the slice of swapd.stats the report carries.
@@ -837,7 +854,7 @@ type cacheCounters struct {
 	storeHits uint64
 }
 
-// snapshotCounters reads the server's response-cache and solve-store hit
+// snapshotCounters reads the server's retained-cell and solve-store hit
 // counters.
 func snapshotCounters(base string) (cacheCounters, bool) {
 	body := []byte(`{"jsonrpc":"2.0","id":"counters","method":"swapd.stats"}`)
@@ -973,12 +990,13 @@ func printReport(out io.Writer, rep Report) {
 		fmt.Fprintf(out, "chaos: %d attempts, %d retries, histogram %v, server shed %d, panics recovered %d\n",
 			r.Attempts, r.Retries, r.RetryHistogram, r.ServerShed, r.PanicsRecovered)
 	}
-	if r.RespCacheHits > 0 || r.StoreHits > 0 {
-		fmt.Fprintf(out, "caches: %d resp-cache hits, %d store hits\n", r.RespCacheHits, r.StoreHits)
+	if r.CachedResponses > 0 || r.RespCacheHits > 0 || r.StoreHits > 0 {
+		fmt.Fprintf(out, "caches: %d cached responses, %d retained-cell hits, %d store hits\n",
+			r.CachedResponses, r.RespCacheHits, r.StoreHits)
 	}
 	if w := rep.Warm; w != nil {
-		fmt.Fprintf(out, "warm: %d requests (%d errors), p50 %.2fms  p99 %.2fms, %d resp-cache hits, %d store hits\n",
-			w.Requests, w.Errors, w.P50Us/1000, w.P99Us/1000, w.RespCacheHits, w.StoreHits)
+		fmt.Fprintf(out, "warm: %d requests (%d errors), p50 %.2fms  p99 %.2fms, %d cached responses, %d retained-cell hits, %d store hits\n",
+			w.Requests, w.Errors, w.P50Us/1000, w.P99Us/1000, w.CachedResponses, w.RespCacheHits, w.StoreHits)
 	}
 }
 
