@@ -45,7 +45,8 @@ bench-smoke:
 # allocs/op against them): BENCH_mc.json for the Monte Carlo engine,
 # BENCH_solve.json for the amortized solve engine.
 bench-json:
-	$(GO) test -bench='^BenchmarkMC_' -benchmem -run='^$$' . | $(GO) run ./tools/benchmc -o BENCH_mc.json
+	$(GO) test -bench='^BenchmarkMC_' -benchmem -run='^$$' . | $(GO) run ./tools/benchmc -o BENCH_mc.json \
+		-note "Monte Carlo engine benchmark baseline; regenerate with make bench-json, CI gates allocs/op at 2x via make bench-check. Recorded with $$($(GO) env GOVERSION) $$($(GO) env GOOS)/$$($(GO) env GOARCH), GOMAXPROCS=$${GOMAXPROCS:-$$(nproc)}."
 	$(GO) test -bench='^Benchmark(Solve_|FiguresFull)' -benchmem -benchtime=1x -run='^$$' . | $(GO) run ./tools/benchmc -o BENCH_solve.json \
 		-note "Amortized solve engine baseline (cold process: BenchmarkFiguresFull runs first and populates the process-wide caches); regenerate with make bench-json, CI gates allocs/op at 2x and BenchmarkFiguresFull wall time at 1.0s via make bench-check. Recorded with $$($(GO) env GOVERSION) $$($(GO) env GOOS)/$$($(GO) env GOARCH), GOMAXPROCS=$${GOMAXPROCS:-$$(nproc)}."
 

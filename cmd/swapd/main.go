@@ -10,7 +10,7 @@
 //	      [-mc-workers 1] [-max-runs 1000000] [-quiet]
 //	      [-max-inflight 64] [-queue-depth 64] [-queue-wait 25ms]
 //	      [-ws-read-timeout 2m] [-ws-write-timeout 10s]
-//	      [-store dir] [-resp-cache 1024] [-cache-max-models 512]
+//	      [-store dir] [-resp-cache 1024]
 //	      [-fault key=prob[:delay],...] [-fault-seed 1]
 //
 // Endpoints:
@@ -28,12 +28,12 @@
 // bytes (up to -resp-cache cells, 0 retains none), so a repeat request —
 // or any selection sharing its cells — is answered without solving.
 // -store points at a persistent content-addressed result store shared
-// with `scenarios atlas`, so a restarted daemon starts warm. -cache-max-models bounds the shared
-// solve-model cache (0 = default 512, negative = unbounded). Every
-// request runs under a context budget (budgetMs per request, capped at
-// -max-budget-ms). SIGINT/SIGTERM trigger a graceful shutdown: new
-// requests are rejected with code -32000, in-flight solves drain, and
-// streams end with a terminal error response.
+// with `scenarios atlas`, so a restarted daemon starts warm. The shared
+// solve-model cache holds at most 512 models. Every request runs under a
+// context budget (budgetMs per request, capped at -max-budget-ms).
+// SIGINT/SIGTERM trigger a graceful shutdown: new requests are rejected
+// with code -32000, in-flight solves drain, and streams end with a
+// terminal error response.
 //
 // Expensive requests pass an admission controller (-max-inflight slots,
 // a -queue-depth x -queue-wait wait queue); saturation sheds with code
@@ -58,7 +58,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/rpc"
-	"repro/internal/solvecache"
 	"repro/internal/store"
 )
 
@@ -90,7 +89,6 @@ func run(args []string, out io.Writer) error {
 
 		storeDir  = fs.String("store", "", "persistent solve-store directory (empty = no on-disk tier)")
 		respCache = fs.Int("resp-cache", 1024, "solved swap.solve cells retained as wire bytes (0 = none)")
-		maxModels = fs.Int("cache-max-models", 0, "bound on shared solve models (0 = default 512, negative = unbounded)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -105,9 +103,6 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("-store: %w", err)
 		}
-	}
-	if *maxModels != 0 {
-		solvecache.SetMaxModels(*maxModels)
 	}
 	respSize := *respCache
 	if respSize == 0 {

@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/solvecache"
 )
 
 func TestRunRejectsUnknownFlag(t *testing.T) {
@@ -33,18 +31,5 @@ func TestRunRejectsUnusableStoreDir(t *testing.T) {
 	err := run([]string{"-store", path}, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "-store") {
 		t.Fatalf("err = %v, want a -store open error", err)
-	}
-}
-
-func TestCacheMaxModelsFlagAdjustsBound(t *testing.T) {
-	defer solvecache.SetMaxModels(solvecache.DefaultMaxModels)
-	// The flag applies before the listener; a bad address after it makes
-	// run return without blocking.
-	err := run([]string{"-cache-max-models", "7", "-addr", "127.0.0.1:-1"}, io.Discard)
-	if err == nil {
-		t.Fatal("bad address accepted")
-	}
-	if got := solvecache.MaxModels(); got != 7 {
-		t.Fatalf("MaxModels = %d after -cache-max-models 7", got)
 	}
 }

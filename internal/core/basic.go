@@ -303,19 +303,11 @@ func (m *Model) ContRangeT2(pstar float64) (mathx.Interval, bool, error) {
 
 // aliceContT1 is U^A_t1(cont) (Eq. 25): the discounted expectation of A's
 // t2 position over B's continuation region, plus her refund on the stop
-// region. The q generalisation implements Eq. 36 excluding the collateral
-// constant in the stop branch, which Collateral.aliceContT1 adds.
-// Memoized per P* so Strategy and the figure curves reuse the feasibility
-// scan's evaluations.
-func (m *Model) aliceContT1(pstar float64) float64 {
-	return m.solve.aliceT1.Do(solveKey{pstar, 0}, func() float64 {
-		return m.aliceContT1Integrate(pstar)
-	})
-}
-
-func (m *Model) aliceContT1Integrate(pstar float64) float64 {
-	e := m.newT2Eval(pstar, 0)
-	set := m.contSetT2(pstar, 0)
+// region. With collateral q it is U^A_t1,c(cont) of Eq. 36, where on B's
+// stop region A also recovers both deposits (2Q at t3, received τa later).
+func (m *Model) aliceContT1(pstar, q float64) float64 {
+	e := m.newT2Eval(pstar, q)
+	set := m.contSetT2(pstar, q)
 	tr := m.transitionTauA(m.params.P0)
 	// Stack-backed scratch for the default 64-point rule; larger orders
 	// spill to the heap.
@@ -336,22 +328,17 @@ func (m *Model) aliceContT1Integrate(pstar float64) float64 {
 		contPart += m.gl.IntegrateMapped(nodes, iv.Lo, iv.Hi)
 		prob += tr.CDF(iv.Hi) - tr.CDF(iv.Lo)
 	}
-	stopPart := (1 - prob) * m.aliceStopT2(pstar)
-	return m.k.discATauA * (contPart + stopPart)
+	stopVal := m.aliceStopT2(pstar) + 2*q*m.k.collStopA
+	return m.k.discATauA * (contPart + (1-prob)*stopVal)
 }
 
 // bobContT1 is U^B_t1(cont) (Eq. 26, with the upper stop region restored —
 // see DESIGN.md deviation 1): B's expected t2 position whether or not he
-// ends up continuing. Memoized per P*, like aliceContT1.
-func (m *Model) bobContT1(pstar float64) float64 {
-	return m.solve.bobT1.Do(solveKey{pstar, 0}, func() float64 {
-		return m.bobContT1Integrate(pstar)
-	})
-}
-
-func (m *Model) bobContT1Integrate(pstar float64) float64 {
-	e := m.newT2Eval(pstar, 0)
-	set := m.contSetT2(pstar, 0)
+// ends up continuing. With collateral q it is U^B_t1,c(cont) of Eq. 37
+// (discounted at rB; see DESIGN.md deviation 3).
+func (m *Model) bobContT1(pstar, q float64) float64 {
+	e := m.newT2Eval(pstar, q)
+	set := m.contSetT2(pstar, q)
 	tr := m.transitionTauA(m.params.P0)
 	// Stack-backed scratch for the default 64-point rule; larger orders
 	// spill to the heap.
@@ -383,7 +370,7 @@ func (m *Model) AliceUtilityT1(action Action, pstar float64) (float64, error) {
 	}
 	switch action {
 	case Cont:
-		return m.aliceContT1(pstar), nil
+		return m.aliceContT1(pstar, 0), nil
 	case Stop:
 		return pstar, nil
 	default:
@@ -398,7 +385,7 @@ func (m *Model) BobUtilityT1(action Action, pstar float64) (float64, error) {
 	}
 	switch action {
 	case Cont:
-		return m.bobContT1(pstar), nil
+		return m.bobContT1(pstar, 0), nil
 	case Stop:
 		return m.params.P0, nil
 	default:
@@ -634,7 +621,7 @@ func (m *Model) Strategy(pstar float64) (Strategy, error) {
 	}
 	return Strategy{
 		PStar:          pstar,
-		AliceInitiates: m.aliceContT1(pstar) > pstar,
+		AliceInitiates: m.aliceContT1(pstar, 0) > pstar,
 		BobContT2:      m.contSetT2(pstar, 0),
 		AliceCutoffT3:  m.cutoffT3(pstar, 0),
 	}, nil

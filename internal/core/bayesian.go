@@ -101,7 +101,7 @@ func (b *Bayesian) typedModel(alphaA, alphaB float64) *Model {
 		p.Bob.Alpha = alphaB
 		clone := *b.m
 		clone.params = p
-		clone.solve = &solveMemo{}
+		clone.solve = newSolveMemo()
 		return &clone
 	})
 }

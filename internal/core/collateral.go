@@ -90,68 +90,6 @@ func (c *Collateral) ContSetT2(pstar float64) (mathx.IntervalSet, error) {
 	return c.m.contSetT2(pstar, c.q), nil
 }
 
-// aliceContT1 is U^A_t1,c(cont) of Eq. 36: A's expected t2 position, where
-// on B's stop region A recovers her refund plus both deposits
-// (2Q at t3, received τa later). Memoized per (P*, Q) on the Model.
-func (c *Collateral) aliceContT1(pstar float64) float64 {
-	m := c.m
-	return m.solve.aliceT1.Do(solveKey{pstar, c.q}, func() float64 {
-		e := m.newT2Eval(pstar, c.q)
-		set := m.contSetT2(pstar, c.q)
-		tr := m.transitionTauA(m.params.P0)
-		// Stack-backed scratch for the default 64-point rule; larger orders
-		// spill to the heap.
-		var arr [64]float64
-		buf := arr[:0]
-		if n := m.gl.N(); n > len(arr) {
-			buf = make([]float64, 0, n)
-		}
-		var contPart, prob float64
-		for _, iv := range set.Intervals() {
-			nodes := m.gl.MapNodes(buf[:0], iv.Lo, iv.Hi)
-			for i, y := range nodes {
-				logy := math.Log(y)
-				nodes[i] = tr.PDFAtLog(y, logy) * e.aliceCont(logy)
-			}
-			contPart += m.gl.IntegrateMapped(nodes, iv.Lo, iv.Hi)
-			prob += tr.CDF(iv.Hi) - tr.CDF(iv.Lo)
-		}
-		stopVal := m.aliceStopT2(pstar) + 2*c.q*m.k.collStopA
-		return m.k.discATauA * (contPart + (1-prob)*stopVal)
-	})
-}
-
-// bobContT1 is U^B_t1,c(cont) of Eq. 37 (discounted at rB; see DESIGN.md
-// deviation 3): B's expected t2 position over both regions. Memoized per
-// (P*, Q) on the Model.
-func (c *Collateral) bobContT1(pstar float64) float64 {
-	m := c.m
-	return m.solve.bobT1.Do(solveKey{pstar, c.q}, func() float64 {
-		e := m.newT2Eval(pstar, c.q)
-		set := m.contSetT2(pstar, c.q)
-		tr := m.transitionTauA(m.params.P0)
-		// Stack-backed scratch for the default 64-point rule; larger orders
-		// spill to the heap.
-		var arr [64]float64
-		buf := arr[:0]
-		if n := m.gl.N(); n > len(arr) {
-			buf = make([]float64, 0, n)
-		}
-		var contPart, peInside float64
-		for _, iv := range set.Intervals() {
-			nodes := m.gl.MapNodes(buf[:0], iv.Lo, iv.Hi)
-			for i, y := range nodes {
-				logy := math.Log(y)
-				nodes[i] = tr.PDFAtLog(y, logy) * e.bobCont(logy)
-			}
-			contPart += m.gl.IntegrateMapped(nodes, iv.Lo, iv.Hi)
-			peInside += tr.PartialExpectationBelow(iv.Hi) - tr.PartialExpectationBelow(iv.Lo)
-		}
-		stopPart := tr.Mean() - peInside
-		return m.k.discBTauA * (contPart + stopPart)
-	})
-}
-
 // AliceUtilityT1 evaluates U^A_t1,c (Eqs. 36 and 38). Stopping keeps the
 // original tokens and the deposit: P* + Q.
 func (c *Collateral) AliceUtilityT1(action Action, pstar float64) (float64, error) {
@@ -160,7 +98,7 @@ func (c *Collateral) AliceUtilityT1(action Action, pstar float64) (float64, erro
 	}
 	switch action {
 	case Cont:
-		return c.aliceContT1(pstar), nil
+		return c.m.aliceContT1(pstar, c.q), nil
 	case Stop:
 		return pstar + c.q, nil
 	default:
@@ -175,7 +113,7 @@ func (c *Collateral) BobUtilityT1(action Action, pstar float64) (float64, error)
 	}
 	switch action {
 	case Cont:
-		return c.bobContT1(pstar), nil
+		return c.m.bobContT1(pstar, c.q), nil
 	case Stop:
 		return c.m.params.P0 + c.q, nil
 	default:
@@ -194,7 +132,7 @@ func (c *Collateral) feasibleSet(diff mathx.Func1) mathx.IntervalSet {
 // engage at t1 (U^A_t1,c(cont) > P* + Q). Memoized per Q on the Model.
 func (c *Collateral) FeasibleRatesAlice() mathx.IntervalSet {
 	res := c.m.solve.ranges.Do(rangeKind{kind: 'A', q: c.q}, func() rangeResult {
-		set := c.feasibleSet(func(p float64) float64 { return c.aliceContT1(p) - (p + c.q) })
+		set := c.feasibleSet(func(p float64) float64 { return c.m.aliceContT1(p, c.q) - (p + c.q) })
 		return rangeResult{set: set, ok: !set.Empty()}
 	})
 	return res.set
@@ -204,7 +142,7 @@ func (c *Collateral) FeasibleRatesAlice() mathx.IntervalSet {
 // at t1 (U^B_t1,c(cont) > P_t1 + Q). Memoized per Q on the Model.
 func (c *Collateral) FeasibleRatesBob() mathx.IntervalSet {
 	res := c.m.solve.ranges.Do(rangeKind{kind: 'B', q: c.q}, func() rangeResult {
-		set := c.feasibleSet(func(p float64) float64 { return c.bobContT1(p) - (c.m.params.P0 + c.q) })
+		set := c.feasibleSet(func(p float64) float64 { return c.m.bobContT1(p, c.q) - (c.m.params.P0 + c.q) })
 		return rangeResult{set: set, ok: !set.Empty()}
 	})
 	return res.set
@@ -237,8 +175,8 @@ func (c *Collateral) Strategy(pstar float64) (Strategy, error) {
 	if err := checkRate(pstar); err != nil {
 		return Strategy{}, err
 	}
-	engageA := c.aliceContT1(pstar) > pstar+c.q
-	engageB := c.bobContT1(pstar) > c.m.params.P0+c.q
+	engageA := c.m.aliceContT1(pstar, c.q) > pstar+c.q
+	engageB := c.m.bobContT1(pstar, c.q) > c.m.params.P0+c.q
 	return Strategy{
 		PStar:          pstar,
 		AliceInitiates: engageA && engageB,

@@ -138,10 +138,8 @@ func computeConsts(p utility.Params) consts {
 	}
 }
 
-// solveKey identifies one solve cell under a fixed Model: the query value
-// (an exchange rate, a price, or a locked amount) and the second knob of
-// the extension in play (collateral Q, or B's budget for the uncertain
-// game; 0 when unused).
+// solveKey identifies one solve cell under a fixed Model: the exchange
+// rate and the collateral Q (0 in the basic game).
 type solveKey struct {
 	x, q float64
 }
@@ -165,18 +163,35 @@ type optResult struct {
 	ok       bool
 }
 
+// solveMemoMax bounds each of the Model's solve memos. It covers the
+// largest single-model sweep of the figure suite (under a thousand rates)
+// without a flush, while a client sweeping one parameter set's exchange
+// rate without end flushes instead of growing memory.
+const solveMemoMax = 1024
+
 // solveMemo is the Model's concurrency-safe solve cache. Every entry is a
 // pure function of (Model parameters, quadrature options, key), so sharing
-// across goroutines and artifacts cannot change any result.
+// across goroutines and artifacts cannot change any result. Only the cells
+// that are revisited are memoized: the root scan, the success rate and the
+// scan-sized range and optimum searches. A t1 continuation value or an
+// uncertain-game expectation is one quadrature pass that the figure suite
+// repeats in under 5% of its calls, so it is recomputed, not retained.
 type solveMemo struct {
-	contSet  memo.Map[solveKey, mathx.IntervalSet] // contSetT2(pstar, q)
-	aliceT1  memo.Map[solveKey, float64]           // aliceContT1(pstar, q)
-	bobT1    memo.Map[solveKey, float64]           // bobContT1(pstar, q)
-	sr       memo.Map[solveKey, float64]           // successRate(pstar, q)
-	ranges   memo.Map[rangeKind, rangeResult]      // feasible/engagement sets
-	optimal  memo.Map[rangeKind, optResult]        // OptimalRate
-	uncertSR memo.Map[solveKey, float64]           // Uncertain.SuccessRate(a, budget)
-	excessT1 memo.Map[solveKey, float64]           // Uncertain.aliceExcessT1(a, budget)
+	contSet memo.Map[solveKey, mathx.IntervalSet] // contSetT2(pstar, q)
+	sr      memo.Map[solveKey, float64]           // successRate(pstar, q)
+	ranges  memo.Map[rangeKind, rangeResult]      // feasible/engagement sets
+	optimal memo.Map[rangeKind, optResult]        // OptimalRate
+}
+
+// newSolveMemo returns an empty solve memo with every map bounded by
+// solveMemoMax.
+func newSolveMemo() *solveMemo {
+	return &solveMemo{
+		contSet: memo.Map[solveKey, mathx.IntervalSet]{Max: solveMemoMax},
+		sr:      memo.Map[solveKey, float64]{Max: solveMemoMax},
+		ranges:  memo.Map[rangeKind, rangeResult]{Max: solveMemoMax},
+		optimal: memo.Map[rangeKind, optResult]{Max: solveMemoMax},
+	}
 }
 
 // MemoStats reports the Model's cumulative solve-cache hits and misses
@@ -184,13 +199,9 @@ type solveMemo struct {
 func (m *Model) MemoStats() (hits, misses uint64) {
 	add := func(h, mi uint64) { hits += h; misses += mi }
 	add(m.solve.contSet.Stats())
-	add(m.solve.aliceT1.Stats())
-	add(m.solve.bobT1.Stats())
 	add(m.solve.sr.Stats())
 	add(m.solve.ranges.Stats())
 	add(m.solve.optimal.Stats())
-	add(m.solve.uncertSR.Stats())
-	add(m.solve.excessT1.Stats())
 	return
 }
 
@@ -235,7 +246,7 @@ func New(p utility.Params, opts ...Option) (*Model, error) {
 		scanN:  600,
 		tol:    1e-11,
 		k:      computeConsts(p),
-		solve:  &solveMemo{},
+		solve:  newSolveMemo(),
 	}
 	for _, opt := range opts {
 		opt(m)

@@ -110,7 +110,7 @@ func TestT1ProbeScansMatchExactScans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		diff := func(pstar float64) float64 { return m.aliceContT1Integrate(pstar) - pstar }
+		diff := func(pstar float64) float64 { return m.aliceContT1(pstar, 0) - pstar }
 		lo, hi := 1e-3, m.rateScanBound()
 		ref := mathx.FromSignChanges(diff, lo, hi, mathx.FindAllRoots(diff, lo, hi, m.scanN/2, m.tol))
 		if ok != !ref.Empty() {

@@ -205,43 +205,35 @@ func (u *Uncertain) AliceExcessUtilityT1(aLock float64) (float64, error) {
 	return u.aliceExcessT1(aLock), nil
 }
 
-// aliceExcessT1 is memoized per (a, budget) on the Model: the Fig. 10b
-// curve, its break-even scan and the optimal-commitment search revisit the
-// same amounts.
+// aliceExcessT1 is the Gauss–Hermite pass behind AliceExcessUtilityT1.
 func (u *Uncertain) aliceExcessT1(aLock float64) float64 {
-	return u.m.solve.excessT1.Do(solveKey{aLock, u.budget}, func() float64 {
-		c := u.m.params.Chains
-		tr := u.m.transition(u.m.params.P0, c.TauA)
-		exp := u.m.gh.ExpectLogNormal(func(y float64) float64 {
-			e := u.newXEval(y, aLock)
-			xStar, _ := e.optimal()
-			return e.aliceT2(xStar)
-		}, tr.Mu, tr.Sigma)
-		return u.m.k.discATauA*exp - aLock
-	})
+	c := u.m.params.Chains
+	tr := u.m.transition(u.m.params.P0, c.TauA)
+	exp := u.m.gh.ExpectLogNormal(func(y float64) float64 {
+		e := u.newXEval(y, aLock)
+		xStar, _ := e.optimal()
+		return e.aliceT2(xStar)
+	}, tr.Mu, tr.Sigma)
+	return u.m.k.discATauA*exp - aLock
 }
 
 // SuccessRate evaluates Eq. 46: the probability that B locks a positive X*
 // and A subsequently reveals, under B's best response at every t2 price.
-// Memoized per (a, budget) on the Model.
 func (u *Uncertain) SuccessRate(aLock float64) (float64, error) {
 	if err := checkRate(aLock); err != nil {
 		return 0, err
 	}
-	sr := u.m.solve.uncertSR.Do(solveKey{aLock, u.budget}, func() float64 {
-		c := u.m.params.Chains
-		tr := u.m.transition(u.m.params.P0, c.TauA)
-		sr := u.m.gh.ExpectLogNormal(func(y float64) float64 {
-			e := u.newXEval(y, aLock)
-			xStar, _ := e.optimal()
-			if xStar <= 0 {
-				return 0
-			}
-			return e.tr.TailProb(e.pbar0 / xStar)
-		}, tr.Mu, tr.Sigma)
-		return mathx.Clamp(sr, 0, 1)
-	})
-	return sr, nil
+	c := u.m.params.Chains
+	tr := u.m.transition(u.m.params.P0, c.TauA)
+	sr := u.m.gh.ExpectLogNormal(func(y float64) float64 {
+		e := u.newXEval(y, aLock)
+		xStar, _ := e.optimal()
+		if xStar <= 0 {
+			return 0
+		}
+		return e.tr.TailProb(e.pbar0 / xStar)
+	}, tr.Mu, tr.Sigma)
+	return mathx.Clamp(sr, 0, 1), nil
 }
 
 // OptimalLockA maximises A's excess utility (Eq. 45) over the committed

@@ -1,7 +1,8 @@
 // Package memo provides the small concurrency-safe memoization primitive
 // under the repository's amortized solve engine: a generic map from a
 // comparable key to a compute-once value, with lock-free reads on the hit
-// path and hit/miss counters for cache introspection.
+// path, an optional constant entry bound, and hit/miss/eviction counters
+// for cache introspection.
 //
 // It is a leaf package (no repro imports) so that both the numeric layers
 // (internal/mathx quadrature tables) and the solver layers (internal/core
@@ -14,17 +15,30 @@ import (
 	"sync/atomic"
 )
 
-// Map memoizes a pure function of K. The zero value is ready to use.
+// Map memoizes a pure function of K. The zero value is ready to use and
+// unbounded.
 //
 // Reads of already-computed entries are lock-free (sync.Map fast path).
 // Concurrent first requests for the same key share one computation: losers
 // block until the winner's value is stored, so side-effect-free compute
-// functions run exactly once per key. Values must be treated as immutable
-// by callers — they are returned by reference to every future caller.
+// functions run exactly once per key while it is retained. Values must be
+// treated as immutable by callers — they are returned by reference to
+// every future caller.
 type Map[K comparable, V any] struct {
-	m      sync.Map // K -> *entry[V]
-	hits   atomic.Uint64
-	misses atomic.Uint64
+	// Max bounds the number of retained entries; zero means unbounded. It
+	// is checked only on the miss path: a miss that finds Max entries
+	// clears the map before inserting, counting the dropped entries as
+	// evictions, so the hit path stays lock-free. Concurrent misses can
+	// overshoot by one entry per inserting goroutine. Set Max before first
+	// use.
+	Max int
+
+	m       sync.Map     // K -> *entry[V]
+	n       atomic.Int64 // retained entries
+	flushMu sync.Mutex   // serialises flushes
+	hits    atomic.Uint64
+	misses  atomic.Uint64
+	evicted atomic.Uint64
 }
 
 // entry is a compute-once cell: done is closed after val (or panicked) is
@@ -49,14 +63,18 @@ func (e *entry[V]) await() V {
 
 // Do returns the memoized value for key, computing it with compute on the
 // first request. compute must be a pure function of key: the value is
-// stored forever and shared with every later caller. If compute panics,
-// the panic propagates to the caller and to every waiter on the same key
-// (the entry stays poisoned: later calls re-panic rather than re-compute,
+// shared with every later caller until a flush drops it, after which the
+// next request recomputes it. If compute panics, the panic propagates to
+// the caller and to every waiter on the same key (the entry stays
+// poisoned until flushed: later calls re-panic rather than re-compute,
 // matching sync.Once semantics).
 func (c *Map[K, V]) Do(key K, compute func() V) V {
 	if e, ok := c.m.Load(key); ok {
 		c.hits.Add(1)
 		return e.(*entry[V]).await()
+	}
+	if c.Max > 0 && c.n.Load() >= int64(c.Max) {
+		c.flush()
 	}
 	fresh := &entry[V]{done: make(chan struct{})}
 	e, loaded := c.m.LoadOrStore(key, fresh)
@@ -66,6 +84,7 @@ func (c *Map[K, V]) Do(key K, compute func() V) V {
 		return ent.await()
 	}
 	c.misses.Add(1)
+	c.n.Add(1)
 	defer func() {
 		if r := recover(); r != nil {
 			ent.panicked = r
@@ -78,34 +97,35 @@ func (c *Map[K, V]) Do(key K, compute func() V) V {
 	return ent.val
 }
 
-// Get returns the memoized value without computing, and whether it exists.
-// An entry whose first computation is still in flight reports false.
-func (c *Map[K, V]) Get(key K) (V, bool) {
-	var zero V
-	e, ok := c.m.Load(key)
-	if !ok {
-		return zero, false
+// flush drops every entry once the map holds Max of them. Waiters already
+// blocked on a dropped entry still receive its value (they hold the
+// entry); a later Do for its key recomputes, which is harmless duplicate
+// work for pure compute functions.
+func (c *Map[K, V]) flush() {
+	c.flushMu.Lock()
+	defer c.flushMu.Unlock()
+	if c.n.Load() < int64(c.Max) {
+		return // a concurrent miss flushed first
 	}
-	ent := e.(*entry[V])
-	select {
-	case <-ent.done:
-		if ent.panicked != nil {
-			return zero, false // poisoned by a panicking compute
-		}
-		return ent.val, true
-	default:
-		return zero, false
-	}
+	c.m.Range(func(k, _ any) bool {
+		c.m.Delete(k)
+		c.n.Add(-1)
+		c.evicted.Add(1)
+		return true
+	})
 }
 
-// Range calls fn for every completed entry (in-flight computations are
-// skipped) until fn returns false. Like sync.Map.Range, it does not
-// represent a consistent snapshot.
+// Range calls fn for every completed entry (in-flight and poisoned
+// computations are skipped) until fn returns false. Like sync.Map.Range,
+// it does not represent a consistent snapshot.
 func (c *Map[K, V]) Range(fn func(key K, val V) bool) {
 	c.m.Range(func(k, e any) bool {
 		ent := e.(*entry[V])
 		select {
 		case <-ent.done:
+			if ent.panicked != nil {
+				return true
+			}
 			return fn(k.(K), ent.val)
 		default:
 			return true
@@ -113,23 +133,14 @@ func (c *Map[K, V]) Range(fn func(key K, val V) bool) {
 	})
 }
 
-// Delete removes the entry for key, if any. Waiters already blocked on the
-// entry's first computation are unaffected (they hold the entry and still
-// receive its value); a Do racing the delete may recompute, which is
-// harmless duplicate work for pure compute functions. Intended for callers
-// that bound a Map's size by evicting entries.
-func (c *Map[K, V]) Delete(key K) {
-	c.m.Delete(key)
-}
-
-// Len reports the number of cached entries (including in-flight ones).
-func (c *Map[K, V]) Len() int {
-	n := 0
-	c.m.Range(func(_, _ any) bool { n++; return true })
-	return n
-}
+// Len reports the number of retained entries (including in-flight ones).
+func (c *Map[K, V]) Len() int { return int(c.n.Load()) }
 
 // Stats returns the cumulative hit and miss counts.
 func (c *Map[K, V]) Stats() (hits, misses uint64) {
 	return c.hits.Load(), c.misses.Load()
 }
+
+// Evictions returns the cumulative number of entries dropped to keep the
+// map within Max.
+func (c *Map[K, V]) Evictions() uint64 { return c.evicted.Load() }

@@ -30,18 +30,6 @@ func TestDoComputesOncePerKey(t *testing.T) {
 	}
 }
 
-func TestGetDoesNotCompute(t *testing.T) {
-	var m Map[string, float64]
-	if _, ok := m.Get("missing"); ok {
-		t.Fatal("Get on empty map reported a value")
-	}
-	m.Do("k", func() float64 { return 1.5 })
-	v, ok := m.Get("k")
-	if !ok || v != 1.5 {
-		t.Fatalf("Get(k) = (%g, %v), want (1.5, true)", v, ok)
-	}
-}
-
 // TestConcurrentDoSharesOneComputation hammers one key from many
 // goroutines: the compute function must run exactly once and every caller
 // must observe its value (run with -race in CI).
@@ -78,11 +66,10 @@ func TestConcurrentDoSharesOneComputation(t *testing.T) {
 	}
 }
 
-// TestConcurrentDistinctKeys checks independent keys do not serialise or
-// cross results.
 // TestInFlightEntryVisibility covers the in-flight branches: while a first
-// computation runs, Get reports the key absent and Range skips it; a
-// concurrent Do blocks until the winner finishes and returns its value.
+// computation runs, Len counts it and Range skips it; a concurrent Do
+// blocks until the winner finishes and returns its value, which Range
+// then visits.
 func TestInFlightEntryVisibility(t *testing.T) {
 	var m Map[int, int]
 	started := make(chan struct{})
@@ -93,8 +80,8 @@ func TestInFlightEntryVisibility(t *testing.T) {
 		return 10
 	})
 	<-started
-	if _, ok := m.Get(1); ok {
-		t.Error("Get returned an in-flight entry")
+	if n := m.Len(); n != 1 {
+		t.Errorf("Len() = %d with one in-flight entry, want 1", n)
 	}
 	seen := 0
 	m.Range(func(int, int) bool { seen++; return true })
@@ -107,8 +94,10 @@ func TestInFlightEntryVisibility(t *testing.T) {
 	if got := <-done; got != 10 {
 		t.Errorf("waiter saw %d, want 10", got)
 	}
-	if v, ok := m.Get(1); !ok || v != 10 {
-		t.Errorf("Get after completion = (%d, %v)", v, ok)
+	var got []int
+	m.Range(func(k, v int) bool { got = append(got, k, v); return true })
+	if len(got) != 2 || got[0] != 1 || got[1] != 10 {
+		t.Errorf("Range after completion visited %v, want [1 10]", got)
 	}
 }
 
@@ -129,11 +118,15 @@ func TestPanicPropagatesAndPoisons(t *testing.T) {
 	}
 	mustPanic("first Do")
 	// The key is poisoned: a second Do re-panics instead of blocking or
-	// recomputing, and Get reports the key absent.
+	// recomputing; the poisoned entry stays retained but Range skips it.
 	mustPanic("second Do")
-	if _, ok := m.Get(1); ok {
-		t.Fatal("Get returned a value for a poisoned key")
+	if hits, misses := m.Stats(); hits != 1 || misses != 1 || m.Len() != 1 {
+		t.Fatalf("poisoned key: Stats() = (%d, %d), Len() = %d, want (1, 1), 1", hits, misses, m.Len())
 	}
+	m.Range(func(k, v int) bool {
+		t.Fatalf("Range visited poisoned entry (%d, %d)", k, v)
+		return true
+	})
 	// Concurrent waiters during the panic also re-panic rather than hang.
 	var m2 Map[int, int]
 	started := make(chan struct{})
@@ -167,6 +160,8 @@ func TestRangeStopsEarly(t *testing.T) {
 	}
 }
 
+// TestConcurrentDistinctKeys checks independent keys do not serialise or
+// cross results.
 func TestConcurrentDistinctKeys(t *testing.T) {
 	var m Map[int, int]
 	var wg sync.WaitGroup
@@ -184,5 +179,79 @@ func TestConcurrentDistinctKeys(t *testing.T) {
 	wg.Wait()
 	if n := m.Len(); n != 32 {
 		t.Fatalf("Len() = %d, want 32", n)
+	}
+}
+
+// TestMaxClearsAndCountsEvictions pins the bound: a miss that finds Max
+// entries clears the map before inserting, the dropped entries are counted
+// as evictions, and a flushed key recomputes on its next request.
+func TestMaxClearsAndCountsEvictions(t *testing.T) {
+	m := Map[int, int]{Max: 4}
+	calls := 0
+	sq := func(k int) func() int { return func() int { calls++; return k * k } }
+	for k := 0; k < 4; k++ {
+		m.Do(k, sq(k))
+	}
+	if m.Len() != 4 || m.Evictions() != 0 {
+		t.Fatalf("at the bound: Len() = %d, Evictions() = %d, want 4, 0", m.Len(), m.Evictions())
+	}
+	// Hits at the bound never flush.
+	if got := m.Do(3, sq(3)); got != 9 || m.Len() != 4 {
+		t.Fatalf("hit at the bound: Do(3) = %d, Len() = %d", got, m.Len())
+	}
+	if got := m.Do(4, sq(4)); got != 16 {
+		t.Fatalf("Do(4) = %d, want 16", got)
+	}
+	if m.Len() != 1 || m.Evictions() != 4 {
+		t.Fatalf("after the insert past Max: Len() = %d, Evictions() = %d, want 1, 4", m.Len(), m.Evictions())
+	}
+	before := calls
+	if got := m.Do(0, sq(0)); got != 0 || calls != before+1 {
+		t.Fatalf("flushed key: Do(0) = %d, computes %d, want 0, 1", got, calls-before)
+	}
+	for k := 5; k < 40; k++ {
+		m.Do(k, sq(k))
+		if m.Len() > m.Max {
+			t.Fatalf("Len() = %d exceeds Max %d", m.Len(), m.Max)
+		}
+	}
+	_, misses := m.Stats()
+	if got := m.Evictions() + uint64(m.Len()); got != misses {
+		t.Fatalf("evictions + retained = %d, want misses %d", got, misses)
+	}
+}
+
+// TestConcurrentDoAtBound hammers a small bounded map from many goroutines
+// (run with -race in CI): every caller gets its key's value, the map stays
+// within Max plus one entry per goroutine, and evictions plus retained
+// entries account for every miss.
+func TestConcurrentDoAtBound(t *testing.T) {
+	const workers = 8
+	m := Map[int, int]{Max: 16}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				k := (i*7 + w) % 64
+				if got := m.Do(k, func() int { return k * k }); got != k*k {
+					t.Errorf("Do(%d) = %d, want %d", k, got, k*k)
+					return
+				}
+				if n := m.Len(); n > m.Max+workers {
+					t.Errorf("Len() = %d exceeds Max %d + %d workers", n, m.Max, workers)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if m.Evictions() == 0 {
+		t.Fatal("no evictions while cycling 64 keys through a 16-entry map")
+	}
+	_, misses := m.Stats()
+	if got := m.Evictions() + uint64(m.Len()); got != misses {
+		t.Fatalf("evictions + retained = %d, want misses %d", got, misses)
 	}
 }

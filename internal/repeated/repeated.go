@@ -145,14 +145,18 @@ type quoteResult struct {
 // premium pair (memo.Map serialises first computes), and a repeated
 // trajectory revisiting a premium pair in a later Play hits the cache.
 // Values are pure functions of the key, so the cache can never go stale.
+// It holds at most maxQuotes quotes and flushes when full.
 //
 // The stage models are built directly rather than through
-// solvecache.SharedModel: each quote key is solved exactly once and then
-// served from this memo forever, so sharing the model would buy nothing —
-// while a reputation-dynamics engagement visiting hundreds of quantised
-// premium pairs would fill solvecache's bounded cache with single-use
-// light models and push every later full solve onto the uncached path.
-var quotes memo.Map[utility.Params, quoteResult]
+// solvecache.SharedModel because they run lighter numerics (GL-32
+// quadrature, a 200-panel scan) than the shared default models, and only
+// the rescaled quote is retained: the model is dropped once its optimum
+// and strategy are read.
+var quotes = memo.Map[utility.Params, quoteResult]{Max: maxQuotes}
+
+// maxQuotes bounds the quote cache, above the 151 distinct quotes the
+// figure suite solves.
+const maxQuotes = 256
 
 // QuoteCacheStats reports the process-wide quote cache's cumulative hit
 // and miss counts.

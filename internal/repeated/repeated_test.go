@@ -329,3 +329,37 @@ func TestAbsorbedPriceStaysAtZero(t *testing.T) {
 		t.Skip("trajectory never underflowed; widen drift or rounds to exercise absorption")
 	}
 }
+
+// TestQuoteCacheBounded drives the quote cache past maxQuotes distinct
+// premium pairs: it never holds more than maxQuotes quotes, counts the
+// flushed ones as evictions, and a flushed quote re-solves identically.
+func TestQuoteCacheBounded(t *testing.T) {
+	p := utility.Default()
+	alphaA := func(i int) float64 { return 0.05 + 1e-3*float64(i) }
+	const alphaB = 0.123
+	first, err := solveQuote(p, p.P0, alphaA(0), alphaB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Other tests may already have cached some of these pairs, so keep
+	// inserting until a flush is seen; 2×maxQuotes pairs always suffice.
+	before := quotes.Evictions()
+	for i := 1; quotes.Evictions() == before; i++ {
+		if i > 2*maxQuotes {
+			t.Fatalf("no evictions after %d distinct quotes", i-1)
+		}
+		if _, err := solveQuote(p, p.P0, alphaA(i), alphaB); err != nil {
+			t.Fatal(err)
+		}
+		if n := quotes.Len(); n > maxQuotes {
+			t.Fatalf("quote cache holds %d quotes, bound is %d", n, maxQuotes)
+		}
+	}
+	again, err := solveQuote(p, p.P0, alphaA(0), alphaB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, first) {
+		t.Errorf("re-solved quote %+v differs from the first solve %+v", again, first)
+	}
+}

@@ -500,7 +500,6 @@ type StatsResult struct {
 		Limit       int    `json:"limit"`
 		ModelHits   uint64 `json:"modelHits"`
 		ModelMisses uint64 `json:"modelMisses"`
-		Bypassed    uint64 `json:"bypassed"`
 		Evicted     uint64 `json:"evicted"`
 		SolveHits   uint64 `json:"solveHits"`
 		SolveMisses uint64 `json:"solveMisses"`
@@ -551,7 +550,6 @@ func (s *Server) handleStats() (any, *Error) {
 	out.SolveCache.Limit = cs.Limit
 	out.SolveCache.ModelHits = cs.ModelHits
 	out.SolveCache.ModelMisses = cs.ModelMisses
-	out.SolveCache.Bypassed = cs.Bypassed
 	out.SolveCache.Evicted = cs.Evicted
 	out.SolveCache.SolveHits = cs.SolveHits
 	out.SolveCache.SolveMisses = cs.SolveMisses

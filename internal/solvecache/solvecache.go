@@ -1,24 +1,21 @@
 // Package solvecache is the cross-artifact half of the amortized solve
-// engine: a process-wide, concurrency-safe cache of core solvers keyed by a
-// canonical hash of (parameter set, quadrature options). Everything that
-// solves the swap game from a utility.Params — the figure generators, the
-// scenario batch runner, the game-tree cross-checks — routes through
-// SharedModel, so identical solve cells are computed once per process
-// rather than once per curve, per preset, or per artifact.
+// engine: a process-wide, concurrency-safe cache of core solvers keyed by
+// the parameter set itself. Everything that solves the swap game from a
+// utility.Params — the figure generators, the scenario batch runner, the
+// game-tree cross-checks — routes through SharedModel, so identical solve
+// cells are computed once per process rather than once per curve, per
+// preset, or per artifact.
 //
 // Sharing is sound because a core.Model is immutable after construction and
-// its solve memo only caches pure functions of (params, options, query);
-// see DESIGN.md ("Amortized solve engine") for the key scheme and the
+// its solve memo only caches pure functions of (params, query); see
+// DESIGN.md ("Amortized solve engine") for the key scheme and the
 // invalidation rules (there are none to apply at runtime: a cache entry can
 // never go stale, it can only be evicted to bound memory).
 package solvecache
 
 import (
 	"fmt"
-	"hash/maphash"
 	"io"
-	"math"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/mathx"
@@ -26,199 +23,46 @@ import (
 	"repro/internal/utility"
 )
 
-// DefaultMaxModels is the default bound on the number of cached models.
-// It comfortably covers the repository's fixed workloads — the 18 artifact
-// groups plus the scenario presets touch well under a hundred distinct
-// parameter sets — while atlas-scale generated universes (thousands of
-// distinct parameter sets) raise it via SetMaxModels (swapd's
-// -cache-max-models flag) instead of thrashing.
-const DefaultMaxModels = 512
+// maxModels bounds the number of cached models. It comfortably covers the
+// repository's fixed workloads — the 18 artifact groups plus the scenario
+// presets touch well under a hundred distinct parameter sets — while an
+// unbounded parameter stream (an atlas-scale universe, a client sweeping
+// inline scenarios) flushes the map each time it fills instead of growing
+// memory.
+const maxModels = 512
 
-// QuadOpts are the solver options that participate in the cache key
-// alongside the parameter set. The zero value selects core's defaults.
-type QuadOpts struct {
-	// GLOrder is the Gauss–Legendre order (0 = core default, 64).
-	GLOrder int
-	// GHOrder is the Gauss–Hermite order (0 = core default, 48).
-	GHOrder int
-	// ScanPoints is the utility-crossing scan resolution (0 = core
-	// default, 600). The repeated-game quote solver runs a lighter scan;
-	// keying on it keeps light and full solves in separate cells.
-	ScanPoints int
-}
-
-// cacheEntry pairs a cached model with the exact key material it was
-// built from, so a 64-bit hash collision is detected on hit (and served a
-// private model) instead of silently returning a solver for different
-// parameters. utility.Params is a flat comparable struct, so the check is
-// two struct compares.
-type cacheEntry struct {
-	m    *core.Model
-	p    utility.Params
-	opts QuadOpts
-}
-
-var (
-	seed    = maphash.MakeSeed()
-	models  memo.Map[uint64, cacheEntry]
-	limit   atomic.Int64 // 0 = DefaultMaxModels, <0 = unbounded
-	bypass  atomic.Uint64
-	evicted atomic.Uint64
-)
-
-// MaxModels returns the current bound on the number of cached models
-// (0 = unbounded).
-func MaxModels() int {
-	n := limit.Load()
-	switch {
-	case n == 0:
-		return DefaultMaxModels
-	case n < 0:
-		return 0
-	default:
-		return int(n)
-	}
-}
-
-// SetMaxModels sets the bound on the number of cached models. n <= 0
-// removes the bound. Lowering the bound takes effect on subsequent inserts;
-// already-cached models above the new bound are evicted lazily.
-func SetMaxModels(n int) {
-	if n <= 0 {
-		limit.Store(-1)
-		return
-	}
-	limit.Store(int64(n))
-}
-
-// enforceBound evicts completed entries (never keep, the key just served)
-// until the cache is within its bound. Eviction order is arbitrary — the
-// cache is content-addressed and every entry is equally re-creatable, so
-// recency bookkeeping on the lock-free hit path would cost more than the
-// occasional rebuild it avoids. Concurrent inserts can briefly overshoot
-// the bound; it is a memory bound, not an invariant.
-func enforceBound(keep uint64) {
-	max := MaxModels()
-	if max == 0 {
-		return
-	}
-	for models.Len() > max {
-		victim, found := uint64(0), false
-		models.Range(func(k uint64, _ cacheEntry) bool {
-			if k == keep {
-				return true
-			}
-			victim, found = k, true
-			return false
-		})
-		if !found {
-			return
-		}
-		models.Delete(victim)
-		evicted.Add(1)
-	}
-}
-
-// Key returns the canonical solve-cache key of a parameter set under the
-// given quadrature options: a 64-bit hash over the exact float bit patterns
-// of every model parameter, so two parameter sets collide only if they are
-// numerically identical (up to the sign of zero and NaN payloads, which
-// validated parameters exclude).
-func Key(p utility.Params, q QuadOpts) uint64 {
-	var h maphash.Hash
-	h.SetSeed(seed)
-	f := func(v float64) {
-		var b [8]byte
-		bits := math.Float64bits(v)
-		for i := range b {
-			b[i] = byte(bits >> (8 * i))
-		}
-		h.Write(b[:])
-	}
-	f(p.Alice.Alpha)
-	f(p.Alice.R)
-	f(p.Bob.Alpha)
-	f(p.Bob.R)
-	f(p.Chains.TauA)
-	f(p.Chains.TauB)
-	f(p.Chains.EpsB)
-	f(p.Price.Mu)
-	f(p.Price.Sigma)
-	f(p.P0)
-	f(float64(q.GLOrder))
-	f(float64(q.GHOrder))
-	f(float64(q.ScanPoints))
-	return h.Sum64()
-}
+// models is keyed on the comparable parameter set: two sets share a model
+// exactly when they compare ==, which equates +0 and −0 (the solvers'
+// results do not depend on the sign of a zero parameter) and never holds
+// for the NaNs that validation rejects.
+var models = memo.Map[utility.Params, *core.Model]{Max: maxModels}
 
 // SharedModel returns the process-wide solver for the parameter set with
 // core's default quadrature options, constructing and caching it on first
 // use. The returned model is shared: callers must treat it (and the
 // strategies/interval sets it returns) as read-only, which every core API
-// already guarantees. The cache holds at most MaxModels models — inserting
-// beyond the bound evicts an arbitrary cached model (see enforceBound), so
-// unbounded parameter streams cannot grow memory and hot workloads larger
-// than the old hard cap no longer degrade to uncached private models.
+// already guarantees.
 func SharedModel(p utility.Params) (*core.Model, error) {
-	return SharedModelQuad(p, QuadOpts{})
-}
-
-// SharedModelQuad is SharedModel with explicit quadrature options.
-func SharedModelQuad(p utility.Params, q QuadOpts) (*core.Model, error) {
 	// Validate before touching the cache so invalid parameters return the
 	// usual error instead of caching a nil model.
 	if err := p.Validate(); err != nil {
 		return core.New(p)
 	}
-	key := Key(p, q)
-	ent := models.Do(key, func() cacheEntry {
-		// Construction cannot fail here: the parameters were validated
-		// above and the quadrature orders are gated to positive values.
-		mm, err := newModel(p, q)
-		if err != nil {
-			return cacheEntry{}
-		}
-		return cacheEntry{m: mm, p: p, opts: q}
-	})
-	if ent.m == nil || ent.p != p || ent.opts != q {
-		// Defensive: a cached construction failure, or a 64-bit hash
-		// collision between distinct parameter sets — serve a private
-		// model rather than a wrong one.
-		bypass.Add(1)
-		return newModel(p, q)
-	}
-	enforceBound(key)
-	return ent.m, nil
-}
-
-func newModel(p utility.Params, q QuadOpts) (*core.Model, error) {
-	var opts []core.Option
-	if q.GLOrder > 0 {
-		opts = append(opts, core.WithQuadOrder(q.GLOrder))
-	}
-	if q.GHOrder > 0 {
-		opts = append(opts, core.WithHermiteOrder(q.GHOrder))
-	}
-	if q.ScanPoints > 0 {
-		opts = append(opts, core.WithScanPoints(q.ScanPoints))
-	}
-	return core.New(p, opts...)
+	return models.Do(p, func() *core.Model {
+		m, _ := core.New(p) // cannot fail: p was validated above
+		return m
+	}), nil
 }
 
 // Stats reports the cache's cumulative behaviour: model-level hits and
-// misses, the eviction and private-model fallback counters, and the
-// aggregate solve-memo hits/misses across every cached model.
+// misses, evictions, and the aggregate solve-memo hits/misses across every
+// cached model.
 type Stats struct {
 	// ModelHits and ModelMisses count SharedModel lookups.
 	ModelHits, ModelMisses uint64
-	// Bypassed counts requests served with a private model defensively: a
-	// 64-bit key collision between distinct parameter sets, or a cached
-	// construction failure.
-	Bypassed uint64
 	// Evicted counts models dropped to keep the cache within its bound.
 	Evicted uint64
-	// Models is the number of cached models; Limit is the configured bound
-	// (0 = unbounded).
+	// Models is the number of cached models; Limit is the constant bound.
 	Models, Limit int
 	// SolveHits and SolveMisses aggregate the per-model solve-memo
 	// counters of every cached model.
@@ -229,8 +73,8 @@ type Stats struct {
 // the diagnostic block behind the CLIs' -cache-stats flag.
 func WriteStats(w io.Writer) {
 	s := ReadStats()
-	fmt.Fprintf(w, "solve cache: %d/%d models (hits %d, misses %d, bypassed %d, evicted %d); solve cells: hits %d, misses %d\n",
-		s.Models, s.Limit, s.ModelHits, s.ModelMisses, s.Bypassed, s.Evicted, s.SolveHits, s.SolveMisses)
+	fmt.Fprintf(w, "solve cache: %d/%d models (hits %d, misses %d, evicted %d); solve cells: hits %d, misses %d\n",
+		s.Models, s.Limit, s.ModelHits, s.ModelMisses, s.Evicted, s.SolveHits, s.SolveMisses)
 	glH, glM, ghH, ghM := mathx.QuadCacheStats()
 	fmt.Fprintf(w, "quadrature tables: Gauss-Legendre hits %d, misses %d; Gauss-Hermite hits %d, misses %d\n",
 		glH, glM, ghH, ghM)
@@ -239,18 +83,15 @@ func WriteStats(w io.Writer) {
 // ReadStats snapshots the cache counters.
 func ReadStats() Stats {
 	s := Stats{
-		Bypassed: bypass.Load(),
-		Evicted:  evicted.Load(),
-		Models:   models.Len(),
-		Limit:    MaxModels(),
+		Evicted: models.Evictions(),
+		Models:  models.Len(),
+		Limit:   maxModels,
 	}
 	s.ModelHits, s.ModelMisses = models.Stats()
-	models.Range(func(_ uint64, ent cacheEntry) bool {
-		if ent.m != nil {
-			h, mi := ent.m.MemoStats()
-			s.SolveHits += h
-			s.SolveMisses += mi
-		}
+	models.Range(func(_ utility.Params, m *core.Model) bool {
+		h, mi := m.MemoStats()
+		s.SolveHits += h
+		s.SolveMisses += mi
 		return true
 	})
 	return s

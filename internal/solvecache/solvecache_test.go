@@ -1,7 +1,9 @@
 package solvecache
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -48,7 +50,7 @@ func TestSharedModelMatchesFreshSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The shared model must agree with an uncached one bit for bit.
-	priv, err := SharedModelQuad(p, QuadOpts{GLOrder: 64, GHOrder: 48})
+	priv, err := core.New(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,9 +63,21 @@ func TestSharedModelMatchesFreshSolve(t *testing.T) {
 	}
 }
 
-func TestKeyDistinguishesEveryParameter(t *testing.T) {
+// TestSharedModelDistinguishesEveryParameter pins the key: a change to
+// any single field of the parameter set gives a distinct model, and
+// parameter sets that compare == (including +0 against −0) share one.
+func TestSharedModelDistinguishesEveryParameter(t *testing.T) {
 	base := utility.Default()
-	k0 := Key(base, QuadOpts{})
+	m0, err := SharedModel(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A hit cannot flush the cache, so the lookup right after m0's insert
+	// must return m0 itself.
+	same := base
+	if m, err := SharedModel(same); err != nil || m != m0 {
+		t.Errorf("== params got a distinct model (err %v)", err)
+	}
 	mutations := []func(*utility.Params){
 		func(p *utility.Params) { p.Alice.Alpha += 1e-12 },
 		func(p *utility.Params) { p.Alice.R += 1e-12 },
@@ -79,52 +93,26 @@ func TestKeyDistinguishesEveryParameter(t *testing.T) {
 	for i, mut := range mutations {
 		p := base
 		mut(&p)
-		if Key(p, QuadOpts{}) == k0 {
-			t.Errorf("mutation %d did not change the key", i)
+		m, err := SharedModel(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m == m0 {
+			t.Errorf("mutation %d shared the base model", i)
+		}
+		if m.Params() != p {
+			t.Errorf("mutation %d: model params %+v, want %+v", i, m.Params(), p)
 		}
 	}
-	if Key(base, QuadOpts{GLOrder: 32}) == k0 {
-		t.Error("quad options did not change the key")
-	}
-	if Key(base, QuadOpts{ScanPoints: 200}) == k0 {
-		t.Error("scan resolution did not change the key")
-	}
-	if Key(base, QuadOpts{}) != k0 {
-		t.Error("key is not deterministic")
-	}
-}
-
-// TestScanPointsOptionsMatchDirectConstruction pins the light-solver path
-// the repeated game's quote cache runs on: explicit scan/quadrature
-// options must reproduce a directly constructed core.Model bit for bit,
-// and must occupy a cache cell distinct from the default solver's.
-func TestScanPointsOptionsMatchDirectConstruction(t *testing.T) {
-	p := utility.Default()
-	light, err := SharedModelQuad(p, QuadOpts{GLOrder: 32, ScanPoints: 200})
+	pos, neg := base, base
+	pos.Price.Mu = 0
+	neg.Price.Mu = math.Copysign(0, -1)
+	mPos, err := SharedModel(pos)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := core.New(p, core.WithQuadOrder(32), core.WithScanPoints(200))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srLight, err := light.SuccessRate(2.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srDirect, err := direct.SuccessRate(2.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(srLight) != math.Float64bits(srDirect) {
-		t.Fatalf("light shared SR %v != direct SR %v", srLight, srDirect)
-	}
-	full, err := SharedModel(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full == light {
-		t.Fatal("default and light options share one cache cell")
+	if mNeg, err := SharedModel(neg); err != nil || mNeg != mPos {
+		t.Errorf("+0 and -0 drift got distinct models (err %v)", err)
 	}
 }
 
@@ -159,61 +147,36 @@ func TestConcurrentSharedModel(t *testing.T) {
 	}
 }
 
-func TestMaxModelsSettable(t *testing.T) {
-	defer SetMaxModels(DefaultMaxModels)
-	if MaxModels() != DefaultMaxModels {
-		t.Fatalf("default bound = %d, want %d", MaxModels(), DefaultMaxModels)
-	}
-	SetMaxModels(7)
-	if MaxModels() != 7 {
-		t.Fatalf("bound = %d after SetMaxModels(7)", MaxModels())
-	}
-	SetMaxModels(0)
-	if MaxModels() != 0 {
-		t.Fatalf("bound = %d after SetMaxModels(0), want 0 (unbounded)", MaxModels())
-	}
-}
-
-// TestBoundEvictsInsteadOfBypassing pins the over-capacity behaviour: the
-// cache evicts to stay within its bound (and keeps serving shared models)
-// rather than permanently degrading to private uncached models, and an
-// evicted cell recomputes bit-identically on re-request.
-func TestBoundEvictsInsteadOfBypassing(t *testing.T) {
-	defer SetMaxModels(DefaultMaxModels)
-	SetMaxModels(4)
+// TestBoundFlushesPastMaxModels streams three times the bound's worth of
+// distinct parameter sets through the cache: it never holds more than
+// maxModels models, counts the flushed ones as evictions, and an evicted
+// model is rebuilt to solve bit-identically to a direct construction.
+func TestBoundFlushesPastMaxModels(t *testing.T) {
 	before := ReadStats()
 	base := utility.Default()
-	alpha := func(i int) float64 { return 0.20 + 0.005*float64(i) }
-	var last *core.Model
-	for i := 0; i < 12; i++ {
+	param := func(i int) utility.Params {
 		p := base
-		p.Alice.Alpha = alpha(i)
-		m, err := SharedModelQuad(p, QuadOpts{})
-		if err != nil {
+		p.Alice.Alpha = 0.2 + 1e-6*float64(i)
+		return p
+	}
+	for i := 0; i < 3*maxModels; i++ {
+		if _, err := SharedModel(param(i)); err != nil {
 			t.Fatal(err)
 		}
-		last = m
+		if n := ReadStats().Models; n > maxModels {
+			t.Fatalf("after %d inserts the cache holds %d models, bound is %d", i+1, n, maxModels)
+		}
 	}
 	st := ReadStats()
-	if st.Models > 4 {
-		t.Errorf("cache holds %d models, bound is 4", st.Models)
+	if st.Limit != maxModels {
+		t.Errorf("Stats.Limit = %d, want %d", st.Limit, maxModels)
 	}
-	if st.Evicted <= before.Evicted {
-		t.Error("no evictions recorded while inserting past the bound")
+	if st.Evicted-before.Evicted < 2*maxModels {
+		t.Errorf("evicted %d models over %d inserts into a %d-model cache",
+			st.Evicted-before.Evicted, 3*maxModels, maxModels)
 	}
-	if st.Limit != 4 {
-		t.Errorf("Stats.Limit = %d, want 4", st.Limit)
-	}
-	// The just-inserted entry is never the eviction victim.
-	p := base
-	p.Alice.Alpha = alpha(11)
-	if m, err := SharedModelQuad(p, QuadOpts{}); err != nil || m != last {
-		t.Errorf("most recent insert was evicted (m == last: %v, err %v)", m == last, err)
-	}
-	// An evicted cell is re-solved, not bypassed, and matches a direct solve.
-	q := base
-	q.Alice.Alpha = alpha(0)
-	m, err := SharedModelQuad(q, QuadOpts{})
+	q := param(0)
+	m, err := SharedModel(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,10 +193,7 @@ func TestBoundEvictsInsteadOfBypassing(t *testing.T) {
 		t.Fatal(err)
 	}
 	if math.Float64bits(sr) != math.Float64bits(srDirect) {
-		t.Fatalf("re-solved evicted cell SR %v != direct SR %v", sr, srDirect)
-	}
-	if got := ReadStats(); got.Bypassed != st.Bypassed {
-		t.Errorf("eviction path incremented Bypassed (%d -> %d)", st.Bypassed, got.Bypassed)
+		t.Fatalf("re-solved evicted model SR %v != direct SR %v", sr, srDirect)
 	}
 }
 
@@ -252,5 +212,26 @@ func TestReadStatsCounts(t *testing.T) {
 	}
 	if after.Models == 0 {
 		t.Fatal("no models recorded")
+	}
+}
+
+// TestWriteStatsReportsBoundAndEvictions pins the -cache-stats line: the
+// model count over the constant bound, the hit, miss and eviction
+// counters, and the quadrature-table line.
+func TestWriteStatsReportsBoundAndEvictions(t *testing.T) {
+	if _, err := SharedModel(utility.Default()); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	WriteStats(&b)
+	out := b.String()
+	s := ReadStats()
+	want := fmt.Sprintf("solve cache: %d/%d models (hits %d, misses %d, evicted %d);",
+		s.Models, maxModels, s.ModelHits, s.ModelMisses, s.Evicted)
+	if !strings.HasPrefix(out, want) {
+		t.Errorf("WriteStats = %q, want prefix %q", out, want)
+	}
+	if !strings.Contains(out, "\nquadrature tables: Gauss-Legendre hits ") {
+		t.Errorf("WriteStats = %q, missing the quadrature-table line", out)
 	}
 }
