@@ -113,16 +113,16 @@ func BenchmarkMC_EngineAdaptive(b *testing.B) {
 }
 
 // convergenceConfig is the shared precision every convergence benchmark
-// runs to: a 0.01 estimator half-width under a 200k cap, chunked so the
-// adaptive stopper re-evaluates often enough to expose per-mode gains.
+// runs to: a 0.01 estimator half-width under a 200k cap, re-evaluated at
+// every engine chunk boundary.
 func convergenceConfig() swapsim.MCConfig {
-	return swapsim.MCConfig{Runs: 200000, Workers: 0, CIWidth: 0.01, ChunkSize: 256}
+	return swapsim.MCConfig{Runs: 200000, Workers: 0, CIWidth: 0.01}
 }
 
 // convergencePseudoPaths runs the pseudo sampler once to the shared
 // precision target and caches the path count the variance-reduced modes
-// are normalized against. The adaptive stop is deterministic per (seed,
-// chunk) pair, so this is a constant of the preset, not a measurement.
+// are normalized against. The adaptive stop is deterministic per seed, so
+// this is a constant of the preset, not a measurement.
 var convergencePseudoPaths = sync.OnceValues(func() (int, error) {
 	cfg, err := mcBenchConfig()
 	if err != nil {

@@ -36,18 +36,16 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
 	var (
-		only     = fs.String("only", "", "comma-separated artifact IDs (default: all; see DESIGN.md)")
-		csvDir   = fs.String("csv", "", "directory to write per-figure CSV files (optional)")
-		width    = fs.Int("width", 72, "ASCII chart width")
-		height   = fs.Int("height", 18, "ASCII chart height")
-		workers  = fs.Int("workers", 0, "worker-pool size for grid scans (0 = all CPUs; output is identical for any value)")
-		scen     = fs.String("scenario", "", "regenerate under a named scenario's parameters (see cmd/scenarios -list)")
-		ciWidth  = fs.Float64("ci-width", 0, "montecarlo artifact: adaptive stop once the Wilson 95% half-width is <= this (0 = fixed runs)")
-		chunk    = fs.Int("chunk", 0, "montecarlo artifact: engine chunk size (0 = default)")
-		maxPaths = fs.Int("max-paths", 0, "montecarlo artifact: hard cap on adaptive sampling (0 = default runs)")
-		sampler  = fs.String("sampler", "", `MC artifacts: sampling mode "pseudo" or "sobol" (default: per-artifact, see figures.Opts.Sampler)`)
-		timing   = fs.Bool("timing", false, "print a per-artifact-group wall-time breakdown after generation")
-		stats    = fs.Bool("cache-stats", false, "print solve-cache and quadrature-table hit/miss counters after generation")
+		only    = fs.String("only", "", "comma-separated artifact IDs (default: all; see DESIGN.md)")
+		csvDir  = fs.String("csv", "", "directory to write per-figure CSV files (optional)")
+		width   = fs.Int("width", 72, "ASCII chart width")
+		height  = fs.Int("height", 18, "ASCII chart height")
+		workers = fs.Int("workers", 0, "worker-pool size for grid scans (0 = all CPUs; output is identical for any value)")
+		scen    = fs.String("scenario", "", "regenerate under a named scenario's parameters (see cmd/scenarios -list)")
+		ciWidth = fs.Float64("ci-width", 0, "montecarlo artifact: adaptive stop once the Wilson 95% half-width is <= this (0 = fixed runs)")
+		sampler = fs.String("sampler", "", `MC artifacts: sampling mode "pseudo" or "sobol" (default: per-artifact, see figures.Opts.Sampler)`)
+		timing  = fs.Bool("timing", false, "print a per-artifact-group wall-time breakdown after generation")
+		stats   = fs.Bool("cache-stats", false, "print solve-cache and quadrature-table hit/miss counters after generation")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -64,12 +62,10 @@ func run(args []string, out io.Writer) error {
 	}
 	start := time.Now()
 	figs, timings, err := figures.GenerateTimed(utility.Default(), *only, figures.Opts{
-		Workers:    *workers,
-		Scenario:   *scen,
-		MCCIWidth:  *ciWidth,
-		MCChunk:    *chunk,
-		MCMaxPaths: *maxPaths,
-		Sampler:    qmc.Mode(*sampler),
+		Workers:   *workers,
+		Scenario:  *scen,
+		MCCIWidth: *ciWidth,
+		Sampler:   qmc.Mode(*sampler),
 	})
 	if err != nil {
 		return err

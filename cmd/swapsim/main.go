@@ -6,7 +6,7 @@
 // Usage:
 //
 //	swapsim -runs 50000 -pstar 2.0
-//	swapsim -ci-width 0.005 -max-paths 200000   # adaptive precision
+//	swapsim -ci-width 0.005 -runs 200000   # adaptive precision
 //	swapsim -trace -seed 7
 //	swapsim -trace -haltb-from 7.5 -haltb-until 40   # atomicity violation
 //	swapsim -scenario impatient-bob -runs 20000      # a named scenario's regime
@@ -51,8 +51,6 @@ func run(args []string, out io.Writer) error {
 		seed       = fs.Int64("seed", 1, "base random seed")
 		workers    = fs.Int("workers", 8, "parallel workers (never affects the result)")
 		ciWidth    = fs.Float64("ci-width", 0, "adaptive precision: stop once the Wilson 95% half-width is <= this (0 = fixed -runs)")
-		chunk      = fs.Int("chunk", 0, "Monte Carlo engine chunk size (0 = default; results are bit-reproducible per seed+chunk)")
-		maxPaths   = fs.Int("max-paths", 0, "hard cap on adaptive sampling (0 = -runs)")
 		trace      = fs.Bool("trace", false, "run once and print the decision trace")
 		haltBFrom  = fs.Float64("haltb-from", 0, "chain_b crash start (hours)")
 		haltBUntil = fs.Float64("haltb-until", 0, "chain_b crash end (0 = no crash)")
@@ -123,11 +121,9 @@ func run(args []string, out io.Writer) error {
 			Rounds:     *rounds,
 		}
 		report, err := variant.Run(sc, variant.RunOpts{
-			Variants:  *variants,
-			CIWidth:   *ciWidth,
-			ChunkSize: *chunk,
-			MaxPaths:  *maxPaths,
-			Sampler:   mode,
+			Variants: *variants,
+			CIWidth:  *ciWidth,
+			Sampler:  mode,
 		})
 		if err != nil {
 			return err
@@ -225,12 +221,10 @@ func run(args []string, out io.Writer) error {
 	}
 
 	res, err := swapsim.MonteCarlo(swapsim.MCConfig{
-		Config:    cfg,
-		Runs:      *runs,
-		Workers:   *workers,
-		CIWidth:   *ciWidth,
-		ChunkSize: *chunk,
-		MaxPaths:  *maxPaths,
+		Config:  cfg,
+		Runs:    *runs,
+		Workers: *workers,
+		CIWidth: *ciWidth,
 	})
 	if err != nil {
 		return err

@@ -153,7 +153,7 @@ func (a *Alice) Secret() htlc.Secret { return append(htlc.Secret(nil), a.secret.
 
 // Start schedules Alice's protocol actions.
 func (a *Alice) Start() error {
-	return a.env.Sched.ScheduleCall(a.env.Timeline.T1, sim.PriorityDefault, "alice-t1", aliceT1Call, a, nil)
+	return a.env.Sched.ScheduleCall(a.env.Timeline.T1, sim.PriorityDefault, aliceT1Call, a, nil)
 }
 
 func (a *Alice) record(stage string, price float64, action core.Action, reason string) {
@@ -186,10 +186,10 @@ func (a *Alice) actT1() {
 	a.contractA = ctID
 	a.record("t1", 0, core.Cont, "initiate")
 	// t3 decision and the safety refund at expiry.
-	if err := a.env.Sched.ScheduleCall(a.env.Timeline.T3, sim.PriorityDefault, "alice-t3", aliceT3Call, a, nil); err != nil {
+	if err := a.env.Sched.ScheduleCall(a.env.Timeline.T3, sim.PriorityDefault, aliceT3Call, a, nil); err != nil {
 		a.record("t3", 0, core.Stop, "scheduling-failed: "+err.Error())
 	}
-	if err := a.env.Sched.ScheduleCall(a.env.Timeline.TA, sim.PriorityDefault, "alice-refund", aliceRefundCall, a, nil); err != nil {
+	if err := a.env.Sched.ScheduleCall(a.env.Timeline.TA, sim.PriorityDefault, aliceRefundCall, a, nil); err != nil {
 		a.record("t8", 0, core.Stop, "scheduling-failed: "+err.Error())
 	}
 }
@@ -224,7 +224,7 @@ func (a *Alice) refundErr(reason string) { a.record("t8", 0, core.Stop, reason) 
 
 // refund reclaims Alice's escrow if her contract is still locked at expiry.
 func (a *Alice) refund() {
-	retryRefund(a.env, a.env.ChainA, a.contractA, "alice-refund-retry", a.refundErr)
+	retryRefund(a.env, a.env.ChainA, a.contractA, a.refundErr)
 }
 
 // Bob is the responder: he verifies Alice's lock at t2, decides by the
@@ -309,7 +309,7 @@ func (b *Bob) ContractB() string { return b.contractB }
 // Start schedules Bob's protocol actions and mempool watching.
 func (b *Bob) Start() error {
 	b.env.ChainB.WatchSecrets(b.onSecretFn)
-	return b.env.Sched.ScheduleCall(b.env.Timeline.T2, sim.PriorityDefault, "bob-t2", bobT2Call, b, nil)
+	return b.env.Sched.ScheduleCall(b.env.Timeline.T2, sim.PriorityDefault, bobT2Call, b, nil)
 }
 
 func (b *Bob) record(stage string, price float64, action core.Action, reason string) {
@@ -347,7 +347,7 @@ func (b *Bob) actT2() {
 	}
 	b.contractB = ctID
 	b.record("t2", price, core.Cont, "lock-token-b")
-	if err := b.env.Sched.ScheduleCall(b.env.Timeline.TB, sim.PriorityDefault, "bob-refund", bobRefundCall, b, nil); err != nil {
+	if err := b.env.Sched.ScheduleCall(b.env.Timeline.TB, sim.PriorityDefault, bobRefundCall, b, nil); err != nil {
 		b.record("t7", 0, core.Stop, "scheduling-failed: "+err.Error())
 	}
 }
@@ -371,13 +371,13 @@ func (b *Bob) refundErr(reason string) { b.record("t7", 0, core.Stop, reason) }
 
 // refund reclaims Bob's escrow if his contract is still locked at expiry.
 func (b *Bob) refund() {
-	retryRefund(b.env, b.env.ChainB, b.contractB, "bob-refund-retry", b.refundErr)
+	retryRefund(b.env, b.env.ChainB, b.contractB, b.refundErr)
 }
 
 // retryRefund submits a refund for a still-locked contract, re-arming after
 // a crash window when the lock has not even executed yet (a halted chain
 // creates the escrow only after recovery).
-func retryRefund(env Env, c *chain.Chain, contractID, label string, onErr func(string)) {
+func retryRefund(env Env, c *chain.Chain, contractID string, onErr func(string)) {
 	if contractID == "" {
 		return
 	}
@@ -386,8 +386,8 @@ func retryRefund(env Env, c *chain.Chain, contractID, label string, onErr func(s
 		// Lock not yet executed. If the chain is down, check again at
 		// recovery; otherwise the lock failed and there is nothing to do.
 		if until := c.HaltedUntil(); until > env.Sched.Now() {
-			if err := env.Sched.Schedule(until, label, func() {
-				retryRefund(env, c, contractID, label, onErr)
+			if err := env.Sched.Schedule(until, func() {
+				retryRefund(env, c, contractID, onErr)
 			}); err != nil {
 				onErr("refund-retry-scheduling-failed: " + err.Error())
 			}

@@ -135,14 +135,12 @@ type Chain struct {
 	observers   []SecretObserver
 
 	// Reuse pools and caches for the Monte Carlo hot path: transactions
-	// and contracts recycled across Reset, and the deterministic ID/event
-	// label strings (a pure function of the chain name and a counter that
+	// and contracts recycled across Reset, and the deterministic ID
+	// strings (a pure function of the chain name and a counter that
 	// restarts at every Reset, so each run regenerates the same strings).
 	txFree  []*Tx
 	ctFree  []*htlc.Contract
 	txIDs   []string // txIDs[n-1] = "<name>-tx%04d" for counter n
-	txExec  []string // txIDs[n-1] + "-execute"
-	txVis   []string // txIDs[n-1] + "-visible"
 	htlcIDs []string // "<name>-htlc%04d"
 }
 
@@ -229,17 +227,14 @@ func (c *Chain) newContract() *htlc.Contract {
 	return &htlc.Contract{}
 }
 
-// txLabels returns the cached ID and event labels for transaction counter
-// n (1-based), formatting them on first use. Counters restart at Reset, so
-// across Monte Carlo paths every label is served from the cache.
-func (c *Chain) txLabels(n int) (id, exec, vis string) {
+// txID returns the cached ID for transaction counter n (1-based),
+// formatting it on first use. Counters restart at Reset, so across Monte
+// Carlo paths every ID is served from the cache.
+func (c *Chain) txID(n int) string {
 	for len(c.txIDs) < n {
-		next := fmt.Sprintf("%s-tx%04d", c.name, len(c.txIDs)+1)
-		c.txIDs = append(c.txIDs, next)
-		c.txExec = append(c.txExec, next+"-execute")
-		c.txVis = append(c.txVis, next+"-visible")
+		c.txIDs = append(c.txIDs, fmt.Sprintf("%s-tx%04d", c.name, len(c.txIDs)+1))
 	}
-	return c.txIDs[n-1], c.txExec[n-1], c.txVis[n-1]
+	return c.txIDs[n-1]
 }
 
 // htlcID returns the cached contract ID for contract counter n (1-based).
@@ -342,8 +337,7 @@ func executeCall(c, tx any) { c.(*Chain).execute(tx.(*Tx)) }
 // execution events.
 func (c *Chain) submit(tx *Tx) (string, error) {
 	c.nextID++
-	id, execName, visName := c.txLabels(c.nextID)
-	tx.ID = id
+	tx.ID = c.txID(c.nextID)
 	tx.SubmittedAt = c.sched.Now()
 	tx.VisibleAt = tx.SubmittedAt + c.eps
 	tx.Status = TxPending
@@ -351,11 +345,11 @@ func (c *Chain) submit(tx *Tx) (string, error) {
 	c.order = append(c.order, tx.ID)
 
 	if tx.Kind == TxClaim {
-		if err := c.sched.ScheduleCall(tx.VisibleAt, sim.PriorityMempool, visName, notifyCall, c, tx); err != nil {
+		if err := c.sched.ScheduleCall(tx.VisibleAt, sim.PriorityMempool, notifyCall, c, tx); err != nil {
 			return "", fmt.Errorf("chain %s: scheduling visibility: %w", c.name, err)
 		}
 	}
-	if err := c.sched.ScheduleCall(tx.SubmittedAt+c.tau, sim.PriorityConsensus, execName, executeCall, c, tx); err != nil {
+	if err := c.sched.ScheduleCall(tx.SubmittedAt+c.tau, sim.PriorityConsensus, executeCall, c, tx); err != nil {
 		return "", fmt.Errorf("chain %s: scheduling execution: %w", c.name, err)
 	}
 	return tx.ID, nil
@@ -378,7 +372,7 @@ func (c *Chain) execute(tx *Tx) {
 	now := c.sched.Now()
 	if now < c.haltedUntil {
 		// Crash failure: retry once the chain recovers.
-		if err := c.sched.ScheduleCall(c.haltedUntil, sim.PriorityConsensus, tx.ID+"-execute-retry", executeCall, c, tx); err != nil {
+		if err := c.sched.ScheduleCall(c.haltedUntil, sim.PriorityConsensus, executeCall, c, tx); err != nil {
 			tx.Status = TxFailed
 			tx.Err = err
 		}

@@ -83,14 +83,10 @@ type Opts struct {
 	// artifact can be regenerated under an alternative regime. Empty keeps
 	// the caller's params.
 	Scenario string
-	// MCCIWidth, MCChunk and MCMaxPaths tune the Monte Carlo validation
-	// artifact's streaming engine: a CI half-width target (> 0 enables
-	// adaptive stopping), the chunk size (0 = engine default), and the
-	// adaptive hard cap (0 = the artifact's run count). Other artifacts
-	// ignore them.
-	MCCIWidth  float64
-	MCChunk    int
-	MCMaxPaths int
+	// MCCIWidth is the Monte Carlo validation artifact's CI half-width
+	// target: > 0 enables adaptive stopping, capped at the artifact's run
+	// count. Other artifacts ignore it.
+	MCCIWidth float64
 	// Sampler selects the sampling mode (internal/qmc) of the Monte Carlo
 	// artifacts (montecarlo, packetized). The zero value keeps each
 	// artifact's registry default — sobol for both, the mode their

@@ -77,11 +77,9 @@ func MCValidation(p utility.Params, runs int, o Opts) ([]Figure, error) {
 				Seed:       9000 + int64(i)*100000,
 				Sampler:    o.Sampler,
 			},
-			Runs:      runs,
-			Workers:   o.Workers,
-			CIWidth:   o.MCCIWidth,
-			ChunkSize: o.MCChunk,
-			MaxPaths:  o.MCMaxPaths,
+			Runs:    runs,
+			Workers: o.Workers,
+			CIWidth: o.MCCIWidth,
 		})
 		if err != nil {
 			return nil, err

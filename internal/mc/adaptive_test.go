@@ -20,7 +20,6 @@ func adaptiveBase() mc.Config {
 	return mc.Config{
 		Seed:      42,
 		MaxPaths:  100000,
-		ChunkSize: 200,
 		CIWidth:   0.02,
 		NewRunner: bernoulli(0.55),
 	}
@@ -37,7 +36,7 @@ func TestAdaptiveStopsAtCITarget(t *testing.T) {
 	if res.Paths >= 100000 {
 		t.Errorf("paths = %d, expected an early stop well below the cap", res.Paths)
 	}
-	if res.Paths%200 != 0 {
+	if res.Paths%mc.ChunkSize != 0 {
 		t.Errorf("paths = %d, want a multiple of the chunk size (stop at a chunk boundary)", res.Paths)
 	}
 	if hw := res.HalfWidth(); hw > 0.02 {
@@ -45,7 +44,7 @@ func TestAdaptiveStopsAtCITarget(t *testing.T) {
 	}
 	// The stop fires at the FIRST qualifying boundary: one chunk earlier
 	// the criterion must not hold yet.
-	prevPaths := res.Paths - 200
+	prevPaths := res.Paths - mc.ChunkSize
 	if prevPaths > 0 {
 		prev := adaptiveBase()
 		prev.CIWidth = 0 // fixed N: replay the same trajectory one chunk short
@@ -113,7 +112,7 @@ func TestAdaptiveDeterministicAcrossWorkers(t *testing.T) {
 	}
 	for _, res := range results[1:] {
 		// The stopping point AND the merged aggregate (including the
-		// Welford float bits) are a function of (seed, chunk-size) only;
+		// Welford float bits) are a function of the seed only;
 		// extra workers merely discard more speculative chunks.
 		if !reflect.DeepEqual(results[0], res) {
 			t.Errorf("worker count changed the adaptive result:\n  %+v\nvs\n  %+v", results[0], res)
@@ -123,7 +122,7 @@ func TestAdaptiveDeterministicAcrossWorkers(t *testing.T) {
 
 // TestAdaptiveStopMatchesSequentialReference recomputes the stopping chunk
 // with a plain sequential scan over the same seeded paths and checks the
-// engine agrees — the definition of the (seed, chunk-size) contract.
+// engine agrees — the definition of the per-seed contract.
 func TestAdaptiveStopMatchesSequentialReference(t *testing.T) {
 	cfg := adaptiveBase()
 	cfg.Workers = 6
@@ -146,7 +145,7 @@ func TestAdaptiveStopMatchesSequentialReference(t *testing.T) {
 		if p.Success {
 			succ++
 		}
-		if n%cfg.ChunkSize == 0 {
+		if n%mc.ChunkSize == 0 {
 			prop, err := stats.NewProportion(succ, n)
 			if err != nil {
 				t.Fatal(err)

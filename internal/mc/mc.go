@@ -7,10 +7,10 @@
 // Determinism contract: path i is seeded with sweep.Seed(Config.Seed, i)
 // and chunk results are merged strictly in chunk order, so the full result
 // — success counts, stage histogram, and the floating-point Welford moments
-// — is bit-identical for a fixed (Seed, ChunkSize) pair at ANY worker
-// count. In adaptive mode the stopping chunk is the first chunk boundary
-// (scanning prefixes in order) at which the Wilson half-width reaches the
-// target, which is itself a pure function of (Seed, ChunkSize); workers
+// — is bit-identical for a fixed Seed at ANY worker count. In adaptive
+// mode the stopping chunk is the first chunk boundary (scanning prefixes
+// in order) at which the Wilson half-width reaches the target, which is
+// itself a pure function of Seed; workers
 // only decide how many speculative chunks beyond the stopping point are
 // computed and discarded. Runners hand the engine reusable per-worker run
 // state: each worker slot owns one Runner, paths on a slot run
@@ -32,10 +32,10 @@ import (
 // ErrBadConfig reports an invalid engine configuration.
 var ErrBadConfig = errors.New("mc: invalid configuration")
 
-// DefaultChunkSize is the chunk size used when Config.ChunkSize is zero:
-// large enough to amortise scheduling, small enough that adaptive stopping
-// checks the CI at a useful granularity.
-const DefaultChunkSize = 256
+// ChunkSize is the number of paths per chunk: large enough to amortise
+// scheduling, small enough that adaptive stopping checks the CI at a
+// useful granularity.
+const ChunkSize = 256
 
 // Path is the outcome of one simulated path.
 type Path struct {
@@ -79,9 +79,6 @@ type Config struct {
 	// MaxPaths is the hard cap on executed paths (> 0). With CIWidth == 0
 	// exactly MaxPaths paths run.
 	MaxPaths int
-	// ChunkSize is the number of paths per chunk (0 = DefaultChunkSize).
-	// Together with Seed it fixes the result bit-for-bit.
-	ChunkSize int
 	// CIWidth, when > 0, enables adaptive stopping: the engine stops at the
 	// first chunk boundary where the Wilson 95% half-width of the success
 	// rate is <= CIWidth, never exceeding MaxPaths.
@@ -101,7 +98,7 @@ type Config struct {
 	// OnProgress, when non-nil, is called after each chunk is merged into
 	// the running aggregate, with a snapshot of the merged prefix. Calls
 	// happen on Run's own goroutine in strict chunk order, so the sequence
-	// of snapshots is deterministic per (Seed, ChunkSize) — the stream the
+	// of snapshots is deterministic per Seed — the stream the
 	// RPC layer's swap.simulate subscription forwards. The callback must
 	// not block longer than the caller can afford: merging (and in adaptive
 	// mode, the stopping decision) waits for it.
@@ -198,8 +195,6 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	switch {
 	case cfg.MaxPaths <= 0:
 		return Result{}, fmt.Errorf("%w: maxPaths=%d must be > 0", ErrBadConfig, cfg.MaxPaths)
-	case cfg.ChunkSize < 0:
-		return Result{}, fmt.Errorf("%w: chunkSize=%d must be >= 0", ErrBadConfig, cfg.ChunkSize)
 	case cfg.CIWidth < 0 || math.IsNaN(cfg.CIWidth):
 		return Result{}, fmt.Errorf("%w: ciWidth=%g must be >= 0", ErrBadConfig, cfg.CIWidth)
 	case cfg.NewRunner == nil:
@@ -209,11 +204,7 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
-	chunk := cfg.ChunkSize
-	if chunk == 0 {
-		chunk = DefaultChunkSize
-	}
-	numChunks := (cfg.MaxPaths + chunk - 1) / chunk
+	numChunks := (cfg.MaxPaths + ChunkSize - 1) / ChunkSize
 	workers := sweep.Workers(cfg.Workers)
 	if workers > numChunks {
 		workers = numChunks
@@ -232,7 +223,7 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	runChunk := func(c int) (chunkResult, error) {
 		r := <-runners
 		defer func() { runners <- r }()
-		lo, hi := c*chunk, (c+1)*chunk
+		lo, hi := c*ChunkSize, (c+1)*ChunkSize
 		if hi > cfg.MaxPaths {
 			hi = cfg.MaxPaths
 		}
@@ -264,7 +255,7 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 
 	// Sampler-aware estimator state, merged strictly in chunk order like
 	// every other accumulator, so the adaptive stop stays a pure function
-	// of (Seed, ChunkSize).
+	// of Seed.
 	var repSucc, repN [qmc.SobolReplicates]int
 	estHalf := func() float64 {
 		var w stats.Welford

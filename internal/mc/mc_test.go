@@ -38,7 +38,6 @@ func TestRunConfigValidation(t *testing.T) {
 	cases := []mc.Config{
 		{MaxPaths: 0, NewRunner: ok},
 		{MaxPaths: -3, NewRunner: ok},
-		{MaxPaths: 10, ChunkSize: -1, NewRunner: ok},
 		{MaxPaths: 10, CIWidth: -0.1, NewRunner: ok},
 		{MaxPaths: 10, CIWidth: math.NaN(), NewRunner: ok},
 		{MaxPaths: 10},
@@ -62,9 +61,8 @@ func TestRunErrorsPropagate(t *testing.T) {
 	}
 	// A path error names the failing path.
 	_, err = mc.Run(context.Background(), mc.Config{
-		MaxPaths:  100,
-		ChunkSize: 10,
-		Workers:   4,
+		MaxPaths: 100,
+		Workers:  4,
 		NewRunner: func() (mc.Runner, error) {
 			return mc.RunnerFunc(func(_ int, seed int64) (mc.Path, error) {
 				if seed == sweep.Seed(0, 55) {
@@ -86,7 +84,6 @@ func TestRunFixedNBitIdenticalAcrossWorkers(t *testing.T) {
 	base := mc.Config{
 		Seed:      99,
 		MaxPaths:  2000,
-		ChunkSize: 128,
 		NewRunner: bernoulli(0.63),
 	}
 	var results []mc.Result
@@ -113,37 +110,10 @@ func TestRunFixedNBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestRunCountsInvariantToChunkSize(t *testing.T) {
-	ref := map[string]int{}
-	refSucc := 0
-	for _, chunk := range []int{1, 3, 100, 512, 5000} {
-		res, err := mc.Run(context.Background(), mc.Config{
-			Seed:      4,
-			MaxPaths:  1500,
-			ChunkSize: chunk,
-			Workers:   5,
-			NewRunner: bernoulli(0.4),
-		})
-		if err != nil {
-			t.Fatalf("chunk=%d: %v", chunk, err)
-		}
-		if chunk == 1 {
-			ref = res.Stages
-			refSucc = res.Successes
-			continue
-		}
-		if res.Successes != refSucc || !reflect.DeepEqual(res.Stages, ref) {
-			t.Errorf("chunk=%d changed the counts: %d/%v vs %d/%v",
-				chunk, res.Successes, res.Stages, refSucc, ref)
-		}
-	}
-}
-
 func TestRunStageHistogramAndViolations(t *testing.T) {
 	res, err := mc.Run(context.Background(), mc.Config{
-		Seed:      21,
-		MaxPaths:  400,
-		ChunkSize: 64,
+		Seed:     21,
+		MaxPaths: 400,
 		NewRunner: func() (mc.Runner, error) {
 			return mc.RunnerFunc(func(_ int, seed int64) (mc.Path, error) {
 				rng := rand.New(rand.NewSource(seed))
@@ -172,8 +142,8 @@ func TestRunStageHistogramAndViolations(t *testing.T) {
 	if res.Duration.Mean != 1 || res.Duration.Var() != 0 {
 		t.Errorf("constant durations should give mean 1, var 0; got %v, %v", res.Duration.Mean, res.Duration.Var())
 	}
-	if res.Chunks != 7 { // ceil(400/64)
-		t.Errorf("chunks = %d, want 7", res.Chunks)
+	if res.Chunks != 2 { // ceil(400/mc.ChunkSize)
+		t.Errorf("chunks = %d, want 2", res.Chunks)
 	}
 	if res.Stopped {
 		t.Error("fixed-N run reported an adaptive stop")

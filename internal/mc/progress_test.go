@@ -13,11 +13,11 @@ import (
 // final result, and — because merging follows chunk order regardless of
 // scheduling — an identical snapshot sequence at any worker count.
 func TestProgressSnapshotsDeterministic(t *testing.T) {
-	const maxPaths, chunk = 2000, 128
+	const maxPaths, chunk = 2000, mc.ChunkSize
 	collect := func(workers int) ([]mc.Progress, mc.Result) {
 		var snaps []mc.Progress
 		res, err := mc.Run(context.Background(), mc.Config{
-			Seed: 11, MaxPaths: maxPaths, ChunkSize: chunk, Workers: workers,
+			Seed: 11, MaxPaths: maxPaths, Workers: workers,
 			NewRunner:  bernoulli(0.4),
 			OnProgress: func(p mc.Progress) { snaps = append(snaps, p) },
 		})
@@ -67,7 +67,7 @@ func TestProgressSnapshotsDeterministic(t *testing.T) {
 func TestProgressDoesNotPerturbResult(t *testing.T) {
 	for _, ci := range []float64{0, 0.02} {
 		base := mc.Config{
-			Seed: 3, MaxPaths: 4000, ChunkSize: 64, CIWidth: ci, Workers: 2,
+			Seed: 3, MaxPaths: 4000, CIWidth: ci, Workers: 2,
 			NewRunner: bernoulli(0.55),
 		}
 		plain, err := mc.Run(context.Background(), base)

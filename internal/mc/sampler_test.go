@@ -68,10 +68,9 @@ func TestSamplerConfigValidation(t *testing.T) {
 // paths than the Wilson-stopped pseudo run.
 func TestSobolStopsEarlierThanPseudo(t *testing.T) {
 	base := mc.Config{
-		Seed:      13,
-		MaxPaths:  200000,
-		ChunkSize: 256,
-		CIWidth:   0.01,
+		Seed:     13,
+		MaxPaths: 200000,
+		CIWidth:  0.01,
 	}
 
 	sob := base
@@ -107,7 +106,6 @@ func TestSamplerModesDeterministicAcrossWorkers(t *testing.T) {
 		cfg := mc.Config{
 			Seed:      31,
 			MaxPaths:  5000,
-			ChunkSize: 128,
 			CIWidth:   0.02,
 			Sampler:   m,
 			NewRunner: thresholdRunner(0.6, 31, m),
@@ -138,7 +136,6 @@ func TestFixedNByteIdenticalWithProgressAcrossModes(t *testing.T) {
 		cfg := mc.Config{
 			Seed:      77,
 			MaxPaths:  3000,
-			ChunkSize: 250,
 			Sampler:   m,
 			NewRunner: thresholdRunner(0.65, 77, m),
 		}
@@ -152,7 +149,7 @@ func TestFixedNByteIdenticalWithProgressAcrossModes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if snapshots != 12 {
+		if snapshots != 12 { // ceil(3000/mc.ChunkSize)
 			t.Errorf("%s: %d snapshots, want one per chunk (12)", m, snapshots)
 		}
 		if !reflect.DeepEqual(plain, hooked) {

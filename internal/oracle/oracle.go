@@ -47,8 +47,6 @@ type Oracle struct {
 	secretSeenAt float64 // 0 = not seen
 	settledA     bool
 	settledB     bool
-	log          []string
-	noLog        bool
 
 	// Built once so per-path re-arming captures no closures (the chains'
 	// observer lists are cleared on every reset).
@@ -92,25 +90,12 @@ func New(sched *sim.Scheduler, chainA, chainB *chain.Chain, tl timeline.Timeline
 	return o, nil
 }
 
-// SetLogging toggles the settlement log (on by default). Formatting one
-// line per release dominates the oracle's per-path allocation cost;
-// throughput-oriented callers (the Monte Carlo runner) turn it off.
-func (o *Oracle) SetLogging(on bool) { o.noLog = !on }
-
 // Reset clears the oracle's per-run settlement state (secret sighting,
-// settlement flags, log) so it can be re-armed with CollectDeposits on a
-// reset chain pair, keeping the log capacity.
+// settlement flags) so it can be re-armed with CollectDeposits on a reset
+// chain pair.
 func (o *Oracle) Reset() {
 	o.secretSeenAt = 0
 	o.settledA, o.settledB = false, false
-	o.log = o.log[:0]
-}
-
-// Log returns the oracle's settlement decisions in order.
-func (o *Oracle) Log() []string {
-	out := make([]string, len(o.log))
-	copy(out, o.log)
-	return out
 }
 
 // CollectDeposits debits Q from each agent into the escrow account
@@ -131,13 +116,13 @@ func (o *Oracle) CollectDeposits() error {
 		return err
 	}
 	o.chainB.WatchSecrets(o.onSecretFn)
-	if err := o.sched.ScheduleCall(o.tl.T2, sim.PriorityDefault, "oracle-check-initiation", checkInitiationCall, o, nil); err != nil {
+	if err := o.sched.ScheduleCall(o.tl.T2, sim.PriorityDefault, checkInitiationCall, o, nil); err != nil {
 		return fmt.Errorf("oracle: arming t2 check: %w", err)
 	}
-	if err := o.sched.ScheduleCall(o.tl.T3, sim.PriorityDefault, "oracle-check-bob", checkBobLockCall, o, nil); err != nil {
+	if err := o.sched.ScheduleCall(o.tl.T3, sim.PriorityDefault, checkBobLockCall, o, nil); err != nil {
 		return fmt.Errorf("oracle: arming t3 check: %w", err)
 	}
-	if err := o.sched.ScheduleCall(o.tl.T4, sim.PriorityDefault, "oracle-check-alice", checkAliceRevealCall, o, nil); err != nil {
+	if err := o.sched.ScheduleCall(o.tl.T4, sim.PriorityDefault, checkAliceRevealCall, o, nil); err != nil {
 		return fmt.Errorf("oracle: arming t4 check: %w", err)
 	}
 	return nil
@@ -161,19 +146,12 @@ func (o *Oracle) debit(acct string) error {
 
 // release pays amount from escrow to acct via an on-chain transfer, which
 // confirms τa later — matching the paper's receipt delays (t3+τa, t4+τa).
-func (o *Oracle) release(acct string, amount float64, why string) {
+// A failed submission leaves the deposit in escrow.
+func (o *Oracle) release(acct string, amount float64) {
 	if amount <= 0 {
 		return
 	}
-	if _, err := o.chainA.SubmitTransfer(EscrowAccount, acct, amount); err != nil {
-		if !o.noLog {
-			o.log = append(o.log, fmt.Sprintf("%.2f release to %s FAILED: %v", o.sched.Now(), acct, err))
-		}
-		return
-	}
-	if !o.noLog {
-		o.log = append(o.log, fmt.Sprintf("%.2f release %g to %s (%s)", o.sched.Now(), amount, acct, why))
-	}
+	_, _ = o.chainA.SubmitTransfer(EscrowAccount, acct, amount)
 }
 
 // aliceInitiated reports whether Alice's HTLC is live on Chain_a.
@@ -195,8 +173,8 @@ func (o *Oracle) checkInitiation() {
 		return
 	}
 	o.settledA, o.settledB = true, true
-	o.release(o.alice, o.q, "no swap: deposit returned")
-	o.release(o.bob, o.q, "no swap: deposit returned")
+	o.release(o.alice, o.q)
+	o.release(o.bob, o.q)
 }
 
 // checkBobLock settles B's deposit at t3: released if he locked, forfeited
@@ -207,12 +185,12 @@ func (o *Oracle) checkBobLock() {
 	}
 	o.settledB = true
 	if o.bobLocked() {
-		o.release(o.bob, o.q, "B fulfilled: HTLC on chain_b confirmed")
+		o.release(o.bob, o.q)
 		return
 	}
 	// B stopped at t2: both deposits to A (§IV.A.3 stop branch).
 	o.settledA = true
-	o.release(o.alice, 2*o.q, "B stopped: both deposits to A")
+	o.release(o.alice, 2*o.q)
 }
 
 // checkAliceReveal settles A's deposit at t4 = t3+εb: released if the
@@ -223,8 +201,8 @@ func (o *Oracle) checkAliceReveal() {
 	}
 	o.settledA = true
 	if o.secretSeenAt > 0 && o.secretSeenAt <= o.tl.T4 {
-		o.release(o.alice, o.q, "A fulfilled: secret revealed")
+		o.release(o.alice, o.q)
 		return
 	}
-	o.release(o.bob, o.q, "A stopped: deposit to B")
+	o.release(o.bob, o.q)
 }

@@ -51,7 +51,7 @@ func TestGracefulDrainUnderLoad(t *testing.T) {
 		}
 		conns[i] = conn
 		if err := conn.WriteMessage([]byte(rpcCall(1, "swap.simulate",
-			`{"scenario":"tableIII","runs":500000,"chunk":200,"everyPaths":200,"budgetMs":60000}`))); err != nil {
+			`{"scenario":"tableIII","runs":500000,"everyPaths":256,"budgetMs":60000}`))); err != nil {
 			t.Fatalf("write: %v", err)
 		}
 		if first := readMsg(t, conn); first.isResponse() {

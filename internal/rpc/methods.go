@@ -26,12 +26,11 @@ type SolveParams struct {
 	// a quote needs the analytic solve; the simulation surface is
 	// swap.simulate).
 	MC bool `json:"mc,omitempty"`
-	// Runs, CIWidth, Chunk and MaxPaths are the batch runner's Monte
-	// Carlo knobs, meaningful with MC.
-	Runs     int     `json:"runs,omitempty"`
-	CIWidth  float64 `json:"ciWidth,omitempty"`
-	Chunk    int     `json:"chunk,omitempty"`
-	MaxPaths int     `json:"maxPaths,omitempty"`
+	// Runs and CIWidth are the batch runner's Monte Carlo knobs,
+	// meaningful with MC: the run count (default: the scenario's own,
+	// capped by the server's MaxRuns) and the adaptive CI target.
+	Runs    int     `json:"runs,omitempty"`
+	CIWidth float64 `json:"ciWidth,omitempty"`
 	// Sampler selects the validation's sampling mode: "" or "pseudo"
 	// (default), or "sobol" (see internal/qmc). Requests
 	// with different samplers never coalesce.
@@ -154,22 +153,24 @@ func (s *Server) resolveSolve(p SolveParams) (resolvedSolve, *Error) {
 	if err != nil {
 		return resolvedSolve{}, Errorf(CodeInvalidParams, "%v", err)
 	}
-	if p.Runs < 0 || p.Runs > s.cfg.MaxRuns || p.MaxPaths < 0 || p.MaxPaths > s.cfg.MaxRuns {
-		return resolvedSolve{}, Errorf(CodeInvalidParams,
-			"runs/maxPaths must be in [0, %d]", s.cfg.MaxRuns)
+	// The cap applies to the run count the validation would execute: the
+	// request's runs, else the scenario's own.
+	runs := p.Runs
+	if runs == 0 && p.MC {
+		runs = sc.Runs()
+	}
+	if runs < 0 || runs > s.cfg.MaxRuns {
+		return resolvedSolve{}, Errorf(CodeInvalidParams, "runs must be in [0, %d]", s.cfg.MaxRuns)
 	}
 	if p.CIWidth < 0 || math.IsNaN(p.CIWidth) {
 		return resolvedSolve{}, Errorf(CodeInvalidParams, "ciWidth must be >= 0")
-	}
-	if p.Chunk < 0 {
-		return resolvedSolve{}, Errorf(CodeInvalidParams, "chunk must be >= 0")
 	}
 	sampler, err := qmc.ParseMode(p.Sampler)
 	if err != nil {
 		return resolvedSolve{}, Errorf(CodeInvalidParams, "%v", err)
 	}
 	opts := variant.RunOpts{
-		Runs: p.Runs, CIWidth: p.CIWidth, ChunkSize: p.Chunk, MaxPaths: p.MaxPaths,
+		Runs: p.Runs, CIWidth: p.CIWidth,
 		MCWorkers: s.cfg.MCWorkers,
 		SkipMC:    !p.MC,
 		Sampler:   sampler,

@@ -1,0 +1,130 @@
+package rpc
+
+import (
+	"encoding/json"
+	"fmt"
+	"testing"
+
+	"repro/internal/scenario"
+	"repro/internal/variant"
+)
+
+// simulateResult runs one swap.simulate stream to its terminal frame,
+// skipping progress notifications, and returns the result or the error.
+func simulateResult(t *testing.T, conn *WSConn, id int, params string) (SimulateResult, *Error) {
+	t.Helper()
+	if err := conn.WriteMessage([]byte(rpcCall(id, "swap.simulate", params))); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	for {
+		m := readMsg(t, conn)
+		if !m.isResponse() {
+			continue
+		}
+		if m.Error != nil {
+			return SimulateResult{}, m.Error
+		}
+		var res SimulateResult
+		if err := json.Unmarshal(m.Result, &res); err != nil {
+			t.Fatalf("decoding result: %v", err)
+		}
+		return res, nil
+	}
+}
+
+// TestSimulateAgreesWithBatchValidation pins the one-resolver property:
+// for every preset under both protocol variants, the swap.simulate stream
+// and the batch runner's Monte Carlo validation run the same protocol, so
+// at equal runs, seed and sampler they count the same paths and
+// successes.
+func TestSimulateAgreesWithBatchValidation(t *testing.T) {
+	const runs = 300
+	_, ts := newTestServer(t, Config{})
+	conn := dialTest(t, ts.URL)
+	id := 0
+	for _, sc := range scenario.Registry() {
+		for _, key := range []string{"basic", "collateral"} {
+			id++
+			got, rerr := simulateResult(t, conn, id, fmt.Sprintf(
+				`{"scenario":%q,"variant":%q,"runs":%d,"everyPaths":1000000,"budgetMs":60000}`, sc.Name, key, runs))
+			if rerr != nil {
+				t.Fatalf("%s/%s: simulate failed: %+v", sc.Name, key, rerr)
+			}
+			row, err := variant.Run(sc, variant.RunOpts{Runs: runs, Variants: key})
+			if err != nil {
+				t.Fatalf("%s/%s: batch run: %v", sc.Name, key, err)
+			}
+			check := row.Reports[0].MC
+			if check == nil {
+				t.Fatalf("%s/%s: batch run has no Monte Carlo check", sc.Name, key)
+			}
+			if got.Paths != check.Runs || got.SR != check.SR.P {
+				t.Errorf("%s/%s: simulate %d paths at SR %.4f, batch validation %d paths at SR %.4f",
+					sc.Name, key, got.Paths, got.SR, check.Runs, check.SR.P)
+			}
+			if sc.Name == "deep-collateral" && key == "collateral" {
+				if sr := row.Reports[0].SR; sr < got.Lo || sr > got.Hi {
+					t.Errorf("deep-collateral: SR_c %.4f outside the simulated Wilson interval [%.4f, %.4f]",
+						sr, got.Lo, got.Hi)
+				}
+			}
+		}
+	}
+	// A variant without a protocol run is rejected before the stream starts.
+	if _, rerr := simulateResult(t, conn, id+1, `{"scenario":"tableIII","variant":"uncertain"}`); rerr == nil || rerr.Code != CodeInvalidParams {
+		t.Errorf("simulate variant uncertain: error %+v, want code %d", rerr, CodeInvalidParams)
+	}
+}
+
+// TestSolveMaxRunsAppliesToScenarioRuns checks the -max-runs cap bounds
+// the run count a validation would execute — the request's runs, else the
+// inline scenario's mcRuns — as swap.simulate does.
+func TestSolveMaxRunsAppliesToScenarioRuns(t *testing.T) {
+	sc, err := scenario.Lookup("tableIII")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Name = "inline-runs"
+	sc.Variants = nil
+	inline := func(mcRuns int) string {
+		sc.MCRuns = mcRuns
+		data, err := json.Marshal(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	_, ts := newTestServer(t, Config{MaxRuns: 100})
+	for _, tc := range []struct {
+		name, params string
+	}{
+		{"request runs", `{"scenario":"tableIII","variant":"basic","mc":true,"runs":5000}`},
+		{"scenario mcRuns", `{"scenario":` + inline(5000) + `,"variant":"basic","mc":true}`},
+	} {
+		resp, _ := post(t, ts.URL, rpcCall(1, "swap.solve", tc.params))
+		if resp.Error == nil || resp.Error.Code != CodeInvalidParams {
+			t.Errorf("%s over the cap: error %+v, want code %d", tc.name, resp.Error, CodeInvalidParams)
+		}
+	}
+	res := solveResult(t, ts.URL, `{"scenario":`+inline(80)+`,"variant":"basic","mc":true}`)
+	if mc := res.Variants[0].MC; mc == nil || mc.Runs != 80 {
+		t.Errorf("scenario mcRuns under the cap: check %+v, want 80 runs", mc)
+	}
+}
+
+// TestRetiredMCParamsRejected checks the retired chunk and maxPaths
+// parameters fail strict decoding on both methods.
+func TestRetiredMCParamsRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	conn := dialTest(t, ts.URL)
+	for i, param := range []string{`"chunk":256`, `"maxPaths":1000`} {
+		resp, _ := post(t, ts.URL, rpcCall(1, "swap.solve", `{"scenario":"tableIII","mc":true,`+param+`}`))
+		if resp.Error == nil || resp.Error.Code != CodeInvalidParams {
+			t.Errorf("swap.solve with %s: error %+v, want code %d", param, resp.Error, CodeInvalidParams)
+		}
+		_, rerr := simulateResult(t, conn, i+1, `{"scenario":"tableIII","runs":100,`+param+`}`)
+		if rerr == nil || rerr.Code != CodeInvalidParams {
+			t.Errorf("swap.simulate with %s: error %+v, want code %d", param, rerr, CodeInvalidParams)
+		}
+	}
+}

@@ -241,7 +241,7 @@ func TestWSWriteFaultCancelsStream(t *testing.T) {
 	s, ts := newTestServer(t, Config{Fault: mustInjector(t, 9, "ws.write.error=1")})
 	conn := dialTest(t, ts.URL)
 	if err := conn.WriteMessage([]byte(rpcCall(1, "swap.simulate",
-		`{"scenario":"tableIII","runs":500000,"chunk":200,"everyPaths":200,"budgetMs":60000}`))); err != nil {
+		`{"scenario":"tableIII","runs":500000,"everyPaths":256,"budgetMs":60000}`))); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	// Every server write fails (including the terminal response), so the

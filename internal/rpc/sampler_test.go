@@ -76,7 +76,7 @@ func TestWSSimulateSampler(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	conn := dialTest(t, ts.URL)
 	if err := conn.WriteMessage([]byte(rpcCall(11, "swap.simulate",
-		`{"scenario":"tableIII","runs":2000,"chunk":250,"sampler":"sobol","budgetMs":30000}`))); err != nil {
+		`{"scenario":"tableIII","runs":2000,"sampler":"sobol","budgetMs":30000}`))); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	var final *SimulateResult

@@ -11,8 +11,8 @@ import (
 	"repro/internal/fault"
 	"repro/internal/mc"
 	"repro/internal/qmc"
-	"repro/internal/solvecache"
 	"repro/internal/swapsim"
+	"repro/internal/variant"
 )
 
 // SimulateParams are the parameters of swap.simulate (WebSocket only).
@@ -20,21 +20,18 @@ type SimulateParams struct {
 	// Scenario is a preset name or inline Scenario object.
 	Scenario json.RawMessage `json:"scenario"`
 	// Variant selects the simulated protocol: "basic" (default) or
-	// "collateral" (which stakes the scenario's deposit Q).
+	// "collateral" (the collateral game's thresholds with the scenario's
+	// deposit Q staked; see variant.ProtocolConfig).
 	Variant string `json:"variant,omitempty"`
 	// Runs is the fixed sample size — and the adaptive cap (default: the
 	// scenario's own Monte Carlo run count).
 	Runs int `json:"runs,omitempty"`
 	// CIWidth, when > 0, streams until the Wilson 95% half-width of the
-	// success rate reaches it (the adaptive stopper), capped at
-	// MaxPaths/Runs.
+	// success rate reaches it (the adaptive stopper), capped at Runs.
 	CIWidth float64 `json:"ciWidth,omitempty"`
-	// Chunk is the engine chunk size (0 = default); MaxPaths overrides
-	// the adaptive cap.
-	Chunk    int `json:"chunk,omitempty"`
-	MaxPaths int `json:"maxPaths,omitempty"`
 	// EveryPaths throttles the stream: one progress notification per at
-	// least this many merged paths (default 512; 1 streams every chunk).
+	// least this many merged paths (default 512; 1 streams every chunk of
+	// mc.ChunkSize paths).
 	EveryPaths int `json:"everyPaths,omitempty"`
 	// Sampler selects the sampling mode: "" or "pseudo" (default), or
 	// "sobol" (see internal/qmc). In sobol mode the streamed halfWidth is
@@ -321,8 +318,8 @@ type simulateConfig struct {
 }
 
 // resolveSimulate validates simulate parameters and builds the Monte
-// Carlo configuration: the scenario's solved threshold strategy (via the
-// shared model cache) driving the protocol simulator.
+// Carlo configuration: the protocol run variant.ProtocolConfig defines
+// for the selected variant — the one the batch validations run.
 func (s *Server) resolveSimulate(p SimulateParams) (simulateConfig, *Error) {
 	sc, rerr := resolveScenario(p.Scenario)
 	if rerr != nil {
@@ -332,44 +329,28 @@ func (s *Server) resolveSimulate(p SimulateParams) (simulateConfig, *Error) {
 	if key == "" {
 		key = "basic"
 	}
-	collateral := 0.0
-	switch key {
-	case "basic":
-	case "collateral":
-		collateral = sc.Collateral
-	default:
-		return simulateConfig{}, Errorf(CodeInvalidParams,
-			"simulate variant %q: the protocol simulator plays \"basic\" or \"collateral\"", key)
-	}
 	runs := p.Runs
 	if runs == 0 {
 		runs = sc.Runs()
 	}
-	if runs < 0 || runs > s.cfg.MaxRuns || p.MaxPaths < 0 || p.MaxPaths > s.cfg.MaxRuns {
-		return simulateConfig{}, Errorf(CodeInvalidParams, "runs/maxPaths must be in [0, %d]", s.cfg.MaxRuns)
+	if runs < 0 || runs > s.cfg.MaxRuns {
+		return simulateConfig{}, Errorf(CodeInvalidParams, "runs must be in [0, %d]", s.cfg.MaxRuns)
 	}
 	if p.CIWidth < 0 || math.IsNaN(p.CIWidth) {
 		return simulateConfig{}, Errorf(CodeInvalidParams, "ciWidth must be >= 0")
 	}
-	if p.Chunk < 0 || p.EveryPaths < 0 {
-		return simulateConfig{}, Errorf(CodeInvalidParams, "chunk and everyPaths must be >= 0")
+	if p.EveryPaths < 0 {
+		return simulateConfig{}, Errorf(CodeInvalidParams, "everyPaths must be >= 0")
 	}
 	sampler, err := qmc.ParseMode(p.Sampler)
 	if err != nil {
 		return simulateConfig{}, Errorf(CodeInvalidParams, "%v", err)
 	}
-	m, err := solvecache.SharedModel(sc.Params)
+	cfg, err := variant.ProtocolConfig(key, sc)
 	if err != nil {
 		return simulateConfig{}, Errorf(CodeInvalidParams, "scenario %q: %v", sc.Name, err)
 	}
-	strat, err := m.Strategy(sc.PStar)
-	if err != nil {
-		return simulateConfig{}, Errorf(CodeInternalError, "solving strategy: %v", err)
-	}
-	// The stream estimates SR conditional on initiation, like every MC
-	// validation in the repository (Eq. 31 conditions on the swap
-	// starting).
-	strat.AliceInitiates = true
+	cfg.Sampler = sampler
 	every := p.EveryPaths
 	if every == 0 {
 		every = 512
@@ -379,12 +360,7 @@ func (s *Server) resolveSimulate(p SimulateParams) (simulateConfig, *Error) {
 		variantKey:   key,
 		everyPaths:   every,
 		mcc: swapsim.MCConfig{
-			Config: swapsim.Config{
-				Params: sc.Params, Strategy: strat, Collateral: collateral, Seed: sc.Seed,
-				Sampler: sampler,
-			},
-			Runs: runs, Workers: s.cfg.MCWorkers,
-			CIWidth: p.CIWidth, ChunkSize: p.Chunk, MaxPaths: p.MaxPaths,
+			Config: cfg, Runs: runs, Workers: s.cfg.MCWorkers, CIWidth: p.CIWidth,
 		},
 	}, nil
 }

@@ -88,7 +88,7 @@ func TestWSSimulateStream(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	conn := dialTest(t, ts.URL)
 	if err := conn.WriteMessage([]byte(rpcCall(7, "swap.simulate",
-		`{"scenario":"tableIII","runs":2000,"chunk":250,"everyPaths":250,"budgetMs":30000}`))); err != nil {
+		`{"scenario":"tableIII","runs":2000,"everyPaths":256,"budgetMs":30000}`))); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	var (
@@ -131,7 +131,7 @@ func TestWSSimulateStream(t *testing.T) {
 		snapshots++
 	}
 	if snapshots < 4 {
-		t.Errorf("snapshots = %d, want >= 4 (2000 paths / 250 everyPaths)", snapshots)
+		t.Errorf("snapshots = %d, want >= 4 (2000 paths / 256 everyPaths)", snapshots)
 	}
 	if final.Paths != 2000 || final.Scenario != "tableIII" || final.Variant != "basic" {
 		t.Errorf("final = %+v", final)
@@ -153,7 +153,7 @@ func TestWSSimulateCancelMidRun(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	conn := dialTest(t, ts.URL)
 	if err := conn.WriteMessage([]byte(rpcCall(9, "swap.simulate",
-		`{"scenario":"tableIII","runs":500000,"chunk":200,"everyPaths":200,"budgetMs":60000}`))); err != nil {
+		`{"scenario":"tableIII","runs":500000,"everyPaths":256,"budgetMs":60000}`))); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	// Wait for proof the stream is producing, then cancel it.
@@ -225,7 +225,7 @@ func TestWSDuplicateStreamID(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	conn := dialTest(t, ts.URL)
 	start := rpcCall(5, "swap.simulate",
-		`{"scenario":"tableIII","runs":500000,"chunk":200,"everyPaths":200,"budgetMs":60000}`)
+		`{"scenario":"tableIII","runs":500000,"everyPaths":256,"budgetMs":60000}`)
 	if err := conn.WriteMessage([]byte(start)); err != nil {
 		t.Fatalf("write: %v", err)
 	}
@@ -257,7 +257,7 @@ func TestWSShutdownDrainsStreams(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	conn := dialTest(t, ts.URL)
 	if err := conn.WriteMessage([]byte(rpcCall(3, "swap.simulate",
-		`{"scenario":"tableIII","runs":500000,"chunk":200,"everyPaths":200,"budgetMs":60000}`))); err != nil {
+		`{"scenario":"tableIII","runs":500000,"everyPaths":256,"budgetMs":60000}`))); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	first := readMsg(t, conn)
@@ -332,7 +332,7 @@ func TestWSStreamBudget(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	conn := dialTest(t, ts.URL)
 	if err := conn.WriteMessage([]byte(rpcCall(4, "swap.simulate",
-		`{"scenario":"tableIII","runs":1000000,"chunk":200,"everyPaths":1000000,"budgetMs":100}`))); err != nil {
+		`{"scenario":"tableIII","runs":1000000,"everyPaths":1000000,"budgetMs":100}`))); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	for {
@@ -353,7 +353,7 @@ func TestWSConnCloseCancelsStreams(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	conn := dialTest(t, ts.URL)
 	if err := conn.WriteMessage([]byte(rpcCall(8, "swap.simulate",
-		`{"scenario":"tableIII","runs":500000,"chunk":200,"everyPaths":200,"budgetMs":60000}`))); err != nil {
+		`{"scenario":"tableIII","runs":500000,"everyPaths":256,"budgetMs":60000}`))); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	first := readMsg(t, conn)

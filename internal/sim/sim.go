@@ -39,7 +39,6 @@ type event struct {
 	at   float64
 	prio int
 	seq  uint64
-	name string
 	fn   func()
 	call func(a1, a2 any)
 	a1   any
@@ -67,21 +66,18 @@ func (e *event) less(o *event) bool {
 // scheduler schedules and runs without allocating (the Monte Carlo hot
 // path; see Reset).
 type Scheduler struct {
-	now       float64
-	seq       uint64
-	events    []event
-	stopped   bool
-	history   []string
-	noHistory bool
+	now     float64
+	seq     uint64
+	events  []event
+	stopped bool
 }
 
 // NewScheduler returns a scheduler with the clock at zero.
 func NewScheduler() *Scheduler { return &Scheduler{} }
 
 // Reset rewinds the scheduler to a freshly constructed state — clock at
-// zero, no pending events, empty history — while retaining the allocated
-// event-heap and history capacity, so a reused scheduler schedules without
-// reallocating. The history-recording setting survives the reset.
+// zero, no pending events — while retaining the allocated event-heap
+// capacity, so a reused scheduler schedules without reallocating.
 func (s *Scheduler) Reset() {
 	s.now = 0
 	s.seq = 0
@@ -90,14 +86,7 @@ func (s *Scheduler) Reset() {
 		s.events[i] = event{}
 	}
 	s.events = s.events[:0]
-	s.history = s.history[:0]
 }
-
-// SetHistoryRecording toggles the execution-history log (on by default).
-// Recording formats one label per event, which dominates the allocation
-// cost of short runs; throughput-oriented callers (the Monte Carlo engine)
-// turn it off. Disabling does not clear labels already recorded.
-func (s *Scheduler) SetHistoryRecording(on bool) { s.noHistory = !on }
 
 // Now returns the current simulated time in hours.
 func (s *Scheduler) Now() float64 { return s.now }
@@ -106,19 +95,18 @@ func (s *Scheduler) Now() float64 { return s.now }
 func (s *Scheduler) Pending() int { return len(s.events) }
 
 // Schedule registers fn to fire at absolute time at, in the default
-// priority tier. The name labels the event in the execution history for
-// debugging and tests.
-func (s *Scheduler) Schedule(at float64, name string, fn func()) error {
-	return s.ScheduleWithPriority(at, PriorityDefault, name, fn)
+// priority tier.
+func (s *Scheduler) Schedule(at float64, fn func()) error {
+	return s.ScheduleWithPriority(at, PriorityDefault, fn)
 }
 
 // ScheduleWithPriority registers fn to fire at absolute time at within the
 // given priority tier (lower fires first among same-instant events).
-func (s *Scheduler) ScheduleWithPriority(at float64, prio int, name string, fn func()) error {
+func (s *Scheduler) ScheduleWithPriority(at float64, prio int, fn func()) error {
 	if fn == nil {
-		return fmt.Errorf("%w: nil callback for %q", ErrBadTime, name)
+		return fmt.Errorf("%w: nil callback", ErrBadTime)
 	}
-	return s.push(event{at: at, prio: prio, name: name, fn: fn})
+	return s.push(event{at: at, prio: prio, fn: fn})
 }
 
 // ScheduleCall registers fn(a1, a2) to fire at absolute time at within the
@@ -126,16 +114,16 @@ func (s *Scheduler) ScheduleWithPriority(at float64, prio int, name string, fn f
 // ScheduleWithPriority: with fn a package-level function and a1/a2
 // pointers, scheduling captures no closure and boxes nothing — the Monte
 // Carlo hot path schedules every per-path event this way.
-func (s *Scheduler) ScheduleCall(at float64, prio int, name string, fn func(a1, a2 any), a1, a2 any) error {
+func (s *Scheduler) ScheduleCall(at float64, prio int, fn func(a1, a2 any), a1, a2 any) error {
 	if fn == nil {
-		return fmt.Errorf("%w: nil callback for %q", ErrBadTime, name)
+		return fmt.Errorf("%w: nil callback", ErrBadTime)
 	}
-	return s.push(event{at: at, prio: prio, name: name, call: fn, a1: a1, a2: a2})
+	return s.push(event{at: at, prio: prio, call: fn, a1: a1, a2: a2})
 }
 
 // ScheduleAfter registers fn to fire delay hours from now.
-func (s *Scheduler) ScheduleAfter(delay float64, name string, fn func()) error {
-	return s.Schedule(s.now+delay, name, fn)
+func (s *Scheduler) ScheduleAfter(delay float64, fn func()) error {
+	return s.Schedule(s.now+delay, fn)
 }
 
 // push validates the event time and sifts the event into the heap.
@@ -214,9 +202,6 @@ func (s *Scheduler) Run() int {
 	for len(s.events) > 0 && !s.stopped {
 		ev := s.pop()
 		s.now = ev.at
-		if !s.noHistory {
-			s.history = append(s.history, fmt.Sprintf("%.4f %s", ev.at, ev.name))
-		}
 		s.fire(&ev)
 		n++
 	}
@@ -232,9 +217,6 @@ func (s *Scheduler) RunUntil(t float64) int {
 	for len(s.events) > 0 && !s.stopped && s.events[0].at <= t {
 		ev := s.pop()
 		s.now = ev.at
-		if !s.noHistory {
-			s.history = append(s.history, fmt.Sprintf("%.4f %s", ev.at, ev.name))
-		}
 		s.fire(&ev)
 		n++
 	}
@@ -246,11 +228,3 @@ func (s *Scheduler) RunUntil(t float64) int {
 
 // Stop halts Run/RunUntil after the current callback returns.
 func (s *Scheduler) Stop() { s.stopped = true }
-
-// History returns the labels of processed events in execution order
-// (a copy; primarily for tests and debugging).
-func (s *Scheduler) History() []string {
-	out := make([]string, len(s.history))
-	copy(out, s.history)
-	return out
-}

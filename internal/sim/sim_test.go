@@ -10,7 +10,7 @@ func TestSchedulerRunsInTimeOrder(t *testing.T) {
 	s := NewScheduler()
 	var got []string
 	add := func(at float64, name string) {
-		if err := s.Schedule(at, name, func() { got = append(got, name) }); err != nil {
+		if err := s.Schedule(at, func() { got = append(got, name) }); err != nil {
 			t.Fatalf("Schedule(%v, %s): %v", at, name, err)
 		}
 	}
@@ -36,7 +36,7 @@ func TestSchedulerTieBreaksBySubmissionOrder(t *testing.T) {
 	var got []string
 	for _, name := range []string{"first", "second", "third"} {
 		name := name
-		if err := s.Schedule(5, name, func() { got = append(got, name) }); err != nil {
+		if err := s.Schedule(5, func() { got = append(got, name) }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -51,20 +51,20 @@ func TestSchedulerTieBreaksBySubmissionOrder(t *testing.T) {
 
 func TestScheduleValidation(t *testing.T) {
 	s := NewScheduler()
-	if err := s.Schedule(1, "ok", func() {}); err != nil {
+	if err := s.Schedule(1, func() {}); err != nil {
 		t.Fatalf("valid schedule failed: %v", err)
 	}
 	s.Run()
-	if err := s.Schedule(0.5, "past", func() {}); !errors.Is(err, ErrPastEvent) {
+	if err := s.Schedule(0.5, func() {}); !errors.Is(err, ErrPastEvent) {
 		t.Errorf("past event err = %v, want ErrPastEvent", err)
 	}
-	if err := s.Schedule(math.NaN(), "nan", func() {}); !errors.Is(err, ErrBadTime) {
+	if err := s.Schedule(math.NaN(), func() {}); !errors.Is(err, ErrBadTime) {
 		t.Errorf("NaN err = %v, want ErrBadTime", err)
 	}
-	if err := s.Schedule(math.Inf(1), "inf", func() {}); !errors.Is(err, ErrBadTime) {
+	if err := s.Schedule(math.Inf(1), func() {}); !errors.Is(err, ErrBadTime) {
 		t.Errorf("Inf err = %v, want ErrBadTime", err)
 	}
-	if err := s.Schedule(2, "nil", nil); !errors.Is(err, ErrBadTime) {
+	if err := s.Schedule(2, nil); !errors.Is(err, ErrBadTime) {
 		t.Errorf("nil fn err = %v, want ErrBadTime", err)
 	}
 }
@@ -72,9 +72,9 @@ func TestScheduleValidation(t *testing.T) {
 func TestEventsCanScheduleEvents(t *testing.T) {
 	s := NewScheduler()
 	var fired []float64
-	if err := s.Schedule(1, "outer", func() {
+	if err := s.Schedule(1, func() {
 		fired = append(fired, s.Now())
-		if err := s.ScheduleAfter(2, "inner", func() {
+		if err := s.ScheduleAfter(2, func() {
 			fired = append(fired, s.Now())
 		}); err != nil {
 			t.Errorf("inner schedule: %v", err)
@@ -94,7 +94,7 @@ func TestRunUntil(t *testing.T) {
 	s := NewScheduler()
 	var count int
 	for _, at := range []float64{1, 2, 3, 4, 5} {
-		if err := s.Schedule(at, "tick", func() { count++ }); err != nil {
+		if err := s.Schedule(at, func() { count++ }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -124,7 +124,7 @@ func TestStopHaltsRun(t *testing.T) {
 	var count int
 	for _, at := range []float64{1, 2, 3} {
 		at := at
-		if err := s.Schedule(at, "tick", func() {
+		if err := s.Schedule(at, func() {
 			count++
 			if at == 2 {
 				s.Stop()
@@ -145,36 +145,19 @@ func TestStopHaltsRun(t *testing.T) {
 	}
 }
 
-func TestHistoryRecordsLabels(t *testing.T) {
-	s := NewScheduler()
-	if err := s.Schedule(1.5, "alpha", func() {}); err != nil {
-		t.Fatal(err)
-	}
-	s.Run()
-	h := s.History()
-	if len(h) != 1 || h[0] != "1.5000 alpha" {
-		t.Errorf("History = %v", h)
-	}
-	// The returned slice is a copy.
-	h[0] = "mutated"
-	if s.History()[0] != "1.5000 alpha" {
-		t.Error("History exposed internal state")
-	}
-}
-
 func TestResetRewindsToFreshState(t *testing.T) {
 	s := NewScheduler()
 	fired := 0
-	if err := s.Schedule(1, "a", func() { fired++ }); err != nil {
+	if err := s.Schedule(1, func() { fired++ }); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Schedule(5, "b", func() { fired++ }); err != nil {
+	if err := s.Schedule(5, func() { fired++ }); err != nil {
 		t.Fatal(err)
 	}
 	s.RunUntil(2)
 	s.Reset()
-	if s.Now() != 0 || s.Pending() != 0 || len(s.History()) != 0 {
-		t.Errorf("after Reset: now=%g pending=%d history=%v", s.Now(), s.Pending(), s.History())
+	if s.Now() != 0 || s.Pending() != 0 {
+		t.Errorf("after Reset: now=%g pending=%d", s.Now(), s.Pending())
 	}
 	// The leftover event "b" must not fire after the reset.
 	if n := s.Run(); n != 0 {
@@ -182,30 +165,10 @@ func TestResetRewindsToFreshState(t *testing.T) {
 	}
 	// The scheduler is fully reusable: scheduling before the old clock
 	// value is legal again and ordering restarts from scratch.
-	if err := s.Schedule(0.5, "c", func() { fired++ }); err != nil {
+	if err := s.Schedule(0.5, func() { fired++ }); err != nil {
 		t.Fatalf("schedule after reset: %v", err)
 	}
 	if n := s.Run(); n != 1 || fired != 2 {
 		t.Errorf("post-reset run processed %d events (fired=%d), want 1 (fired=2)", n, fired)
-	}
-}
-
-func TestSetHistoryRecordingOffSkipsLabels(t *testing.T) {
-	s := NewScheduler()
-	s.SetHistoryRecording(false)
-	if err := s.Schedule(1, "quiet", func() {}); err != nil {
-		t.Fatal(err)
-	}
-	s.Run()
-	if h := s.History(); len(h) != 0 {
-		t.Errorf("history recorded %v with recording off", h)
-	}
-	s.SetHistoryRecording(true)
-	if err := s.Schedule(2, "loud", func() {}); err != nil {
-		t.Fatal(err)
-	}
-	s.Run()
-	if h := s.History(); len(h) != 1 || h[0] != "2.0000 loud" {
-		t.Errorf("history after re-enabling = %v", h)
 	}
 }

@@ -15,9 +15,10 @@ import (
 )
 
 // equivalenceRuns is the per-case path count: small enough that the full
-// preset × perturbation × (worker, chunk) matrix stays fast, large enough
-// to hit every protocol stage a regime produces.
-const equivalenceRuns = 240
+// preset × perturbation × worker matrix stays fast, large enough to hit
+// every protocol stage a regime produces and to span several engine chunks
+// with an uneven tail (2.5 × mc.ChunkSize), so the workers interleave.
+const equivalenceRuns = 640
 
 // strategyFor solves the strategy the scenario runner would simulate with:
 // the collateral-game thresholds when a deposit is in play, initiating
@@ -94,15 +95,11 @@ func perturbations() []scenario.Scenario {
 // property: with adaptive mode off, the streaming engine (reused per-worker
 // run state, chunked execution) reproduces the legacy per-path-allocation
 // driver's per-seed outcomes — identical stage counts and success tallies —
-// for every scenario preset and 8 seeded perturbations, at any worker and
-// chunk count.
+// for every scenario preset and 8 seeded perturbations, at any worker
+// count.
 func TestEngineEquivalentToLegacyMonteCarlo(t *testing.T) {
 	cases := append(scenario.Registry(), perturbations()...)
-	grid := []struct{ workers, chunk int }{
-		{1, equivalenceRuns}, // one worker, one chunk
-		{3, 64},              // uneven tail chunk
-		{8, 1},               // one path per chunk, max interleaving
-	}
+	workerCounts := []int{1, 3, 8}
 	for _, sc := range cases {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
@@ -114,24 +111,23 @@ func TestEngineEquivalentToLegacyMonteCarlo(t *testing.T) {
 				Seed:       sc.Seed,
 			}
 			wantStages, wantSucc := legacyMonteCarlo(t, cfg, equivalenceRuns)
-			for _, g := range grid {
+			for _, workers := range workerCounts {
 				res, err := swapsim.MonteCarlo(swapsim.MCConfig{
-					Config:    cfg,
-					Runs:      equivalenceRuns,
-					Workers:   g.workers,
-					ChunkSize: g.chunk,
+					Config:  cfg,
+					Runs:    equivalenceRuns,
+					Workers: workers,
 				})
 				if err != nil {
-					t.Fatalf("engine workers=%d chunk=%d: %v", g.workers, g.chunk, err)
+					t.Fatalf("engine workers=%d: %v", workers, err)
 				}
 				if res.Paths != equivalenceRuns {
-					t.Fatalf("workers=%d chunk=%d: paths %d, want %d", g.workers, g.chunk, res.Paths, equivalenceRuns)
+					t.Fatalf("workers=%d: paths %d, want %d", workers, res.Paths, equivalenceRuns)
 				}
 				if res.SuccessRate.Successes != wantSucc {
-					t.Errorf("workers=%d chunk=%d: successes %d, legacy %d", g.workers, g.chunk, res.SuccessRate.Successes, wantSucc)
+					t.Errorf("workers=%d: successes %d, legacy %d", workers, res.SuccessRate.Successes, wantSucc)
 				}
 				if !reflect.DeepEqual(res.Stages, wantStages) {
-					t.Errorf("workers=%d chunk=%d: stages %v, legacy %v", g.workers, g.chunk, res.Stages, wantStages)
+					t.Errorf("workers=%d: stages %v, legacy %v", workers, res.Stages, wantStages)
 				}
 			}
 		})

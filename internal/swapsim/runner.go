@@ -16,6 +16,9 @@ import (
 	"repro/internal/timeline"
 )
 
+// balanceScale sizes the agents' funding relative to what the swap needs.
+const balanceScale = 2
+
 // secretStreamSalt decorrelates the secret-byte stream from the price
 // stream: both are reseeded per path from the same path seed, and the
 // price source must reproduce math/rand's draws exactly (the goldens pin
@@ -33,9 +36,8 @@ const secretStreamSalt = 0x5eC2e7B17e50F
 // restores exactly the state a fresh stack would have, so a reused Runner
 // reproduces the outcomes of the one-shot Run path for path.
 type Runner struct {
-	cfg   Config
-	scale float64
-	tl    timeline.Timeline
+	cfg Config
+	tl  timeline.Timeline
 
 	sched  *sim.Scheduler
 	chainA *chain.Chain
@@ -81,18 +83,12 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
-	r := &Runner{cfg: cfg, scale: cfg.InitialBalanceScale}
-	if r.scale <= 0 {
-		r.scale = 2
-	}
+	r := &Runner{cfg: cfg}
 
 	if r.tl, err = timeline.Idealized(cfg.Params.Chains); err != nil {
 		return nil, fmt.Errorf("swapsim: %w", err)
 	}
 	r.sched = sim.NewScheduler()
-	// The Monte Carlo engine never reads the event history; recording it
-	// would dominate the per-path allocation budget.
-	r.sched.SetHistoryRecording(false)
 	if r.chainA, err = chain.New(chain.Config{
 		Name: "chain_a", Asset: "TokenA",
 		Tau: cfg.Params.Chains.TauA, Eps: 0,
@@ -108,9 +104,9 @@ func NewRunner(cfg Config) (*Runner, error) {
 
 	// Funding: A needs P* Token_a (+ collateral), B needs 1 Token_b and
 	// collateral in Token_a.
-	r.fundAliceA = r.scale * (cfg.Strategy.PStar + cfg.Collateral)
-	r.fundBobB = r.scale * 1
-	r.fundBobA = r.scale * cfg.Collateral
+	r.fundAliceA = balanceScale * (cfg.Strategy.PStar + cfg.Collateral)
+	r.fundBobB = balanceScale * 1
+	r.fundBobA = balanceScale * cfg.Collateral
 
 	r.src = lazyrng.New(cfg.Seed)
 	r.rng = rand.New(r.src)
@@ -138,9 +134,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 		if r.orc, err = oracle.New(r.sched, r.chainA, r.chainB, r.tl, cfg.Collateral, AliceAccount, BobAccount); err != nil {
 			return nil, fmt.Errorf("swapsim: %w", err)
 		}
-		// The engine never reads the settlement log; formatting it would
-		// re-enter the per-path allocation budget.
-		r.orc.SetLogging(false)
 	}
 	return r, nil
 }

@@ -210,8 +210,7 @@ func TestSamplerDeterministicAcrossWorkers(t *testing.T) {
 				Seed:       sc.Seed,
 				Sampler:    mode,
 			},
-			Runs:      1200,
-			ChunkSize: 128,
+			Runs: 1200,
 		}
 		var want swapsim.MCResult
 		for i, workers := range []int{1, 3, 8} {
@@ -251,9 +250,8 @@ func TestSamplerConvergenceTableIII(t *testing.T) {
 				Seed:       sc.Seed,
 				Sampler:    mode,
 			},
-			Runs:      200000,
-			CIWidth:   0.01,
-			ChunkSize: 256,
+			Runs:    200000,
+			CIWidth: 0.01,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)

@@ -74,9 +74,6 @@ type Config struct {
 	// HaltWindow.From, the chain confirms nothing until HaltWindow.Until.
 	// A zero window means no failure.
 	HaltA, HaltB HaltWindow
-	// InitialBalanceScale sizes the agents' funding relative to what the
-	// swap needs (default 2 when zero).
-	InitialBalanceScale float64
 	// Sampler selects how the price increments are drawn (see
 	// internal/qmc). The zero value is pseudo — the historical stream every
 	// committed golden pins byte-for-byte. Sobol mode changes only the
@@ -135,7 +132,7 @@ func armHalt(sched *sim.Scheduler, c *chain.Chain, w HaltWindow) error {
 	if w.Until <= w.From {
 		return fmt.Errorf("%w: halt window %+v", ErrBadConfig, w)
 	}
-	return sched.Schedule(w.From, c.Name()+"-halt", func() { c.Halt(w.Until) })
+	return sched.Schedule(w.From, func() { c.Halt(w.Until) })
 }
 
 // escrowPaidTo sums confirmed escrow transfers to an account, iterating
@@ -202,20 +199,15 @@ type MCConfig struct {
 	// sweep.Seed(Seed, i), a decorrelated stream per run.
 	Config
 	// Runs is the number of independent protocol executions in fixed-N
-	// mode, and the default hard cap in adaptive mode.
+	// mode, and the hard cap in adaptive mode.
 	Runs int
 	// Workers bounds concurrency; 0 uses all CPUs (see internal/sweep).
 	// The worker count never affects the result.
 	Workers int
 	// CIWidth, when > 0, enables adaptive precision: sampling stops at the
 	// first chunk boundary where the Wilson 95% half-width of the success
-	// rate is <= CIWidth, capped at MaxPaths (or Runs).
+	// rate is <= CIWidth, capped at Runs.
 	CIWidth float64
-	// ChunkSize is the engine's chunk size (0 = mc.DefaultChunkSize). The
-	// result is bit-reproducible per (Seed, ChunkSize) pair.
-	ChunkSize int
-	// MaxPaths overrides Runs as the adaptive hard cap when > 0.
-	MaxPaths int
 	// OnProgress, when non-nil, receives the engine's merged-prefix
 	// snapshots in chunk order (see mc.Config.OnProgress) — the stream the
 	// RPC daemon's swap.simulate subscription forwards to clients.
@@ -266,16 +258,9 @@ func MonteCarloCtx(ctx context.Context, cfg MCConfig) (MCResult, error) {
 	if cfg.Runs <= 0 {
 		return MCResult{}, fmt.Errorf("%w: runs=%d", ErrBadConfig, cfg.Runs)
 	}
-	maxPaths := cfg.Runs
-	// MaxPaths is the *adaptive* cap: in fixed-N mode the sample size is
-	// exactly Runs, as documented, so the override must not shrink it.
-	if cfg.CIWidth > 0 && cfg.MaxPaths > 0 {
-		maxPaths = cfg.MaxPaths
-	}
 	res, err := mc.Run(ctx, mc.Config{
 		Seed:       cfg.Seed,
-		MaxPaths:   maxPaths,
-		ChunkSize:  cfg.ChunkSize,
+		MaxPaths:   cfg.Runs,
 		CIWidth:    cfg.CIWidth,
 		Workers:    cfg.Workers,
 		NewRunner:  func() (mc.Runner, error) { return NewRunner(cfg.Config) },

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mathx"
 	"repro/internal/scenario"
+	"repro/internal/solvecache"
 	"repro/internal/swapsim"
 )
 
@@ -77,39 +78,61 @@ func (basicGame) Solve(ctx *Context, sc scenario.Scenario) (Report, error) {
 }
 
 // MCValidate runs the protocol simulation with the basic-game threshold
-// strategies. Eq. 31's SR conditions on the swap being initiated, so the
-// simulated strategy initiates unconditionally; the solved report records
-// whether A rationally would.
+// strategies (see ProtocolConfig).
 func (basicGame) MCValidate(ctx *Context, sc scenario.Scenario, r Report) (*MCCheck, error) {
-	m, err := ctx.Model(sc.Params)
-	if err != nil {
-		return nil, err
-	}
-	strat, err := m.Strategy(sc.PStar)
-	if err != nil {
-		return nil, err
-	}
-	return simulateCheck(ctx, sc, "basic", strat, 0, r.SR)
+	return simulateCheck(ctx, sc, "basic", "basic", r.SR)
 }
 
-// simulateCheck runs the swapsim Monte Carlo engine under the batch knobs
-// and packages the agreement check — the shared protocol-level validation
-// of the basic and collateral variants.
-func simulateCheck(ctx *Context, sc scenario.Scenario, game string, strat core.Strategy, collateral, analytic float64) (*MCCheck, error) {
+// ProtocolConfig returns the protocol run that variant key plays on sc:
+// the basic game's thresholds for "basic", and for "collateral" the
+// collateral game's thresholds with the scenario's deposit Q escrowed on
+// both legs (Q = 0 plays the basic thresholds without a deposit). Eq. 31's
+// SR conditions on the swap being initiated, so the strategy initiates
+// unconditionally; the solved report records whether A rationally would.
+// The sampler is left for the caller to set. It is the one definition both
+// the batch validations and the RPC daemon's swap.simulate stream run.
+func ProtocolConfig(key string, sc scenario.Scenario) (swapsim.Config, error) {
+	m, err := solvecache.SharedModel(sc.Params)
+	if err != nil {
+		return swapsim.Config{}, err
+	}
+	var strat core.Strategy
+	collateral := 0.0
+	switch {
+	case key == "basic" || key == "collateral" && sc.Collateral == 0:
+		strat, err = m.Strategy(sc.PStar)
+	case key == "collateral":
+		col, cerr := m.Collateral(sc.Collateral)
+		if cerr != nil {
+			return swapsim.Config{}, cerr
+		}
+		strat, err = col.Strategy(sc.PStar)
+		collateral = sc.Collateral
+	default:
+		return swapsim.Config{}, fmt.Errorf("variant %q: the protocol simulator plays \"basic\" or \"collateral\"", key)
+	}
+	if err != nil {
+		return swapsim.Config{}, err
+	}
 	strat.AliceInitiates = true
+	return swapsim.Config{Params: sc.Params, Strategy: strat, Collateral: collateral, Seed: sc.Seed}, nil
+}
+
+// simulateCheck runs variant key's protocol (ProtocolConfig) through the
+// swapsim Monte Carlo engine under the batch knobs and packages the
+// agreement check, labelled game — the shared protocol-level validation
+// of the basic and collateral variants.
+func simulateCheck(ctx *Context, sc scenario.Scenario, key, game string, analytic float64) (*MCCheck, error) {
+	cfg, err := ProtocolConfig(key, sc)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Sampler = ctx.Opts.Sampler
 	res, err := swapsim.MonteCarlo(swapsim.MCConfig{
-		Config: swapsim.Config{
-			Params:     sc.Params,
-			Strategy:   strat,
-			Collateral: collateral,
-			Seed:       sc.Seed,
-			Sampler:    ctx.Opts.Sampler,
-		},
-		Runs:      ctx.Runs(sc),
-		Workers:   ctx.Opts.MCWorkers,
-		CIWidth:   ctx.Opts.CIWidth,
-		ChunkSize: ctx.Opts.ChunkSize,
-		MaxPaths:  ctx.Opts.MaxPaths,
+		Config:  cfg,
+		Runs:    ctx.Runs(sc),
+		Workers: ctx.Opts.MCWorkers,
+		CIWidth: ctx.Opts.CIWidth,
 	})
 	if err != nil {
 		return nil, err

@@ -76,26 +76,11 @@ func (collateralGame) Solve(ctx *Context, sc scenario.Scenario) (Report, error) 
 }
 
 // MCValidate simulates the protocol with the collateral-game strategies
-// and the deposit escrowed on both legs.
+// and the deposit escrowed on both legs (see ProtocolConfig).
 func (collateralGame) MCValidate(ctx *Context, sc scenario.Scenario, r Report) (*MCCheck, error) {
-	m, err := ctx.Model(sc.Params)
-	if err != nil {
-		return nil, err
-	}
+	game := "collateral"
 	if sc.Collateral == 0 {
-		strat, err := m.Strategy(sc.PStar)
-		if err != nil {
-			return nil, err
-		}
-		return simulateCheck(ctx, sc, "collateral (Q=0, basic)", strat, 0, r.SR)
+		game = "collateral (Q=0, basic)"
 	}
-	col, err := m.Collateral(sc.Collateral)
-	if err != nil {
-		return nil, err
-	}
-	strat, err := col.Strategy(sc.PStar)
-	if err != nil {
-		return nil, err
-	}
-	return simulateCheck(ctx, sc, "collateral", strat, sc.Collateral, r.SR)
+	return simulateCheck(ctx, sc, "collateral", game, r.SR)
 }

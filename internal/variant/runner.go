@@ -19,7 +19,7 @@ import (
 type RunOpts struct {
 	// Runs overrides every scenario's Monte Carlo run count (0 keeps each
 	// scenario's own setting — MCRuns, or scenario.DefaultMCRuns). It is
-	// the fixed sample size, and the default adaptive cap.
+	// the fixed sample size, and the adaptive cap.
 	Runs int
 	// MCWorkers bounds the concurrency of the inner Monte Carlo of a
 	// single cell. RunAll parallelises across cells and pins this to 1;
@@ -27,13 +27,8 @@ type RunOpts struct {
 	MCWorkers int
 	// CIWidth, when > 0, switches the swapsim validations to adaptive
 	// precision: sampling stops once the Wilson 95% half-width of the
-	// success rate is <= CIWidth, capped at MaxPaths (or the run count).
+	// success rate is <= CIWidth, capped at the run count.
 	CIWidth float64
-	// ChunkSize is the streaming engine's chunk size (0 = the engine
-	// default); results are bit-reproducible per (seed, chunk-size) pair.
-	ChunkSize int
-	// MaxPaths overrides the adaptive hard cap when > 0.
-	MaxPaths int
 	// Sampler selects how the protocol simulations draw price increments
 	// (see internal/qmc): "" or "pseudo" keeps the golden default stream;
 	// "sobol" is the variance-reduced mode. It applies to the
@@ -75,7 +70,7 @@ const reportDigest = "5535eab273fd7d8f821b584fe582e40f070322a0b47d478baad218055a
 
 // cellKeyMaterial is the complete solve input of one (scenario × variant)
 // cell, in canonical field order. MCWorkers is deliberately absent —
-// results are bit-reproducible per (seed, chunk) at any worker count — and
+// results are bit-reproducible per seed at any worker count — and
 // so are both variant selections (RunOpts.Variants and the scenario's own
 // Variants), which pick cells but do not parameterize one.
 type cellKeyMaterial struct {
@@ -84,8 +79,6 @@ type cellKeyMaterial struct {
 	Variant  string            `json:"variant"`
 	Runs     int               `json:"runs"`
 	CIWidth  float64           `json:"ciWidth"`
-	Chunk    int               `json:"chunk"`
-	MaxPaths int               `json:"maxPaths"`
 	Sampler  qmc.Mode          `json:"sampler"`
 	SkipMC   bool              `json:"skipMC"`
 }
@@ -104,8 +97,6 @@ func CellKey(sc scenario.Scenario, variantKey string, opts RunOpts) (string, err
 		Variant:  variantKey,
 		Runs:     opts.Runs,
 		CIWidth:  opts.CIWidth,
-		Chunk:    opts.ChunkSize,
-		MaxPaths: opts.MaxPaths,
 		Sampler:  opts.Sampler,
 		SkipMC:   opts.SkipMC,
 	})

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/mc"
 	"repro/internal/scenario"
 	"repro/internal/utility"
 )
@@ -256,20 +257,20 @@ func TestRunOptsAdaptivePrecisionKnobs(t *testing.T) {
 			fixed.Runs, fixed.Stopped, testRuns)
 	}
 	// A loose CI target stops well before a large cap, at a chunk boundary.
-	adaptive := get(RunOpts{Runs: 50000, CIWidth: 0.05, ChunkSize: 128})
+	adaptive := get(RunOpts{Runs: 50000, CIWidth: 0.05})
 	if !adaptive.Stopped {
 		t.Fatal("loose CI target did not stop early")
 	}
-	if adaptive.Runs >= 50000 || adaptive.Runs%128 != 0 {
+	if adaptive.Runs >= 50000 || adaptive.Runs%mc.ChunkSize != 0 {
 		t.Errorf("adaptive ran %d paths, want a chunk-aligned early stop", adaptive.Runs)
 	}
 	if half := (adaptive.SR.Hi - adaptive.SR.Lo) / 2; half > 0.05 {
 		t.Errorf("half-width at stop %g, want <= 0.05", half)
 	}
-	// MaxPaths caps adaptive sampling below the run count.
-	capped := get(RunOpts{Runs: 50000, CIWidth: 1e-9, ChunkSize: 128, MaxPaths: 256})
-	if capped.Runs != 256 || capped.Stopped {
-		t.Errorf("capped run executed %d paths (stopped=%v), want 256 at the cap",
+	// The run count caps adaptive sampling.
+	capped := get(RunOpts{Runs: 300, CIWidth: 1e-9})
+	if capped.Runs != 300 || capped.Stopped {
+		t.Errorf("capped run executed %d paths (stopped=%v), want 300 at the cap",
 			capped.Runs, capped.Stopped)
 	}
 	// The adaptive estimate agrees with the fixed one to CI precision.

@@ -38,8 +38,6 @@ func TestCellKeySensitivity(t *testing.T) {
 		{"variant", sc, "collateral", base},
 		{"runs", sc, "basic", RunOpts{Runs: 500}},
 		{"ciWidth", sc, "basic", RunOpts{Runs: 400, CIWidth: 0.01}},
-		{"chunk", sc, "basic", RunOpts{Runs: 400, ChunkSize: 64}},
-		{"maxPaths", sc, "basic", RunOpts{Runs: 400, MaxPaths: 1000}},
 		{"sampler", sc, "basic", RunOpts{Runs: 400, Sampler: "sobol"}},
 		{"skipMC", sc, "basic", RunOpts{Runs: 400, SkipMC: true}},
 	}
