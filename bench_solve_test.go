@@ -104,6 +104,36 @@ func BenchmarkSolve_FeasibleRateRangeCold(b *testing.B) {
 	}
 }
 
+// BenchmarkSolve_UncertainCold measures one cold §IV.B cell as the
+// uncertain variant solves it: a fresh budget-capped solver (Table III,
+// budget 5) per iteration, then SR_x (Eq. 46) and A's excess utility
+// (Eq. 45) at the scenario's commitment — B's best response plus two
+// Gauss–Hermite passes over P_t2.
+func BenchmarkSolve_UncertainCold(b *testing.B) {
+	sc, err := scenario.Lookup("tableIII")
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := core.New(sc.Params)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		u, err := m.UncertainWithBudget(sc.BobBudget)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := u.SuccessRate(sc.PStar); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := u.AliceExcessUtilityT1(sc.PStar); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSolve_ContSetWarm measures a memoized solve hit: the same cell
 // re-queried on a warm Model — the path every cross-artifact re-solve now
 // takes.

@@ -25,6 +25,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -77,6 +78,9 @@ func run(args []string, out *os.File) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *budget < 0 || math.IsNaN(*budget) || math.IsInf(*budget, 0) {
+		return fmt.Errorf("-budget=%g must be >= 0 and finite (0 = unconstrained Eq. 44)", *budget)
 	}
 	if *stats {
 		defer solvecache.WriteStats(out)

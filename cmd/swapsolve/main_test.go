@@ -93,6 +93,17 @@ func TestBadFlagsAndParams(t *testing.T) {
 	}
 }
 
+func TestBadBudgetRejected(t *testing.T) {
+	// A negative or non-finite budget is a usage error, not a silent
+	// fallback to the unconstrained game.
+	for _, b := range []string{"-3", "NaN", "Inf", "-Inf"} {
+		out, err := capture(t, []string{"-uncertain", "-budget", b})
+		if err == nil || !strings.Contains(err.Error(), "-budget") {
+			t.Errorf("-budget %s: err = %v, want a -budget usage error; output:\n%s", b, err, out)
+		}
+	}
+}
+
 func TestScenarioFlagLoadsPreset(t *testing.T) {
 	ref, err := capture(t, []string{"-q", "0.5"})
 	if err != nil {

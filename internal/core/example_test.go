@@ -111,3 +111,92 @@ func ExampleModel_Bayesian() {
 	// Output:
 	// uncertain counterparty: SR 0.5156 (initiated: true)
 }
+
+// ExampleModel_UncertainWithBudget walks the §IV.B extension: instead of
+// fixing the exchange rate up front, Alice picks how much Token_a to commit
+// and Bob best-responds with the amount of Token_b to lock after seeing the
+// price at t2. It traces Bob's best response across prices, finds Alice's
+// optimal commitment under Bob's holdings budget, and shows the
+// success-rate gain over the fixed-rate game (Figs. 10–11).
+func ExampleModel_UncertainWithBudget() {
+	model, err := core.New(utility.Default())
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	// Bob holds 5 Token_b (the budget reproducing Fig. 10a; see DESIGN.md).
+	u, err := model.UncertainWithBudget(5)
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	const aLock = 4.0 // Alice commits 4 Token_a
+	fmt.Printf("Alice commits %.1f Token_a; Bob's best response X*(P_t2):\n", aLock)
+	for _, price := range []float64{0.25, 0.5, 1, 2, 4, 8, 12} {
+		x, excess, err := u.OptimalLockB(price, aLock)
+		if err != nil {
+			log.Fatal(err)
+		}
+		verdict := "locks"
+		if x == 0 {
+			verdict = "declines (even the full budget cannot deter Alice's withdrawal)"
+		}
+		fmt.Printf("  P_t2 = %5.2f → X* = %.3f, excess utility %.4f — Bob %s\n", price, x, excess, verdict)
+	}
+
+	aStar, exStar, err := u.OptimalLockA(14)
+	if err != nil {
+		log.Fatal(err)
+	}
+	rng, ok, err := u.BreakEvenRange(14)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nAlice's optimal commitment: a* = %.3f Token_a (excess utility %.4f)\n", aStar, exStar)
+	if ok {
+		fmt.Printf("Worthwhile commitments: a ∈ (%.3f, %.3f) (Fig. 10b's break-even range)\n", rng.Lo, rng.Hi)
+	}
+
+	srX, err := u.SuccessRate(aLock)
+	if err != nil {
+		log.Fatal(err)
+	}
+	srBasic, err := model.SuccessRate(aLock)
+	if err != nil {
+		log.Fatal(err)
+	}
+	_, srBest, err := model.OptimalRate()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nSuccess rates at P* = %.1f:\n", aLock)
+	fmt.Printf("  fixed-rate game:            %.4f (fixed rates far from P0 rarely survive)\n", srBasic)
+	fmt.Printf("  fixed-rate game, best P*:   %.4f\n", srBest)
+	fmt.Printf("  uncertain-exchange game:    %.4f — dynamic amounts dominate (Fig. 11)\n", srX)
+
+	// The unconstrained printed equations (Eq. 44) for comparison.
+	free := model.Uncertain()
+	srFree, err := free.SuccessRate(aLock)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("  unconstrained Eq. 44:       %.4f (scale-invariant; see DESIGN.md deviation 6)\n", srFree)
+	// Output:
+	// Alice commits 4.0 Token_a; Bob's best response X*(P_t2):
+	//   P_t2 =  0.25 → X* = 0.000, excess utility 0.0000 — Bob declines (even the full budget cannot deter Alice's withdrawal)
+	//   P_t2 =  0.50 → X* = 5.000, excess utility 0.1005 — Bob locks
+	//   P_t2 =  1.00 → X* = 3.532, excess utility 0.7723 — Bob locks
+	//   P_t2 =  2.00 → X* = 1.766, excess utility 0.7723 — Bob locks
+	//   P_t2 =  4.00 → X* = 0.883, excess utility 0.7723 — Bob locks
+	//   P_t2 =  8.00 → X* = 0.441, excess utility 0.7723 — Bob locks
+	//   P_t2 = 12.00 → X* = 0.294, excess utility 0.7723 — Bob locks
+	//
+	// Alice's optimal commitment: a* = 8.534 Token_a (excess utility 0.5161)
+	// Worthwhile commitments: a ∈ (0.028, 11.890) (Fig. 10b's break-even range)
+	//
+	// Success rates at P* = 4.0:
+	//   fixed-rate game:            0.0377 (fixed rates far from P0 rarely survive)
+	//   fixed-rate game, best P*:   0.7220
+	//   uncertain-exchange game:    0.7937 — dynamic amounts dominate (Fig. 11)
+	//   unconstrained Eq. 44:       0.7937 (scale-invariant; see DESIGN.md deviation 6)
+}

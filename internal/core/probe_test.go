@@ -8,25 +8,21 @@ import (
 	"repro/internal/config"
 	"repro/internal/mathx"
 	"repro/internal/scenario"
-	"repro/internal/utility"
 )
 
-// probeParams returns the parameter sets the t1Probe kernel is checked on:
-// every scenario preset, then a seeded 64-cell slice of the generated
+// probeScenarios returns the scenarios the solve kernels are checked on:
+// every preset, then a seeded 64-cell slice of the generated
 // btc,ltc,doge,evm universe.
-func probeParams(t *testing.T) []utility.Params {
+func probeScenarios(t *testing.T) []scenario.Scenario {
 	t.Helper()
-	var out []utility.Params
-	for _, sc := range scenario.Registry() {
-		out = append(out, sc.Params)
-	}
+	out := scenario.Registry()
 	spec := config.UniverseSpec{Chains: []string{"btc", "ltc", "doge", "evm"}, Samples: 128, Seed: 1}
 	cells, err := spec.Generate()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, i := range rand.New(rand.NewSource(13)).Perm(len(cells))[:64] {
-		out = append(out, cells[i].Params)
+		out = append(out, cells[i])
 	}
 	return out
 }
@@ -69,8 +65,8 @@ func relErr(got, want float64) float64 {
 func TestT1ProbeMatchesScaledRegionQuadrature(t *testing.T) {
 	const rates = 301
 	var worst float64
-	for k, p := range probeParams(t) {
-		m, err := New(p)
+	for k, sc := range probeScenarios(t) {
+		m, err := New(sc.Params)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,11 +94,11 @@ func TestT1ProbeMatchesScaledRegionQuadrature(t *testing.T) {
 func TestT1ProbeScansMatchExactScans(t *testing.T) {
 	presets := len(scenario.Registry())
 	var worstBound, worstSR float64
-	for k, p := range probeParams(t) {
+	for k, sc := range probeScenarios(t) {
 		if k >= presets && k%4 != 0 {
 			continue // every 4th universe cell: exact scans cost a root scan per rate
 		}
-		m, err := New(p)
+		m, err := New(sc.Params)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,16 +13,15 @@ import (
 // with an amount X ≥ 0 of Token_b that maximises his excess utility
 // (Eq. 44), so the realised exchange rate a/X is uncertain at the outset.
 //
-// The printed objective (Eq. 43) is homogeneous of degree one in (X, a), so
-// its unconstrained maximiser grows like 1/P_t2 as the price falls and A's
-// excess utility (Eq. 45) is exactly linear in a — shapes incompatible with
-// the humps of Figs. 10a/10b. Those figures are reproduced by the
-// economically natural constraint that B cannot lock more Token_b than he
-// owns: construct with Model.UncertainWithBudget to cap X at B's holdings
-// (Fig. 10a's axis suggests a budget of 5). Model.Uncertain leaves X
-// unconstrained, following the printed equations literally. See DESIGN.md.
+// B's best response is solved once, in the scaled amount z = X·y/a (see
+// response), so the printed game's homogeneity holds by construction: the
+// unconstrained X* is exactly proportional to a/P_t2 and SR_x does not
+// depend on a, which leaves no room for the humps of Figs. 10a/10b.
+// Model.UncertainWithBudget restores them by capping X at B's holdings
+// (z ≤ budget·y/a; Fig. 10a's axis suggests 5); Model.Uncertain follows the
+// printed equations (DESIGN.md deviation 6). Immutable and concurrency-safe.
 type Uncertain struct {
-	m *Model
+	*response
 	// budget caps B's lockable amount; +Inf when unconstrained.
 	budget float64
 }
@@ -30,7 +29,7 @@ type Uncertain struct {
 // Uncertain returns the solver for the uncertain-exchange-rate game with an
 // unconstrained best response for B (the printed Eq. 44).
 func (m *Model) Uncertain() *Uncertain {
-	return &Uncertain{m: m, budget: math.Inf(1)}
+	return &Uncertain{newResponse(m), math.Inf(1)}
 }
 
 // UncertainWithBudget returns the solver with B's lockable amount capped at
@@ -39,7 +38,7 @@ func (m *Model) UncertainWithBudget(budget float64) (*Uncertain, error) {
 	if budget <= 0 || math.IsNaN(budget) {
 		return nil, fmt.Errorf("%w: budget=%g must be > 0", ErrBadParam, budget)
 	}
-	return &Uncertain{m: m, budget: budget}, nil
+	return &Uncertain{newResponse(m), budget}, nil
 }
 
 // Budget returns B's lockable budget (+Inf when unconstrained).
@@ -61,143 +60,167 @@ func (u *Uncertain) CutoffT3(xLock, aLock float64) (float64, error) {
 	return u.m.cutoffT3(aLock, 0) / xLock, nil
 }
 
-// xEval bundles the parts of the §IV.B stage utilities that are constant
-// across B's response search at one t2 price: the unscaled cut-off, A's
-// refund, and the transition law out of y. The best-response optimisation
-// (Eq. 44) evaluates Eq. 43 at ~160 candidate amounts per price point;
-// before the hoist each evaluation rebuilt the transition and the cut-off
-// from scratch. Every field stores the bit-exact value of the
-// subexpression it replaces.
-type xEval struct {
-	u     *Uncertain
-	aLock float64
-	y     float64
-	pbar0 float64        // cutoffT3(aLock, 0), before the 1/X scaling
-	ref   float64        // aLock·exp(−rA(εb+2τa)), A's refund
-	tr    dist.LogNormal // transition(y, τb)
+// The response grid is log z = log c0 − respBelow + i·respStep, i < respN:
+// from where g is linear in z (no t3 tail left) to 5 e-folds above c0.
+const (
+	respStep  = 0.125
+	respBelow = 25
+	respN     = 241
+)
+
+// response is B's best response (Eq. 44) in the scaled amount z = X·y/a.
+// With the t3 price written y·W, W the law of a unit t2 price, the cut-off
+// P̄_t3,x(X) of Eq. 41 is y·c0/z with c0 = cutoffT3(1, 0), and the stage
+// utilities factor as U^B_t2,x = a·g(z) (Eq. 43) and U^A_t2,x = a·h(z)
+// (Eq. 42). Each local maximum of g on the grid is refined once; a cap
+// z ≤ e^lc is answered by a running argmax over these peaks and one refine
+// of the panel under the cap, so no unimodality is assumed.
+type response struct {
+	m      *Model
+	w      dist.LogNormal // W: the t3 price after a unit t2 price
+	logc0  float64
+	peak   [respN]float64 // refined local maximum at a peak node, else g
+	lzPeak [respN]float64 // its log z (−Inf when B declines)
+	argmax [respN]int     // first node maximising peak over nodes 0..i
 }
 
-// newXEval hoists the X-independent parts of Eqs. 41–43.
-func (u *Uncertain) newXEval(y, aLock float64) xEval {
-	return xEval{
-		u:     u,
-		aLock: aLock,
-		y:     y,
-		pbar0: u.m.cutoffT3(aLock, 0),
-		ref:   aLock * u.m.k.refundT3,
-		tr:    u.m.transitionTauBAtLog(math.Log(y)),
+func newResponse(m *Model) *response {
+	r := &response{m: m, w: m.transitionTauBAtLog(0), logc0: math.Log(m.cutoffT3(1, 0))}
+	var g [respN]float64
+	for i := range g {
+		g[i] = r.bob(r.node(i))
 	}
+	for i, gi := range g {
+		r.lzPeak[i], r.peak[i] = r.node(i), gi
+		if (i == 0 || g[i-1] <= gi) && (i == respN-1 || g[i+1] <= gi) {
+			r.lzPeak[i], r.peak[i] = r.refine(r.node(i)-respStep, r.node(i)+respStep, r.node(i), gi)
+		}
+		if r.argmax[i] = i; i > 0 && r.peak[r.argmax[i-1]] >= r.peak[i] {
+			r.argmax[i] = r.argmax[i-1]
+		}
+	}
+	return r
 }
 
-// aliceT2 is U^A_t2,x(X) of Eq. 42: X units of the t3 cont utility above
-// the scaled cut-off, plus the refund below it.
-func (e *xEval) aliceT2(xLock float64) float64 {
-	m := e.u.m
-	if xLock <= 0 {
-		// B locked nothing; A's only outcome is the refund one stage later.
-		return m.k.discATauB * e.ref
-	}
-	pbar := e.pbar0 / xLock
-	logPbar := math.Log(pbar)
-	cont := xLock * (1 + m.params.Alice.Alpha) * m.k.growthA * e.tr.PartialExpectationAboveAtLog(pbar, logPbar)
-	stop := e.tr.CDFAtLog(pbar, logPbar) * e.ref
-	return m.k.discATauB * (cont + stop)
+func (r *response) node(i int) float64 { return r.logc0 - respBelow + float64(i)*respStep }
+
+// cut returns c0/z and its logarithm at lz = log z (+Inf at z = 0).
+func (r *response) cut(lz float64) (w, lw float64) {
+	lw = r.logc0 - lz
+	return math.Exp(lw), lw
 }
 
-// bobT2 is U^B_t2,x(X) of Eq. 43: B's expected gross utility from locking
-// X, net of the value X·y he surrenders by committing the tokens. It is
-// zero at X = 0 (locking nothing is equivalent to stop).
-func (e *xEval) bobT2(xLock float64) float64 {
-	if xLock <= 0 {
-		return 0
-	}
-	m := e.u.m
-	pbar := e.pbar0 / xLock
-	logPbar := math.Log(pbar)
-	gross := e.tr.TailProbAtLog(pbar, logPbar)*(1+m.params.Bob.Alpha)*e.aLock*m.k.bankB +
-		xLock*m.k.growth2B*e.tr.PartialExpectationBelowAtLog(pbar, logPbar)
-	return m.k.discBTauB*gross - xLock*e.y
+// bob is g(z) at lz = log z: B's gross utility from locking, net of the
+// tokens he surrenders. g = 0 at z = 0 (locking nothing is stop).
+func (r *response) bob(lz float64) float64 {
+	k, z := &r.m.k, math.Exp(lz)
+	w, lw := r.cut(lz)
+	gross := r.w.TailProbAtLog(w, lw)*(1+r.m.params.Bob.Alpha)*k.bankB +
+		z*k.growth2B*r.w.PartialExpectationBelowAtLog(w, lw)
+	return k.discBTauB*gross - z
 }
 
-// optimal solves Eq. 44 at this price point: X*(P_t2) = argmax_{X≥0}
-// U^B_t2,x(X). The search runs over log X — the objective's scale is set by
-// P̄_t3/y, which spans orders of magnitude across the P_t2 axis of
-// Fig. 10a — and X = 0 is compared explicitly (B locks nothing and
-// effectively stops).
-func (e *xEval) optimal() (xStar, val float64) {
-	// Beyond X ≈ 50·P̄_t3/y the success probability has saturated and the
-	// marginal locked token is pure loss; below the grid floor the utility
-	// is O(X) small. The budget caps the search when finite.
-	xMax := 50*e.pbar0/e.y + 10
-	if xMax > 1e9 {
-		xMax = 1e9
+// alice is h(z) at lz = log z: z units of A's t3 cont utility above the
+// cut-off plus her refund below it; at z = 0 only the refund remains.
+func (r *response) alice(lz float64) float64 {
+	k, z := &r.m.k, math.Exp(lz)
+	w, lw := r.cut(lz)
+	cont := z * (1 + r.m.params.Alice.Alpha) * k.growthA * r.w.PartialExpectationAboveAtLog(w, lw)
+	return k.discATauB * (cont + r.w.CDFAtLog(w, lw)*k.refundT3)
+}
+
+// success is the probability that A reveals at t3 given z (0 at z = 0).
+func (r *response) success(lz float64) float64 {
+	w, lw := r.cut(lz)
+	return r.w.TailProbAtLog(w, lw)
+}
+
+// refine golden-searches g over [lo, hi] and keeps the sampled point
+// (lb, gb) when the refined one is no better, as mathx.GridMax does. A
+// non-positive optimum means B declines: lz = −Inf.
+func (r *response) refine(lo, hi, lb, gb float64) (lz, g float64) {
+	lz = mathx.GoldenMax(r.bob, lo, hi, 1e-10)
+	if g = r.bob(lz); gb > g {
+		lz, g = lb, gb
 	}
-	if xMax > e.u.budget {
-		xMax = e.u.budget
+	if g <= 0 {
+		return math.Inf(-1), 0
 	}
-	obj := func(lx float64) float64 { return e.bobT2(math.Exp(lx)) }
-	lArg, lVal := mathx.GridMax(obj, math.Log(xMax)-25, math.Log(xMax), 160, 1e-10)
-	if lVal <= 0 {
-		return 0, 0
+	return lz, g
+}
+
+// best returns B's optimal log z and g with z capped at e^lc (+Inf when
+// unconstrained): the better of the panel under the cap, refined up to the
+// cap, and the best peak below that panel.
+func (r *response) best(lc float64) (lz, g float64) {
+	if j := r.argmax[respN-1]; lc >= r.lzPeak[j] {
+		return r.lzPeak[j], r.peak[j]
 	}
-	return math.Exp(lArg), lVal
+	i := min(int(math.Floor((lc-r.node(0))/respStep)), respN-1)
+	lz, g = r.refine(r.node(i)-respStep, lc, lc, r.bob(lc))
+	if j := r.argmax[max(i-1, 0)]; i > 0 && r.peak[j] > g {
+		return r.lzPeak[j], r.peak[j]
+	}
+	return lz, g
 }
 
 // AliceUtilityT2 evaluates Eq. 42 with argument checks.
 func (u *Uncertain) AliceUtilityT2(xLock, pT2, aLock float64) (float64, error) {
-	if err := u.checkLock(xLock); err != nil {
+	if err := checkT2(xLock, pT2, aLock); err != nil {
 		return 0, err
 	}
-	if err := checkPrice(pT2); err != nil {
-		return 0, err
-	}
-	if err := checkRate(aLock); err != nil {
-		return 0, err
-	}
-	e := u.newXEval(pT2, aLock)
-	return e.aliceT2(xLock), nil
+	return aLock * u.alice(math.Log(xLock)+math.Log(pT2/aLock)), nil
 }
 
-// BobExcessUtilityT2 evaluates Eq. 43 with argument checks.
+// BobExcessUtilityT2 evaluates Eq. 43 with argument checks: B's expected
+// gross utility from locking X, net of the value X·y he surrenders by
+// committing the tokens. It is zero at X = 0 (locking nothing is stop).
 func (u *Uncertain) BobExcessUtilityT2(xLock, pT2, aLock float64) (float64, error) {
-	if err := u.checkLock(xLock); err != nil {
+	if err := checkT2(xLock, pT2, aLock); err != nil {
 		return 0, err
 	}
-	if err := checkPrice(pT2); err != nil {
-		return 0, err
-	}
-	if err := checkRate(aLock); err != nil {
-		return 0, err
-	}
-	e := u.newXEval(pT2, aLock)
-	return e.bobT2(xLock), nil
+	return aLock * u.bob(math.Log(xLock)+math.Log(pT2/aLock)), nil
 }
 
-func (u *Uncertain) checkLock(xLock float64) error {
+func checkT2(xLock, pT2, aLock float64) error {
 	if xLock < 0 || math.IsNaN(xLock) || math.IsInf(xLock, 0) {
 		return fmt.Errorf("%w: X=%g must be >= 0 and finite", ErrBadParam, xLock)
 	}
-	return nil
+	if err := checkPrice(pT2); err != nil {
+		return err
+	}
+	return checkRate(aLock)
 }
 
 // OptimalLockB returns X*(P_t2) of Eq. 44 together with B's excess utility
 // at the optimum. X* = 0 means B declines to lock (stop).
 func (u *Uncertain) OptimalLockB(pT2, aLock float64) (xStar, excess float64, err error) {
-	if err := checkPrice(pT2); err != nil {
+	if err := checkT2(0, pT2, aLock); err != nil {
 		return 0, 0, err
 	}
-	if err := checkRate(aLock); err != nil {
-		return 0, 0, err
+	lc := math.Log(u.budget/aLock) + math.Log(pT2)
+	lz, g := u.best(lc)
+	if lz == lc { // B locks his whole budget
+		return u.budget, aLock * g, nil
 	}
-	e := u.newXEval(pT2, aLock)
-	xStar, excess = e.optimal()
-	return xStar, excess, nil
+	return math.Exp(lz) * aLock / pT2, aLock * g, nil
+}
+
+// expectT2 is the Gauss–Hermite expectation over the t2 price, seen from
+// t1, of f at B's best response log z*(P_t2) to the commitment aLock
+// (−Inf where B declines). Eqs. 45 and 46 are both such an expectation.
+func (u *Uncertain) expectT2(aLock float64, f func(lz float64) float64) float64 {
+	tr := u.m.transition(u.m.params.P0, u.m.params.Chains.TauA)
+	logCap := math.Log(u.budget / aLock)
+	return u.m.gh.ExpectNormal(func(logy float64) float64 {
+		lz, _ := u.best(logCap + logy)
+		return f(lz)
+	}, tr.Mu, tr.Sigma)
 }
 
 // AliceExcessUtilityT1 evaluates Eq. 45: the expectation over P_t2 of A's
 // t2 position under B's best response, discounted to t1, minus the amount a
-// she surrenders by locking. The expectation uses Gauss–Hermite quadrature
-// with the inner optimisation evaluated at each node.
+// she surrenders by locking.
 func (u *Uncertain) AliceExcessUtilityT1(aLock float64) (float64, error) {
 	if err := checkRate(aLock); err != nil {
 		return 0, err
@@ -205,16 +228,8 @@ func (u *Uncertain) AliceExcessUtilityT1(aLock float64) (float64, error) {
 	return u.aliceExcessT1(aLock), nil
 }
 
-// aliceExcessT1 is the Gauss–Hermite pass behind AliceExcessUtilityT1.
 func (u *Uncertain) aliceExcessT1(aLock float64) float64 {
-	c := u.m.params.Chains
-	tr := u.m.transition(u.m.params.P0, c.TauA)
-	exp := u.m.gh.ExpectLogNormal(func(y float64) float64 {
-		e := u.newXEval(y, aLock)
-		xStar, _ := e.optimal()
-		return e.aliceT2(xStar)
-	}, tr.Mu, tr.Sigma)
-	return u.m.k.discATauA*exp - aLock
+	return u.m.k.discATauA*aLock*u.expectT2(aLock, u.alice) - aLock
 }
 
 // SuccessRate evaluates Eq. 46: the probability that B locks a positive X*
@@ -223,17 +238,7 @@ func (u *Uncertain) SuccessRate(aLock float64) (float64, error) {
 	if err := checkRate(aLock); err != nil {
 		return 0, err
 	}
-	c := u.m.params.Chains
-	tr := u.m.transition(u.m.params.P0, c.TauA)
-	sr := u.m.gh.ExpectLogNormal(func(y float64) float64 {
-		e := u.newXEval(y, aLock)
-		xStar, _ := e.optimal()
-		if xStar <= 0 {
-			return 0
-		}
-		return e.tr.TailProb(e.pbar0 / xStar)
-	}, tr.Mu, tr.Sigma)
-	return mathx.Clamp(sr, 0, 1), nil
+	return mathx.Clamp(u.expectT2(aLock, u.success), 0, 1), nil
 }
 
 // OptimalLockA maximises A's excess utility (Eq. 45) over the committed
@@ -242,12 +247,7 @@ func (u *Uncertain) OptimalLockA(aMax float64) (aStar, excess float64, err error
 	if aMax <= 0 || math.IsNaN(aMax) || math.IsInf(aMax, 0) {
 		return 0, 0, fmt.Errorf("%w: aMax=%g must be > 0", ErrBadParam, aMax)
 	}
-	arg, val := mathx.GridMax(func(a float64) float64 {
-		if a <= 0 {
-			return math.Inf(-1)
-		}
-		return u.aliceExcessT1(a)
-	}, aMax/200, aMax, 48, 1e-6)
+	arg, val := mathx.GridMax(u.aliceExcessT1, aMax/200, aMax, 48, 1e-6)
 	return arg, val, nil
 }
 
@@ -260,10 +260,9 @@ func (u *Uncertain) BreakEvenRange(aMax float64) (mathx.Interval, bool, error) {
 	if aMax <= 0 || math.IsNaN(aMax) || math.IsInf(aMax, 0) {
 		return mathx.Interval{}, false, fmt.Errorf("%w: aMax=%g must be > 0", ErrBadParam, aMax)
 	}
-	diff := func(a float64) float64 { return u.aliceExcessT1(a) }
 	lo, hi := aMax/500, aMax
-	roots := mathx.FindAllRoots(diff, lo, hi, 60, 1e-6)
-	set := mathx.FromSignChanges(diff, lo, hi, roots)
+	roots := mathx.FindAllRoots(u.aliceExcessT1, lo, hi, 60, 1e-6)
+	set := mathx.FromSignChanges(u.aliceExcessT1, lo, hi, roots)
 	if set.Empty() {
 		return mathx.Interval{Lo: 1, Hi: 0}, false, nil
 	}

@@ -57,8 +57,10 @@ type RunOpts struct {
 // struct they no longer match. Schema 2: the basic game's feasibility and
 // optimum scans moved to a unit-rate probe kernel, which moves the last
 // bits of stored feasibleLo/feasibleHi/optimalSR and plateau optimalRate
-// values.
-const cellSchema = 2
+// values. Schema 3: the uncertain game solves B's best response once in
+// the scaled amount z = X·y/a, which moves the last bits (~1e-8) of stored
+// uncertain sr/aliceExcess values.
+const cellSchema = 3
 
 // reportDigest pins the bytes the current cellSchema stands for: the
 // SHA-256 of the marshalled analytic reports of a fixed cell set (every
@@ -66,7 +68,7 @@ const cellSchema = 2
 // see TestReportBytesPinned). A change that moves any of those bytes fails
 // that test until cellSchema is bumped and this digest re-pinned, so
 // stored reports cannot silently mix with newly solved ones.
-const reportDigest = "5535eab273fd7d8f821b584fe582e40f070322a0b47d478baad218055a62b77c"
+const reportDigest = "81272e33da6f3fb2d3df603b2e3c62a5f0cd07e2769f4dfd8eccc27cf213474f"
 
 // cellKeyMaterial is the complete solve input of one (scenario × variant)
 // cell, in canonical field order. MCWorkers is deliberately absent —
