@@ -55,7 +55,7 @@ bench-json:
 # within 2x of the committed baselines' allocs/op, reported in one merged
 # table (wall-clock is not gated — allocs are hardware-independent). The
 # MC suite runs 0.2s per benchmark — enough iterations that one-time pool
-# warm-up amortizes to zero against the 1-alloc/path baseline — while the
+# warm-up amortizes to zero against the zero-alloc path baseline — while the
 # solve suite runs once so the process-wide caches are as cold as the
 # baseline's. The convergence benchmarks' pathsratio is gated at 1.0x
 # pseudo: no sampler may need more paths than pseudo, whose ratio is 1 by

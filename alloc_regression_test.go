@@ -1,7 +1,7 @@
 // Allocation-regression pins for the amortized solve engine and the
 // zero-alloc Monte Carlo hot path (testing.AllocsPerRun, so the numbers
 // are exact and hardware-independent). The pins are ratcheted to the
-// PR 4 numbers — RunOutcome dropped from 49 allocs/path to ≤2, a warm
+// measured numbers — RunOutcome from 49 allocs/path down to 0, a warm
 // memoized solve to ≤3 — and exist to keep them there: loosen only with a
 // benchmark justification in EXPERIMENTS.md.
 package repro_test
@@ -16,9 +16,9 @@ import (
 )
 
 // TestRunOutcomeAllocs pins the per-path allocation budget of the reusable
-// runner. Budget 2: the refund path's bound-method callback is the one
-// remaining allocation; everything else (scheduler events, transactions,
-// contracts, secrets, IDs, decision logs) is pooled.
+// runner at zero: scheduler events, ledger state, transactions, contracts,
+// secrets, IDs and decision logs are all pooled, and every per-path event
+// is a package-level scheduler call with pointer arguments.
 func TestRunOutcomeAllocs(t *testing.T) {
 	cfg := mcConfigT(t)
 	runner, err := swapsim.NewRunner(cfg)
@@ -39,7 +39,7 @@ func TestRunOutcomeAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const budget = 2
+	const budget = 0
 	if avg > budget {
 		t.Fatalf("RunOutcome allocates %.2f/op, budget %d (was 49 before the amortized engine)", avg, budget)
 	}

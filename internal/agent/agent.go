@@ -219,12 +219,11 @@ func (a *Alice) actT3() {
 	}
 }
 
-// refundErr records a failed refund.
-func (a *Alice) refundErr(reason string) { a.record("t8", 0, core.Stop, reason) }
-
 // refund reclaims Alice's escrow if her contract is still locked at expiry.
 func (a *Alice) refund() {
-	retryRefund(a.env, a.env.ChainA, a.contractA, a.refundErr)
+	if reason := retryRefund(a.env.Sched, a.env.ChainA, a.contractA, aliceRefundCall, a); reason != "" {
+		a.record("t8", 0, core.Stop, reason)
+	}
 }
 
 // Bob is the responder: he verifies Alice's lock at t2, decides by the
@@ -366,40 +365,40 @@ func (b *Bob) onSecret(contractID string, secret htlc.Secret) {
 	b.record("t4", 0, core.Cont, "claim-with-revealed-secret")
 }
 
-// refundErr records a failed refund (see Alice.refundErr).
-func (b *Bob) refundErr(reason string) { b.record("t7", 0, core.Stop, reason) }
-
 // refund reclaims Bob's escrow if his contract is still locked at expiry.
 func (b *Bob) refund() {
-	retryRefund(b.env, b.env.ChainB, b.contractB, b.refundErr)
+	if reason := retryRefund(b.env.Sched, b.env.ChainB, b.contractB, bobRefundCall, b); reason != "" {
+		b.record("t7", 0, core.Stop, reason)
+	}
 }
 
-// retryRefund submits a refund for a still-locked contract, re-arming after
-// a crash window when the lock has not even executed yet (a halted chain
-// creates the escrow only after recovery).
-func retryRefund(env Env, c *chain.Chain, contractID string, onErr func(string)) {
+// retryRefund submits a refund for a still-locked contract. When the lock
+// has not even executed yet (a halted chain creates the escrow only after
+// recovery), it schedules retry(self, nil) — the agent's own refund
+// adapter — for the end of the crash window. It returns the failure
+// reason to record, or "".
+func retryRefund(sched *sim.Scheduler, c *chain.Chain, contractID string, retry func(self, _ any), self any) string {
 	if contractID == "" {
-		return
+		return ""
 	}
 	ct, err := c.Contract(contractID)
 	if err != nil {
 		// Lock not yet executed. If the chain is down, check again at
 		// recovery; otherwise the lock failed and there is nothing to do.
-		if until := c.HaltedUntil(); until > env.Sched.Now() {
-			if err := env.Sched.Schedule(until, func() {
-				retryRefund(env, c, contractID, onErr)
-			}); err != nil {
-				onErr("refund-retry-scheduling-failed: " + err.Error())
+		if until := c.HaltedUntil(); until > sched.Now() {
+			if err := sched.ScheduleCall(until, sim.PriorityDefault, retry, self, nil); err != nil {
+				return "refund-retry-scheduling-failed: " + err.Error()
 			}
 		}
-		return
+		return ""
 	}
 	if ct.State() != htlc.Locked {
-		return
+		return ""
 	}
 	if _, err := c.SubmitRefund(contractID); err != nil {
-		onErr("refund-submission-failed: " + err.Error())
+		return "refund-submission-failed: " + err.Error()
 	}
+	return ""
 }
 
 // HonestStrategy returns thresholds that always continue: Alice reveals at

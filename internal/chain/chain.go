@@ -126,11 +126,12 @@ type Chain struct {
 	eps   float64
 	sched *sim.Scheduler
 
-	balances    map[string]float64
-	contracts   map[string]*htlc.Contract
-	txs         map[string]*Tx
-	order       []string
-	nextID      int
+	// Ledger state lives in slices scanned linearly (a run touches a few
+	// accounts and contracts), so Reset only truncates. Contract n in
+	// creation order has ID htlcID(n), transaction n in order txID(n).
+	balances    []balance
+	contracts   []*htlc.Contract
+	order       []*Tx
 	haltedUntil float64
 	observers   []SecretObserver
 
@@ -168,40 +169,42 @@ func New(cfg Config, sched *sim.Scheduler) (*Chain, error) {
 	case cfg.Eps < 0 || cfg.Eps > cfg.Tau:
 		return nil, fmt.Errorf("%w: eps=%g must be in [0, tau=%g]", ErrBadConfig, cfg.Eps, cfg.Tau)
 	}
-	return &Chain{
-		name:      cfg.Name,
-		asset:     cfg.Asset,
-		tau:       cfg.Tau,
-		eps:       cfg.Eps,
-		sched:     sched,
-		balances:  make(map[string]float64),
-		contracts: make(map[string]*htlc.Contract),
-		txs:       make(map[string]*Tx),
-	}, nil
+	return &Chain{name: cfg.Name, asset: cfg.Asset, tau: cfg.Tau, eps: cfg.Eps, sched: sched}, nil
+}
+
+// balance is one account's available funds.
+type balance struct {
+	account string
+	amount  float64
+}
+
+// slot returns the balance slot for account, appending an empty one for
+// an account not seen since the last Reset.
+func (c *Chain) slot(account string) *float64 {
+	for i := range c.balances {
+		if c.balances[i].account == account {
+			return &c.balances[i].amount
+		}
+	}
+	c.balances = append(c.balances, balance{account: account})
+	return &c.balances[len(c.balances)-1].amount
 }
 
 // Reset rewinds the chain to its freshly constructed state — no balances,
 // contracts, transactions, observers or halt window — while keeping the
-// allocated map and slice capacity for reuse, and recycling every
-// transaction and contract object into the chain's free pools. The caller
-// must reset the shared scheduler in the same breath: pending events
-// referencing the old run would otherwise fire against the cleared state.
+// allocated slice capacity for reuse, and recycling every transaction and
+// contract object into the chain's free pools. The caller must reset the
+// shared scheduler in the same breath: pending events referencing the old
+// run would otherwise fire against the cleared state.
 func (c *Chain) Reset() {
-	clear(c.balances)
-	for _, id := range c.order {
-		if tx := c.txs[id]; tx != nil {
-			secret := tx.secret[:0]
-			*tx = Tx{secret: secret}
-			c.txFree = append(c.txFree, tx)
-		}
+	c.balances = c.balances[:0]
+	for _, tx := range c.order {
+		*tx = Tx{secret: tx.secret[:0]}
 	}
-	for _, ct := range c.contracts {
-		c.ctFree = append(c.ctFree, ct)
-	}
-	clear(c.contracts)
-	clear(c.txs)
+	c.txFree = append(c.txFree, c.order...)
+	c.ctFree = append(c.ctFree, c.contracts...)
 	c.order = c.order[:0]
-	c.nextID = 0
+	c.contracts = c.contracts[:0]
 	c.haltedUntil = 0
 	c.observers = c.observers[:0]
 }
@@ -262,46 +265,49 @@ func (c *Chain) Mint(account string, amount float64) error {
 	if account == "" || amount < 0 {
 		return fmt.Errorf("%w: mint %g to %q", ErrBadSubmission, amount, account)
 	}
-	c.balances[account] += amount
+	*c.slot(account) += amount
 	return nil
 }
 
 // Balance returns an account's available (non-escrowed) balance.
-func (c *Chain) Balance(account string) float64 { return c.balances[account] }
+func (c *Chain) Balance(account string) float64 {
+	for _, b := range c.balances {
+		if b.account == account {
+			return b.amount
+		}
+	}
+	return 0
+}
 
 // Contract returns a hosted HTLC by ID.
 func (c *Chain) Contract(id string) (*htlc.Contract, error) {
-	ct, ok := c.contracts[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownContract, id)
+	for _, ct := range c.contracts {
+		if ct.ID == id {
+			return ct, nil
+		}
 	}
-	return ct, nil
+	return nil, fmt.Errorf("%w: %q", ErrUnknownContract, id)
 }
 
 // TxByID returns a submitted transaction.
 func (c *Chain) TxByID(id string) (*Tx, error) {
-	tx, ok := c.txs[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownTx, id)
+	for _, tx := range c.order {
+		if tx.ID == id {
+			return tx, nil
+		}
 	}
-	return tx, nil
+	return nil, fmt.Errorf("%w: %q", ErrUnknownTx, id)
 }
 
 // Transactions returns all transactions in submission order.
-func (c *Chain) Transactions() []*Tx {
-	out := make([]*Tx, 0, len(c.order))
-	for _, id := range c.order {
-		out = append(out, c.txs[id])
-	}
-	return out
-}
+func (c *Chain) Transactions() []*Tx { return append([]*Tx(nil), c.order...) }
 
 // EachTransaction calls fn for every transaction in submission order until
 // fn returns false — Transactions without the slice allocation, for audit
 // passes on the Monte Carlo hot path.
 func (c *Chain) EachTransaction(fn func(*Tx) bool) {
-	for _, id := range c.order {
-		if !fn(c.txs[id]) {
+	for _, tx := range c.order {
+		if !fn(tx) {
 			return
 		}
 	}
@@ -336,13 +342,11 @@ func executeCall(c, tx any) { c.(*Chain).execute(tx.(*Tx)) }
 // submit registers a transaction and schedules its mempool-visibility and
 // execution events.
 func (c *Chain) submit(tx *Tx) (string, error) {
-	c.nextID++
-	tx.ID = c.txID(c.nextID)
+	c.order = append(c.order, tx)
+	tx.ID = c.txID(len(c.order))
 	tx.SubmittedAt = c.sched.Now()
 	tx.VisibleAt = tx.SubmittedAt + c.eps
 	tx.Status = TxPending
-	c.txs[tx.ID] = tx
-	c.order = append(c.order, tx.ID)
 
 	if tx.Kind == TxClaim {
 		if err := c.sched.ScheduleCall(tx.VisibleAt, sim.PriorityMempool, notifyCall, c, tx); err != nil {
@@ -391,45 +395,42 @@ func (c *Chain) execute(tx *Tx) {
 func (c *Chain) apply(tx *Tx, now float64) error {
 	switch tx.Kind {
 	case TxTransfer:
-		if c.balances[tx.from] < tx.amount {
-			return fmt.Errorf("%w: %s has %g, needs %g", ErrInsufficientFunds,
-				tx.from, c.balances[tx.from], tx.amount)
+		if err := c.debit(tx.from, tx.amount); err != nil {
+			return err
 		}
-		c.balances[tx.from] -= tx.amount
-		c.balances[tx.to] += tx.amount
+		*c.slot(tx.to) += tx.amount
 		return nil
 	case TxLock:
-		if c.balances[tx.from] < tx.amount {
-			return fmt.Errorf("%w: %s has %g, needs %g", ErrInsufficientFunds,
-				tx.from, c.balances[tx.from], tx.amount)
+		if have := c.Balance(tx.from); have < tx.amount {
+			return fmt.Errorf("%w: %s has %g, needs %g", ErrInsufficientFunds, tx.from, have, tx.amount)
 		}
 		ct := c.newContract()
 		if err := ct.Init(tx.ContractID, tx.from, tx.to, c.asset, tx.amount, tx.lock, tx.expiry); err != nil {
 			c.ctFree = append(c.ctFree, ct)
 			return err
 		}
-		c.balances[tx.from] -= tx.amount
-		c.contracts[tx.ContractID] = ct
+		*c.slot(tx.from) -= tx.amount
+		c.addContract(ct)
 		return nil
 	case TxClaim:
-		ct, ok := c.contracts[tx.ContractID]
-		if !ok {
-			return fmt.Errorf("%w: %q", ErrUnknownContract, tx.ContractID)
+		ct, err := c.Contract(tx.ContractID)
+		if err != nil {
+			return err
 		}
 		if err := ct.Claim(tx.secret, now); err != nil {
 			return err
 		}
-		c.balances[ct.Recipient] += ct.Amount
+		*c.slot(ct.Recipient) += ct.Amount
 		return nil
 	case TxRefund:
-		ct, ok := c.contracts[tx.ContractID]
-		if !ok {
-			return fmt.Errorf("%w: %q", ErrUnknownContract, tx.ContractID)
+		ct, err := c.Contract(tx.ContractID)
+		if err != nil {
+			return err
 		}
 		if err := ct.Refund(now); err != nil {
 			return err
 		}
-		c.balances[ct.Sender] += ct.Amount
+		*c.slot(ct.Sender) += ct.Amount
 		return nil
 	default:
 		return fmt.Errorf("%w: kind %v", ErrBadSubmission, tx.Kind)
@@ -498,12 +499,11 @@ func (c *Chain) SubmitRefund(contractID string) (string, error) {
 func (c *Chain) FindContract(pred func(*htlc.Contract) bool) (*htlc.Contract, bool) {
 	// Contract IDs embed a creation counter, so scan transactions in
 	// submission order for deterministic discovery.
-	for _, id := range c.order {
-		tx := c.txs[id]
+	for _, tx := range c.order {
 		if tx.Kind != TxLock || tx.Status != TxConfirmed {
 			continue
 		}
-		if ct, ok := c.contracts[tx.ContractID]; ok && pred(ct) {
+		if ct, err := c.Contract(tx.ContractID); err == nil && pred(ct) {
 			return ct, true
 		}
 	}
@@ -517,12 +517,29 @@ func (c *Chain) Burn(account string, amount float64) error {
 	if account == "" || amount < 0 {
 		return fmt.Errorf("%w: burn %g from %q", ErrBadSubmission, amount, account)
 	}
-	if c.balances[account] < amount {
-		return fmt.Errorf("%w: %s has %g, needs %g", ErrInsufficientFunds,
-			account, c.balances[account], amount)
+	return c.debit(account, amount)
+}
+
+// debit takes amount from an account's balance, refusing an overdraft.
+func (c *Chain) debit(account string, amount float64) error {
+	bal := c.slot(account)
+	if *bal < amount {
+		return fmt.Errorf("%w: %s has %g, needs %g", ErrInsufficientFunds, account, *bal, amount)
 	}
-	c.balances[account] -= amount
+	*bal -= amount
 	return nil
+}
+
+// addContract hosts a new contract. A lock submitted before an earlier one
+// confirmed shares its ID; the later contract then replaces the earlier.
+func (c *Chain) addContract(ct *htlc.Contract) {
+	for i, old := range c.contracts {
+		if old.ID == ct.ID {
+			c.contracts[i] = ct
+			return
+		}
+	}
+	c.contracts = append(c.contracts, ct)
 }
 
 // Parties exposes a transaction's endpoints and amount for audit tooling

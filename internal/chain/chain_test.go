@@ -60,6 +60,13 @@ func TestMintAndBalance(t *testing.T) {
 	if got := c.Balance("nobody"); got != 0 {
 		t.Errorf("unknown account balance = %v, want 0", got)
 	}
+	// A refused debit of an account that never held funds leaves it at 0.
+	if err := c.Burn("nobody", 1); !errors.Is(err, ErrInsufficientFunds) {
+		t.Errorf("burn from unknown account err = %v, want ErrInsufficientFunds", err)
+	}
+	if got := c.Balance("nobody"); got != 0 {
+		t.Errorf("unknown account balance after refused burn = %v, want 0", got)
+	}
 	if err := c.Mint("", 1); !errors.Is(err, ErrBadSubmission) {
 		t.Errorf("empty account err = %v", err)
 	}
@@ -436,5 +443,121 @@ func TestResetClearsAllChainState(t *testing.T) {
 	txs := c.Transactions()
 	if len(txs) == 0 || txs[0].ID != "chain_b-tx0001" {
 		t.Errorf("post-reset tx IDs did not restart: %v", txs[0].ID)
+	}
+}
+
+// lockAndConfirm submits a lock for amount from alice to bob and runs the
+// scheduler until it confirms, returning the contract ID.
+func lockAndConfirm(t *testing.T, c *Chain, s *sim.Scheduler, amount float64) string {
+	t.Helper()
+	_, hash, err := htlc.NewSecret(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, id, err := c.SubmitLock("alice", "bob", amount, hash, s.Now()+50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.RunUntil(s.Now() + c.Tau())
+	if _, err := c.Contract(id); err != nil {
+		t.Fatalf("lock %s did not confirm: %v", id, err)
+	}
+	return id
+}
+
+func TestResetForgetsRecycledContracts(t *testing.T) {
+	c, s := newTestChain(t)
+	if err := c.Mint("alice", 10); err != nil {
+		t.Fatal(err)
+	}
+	first := lockAndConfirm(t, c, s, 1)
+	second := lockAndConfirm(t, c, s, 2)
+	if first == second {
+		t.Fatalf("sequential locks share ID %s", first)
+	}
+	old1, _ := c.Contract(first)
+	old2, _ := c.Contract(second)
+
+	s.Reset()
+	c.Reset()
+	for _, id := range []string{first, second} {
+		if _, err := c.Contract(id); !errors.Is(err, ErrUnknownContract) {
+			t.Errorf("Contract(%s) after Reset err = %v, want ErrUnknownContract", id, err)
+		}
+	}
+	if _, ok := c.FindContract(func(*htlc.Contract) bool { return true }); ok {
+		t.Error("FindContract found a contract after Reset")
+	}
+
+	// The next run recycles a pooled contract object under the first ID;
+	// the object that carried the second ID stays unreachable by it.
+	if err := c.Mint("alice", 10); err != nil {
+		t.Fatal(err)
+	}
+	if id := lockAndConfirm(t, c, s, 3); id != first {
+		t.Fatalf("first post-reset lock ID = %s, want %s", id, first)
+	}
+	ct, _ := c.Contract(first)
+	if ct != old1 && ct != old2 {
+		t.Error("post-reset lock did not reuse a pooled contract")
+	}
+	if ct.Amount != 3 {
+		t.Errorf("recycled contract amount = %v, want 3", ct.Amount)
+	}
+	if _, err := c.Contract(second); !errors.Is(err, ErrUnknownContract) {
+		t.Errorf("recycled contract found by its old ID %s: err = %v", second, err)
+	}
+}
+
+func TestReplayedPathRegeneratesIDs(t *testing.T) {
+	// path runs a transfer, a lock, a claim on it and a refund attempt,
+	// returning every transaction ID and the contract ID in order.
+	path := func(c *Chain, s *sim.Scheduler) []string {
+		if err := c.Mint("alice", 10); err != nil {
+			t.Fatal(err)
+		}
+		transfer, err := c.SubmitTransfer("alice", "bob", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := lockAndConfirm(t, c, s, 2)
+		claim, err := c.SubmitClaim(id, htlc.Secret("not-the-preimage"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		refund, err := c.SubmitRefund(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Run()
+		ids := []string{transfer, claim, refund, id}
+		for _, tx := range c.Transactions() {
+			ids = append(ids, tx.ID)
+			if got, err := c.TxByID(tx.ID); err != nil || got != tx {
+				t.Errorf("TxByID(%s) = %v, %v", tx.ID, got, err)
+			}
+		}
+		return ids
+	}
+	c, s := newTestChain(t)
+	want := path(c, s)
+	for run := 0; run < 3; run++ {
+		s.Reset()
+		c.Reset()
+		got := path(c, s)
+		if len(got) != len(want) {
+			t.Fatalf("replay %d: %d IDs, want %d", run, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("replay %d: ID %d = %s, want %s", run, i, got[i], want[i])
+			}
+		}
+	}
+	if want[3] != "chain_b-htlc0001" || want[0] != "chain_b-tx0001" {
+		t.Errorf("fresh IDs = %v", want)
+	}
+	if _, err := c.TxByID("chain_b-tx0099"); !errors.Is(err, ErrUnknownTx) {
+		t.Errorf("TxByID of unsubmitted ID err = %v, want ErrUnknownTx", err)
 	}
 }

@@ -155,19 +155,19 @@ func runSwap(t *testing.T, f *fixture, bobLocks, aliceReveals bool) {
 		t.Fatal(err)
 	}
 	if bobLocks {
-		if err := f.sched.Schedule(f.tl.T2, func() {
+		if err := f.sched.ScheduleCall(f.tl.T2, sim.PriorityDefault, func(_, _ any) {
 			if _, ctID, err := f.chainB.SubmitLock("bob", "alice", 1, hash, f.tl.TB); err != nil {
 				t.Errorf("bob lock: %v", err)
 			} else if aliceReveals {
-				if err := f.sched.Schedule(f.tl.T3, func() {
+				if err := f.sched.ScheduleCall(f.tl.T3, sim.PriorityDefault, func(_, _ any) {
 					if _, err := f.chainB.SubmitClaim(ctID, secret); err != nil {
 						t.Errorf("alice claim: %v", err)
 					}
-				}); err != nil {
+				}, nil, nil); err != nil {
 					t.Error(err)
 				}
 			}
-		}); err != nil {
+		}, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -255,11 +255,11 @@ func TestRefundsCompleteTheUnwind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.sched.Schedule(f.tl.TA, func() {
+	if err := f.sched.ScheduleCall(f.tl.TA, sim.PriorityDefault, func(_, _ any) {
 		if _, err := f.chainA.SubmitRefund(ctID); err != nil {
 			t.Errorf("refund: %v", err)
 		}
-	}); err != nil {
+	}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	f.sched.Run()

@@ -31,23 +31,20 @@ const (
 	PriorityDefault = 100
 )
 
-// event is a pending callback. Exactly one of fn and call is set: fn is
-// the closure form, call+a1+a2 the allocation-free form (a package-level
-// function pointer with its receiver and argument passed as interfaces,
-// which boxes nothing when both are pointers).
+// event is a pending callback: a function value with its receiver and
+// argument passed as interfaces, which boxes nothing when both are
+// pointers and captures no closure when fn is a package-level function.
 type event struct {
 	at   float64
 	prio int
 	seq  uint64
-	fn   func()
 	call func(a1, a2 any)
 	a1   any
 	a2   any
 }
 
 // less orders events by time, then priority tier, then submission
-// sequence — the same total order the original container/heap
-// implementation used, so event execution order is unchanged.
+// sequence, so same-instant events fire in a reproducible order.
 func (e *event) less(o *event) bool {
 	if e.at != o.at {
 		return e.at < o.at
@@ -61,14 +58,17 @@ func (e *event) less(o *event) bool {
 // Scheduler is a deterministic discrete-event scheduler. The zero value is
 // ready to use with the clock at time zero.
 //
-// The event queue is a binary min-heap of event values managed in place:
-// pushing and popping move values within one backing array, so a reset
-// scheduler schedules and runs without allocating (the Monte Carlo hot
-// path; see Reset).
+// Pending events live in a slab of reusable slots; the queue is a binary
+// min-heap of slot indices, so sifting moves four-byte indices instead of
+// whole events. A slot returns to the free list as its event fires, and a
+// reset scheduler schedules and runs without allocating (the Monte Carlo
+// hot path; see Reset).
 type Scheduler struct {
 	now     float64
 	seq     uint64
-	events  []event
+	slab    []event
+	free    []int32
+	heap    []int32
 	stopped bool
 }
 
@@ -76,121 +76,106 @@ type Scheduler struct {
 func NewScheduler() *Scheduler { return &Scheduler{} }
 
 // Reset rewinds the scheduler to a freshly constructed state — clock at
-// zero, no pending events — while retaining the allocated event-heap
-// capacity, so a reused scheduler schedules without reallocating.
+// zero, no pending events — while retaining the allocated slab and heap
+// capacity. Every slot is cleared, so no callback or argument of the old
+// run stays reachable.
 func (s *Scheduler) Reset() {
 	s.now = 0
 	s.seq = 0
 	s.stopped = false
-	for i := range s.events {
-		s.events[i] = event{}
-	}
-	s.events = s.events[:0]
+	clear(s.slab)
+	s.slab = s.slab[:0]
+	s.free = s.free[:0]
+	s.heap = s.heap[:0]
 }
 
 // Now returns the current simulated time in hours.
 func (s *Scheduler) Now() float64 { return s.now }
 
 // Pending returns the number of events waiting to fire.
-func (s *Scheduler) Pending() int { return len(s.events) }
-
-// Schedule registers fn to fire at absolute time at, in the default
-// priority tier.
-func (s *Scheduler) Schedule(at float64, fn func()) error {
-	return s.ScheduleWithPriority(at, PriorityDefault, fn)
-}
-
-// ScheduleWithPriority registers fn to fire at absolute time at within the
-// given priority tier (lower fires first among same-instant events).
-func (s *Scheduler) ScheduleWithPriority(at float64, prio int, fn func()) error {
-	if fn == nil {
-		return fmt.Errorf("%w: nil callback", ErrBadTime)
-	}
-	return s.push(event{at: at, prio: prio, fn: fn})
-}
+func (s *Scheduler) Pending() int { return len(s.heap) }
 
 // ScheduleCall registers fn(a1, a2) to fire at absolute time at within the
-// given priority tier. It is the allocation-free form of
-// ScheduleWithPriority: with fn a package-level function and a1/a2
-// pointers, scheduling captures no closure and boxes nothing — the Monte
-// Carlo hot path schedules every per-path event this way.
+// given priority tier (lower fires first among same-instant events). With
+// fn a package-level function and a1/a2 pointers, scheduling captures no
+// closure and boxes nothing — the Monte Carlo hot path schedules every
+// per-path event this way.
 func (s *Scheduler) ScheduleCall(at float64, prio int, fn func(a1, a2 any), a1, a2 any) error {
 	if fn == nil {
 		return fmt.Errorf("%w: nil callback", ErrBadTime)
 	}
-	return s.push(event{at: at, prio: prio, call: fn, a1: a1, a2: a2})
-}
-
-// ScheduleAfter registers fn to fire delay hours from now.
-func (s *Scheduler) ScheduleAfter(delay float64, fn func()) error {
-	return s.Schedule(s.now+delay, fn)
-}
-
-// push validates the event time and sifts the event into the heap.
-func (s *Scheduler) push(ev event) error {
-	if math.IsNaN(ev.at) || math.IsInf(ev.at, 0) {
-		return fmt.Errorf("%w: %g", ErrBadTime, ev.at)
+	if math.IsNaN(at) || math.IsInf(at, 0) {
+		return fmt.Errorf("%w: %g", ErrBadTime, at)
 	}
-	if ev.at < s.now {
-		return fmt.Errorf("%w: at=%g < now=%g", ErrPastEvent, ev.at, s.now)
+	if at < s.now {
+		return fmt.Errorf("%w: at=%g < now=%g", ErrPastEvent, at, s.now)
+	}
+	var slot int32
+	if n := len(s.free); n > 0 {
+		slot = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		slot = int32(len(s.slab))
+		s.slab = append(s.slab, event{})
 	}
 	s.seq++
-	ev.seq = s.seq
-	s.events = append(s.events, ev)
-	s.siftUp(len(s.events) - 1)
+	s.slab[slot] = event{at: at, prio: prio, seq: s.seq, call: fn, a1: a1, a2: a2}
+	s.heap = append(s.heap, slot)
+	s.siftUp(len(s.heap) - 1)
 	return nil
 }
 
-// pop removes and returns the front event. The vacated slot is cleared so
-// the backing array does not retain closures or arguments.
-func (s *Scheduler) pop() event {
-	ev := s.events[0]
-	n := len(s.events) - 1
-	s.events[0] = s.events[n]
-	s.events[n] = event{}
-	s.events = s.events[:n]
-	if n > 0 {
-		s.siftDown(0)
-	}
-	return ev
+// less reports whether heap position i fires before heap position j.
+func (s *Scheduler) less(i, j int) bool {
+	return s.slab[s.heap[i]].less(&s.slab[s.heap[j]])
 }
 
 func (s *Scheduler) siftUp(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !s.events[i].less(&s.events[parent]) {
+		if !s.less(i, parent) {
 			break
 		}
-		s.events[i], s.events[parent] = s.events[parent], s.events[i]
+		s.heap[i], s.heap[parent] = s.heap[parent], s.heap[i]
 		i = parent
 	}
 }
 
 func (s *Scheduler) siftDown(i int) {
-	n := len(s.events)
+	n := len(s.heap)
 	for {
 		least := i
-		if l := 2*i + 1; l < n && s.events[l].less(&s.events[least]) {
+		if l := 2*i + 1; l < n && s.less(l, least) {
 			least = l
 		}
-		if r := 2*i + 2; r < n && s.events[r].less(&s.events[least]) {
+		if r := 2*i + 2; r < n && s.less(r, least) {
 			least = r
 		}
 		if least == i {
 			return
 		}
-		s.events[i], s.events[least] = s.events[least], s.events[i]
+		s.heap[i], s.heap[least] = s.heap[least], s.heap[i]
 		i = least
 	}
 }
 
-// fire dispatches one event.
-func (s *Scheduler) fire(ev *event) {
-	if ev.fn != nil {
-		ev.fn()
-		return
+// fire pops the front event, advances the clock to it and dispatches it.
+// The slot is cleared and released before the callback runs, so the
+// callback may schedule into it and the slab keeps no stale references.
+func (s *Scheduler) fire() {
+	slot := s.heap[0]
+	n := len(s.heap) - 1
+	s.heap[0] = s.heap[n]
+	s.heap = s.heap[:n]
+	if n > 0 {
+		s.siftDown(0)
 	}
-	ev.call(ev.a1, ev.a2)
+	ev := &s.slab[slot]
+	s.now = ev.at
+	call, a1, a2 := ev.call, ev.a1, ev.a2
+	*ev = event{}
+	s.free = append(s.free, slot)
+	call(a1, a2)
 }
 
 // Run processes events in time order until none remain or Stop is called.
@@ -199,10 +184,8 @@ func (s *Scheduler) fire(ev *event) {
 func (s *Scheduler) Run() int {
 	s.stopped = false
 	n := 0
-	for len(s.events) > 0 && !s.stopped {
-		ev := s.pop()
-		s.now = ev.at
-		s.fire(&ev)
+	for len(s.heap) > 0 && !s.stopped {
+		s.fire()
 		n++
 	}
 	return n
@@ -214,10 +197,8 @@ func (s *Scheduler) Run() int {
 func (s *Scheduler) RunUntil(t float64) int {
 	s.stopped = false
 	n := 0
-	for len(s.events) > 0 && !s.stopped && s.events[0].at <= t {
-		ev := s.pop()
-		s.now = ev.at
-		s.fire(&ev)
+	for len(s.heap) > 0 && !s.stopped && s.slab[s.heap[0]].at <= t {
+		s.fire()
 		n++
 	}
 	if !s.stopped && t > s.now {

@@ -165,10 +165,10 @@ func (r *Runner) RunOutcomeIndexed(index int, seed int64) (Outcome, error) {
 	r.sched.Reset()
 	r.chainA.Reset()
 	r.chainB.Reset()
-	if err := armHalt(r.sched, r.chainA, r.cfg.HaltA); err != nil {
+	if err := armHalt(r.sched, r.chainA, &r.cfg.HaltA); err != nil {
 		return Outcome{}, fmt.Errorf("swapsim: %w", err)
 	}
-	if err := armHalt(r.sched, r.chainB, r.cfg.HaltB); err != nil {
+	if err := armHalt(r.sched, r.chainB, &r.cfg.HaltB); err != nil {
 		return Outcome{}, fmt.Errorf("swapsim: %w", err)
 	}
 	if err := r.chainA.Mint(AliceAccount, r.fundAliceA); err != nil {

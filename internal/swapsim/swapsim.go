@@ -124,15 +124,20 @@ type HaltWindow struct {
 	Until float64
 }
 
-// armHalt schedules a crash window on a chain.
-func armHalt(sched *sim.Scheduler, c *chain.Chain, w HaltWindow) error {
+// haltCall is armHalt's scheduler-call adapter (see
+// sim.Scheduler.ScheduleCall): it starts the window's crash on the chain.
+func haltCall(c, w any) { c.(*chain.Chain).Halt(w.(*HaltWindow).Until) }
+
+// armHalt schedules a crash window on a chain. The window is passed by
+// pointer so scheduling it boxes nothing; it must outlive the run.
+func armHalt(sched *sim.Scheduler, c *chain.Chain, w *HaltWindow) error {
 	if w.Until <= 0 {
 		return nil
 	}
 	if w.Until <= w.From {
-		return fmt.Errorf("%w: halt window %+v", ErrBadConfig, w)
+		return fmt.Errorf("%w: halt window %+v", ErrBadConfig, *w)
 	}
-	return sched.Schedule(w.From, func() { c.Halt(w.Until) })
+	return sched.ScheduleCall(w.From, sim.PriorityDefault, haltCall, c, w)
 }
 
 // escrowPaidTo sums confirmed escrow transfers to an account, iterating

@@ -3,6 +3,7 @@ package variant
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/scenario"
 )
 
@@ -25,13 +26,17 @@ func (uncertainGame) Solve(ctx *Context, sc scenario.Scenario) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	u := m.Uncertain()
+	// Build only the solver this cell uses: each one tabulates B's
+	// best response on construction.
+	var u *core.Uncertain
 	budgetNote := "unconstrained (printed Eq. 44)"
 	if sc.BobBudget > 0 {
 		if u, err = m.UncertainWithBudget(sc.BobBudget); err != nil {
 			return Report{}, err
 		}
 		budgetNote = fmt.Sprintf("budget-capped at %g Token_b", sc.BobBudget)
+	} else {
+		u = m.Uncertain()
 	}
 	sr, err := u.SuccessRate(sc.PStar)
 	if err != nil {

@@ -40,6 +40,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"regexp"
 	"sort"
@@ -55,10 +56,11 @@ type Benchmark struct {
 	// Iterations is the b.N the reported values were averaged over.
 	Iterations int `json:"iterations"`
 	// NsPerOp, BytesPerOp and AllocsPerOp are the standard -benchmem
-	// metrics.
+	// metrics. AllocsPerOp is written even when zero: a zero-alloc
+	// baseline is a gate (the run must stay at zero), not an absent one.
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
-	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
+	AllocsPerOp float64 `json:"allocs_per_op"`
 	// PathsPerSec is the engine benchmarks' custom throughput metric.
 	PathsPerSec float64 `json:"paths_per_sec,omitempty"`
 	// EffPathsPerSec is the convergence benchmarks' precision-normalized
@@ -177,9 +179,9 @@ func parseMaxWall(spec string) (map[string]float64, error) {
 }
 
 // check compares a run against the merged baselines: allocs/op is gated at
-// maxRatio, pathsratio (when reported and maxPathsRatio > 0) at its
-// absolute ceiling, ns/op and paths/s are reported as informational
-// deltas. The pathsratio gate is absolute, not relative to the baseline:
+// maxRatio (a zero baseline admits only zero), pathsratio (when reported
+// and maxPathsRatio > 0) at its absolute ceiling, ns/op and paths/s are
+// reported as informational deltas. The pathsratio gate is absolute, not relative to the baseline:
 // the adaptive stop is deterministic per seed, so a variance-reduced mode
 // drifting past its documented convergence bound is a correctness
 // regression, not measurement noise. maxWall gates named benchmarks on
@@ -193,11 +195,17 @@ func check(current []Benchmark, base map[string]Benchmark, maxRatio, maxPathsRat
 		"benchmark", "allocs/op (vs base)", "ratio", "ns/op Δ", "paths/s Δ", "paths×", "gate")
 	for _, cur := range current {
 		ref, ok := base[cur.Name]
-		if !ok || ref.AllocsPerOp <= 0 {
+		if !ok {
 			continue
 		}
 		matched++
 		ratio := cur.AllocsPerOp / ref.AllocsPerOp
+		if ref.AllocsPerOp == 0 {
+			ratio = 0
+			if cur.AllocsPerOp > 0 {
+				ratio = math.Inf(1)
+			}
+		}
 		status := "ok"
 		if ratio > maxRatio {
 			status = "FAIL"

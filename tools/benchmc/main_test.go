@@ -246,3 +246,39 @@ func TestCheckAgainstMultipleBaselines(t *testing.T) {
 		t.Errorf("note = %q", f.Note)
 	}
 }
+
+// TestZeroAllocBaselineIsGated pins that a zero-alloc baseline is written
+// explicitly and admits only zero: a run that starts allocating fails,
+// however large the allowed ratio.
+func TestZeroAllocBaselineIsGated(t *testing.T) {
+	zero := strings.ReplaceAll(sample,
+		"   74062	     16233 ns/op	    2157 B/op	      49 allocs/op",
+		"   74062	      2016 ns/op	       0 B/op	       0 allocs/op")
+	path := filepath.Join(t.TempDir(), "BENCH_mc.json")
+	if err := run([]string{"-o", path}, strings.NewReader(zero), &strings.Builder{}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f File
+	if err := json.Unmarshal(raw, &f); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"allocs_per_op": 0`) {
+		t.Errorf("zero allocs/op not recorded explicitly:\n%s", raw)
+	}
+	var out strings.Builder
+	if err := run([]string{"-against", path}, strings.NewReader(zero), &out); err != nil {
+		t.Errorf("identical zero-alloc run failed the gate: %v\n%s", err, out.String())
+	}
+	regressed := strings.ReplaceAll(zero, "0 B/op	       0 allocs/op", "29 B/op	       1 allocs/op")
+	err = run([]string{"-against", path, "-max-alloc-ratio", "100"}, strings.NewReader(regressed), &out)
+	if err == nil {
+		t.Fatalf("1 alloc/op against a zero baseline passed the gate:\n%s", out.String())
+	}
+	if !strings.Contains(err.Error(), "BenchmarkMC_PathReused") {
+		t.Errorf("failure does not name the regressed benchmark: %v", err)
+	}
+}
