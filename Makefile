@@ -10,7 +10,9 @@ COVER_PKGS = repro/internal/scenario repro/internal/core repro/internal/mc \
 	repro/internal/variant repro/internal/packetized repro/internal/repeated \
 	repro/internal/baseline repro/internal/rpc repro/internal/qmc \
 	repro/internal/fault repro/internal/store repro/internal/config \
-	repro/internal/atlas
+	repro/internal/atlas repro/internal/swapsim repro/internal/figures \
+	repro/internal/sim repro/internal/chain repro/internal/agent \
+	repro/internal/oracle
 COVER_MIN  = 80
 
 # Pinned static-analysis toolchain versions (CI installs exactly these;

@@ -22,11 +22,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/packetized"
 	"repro/internal/qmc"
 	"repro/internal/scenario"
@@ -138,10 +138,6 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 
-	m, err := core.New(params)
-	if err != nil {
-		return err
-	}
 	if *packets > 0 {
 		res, err := packetized.Run(packetized.Config{
 			Params:               params,
@@ -164,37 +160,17 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 
-	var strat core.Strategy
-	var analytic float64
-	if *q > 0 {
-		col, err := m.Collateral(*q)
-		if err != nil {
-			return err
-		}
-		if strat, err = col.Strategy(*pstar); err != nil {
-			return err
-		}
-		if analytic, err = col.SuccessRate(*pstar); err != nil {
-			return err
-		}
-	} else {
-		if strat, err = m.Strategy(*pstar); err != nil {
-			return err
-		}
-		if analytic, err = m.SuccessRate(*pstar); err != nil {
-			return err
-		}
+	// The collateral protocol at Q = 0 is the basic game's, so one key
+	// resolves every direct run (variant.ProtocolConfig).
+	cfg, analytic, initiates, err := variant.ProtocolConfig("collateral", scenario.Scenario{
+		Params: params, PStar: *pstar, Collateral: *q, Seed: *seed,
+	})
+	if err != nil {
+		return err
 	}
-
-	cfg := swapsim.Config{
-		Params:     params,
-		Strategy:   strat,
-		Collateral: *q,
-		Seed:       *seed,
-		HaltA:      swapsim.HaltWindow{From: *haltAFrom, Until: *haltAUntil},
-		HaltB:      swapsim.HaltWindow{From: *haltBFrom, Until: *haltBUntil},
-		Sampler:    mode,
-	}
+	cfg.HaltA = swapsim.HaltWindow{From: *haltAFrom, Until: *haltAUntil}
+	cfg.HaltB = swapsim.HaltWindow{From: *haltBFrom, Until: *haltBUntil}
+	cfg.Sampler = mode
 
 	if *trace {
 		outc, err := swapsim.Run(cfg)
@@ -241,23 +217,18 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "adaptive precision:       %d paths for CI half-width <= %g (%s)\n",
 			res.Paths, *ciWidth, status)
 	}
-	if !strat.AliceInitiates {
-		fmt.Fprintf(out, "note: A rationally stops at t1 under these parameters, so every run ends\n")
-		fmt.Fprintf(out, "      not-initiated; the analytic SR below is conditional on initiation.\n")
+	if !initiates {
+		fmt.Fprintf(out, "note: A rationally stops at t1 under these parameters; the runs are played\n")
+		fmt.Fprintf(out, "      initiated because the analytic SR below conditions on initiation.\n")
 	}
 	fmt.Fprintf(out, "Monte Carlo success rate: %v\n", res.SuccessRate)
 	fmt.Fprintf(out, "analytic success rate:    %.4f (agrees: %v)\n",
-		analytic, analytic >= res.SuccessRate.Lo-0.01 && analytic <= res.SuccessRate.Hi+0.01)
-	fmt.Fprintf(out, "mean completion time:     %.2fh\n", res.MeanDurationHours)
+		analytic, variant.Agrees(analytic, res.SuccessRate))
+	fmt.Fprintf(out, "mean completion time:     %.2fh\n", res.Duration.Mean)
 	fmt.Fprintf(out, "violations:               %d\n", res.Violations)
-	stages := make([]string, 0, len(res.Stages))
-	for s := range res.Stages {
-		stages = append(stages, string(s))
-	}
-	sort.Strings(stages)
 	fmt.Fprintln(out, "outcomes by stage:")
-	for _, s := range stages {
-		n := res.Stages[swapsim.Stage(s)]
+	for _, s := range slices.Sorted(maps.Keys(res.Stages)) {
+		n := res.Stages[s]
 		fmt.Fprintf(out, "  %-20s %7d (%.2f%%)\n", s, n, 100*float64(n)/float64(res.Paths))
 	}
 	return nil

@@ -1,8 +1,13 @@
 package main
 
 import (
+	"fmt"
+	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/scenario"
+	"repro/internal/variant"
 )
 
 func TestTraceRun(t *testing.T) {
@@ -101,13 +106,61 @@ func TestScenarioFlag(t *testing.T) {
 	}
 }
 
+// TestScenarioFlagNotInitiatedNote: under adversarial-premium A would
+// rationally stop at t1. The note says so, the runs are still played
+// initiated (Eq. 40 conditions on initiation) and they agree.
 func TestScenarioFlagNotInitiatedNote(t *testing.T) {
 	var sb strings.Builder
 	if err := run([]string{"-scenario", "adversarial-premium", "-runs", "200"}, &sb); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if !strings.Contains(sb.String(), "A rationally stops at t1") {
-		t.Errorf("expected the not-initiated note:\n%s", sb.String())
+	out := sb.String()
+	for _, want := range []string{
+		"A rationally stops at t1",
+		"the runs are played\n      initiated because the analytic SR below conditions on initiation",
+		"agrees: true",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "t1-stop") {
+		t.Errorf("an initiated run ended at t1:\n%s", out)
+	}
+}
+
+// TestScenarioFlagAgreesWithVariantRun: on every preset the direct Monte
+// Carlo agrees with its analytic SR and plays exactly the paths of the
+// variant registry's validation under the same flags — basic at Q = 0,
+// collateral otherwise.
+func TestScenarioFlagAgreesWithVariantRun(t *testing.T) {
+	tally := regexp.MustCompile(`Monte Carlo success rate: .* \((\d+)/(\d+)\)`)
+	for _, sc := range scenario.Registry() {
+		var sb strings.Builder
+		if err := run([]string{"-scenario", sc.Name, "-runs", "2000"}, &sb); err != nil {
+			t.Fatalf("%s: %v", sc.Name, err)
+		}
+		out := sb.String()
+		if !strings.Contains(out, "agrees: true") {
+			t.Errorf("%s: direct run disagrees:\n%s", sc.Name, out)
+		}
+		m := tally.FindStringSubmatch(out)
+		if m == nil {
+			t.Fatalf("%s: no success tally in:\n%s", sc.Name, out)
+		}
+		key := "collateral"
+		if sc.Collateral == 0 {
+			key = "basic"
+		}
+		sc.MCRuns = 2000
+		report, err := variant.Run(sc, variant.RunOpts{Variants: key})
+		if err != nil {
+			t.Fatalf("%s: %v", sc.Name, err)
+		}
+		check := report.Reports[0].MC
+		if want := fmt.Sprintf("%d/%d", check.SR.Successes, check.Runs); m[1]+"/"+m[2] != want {
+			t.Errorf("%s: direct run tallied %s/%s, -variant %s %s", sc.Name, m[1], m[2], key, want)
+		}
 	}
 }
 

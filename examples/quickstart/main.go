@@ -58,7 +58,7 @@ func main() {
 	fmt.Printf("The SR-maximising rate is P* = %.4f with SR = %.1f%%.\n", opt, 100*srOpt)
 
 	// The same model yields executable threshold strategies for the
-	// protocol simulator (see examples/montecarlo).
+	// protocol simulator (see ExampleMonteCarlo in internal/swapsim).
 	strat, err := model.Strategy(pstar)
 	if err != nil {
 		log.Fatal(err)

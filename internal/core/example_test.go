@@ -5,7 +5,10 @@ import (
 	"log"
 
 	"repro/internal/core"
+	"repro/internal/scenario"
+	"repro/internal/swapsim"
 	"repro/internal/utility"
+	"repro/internal/variant"
 )
 
 // ExampleModel_SuccessRate reproduces the headline numbers of the paper at
@@ -199,4 +202,72 @@ func ExampleModel_UncertainWithBudget() {
 	//   fixed-rate game, best P*:   0.7220
 	//   uncertain-exchange game:    0.7937 — dynamic amounts dominate (Fig. 11)
 	//   unconstrained Eq. 44:       0.7937 (scale-invariant; see DESIGN.md deviation 6)
+}
+
+// ExampleModel_OptimalDeposit shows the §IV.A extension in action: how
+// much a symmetric collateral deposit escrowed with the Oracle buys in
+// success rate, the deposit that maximises it, and one collateralised run
+// on the ledger simulator end to end.
+func ExampleModel_OptimalDeposit() {
+	params := utility.Default()
+	model, err := core.New(params)
+	if err != nil {
+		log.Fatal(err)
+	}
+	const pstar = 2.0
+
+	fmt.Println("Success rate at the fair rate P* = 2.0 as collateral grows (Fig. 9):")
+	for _, q := range []float64{0, 0.01, 0.05, 0.1, 0.25, 0.5} {
+		col, err := model.Collateral(q)
+		if err != nil {
+			log.Fatal(err)
+		}
+		sr, err := col.SuccessRate(pstar)
+		if err != nil {
+			log.Fatal(err)
+		}
+		set, err := col.ContSetT2(pstar)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("  Q = %-5.2f SR = %.4f   Bob's continuation set: %v\n", q, sr, set)
+	}
+
+	qOpt, srOpt, err := model.OptimalDeposit(pstar, 1.0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nDeposit maximising SR on [0, 1]: Q* = %.4f (SR = %.4f)\n", qOpt, srOpt)
+
+	// Execute one collateralised swap on the simulated chains with the
+	// rational thresholds, showing the Oracle settlement.
+	cfg, _, _, err := variant.ProtocolConfig("collateral", scenario.Scenario{
+		Params: params, PStar: pstar, Collateral: 0.1, Seed: 2024,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	out, err := swapsim.Run(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nOne simulated run with Q = 0.1: stage=%s, success=%v\n", out.Stage, out.Success)
+	fmt.Printf("  token deltas: Alice (%.2f TokenA, %.2f TokenB), Bob (%.2f TokenA, %.2f TokenB)\n",
+		out.AliceDeltaA, out.AliceDeltaB, out.BobDeltaA, out.BobDeltaB)
+	fmt.Printf("  collateral settlement: Alice %+.2f, Bob %+.2f\n",
+		out.CollateralDeltaAlice, out.CollateralDeltaBob)
+	// Output:
+	// Success rate at the fair rate P* = 2.0 as collateral grows (Fig. 9):
+	//   Q = 0.00  SR = 0.7143   Bob's continuation set: [1.1817821069873056, 2.3887057989874902]
+	//   Q = 0.01  SR = 0.7244   Bob's continuation set: [2e-07, 0.20270827783807016] ∪ [1.1445185625769956, 2.3994514065206776]
+	//   Q = 0.05  SR = 0.7615   Bob's continuation set: [2e-07, 2.4409446666198664]
+	//   Q = 0.10  SR = 0.8018   Bob's continuation set: [2e-07, 2.4905243342960937]
+	//   Q = 0.25  SR = 0.8921   Bob's continuation set: [2e-07, 2.632959443995247]
+	//   Q = 0.50  SR = 0.9688   Bob's continuation set: [2e-07, 2.8662983081929085]
+	//
+	// Deposit maximising SR on [0, 1]: Q* = 1.0000 (SR = 0.9986)
+	//
+	// One simulated run with Q = 0.1: stage=completed, success=true
+	//   token deltas: Alice (-2.00 TokenA, 1.00 TokenB), Bob (2.00 TokenA, -1.00 TokenB)
+	//   collateral settlement: Alice +0.00, Bob +0.00
 }

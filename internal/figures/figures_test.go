@@ -311,6 +311,24 @@ func TestMCValidationAgrees(t *testing.T) {
 	}
 }
 
+// TestMCValidationAgreesOnEveryPreset runs the validation artifact under
+// every scenario preset: each row plays the protocol run the variant layer
+// resolves, initiated because Eqs. 31 and 40 condition on initiation, so
+// every row must agree — also where A would rationally stop at t1.
+func TestMCValidationAgreesOnEveryPreset(t *testing.T) {
+	for _, sc := range scenario.Registry() {
+		figs, err := Generate(utility.Default(), "montecarlo", Opts{Scenario: sc.Name})
+		if err != nil {
+			t.Fatalf("%s: %v", sc.Name, err)
+		}
+		for _, row := range figs[0].TableRows {
+			if row[4] != "true" {
+				t.Errorf("%s: configuration %q: analytic SR outside MC interval (%v)", sc.Name, row[0], row)
+			}
+		}
+	}
+}
+
 func TestBaselineComparisonGap(t *testing.T) {
 	figs, err := BaselineComparison(utility.Default(), Opts{})
 	if err != nil {

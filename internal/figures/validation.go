@@ -5,24 +5,23 @@ import (
 	"fmt"
 
 	"repro/internal/baseline"
-	"repro/internal/core"
 	"repro/internal/mathx"
 	"repro/internal/plot"
+	"repro/internal/scenario"
 	"repro/internal/solvecache"
 	"repro/internal/swapsim"
 	"repro/internal/sweep"
 	"repro/internal/utility"
+	"repro/internal/variant"
 )
 
 // MCValidation cross-checks the analytic success rate (Eq. 31 / Eq. 40)
 // against Monte Carlo execution of the full protocol on the ledger
 // simulator — the repository's end-to-end validation artifact (not a paper
-// figure; the paper's analysis is purely numerical).
+// figure; the paper's analysis is purely numerical). Each row plays the
+// protocol run variant.ProtocolConfig resolves, initiated because both SRs
+// condition on initiation, and is judged by variant.Agrees.
 func MCValidation(p utility.Params, runs int, o Opts) ([]Figure, error) {
-	m, err := solvecache.SharedModel(p)
-	if err != nil {
-		return nil, err
-	}
 	type config struct {
 		label string
 		pstar float64
@@ -48,35 +47,16 @@ func MCValidation(p utility.Params, runs int, o Opts) ([]Figure, error) {
 	}
 	sawViolation := false
 	for i, cfg := range configs {
-		var analytic float64
-		var strat core.Strategy
-		if cfg.q == 0 {
-			if analytic, err = m.SuccessRate(cfg.pstar); err != nil {
-				return nil, err
-			}
-			if strat, err = m.Strategy(cfg.pstar); err != nil {
-				return nil, err
-			}
-		} else {
-			col, err := m.Collateral(cfg.q)
-			if err != nil {
-				return nil, err
-			}
-			if analytic, err = col.SuccessRate(cfg.pstar); err != nil {
-				return nil, err
-			}
-			if strat, err = col.Strategy(cfg.pstar); err != nil {
-				return nil, err
-			}
+		// The collateral protocol at Q = 0 is the basic game's.
+		run, analytic, _, err := variant.ProtocolConfig("collateral", scenario.Scenario{
+			Params: p, PStar: cfg.pstar, Collateral: cfg.q, Seed: 9000 + int64(i)*100000,
+		})
+		if err != nil {
+			return nil, err
 		}
+		run.Sampler = o.Sampler
 		res, err := swapsim.MonteCarlo(swapsim.MCConfig{
-			Config: swapsim.Config{
-				Params:     p,
-				Strategy:   strat,
-				Collateral: cfg.q,
-				Seed:       9000 + int64(i)*100000,
-				Sampler:    o.Sampler,
-			},
+			Config:  run,
 			Runs:    runs,
 			Workers: o.Workers,
 			CIWidth: o.MCCIWidth,
@@ -84,13 +64,12 @@ func MCValidation(p utility.Params, runs int, o Opts) ([]Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		agrees := analytic >= res.SuccessRate.Lo-0.01 && analytic <= res.SuccessRate.Hi+0.01
 		fig.TableRows = append(fig.TableRows, []string{
 			cfg.label,
 			fmt.Sprintf("%.4f", analytic),
 			fmt.Sprintf("%.4f", res.SuccessRate.P),
 			fmt.Sprintf("[%.4f, %.4f]", res.SuccessRate.Lo, res.SuccessRate.Hi),
-			fmt.Sprintf("%v", agrees),
+			fmt.Sprintf("%v", variant.Agrees(analytic, res.SuccessRate)),
 		})
 		if res.Stopped {
 			fig.Notes = append(fig.Notes, fmt.Sprintf("%s: adaptive stop after %d paths (CI half-width target %g)", cfg.label, res.Paths, o.MCCIWidth))

@@ -39,7 +39,7 @@ func TestAdaptiveStopsAtCITarget(t *testing.T) {
 	if res.Paths%mc.ChunkSize != 0 {
 		t.Errorf("paths = %d, want a multiple of the chunk size (stop at a chunk boundary)", res.Paths)
 	}
-	if hw := res.HalfWidth(); hw > 0.02 {
+	if hw := res.EstHalfWidth; hw > 0.02 {
 		t.Errorf("half-width at stop = %g, want <= 0.02", hw)
 	}
 	// The stop fires at the FIRST qualifying boundary: one chunk earlier
@@ -53,8 +53,8 @@ func TestAdaptiveStopsAtCITarget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if prevRes.HalfWidth() <= 0.02 {
-			t.Errorf("criterion already held one chunk earlier (half-width %g): stop is not the first boundary", prevRes.HalfWidth())
+		if prevRes.EstHalfWidth <= 0.02 {
+			t.Errorf("criterion already held one chunk earlier (half-width %g): stop is not the first boundary", prevRes.EstHalfWidth)
 		}
 	}
 }

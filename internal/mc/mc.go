@@ -125,16 +125,6 @@ type Progress struct {
 	Stopped bool
 }
 
-// HalfWidth returns the 95% half-width the adaptive stopper uses: the
-// Wilson interval in pseudo mode, the sampler-aware estimator interval in
-// the variance-reduced modes.
-func (p Progress) HalfWidth() float64 {
-	if p.Sampler.VarianceReduced() {
-		return p.EstHalfWidth
-	}
-	return (p.SuccessRate.Hi - p.SuccessRate.Lo) / 2
-}
-
 // Result aggregates a streaming Monte Carlo estimate.
 type Result struct {
 	// Paths is the number of paths executed and counted (MaxPaths unless an
@@ -162,16 +152,6 @@ type Result struct {
 	Stopped bool
 	// Chunks is the number of chunks merged into the result.
 	Chunks int
-}
-
-// HalfWidth returns the 95% half-width the adaptive stopper uses: the
-// Wilson interval in pseudo mode, the sampler-aware estimator interval in
-// the variance-reduced modes.
-func (r Result) HalfWidth() float64 {
-	if r.Sampler.VarianceReduced() {
-		return r.EstHalfWidth
-	}
-	return (r.SuccessRate.Hi - r.SuccessRate.Lo) / 2
 }
 
 // chunkResult is one chunk's aggregate, merged into the stream in chunk
@@ -257,7 +237,13 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	// every other accumulator, so the adaptive stop stays a pure function
 	// of Seed.
 	var repSucc, repN [qmc.SobolReplicates]int
-	estHalf := func() float64 {
+	// halfWidth is the sampler-aware 95% half-width of the merged prefix
+	// whose Wilson interval is prop: the Wilson half-width in pseudo mode,
+	// the replicate-t width in sobol mode.
+	halfWidth := func(prop stats.Proportion) float64 {
+		if !mode.VarianceReduced() {
+			return (prop.Hi - prop.Lo) / 2
+		}
 		var w stats.Welford
 		for rep := 0; rep < qmc.SobolReplicates; rep++ {
 			if repN[rep] == 0 {
@@ -278,7 +264,7 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	if cfg.CIWidth > 0 || cfg.OnProgress != nil {
 		wave = workers
 	}
-	res := Result{Stages: make(map[string]int)}
+	res := Result{Stages: make(map[string]int), Sampler: mode}
 	for start := 0; start < numChunks && !res.Stopped; start += wave {
 		end := start + wave
 		if end > numChunks {
@@ -307,42 +293,26 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 				repSucc[rep] += cr.repSucc[rep]
 				repN[rep] += cr.repN[rep]
 			}
-			var prop stats.Proportion
-			var hw float64
-			if cfg.CIWidth > 0 || cfg.OnProgress != nil {
-				p, err := stats.NewProportion(res.Successes, res.Paths)
-				if err != nil {
-					return Result{}, fmt.Errorf("mc: %w", err)
-				}
-				prop = p
-				hw = (prop.Hi - prop.Lo) / 2
-				if mode.VarianceReduced() {
-					hw = estHalf()
-				}
+			// The merged prefix's interval and width; the last merged
+			// chunk's are the result's.
+			prop, err := stats.NewProportion(res.Successes, res.Paths)
+			if err != nil {
+				return Result{}, fmt.Errorf("mc: %w", err)
 			}
-			if cfg.CIWidth > 0 && hw <= cfg.CIWidth {
+			res.SuccessRate, res.EstHalfWidth = prop, halfWidth(prop)
+			if cfg.CIWidth > 0 && res.EstHalfWidth <= cfg.CIWidth {
 				res.Stopped = res.Paths < cfg.MaxPaths
 			}
 			if cfg.OnProgress != nil {
 				cfg.OnProgress(Progress{
 					Paths: res.Paths, Successes: res.Successes, Chunks: res.Chunks,
-					SuccessRate: prop, Sampler: mode, EstHalfWidth: hw, Stopped: res.Stopped,
+					SuccessRate: prop, Sampler: mode, EstHalfWidth: res.EstHalfWidth, Stopped: res.Stopped,
 				})
 			}
 			if res.Stopped {
 				break
 			}
 		}
-	}
-	prop, err := stats.NewProportion(res.Successes, res.Paths)
-	if err != nil {
-		return Result{}, fmt.Errorf("mc: %w", err)
-	}
-	res.SuccessRate = prop
-	res.Sampler = mode
-	res.EstHalfWidth = (prop.Hi - prop.Lo) / 2
-	if mode.VarianceReduced() {
-		res.EstHalfWidth = estHalf()
 	}
 	return res, nil
 }

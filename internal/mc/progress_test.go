@@ -42,12 +42,14 @@ func TestProgressSnapshotsDeterministic(t *testing.T) {
 		if s.Stopped {
 			t.Errorf("snapshot %d: Stopped in fixed-N mode", i)
 		}
-		if s.HalfWidth() <= 0 {
-			t.Errorf("snapshot %d: half-width = %g, want > 0", i, s.HalfWidth())
+		// Pseudo mode: the stopper's width is the Wilson half-width.
+		if wilson := (s.SuccessRate.Hi - s.SuccessRate.Lo) / 2; s.EstHalfWidth <= 0 || s.EstHalfWidth != wilson {
+			t.Errorf("snapshot %d: half-width = %g, want the Wilson half-width %g > 0", i, s.EstHalfWidth, wilson)
 		}
 	}
 	last := snaps1[len(snaps1)-1]
-	if last.Paths != res1.Paths || last.Successes != res1.Successes || last.SuccessRate != res1.SuccessRate {
+	if last.Paths != res1.Paths || last.Successes != res1.Successes || last.SuccessRate != res1.SuccessRate ||
+		last.EstHalfWidth != res1.EstHalfWidth {
 		t.Errorf("final snapshot %+v does not match result (paths=%d successes=%d sr=%+v)",
 			last, res1.Paths, res1.Successes, res1.SuccessRate)
 	}

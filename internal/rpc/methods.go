@@ -247,16 +247,10 @@ func reportJSON(r variant.Report) ReportJSON {
 			Game: mc.Game, Runs: mc.Runs, Stopped: mc.Stopped, Seed: mc.Seed,
 			SR: mc.SR.P, Lo: mc.SR.Lo, Hi: mc.SR.Hi,
 			Analytic: mc.Analytic, Agrees: mc.Agrees,
-			MeanDurationHours: mc.MeanDurationHours,
+			Stages: mc.Stages, MeanDurationHours: mc.MeanDurationHours,
 		}
 		if mc.Sampler.VarianceReduced() {
 			check.Sampler = string(mc.Sampler)
-		}
-		if mc.Stages != nil {
-			check.Stages = make(map[string]int, len(mc.Stages))
-			for stage, n := range mc.Stages {
-				check.Stages[string(stage)] = n
-			}
 		}
 		out.MC = check
 	}

@@ -301,7 +301,7 @@ func (s *Server) handleHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	s.inflight.Add(1)
 	defer s.inflight.Done()
-	resp, ok := s.dispatch(r.Context(), req, false)
+	resp, ok := s.dispatch(r.Context(), req)
 	if !ok { // notification: no response body
 		w.WriteHeader(http.StatusNoContent)
 		return
@@ -338,9 +338,8 @@ func writeHTTPResponse(w http.ResponseWriter, status int, resp Response) {
 }
 
 // dispatch routes one parsed request to its method handler. ok is false
-// for notifications (no response is due). ws reports whether the request
-// arrived over the WebSocket channel (where swap.simulate is legal).
-func (s *Server) dispatch(ctx context.Context, req Request, ws bool) (Response, bool) {
+// for notifications (no response is due).
+func (s *Server) dispatch(ctx context.Context, req Request) (Response, bool) {
 	s.stats.record(req.Method)
 	result, rerr := s.call(ctx, req)
 	if req.IsNotification() {

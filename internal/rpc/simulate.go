@@ -201,7 +201,7 @@ func (s *Server) handleWS(w http.ResponseWriter, r *http.Request) {
 			s.inflight.Add(1)
 			go func(req Request) {
 				defer s.inflight.Done()
-				if resp, ok := s.dispatch(s.baseCtx, req, true); ok {
+				if resp, ok := s.dispatch(s.baseCtx, req); ok {
 					conn.WriteJSON(resp)
 				}
 			}(req)
@@ -346,7 +346,7 @@ func (s *Server) resolveSimulate(p SimulateParams) (simulateConfig, *Error) {
 	if err != nil {
 		return simulateConfig{}, Errorf(CodeInvalidParams, "%v", err)
 	}
-	cfg, err := variant.ProtocolConfig(key, sc)
+	cfg, _, _, err := variant.ProtocolConfig(key, sc)
 	if err != nil {
 		return simulateConfig{}, Errorf(CodeInvalidParams, "scenario %q: %v", sc.Name, err)
 	}
@@ -390,7 +390,7 @@ func (s *Server) runStream(ctx context.Context, cancel context.CancelFunc, sess 
 			Params: ProgressEvent{
 				ID: id, Paths: p.Paths, Successes: p.Successes, Chunks: p.Chunks,
 				SR: p.SuccessRate.P, Lo: p.SuccessRate.Lo, Hi: p.SuccessRate.Hi,
-				HalfWidth: p.HalfWidth(), Stopped: p.Stopped,
+				HalfWidth: p.EstHalfWidth, Stopped: p.Stopped,
 			},
 		})
 		if err != nil {
@@ -407,15 +407,11 @@ func (s *Server) runStream(ctx context.Context, cancel context.CancelFunc, sess 
 		s.stats.errors.Add(1)
 		return NewErrorResponse(id, s.asRPCError(err))
 	}
-	stages := make(map[string]int, len(res.Stages))
-	for stage, n := range res.Stages {
-		stages[string(stage)] = n
-	}
 	out := SimulateResult{
 		Scenario: cfg.scenarioName, Variant: cfg.variantKey,
 		Paths: res.Paths, SR: res.SuccessRate.P, Lo: res.SuccessRate.Lo, Hi: res.SuccessRate.Hi,
-		Stopped: res.Stopped, Violations: res.Violations, Stages: stages,
-		MeanDurationHours: res.MeanDurationHours,
+		Stopped: res.Stopped, Violations: res.Violations, Stages: res.Stages,
+		MeanDurationHours: res.Duration.Mean,
 		Snapshots:         snapshots, ElapsedUs: time.Since(start).Microseconds(),
 	}
 	if res.Sampler.VarianceReduced() {

@@ -8,10 +8,12 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/qmc"
 	"repro/internal/scenario"
 	"repro/internal/swapsim"
 	"repro/internal/sweep"
 	"repro/internal/utility"
+	"repro/internal/variant"
 )
 
 // equivalenceRuns is the per-case path count: small enough that the full
@@ -20,37 +22,26 @@ import (
 // with an uneven tail (2.5 × mc.ChunkSize), so the workers interleave.
 const equivalenceRuns = 640
 
-// strategyFor solves the strategy the scenario runner would simulate with:
-// the collateral-game thresholds when a deposit is in play, initiating
-// unconditionally (Eq. 31 conditions on initiation).
-func strategyFor(t *testing.T, sc scenario.Scenario) core.Strategy {
+// protocolFor returns the protocol run the scenario's collateral variant
+// plays (variant.ProtocolConfig; Q = 0 plays the basic game), initiating
+// unconditionally because Eq. 31 conditions on initiation, under the given
+// sampler mode.
+func protocolFor(t *testing.T, sc scenario.Scenario, mode qmc.Mode) swapsim.Config {
 	t.Helper()
-	m, err := core.New(sc.Params)
+	cfg, _, _, err := variant.ProtocolConfig("collateral", sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var strat core.Strategy
-	if sc.Collateral > 0 {
-		col, err := m.Collateral(sc.Collateral)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if strat, err = col.Strategy(sc.PStar); err != nil {
-			t.Fatal(err)
-		}
-	} else if strat, err = m.Strategy(sc.PStar); err != nil {
-		t.Fatal(err)
-	}
-	strat.AliceInitiates = true
-	return strat
+	cfg.Sampler = mode
+	return cfg
 }
 
 // legacyMonteCarlo reproduces the pre-engine fixed-N driver semantics:
 // path i runs on a freshly allocated stack (swapsim.Run) with the
 // decorrelated seed sweep.Seed(base, i), outcomes tallied in run order.
-func legacyMonteCarlo(t *testing.T, cfg swapsim.Config, runs int) (stages map[swapsim.Stage]int, successes int) {
+func legacyMonteCarlo(t *testing.T, cfg swapsim.Config, runs int) (stages map[string]int, successes int) {
 	t.Helper()
-	stages = make(map[swapsim.Stage]int)
+	stages = make(map[string]int)
 	for i := 0; i < runs; i++ {
 		run := cfg
 		run.Seed = sweep.Seed(cfg.Seed, i)
@@ -58,7 +49,7 @@ func legacyMonteCarlo(t *testing.T, cfg swapsim.Config, runs int) (stages map[sw
 		if err != nil {
 			t.Fatalf("legacy run %d: %v", i, err)
 		}
-		stages[out.Stage]++
+		stages[string(out.Stage)]++
 		if out.Success {
 			successes++
 		}
@@ -104,12 +95,7 @@ func TestEngineEquivalentToLegacyMonteCarlo(t *testing.T) {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			t.Parallel()
-			cfg := swapsim.Config{
-				Params:     sc.Params,
-				Strategy:   strategyFor(t, sc),
-				Collateral: sc.Collateral,
-				Seed:       sc.Seed,
-			}
+			cfg := protocolFor(t, sc, "")
 			wantStages, wantSucc := legacyMonteCarlo(t, cfg, equivalenceRuns)
 			for _, workers := range workerCounts {
 				res, err := swapsim.MonteCarlo(swapsim.MCConfig{

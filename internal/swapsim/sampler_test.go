@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/mc"
 	"repro/internal/qmc"
 	"repro/internal/scenario"
 	"repro/internal/swapsim"
@@ -18,17 +19,11 @@ import (
 const samplerRuns = 4000
 
 // mcFor runs a fixed-N estimate for the scenario under the given mode.
-func mcFor(t *testing.T, sc scenario.Scenario, mode qmc.Mode, runs int) swapsim.MCResult {
+func mcFor(t *testing.T, sc scenario.Scenario, mode qmc.Mode, runs int) mc.Result {
 	t.Helper()
 	res, err := swapsim.MonteCarlo(swapsim.MCConfig{
-		Config: swapsim.Config{
-			Params:     sc.Params,
-			Strategy:   strategyFor(t, sc),
-			Collateral: sc.Collateral,
-			Seed:       sc.Seed,
-			Sampler:    mode,
-		},
-		Runs: runs,
+		Config: protocolFor(t, sc, mode),
+		Runs:   runs,
 	})
 	if err != nil {
 		t.Fatalf("%s/%s: %v", sc.Name, mode, err)
@@ -70,12 +65,7 @@ func ksStatistic(a, b []float64) float64 {
 // replaying the engine's exact seeding on a single runner.
 func durations(t *testing.T, sc scenario.Scenario, mode qmc.Mode, runs int) []float64 {
 	t.Helper()
-	r, err := swapsim.NewRunner(swapsim.Config{
-		Params:     sc.Params,
-		Strategy:   strategyFor(t, sc),
-		Collateral: sc.Collateral,
-		Sampler:    mode,
-	})
+	r, err := swapsim.NewRunner(protocolFor(t, sc, mode))
 	if err != nil {
 		t.Fatalf("%s/%s: %v", sc.Name, mode, err)
 	}
@@ -121,7 +111,7 @@ func TestSamplerEquivalentInDistribution(t *testing.T) {
 				}
 				// CI overlap: |p̂_mode − p̂_pseudo| within the sum of the
 				// Wilson half-widths.
-				hw := func(r swapsim.MCResult) float64 { return (r.SuccessRate.Hi - r.SuccessRate.Lo) / 2 }
+				hw := func(r mc.Result) float64 { return (r.SuccessRate.Hi - r.SuccessRate.Lo) / 2 }
 				if diff := math.Abs(res.SuccessRate.P - pseudo.SuccessRate.P); diff > hw(res)+hw(pseudo) {
 					t.Errorf("%s: SR %.4f vs pseudo %.4f — CIs do not overlap (Δ=%.4f > %.4f)",
 						mode, res.SuccessRate.P, pseudo.SuccessRate.P, diff, hw(res)+hw(pseudo))
@@ -152,15 +142,7 @@ func TestSamplerDefaultByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := swapsim.MCConfig{
-		Config: swapsim.Config{
-			Params:     sc.Params,
-			Strategy:   strategyFor(t, sc),
-			Collateral: sc.Collateral,
-			Seed:       sc.Seed,
-		},
-		Runs: 600,
-	}
+	base := swapsim.MCConfig{Config: protocolFor(t, sc, ""), Runs: 600}
 	want, err := swapsim.MonteCarlo(base)
 	if err != nil {
 		t.Fatal(err)
@@ -183,13 +165,7 @@ func TestSamplerRejectsUnknownMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = swapsim.NewRunner(swapsim.Config{
-		Params:     sc.Params,
-		Strategy:   strategyFor(t, sc),
-		Collateral: sc.Collateral,
-		Sampler:    "halton",
-	})
-	if err == nil {
+	if _, err := swapsim.NewRunner(protocolFor(t, sc, "halton")); err == nil {
 		t.Fatal("unknown sampler mode accepted")
 	}
 }
@@ -203,16 +179,10 @@ func TestSamplerDeterministicAcrossWorkers(t *testing.T) {
 	}
 	for _, mode := range []qmc.Mode{qmc.ModeSobol} {
 		cfg := swapsim.MCConfig{
-			Config: swapsim.Config{
-				Params:     sc.Params,
-				Strategy:   strategyFor(t, sc),
-				Collateral: sc.Collateral,
-				Seed:       sc.Seed,
-				Sampler:    mode,
-			},
-			Runs: 1200,
+			Config: protocolFor(t, sc, mode),
+			Runs:   1200,
 		}
-		var want swapsim.MCResult
+		var want mc.Result
 		for i, workers := range []int{1, 3, 8} {
 			cfg.Workers = workers
 			res, err := swapsim.MonteCarlo(cfg)
@@ -241,15 +211,9 @@ func TestSamplerConvergenceTableIII(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(mode qmc.Mode) swapsim.MCResult {
+	run := func(mode qmc.Mode) mc.Result {
 		res, err := swapsim.MonteCarlo(swapsim.MCConfig{
-			Config: swapsim.Config{
-				Params:     sc.Params,
-				Strategy:   strategyFor(t, sc),
-				Collateral: sc.Collateral,
-				Seed:       sc.Seed,
-				Sampler:    mode,
-			},
+			Config:  protocolFor(t, sc, mode),
 			Runs:    200000,
 			CIWidth: 0.01,
 		})

@@ -20,7 +20,6 @@ import (
 	"repro/internal/oracle"
 	"repro/internal/qmc"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/utility"
 )
 
@@ -219,49 +218,25 @@ type MCConfig struct {
 	OnProgress func(mc.Progress)
 }
 
-// MCResult aggregates a Monte Carlo estimate.
-type MCResult struct {
-	// SuccessRate is the empirical success proportion with its Wilson 95%
-	// interval.
-	SuccessRate stats.Proportion
-	// Stages counts outcomes by end stage.
-	Stages map[Stage]int
-	// Violations counts non-atomic outcomes (expected zero without failure
-	// injection).
-	Violations int
-	// MeanDurationHours averages the simulated completion time.
-	MeanDurationHours float64
-	// Paths is the number of protocol executions actually run — the cap
-	// unless adaptive stopping ended sampling earlier.
-	Paths int
-	// Stopped reports an adaptive early stop (CIWidth hit before the cap).
-	Stopped bool
-	// Sampler is the sampling mode the estimate ran under (canonicalised).
-	Sampler qmc.Mode
-	// EstHalfWidth is the sampler-aware 95% half-width the adaptive
-	// stopper compared against CIWidth: the Wilson half-width in pseudo
-	// mode, the estimator interval in the variance-reduced modes (see
-	// mc.Progress.EstHalfWidth).
-	EstHalfWidth float64
-}
-
 // MonteCarlo estimates the success rate through the streaming engine of
 // internal/mc: chunked execution over the sweep worker pool with reusable
 // per-worker Runners, path i seeded with sweep.Seed(Seed, i), and chunk
 // aggregates merged in chunk order — so the result, including the
 // floating-point duration moments, is identical for every worker count.
 // With CIWidth == 0 it runs exactly cfg.Runs paths, reproducing the
-// legacy fixed-N driver's per-seed outcomes.
-func MonteCarlo(cfg MCConfig) (MCResult, error) {
+// legacy fixed-N driver's per-seed outcomes. The result is the engine's:
+// Stages is keyed by the end Stage's string and Duration holds the
+// completion times in hours.
+func MonteCarlo(cfg MCConfig) (mc.Result, error) {
 	return MonteCarloCtx(context.Background(), cfg)
 }
 
 // MonteCarloCtx is MonteCarlo under a caller context: cancelling ctx stops
 // the engine between chunks with ctx's error — the cancellation path of
 // the RPC daemon's streaming simulations and their per-request budgets.
-func MonteCarloCtx(ctx context.Context, cfg MCConfig) (MCResult, error) {
+func MonteCarloCtx(ctx context.Context, cfg MCConfig) (mc.Result, error) {
 	if cfg.Runs <= 0 {
-		return MCResult{}, fmt.Errorf("%w: runs=%d", ErrBadConfig, cfg.Runs)
+		return mc.Result{}, fmt.Errorf("%w: runs=%d", ErrBadConfig, cfg.Runs)
 	}
 	res, err := mc.Run(ctx, mc.Config{
 		Seed:       cfg.Seed,
@@ -273,20 +248,7 @@ func MonteCarloCtx(ctx context.Context, cfg MCConfig) (MCResult, error) {
 		OnProgress: cfg.OnProgress,
 	})
 	if err != nil {
-		return MCResult{}, fmt.Errorf("swapsim: %w", err)
+		return mc.Result{}, fmt.Errorf("swapsim: %w", err)
 	}
-	agg := MCResult{
-		SuccessRate:       res.SuccessRate,
-		Stages:            make(map[Stage]int, len(res.Stages)),
-		Violations:        res.Violations,
-		MeanDurationHours: res.Duration.Mean,
-		Paths:             res.Paths,
-		Stopped:           res.Stopped,
-		Sampler:           res.Sampler,
-		EstHalfWidth:      res.EstHalfWidth,
-	}
-	for s, n := range res.Stages {
-		agg.Stages[Stage(s)] += n
-	}
-	return agg, nil
+	return res, nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/agent"
 	"repro/internal/core"
+	"repro/internal/mc"
 	"repro/internal/utility"
 )
 
@@ -142,73 +143,6 @@ func TestRationalStrategyDependsOnPath(t *testing.T) {
 	}
 }
 
-func TestMonteCarloMatchesAnalyticSR(t *testing.T) {
-	// The repository's end-to-end check: protocol-level Monte Carlo
-	// reproduces Eq. 31 within the Wilson interval.
-	m := defaultModel(t)
-	strat, err := m.Strategy(2.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	analytic, err := m.SuccessRate(2.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := MonteCarlo(MCConfig{
-		Config:  Config{Params: utility.Default(), Strategy: strat, Seed: 12345},
-		Runs:    30000,
-		Workers: 8,
-	})
-	if err != nil {
-		t.Fatalf("MonteCarlo: %v", err)
-	}
-	if res.Violations != 0 {
-		t.Errorf("violations = %d, want 0 without failure injection", res.Violations)
-	}
-	// Allow a small epsilon beyond the Wilson bound for quadrature error in
-	// the analytic value itself.
-	if analytic < res.SuccessRate.Lo-0.01 || analytic > res.SuccessRate.Hi+0.01 {
-		t.Errorf("analytic SR %.4f outside MC interval %v", analytic, res.SuccessRate)
-	}
-	if res.MeanDurationHours <= 0 {
-		t.Error("mean duration not recorded")
-	}
-	total := 0
-	for _, n := range res.Stages {
-		total += n
-	}
-	if total != 30000 {
-		t.Errorf("stage counts sum to %d, want 30000", total)
-	}
-}
-
-func TestMonteCarloCollateralMatchesAnalyticSR(t *testing.T) {
-	m := defaultModel(t)
-	col, err := m.Collateral(0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	strat, err := col.Strategy(2.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	analytic, err := col.SuccessRate(2.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := MonteCarlo(MCConfig{
-		Config:  Config{Params: utility.Default(), Strategy: strat, Collateral: 0.1, Seed: 777},
-		Runs:    30000,
-		Workers: 8,
-	})
-	if err != nil {
-		t.Fatalf("MonteCarlo: %v", err)
-	}
-	if analytic < res.SuccessRate.Lo-0.01 || analytic > res.SuccessRate.Hi+0.01 {
-		t.Errorf("analytic collateral SR %.4f outside MC interval %v", analytic, res.SuccessRate)
-	}
-}
-
 func TestCollateralSettlementFlows(t *testing.T) {
 	// Alice withdraws at t3 with collateral posted: her deposit goes to Bob.
 	out, err := Run(Config{
@@ -341,7 +275,7 @@ func TestMonteCarloDeterministicForSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() MCResult {
+	run := func() mc.Result {
 		res, err := MonteCarlo(MCConfig{
 			Config:  Config{Params: utility.Default(), Strategy: strat, Seed: 55},
 			Runs:    500,

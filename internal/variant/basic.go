@@ -79,51 +79,59 @@ func (basicGame) Solve(ctx *Context, sc scenario.Scenario) (Report, error) {
 
 // MCValidate runs the protocol simulation with the basic-game threshold
 // strategies (see ProtocolConfig).
-func (basicGame) MCValidate(ctx *Context, sc scenario.Scenario, r Report) (*MCCheck, error) {
-	return simulateCheck(ctx, sc, "basic", "basic", r.SR)
+func (basicGame) MCValidate(ctx *Context, sc scenario.Scenario, _ Report) (*MCCheck, error) {
+	return simulateCheck(ctx, sc, "basic", "basic")
 }
 
-// ProtocolConfig returns the protocol run that variant key plays on sc:
-// the basic game's thresholds for "basic", and for "collateral" the
-// collateral game's thresholds with the scenario's deposit Q escrowed on
-// both legs (Q = 0 plays the basic thresholds without a deposit). Eq. 31's
-// SR conditions on the swap being initiated, so the strategy initiates
-// unconditionally; the solved report records whether A rationally would.
-// The sampler is left for the caller to set. It is the one definition both
-// the batch validations and the RPC daemon's swap.simulate stream run.
-func ProtocolConfig(key string, sc scenario.Scenario) (swapsim.Config, error) {
+// ProtocolConfig returns the protocol run that variant key plays on sc and
+// the analytic success rate that run validates: the basic game's
+// thresholds and Eq. 31 for "basic", and for "collateral" the collateral
+// game's thresholds with the scenario's deposit Q escrowed on both legs and
+// Eq. 40 (Q = 0 plays the basic game without a deposit). Both SRs condition
+// on the swap being initiated, so the strategy initiates unconditionally;
+// initiates reports whether A rationally would. The SR is read from the
+// same memoized model Solve reads. The sampler, halts and any seed other
+// than the scenario's are left for the caller to set. It is the one
+// definition the batch validations, the RPC daemon's swap.simulate stream,
+// the figures validation artifact and cmd/swapsim run.
+func ProtocolConfig(key string, sc scenario.Scenario) (cfg swapsim.Config, sr float64, initiates bool, err error) {
 	m, err := solvecache.SharedModel(sc.Params)
 	if err != nil {
-		return swapsim.Config{}, err
+		return swapsim.Config{}, 0, false, err
 	}
 	var strat core.Strategy
 	collateral := 0.0
 	switch {
 	case key == "basic" || key == "collateral" && sc.Collateral == 0:
-		strat, err = m.Strategy(sc.PStar)
+		if strat, err = m.Strategy(sc.PStar); err == nil {
+			sr, err = m.SuccessRate(sc.PStar)
+		}
 	case key == "collateral":
 		col, cerr := m.Collateral(sc.Collateral)
 		if cerr != nil {
-			return swapsim.Config{}, cerr
+			return swapsim.Config{}, 0, false, cerr
 		}
-		strat, err = col.Strategy(sc.PStar)
+		if strat, err = col.Strategy(sc.PStar); err == nil {
+			sr, err = col.SuccessRate(sc.PStar)
+		}
 		collateral = sc.Collateral
 	default:
-		return swapsim.Config{}, fmt.Errorf("variant %q: the protocol simulator plays \"basic\" or \"collateral\"", key)
+		err = fmt.Errorf("variant %q: the protocol simulator plays \"basic\" or \"collateral\"", key)
 	}
 	if err != nil {
-		return swapsim.Config{}, err
+		return swapsim.Config{}, 0, false, err
 	}
+	initiates = strat.AliceInitiates
 	strat.AliceInitiates = true
-	return swapsim.Config{Params: sc.Params, Strategy: strat, Collateral: collateral, Seed: sc.Seed}, nil
+	return swapsim.Config{Params: sc.Params, Strategy: strat, Collateral: collateral, Seed: sc.Seed}, sr, initiates, nil
 }
 
 // simulateCheck runs variant key's protocol (ProtocolConfig) through the
 // swapsim Monte Carlo engine under the batch knobs and packages the
 // agreement check, labelled game — the shared protocol-level validation
 // of the basic and collateral variants.
-func simulateCheck(ctx *Context, sc scenario.Scenario, key, game string, analytic float64) (*MCCheck, error) {
-	cfg, err := ProtocolConfig(key, sc)
+func simulateCheck(ctx *Context, sc scenario.Scenario, key, game string) (*MCCheck, error) {
+	cfg, analytic, _, err := ProtocolConfig(key, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +148,7 @@ func simulateCheck(ctx *Context, sc scenario.Scenario, key, game string, analyti
 	check := newMCCheck(game, analytic, res.SuccessRate, res.Paths, sc.Seed)
 	check.Stopped = res.Stopped
 	check.Stages = res.Stages
-	check.MeanDurationHours = res.MeanDurationHours
+	check.MeanDurationHours = res.Duration.Mean
 	check.Sampler = res.Sampler
 	return check, nil
 }

@@ -77,10 +77,10 @@ func (collateralGame) Solve(ctx *Context, sc scenario.Scenario) (Report, error) 
 
 // MCValidate simulates the protocol with the collateral-game strategies
 // and the deposit escrowed on both legs (see ProtocolConfig).
-func (collateralGame) MCValidate(ctx *Context, sc scenario.Scenario, r Report) (*MCCheck, error) {
+func (collateralGame) MCValidate(ctx *Context, sc scenario.Scenario, _ Report) (*MCCheck, error) {
 	game := "collateral"
 	if sc.Collateral == 0 {
 		game = "collateral (Q=0, basic)"
 	}
-	return simulateCheck(ctx, sc, "collateral", game, r.SR)
+	return simulateCheck(ctx, sc, "collateral", game)
 }

@@ -4,14 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/qmc"
 	"repro/internal/scenario"
 	"repro/internal/store"
-	"repro/internal/swapsim"
 	"repro/internal/sweep"
 )
 
@@ -274,13 +274,8 @@ func renderMC(b *strings.Builder, mc *MCCheck) {
 		mc.SR.P, mc.SR.Lo, mc.SR.Hi, mc.Analytic, mc.Agrees)
 	if mc.Stages != nil {
 		fmt.Fprintf(b, "    mean completion %.2fh; outcomes:", mc.MeanDurationHours)
-		stages := make([]string, 0, len(mc.Stages))
-		for s := range mc.Stages {
-			stages = append(stages, string(s))
-		}
-		sort.Strings(stages)
-		for _, s := range stages {
-			fmt.Fprintf(b, " %s=%d", s, mc.Stages[swapsim.Stage(s)])
+		for _, s := range slices.Sorted(maps.Keys(mc.Stages)) {
+			fmt.Fprintf(b, " %s=%d", s, mc.Stages[s])
 		}
 		b.WriteString("\n")
 	}

@@ -30,7 +30,6 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/solvecache"
 	"repro/internal/stats"
-	"repro/internal/swapsim"
 	"repro/internal/utility"
 )
 
@@ -147,17 +146,24 @@ type MCCheck struct {
 	// interval; Analytic is the solved value it validates.
 	SR       stats.Proportion
 	Analytic float64
-	// Agrees reports Analytic ∈ [SR.Lo−slack, SR.Hi+slack].
+	// Agrees reports Agrees(Analytic, SR).
 	Agrees bool
-	// Stages counts simulated outcomes by end stage (nil for samplers
-	// without stage detail) and MeanDurationHours averages completion
-	// time (0 when not tracked).
-	Stages            map[swapsim.Stage]int
+	// Stages counts simulated outcomes by end stage, keyed as the Monte
+	// Carlo engine keys them (nil for samplers without stage detail), and
+	// MeanDurationHours averages completion time (0 when not tracked).
+	Stages            map[string]int
 	MeanDurationHours float64
 	// Sampler is the sampling mode the validation ran under; the zero
 	// value is the pseudo default (bespoke closed-form validations always
 	// report it).
 	Sampler qmc.Mode
+}
+
+// Agrees is the repository's one agreement rule between an analytic
+// success rate and its Monte Carlo estimate: analytic must lie within the
+// estimate's Wilson interval widened by agreeSlack on both sides.
+func Agrees(analytic float64, sr stats.Proportion) bool {
+	return analytic >= sr.Lo-agreeSlack && analytic <= sr.Hi+agreeSlack
 }
 
 // newMCCheck assembles a check, computing the agreement flag.
@@ -168,7 +174,7 @@ func newMCCheck(game string, analytic float64, sr stats.Proportion, runs int, se
 		Seed:     seed,
 		SR:       sr,
 		Analytic: analytic,
-		Agrees:   analytic >= sr.Lo-agreeSlack && analytic <= sr.Hi+agreeSlack,
+		Agrees:   Agrees(analytic, sr),
 	}
 }
 
