@@ -12,7 +12,10 @@ COVER_PKGS = repro/internal/scenario repro/internal/core repro/internal/mc \
 	repro/internal/fault repro/internal/store repro/internal/config \
 	repro/internal/atlas repro/internal/swapsim repro/internal/figures \
 	repro/internal/sim repro/internal/chain repro/internal/agent \
-	repro/internal/oracle
+	repro/internal/oracle repro/internal/gbm repro/internal/mathx \
+	repro/internal/sweep repro/internal/timeline repro/internal/stats \
+	repro/internal/dist repro/internal/htlc repro/internal/plot \
+	repro/internal/utility
 COVER_MIN  = 80
 
 # Pinned static-analysis toolchain versions (CI installs exactly these;

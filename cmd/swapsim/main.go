@@ -139,6 +139,18 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *packets > 0 {
+		// The packetized engine has no collateral, adaptive stop, trace or
+		// chain halts: refuse those flags rather than drop them silently.
+		var unused []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "q", "ci-width", "trace", "halta-from", "halta-until", "haltb-from", "haltb-until":
+				unused = append(unused, "-"+f.Name)
+			}
+		})
+		if len(unused) > 0 {
+			return fmt.Errorf("swapsim: %s cannot be combined with -packets", strings.Join(unused, ", "))
+		}
 		res, err := packetized.Run(packetized.Config{
 			Params:               params,
 			PStar:                *pstar,
@@ -147,6 +159,7 @@ func run(args []string, out io.Writer) error {
 			ContinueAfterFailure: *keepGoing,
 			Runs:                 *runs,
 			Seed:                 *seed,
+			Sampler:              mode,
 		})
 		if err != nil {
 			return err

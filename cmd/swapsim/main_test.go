@@ -6,7 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/packetized"
+	"repro/internal/qmc"
 	"repro/internal/scenario"
+	"repro/internal/utility"
 	"repro/internal/variant"
 )
 
@@ -74,6 +77,51 @@ func TestPacketizedMode(t *testing.T) {
 	}
 	if err := run([]string{"-packets", "-3"}, &sb); err == nil {
 		t.Error("negative packets should fail through single-shot path or validation")
+	}
+}
+
+// TestPacketizedSampler pins -sampler on the packetized path: a sobol run
+// prints what packetized.Run reports under sobol, not the pseudo estimate.
+func TestPacketizedSampler(t *testing.T) {
+	res, err := packetized.Run(packetized.Config{
+		Params: utility.Default(), PStar: 2, Packets: 4, Runs: 4000, Seed: 1, Sampler: qmc.ModeSobol,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pseudo, sobol strings.Builder
+	if err := run([]string{"-packets", "4", "-runs", "4000"}, &pseudo); err != nil {
+		t.Fatalf("pseudo run: %v", err)
+	}
+	if err := run([]string{"-packets", "4", "-runs", "4000", "-sampler", "sobol"}, &sobol); err != nil {
+		t.Fatalf("sobol run: %v", err)
+	}
+	want := fmt.Sprintf("  expected fraction:  %.4f ± %.4f\n", res.ExpectedFraction, res.FractionStdErr)
+	if !strings.Contains(sobol.String(), want) {
+		t.Errorf("sobol output missing %q:\n%s", want, sobol.String())
+	}
+	if pseudo.String() == sobol.String() {
+		t.Error("-sampler sobol printed the pseudo run's bytes")
+	}
+}
+
+// TestPacketizedRejectsUnusedFlags pins the usage error for flags the
+// packetized engine has no use for.
+func TestPacketizedRejectsUnusedFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-packets", "2", "-trace"},
+		{"-packets", "2", "-q", "0.1"},
+		{"-packets", "2", "-ci-width", "0.01"},
+		{"-packets", "2", "-haltb-from", "7.5", "-haltb-until", "40"},
+	} {
+		var sb strings.Builder
+		err := run(args, &sb)
+		if err == nil || !strings.Contains(err.Error(), "cannot be combined with -packets") {
+			t.Errorf("%v: err = %v, want a usage error", args, err)
+		}
+		if sb.Len() != 0 {
+			t.Errorf("%v: printed output before refusing:\n%s", args, sb.String())
+		}
 	}
 }
 

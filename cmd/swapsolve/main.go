@@ -242,8 +242,8 @@ func solveSweep(out *os.File, m *core.Model, spec string, q float64, workers int
 		successRate = col.SuccessRate
 		label = fmt.Sprintf("collateral Q=%g", q)
 	}
-	srs, err := sweep.Over(context.Background(), workers, grid, func(_ int, pstar float64) (float64, error) {
-		return successRate(pstar)
+	srs, err := sweep.Map(context.Background(), len(grid), workers, func(i int) (float64, error) {
+		return successRate(grid[i])
 	})
 	if err != nil {
 		return err

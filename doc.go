@@ -12,8 +12,9 @@
 // (internal/figures, internal/plot, internal/stats), and the declarative
 // scenario registry and batch runner (internal/scenario).
 //
-// Executables are under cmd/ (swapsolve, figures, swapsim, scenarios) and runnable
-// examples under examples/. bench_test.go in this directory regenerates
+// Executables are under cmd/ (swapsolve, figures, swapsim, scenarios, swapd),
+// and the walkthroughs are Example functions in the packages' example_test.go
+// files. bench_test.go in this directory regenerates
 // each paper artifact as a testing.B benchmark; see DESIGN.md for the
 // experiment index and EXPERIMENTS.md for measured-vs-paper results.
 package repro

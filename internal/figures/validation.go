@@ -103,13 +103,13 @@ func BaselineComparison(p utility.Params, o Opts) ([]Figure, error) {
 	type point struct {
 		two, one float64
 	}
-	pts, err := sweep.Over(context.Background(), o.Workers, grid, func(_ int, pstar float64) (point, error) {
+	pts, err := sweep.Map(context.Background(), len(grid), o.Workers, func(i int) (point, error) {
 		var pt point
 		var err error
-		if pt.two, err = m.SuccessRate(pstar); err != nil {
+		if pt.two, err = m.SuccessRate(grid[i]); err != nil {
 			return pt, err
 		}
-		if pt.one, err = bl.SuccessRate(pstar); err != nil {
+		if pt.one, err = bl.SuccessRate(grid[i]); err != nil {
 			return pt, err
 		}
 		return pt, nil

@@ -180,62 +180,6 @@ func (g Process) StepBatch(out, p, z []float64, tau float64) error {
 	return nil
 }
 
-// SampleAt samples the process at the supplied increasing times, starting
-// from price p0 at time times[0] (the first entry is the start time, whose
-// price is p0 and is included in the output). Times must be strictly
-// increasing.
-func (g Process) SampleAt(src NormalSource, p0 float64, times []float64) ([]float64, error) {
-	if p0 <= 0 {
-		return nil, fmt.Errorf("%w: p0=%g must be > 0", ErrBadParam, p0)
-	}
-	if len(times) == 0 {
-		return nil, nil
-	}
-	out := make([]float64, len(times))
-	out[0] = p0
-	for i := 1; i < len(times); i++ {
-		dt := times[i] - times[i-1]
-		if dt <= 0 {
-			return nil, fmt.Errorf("%w: times must be strictly increasing (times[%d]=%g, times[%d]=%g)",
-				ErrBadParam, i-1, times[i-1], i, times[i])
-		}
-		out[i] = g.Step(src, out[i-1], dt)
-	}
-	return out, nil
-}
-
-// SampleAtBatch is SampleAt with caller-owned storage and slab-filled
-// draws: out must have len(times) capacity; the len(times)-1 increments are
-// drawn into out[1:] in one FillNormals pass and then consumed in place as
-// the chain is walked, so no scratch beyond out is needed and the result is
-// bit-identical to SampleAt. It returns out resliced to len(times). Times
-// are validated before any normal is drawn, so an invalid grid consumes
-// nothing from src.
-func (g Process) SampleAtBatch(src NormalSource, p0 float64, times, out []float64) ([]float64, error) {
-	if p0 <= 0 {
-		return nil, fmt.Errorf("%w: p0=%g must be > 0", ErrBadParam, p0)
-	}
-	if len(times) == 0 {
-		return nil, nil
-	}
-	if cap(out) < len(times) {
-		return nil, fmt.Errorf("%w: out capacity %d < %d times", ErrBadParam, cap(out), len(times))
-	}
-	for i := 1; i < len(times); i++ {
-		if times[i] <= times[i-1] {
-			return nil, fmt.Errorf("%w: times must be strictly increasing (times[%d]=%g, times[%d]=%g)",
-				ErrBadParam, i-1, times[i-1], i, times[i])
-		}
-	}
-	out = out[:len(times)]
-	FillNormals(src, out[1:])
-	out[0] = p0
-	for i := 1; i < len(times); i++ {
-		out[i] = g.StepZ(out[i-1], times[i]-times[i-1], out[i])
-	}
-	return out, nil
-}
-
 // Path samples n equally spaced steps of size dt starting from p0,
 // returning n+1 prices including the start.
 func (g Process) Path(src NormalSource, p0, dt float64, n int) ([]float64, error) {

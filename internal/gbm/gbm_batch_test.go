@@ -91,66 +91,6 @@ func TestStepBatchValidation(t *testing.T) {
 	}
 }
 
-// TestSampleAtBatchMatchesSampleAt pins the caller-owned batched path to
-// the allocating one, byte for byte, with no allocation beyond out.
-func TestSampleAtBatchMatchesSampleAt(t *testing.T) {
-	g := Process{Mu: 0.05, Sigma: 0.25}
-	times := []float64{0, 0.5, 1.25, 2, 7}
-	a := rand.New(rand.NewSource(21))
-	b := rand.New(rand.NewSource(21))
-	want, err := g.SampleAt(a, 2, times)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make([]float64, 0, len(times))
-	got, err := g.SampleAtBatch(b, 2, times, out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("len(got) = %d, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("path[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := g.SampleAtBatch(b, 2, times, out); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("SampleAtBatch allocates %v per run, want 0", allocs)
-	}
-}
-
-func TestSampleAtBatchValidation(t *testing.T) {
-	g := Process{Mu: 0, Sigma: 0.2}
-	rng := rand.New(rand.NewSource(1))
-	out := make([]float64, 0, 8)
-	if _, err := g.SampleAtBatch(rng, -1, []float64{0, 1}, out); !errors.Is(err, ErrBadParam) {
-		t.Errorf("p0<0: err = %v, want ErrBadParam", err)
-	}
-	if _, err := g.SampleAtBatch(rng, 2, []float64{0, 1, 1}, out); !errors.Is(err, ErrBadParam) {
-		t.Errorf("flat times: err = %v, want ErrBadParam", err)
-	}
-	if _, err := g.SampleAtBatch(rng, 2, make([]float64, 16), out); !errors.Is(err, ErrBadParam) {
-		t.Errorf("undersized out: err = %v, want ErrBadParam", err)
-	}
-	if got, err := g.SampleAtBatch(rng, 2, nil, out); err != nil || got != nil {
-		t.Errorf("empty times: got %v, %v, want nil, nil", got, err)
-	}
-	// Invalid grids must not consume draws: the next draw matches a fresh
-	// stream.
-	fresh := rand.New(rand.NewSource(1))
-	// Consume from fresh what the successful calls above drew from rng: none
-	// — only the nil-times call succeeded, drawing nothing.
-	if got, want := rng.NormFloat64(), fresh.NormFloat64(); got != want {
-		t.Errorf("failed calls consumed draws: next = %v, want %v", got, want)
-	}
-}
-
 // TestHotPathValidation pins the package-wide convention: the cheap
 // hot-path methods panic on invalid (p, tau) exactly like PDF/CDF, instead
 // of silently emitting NaN-tainted prices or garbage expectations.

@@ -170,36 +170,6 @@ func TestStepMatchesTransitionMoments(t *testing.T) {
 	}
 }
 
-func TestSampleAt(t *testing.T) {
-	g := defaultProc()
-	rng := rand.New(rand.NewSource(11))
-	times := []float64{0, 3, 7, 8, 12}
-	path, err := g.SampleAt(rng, 2, times)
-	if err != nil {
-		t.Fatalf("SampleAt: %v", err)
-	}
-	if len(path) != len(times) {
-		t.Fatalf("len(path) = %d, want %d", len(path), len(times))
-	}
-	if path[0] != 2 {
-		t.Errorf("path[0] = %v, want 2", path[0])
-	}
-	for i, p := range path {
-		if p <= 0 {
-			t.Errorf("path[%d] = %v, want > 0", i, p)
-		}
-	}
-	if _, err := g.SampleAt(rng, 2, []float64{0, 1, 1}); !errors.Is(err, ErrBadParam) {
-		t.Errorf("non-increasing times should fail, got %v", err)
-	}
-	if _, err := g.SampleAt(rng, -2, times); !errors.Is(err, ErrBadParam) {
-		t.Errorf("negative p0 should fail, got %v", err)
-	}
-	if got, err := g.SampleAt(rng, 2, nil); err != nil || got != nil {
-		t.Errorf("empty times: got %v, %v; want nil, nil", got, err)
-	}
-}
-
 func TestPath(t *testing.T) {
 	g := defaultProc()
 	rng := rand.New(rand.NewSource(3))

@@ -125,30 +125,6 @@ func (s IntervalSet) Intersect(t IntervalSet) IntervalSet {
 	return NewIntervalSet(out...)
 }
 
-// ComplementWithin returns the closure of within \ s, as an IntervalSet.
-func (s IntervalSet) ComplementWithin(within Interval) IntervalSet {
-	if within.Empty() {
-		return IntervalSet{}
-	}
-	var out []Interval
-	cur := within.Lo
-	for _, iv := range s.ivs {
-		if iv.Hi < within.Lo || iv.Lo > within.Hi {
-			continue
-		}
-		if iv.Lo > cur {
-			out = append(out, Interval{Lo: cur, Hi: math.Min(iv.Lo, within.Hi)})
-		}
-		if iv.Hi > cur {
-			cur = iv.Hi
-		}
-	}
-	if cur < within.Hi {
-		out = append(out, Interval{Lo: cur, Hi: within.Hi})
-	}
-	return NewIntervalSet(out...)
-}
-
 // String formats the set as a union of intervals, or "∅" when empty.
 func (s IntervalSet) String() string {
 	if s.Empty() {

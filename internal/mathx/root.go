@@ -6,44 +6,9 @@ import (
 	"math"
 )
 
-// Errors returned by the root finders.
-var (
-	// ErrNoBracket indicates that the supplied endpoints do not bracket a
-	// sign change.
-	ErrNoBracket = errors.New("mathx: endpoints do not bracket a root")
-	// ErrNoConverge indicates the iteration budget was exhausted before the
-	// requested tolerance was met.
-	ErrNoConverge = errors.New("mathx: root finder failed to converge")
-)
-
-// Bisect finds a root of f in [a, b] by bisection. f(a) and f(b) must have
-// opposite signs (an endpoint that is exactly zero is returned immediately).
-// The result is accurate to within tol in the argument.
-func Bisect(f Func1, a, b, tol float64) (float64, error) {
-	fa, fb := f(a), f(b)
-	if fa == 0 {
-		return a, nil
-	}
-	if fb == 0 {
-		return b, nil
-	}
-	if (fa > 0) == (fb > 0) {
-		return 0, fmt.Errorf("%w: f(%g)=%g, f(%g)=%g", ErrNoBracket, a, fa, b, fb)
-	}
-	for i := 0; i < 200; i++ {
-		m := 0.5 * (a + b)
-		fm := f(m)
-		if fm == 0 || (b-a)/2 < tol {
-			return m, nil
-		}
-		if (fm > 0) == (fa > 0) {
-			a, fa = m, fm
-		} else {
-			b = m
-		}
-	}
-	return 0.5 * (a + b), nil
-}
+// ErrNoBracket is returned by Brent when the supplied endpoints do not
+// bracket a sign change.
+var ErrNoBracket = errors.New("mathx: endpoints do not bracket a root")
 
 // Brent finds a root of f in [a, b] using Brent's method (inverse quadratic
 // interpolation with bisection fallback). f(a) and f(b) must have opposite
@@ -147,23 +112,6 @@ func FindAllRoots(f Func1, a, b float64, n int, tol float64) []float64 {
 		roots = append(roots, x0)
 	}
 	return roots
-}
-
-// LogSpace returns n points geometrically spaced between a and b inclusive.
-// Both endpoints must be positive and n must be at least 2; otherwise nil is
-// returned. It is the natural grid for scanning price-threshold functions
-// under a lognormal law.
-func LogSpace(a, b float64, n int) []float64 {
-	if n < 2 || a <= 0 || b <= 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	la, lb := math.Log(a), math.Log(b)
-	for i := range out {
-		out[i] = math.Exp(la + (lb-la)*float64(i)/float64(n-1))
-	}
-	out[0], out[n-1] = a, b
-	return out
 }
 
 // LinSpace returns n points linearly spaced between a and b inclusive.

@@ -7,39 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestBisect(t *testing.T) {
-	tests := []struct {
-		name string
-		f    Func1
-		a, b float64
-		want float64
-	}{
-		{"linear", func(x float64) float64 { return x - 1 }, 0, 3, 1},
-		{"cos", math.Cos, 0, 3, math.Pi / 2},
-		{"cubic", func(x float64) float64 { return x*x*x - 8 }, 0, 5, 2},
-		{"endpointA", func(x float64) float64 { return x }, 0, 1, 0},
-		{"endpointB", func(x float64) float64 { return x - 1 }, 0, 1, 1},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			got, err := Bisect(tt.f, tt.a, tt.b, 1e-12)
-			if err != nil {
-				t.Fatalf("Bisect: %v", err)
-			}
-			if !almostEqual(got, tt.want, 1e-10) {
-				t.Errorf("Bisect = %.12f, want %.12f", got, tt.want)
-			}
-		})
-	}
-}
-
-func TestBisectNoBracket(t *testing.T) {
-	_, err := Bisect(func(x float64) float64 { return x*x + 1 }, -1, 1, 1e-10)
-	if !errors.Is(err, ErrNoBracket) {
-		t.Errorf("error = %v, want ErrNoBracket", err)
-	}
-}
-
 func TestBrent(t *testing.T) {
 	tests := []struct {
 		name string
@@ -146,22 +113,6 @@ func TestFindAllRootsDegenerateInput(t *testing.T) {
 	}
 }
 
-func TestLogSpace(t *testing.T) {
-	got := LogSpace(1, 100, 3)
-	want := []float64{1, 10, 100}
-	for i := range want {
-		if !almostEqual(got[i], want[i], 1e-12) {
-			t.Errorf("LogSpace[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if LogSpace(-1, 10, 5) != nil {
-		t.Error("LogSpace with negative endpoint should be nil")
-	}
-	if LogSpace(1, 10, 1) != nil {
-		t.Error("LogSpace with n<2 should be nil")
-	}
-}
-
 func TestLinSpace(t *testing.T) {
 	got := LinSpace(0, 1, 5)
 	want := []float64{0, 0.25, 0.5, 0.75, 1}
@@ -172,22 +123,5 @@ func TestLinSpace(t *testing.T) {
 	}
 	if LinSpace(0, 1, 1) != nil {
 		t.Error("LinSpace with n<2 should be nil")
-	}
-}
-
-func TestLogSpaceMonotone(t *testing.T) {
-	err := quick.Check(func(a, span float64) bool {
-		lo := 0.01 + math.Mod(math.Abs(a), 1e6)
-		hi := lo * (1.5 + math.Mod(math.Abs(span), 1e3))
-		pts := LogSpace(lo, hi, 17)
-		for i := 1; i < len(pts); i++ {
-			if pts[i] <= pts[i-1] {
-				return false
-			}
-		}
-		return pts[0] == lo && pts[len(pts)-1] == hi
-	}, &quick.Config{MaxCount: 200})
-	if err != nil {
-		t.Error(err)
 	}
 }

@@ -213,6 +213,35 @@ func TestQuantiles(t *testing.T) {
 	if xs[0] != 5 {
 		t.Error("Quantiles sorted the caller's slice")
 	}
+	// Nearest rank: the q-quantile of n values is the ceil(q·n)-th smallest
+	// (1-based). seq(n) holds n, …, 1, so once sorted value k sits at rank k.
+	seq := func(n int) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = float64(n - i)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name string
+		n    int
+		q    float64
+		want float64
+	}{
+		{"q=0 is the minimum", 3, 0, 1},
+		{"n=1 p99", 1, 0.99, 1},
+		{"n=10 p50 exact", 10, 0.50, 5},
+		{"n=10 p90 exact", 10, 0.90, 9},
+		{"n=100 p99 exact", 100, 0.99, 99},
+		{"n=10 p99 rounds up", 10, 0.99, 10},    // ceil(9.9) = 10, not 9
+		{"n=150 p99 rounds up", 150, 0.99, 149}, // ceil(148.5) = 149, not 148
+		{"q=1 is the maximum", 1000, 1, 1000},
+	} {
+		got, err := Quantiles(seq(tc.n), tc.q)
+		if err != nil || got[0] != tc.want {
+			t.Errorf("%s: Quantiles(n=%d, q=%v) = %v, %v; want %v", tc.name, tc.n, tc.q, got, err, tc.want)
+		}
+	}
 	if _, err := Quantiles(nil, 0.5); !errors.Is(err, ErrBadInput) {
 		t.Errorf("empty err = %v", err)
 	}

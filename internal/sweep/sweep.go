@@ -2,8 +2,8 @@
 // that evaluates an indexed task set concurrently and collects results in
 // index order, so a sweep's output is bit-identical regardless of the worker
 // count. Every grid scan behind the paper artifacts (internal/figures), the
-// Monte Carlo driver (internal/swapsim) and the CLI sweeps (cmd/swapsolve)
-// runs through it.
+// Monte Carlo waves (internal/mc) and the CLI sweeps (cmd/swapsolve) run
+// through it.
 //
 // Determinism contract: Map calls fn exactly once per index with no shared
 // mutable state of its own, and places fn(i)'s result at position i of the
@@ -35,73 +35,16 @@ func Workers(n int) int {
 }
 
 // Map evaluates fn(0), …, fn(n−1) on a pool of workers and returns the
-// results in index order. workers ≤ 0 uses all CPUs; the pool never exceeds
-// n goroutines. A task error cancels the remaining tasks, and the
-// lowest-indexed error among the tasks that ran is returned; a cancelled
-// ctx stops the sweep with ctx's error. fn must be safe for concurrent
-// invocation.
+// results in index order. It is MapTiles with tiles of one index: workers ≤ 0
+// uses all CPUs, a task error cancels the remaining tasks and the
+// lowest-indexed error among the tasks that ran is returned (naming its
+// index as the tile [i,i+1)), and a cancelled ctx stops the sweep with ctx's
+// error. fn must be safe for concurrent invocation.
 func Map[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) ([]T, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("%w: n=%d must be >= 0", ErrBadInput, n)
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	results := make([]T, n)
-	var (
-		next    atomic.Int64
-		mu      sync.Mutex
-		errIdx  = -1
-		firstEr error
-		wg      sync.WaitGroup
-	)
-	// record keeps only the lowest-indexed task error, so a cancellation
-	// observed by another worker can never shadow the failure that caused it.
-	record := func(i int, err error) {
-		mu.Lock()
-		if errIdx == -1 || i < errIdx {
-			errIdx, firstEr = i, err
-		}
-		mu.Unlock()
-		cancel()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if ctx.Err() != nil {
-					return
-				}
-				res, err := fn(i)
-				if err != nil {
-					record(i, fmt.Errorf("sweep: task %d: %w", i, err))
-					return
-				}
-				results[i] = res
-			}
-		}()
-	}
-	wg.Wait()
-	if firstEr != nil {
-		return nil, firstEr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return results, nil
+	return MapTiles(ctx, n, workers, 1, func(i, _ int, out []T) (err error) {
+		out[0], err = fn(i)
+		return err
+	})
 }
 
 // MapTiles evaluates n tasks in contiguous index blocks: workers claim tiles
@@ -147,6 +90,8 @@ func MapTiles[T any](ctx context.Context, n, workers, tile int, fn func(lo, hi i
 		firstEr error
 		wg      sync.WaitGroup
 	)
+	// record keeps only the lowest-indexed tile error, so a cancellation
+	// observed by another worker can never shadow the failure that caused it.
 	record := func(lo int, err error) {
 		mu.Lock()
 		if errIdx == -1 || lo < errIdx {
@@ -188,15 +133,6 @@ func MapTiles[T any](ctx context.Context, n, workers, tile int, fn func(lo, hi i
 		return nil, err
 	}
 	return results, nil
-}
-
-// Over evaluates fn(i, xs[i]) for every point of a grid axis, in parallel,
-// returning results in grid order. It is Map specialised to the 1-D scans
-// used throughout internal/figures.
-func Over[T any](ctx context.Context, workers int, xs []float64, fn func(i int, x float64) (T, error)) ([]T, error) {
-	return Map(ctx, len(xs), workers, func(i int) (T, error) {
-		return fn(i, xs[i])
-	})
 }
 
 // Seed derives a deterministic per-shard RNG seed from a base seed and a

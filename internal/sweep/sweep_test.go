@@ -68,8 +68,8 @@ func TestMapReportsLowestIndexError(t *testing.T) {
 		if !errors.Is(err, wantErr) {
 			t.Fatalf("workers=%d: err = %v, want wrapped boom", workers, err)
 		}
-		if err == nil || !strings.Contains(err.Error(), "task ") {
-			t.Errorf("workers=%d: err = %v, want a task-indexed error", workers, err)
+		if err == nil || !strings.Contains(err.Error(), "tile [") {
+			t.Errorf("workers=%d: err = %v, want an index-named error", workers, err)
 		}
 	}
 	// Single worker runs indices in order, so the contract — lowest-indexed
@@ -81,7 +81,7 @@ func TestMapReportsLowestIndexError(t *testing.T) {
 		}
 		return i, nil
 	})
-	if want := "task 3"; err == nil || !strings.Contains(err.Error(), want) {
+	if want := "tile [3,4)"; err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("workers=1: err = %v, want mention of %q", err, want)
 	}
 }
@@ -245,27 +245,6 @@ func TestMapTilesCancellation(t *testing.T) {
 	}
 	if n := calls.Load(); n >= 10000 {
 		t.Errorf("cancellation did not stop the sweep (%d calls)", n)
-	}
-}
-
-func TestOverMatchesSequentialScan(t *testing.T) {
-	xs := make([]float64, 83)
-	for i := range xs {
-		xs[i] = 0.2 + 0.05*float64(i)
-	}
-	f := func(x float64) float64 { return math.Sin(x) * math.Exp(-x) }
-	want := make([]float64, len(xs))
-	for i, x := range xs {
-		want[i] = f(x)
-	}
-	got, err := Over(context.Background(), 6, xs, func(i int, x float64) (float64, error) {
-		return f(x), nil
-	})
-	if err != nil {
-		t.Fatalf("Over: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("parallel scan differs from sequential scan")
 	}
 }
 

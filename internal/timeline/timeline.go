@@ -155,45 +155,3 @@ func approxEq(a, b float64) bool {
 	d := a - b
 	return d < 1e-9 && d > -1e-9
 }
-
-// Delays collects the waiting spans that drive the discounting exponents of
-// the stage utilities (§III.E and §IV.A). All are measured from the decision
-// point named in the field comment.
-type Delays struct {
-	// AliceSuccessFromT3 is t5 − t3 = τb: A's wait for Token_b on success.
-	AliceSuccessFromT3 float64
-	// BobSuccessFromT3 is t6 − t3 = εb + τa: B's wait for Token_a on success.
-	BobSuccessFromT3 float64
-	// AliceRefundFromT3 is t8 − t3 = εb + 2τa: A's wait for her refund when
-	// she stops at t3.
-	AliceRefundFromT3 float64
-	// BobRefundFromT3 is t7 − t3 = 2τb: B's wait for his refund when A stops
-	// at t3.
-	BobRefundFromT3 float64
-	// AliceRefundFromT2 is t8 − t2 = τb + εb + 2τa: A's wait for her refund
-	// when B stops at t2.
-	AliceRefundFromT2 float64
-	// StageT2FromT3 is t3 − t2 = τb: the discount span between the t2 and t3
-	// decisions.
-	StageT2FromT3 float64
-	// StageT1FromT2 is t2 − t1 = τa: the discount span between the t1 and t2
-	// decisions.
-	StageT1FromT2 float64
-}
-
-// DelaysOf derives the canonical discounting spans from the chain timings,
-// matching the exponents of Eqs. 14–17, 22 of the paper.
-func DelaysOf(c Chains) (Delays, error) {
-	if err := c.Validate(); err != nil {
-		return Delays{}, err
-	}
-	return Delays{
-		AliceSuccessFromT3: c.TauB,
-		BobSuccessFromT3:   c.EpsB + c.TauA,
-		AliceRefundFromT3:  c.EpsB + 2*c.TauA,
-		BobRefundFromT3:    2 * c.TauB,
-		AliceRefundFromT2:  c.TauB + c.EpsB + 2*c.TauA,
-		StageT2FromT3:      c.TauB,
-		StageT1FromT2:      c.TauA,
-	}, nil
-}

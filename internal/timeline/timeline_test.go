@@ -137,31 +137,6 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
-func TestDelaysOfTableIII(t *testing.T) {
-	d, err := DelaysOf(tableIII())
-	if err != nil {
-		t.Fatalf("DelaysOf: %v", err)
-	}
-	want := Delays{
-		AliceSuccessFromT3: 4,
-		BobSuccessFromT3:   4,  // εb + τa = 1 + 3
-		AliceRefundFromT3:  7,  // εb + 2τa = 1 + 6
-		BobRefundFromT3:    8,  // 2τb
-		AliceRefundFromT2:  11, // τb + εb + 2τa = 4 + 1 + 6
-		StageT2FromT3:      4,
-		StageT1FromT2:      3,
-	}
-	if d != want {
-		t.Errorf("DelaysOf = %+v, want %+v", d, want)
-	}
-}
-
-func TestDelaysOfInvalid(t *testing.T) {
-	if _, err := DelaysOf(Chains{}); !errors.Is(err, ErrBadTiming) {
-		t.Errorf("want ErrBadTiming, got %v", err)
-	}
-}
-
 func TestWithWaitsOrderingProperty(t *testing.T) {
 	// Property: any non-negative waits produce a timeline satisfying Eq. 12,
 	// and waiting only postpones events.

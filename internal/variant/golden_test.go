@@ -41,8 +41,8 @@ func TestGoldenVariantReports(t *testing.T) {
 			// A golden file must pin healthy output: every validation that
 			// ran at the pinned size has to agree, or -update would
 			// enshrine a failing batch as the expected state.
-			if !row.MCAgrees() {
-				t.Fatalf("pinned run disagrees for %v; raise goldenRuns", row.Disagreements())
+			if bad := row.Disagreements(); len(bad) > 0 {
+				t.Fatalf("pinned run disagrees for %v; raise goldenRuns", bad)
 			}
 			got := []byte(row.Render())
 			path := filepath.Join("testdata", "golden", sc.Name+".golden")

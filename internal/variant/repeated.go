@@ -24,7 +24,7 @@ const repeatedGameGap = 24.0
 // regime — premia fixed at the scenario's, every round an independent
 // draw of the re-quoted stage game — which is the regime an analytic
 // validation exists for; the reputation dynamics stay reachable through
-// the figures and examples.
+// the figures' reputation artifact.
 type repeatedGame struct{}
 
 func (repeatedGame) Key() string { return "repeated" }

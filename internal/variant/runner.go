@@ -113,17 +113,6 @@ type ScenarioReport struct {
 	Reports []Report
 }
 
-// MCAgrees reports whether every variant's Monte Carlo validation agrees
-// with its analytic solve (variants without a validation pass vacuously).
-func (sr ScenarioReport) MCAgrees() bool {
-	for _, r := range sr.Reports {
-		if !r.MCAgrees() {
-			return false
-		}
-	}
-	return true
-}
-
 // Disagreements lists the keys of variants whose validation failed.
 func (sr ScenarioReport) Disagreements() []string {
 	var out []string

@@ -53,20 +53,19 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/scenario"
+	"repro/internal/stats"
 )
 
 func main() {
@@ -622,7 +621,6 @@ func generate(base string, cfg genConfig) (Report, map[int]string) {
 	elapsed := time.Since(start)
 
 	var rep Report
-	sort.Float64s(latencies)
 	errs := shed + rpcErrs + transport
 	rep.Results.Requests = len(latencies) + errs
 	rep.Results.Errors = errs
@@ -636,10 +634,11 @@ func generate(base string, cfg genConfig) (Report, map[int]string) {
 	if retries > 0 {
 		rep.Results.RetryHistogram = histogram
 	}
-	rep.Results.P50Us = percentile(latencies, 0.50)
-	rep.Results.P90Us = percentile(latencies, 0.90)
-	rep.Results.P99Us = percentile(latencies, 0.99)
-	rep.Results.MaxUs = percentile(latencies, 1)
+	// Nearest rank: the q-quantile is the ceil(q·n)-th smallest latency.
+	// A pass with no successes has no sample and reports zeros.
+	if qs, err := stats.Quantiles(latencies, 0.50, 0.90, 0.99, 1); err == nil {
+		rep.Results.P50Us, rep.Results.P90Us, rep.Results.P99Us, rep.Results.MaxUs = qs[0], qs[1], qs[2], qs[3]
+	}
 	rep.Results.Coalesced = coalesced
 	rep.Results.CachedResponses = cached
 	if st, ok := fetchStats(client, base); ok {
@@ -956,25 +955,6 @@ func compareDigests(out io.Writer, path string, digests map[int]string) error {
 	}
 	fmt.Fprintf(out, "digest compare vs %s: %d shared results byte-identical\n", path, shared)
 	return nil
-}
-
-// percentile reads the q-quantile from sorted data by the nearest-rank
-// method: rank ceil(q*n), 1-based. Truncating q*n instead of taking the
-// ceiling reads one rank low whenever q*n is fractional — a bias that
-// understates tail latency (p99 of 150 samples must be the 149th value,
-// not the 148th).
-func percentile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }
 
 // printReport renders the human-readable summary.
