@@ -634,11 +634,8 @@ func generate(base string, cfg genConfig) (Report, map[int]string) {
 	if retries > 0 {
 		rep.Results.RetryHistogram = histogram
 	}
-	// Nearest rank: the q-quantile is the ceil(q·n)-th smallest latency.
-	// A pass with no successes has no sample and reports zeros.
-	if qs, err := stats.Quantiles(latencies, 0.50, 0.90, 0.99, 1); err == nil {
-		rep.Results.P50Us, rep.Results.P90Us, rep.Results.P99Us, rep.Results.MaxUs = qs[0], qs[1], qs[2], qs[3]
-	}
+	qs := percentiles(latencies, 0.50, 0.90, 0.99, 1)
+	rep.Results.P50Us, rep.Results.P90Us, rep.Results.P99Us, rep.Results.MaxUs = qs[0], qs[1], qs[2], qs[3]
 	rep.Results.Coalesced = coalesced
 	rep.Results.CachedResponses = cached
 	if st, ok := fetchStats(client, base); ok {
@@ -955,6 +952,17 @@ func compareDigests(out io.Writer, path string, digests map[int]string) error {
 	}
 	fmt.Fprintf(out, "digest compare vs %s: %d shared results byte-identical\n", path, shared)
 	return nil
+}
+
+// percentiles reads the qs-quantiles of latencies by the nearest-rank
+// method of stats.Quantiles: the q-quantile is the ceil(q·n)-th smallest.
+// A pass with no successes has no sample and reads zeros.
+func percentiles(latencies []float64, qs ...float64) []float64 {
+	out, err := stats.Quantiles(latencies, qs...)
+	if err != nil {
+		return make([]float64, len(qs))
+	}
+	return out
 }
 
 // printReport renders the human-readable summary.

@@ -22,6 +22,22 @@ func TestParseMix(t *testing.T) {
 	}
 }
 
+func TestPercentile(t *testing.T) {
+	sorted := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	cases := []struct {
+		q    float64
+		want float64
+	}{{0.5, 5}, {0.9, 9}, {0.99, 10}, {1, 10}} // p99 of 10: rank ceil(9.9) = 10
+	for _, tc := range cases {
+		if got := percentiles(sorted, tc.q)[0]; got != tc.want {
+			t.Errorf("percentiles(%v) = %v, want %v", tc.q, got, tc.want)
+		}
+	}
+	if got := percentiles(nil, 0.5, 1); !reflect.DeepEqual(got, []float64{0, 0}) {
+		t.Errorf("percentiles(nil) = %v, want [0 0]", got)
+	}
+}
+
 func TestKeyedBodyStableAndDistinct(t *testing.T) {
 	cfg := genConfig{weights: []string{"tableIII", "high-vol"}, mcRuns: 500}
 	// Same key, different envelope ids: params must be byte-identical

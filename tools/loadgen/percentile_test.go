@@ -35,8 +35,8 @@ func TestPercentileNearestRank(t *testing.T) {
 		{"q=1 is the max", seq(1000), 1, 1000},
 	}
 	for _, tc := range tests {
-		if got := percentile(tc.sorted, tc.q); got != tc.want {
-			t.Errorf("%s: percentile(n=%d, q=%v) = %v, want %v",
+		if got := percentiles(tc.sorted, tc.q)[0]; got != tc.want {
+			t.Errorf("%s: percentiles(n=%d, q=%v) = %v, want %v",
 				tc.name, len(tc.sorted), tc.q, got, tc.want)
 		}
 	}
