@@ -11,6 +11,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/figures"
+	"repro/internal/mathx"
 	"repro/internal/scenario"
 	"repro/internal/utility"
 	"repro/internal/variant"
@@ -105,22 +106,23 @@ func BenchmarkSolve_FeasibleRateRangeCold(b *testing.B) {
 }
 
 // BenchmarkSolve_UncertainCold measures one cold §IV.B cell as the
-// uncertain variant solves it: a fresh budget-capped solver (Table III,
-// budget 5) per iteration, then SR_x (Eq. 46) and A's excess utility
-// (Eq. 45) at the scenario's commitment — B's best response plus two
-// Gauss–Hermite passes over P_t2.
+// uncertain variant solves it: a fresh Model and budget-capped solver
+// (Table III, budget 5) per iteration, then SR_x (Eq. 46) and A's excess
+// utility (Eq. 45) at the scenario's commitment — B's best response table
+// plus two Gauss–Hermite passes over P_t2. The Model is fresh because it
+// retains the response table across its solvers.
 func BenchmarkSolve_UncertainCold(b *testing.B) {
 	sc, err := scenario.Lookup("tableIII")
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := core.New(sc.Params)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		m, err := core.New(sc.Params)
+		if err != nil {
+			b.Fatal(err)
+		}
 		u, err := m.UncertainWithBudget(sc.BobBudget)
 		if err != nil {
 			b.Fatal(err)
@@ -130,6 +132,53 @@ func BenchmarkSolve_UncertainCold(b *testing.B) {
 		}
 		if _, err := u.AliceExcessUtilityT1(sc.PStar); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSolve_Fig6Cold measures one Fig. 6 curve on a fresh Model per
+// iteration: SR(P*) (Eq. 31) at the figure's 41 rates on Table III. Every
+// rate's t2 region is the unit-rate region scaled by P*, so the curve costs
+// one root scan plus 41 quadratures.
+func BenchmarkSolve_Fig6Cold(b *testing.B) {
+	p := utility.Default()
+	grid := mathx.LinSpace(0.2, 3.2, 41)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m, err := core.New(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, pstar := range grid {
+			if _, err := m.SuccessRate(pstar); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkSolve_BayesianCold measures one curve of the uncertainty figure
+// on a fresh Model and Bayesian solver per iteration: the
+// incomplete-information SR at 29 rates, with A's premium known and a
+// two-point prior αB ∈ {0.2, 0.4} over B's.
+func BenchmarkSolve_BayesianCold(b *testing.B) {
+	p := utility.Default()
+	grid := mathx.LinSpace(1.4, 2.8, 29)
+	prior := core.TypePrior{Values: []float64{0.2, 0.4}, Probs: []float64{0.5, 0.5}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m, err := core.New(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bay, err := m.Bayesian(core.PointPrior(p.Alice.Alpha), prior)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, pstar := range grid {
+			if _, _, err := bay.SuccessRate(pstar); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -236,38 +236,51 @@ func (m *Model) BobUtilityT2(action Action, pT2, pstar float64) (float64, error)
 // {y > 0 : U^B_t2(cont)(y) > U^B_t2(stop)(y)}, as a union of intervals.
 // In the basic game (q = 0) this is the single interval (P̲_t2, P̄_t2] of
 // Eq. 24; with collateral the difference can have one or three roots
-// (Fig. 7), hence the general interval-set machinery. The scan happens in
-// log-price space, matching the lognormal geometry of the transition law.
+// (Fig. 7), hence the general interval-set machinery.
 //
-// The scan is the solve engine's hottest primitive, so the result is
-// memoized per (P*, Q) — ContRangeT2, SuccessRate and Strategy at the same
-// rate share one scan.
+// The region is memoized per (P*, Q) — ContRangeT2, SuccessRate and
+// Strategy at the same rate share one. A q = 0 miss costs no scan: it
+// scales the model's unit-rate region by P* (unitContSetT2). A q ≠ 0 miss
+// runs the direct scan, contSetT2Scan.
 func (m *Model) contSetT2(pstar, q float64) mathx.IntervalSet {
 	return m.solve.contSet.Do(solveKey{pstar, q}, func() mathx.IntervalSet {
+		if q == 0 {
+			return m.unitContSetT2().Scale(pstar)
+		}
 		return m.contSetT2Scan(pstar, q)
 	})
 }
 
-// unitContSetT2 is B's continuation region at the unit rate P* = 1, the
-// region every t1Probe table is built over. It shares the contSet memo's
-// {1, 0} cell with an exact solve at P* = 1.
+// unitContSetT2 is B's continuation region at the unit rate P* = 1 in the
+// basic game, scanned once per Model. It is the region every q = 0 cell of
+// contSetT2 and every t1Probe table is built from.
 //
 // With q = 0 every term of U^B_t2(cont) − U^B_t2(stop) is 1-homogeneous in
 // (P*, y) — P̄_t3 ∝ P*, bobContT3 ∝ P*, and the truncated lognormal moment
-// ∝ y — so the region at any rate is this one scaled by P*, up to root
-// tolerance (~1e-11 relative) against contSetT2's direct scan.
+// ∝ y — so the region at any rate is this one scaled by P*. The scaled
+// region agrees with a direct scan at that rate to root tolerance (≤1e-9
+// relative on the presets and the universe; TestScaledContSetMatchesDirectScan).
 func (m *Model) unitContSetT2() mathx.IntervalSet {
-	return m.solve.contSet.Do(solveKey{1, 0}, func() mathx.IntervalSet {
-		return m.contSetT2Scan(1, 0)
-	})
+	m.solve.unitOnce.Do(func() { m.solve.unit = m.contSetT2Scan(1, 0) })
+	return m.solve.unit
 }
 
-// contSetT2Scan is the uncached scan behind contSetT2.
+// contSetT2Scan is the direct scan at (P*, Q): the q ≠ 0 path of contSetT2,
+// the unit-rate scan behind unitContSetT2, and the tests' reference.
 func (m *Model) contSetT2Scan(pstar, q float64) mathx.IntervalSet {
 	e := m.newT2Eval(pstar, q)
-	diff := func(y float64) float64 { return e.bobCont(math.Log(y)) - y }
+	return m.t2RegionScan(pstar, q, e.pbar, e.bobCont)
+}
+
+// t2RegionScan returns {y : bobCont(log y) > y}, B's t2 continuation
+// region for a cont utility bobCont at rate pstar, collateral q and t3
+// cut-off pbar. It brackets the region by B's parameters and scans in
+// log-price space, matching the lognormal geometry of the transition law,
+// with the near-touch refinement of mathx.FindAllRootsRefined: a region
+// narrower than one of the m.scanN panels is still found.
+func (m *Model) t2RegionScan(pstar, q, pbar float64, bobCont func(logy float64) float64) mathx.IntervalSet {
+	diff := func(y float64) float64 { return bobCont(math.Log(y)) - y }
 	b := m.params.Bob
-	pbar := e.pbar
 	// Upper bound: U^B_t2(cont) ≤ q + (1+αB)P* + e^{2(µ−rB)τb}·P̄_t3 up to
 	// discount factors ≤ e^{|µ|τ}, so cont < stop surely beyond a small
 	// multiple of that bound.
@@ -275,7 +288,7 @@ func (m *Model) contSetT2Scan(pstar, q float64) mathx.IntervalSet {
 	hi := 4*((1+b.Alpha)*pstar+growth*pbar+q+1) + 2*m.params.P0
 	lo := 1e-7 * math.Min(m.params.P0, pstar)
 	logDiff := func(u float64) float64 { return diff(math.Exp(u)) }
-	logRoots := mathx.FindAllRoots(logDiff, math.Log(lo), math.Log(hi), m.scanN, m.tol)
+	logRoots := mathx.FindAllRootsRefined(logDiff, math.Log(lo), math.Log(hi), m.scanN, m.tol)
 	roots := make([]float64, len(logRoots))
 	for i, u := range logRoots {
 		roots[i] = math.Exp(u)
@@ -301,13 +314,10 @@ func (m *Model) ContRangeT2(pstar float64) (mathx.Interval, bool, error) {
 
 // ---- Stage t1 (Eqs. 25–28) ----
 
-// aliceContT1 is U^A_t1(cont) (Eq. 25): the discounted expectation of A's
-// t2 position over B's continuation region, plus her refund on the stop
-// region. With collateral q it is U^A_t1,c(cont) of Eq. 36, where on B's
-// stop region A also recovers both deposits (2Q at t3, received τa later).
-func (m *Model) aliceContT1(pstar, q float64) float64 {
-	e := m.newT2Eval(pstar, q)
-	set := m.contSetT2(pstar, q)
+// integrateT1 integrates g(log y) against the t1→t2 price density over
+// iv by Gauss–Legendre quadrature, in place on the mapped nodes
+// (IntegrateMapped reproduces Integrate bit for bit).
+func (m *Model) integrateT1(iv mathx.Interval, g func(logy float64) float64) float64 {
 	tr := m.transitionTauA(m.params.P0)
 	// Stack-backed scratch for the default 64-point rule; larger orders
 	// spill to the heap.
@@ -316,16 +326,29 @@ func (m *Model) aliceContT1(pstar, q float64) float64 {
 	if n := m.gl.N(); n > len(arr) {
 		buf = make([]float64, 0, n)
 	}
+	nodes := m.gl.MapNodes(buf, iv.Lo, iv.Hi)
+	for i, y := range nodes {
+		logy := math.Log(y)
+		nodes[i] = tr.PDFAtLog(y, logy) * g(logy)
+	}
+	return m.gl.IntegrateMapped(nodes, iv.Lo, iv.Hi)
+}
+
+// aliceContT1 is U^A_t1(cont) (Eq. 25): the discounted expectation of A's
+// t2 position over B's continuation region, plus her refund on the stop
+// region. With collateral q it is U^A_t1,c(cont) of Eq. 36, where on B's
+// stop region A also recovers both deposits (2Q at t3, received τa later).
+func (m *Model) aliceContT1(pstar, q float64) float64 {
+	return m.aliceContT1Over(m.contSetT2(pstar, q), pstar, q)
+}
+
+// aliceContT1Over is aliceContT1 over a given t2 continuation region.
+func (m *Model) aliceContT1Over(set mathx.IntervalSet, pstar, q float64) float64 {
+	e := m.newT2Eval(pstar, q)
+	tr := m.transitionTauA(m.params.P0)
 	var contPart, prob float64
 	for _, iv := range set.Intervals() {
-		// Scratch-free quadrature: evaluate the integrand over the mapped
-		// nodes in place; IntegrateMapped reproduces Integrate bit for bit.
-		nodes := m.gl.MapNodes(buf[:0], iv.Lo, iv.Hi)
-		for i, y := range nodes {
-			logy := math.Log(y)
-			nodes[i] = tr.PDFAtLog(y, logy) * e.aliceCont(logy)
-		}
-		contPart += m.gl.IntegrateMapped(nodes, iv.Lo, iv.Hi)
+		contPart += m.integrateT1(iv, e.aliceCont)
 		prob += tr.CDF(iv.Hi) - tr.CDF(iv.Lo)
 	}
 	stopVal := m.aliceStopT2(pstar) + 2*q*m.k.collStopA
@@ -338,23 +361,10 @@ func (m *Model) aliceContT1(pstar, q float64) float64 {
 // (discounted at rB; see DESIGN.md deviation 3).
 func (m *Model) bobContT1(pstar, q float64) float64 {
 	e := m.newT2Eval(pstar, q)
-	set := m.contSetT2(pstar, q)
 	tr := m.transitionTauA(m.params.P0)
-	// Stack-backed scratch for the default 64-point rule; larger orders
-	// spill to the heap.
-	var arr [64]float64
-	buf := arr[:0]
-	if n := m.gl.N(); n > len(arr) {
-		buf = make([]float64, 0, n)
-	}
 	var contPart, peInside float64
-	for _, iv := range set.Intervals() {
-		nodes := m.gl.MapNodes(buf[:0], iv.Lo, iv.Hi)
-		for i, y := range nodes {
-			logy := math.Log(y)
-			nodes[i] = tr.PDFAtLog(y, logy) * e.bobCont(logy)
-		}
-		contPart += m.gl.IntegrateMapped(nodes, iv.Lo, iv.Hi)
+	for _, iv := range m.contSetT2(pstar, q).Intervals() {
+		contPart += m.integrateT1(iv, e.bobCont)
 		peInside += tr.PartialExpectationBelow(iv.Hi) - tr.PartialExpectationBelow(iv.Lo)
 	}
 	// On the stop region B's utility is the price itself (Eq. 23), so the
@@ -415,12 +425,11 @@ func (m *Model) rateScanBound() float64 {
 // integrand values at U's Gauss–Legendre nodes do not depend on P*: a
 // probe only reweights them by the transition density, one exp per node
 // (plus two CDF calls per interval for A's stop probability), where an
-// exact evaluation pays a log, an exp and two erfc per node and a root
-// scan per rate.
+// exact evaluation pays a log, an exp and two erfc per node.
 //
-// Probe values equal integration over unitContSetT2().Scale(P*) to
-// rounding (≤1e-12 relative) and the exact per-rate path to root
-// tolerance, so they are never memoized or served to an exact query. A
+// Probe values equal the exact per-rate path, integration over
+// unitContSetT2().Scale(P*), to rounding (≤1e-12 relative), but not bit
+// for bit, so they are never memoized or served to an exact query. A
 // table lives for one scan: it is built inside the FeasibleRateRange and
 // OptimalRate memo closures and dropped with them, so a Model retains only
 // the scans' results.
@@ -536,32 +545,17 @@ func (m *Model) SuccessRate(pstar float64) (float64, error) {
 
 func (m *Model) successRate(pstar, q float64) float64 {
 	return m.solve.sr.Do(solveKey{pstar, q}, func() float64 {
-		return m.successRateIntegrate(pstar, q)
+		return m.successRateOver(m.contSetT2(pstar, q), pstar, q)
 	})
 }
 
-func (m *Model) successRateIntegrate(pstar, q float64) float64 {
-	set := m.contSetT2(pstar, q)
-	if set.Empty() {
-		return 0
-	}
+// successRateOver integrates SR(P*) (Eq. 31) over a given t2 continuation
+// region; an empty region yields 0.
+func (m *Model) successRateOver(set mathx.IntervalSet, pstar, q float64) float64 {
 	e := m.newT2Eval(pstar, q)
-	tr := m.transitionTauA(m.params.P0)
-	// Stack-backed scratch for the default 64-point rule; larger orders
-	// spill to the heap.
-	var arr [64]float64
-	buf := arr[:0]
-	if n := m.gl.N(); n > len(arr) {
-		buf = make([]float64, 0, n)
-	}
 	var sr float64
 	for _, iv := range set.Intervals() {
-		nodes := m.gl.MapNodes(buf[:0], iv.Lo, iv.Hi)
-		for i, y := range nodes {
-			logy := math.Log(y)
-			nodes[i] = tr.PDFAtLog(y, logy) * e.succ(logy)
-		}
-		sr += m.gl.IntegrateMapped(nodes, iv.Lo, iv.Hi)
+		sr += m.integrateT1(iv, e.succ)
 	}
 	return mathx.Clamp(sr, 0, 1)
 }

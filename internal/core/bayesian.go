@@ -76,7 +76,14 @@ type Bayesian struct {
 	// typed memoizes the per-type model clones so each (αA, αB) pair gets
 	// one solve memo shared across the stage computations.
 	typed memo.Map[[2]float64, *Model]
+	// units memoizes a type-αB B's unit-rate continuation region.
+	units memo.Map[float64, mathx.IntervalSet]
 }
+
+// bayesianMemoMax bounds each of a Bayesian solver's memos. A prior pair
+// needs at most |A|·(|B|+1) typed models and |B| unit regions; the bound
+// only matters to a caller querying many types outside the priors.
+const bayesianMemoMax = 256
 
 // Bayesian returns the incomplete-information solver for the given priors
 // over αA and αB.
@@ -87,7 +94,11 @@ func (m *Model) Bayesian(priorA, priorB TypePrior) (*Bayesian, error) {
 	if err := priorB.Validate(); err != nil {
 		return nil, fmt.Errorf("prior over alphaB: %w", err)
 	}
-	return &Bayesian{m: m, priorA: priorA, priorB: priorB}, nil
+	return &Bayesian{
+		m: m, priorA: priorA, priorB: priorB,
+		typed: memo.Map[[2]float64, *Model]{Max: bayesianMemoMax},
+		units: memo.Map[float64, mathx.IntervalSet]{Max: bayesianMemoMax},
+	}, nil
 }
 
 // typedModel returns a copy of the base model with the premia replaced,
@@ -118,18 +129,10 @@ func (b *Bayesian) CutoffT3(alphaA, pstar float64) (float64, error) {
 	return b.typedModel(alphaA, 0).cutoffT3(pstar, 0), nil
 }
 
-// bobContT2 is a type-αB B's t2 cont utility, averaging the reveal branch
-// over A's types.
-func (b *Bayesian) bobContT2(alphaB, y, pstar float64) float64 {
-	var u float64
-	for i, alphaA := range b.priorA.Values {
-		u += b.priorA.Probs[i] * b.typedModel(alphaA, alphaB).bobContT2(y, pstar, 0)
-	}
-	return u
-}
-
 // ContSetT2 returns the continuation region of a B of type alphaB, given
-// his prior over A's premium.
+// his prior over A's premium. His cont utility is a prior-weighted mixture
+// of 1-homogeneous terms in (P*, y), so, as in the basic game, the region
+// is his unit-rate region scaled by P*.
 func (b *Bayesian) ContSetT2(alphaB, pstar float64) (mathx.IntervalSet, error) {
 	if err := checkRate(pstar); err != nil {
 		return mathx.IntervalSet{}, err
@@ -137,44 +140,44 @@ func (b *Bayesian) ContSetT2(alphaB, pstar float64) (mathx.IntervalSet, error) {
 	if alphaB < 0 || math.IsNaN(alphaB) {
 		return mathx.IntervalSet{}, fmt.Errorf("%w: alphaB=%g", ErrBadParam, alphaB)
 	}
-	diff := func(y float64) float64 { return b.bobContT2(alphaB, y, pstar) - y }
-	ref := b.typedModel(b.priorA.Mean(), alphaB)
-	pbar := ref.cutoffT3(pstar, 0)
-	growth := math.Exp(2 * math.Max(ref.params.Price.Mu-ref.params.Bob.R, 0) * ref.params.Chains.TauB)
-	hi := 4*((1+alphaB)*pstar+growth*pbar+1) + 2*ref.params.P0
-	lo := 1e-7 * math.Min(ref.params.P0, pstar)
-	logRoots := mathx.FindAllRoots(func(u float64) float64 { return diff(math.Exp(u)) },
-		math.Log(lo), math.Log(hi), b.m.scanN, b.m.tol)
-	roots := make([]float64, len(logRoots))
-	for i, u := range logRoots {
-		roots[i] = math.Exp(u)
+	return b.contSetT2(alphaB, pstar), nil
+}
+
+// contSetT2 scales a type-αB B's memoized unit-rate region to pstar.
+func (b *Bayesian) contSetT2(alphaB, pstar float64) mathx.IntervalSet {
+	unit := b.units.Do(alphaB, func() mathx.IntervalSet { return b.contSetT2Scan(alphaB, 1) })
+	return unit.Scale(pstar)
+}
+
+// contSetT2Scan is the direct scan of a type-αB B's region at rate pstar:
+// the unit-rate scan behind ContSetT2 and the tests' reference. His t2
+// cont utility averages the reveal branch over A's types; the scan is
+// bracketed by the type with A's mean premium.
+func (b *Bayesian) contSetT2Scan(alphaB, pstar float64) mathx.IntervalSet {
+	evals := make([]t2Eval, len(b.priorA.Values))
+	for i, alphaA := range b.priorA.Values {
+		evals[i] = b.typedModel(alphaA, alphaB).newT2Eval(pstar, 0)
 	}
-	return mathx.FromSignChanges(diff, lo, hi, roots), nil
+	bobCont := func(logy float64) float64 {
+		var u float64
+		for i := range evals {
+			u += b.priorA.Probs[i] * evals[i].bobCont(logy)
+		}
+		return u
+	}
+	ref := b.typedModel(b.priorA.Mean(), alphaB)
+	return ref.t2RegionScan(pstar, 0, ref.cutoffT3(pstar, 0), bobCont)
 }
 
 // aliceContT1 is a type-αA A's t1 cont utility, averaging over B's types'
 // continuation regions.
-func (b *Bayesian) aliceContT1(alphaA, pstar float64) (float64, error) {
-	ch := b.m.params.Chains
+func (b *Bayesian) aliceContT1(alphaA, pstar float64) float64 {
 	var total float64
 	for j, alphaB := range b.priorB.Values {
-		set, err := b.ContSetT2(alphaB, pstar)
-		if err != nil {
-			return 0, err
-		}
 		typed := b.typedModel(alphaA, alphaB)
-		tr := typed.transition(typed.params.P0, ch.TauA)
-		var contPart, prob float64
-		for _, iv := range set.Intervals() {
-			contPart += typed.gl.Integrate(func(y float64) float64 {
-				return tr.PDF(y) * typed.aliceContT2(y, pstar, 0)
-			}, iv.Lo, iv.Hi)
-			prob += tr.CDF(iv.Hi) - tr.CDF(iv.Lo)
-		}
-		stopPart := (1 - prob) * typed.aliceStopT2(pstar)
-		total += b.priorB.Probs[j] * math.Exp(-typed.params.Alice.R*ch.TauA) * (contPart + stopPart)
+		total += b.priorB.Probs[j] * typed.aliceContT1Over(b.contSetT2(alphaB, pstar), pstar, 0)
 	}
-	return total, nil
+	return total
 }
 
 // AliceInitiates reports whether an A of type alphaA starts the swap at the
@@ -186,11 +189,7 @@ func (b *Bayesian) AliceInitiates(alphaA, pstar float64) (bool, error) {
 	if alphaA < 0 || math.IsNaN(alphaA) {
 		return false, fmt.Errorf("%w: alphaA=%g", ErrBadParam, alphaA)
 	}
-	u, err := b.aliceContT1(alphaA, pstar)
-	if err != nil {
-		return false, err
-	}
-	return u > pstar, nil
+	return b.aliceContT1(alphaA, pstar) > pstar, nil
 }
 
 // SuccessRate returns the ex-ante success probability conditional on
@@ -201,35 +200,15 @@ func (b *Bayesian) SuccessRate(pstar float64) (sr float64, ok bool, err error) {
 	if err := checkRate(pstar); err != nil {
 		return 0, false, err
 	}
-	ch := b.m.params.Chains
-	// Pre-compute B-type regions once.
-	sets := make([]mathx.IntervalSet, len(b.priorB.Values))
-	for j, alphaB := range b.priorB.Values {
-		if sets[j], err = b.ContSetT2(alphaB, pstar); err != nil {
-			return 0, false, err
-		}
-	}
 	var srSum, initMass float64
 	for i, alphaA := range b.priorA.Values {
-		init, err := b.AliceInitiates(alphaA, pstar)
-		if err != nil {
-			return 0, false, err
-		}
-		if !init {
+		if b.aliceContT1(alphaA, pstar) <= pstar {
 			continue
 		}
 		initMass += b.priorA.Probs[i]
 		typed := b.typedModel(alphaA, 0)
-		cut := typed.cutoffT3(pstar, 0)
-		tr := typed.transition(typed.params.P0, ch.TauA)
-		for j := range b.priorB.Values {
-			var s float64
-			for _, iv := range sets[j].Intervals() {
-				s += typed.gl.Integrate(func(y float64) float64 {
-					return tr.PDF(y) * typed.transition(y, ch.TauB).TailProb(cut)
-				}, iv.Lo, iv.Hi)
-			}
-			srSum += b.priorA.Probs[i] * b.priorB.Probs[j] * s
+		for j, alphaB := range b.priorB.Values {
+			srSum += b.priorA.Probs[i] * b.priorB.Probs[j] * typed.successRateOver(b.contSetT2(alphaB, pstar), pstar, 0)
 		}
 	}
 	if initMass == 0 {

@@ -1,0 +1,244 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"sync"
+	"testing"
+
+	"repro/internal/config"
+	"repro/internal/mathx"
+	"repro/internal/utility"
+)
+
+// TestNarrowT2RegionsPinned pins the two narrowest basic-game t2 regions
+// of the btc,ltc,doge,evm universe (128 samples, seed 1). Each is narrower
+// than one of the 600 scan panels (~3.5% in price): a scan that samples
+// each panel once reported u-evm-ltc-094 as SR = 0, and reusing the
+// unit-rate region on that scan moved the miss to u-doge-ltc-005. Both
+// regions must agree with a 4800-panel direct scan, where every panel is
+// four times narrower than either region.
+func TestNarrowT2RegionsPinned(t *testing.T) {
+	cells, err := config.UniverseSpec{Chains: []string{"btc", "ltc", "doge", "evm"}, Samples: 128, Seed: 1}.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]struct {
+		sr     string
+		lo, hi string
+	}{
+		"u-evm-ltc-094":  {"0.0998102685", "2.0521", "2.0877"},
+		"u-doge-ltc-005": {"0.0622790755", "1.9867", "2.0119"},
+	}
+	found := 0
+	for _, sc := range cells {
+		w, ok := want[sc.Name]
+		if !ok {
+			continue
+		}
+		found++
+		m, err := New(sc.Params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sr, err := m.SuccessRate(sc.PStar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		iv, ok, err := m.ContRangeT2(sc.PStar)
+		if err != nil || !ok {
+			t.Fatalf("%s: no t2 region (ok=%v, err=%v)", sc.Name, ok, err)
+		}
+		if got := fmt.Sprintf("%.10f", sr); got != w.sr {
+			t.Errorf("%s: SR %s, want %s", sc.Name, got, w.sr)
+		}
+		if lo, hi := fmt.Sprintf("%.4f", iv.Lo), fmt.Sprintf("%.4f", iv.Hi); lo != w.lo || hi != w.hi {
+			t.Errorf("%s: region [%s, %s], want [%s, %s]", sc.Name, lo, hi, w.lo, w.hi)
+		}
+		dense, err := New(sc.Params, WithScanPoints(4800))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := dense.contSetT2Scan(sc.PStar, 0).Bounds()
+		if relErr(iv.Lo, ref.Lo) > 1e-9 || relErr(iv.Hi, ref.Hi) > 1e-9 {
+			t.Errorf("%s: region %v, 4800-panel scan %v", sc.Name, iv, ref)
+		}
+	}
+	if found != len(want) {
+		t.Fatalf("found %d of the %d pinned cells in the universe", found, len(want))
+	}
+}
+
+// TestScaledContSetMatchesDirectScan checks the scale invariance every
+// q = 0 region relies on: on every preset and the 64 universe cells, at
+// rates across the feasibility scan, contSetT2's scaled unit-rate region
+// and the SR integrated over it agree with a direct scan at that rate to
+// 1e-9 relative.
+func TestScaledContSetMatchesDirectScan(t *testing.T) {
+	var worstIv, worstSR float64
+	for k, sc := range probeScenarios(t) {
+		scaled, err := New(sc.Params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := New(sc.Params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pstar := range []float64{0.3, 1, 1.7, sc.PStar, 2.9, 4.5} {
+			got := scaled.contSetT2(pstar, 0).Intervals()
+			// Seed the direct Model's memo with the direct scan, so its
+			// SuccessRate integrates over that region.
+			want := direct.solve.contSet.Do(solveKey{pstar, 0}, func() mathx.IntervalSet {
+				return direct.contSetT2Scan(pstar, 0)
+			}).Intervals()
+			if len(got) != len(want) {
+				t.Fatalf("params #%d (%s), P*=%g: scaled region %v, direct %v", k, sc.Name, pstar, got, want)
+			}
+			for i := range got {
+				e := math.Max(relErr(got[i].Lo, want[i].Lo), relErr(got[i].Hi, want[i].Hi))
+				worstIv = math.Max(worstIv, e)
+				if e > 1e-9 {
+					t.Errorf("params #%d (%s), P*=%g: scaled region %v, direct %v", k, sc.Name, pstar, got, want)
+				}
+			}
+			srGot, _ := scaled.SuccessRate(pstar)
+			srWant, _ := direct.SuccessRate(pstar)
+			e := relErr(srGot, srWant)
+			worstSR = math.Max(worstSR, e)
+			if e > 1e-9 {
+				t.Errorf("params #%d (%s), P*=%g: scaled SR %v, direct %v", k, sc.Name, pstar, srGot, srWant)
+			}
+		}
+	}
+	t.Logf("worst relative gap: region endpoints %.2g, SR %.2g", worstIv, worstSR)
+}
+
+// TestBayesianScaledContSetMatchesDirectScan checks the same invariance
+// for the incomplete-information B on the uncertainty figure's four priors
+// over αB: every B type's scaled region agrees with a direct scan at the
+// rate to 1e-9 relative.
+func TestBayesianScaledContSetMatchesDirectScan(t *testing.T) {
+	m := newDefaultModel(t)
+	var worst float64
+	for _, prior := range []TypePrior{
+		PointPrior(0.3),
+		{Values: []float64{0.2, 0.4}, Probs: []float64{0.5, 0.5}},
+		{Values: []float64{0.1, 0.5}, Probs: []float64{0.5, 0.5}},
+		{Values: []float64{0.05, 0.55}, Probs: []float64{0.5, 0.5}},
+	} {
+		b, err := m.Bayesian(PointPrior(m.params.Alice.Alpha), prior)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, alphaB := range prior.Values {
+			for _, pstar := range mathx.LinSpace(1.4, 2.8, 8) {
+				set, err := b.ContSetT2(alphaB, pstar)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, want := set.Intervals(), b.contSetT2Scan(alphaB, pstar).Intervals()
+				if len(got) != len(want) {
+					t.Fatalf("αB=%g, P*=%g: scaled region %v, direct %v", alphaB, pstar, got, want)
+				}
+				for i := range got {
+					e := math.Max(relErr(got[i].Lo, want[i].Lo), relErr(got[i].Hi, want[i].Hi))
+					worst = math.Max(worst, e)
+					if e > 1e-9 {
+						t.Errorf("αB=%g, P*=%g: scaled region %v, direct %v", alphaB, pstar, got, want)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("worst relative endpoint gap %.2g", worst)
+}
+
+// TestBayesianMemosBounded drives both of a Bayesian solver's memos past
+// bayesianMemoMax with B types outside the prior: neither retains more
+// than the bound, both count evictions, and a flushed region re-solves
+// bit-identically.
+func TestBayesianMemosBounded(t *testing.T) {
+	m, err := New(utility.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := m.Bayesian(PointPrior(0.3), PointPrior(0.3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := b.ContSetT2(0.3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= bayesianMemoMax; i++ {
+		if _, err := b.ContSetT2(0.3+1e-4*float64(i), 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, s := range map[string]interface {
+		Len() int
+		Evictions() uint64
+	}{"typed": &b.typed, "units": &b.units} {
+		if n := s.Len(); n > bayesianMemoMax {
+			t.Errorf("%s holds %d entries, bound is %d", name, n, bayesianMemoMax)
+		}
+		if s.Evictions() == 0 {
+			t.Errorf("%s recorded no evictions past its bound", name)
+		}
+	}
+	again, err := b.ContSetT2(0.3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, w := again.Bounds(), first.Bounds()
+	if math.Float64bits(g.Lo) != math.Float64bits(w.Lo) || math.Float64bits(g.Hi) != math.Float64bits(w.Hi) {
+		t.Errorf("re-solved region %v != first region %v", again, first)
+	}
+}
+
+// TestPerModelTablesConcurrent builds a fresh Model's unit-rate region,
+// z-table and Bayesian unit regions from several goroutines at once
+// (run it under -race): every goroutine reads the results a sequential
+// Model computes, bit for bit, and all share one z-table.
+func TestPerModelTablesConcurrent(t *testing.T) {
+	prior := TypePrior{Values: []float64{0.2, 0.4}, Probs: []float64{0.5, 0.5}}
+	rates := mathx.LinSpace(1.4, 2.8, 8)
+	seq := newDefaultModel(t)
+	seqB, err := seq.Bayesian(PointPrior(0.3), prior)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct{ sr, bay float64 }
+	want := make([]result, len(rates))
+	for i, p := range rates {
+		want[i].sr, _ = seq.SuccessRate(p)
+		want[i].bay, _, _ = seqB.SuccessRate(p)
+	}
+	m := newDefaultModel(t)
+	b, err := m.Bayesian(PointPrior(0.3), prior)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]result, len(rates))
+	resp := make([]*response, len(rates))
+	var wg sync.WaitGroup
+	for i, p := range rates {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp[i] = m.Uncertain().response
+			got[i].sr, _ = m.SuccessRate(p)
+			got[i].bay, _, _ = b.SuccessRate(p)
+		}()
+	}
+	wg.Wait()
+	for i := range rates {
+		if math.Float64bits(got[i].sr) != math.Float64bits(want[i].sr) || math.Float64bits(got[i].bay) != math.Float64bits(want[i].bay) {
+			t.Errorf("P*=%g: concurrent (SR %v, Bayesian %v), sequential (%v, %v)", rates[i], got[i].sr, got[i].bay, want[i].sr, want[i].bay)
+		}
+		if resp[i] != resp[0] {
+			t.Errorf("goroutine %d got a separate z-table", i)
+		}
+	}
+}

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/dist"
 	"repro/internal/mathx"
@@ -172,15 +173,22 @@ const solveMemoMax = 1024
 // solveMemo is the Model's concurrency-safe solve cache. Every entry is a
 // pure function of (Model parameters, quadrature options, key), so sharing
 // across goroutines and artifacts cannot change any result. Only the cells
-// that are revisited are memoized: the root scan, the success rate and the
-// scan-sized range and optimum searches. A t1 continuation value or an
-// uncertain-game expectation is one quadrature pass that the figure suite
-// repeats in under 5% of its calls, so it is recomputed, not retained.
+// that are revisited are memoized: the t2 region, the success rate and the
+// scan-sized range and optimum searches, plus the two per-Model tables
+// every rate shares (the unit-rate t2 region and the uncertain game's
+// z-table). A t1 continuation value or an uncertain-game expectation is one
+// quadrature pass that the figure suite repeats in under 5% of its calls,
+// so it is recomputed, not retained.
 type solveMemo struct {
 	contSet memo.Map[solveKey, mathx.IntervalSet] // contSetT2(pstar, q)
 	sr      memo.Map[solveKey, float64]           // successRate(pstar, q)
 	ranges  memo.Map[rangeKind, rangeResult]      // feasible/engagement sets
 	optimal memo.Map[rangeKind, optResult]        // OptimalRate
+
+	unitOnce sync.Once
+	unit     mathx.IntervalSet // unitContSetT2
+	respOnce sync.Once
+	resp     *response // newResponse, the uncertain game's z-table
 }
 
 // newSolveMemo returns an empty solve memo with every map bounded by

@@ -124,7 +124,7 @@ func TestT1ProbeScansMatchExactScans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exactSR := func(pstar float64) float64 { return m.successRateIntegrate(pstar, 0) }
+		exactSR := func(pstar float64) float64 { return m.successRateOver(m.contSetT2(pstar, 0), pstar, 0) }
 		refArg, _ := mathx.GridMax(exactSR, want.Lo, want.Hi, 64, 1e-9)
 		refSR := exactSR(refArg)
 		worstSR = math.Max(worstSR, math.Abs(sr-refSR))

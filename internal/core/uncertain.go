@@ -29,7 +29,7 @@ type Uncertain struct {
 // Uncertain returns the solver for the uncertain-exchange-rate game with an
 // unconstrained best response for B (the printed Eq. 44).
 func (m *Model) Uncertain() *Uncertain {
-	return &Uncertain{newResponse(m), math.Inf(1)}
+	return &Uncertain{m.response(), math.Inf(1)}
 }
 
 // UncertainWithBudget returns the solver with B's lockable amount capped at
@@ -38,7 +38,7 @@ func (m *Model) UncertainWithBudget(budget float64) (*Uncertain, error) {
 	if budget <= 0 || math.IsNaN(budget) {
 		return nil, fmt.Errorf("%w: budget=%g must be > 0", ErrBadParam, budget)
 	}
-	return &Uncertain{newResponse(m), budget}, nil
+	return &Uncertain{m.response(), budget}, nil
 }
 
 // Budget returns B's lockable budget (+Inf when unconstrained).
@@ -82,6 +82,13 @@ type response struct {
 	peak   [respN]float64 // refined local maximum at a peak node, else g
 	lzPeak [respN]float64 // its log z (−Inf when B declines)
 	argmax [respN]int     // first node maximising peak over nodes 0..i
+}
+
+// response returns the Model's z-table, built on first use: it depends on
+// the Model alone, so every Uncertain solver of the Model shares it.
+func (m *Model) response() *response {
+	m.solve.respOnce.Do(func() { m.solve.resp = newResponse(m) })
+	return m.solve.resp
 }
 
 func newResponse(m *Model) *response {

@@ -23,6 +23,11 @@ func TestUncertainConstruction(t *testing.T) {
 	if ub.Budget() != 5 {
 		t.Errorf("budget = %v, want 5", ub.Budget())
 	}
+	// B's response table depends on the Model alone: every solver of the
+	// Model shares the one built on first use.
+	if u.response != ub.response || m.Uncertain().response != u.response {
+		t.Error("Uncertain solvers of one Model built separate response tables")
+	}
 	for _, b := range []float64{0, -1, math.NaN()} {
 		if _, err := m.UncertainWithBudget(b); !errors.Is(err, ErrBadParam) {
 			t.Errorf("UncertainWithBudget(%v) err = %v, want ErrBadParam", b, err)

@@ -78,16 +78,37 @@ func Brent(f Func1, a, b, tol float64) (float64, error) {
 
 // FindAllRoots scans [a, b] with n equally spaced panels, brackets every
 // sign change of f, and refines each bracket with Brent's method. Roots are
-// returned in increasing order. Panels where f touches zero without crossing
-// may be missed, as with any sampling-based scan; callers choose n densely
-// enough for their problem (the swap-game utilities are smooth with at most
-// three crossings).
+// returned in increasing order. It samples each panel once, so a pair of
+// roots inside one panel — a region where f is positive (or negative) that
+// is narrower than the panel — is dropped, as is a touch without a
+// crossing; FindAllRootsRefined adds the search that recovers such a
+// region. Callers choose n densely enough for their problem.
 func FindAllRoots(f Func1, a, b float64, n int, tol float64) []float64 {
+	return scanRoots(f, a, b, n, tol, false)
+}
+
+// FindAllRootsRefined is FindAllRoots plus near-touch refinement. At every
+// interior sample where |f| has a discrete local minimum and f keeps its
+// sign over the two adjacent panels, it golden-section searches those
+// panels, to tol, for the extremum of f toward zero; when that extremum
+// crosses zero, Brent's method refines the root on each side of it. A
+// region narrower than one panel is thus found whenever f is unimodal
+// across the two panels around it. The cost is one golden-section search
+// (about log(2h/tol)/log(φ) evaluations for panel width h) per such local
+// minimum; when no search crosses zero, the result equals FindAllRoots'
+// bit for bit.
+func FindAllRootsRefined(f Func1, a, b float64, n int, tol float64) []float64 {
+	return scanRoots(f, a, b, n, tol, true)
+}
+
+// scanRoots is the panel scan behind FindAllRoots and FindAllRootsRefined.
+func scanRoots(f Func1, a, b float64, n int, tol float64, refine bool) []float64 {
 	if n < 1 || b <= a {
 		return nil
 	}
 	var roots []float64
 	h := (b - a) / float64(n)
+	var xp, fp float64 // the sample before x0, once x0 is interior
 	x0 := a
 	f0 := f(x0)
 	for i := 1; i <= n; i++ {
@@ -105,11 +126,35 @@ func FindAllRoots(f Func1, a, b float64, n int, tol float64) []float64 {
 			if r, err := Brent(f, x0, x1, tol); err == nil {
 				roots = append(roots, r)
 			}
+		case refine && i > 1 && f1 != 0 && (fp > 0) == (f0 > 0) &&
+			math.Abs(f0) <= math.Abs(fp) && math.Abs(f0) < math.Abs(f1):
+			roots = appendTouchRoots(roots, f, xp, x1, f0 > 0, tol)
 		}
+		xp, fp = x0, f0
 		x0, f0 = x1, f1
 	}
 	if f0 == 0 && (len(roots) == 0 || roots[len(roots)-1] != x0) {
 		roots = append(roots, x0)
+	}
+	return roots
+}
+
+// appendTouchRoots searches [lo, hi], where f has the sign of pos at every
+// sample, for the extremum of f toward zero and appends the two roots
+// around it when f crosses zero there.
+func appendTouchRoots(roots []float64, f Func1, lo, hi float64, pos bool, tol float64) []float64 {
+	toward := f // minimised: positive f dips toward zero
+	if !pos {
+		toward = func(x float64) float64 { return -f(x) }
+	}
+	x := GoldenMin(toward, lo, hi, tol)
+	if toward(x) >= 0 {
+		return roots
+	}
+	for _, br := range [2][2]float64{{lo, x}, {x, hi}} {
+		if r, err := Brent(f, br[0], br[1], tol); err == nil {
+			roots = append(roots, r)
+		}
 	}
 	return roots
 }

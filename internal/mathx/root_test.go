@@ -113,6 +113,51 @@ func TestFindAllRootsDegenerateInput(t *testing.T) {
 	}
 }
 
+// TestFindAllRootsRefinedFindsSubPanelRegion pins the near-touch search: a
+// Lorentzian bump 2/(1+((x−c)/w)²) − 1, positive exactly on (c−w, c+w) and
+// five times narrower than one panel, is dropped by FindAllRoots and found
+// by FindAllRootsRefined, for a bump and for the mirrored dip. A touch
+// without a crossing stays rootless.
+func TestFindAllRootsRefinedFindsSubPanelRegion(t *testing.T) {
+	const c, w = 0.537, 0.01
+	bump := func(x float64) float64 { z := (x - c) / w; return 2/(1+z*z) - 1 }
+	dip := func(x float64) float64 { return -bump(x) }
+	for name, f := range map[string]Func1{"bump": bump, "dip": dip} {
+		if got := FindAllRoots(f, 0, 1, 10, 1e-13); got != nil {
+			t.Fatalf("%s: FindAllRoots found %v, want nil (the region is inside one panel)", name, got)
+		}
+		got := FindAllRootsRefined(f, 0, 1, 10, 1e-13)
+		if len(got) != 2 || !almostEqual(got[0], c-w, 1e-10) || !almostEqual(got[1], c+w, 1e-10) {
+			t.Errorf("%s: FindAllRootsRefined = %v, want [%v %v]", name, got, c-w, c+w)
+		}
+	}
+	touch := func(x float64) float64 { return -(x - c) * (x - c) }
+	if got := FindAllRootsRefined(touch, 0, 1, 10, 1e-13); got != nil {
+		t.Errorf("touch: FindAllRootsRefined = %v, want nil", got)
+	}
+}
+
+// TestFindAllRootsRefinedKeepsCrossings checks that the refinement leaves
+// every well-separated crossing exactly where FindAllRoots puts it.
+func TestFindAllRootsRefinedKeepsCrossings(t *testing.T) {
+	for _, f := range []Func1{
+		func(x float64) float64 { return (x - 1) * (x - 2) * (x - 3) },
+		math.Sin,
+		func(x float64) float64 { return x*x + 1 },
+	} {
+		want := FindAllRoots(f, 0.5, 7, 200, 1e-12)
+		got := FindAllRootsRefined(f, 0.5, 7, 200, 1e-12)
+		if len(got) != len(want) {
+			t.Fatalf("refined %v, plain %v", got, want)
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Errorf("root[%d]: refined %v, plain %v", i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestLinSpace(t *testing.T) {
 	got := LinSpace(0, 1, 5)
 	want := []float64{0, 0.25, 0.5, 0.75, 1}

@@ -59,8 +59,12 @@ type RunOpts struct {
 // bits of stored feasibleLo/feasibleHi/optimalSR and plateau optimalRate
 // values. Schema 3: the uncertain game solves B's best response once in
 // the scaled amount z = X·y/a, which moves the last bits (~1e-8) of stored
-// uncertain sr/aliceExcess values.
-const cellSchema = 3
+// uncertain sr/aliceExcess values. Schema 4: every basic-game t2 region is
+// the model's unit-rate region scaled by P*, found by a scan that keeps
+// regions narrower than one panel, which moves the last bits of stored
+// basic region bounds and SRs (and the SR of cells whose region the old
+// scan dropped).
+const cellSchema = 4
 
 // reportDigest pins the bytes the current cellSchema stands for: the
 // SHA-256 of the marshalled analytic reports of a fixed cell set (every
@@ -68,7 +72,7 @@ const cellSchema = 3
 // see TestReportBytesPinned). A change that moves any of those bytes fails
 // that test until cellSchema is bumped and this digest re-pinned, so
 // stored reports cannot silently mix with newly solved ones.
-const reportDigest = "81272e33da6f3fb2d3df603b2e3c62a5f0cd07e2769f4dfd8eccc27cf213474f"
+const reportDigest = "184791da25a278facf28bb029dab4a1a40c247baaeb527dca52f1f652129430d"
 
 // cellKeyMaterial is the complete solve input of one (scenario × variant)
 // cell, in canonical field order. MCWorkers is deliberately absent —
