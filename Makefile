@@ -15,7 +15,7 @@ COVER_PKGS = repro/internal/scenario repro/internal/core repro/internal/mc \
 	repro/internal/oracle repro/internal/gbm repro/internal/mathx \
 	repro/internal/sweep repro/internal/timeline repro/internal/stats \
 	repro/internal/dist repro/internal/htlc repro/internal/plot \
-	repro/internal/utility
+	repro/internal/utility repro/internal/game
 COVER_MIN  = 80
 
 # Pinned static-analysis toolchain versions (CI installs exactly these;

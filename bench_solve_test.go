@@ -157,6 +157,28 @@ func BenchmarkSolve_Fig6Cold(b *testing.B) {
 	}
 }
 
+// BenchmarkSolve_Fig8Cold measures Fig. 8's engagement scans on a fresh
+// Table III Model per iteration: 𝒫^A and 𝒫^B of the collateral game at
+// Q = 0.1, each a P* scan of t1 utilities. Every scanned rate has its own
+// deposit ratio Q/P*, so each costs one t2 region scan.
+func BenchmarkSolve_Fig8Cold(b *testing.B) {
+	p := utility.Default()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m, err := core.New(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c, err := m.Collateral(0.1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if c.FeasibleRatesAlice().Empty() || c.FeasibleRatesBob().Empty() {
+			b.Fatal("no engagement rates")
+		}
+	}
+}
+
 // BenchmarkSolve_BayesianCold measures one curve of the uncertainty figure
 // on a fresh Model and Bayesian solver per iteration: the
 // incomplete-information SR at 29 rates, with A's premium known and a

@@ -236,37 +236,29 @@ func (m *Model) BobUtilityT2(action Action, pT2, pstar float64) (float64, error)
 // {y > 0 : U^B_t2(cont)(y) > U^B_t2(stop)(y)}, as a union of intervals.
 // In the basic game (q = 0) this is the single interval (P̲_t2, P̄_t2] of
 // Eq. 24; with collateral the difference can have one or three roots
-// (Fig. 7), hence the general interval-set machinery.
-//
-// The region is memoized per (P*, Q) — ContRangeT2, SuccessRate and
-// Strategy at the same rate share one. A q = 0 miss costs no scan: it
-// scales the model's unit-rate region by P* (unitContSetT2). A q ≠ 0 miss
-// runs the direct scan, contSetT2Scan.
+// (Fig. 7), hence the general interval-set machinery. It is the unit-rate
+// region of the deposit ratio Q/P* scaled by P* (unitRegion).
 func (m *Model) contSetT2(pstar, q float64) mathx.IntervalSet {
-	return m.solve.contSet.Do(solveKey{pstar, q}, func() mathx.IntervalSet {
-		if q == 0 {
-			return m.unitContSetT2().Scale(pstar)
-		}
-		return m.contSetT2Scan(pstar, q)
-	})
+	return m.unitRegion(q / pstar).Scale(pstar)
 }
 
-// unitContSetT2 is B's continuation region at the unit rate P* = 1 in the
-// basic game, scanned once per Model. It is the region every q = 0 cell of
-// contSetT2 and every t1Probe table is built from.
+// unitRegion returns S(κ), B's t2 continuation region at the unit rate
+// P* = 1 with deposit κ, scanned once per κ and memoized. It is the one
+// region path of the Model: the region at (P*, Q) is P*·S(Q/P*), so every
+// rate and deposit with the same ratio shares one scan, the basic game is
+// the κ = 0 entry, and the t1Probe tables are built over S(0).
 //
-// With q = 0 every term of U^B_t2(cont) − U^B_t2(stop) is 1-homogeneous in
-// (P*, y) — P̄_t3 ∝ P*, bobContT3 ∝ P*, and the truncated lognormal moment
-// ∝ y — so the region at any rate is this one scaled by P*. The scaled
-// region agrees with a direct scan at that rate to root tolerance (≤1e-9
-// relative on the presets and the universe; TestScaledContSetMatchesDirectScan).
-func (m *Model) unitContSetT2() mathx.IntervalSet {
-	m.solve.unitOnce.Do(func() { m.solve.unit = m.contSetT2Scan(1, 0) })
-	return m.solve.unit
+// Every term of U^B_t2(cont) − U^B_t2(stop) is 1-homogeneous in (P*, y, Q)
+// jointly: P̄_t3 of Eq. 33 and bobContT3 are, the deposit terms ∝ Q, and
+// the truncated lognormal moment ∝ y. The scaled region agrees with a
+// direct scan at (P*, Q) to root tolerance (≤1e-9 relative on the presets
+// and the universe; TestScaledContSetMatchesDirectScan).
+func (m *Model) unitRegion(kappa float64) mathx.IntervalSet {
+	return m.solve.regions.Do(kappa, func() mathx.IntervalSet { return m.contSetT2Scan(1, kappa) })
 }
 
-// contSetT2Scan is the direct scan at (P*, Q): the q ≠ 0 path of contSetT2,
-// the unit-rate scan behind unitContSetT2, and the tests' reference.
+// contSetT2Scan is the direct scan at (P*, Q): the scan behind unitRegion
+// and the tests' reference.
 func (m *Model) contSetT2Scan(pstar, q float64) mathx.IntervalSet {
 	e := m.newT2Eval(pstar, q)
 	return m.t2RegionScan(pstar, q, e.pbar, e.bobCont)
@@ -278,6 +270,13 @@ func (m *Model) contSetT2Scan(pstar, q float64) mathx.IntervalSet {
 // log-price space, matching the lognormal geometry of the transition law,
 // with the near-touch refinement of mathx.FindAllRootsRefined: a region
 // narrower than one of the m.scanN panels is still found.
+//
+// The scan starts at a floor above 0, but a region that contains the floor
+// is reported from 0, its true lower edge, which also keeps P*·S(Q/P*)
+// equal to the direct scan where the floor does not scale. As y → 0 the
+// cont utility tends to Q·e^{−rB·τb}(e^{−rB·τa} + e^{−rB(εb+τa)}) > 0 while
+// the stop utility y vanishes, and with Q = 0 both are linear in y, so the
+// sign at the floor holds down to 0.
 func (m *Model) t2RegionScan(pstar, q, pbar float64, bobCont func(logy float64) float64) mathx.IntervalSet {
 	diff := func(y float64) float64 { return bobCont(math.Log(y)) - y }
 	b := m.params.Bob
@@ -293,7 +292,7 @@ func (m *Model) t2RegionScan(pstar, q, pbar float64, bobCont func(logy float64) 
 	for i, u := range logRoots {
 		roots[i] = math.Exp(u)
 	}
-	return mathx.FromSignChanges(diff, lo, hi, roots)
+	return mathx.FromSignChanges(diff, 0, hi, roots)
 }
 
 // ContRangeT2 returns the continuation range (P̲_t2, P̄_t2) of Eq. 24: B
@@ -305,20 +304,36 @@ func (m *Model) ContRangeT2(pstar float64) (mathx.Interval, bool, error) {
 	if err := checkRate(pstar); err != nil {
 		return mathx.Interval{}, false, err
 	}
-	set := m.contSetT2(pstar, 0)
-	if set.Empty() {
+	unit := m.unitRegion(0)
+	if unit.Empty() {
 		return mathx.Interval{Lo: 1, Hi: 0}, false, nil
 	}
-	return set.Bounds(), true, nil
+	b := unit.Bounds()
+	return mathx.Interval{Lo: b.Lo * pstar, Hi: b.Hi * pstar}, true, nil
 }
 
 // ---- Stage t1 (Eqs. 25–28) ----
 
+// t1BulkSigmas is the half-width, in standard deviations of log price, of
+// the t1→t2 density's bulk, the part of it integrateT1 integrates.
+const t1BulkSigmas = 8
+
 // integrateT1 integrates g(log y) against the t1→t2 price density over
 // iv by Gauss–Legendre quadrature, in place on the mapped nodes
-// (IntegrateMapped reproduces Integrate bit for bit).
+// (IntegrateMapped reproduces Integrate bit for bit). The panel is iv
+// clipped to the density's bulk, ±t1BulkSigmas σ around its log-mean: one
+// panel over a region far wider than a narrow density misses it
+// (σ√τa = 0.015 on u-evm-doge-011, whose collateral regions reach down
+// to 0). The clip drops about 1e-15 of the density's mass, so an integral
+// below that loses its relative precision (a region outside the bulk
+// integrates to 0). Where the bulk covers iv, the panel is iv itself.
 func (m *Model) integrateT1(iv mathx.Interval, g func(logy float64) float64) float64 {
 	tr := m.transitionTauA(m.params.P0)
+	w := t1BulkSigmas * tr.Sigma
+	a, b := math.Max(iv.Lo, math.Exp(tr.Mu-w)), math.Min(iv.Hi, math.Exp(tr.Mu+w))
+	if a >= b {
+		return 0
+	}
 	// Stack-backed scratch for the default 64-point rule; larger orders
 	// spill to the heap.
 	var arr [64]float64
@@ -326,12 +341,12 @@ func (m *Model) integrateT1(iv mathx.Interval, g func(logy float64) float64) flo
 	if n := m.gl.N(); n > len(arr) {
 		buf = make([]float64, 0, n)
 	}
-	nodes := m.gl.MapNodes(buf, iv.Lo, iv.Hi)
+	nodes := m.gl.MapNodes(buf, a, b)
 	for i, y := range nodes {
 		logy := math.Log(y)
 		nodes[i] = tr.PDFAtLog(y, logy) * g(logy)
 	}
-	return m.gl.IntegrateMapped(nodes, iv.Lo, iv.Hi)
+	return m.gl.IntegrateMapped(nodes, a, b)
 }
 
 // aliceContT1 is U^A_t1(cont) (Eq. 25): the discounted expectation of A's
@@ -339,15 +354,19 @@ func (m *Model) integrateT1(iv mathx.Interval, g func(logy float64) float64) flo
 // region. With collateral q it is U^A_t1,c(cont) of Eq. 36, where on B's
 // stop region A also recovers both deposits (2Q at t3, received τa later).
 func (m *Model) aliceContT1(pstar, q float64) float64 {
-	return m.aliceContT1Over(m.contSetT2(pstar, q), pstar, q)
+	return m.aliceContT1Over(m.unitRegion(q/pstar), pstar, q)
 }
 
-// aliceContT1Over is aliceContT1 over a given t2 continuation region.
-func (m *Model) aliceContT1Over(set mathx.IntervalSet, pstar, q float64) float64 {
+// aliceContT1Over is aliceContT1 over the t2 continuation region
+// pstar·unit. Every t1 integral takes its region as a unit-rate region and
+// scales the endpoints inline, so a memoized region is iterated without a
+// scaled copy.
+func (m *Model) aliceContT1Over(unit mathx.IntervalSet, pstar, q float64) float64 {
 	e := m.newT2Eval(pstar, q)
 	tr := m.transitionTauA(m.params.P0)
 	var contPart, prob float64
-	for _, iv := range set.Intervals() {
+	for _, u := range unit.Intervals() {
+		iv := mathx.Interval{Lo: u.Lo * pstar, Hi: u.Hi * pstar}
 		contPart += m.integrateT1(iv, e.aliceCont)
 		prob += tr.CDF(iv.Hi) - tr.CDF(iv.Lo)
 	}
@@ -363,7 +382,8 @@ func (m *Model) bobContT1(pstar, q float64) float64 {
 	e := m.newT2Eval(pstar, q)
 	tr := m.transitionTauA(m.params.P0)
 	var contPart, peInside float64
-	for _, iv := range m.contSetT2(pstar, q).Intervals() {
+	for _, u := range m.unitRegion(q / pstar).Intervals() {
+		iv := mathx.Interval{Lo: u.Lo * pstar, Hi: u.Hi * pstar}
 		contPart += m.integrateT1(iv, e.bobCont)
 		peInside += tr.PartialExpectationBelow(iv.Hi) - tr.PartialExpectationBelow(iv.Lo)
 	}
@@ -418,7 +438,7 @@ func (m *Model) rateScanBound() float64 {
 // feasibility scan and the optimum search.
 //
 // With q = 0, substitute y = P*·u. B's region at rate P* is P*·U for the
-// unit-rate region U (unitContSetT2); U^A_t2(cont) is 1-homogeneous in
+// unit-rate region U = S(0) (unitRegion); U^A_t2(cont) is 1-homogeneous in
 // (P*, y) and the t3 success probability is 0-homogeneous; and
 // P*·pdf_{P0}(P*·u) = pdf_{P0/P*}(u) for the lognormal t1→t2 transition.
 // Both integrals over P*·U therefore become integrals over U whose
@@ -427,12 +447,14 @@ func (m *Model) rateScanBound() float64 {
 // (plus two CDF calls per interval for A's stop probability), where an
 // exact evaluation pays a log, an exp and two erfc per node.
 //
-// Probe values equal the exact per-rate path, integration over
-// unitContSetT2().Scale(P*), to rounding (≤1e-12 relative), but not bit
-// for bit, so they are never memoized or served to an exact query. A
-// table lives for one scan: it is built inside the FeasibleRateRange and
-// OptimalRate memo closures and dropped with them, so a Model retains only
-// the scans' results.
+// Probe values equal one Gauss–Legendre panel per interval of P*·U to
+// rounding (≤1e-12 relative), but not bit for bit, so they are never
+// memoized or served to an exact query. That is the exact per-rate path
+// except where integrateT1 clips an interval to a narrow density's bulk,
+// which the table cannot follow: the bulk moves with P* in the unit
+// coordinate. A table lives for one scan: it is built inside
+// the FeasibleRateRange memo closure or one OptimalRate call and dropped
+// with it, so a Model retains only the scans' results.
 type t1Probe struct {
 	m   *Model
 	ivs []mathx.Interval // U's intervals, for the stop probability
@@ -444,9 +466,9 @@ type t1Probe struct {
 	succ  []float64 // P[P_t3 > P̄_t3 | P_t2 = u_i] at P* = 1
 }
 
-// newT1Probe builds the unit-rate node table over unitContSetT2.
+// newT1Probe builds the unit-rate node table over S(0).
 func (m *Model) newT1Probe() *t1Probe {
-	ivs := m.unitContSetT2().Intervals()
+	ivs := m.unitRegion(0).Intervals()
 	n := m.gl.N() * len(ivs)
 	buf := make([]float64, 4*n)
 	p := &t1Probe{
@@ -517,18 +539,14 @@ func (p *t1Probe) successRate(pstar float64) float64 {
 // boundary rates agree with a scan over the exact aliceContT1 to root
 // tolerance.
 func (m *Model) FeasibleRateRange() (mathx.Interval, bool, error) {
-	res := m.solve.ranges.Do(rangeKind{kind: 'F'}, func() rangeResult {
+	set := m.solve.ranges.Do(rangeKind{kind: 'F'}, func() mathx.IntervalSet {
 		probe := m.newT1Probe()
 		diff := func(pstar float64) float64 { return probe.aliceContT1(pstar) - pstar }
 		lo, hi := 1e-3, m.rateScanBound()
 		roots := mathx.FindAllRoots(diff, lo, hi, m.scanN/2, m.tol)
-		set := mathx.FromSignChanges(diff, lo, hi, roots)
-		return rangeResult{set: set, ok: !set.Empty()}
+		return mathx.FromSignChanges(diff, lo, hi, roots)
 	})
-	if !res.ok {
-		return mathx.Interval{Lo: 1, Hi: 0}, false, nil
-	}
-	return res.set.Bounds(), true, nil
+	return set.Bounds(), !set.Empty(), nil
 }
 
 // SuccessRate evaluates SR(P*) of Eq. 31: the probability, at initiation,
@@ -545,25 +563,26 @@ func (m *Model) SuccessRate(pstar float64) (float64, error) {
 
 func (m *Model) successRate(pstar, q float64) float64 {
 	return m.solve.sr.Do(solveKey{pstar, q}, func() float64 {
-		return m.successRateOver(m.contSetT2(pstar, q), pstar, q)
+		return m.successRateOver(m.unitRegion(q/pstar), pstar, q)
 	})
 }
 
-// successRateOver integrates SR(P*) (Eq. 31) over a given t2 continuation
-// region; an empty region yields 0.
-func (m *Model) successRateOver(set mathx.IntervalSet, pstar, q float64) float64 {
+// successRateOver integrates SR(P*) (Eq. 31) over the t2 continuation
+// region pstar·unit (see aliceContT1Over); an empty region yields 0.
+func (m *Model) successRateOver(unit mathx.IntervalSet, pstar, q float64) float64 {
 	e := m.newT2Eval(pstar, q)
 	var sr float64
-	for _, iv := range set.Intervals() {
-		sr += m.integrateT1(iv, e.succ)
+	for _, u := range unit.Intervals() {
+		sr += m.integrateT1(mathx.Interval{Lo: u.Lo * pstar, Hi: u.Hi * pstar}, e.succ)
 	}
 	return mathx.Clamp(sr, 0, 1)
 }
 
 // OptimalRate returns the exchange rate maximising SR(P*) over the feasible
 // range (the concave optimum of §III.F), along with the achieved success
-// rate. It returns ErrNotViable when no rate is feasible at t1. The search
-// is memoized on the Model.
+// rate. It returns ErrNotViable when no rate is feasible at t1. The
+// feasible range is memoized on the Model; the search itself is one
+// GridMax over a fresh t1Probe table and is not.
 //
 // The search runs on t1Probe evaluations; the reported SR is the exact
 // SuccessRate at the returned rate. Compare results by that SR, not by the
@@ -573,21 +592,18 @@ func (m *Model) successRateOver(set mathx.IntervalSet, pstar, q float64) float64
 // more than 1e-4 on 7 of the 1536 cells of the atlas universe (at most
 // 0.003) while the SR there stayed equal to 1e-14.
 func (m *Model) OptimalRate() (pstar, sr float64, err error) {
-	res := m.solve.optimal.Do(rangeKind{kind: 'O'}, func() optResult {
-		rng, ok, err := m.FeasibleRateRange()
-		if err != nil || !ok {
-			return optResult{ok: false}
-		}
-		// Bracket the optimum with cheap probe evaluations, then report
-		// the achieved SR from the exact memoized path so callers printing
-		// the value see the same bits as a direct SuccessRate(arg) call.
-		arg, _ := mathx.GridMax(m.newT1Probe().successRate, rng.Lo, rng.Hi, 64, 1e-9)
-		return optResult{arg: arg, val: m.successRate(arg, 0), ok: true}
-	})
-	if !res.ok {
+	rng, ok, err := m.FeasibleRateRange()
+	if err != nil {
+		return 0, 0, err
+	}
+	if !ok {
 		return 0, 0, fmt.Errorf("%w: no feasible exchange rate at t1", ErrNotViable)
 	}
-	return res.arg, res.val, nil
+	// Bracket the optimum with cheap probe evaluations, then report the
+	// achieved SR from the exact memoized path so callers printing the
+	// value see the same bits as a direct SuccessRate(arg) call.
+	arg, _ := mathx.GridMax(m.newT1Probe().successRate, rng.Lo, rng.Hi, 64, 1e-9)
+	return arg, m.successRate(arg, 0), nil
 }
 
 // Strategy summarises the subgame-perfect strategies for a given exchange

@@ -140,13 +140,12 @@ func (b *Bayesian) ContSetT2(alphaB, pstar float64) (mathx.IntervalSet, error) {
 	if alphaB < 0 || math.IsNaN(alphaB) {
 		return mathx.IntervalSet{}, fmt.Errorf("%w: alphaB=%g", ErrBadParam, alphaB)
 	}
-	return b.contSetT2(alphaB, pstar), nil
+	return b.unitRegion(alphaB).Scale(pstar), nil
 }
 
-// contSetT2 scales a type-αB B's memoized unit-rate region to pstar.
-func (b *Bayesian) contSetT2(alphaB, pstar float64) mathx.IntervalSet {
-	unit := b.units.Do(alphaB, func() mathx.IntervalSet { return b.contSetT2Scan(alphaB, 1) })
-	return unit.Scale(pstar)
+// unitRegion is a type-αB B's memoized unit-rate region.
+func (b *Bayesian) unitRegion(alphaB float64) mathx.IntervalSet {
+	return b.units.Do(alphaB, func() mathx.IntervalSet { return b.contSetT2Scan(alphaB, 1) })
 }
 
 // contSetT2Scan is the direct scan of a type-αB B's region at rate pstar:
@@ -175,7 +174,7 @@ func (b *Bayesian) aliceContT1(alphaA, pstar float64) float64 {
 	var total float64
 	for j, alphaB := range b.priorB.Values {
 		typed := b.typedModel(alphaA, alphaB)
-		total += b.priorB.Probs[j] * typed.aliceContT1Over(b.contSetT2(alphaB, pstar), pstar, 0)
+		total += b.priorB.Probs[j] * typed.aliceContT1Over(b.unitRegion(alphaB), pstar, 0)
 	}
 	return total
 }
@@ -208,7 +207,7 @@ func (b *Bayesian) SuccessRate(pstar float64) (sr float64, ok bool, err error) {
 		initMass += b.priorA.Probs[i]
 		typed := b.typedModel(alphaA, 0)
 		for j, alphaB := range b.priorB.Values {
-			srSum += b.priorA.Probs[i] * b.priorB.Probs[j] * typed.successRateOver(b.contSetT2(alphaB, pstar), pstar, 0)
+			srSum += b.priorA.Probs[i] * b.priorB.Probs[j] * typed.successRateOver(b.unitRegion(alphaB), pstar, 0)
 		}
 	}
 	if initMass == 0 {

@@ -69,49 +69,57 @@ func TestNarrowT2RegionsPinned(t *testing.T) {
 	}
 }
 
-// TestScaledContSetMatchesDirectScan checks the scale invariance every
-// q = 0 region relies on: on every preset and the 64 universe cells, at
-// rates across the feasibility scan, contSetT2's scaled unit-rate region
-// and the SR integrated over it agree with a direct scan at that rate to
-// 1e-9 relative.
+// TestScaledContSetMatchesDirectScan checks the scale invariance every t2
+// region relies on: on every preset and the 64 universe cells, at rates
+// across the feasibility scan and deposits Q ∈ {0, 0.01, 0.1, 0.5},
+// contSetT2's scaled unit region S(Q/P*) has as many intervals as a direct
+// scan at (P*, Q), and its endpoints and the SR integrated over it agree
+// with the direct scan's to 1e-9 relative.
 func TestScaledContSetMatchesDirectScan(t *testing.T) {
 	var worstIv, worstSR float64
 	for k, sc := range probeScenarios(t) {
-		scaled, err := New(sc.Params)
+		m, err := New(sc.Params)
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct, err := New(sc.Params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, pstar := range []float64{0.3, 1, 1.7, sc.PStar, 2.9, 4.5} {
-			got := scaled.contSetT2(pstar, 0).Intervals()
-			// Seed the direct Model's memo with the direct scan, so its
-			// SuccessRate integrates over that region.
-			want := direct.solve.contSet.Do(solveKey{pstar, 0}, func() mathx.IntervalSet {
-				return direct.contSetT2Scan(pstar, 0)
-			}).Intervals()
-			if len(got) != len(want) {
-				t.Fatalf("params #%d (%s), P*=%g: scaled region %v, direct %v", k, sc.Name, pstar, got, want)
-			}
-			for i := range got {
-				e := math.Max(relErr(got[i].Lo, want[i].Lo), relErr(got[i].Hi, want[i].Hi))
-				worstIv = math.Max(worstIv, e)
-				if e > 1e-9 {
-					t.Errorf("params #%d (%s), P*=%g: scaled region %v, direct %v", k, sc.Name, pstar, got, want)
+		for _, q := range []float64{0, 0.01, 0.1, 0.5} {
+			for _, pstar := range []float64{0.3, 1, 1.7, sc.PStar, 2.4, 2.9, 4.5} {
+				got := m.contSetT2(pstar, q).Intervals()
+				direct := m.contSetT2Scan(pstar, q)
+				want := direct.Intervals()
+				if len(got) != len(want) {
+					t.Fatalf("params #%d (%s), P*=%g, Q=%g: scaled region %v, direct %v", k, sc.Name, pstar, q, got, want)
 				}
-			}
-			srGot, _ := scaled.SuccessRate(pstar)
-			srWant, _ := direct.SuccessRate(pstar)
-			e := relErr(srGot, srWant)
-			worstSR = math.Max(worstSR, e)
-			if e > 1e-9 {
-				t.Errorf("params #%d (%s), P*=%g: scaled SR %v, direct %v", k, sc.Name, pstar, srGot, srWant)
+				for i := range got {
+					e := math.Max(relErr(got[i].Lo, want[i].Lo), relErr(got[i].Hi, want[i].Hi))
+					worstIv = math.Max(worstIv, e)
+					if e > 1e-9 {
+						t.Errorf("params #%d (%s), P*=%g, Q=%g: scaled region %v, direct %v", k, sc.Name, pstar, q, got, want)
+					}
+				}
+				srGot := m.successRate(pstar, q)
+				srWant := successRateOverSet(m, direct, pstar, q)
+				e := relErr(srGot, srWant)
+				worstSR = math.Max(worstSR, e)
+				if e > 1e-9 {
+					t.Errorf("params #%d (%s), P*=%g, Q=%g: scaled SR %v, direct %v", k, sc.Name, pstar, q, srGot, srWant)
+				}
 			}
 		}
 	}
 	t.Logf("worst relative gap: region endpoints %.2g, SR %.2g", worstIv, worstSR)
+}
+
+// successRateOverSet is SR(P*) of Eqs. 31/40 integrated over an explicit
+// t2 region at rate pstar, the quadrature successRate runs on its scaled
+// unit region.
+func successRateOverSet(m *Model, set mathx.IntervalSet, pstar, q float64) float64 {
+	e := m.newT2Eval(pstar, q)
+	var sr float64
+	for _, iv := range set.Intervals() {
+		sr += m.integrateT1(iv, e.succ)
+	}
+	return mathx.Clamp(sr, 0, 1)
 }
 
 // TestBayesianScaledContSetMatchesDirectScan checks the same invariance

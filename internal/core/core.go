@@ -68,7 +68,7 @@ func (a Action) String() string {
 // A Model is safe for concurrent use: its parameters, quadrature tables and
 // precomputed constants are immutable after New, and the solve memo behind
 // the expensive entry points (ContRangeT2, SuccessRate, FeasibleRateRange,
-// OptimalRate, …) is concurrency-safe. Repeated solves of the same cell —
+// …) is concurrency-safe. Repeated solves of the same cell —
 // the same (query, collateral) under this Model's parameters and quadrature
 // options — are computed once and shared.
 type Model struct {
@@ -145,23 +145,10 @@ type solveKey struct {
 	x, q float64
 }
 
-// rangeKind enumerates the memoized range/optimum computations.
+// rangeKind enumerates the memoized range computations.
 type rangeKind struct {
-	kind byte // 'F' feasible basic, 'A'/'B' collateral engagement, 'O' optimal rate
+	kind byte // 'F' feasible basic, 'A'/'B' collateral engagement
 	q    float64
-}
-
-// rangeResult is a memoized interval-set-valued solve with its viability
-// flag (used by FeasibleRateRange and the collateral engagement sets).
-type rangeResult struct {
-	set mathx.IntervalSet
-	ok  bool
-}
-
-// optResult is a memoized optimum (OptimalRate).
-type optResult struct {
-	arg, val float64
-	ok       bool
 }
 
 // solveMemoMax bounds each of the Model's solve memos. It covers the
@@ -173,20 +160,18 @@ const solveMemoMax = 1024
 // solveMemo is the Model's concurrency-safe solve cache. Every entry is a
 // pure function of (Model parameters, quadrature options, key), so sharing
 // across goroutines and artifacts cannot change any result. Only the cells
-// that are revisited are memoized: the t2 region, the success rate and the
-// scan-sized range and optimum searches, plus the two per-Model tables
-// every rate shares (the unit-rate t2 region and the uncertain game's
-// z-table). A t1 continuation value or an uncertain-game expectation is one
+// that are revisited are memoized: B's unit-rate t2 region per deposit
+// ratio κ = Q/P* (every rate and deposit with that ratio shares it, and
+// the basic game is κ = 0), the success rate per (P*, Q), the scan-sized
+// range searches, and the uncertain game's z-table, which every rate
+// shares. A t1 continuation value or an uncertain-game expectation is one
 // quadrature pass that the figure suite repeats in under 5% of its calls,
 // so it is recomputed, not retained.
 type solveMemo struct {
-	contSet memo.Map[solveKey, mathx.IntervalSet] // contSetT2(pstar, q)
-	sr      memo.Map[solveKey, float64]           // successRate(pstar, q)
-	ranges  memo.Map[rangeKind, rangeResult]      // feasible/engagement sets
-	optimal memo.Map[rangeKind, optResult]        // OptimalRate
+	regions memo.Map[float64, mathx.IntervalSet]   // unitRegion(κ)
+	sr      memo.Map[solveKey, float64]            // successRate(pstar, q)
+	ranges  memo.Map[rangeKind, mathx.IntervalSet] // feasible/engagement sets
 
-	unitOnce sync.Once
-	unit     mathx.IntervalSet // unitContSetT2
 	respOnce sync.Once
 	resp     *response // newResponse, the uncertain game's z-table
 }
@@ -195,10 +180,9 @@ type solveMemo struct {
 // solveMemoMax.
 func newSolveMemo() *solveMemo {
 	return &solveMemo{
-		contSet: memo.Map[solveKey, mathx.IntervalSet]{Max: solveMemoMax},
+		regions: memo.Map[float64, mathx.IntervalSet]{Max: solveMemoMax},
 		sr:      memo.Map[solveKey, float64]{Max: solveMemoMax},
-		ranges:  memo.Map[rangeKind, rangeResult]{Max: solveMemoMax},
-		optimal: memo.Map[rangeKind, optResult]{Max: solveMemoMax},
+		ranges:  memo.Map[rangeKind, mathx.IntervalSet]{Max: solveMemoMax},
 	}
 }
 
@@ -206,10 +190,9 @@ func newSolveMemo() *solveMemo {
 // across all memoized entry points.
 func (m *Model) MemoStats() (hits, misses uint64) {
 	add := func(h, mi uint64) { hits += h; misses += mi }
-	add(m.solve.contSet.Stats())
+	add(m.solve.regions.Stats())
 	add(m.solve.sr.Stats())
 	add(m.solve.ranges.Stats())
-	add(m.solve.optimal.Stats())
 	return
 }
 

@@ -259,11 +259,11 @@ func ExampleModel_OptimalDeposit() {
 	// Output:
 	// Success rate at the fair rate P* = 2.0 as collateral grows (Fig. 9):
 	//   Q = 0.00  SR = 0.7143   Bob's continuation set: [1.1817821069873051, 2.38870579898749]
-	//   Q = 0.01  SR = 0.7244   Bob's continuation set: [2e-07, 0.20270827783807016] ∪ [1.1445185625769956, 2.3994514065206776]
-	//   Q = 0.05  SR = 0.7615   Bob's continuation set: [2e-07, 2.4409446666198664]
-	//   Q = 0.10  SR = 0.8018   Bob's continuation set: [2e-07, 2.4905243342960937]
-	//   Q = 0.25  SR = 0.8921   Bob's continuation set: [2e-07, 2.632959443995247]
-	//   Q = 0.50  SR = 0.9688   Bob's continuation set: [2e-07, 2.8662983081929085]
+	//   Q = 0.01  SR = 0.7244   Bob's continuation set: [0, 0.2027082778380703] ∪ [1.144518562576995, 2.3994514065206776]
+	//   Q = 0.05  SR = 0.7615   Bob's continuation set: [0, 2.4409446666198664]
+	//   Q = 0.10  SR = 0.8018   Bob's continuation set: [0, 2.4905243342960937]
+	//   Q = 0.25  SR = 0.8921   Bob's continuation set: [0, 2.632959443995247]
+	//   Q = 0.50  SR = 0.9688   Bob's continuation set: [0, 2.8662983081929085]
 	//
 	// Deposit maximising SR on [0, 1]: Q* = 1.0000 (SR = 0.9986)
 	//

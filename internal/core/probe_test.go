@@ -31,7 +31,7 @@ func probeScenarios(t *testing.T) []scenario.Scenario {
 // region rescaled to pstar — the direct quadrature the t1Probe kernel
 // reorganises — with the exact per-rate t2 utilities at every node.
 func scaledRegionT1(m *Model, pstar float64) (alice, sr float64) {
-	set := m.unitContSetT2().Scale(pstar)
+	set := m.unitRegion(0).Scale(pstar)
 	e := m.newT2Eval(pstar, 0)
 	tr := m.transitionTauA(m.params.P0)
 	var contPart, prob float64
@@ -58,7 +58,7 @@ func relErr(got, want float64) float64 {
 // TestT1ProbeMatchesScaledRegionQuadrature pins the unit-rate reweighting
 // to the quadrature it replaces: at 301 log-spaced rates across each
 // model's whole feasibility scan, both probe integrals agree with
-// integration over unitContSetT2().Scale(P*) to 1e-12 relative. The worst
+// integration over unitRegion(0).Scale(P*) to 1e-12 relative. The worst
 // cases (~5e-13) are deep-tail success rates near 1e-250, where the
 // density's exp(−z²/2) amplifies rounding in the score z; for SR ≥ 1e-30
 // the agreement is within 1e-13.
@@ -124,7 +124,7 @@ func TestT1ProbeScansMatchExactScans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exactSR := func(pstar float64) float64 { return m.successRateOver(m.contSetT2(pstar, 0), pstar, 0) }
+		exactSR := func(pstar float64) float64 { return m.successRateOver(m.unitRegion(0), pstar, 0) }
 		refArg, _ := mathx.GridMax(exactSR, want.Lo, want.Hi, 64, 1e-9)
 		refSR := exactSR(refArg)
 		worstSR = math.Max(worstSR, math.Abs(sr-refSR))

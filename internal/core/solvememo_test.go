@@ -4,19 +4,28 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/mathx"
 	"repro/internal/utility"
 )
 
-// TestSolveMemosBounded drives each of the Model's four solve memos past
+// TestSolveMemosBounded drives each of the Model's three solve memos past
 // solveMemoMax: none retains more than the bound, each counts evictions,
-// and a flushed cell re-solves bit-identically.
+// and a flushed cell — basic or collateral — re-solves bit-identically.
 func TestSolveMemosBounded(t *testing.T) {
 	m, err := New(utility.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
+	coll, err := m.Collateral(0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rate := func(i int) float64 { return 1.5 + 1e-4*float64(i) }
 	first, err := m.SuccessRate(rate(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstColl, err := coll.SuccessRate(rate(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,21 +35,20 @@ func TestSolveMemosBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The range and optimum memos hold a handful of cells per model in
-	// practice; fill them with cheap placeholder cells under fresh keys.
+	// The region and range memos hold a handful of cells per model in
+	// practice; fill them with cheap placeholder cells under keys no solve
+	// uses (a deposit ratio is never negative).
 	for i := 0; i <= solveMemoMax; i++ {
-		key := rangeKind{kind: 'X', q: float64(i)}
-		m.solve.ranges.Do(key, func() rangeResult { return rangeResult{} })
-		m.solve.optimal.Do(key, func() optResult { return optResult{} })
+		m.solve.regions.Do(-1-float64(i), func() mathx.IntervalSet { return mathx.IntervalSet{} })
+		m.solve.ranges.Do(rangeKind{kind: 'X', q: float64(i)}, func() mathx.IntervalSet { return mathx.IntervalSet{} })
 	}
 	for name, s := range map[string]interface {
 		Len() int
 		Evictions() uint64
 	}{
-		"contSet": &m.solve.contSet,
+		"regions": &m.solve.regions,
 		"sr":      &m.solve.sr,
 		"ranges":  &m.solve.ranges,
-		"optimal": &m.solve.optimal,
 	} {
 		if n := s.Len(); n > solveMemoMax {
 			t.Errorf("%s holds %d cells, bound is %d", name, n, solveMemoMax)
@@ -55,6 +63,13 @@ func TestSolveMemosBounded(t *testing.T) {
 	}
 	if math.Float64bits(again) != math.Float64bits(first) {
 		t.Errorf("re-solved SR %v != first SR %v", again, first)
+	}
+	againColl, err := coll.SuccessRate(rate(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(againColl) != math.Float64bits(firstColl) {
+		t.Errorf("re-solved collateral SR %v != first SR %v", againColl, firstColl)
 	}
 	if lo2, hi2, ok2 := feasible(t, m); lo2 != lo || hi2 != hi || ok2 != ok {
 		t.Errorf("re-solved feasible range (%v, %v, %v) != first (%v, %v, %v)", lo2, hi2, ok2, lo, hi, ok)

@@ -3,6 +3,7 @@ package variant
 import (
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/scenario"
 )
 
@@ -170,4 +171,37 @@ func TestBaselineBoundsBasicAcrossPresets(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCollateralNarrowDensityAgreesWithMC pins the universe cell
+// u-evm-doge-011 (btc,ltc,doge,evm, 128 samples, seed 1) at P* = 2 and
+// Q = 0.1 under the collateral protocol check with 20000 paths. Its t1→t2
+// density is narrow (σ√τa ≈ 0.015) inside a t2 region reaching down to 0;
+// integrating that region on one quadrature panel reported SR_c = 0.9798
+// where the protocol reads 1.0000 [0.9998, 1.0000].
+func TestCollateralNarrowDensityAgreesWithMC(t *testing.T) {
+	cells, err := config.UniverseSpec{Chains: []string{"btc", "ltc", "doge", "evm"}, Samples: 128, Seed: 1}.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sc := range cells {
+		if sc.Name != "u-evm-doge-011" {
+			continue
+		}
+		sc.PStar, sc.Collateral = 2, 0.1
+		g, err := Lookup("collateral")
+		if err != nil {
+			t.Fatal(err)
+		}
+		check, err := g.(MCValidator).MCValidate(&Context{Opts: RunOpts{Runs: 20000}}, sc, Report{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !check.Agrees {
+			t.Errorf("analytic SR_c %.6f outside sampled interval %.4f [%.4f, %.4f] (%d paths)",
+				check.Analytic, check.SR.P, check.SR.Lo, check.SR.Hi, check.Runs)
+		}
+		return
+	}
+	t.Fatal("u-evm-doge-011 not in the universe")
 }

@@ -63,8 +63,13 @@ type RunOpts struct {
 // the model's unit-rate region scaled by P*, found by a scan that keeps
 // regions narrower than one panel, which moves the last bits of stored
 // basic region bounds and SRs (and the SR of cells whose region the old
-// scan dropped).
-const cellSchema = 4
+// scan dropped). Schema 5: every t2 region, collateral included, is the
+// unit-rate region of its deposit ratio Q/P* scaled by P*, a region that
+// reaches the scan floor starts at 0, and the t1 integrals run over the
+// transition density's bulk only, which moves collateral region bounds
+// and SRs (by up to 0.02 where the density is narrow) and the last bits
+// of other t1 values.
+const cellSchema = 5
 
 // reportDigest pins the bytes the current cellSchema stands for: the
 // SHA-256 of the marshalled analytic reports of a fixed cell set (every
@@ -72,7 +77,7 @@ const cellSchema = 4
 // see TestReportBytesPinned). A change that moves any of those bytes fails
 // that test until cellSchema is bumped and this digest re-pinned, so
 // stored reports cannot silently mix with newly solved ones.
-const reportDigest = "184791da25a278facf28bb029dab4a1a40c247baaeb527dca52f1f652129430d"
+const reportDigest = "ee814141e2d6a6b6bfe13db4b869b0e8821ea71a4a4759a7be7c2b8cd129eb03"
 
 // cellKeyMaterial is the complete solve input of one (scenario × variant)
 // cell, in canonical field order. MCWorkers is deliberately absent —

@@ -64,6 +64,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/rpc"
 	"repro/internal/scenario"
 	"repro/internal/stats"
 )
@@ -119,7 +120,7 @@ type Results struct {
 	MaxUs        float64 `json:"max_us"`
 	// Coalesced counts responses served from another request's
 	// in-flight computation; HitRate is the server's waiters /
-	// (leaders + waiters) over the whole run.
+	// (leaders + waiters) over this pass.
 	Coalesced int     `json:"coalesced"`
 	HitRate   float64 `json:"coalesce_hit_rate"`
 	// The error taxonomy: Shed counts requests that ended -32005
@@ -139,18 +140,18 @@ type Results struct {
 	Attempts       int     `json:"attempts"`
 	Retries        int     `json:"retries"`
 	RetryHistogram []int   `json:"retry_histogram,omitempty"`
-	// ServerShed and PanicsRecovered mirror swapd.stats at the end of
-	// the run: the server-side shed tally (the -require-shed gate) and
-	// the panics the daemon absorbed instead of crashing.
+	// ServerShed and PanicsRecovered are this pass's server-side shed
+	// tally (the -require-shed gate) and the panics the daemon absorbed
+	// instead of crashing.
 	ServerShed      uint64 `json:"server_shed"`
 	PanicsRecovered uint64 `json:"panics_recovered"`
 	// CachedResponses is the client's tally of successful responses
 	// marked cached:true (every cell served from retained bytes) — the
 	// -min-warm-hit gate reads it.
 	CachedResponses int `json:"cached_responses"`
-	// RespCacheHits and StoreHits are this pass's deltas of the server's
-	// retained-cell and solve-store hit counters (swapd.stats snapshots
-	// bracketing the pass); both count cells, not requests.
+	// RespCacheHits and StoreHits are this pass's retained-cell and
+	// solve-store hits; both count cells, not requests. Every server-side
+	// field is the delta of two swapd.stats snapshots bracketing the pass.
 	RespCacheHits uint64 `json:"resp_cache_hits"`
 	StoreHits     uint64 `json:"store_hits"`
 }
@@ -240,24 +241,15 @@ func run(args []string, out io.Writer) error {
 		chaos:       *chaos,
 		wantDigests: *digestOut != "" || *digestAgainst != "" || *warm,
 	}
-	before, _ := snapshotCounters(base)
-	rep, digests := generate(base, cfg)
-	after, ok := snapshotCounters(base)
-	if ok {
-		rep.Results.RespCacheHits = after.respHits - before.respHits
-		rep.Results.StoreHits = after.storeHits - before.storeHits
-	}
-	// A -warm replay reissues the byte-identical seeded stream; the deltas
-	// of the server's cache counters across the pass are the warm row.
+	client := newClient(cfg.workers)
+	var rep Report
+	var digests map[int]string
+	rep.Results, digests = measure(client, base, cfg)
+	// A -warm replay reissues the byte-identical seeded stream against the
+	// populated caches; its pass is the warm row.
 	var warmDiverged int
 	if *warm {
-		wrep, wdigests := generate(base, cfg)
-		warmAfter, ok := snapshotCounters(base)
-		w := wrep.Results
-		if ok {
-			w.RespCacheHits = warmAfter.respHits - after.respHits
-			w.StoreHits = warmAfter.storeHits - after.storeHits
-		}
+		w, wdigests := measure(client, base, cfg)
 		rep.Warm = &w
 		// Cached bytes must decode to exactly what the cold pass solved:
 		// any request that succeeded in both passes must digest identically.
@@ -514,16 +506,49 @@ type outcome struct {
 
 func (o outcome) success() bool { return !o.shed && !o.rpcErr && !o.transportErr }
 
-// generate runs the paced stream and aggregates the measurements.
-func generate(base string, cfg genConfig) (Report, map[int]string) {
-	client := &http.Client{
+// newClient returns the run's HTTP client: pooled for the sender
+// workers, with a per-request timeout.
+func newClient(workers int) *http.Client {
+	return &http.Client{
 		Transport: &http.Transport{
-			MaxIdleConns:        cfg.workers * 2,
-			MaxIdleConnsPerHost: cfg.workers * 2,
+			MaxIdleConns:        workers * 2,
+			MaxIdleConnsPerHost: workers * 2,
 		},
 		Timeout: 30 * time.Second,
 	}
+}
 
+// measure runs one pass of the stream between two swapd.stats snapshots
+// and reports the server's counters as the pass's deltas. Without both
+// snapshots the hit rate falls back to the client's coalesced share of
+// successful responses.
+func measure(client *http.Client, base string, cfg genConfig) (Results, map[int]string) {
+	before, okBefore := fetchStats(client, base)
+	r, digests := generate(client, base, cfg)
+	after, okAfter := fetchStats(client, base)
+	if !okBefore || !okAfter {
+		if ok := r.Requests - r.Errors; ok > 0 {
+			r.HitRate = float64(r.Coalesced) / float64(ok)
+		}
+		return r, digests
+	}
+	leaders := after.Coalescing.Leaders - before.Coalescing.Leaders
+	waiters := after.Coalescing.Waiters - before.Coalescing.Waiters
+	if leaders+waiters > 0 {
+		r.HitRate = float64(waiters) / float64(leaders+waiters)
+	}
+	r.ServerShed = after.Admission.Shed - before.Admission.Shed
+	r.PanicsRecovered = after.Requests.PanicsRecovered - before.Requests.PanicsRecovered
+	r.RespCacheHits = after.RespCache.Hits - before.RespCache.Hits
+	if after.Store != nil && before.Store != nil {
+		r.StoreHits = after.Store.Hits - before.Store.Hits
+	}
+	return r, digests
+}
+
+// generate runs the paced stream and aggregates the client-side
+// measurements of one pass.
+func generate(client *http.Client, base string, cfg genConfig) (Results, map[int]string) {
 	var (
 		mu        sync.Mutex
 		latencies []float64
@@ -620,32 +645,25 @@ func generate(base string, cfg genConfig) (Report, map[int]string) {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	var rep Report
+	var r Results
 	errs := shed + rpcErrs + transport
-	rep.Results.Requests = len(latencies) + errs
-	rep.Results.Errors = errs
-	rep.Results.Shed = shed
-	rep.Results.RPCErrors = rpcErrs
-	rep.Results.TransportErrors = transport
-	rep.Results.SustainedQPS = float64(rep.Results.Requests) / elapsed.Seconds()
-	rep.Results.GoodputQPS = float64(len(latencies)) / elapsed.Seconds()
-	rep.Results.Attempts = attempts
-	rep.Results.Retries = retries
+	r.Requests = len(latencies) + errs
+	r.Errors = errs
+	r.Shed = shed
+	r.RPCErrors = rpcErrs
+	r.TransportErrors = transport
+	r.SustainedQPS = float64(r.Requests) / elapsed.Seconds()
+	r.GoodputQPS = float64(len(latencies)) / elapsed.Seconds()
+	r.Attempts = attempts
+	r.Retries = retries
 	if retries > 0 {
-		rep.Results.RetryHistogram = histogram
+		r.RetryHistogram = histogram
 	}
 	qs := percentiles(latencies, 0.50, 0.90, 0.99, 1)
-	rep.Results.P50Us, rep.Results.P90Us, rep.Results.P99Us, rep.Results.MaxUs = qs[0], qs[1], qs[2], qs[3]
-	rep.Results.Coalesced = coalesced
-	rep.Results.CachedResponses = cached
-	if st, ok := fetchStats(client, base); ok {
-		rep.Results.HitRate = st.hitRate
-		rep.Results.ServerShed = st.shed
-		rep.Results.PanicsRecovered = st.panics
-	} else if len(latencies) > 0 {
-		rep.Results.HitRate = float64(coalesced) / float64(len(latencies))
-	}
-	return rep, digests
+	r.P50Us, r.P90Us, r.P99Us, r.MaxUs = qs[0], qs[1], qs[2], qs[3]
+	r.Coalesced = coalesced
+	r.CachedResponses = cached
+	return r, digests
 }
 
 // solveBody builds a cheap cached solve of a preset.
@@ -805,77 +823,21 @@ func post(client *http.Client, base string, body []byte) postResult {
 	return postResult{coalesced: served.Coalesced, cached: served.Cached, result: envelope.Result}
 }
 
-// serverStats is the slice of swapd.stats the report carries.
-type serverStats struct {
-	hitRate float64
-	shed    uint64
-	panics  uint64
-}
-
-// fetchStats reads the server's own counters at the end of a run.
-func fetchStats(client *http.Client, base string) (serverStats, bool) {
+// fetchStats reads the server's cumulative counters (swapd.stats).
+func fetchStats(client *http.Client, base string) (rpc.StatsResult, bool) {
 	body := []byte(`{"jsonrpc":"2.0","id":"stats","method":"swapd.stats"}`)
 	resp, err := client.Post(base+"/rpc", "application/json", bytes.NewReader(body))
 	if err != nil {
-		return serverStats{}, false
+		return rpc.StatsResult{}, false
 	}
 	defer resp.Body.Close()
 	var envelope struct {
-		Result struct {
-			Requests struct {
-				PanicsRecovered uint64 `json:"panicsRecovered"`
-			} `json:"requests"`
-			Admission struct {
-				Shed uint64 `json:"shed"`
-			} `json:"admission"`
-			Coalescing struct {
-				HitRate float64 `json:"hitRate"`
-			} `json:"coalescing"`
-		} `json:"result"`
+		Result *rpc.StatsResult `json:"result"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
-		return serverStats{}, false
+	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil || envelope.Result == nil {
+		return rpc.StatsResult{}, false
 	}
-	return serverStats{
-		hitRate: envelope.Result.Coalescing.HitRate,
-		shed:    envelope.Result.Admission.Shed,
-		panics:  envelope.Result.Requests.PanicsRecovered,
-	}, true
-}
-
-// cacheCounters are the cumulative server-side cache counters a pass is
-// delta'd against (swapd.stats snapshots bracket each pass).
-type cacheCounters struct {
-	respHits  uint64
-	storeHits uint64
-}
-
-// snapshotCounters reads the server's retained-cell and solve-store hit
-// counters.
-func snapshotCounters(base string) (cacheCounters, bool) {
-	body := []byte(`{"jsonrpc":"2.0","id":"counters","method":"swapd.stats"}`)
-	resp, err := http.Post(base+"/rpc", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return cacheCounters{}, false
-	}
-	defer resp.Body.Close()
-	var envelope struct {
-		Result struct {
-			RespCache struct {
-				Hits uint64 `json:"hits"`
-			} `json:"respCache"`
-			Store struct {
-				Hits uint64 `json:"hits"`
-			} `json:"store"`
-		} `json:"result"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
-		return cacheCounters{}, false
-	}
-	return cacheCounters{
-		respHits:  envelope.Result.RespCache.Hits,
-		storeHits: envelope.Result.Store.Hits,
-	}, true
+	return *envelope.Result, true
 }
 
 // digestResult canonicalises one solve result and hashes it: volatile
