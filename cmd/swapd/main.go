@@ -1,7 +1,7 @@
 // Command swapd is the long-running quote daemon over the solve/simulate
 // core: a JSON-RPC 2.0 server (internal/rpc) that serves any cell of the
 // (scenario × variant) matrix, streams Monte Carlo convergence snapshots
-// over WebSocket, and mirrors cmd/scenarios' list/diff queries — the
+// as NDJSON, and mirrors cmd/scenarios' list/diff queries — the
 // repository's batch CLIs, as a service.
 //
 // Usage:
@@ -9,17 +9,16 @@
 //	swapd [-addr :8547] [-budget-ms 2000] [-max-budget-ms 60000]
 //	      [-mc-workers 1] [-max-runs 1000000] [-quiet]
 //	      [-max-inflight 64] [-queue-depth 64] [-queue-wait 25ms]
-//	      [-ws-read-timeout 2m] [-ws-write-timeout 10s]
 //	      [-store dir] [-resp-cache 1024]
 //	      [-fault key=prob[:delay],...] [-fault-seed 1]
 //
 // Endpoints:
 //
 //	POST /rpc      JSON-RPC 2.0: swap.solve, scenario.list, scenario.diff,
-//	               swapd.stats
-//	GET  /ws       the WebSocket channel: everything above, plus
-//	               swap.simulate streams (swap.progress notifications)
-//	               and swap.cancel
+//	               swapd.stats, and swap.simulate, whose response is an
+//	               application/x-ndjson stream (swap.progress
+//	               notifications, then the terminal response; closing the
+//	               connection cancels the run)
 //	GET  /healthz  liveness (503 while draining)
 //
 // swap.solve works per (scenario × variant) cell, keyed by the same
@@ -38,7 +37,10 @@
 // Expensive requests pass an admission controller (-max-inflight slots,
 // a -queue-depth x -queue-wait wait queue); saturation sheds with code
 // -32005 and a retryAfterMs hint, and /healthz degrades to 503 while
-// shedding. The -fault flags arm the deterministic chaos injector
+// shedding. Every socket edge has a deadline: request headers must
+// arrive within 10s, a request body within 10s, each stream line must be
+// written within 10s, and an idle kept-alive connection is closed after
+// 2m. The -fault flags arm the deterministic chaos injector
 // (internal/fault) for harness runs — never in production.
 package main
 
@@ -61,6 +63,23 @@ import (
 	"repro/internal/store"
 )
 
+// The connection-level deadlines: a request's headers must arrive within
+// readHeaderTimeout (the slow-loris guard before the handler runs; the
+// rpc layer bounds the body and each stream line itself), and a
+// kept-alive connection idle for idleTimeout is closed. There is
+// deliberately no http.Server.ReadTimeout: it would also bound the
+// connection's background read during a long stream and cancel the
+// stream's context mid-run.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the daemon's handler in its connection deadlines.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "swapd:", err)
@@ -79,13 +98,11 @@ func run(args []string, out io.Writer) error {
 		drainFor    = fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight work")
 		quiet       = fs.Bool("quiet", false, "suppress the per-lifecycle-event log lines")
 
-		maxInflight    = fs.Int("max-inflight", 0, "cap on concurrent expensive requests (0 = default 64)")
-		queueDepth     = fs.Int("queue-depth", 0, "cap on requests waiting for an admission slot (0 = default 64)")
-		queueWait      = fs.Duration("queue-wait", 0, "longest a saturated request queues before being shed (0 = default 25ms)")
-		wsReadTimeout  = fs.Duration("ws-read-timeout", 0, "per-frame WebSocket read deadline (0 = default 2m)")
-		wsWriteTimeout = fs.Duration("ws-write-timeout", 0, "per-frame WebSocket write deadline (0 = default 10s)")
-		faultSpec      = fs.String("fault", "", "arm the chaos injector: key=prob[:delay],... (see internal/fault; empty = off)")
-		faultSeed      = fs.Int64("fault-seed", 1, "seed of the fault injector's deterministic draws")
+		maxInflight = fs.Int("max-inflight", 0, "cap on concurrent expensive requests (0 = default 64)")
+		queueDepth  = fs.Int("queue-depth", 0, "cap on requests waiting for an admission slot (0 = default 64)")
+		queueWait   = fs.Duration("queue-wait", 0, "longest a saturated request queues before being shed (0 = default 25ms)")
+		faultSpec   = fs.String("fault", "", "arm the chaos injector: key=prob[:delay],... (see internal/fault; empty = off)")
+		faultSeed   = fs.Int64("fault-seed", 1, "seed of the fault injector's deterministic draws")
 
 		storeDir  = fs.String("store", "", "persistent solve-store directory (empty = no on-disk tier)")
 		respCache = fs.Int("resp-cache", 1024, "solved swap.solve cells retained as wire bytes (0 = none)")
@@ -115,22 +132,25 @@ func run(args []string, out io.Writer) error {
 	}
 
 	srv := rpc.NewServer(rpc.Config{
-		DefaultBudget:  time.Duration(*budgetMs) * time.Millisecond,
-		MaxBudget:      time.Duration(*maxBudgetMs) * time.Millisecond,
-		MCWorkers:      *mcWorkers,
-		MaxRuns:        *maxRuns,
-		MaxInflight:    *maxInflight,
-		QueueDepth:     *queueDepth,
-		QueueWait:      *queueWait,
-		WSReadTimeout:  *wsReadTimeout,
-		WSWriteTimeout: *wsWriteTimeout,
-		Fault:          injector,
-		Logf:           logf,
-		Store:          st,
-		RespCacheSize:  respSize,
+		DefaultBudget: time.Duration(*budgetMs) * time.Millisecond,
+		MaxBudget:     time.Duration(*maxBudgetMs) * time.Millisecond,
+		MCWorkers:     *mcWorkers,
+		MaxRuns:       *maxRuns,
+		MaxInflight:   *maxInflight,
+		QueueDepth:    *queueDepth,
+		QueueWait:     *queueWait,
+		Fault:         injector,
+		Logf:          logf,
+		Store:         st,
+		RespCacheSize: respSize,
 	})
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 
+	// Catch the drain signals before announcing the address, so a
+	// signal sent by whoever read it cannot kill the process instead.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -147,8 +167,6 @@ func run(args []string, out io.Writer) error {
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case s := <-sig:
 		logf("received %v, draining", s)

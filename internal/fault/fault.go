@@ -1,7 +1,7 @@
 // Package fault is the deterministic fault-injection substrate of the
 // quote daemon's chaos harness. An Injector holds a set of rules, each
-// keyed to one registered injection point in the RPC server or the
-// WebSocket I/O path ("rpc.latency", "ws.frame.drop", …); at each point
+// keyed to one registered injection point in the RPC server or its
+// streamed responses ("rpc.latency", "stream.write.error", …); at each point
 // the server asks the injector whether the fault fires. Decisions are
 // seeded: a per-key counter indexes into a SplitMix64 stream, so two runs
 // that visit a point the same number of times draw the same fire/no-fire
@@ -31,30 +31,18 @@ const (
 	KeyRPCError = "rpc.error"
 	// KeyRPCPanic panics inside the handler, exercising panic isolation.
 	KeyRPCPanic = "rpc.panic"
-	// KeyWSReadStall stalls the WebSocket read loop after a message
-	// arrives (duration argument), simulating a stalled reader.
-	KeyWSReadStall = "ws.read.stall"
-	// KeyWSFrameDrop discards an inbound WebSocket message after
-	// reassembly, simulating a lost frame.
-	KeyWSFrameDrop = "ws.frame.drop"
-	// KeyWSFrameTruncate truncates an inbound WebSocket message before
-	// parsing, simulating a corrupted frame.
-	KeyWSFrameTruncate = "ws.frame.truncate"
-	// KeyWSWriteError fails a WebSocket frame write, simulating a broken
-	// or stalled peer mid-stream.
-	KeyWSWriteError = "ws.write.error"
+	// KeyStreamWriteError fails a swap.simulate progress-line write,
+	// simulating a broken or stalled peer mid-stream.
+	KeyStreamWriteError = "stream.write.error"
 )
 
 // registry maps every legal key to its site description (surfaced by
 // Describe and the DESIGN.md fault table).
 var registry = map[string]string{
-	KeyRPCLatency:      "delay before dispatching an admitted request",
-	KeyRPCError:        "replace the handler result with a -32603 error",
-	KeyRPCPanic:        "panic inside the request handler",
-	KeyWSReadStall:     "stall the WebSocket read loop after a message",
-	KeyWSFrameDrop:     "drop an inbound WebSocket message",
-	KeyWSFrameTruncate: "truncate an inbound WebSocket message",
-	KeyWSWriteError:    "fail a WebSocket frame write",
+	KeyRPCLatency:       "delay before dispatching an admitted request",
+	KeyRPCError:         "replace the handler result with a -32603 error",
+	KeyRPCPanic:         "panic inside the request handler",
+	KeyStreamWriteError: "fail a stream's progress-line write",
 }
 
 // Keys returns the registered injection-point keys, sorted.
@@ -71,8 +59,7 @@ func Keys() []string {
 func Describe(key string) string { return registry[key] }
 
 // Rule arms one injection point: the fault fires with probability Prob on
-// each visit, and Delay parameterises the duration-typed faults (latency,
-// stall).
+// each visit, and Delay parameterises the duration-typed fault (latency).
 type Rule struct {
 	Key   string
 	Prob  float64
@@ -186,7 +173,7 @@ func (in *Injector) Fire(key string) bool {
 }
 
 // Delay reports whether key's fault fires, and if so for how long — the
-// duration-typed points (latency, stall).
+// duration-typed point (latency).
 func (in *Injector) Delay(key string) (time.Duration, bool) {
 	if !in.Fire(key) {
 		return 0, false

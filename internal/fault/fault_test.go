@@ -27,14 +27,14 @@ func TestNilInjectorIsInert(t *testing.T) {
 
 // TestParseGrammar walks the -fault spec grammar.
 func TestParseGrammar(t *testing.T) {
-	rules, err := Parse(" rpc.latency=0.05:5ms, rpc.error=0.5 ,,ws.frame.drop=1")
+	rules, err := Parse(" rpc.latency=0.05:5ms, rpc.error=0.5 ,,stream.write.error=1")
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
 	want := []Rule{
 		{Key: KeyRPCLatency, Prob: 0.05, Delay: 5 * time.Millisecond},
 		{Key: KeyRPCError, Prob: 0.5},
-		{Key: KeyWSFrameDrop, Prob: 1},
+		{Key: KeyStreamWriteError, Prob: 1},
 	}
 	if len(rules) != len(want) {
 		t.Fatalf("rules = %+v, want %+v", rules, want)
@@ -113,7 +113,7 @@ func TestFireRate(t *testing.T) {
 		if in.Fire(KeyRPCPanic) {
 			t.Fatal("probability-0 rule fired")
 		}
-		if in.Fire(KeyWSFrameDrop) {
+		if in.Fire(KeyStreamWriteError) {
 			t.Fatal("unarmed key fired")
 		}
 	}
@@ -135,15 +135,15 @@ func TestFireRate(t *testing.T) {
 // TestDelay checks the duration-typed points return their configured
 // delay exactly when they fire.
 func TestDelay(t *testing.T) {
-	in, err := NewFromSpec(1, "ws.read.stall=1:25ms")
+	in, err := NewFromSpec(1, "rpc.latency=1:25ms")
 	if err != nil {
 		t.Fatalf("NewFromSpec: %v", err)
 	}
-	d, ok := in.Delay(KeyWSReadStall)
+	d, ok := in.Delay(KeyRPCLatency)
 	if !ok || d != 25*time.Millisecond {
 		t.Errorf("Delay = %v, %v; want 25ms, true", d, ok)
 	}
-	if _, ok := in.Delay(KeyRPCLatency); ok {
+	if _, ok := in.Delay(KeyStreamWriteError); ok {
 		t.Error("unarmed delay fired")
 	}
 }
@@ -152,8 +152,8 @@ func TestDelay(t *testing.T) {
 // validation lean on.
 func TestRegistry(t *testing.T) {
 	keys := Keys()
-	if len(keys) != 7 {
-		t.Fatalf("Keys() = %v, want 7 registered points", keys)
+	if len(keys) != 4 {
+		t.Fatalf("Keys() = %v, want 4 registered points", keys)
 	}
 	for i := 1; i < len(keys); i++ {
 		if keys[i-1] >= keys[i] {
@@ -168,8 +168,7 @@ func TestRegistry(t *testing.T) {
 	if Describe("no.such.point") != "" {
 		t.Error("unknown key has a description")
 	}
-	for _, k := range []string{KeyRPCLatency, KeyRPCError, KeyRPCPanic,
-		KeyWSReadStall, KeyWSFrameDrop, KeyWSFrameTruncate, KeyWSWriteError} {
+	for _, k := range []string{KeyRPCLatency, KeyRPCError, KeyRPCPanic, KeyStreamWriteError} {
 		if !strings.Contains(strings.Join(keys, " "), k) {
 			t.Errorf("constant %q missing from registry", k)
 		}

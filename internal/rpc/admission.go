@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"context"
+	"errors"
 	"sync/atomic"
 	"time"
 )
@@ -47,7 +48,10 @@ func newAdmission(maxInflight, queueDepth int, queueWait, shedWindow time.Durati
 
 // acquire claims an in-flight slot, queueing briefly when saturated. A nil
 // return is an admission and must be paired with release; otherwise the
-// returned error is the CodeOverloaded shed response.
+// returned error is the CodeOverloaded shed response, or CodeCanceled
+// when the caller's context is cancelled while it queues. A cancelled
+// caller has gone away, not been turned away: it is no shed, so it
+// neither counts in shed nor arms the /healthz window.
 func (a *admission) acquire(ctx context.Context) *Error {
 	select {
 	case a.sem <- struct{}{}:
@@ -79,6 +83,9 @@ func (a *admission) acquire(ctx context.Context) *Error {
 	case <-timer.C:
 		return a.reject()
 	case <-ctx.Done():
+		if errors.Is(ctx.Err(), context.Canceled) {
+			return Errorf(CodeCanceled, "request cancelled while queued for admission")
+		}
 		return a.reject()
 	}
 }

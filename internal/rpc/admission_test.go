@@ -99,6 +99,30 @@ func TestAdmissionDeadlineAware(t *testing.T) {
 	}
 }
 
+// TestAdmissionCancelIsNoShed checks a queued caller whose context is
+// cancelled (the client went away) gets CodeCanceled and is no shed: the
+// shed tally stays 0 and /healthz's overload window stays disarmed.
+func TestAdmissionCancelIsNoShed(t *testing.T) {
+	a := newAdmission(1, 4, 10*time.Second, time.Second)
+	if err := a.acquire(context.Background()); err != nil {
+		t.Fatalf("first acquire shed: %+v", err)
+	}
+	defer a.release()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan *Error, 1)
+	go func() { done <- a.acquire(ctx) }()
+	waitFor(t, func() bool { return a.queued.Load() == 1 }, "second acquire never queued")
+	cancel()
+	rerr := <-done
+	if rerr == nil || rerr.Code != CodeCanceled {
+		t.Fatalf("cancelled acquire = %+v, want code %d", rerr, CodeCanceled)
+	}
+	if st := a.stats(); st.Shed != 0 || st.Overloaded {
+		t.Errorf("stats = %+v, want shed=0 and not overloaded", st)
+	}
+}
+
 // blockSolve gates the solve seam: each call parks on the returned
 // channel until it is closed, so tests control slot occupancy exactly.
 func blockSolve(s *Server) (started chan struct{}, unblock chan struct{}) {

@@ -27,8 +27,8 @@ func newDrainTestServer(t *testing.T, s *Server) *httptest.Server {
 }
 
 // TestGracefulDrainUnderLoad is the drain contract under concurrent
-// load: with several live WebSocket streams and a POST burst in flight,
-// Shutdown must hand every request a terminal response — a result,
+// load: with several live streams and a POST burst in flight, Shutdown
+// must hand every request a terminal response — a result,
 // CodeShuttingDown, or CodeCanceled — and leave no goroutines behind.
 func TestGracefulDrainUnderLoad(t *testing.T) {
 	base := runtime.NumGoroutine()
@@ -41,28 +41,23 @@ func TestGracefulDrainUnderLoad(t *testing.T) {
 		return variant.Report{Key: g.Key()}, nil
 	}
 
+	// Streams and the POST burst share a dedicated transport, so their
+	// connections can be torn down for the goroutine accounting.
+	tr := &http.Transport{}
+	client := &http.Client{Transport: tr, Timeout: 10 * time.Second}
+
 	// Several live streams, each proven producing before the drain.
 	const streams = 4
-	conns := make([]*WSConn, streams)
-	for i := range conns {
-		conn, err := DialWS("ws"+strings.TrimPrefix(ts.URL, "http")+"/ws", 5*time.Second)
-		if err != nil {
-			t.Fatalf("DialWS: %v", err)
-		}
-		conns[i] = conn
-		if err := conn.WriteMessage([]byte(rpcCall(1, "swap.simulate",
-			`{"scenario":"tableIII","runs":500000,"everyPaths":256,"budgetMs":60000}`))); err != nil {
-			t.Fatalf("write: %v", err)
-		}
-		if first := readMsg(t, conn); first.isResponse() {
+	live := make([]*stream, streams)
+	for i := range live {
+		live[i] = openStream(t, client, ts.URL, 1,
+			`{"scenario":"tableIII","runs":1000000,"everyPaths":256,"budgetMs":60000}`)
+		if first := live[i].next(t); first.isResponse() {
 			t.Fatalf("stream %d ended before the drain: %+v", i, first)
 		}
 	}
 
-	// A POST burst racing the shutdown, on a dedicated transport so its
-	// connections can be torn down for the goroutine accounting.
-	tr := &http.Transport{}
-	client := &http.Client{Transport: tr, Timeout: 10 * time.Second}
+	// A POST burst racing the shutdown.
 	const posts = 16
 	type postResult struct {
 		resp Response
@@ -101,18 +96,12 @@ func TestGracefulDrainUnderLoad(t *testing.T) {
 	shutdownErr := make(chan error, 1)
 	go func() { shutdownErr <- s.Shutdown(contextWithTimeout(t, 15*time.Second)) }()
 
-	// Every stream receives a terminal response before its connection dies.
-	for i, conn := range conns {
-		for {
-			m := readMsg(t, conn)
-			if !m.isResponse() {
-				continue // progress racing the cancellation
-			}
-			if m.Error == nil || m.Error.Code != CodeShuttingDown {
-				t.Errorf("stream %d terminal = %+v, want code %d", i, m, CodeShuttingDown)
-			}
-			break
+	// Every stream receives a terminal line before its response ends.
+	for i, st := range live {
+		if m := st.terminal(t); m.Error == nil || m.Error.Code != CodeShuttingDown {
+			t.Errorf("stream %d terminal = %+v, want code %d", i, m, CodeShuttingDown)
 		}
+		st.resp.Body.Close()
 	}
 
 	// Every POST receives a terminal response: a result, or an explicit
@@ -150,9 +139,6 @@ func TestGracefulDrainUnderLoad(t *testing.T) {
 
 	// Goroutine hygiene: tear down the clients and the listener, then the
 	// count must return to (about) the pre-server baseline.
-	for _, conn := range conns {
-		conn.Close()
-	}
 	tr.CloseIdleConnections()
 	ts.Close()
 	waitFor(t, func() bool { return runtime.NumGoroutine() <= base+5 },

@@ -1,10 +1,10 @@
 // Package rpc is the repository's quote-service layer: a JSON-RPC 2.0
-// server over HTTP with a WebSocket subscription channel, exposing the
-// solve/simulate core behind cmd/swapd. It serves solve requests for any
-// (scenario × variant) cell of the registry, streams Monte Carlo
-// convergence snapshots over WebSocket until the adaptive stopper fires or
-// the client cancels, and mirrors cmd/scenarios' list/diff queries —
-// everything the one-shot CLIs compute, as a long-running daemon.
+// server over HTTP, exposing the solve/simulate core behind cmd/swapd. It
+// serves solve requests for any (scenario × variant) cell of the
+// registry, streams Monte Carlo convergence snapshots as an NDJSON
+// response until the adaptive stopper fires or the client disconnects,
+// and mirrors cmd/scenarios' list/diff queries — everything the one-shot
+// CLIs compute, as a long-running daemon.
 //
 // Solve requests go through one per-cell tier keyed by variant.CellKey:
 // concurrent requests for a cell coalesce on one computation and solved
@@ -147,7 +147,7 @@ type Response struct {
 }
 
 // Notification is one server-to-client stream message (a JSON-RPC request
-// without an ID): the swap.simulate progress channel.
+// without an ID): a swap.simulate progress line.
 type Notification struct {
 	// JSONRPC is always "2.0".
 	JSONRPC string `json:"jsonrpc"`

@@ -481,11 +481,8 @@ type StatsResult struct {
 		Active    int64  `json:"active"`
 		Snapshots uint64 `json:"snapshots"`
 		// WriteFailures counts streams cancelled after a progress write
-		// failed or timed out; WatchdogCloses counts connections
-		// force-closed after a stream outlived its budget by more than the
-		// grace period.
-		WriteFailures  uint64 `json:"writeFailures"`
-		WatchdogCloses uint64 `json:"watchdogCloses"`
+		// failed or timed out.
+		WriteFailures uint64 `json:"writeFailures"`
 	} `json:"streams"`
 	// Faults tallies injected faults by registry key (absent when no
 	// injector is armed — the production default).
@@ -538,8 +535,7 @@ func (s *Server) handleStats() (any, *Error) {
 	out.Streams.Started = s.stats.streamsStarted.Load()
 	out.Streams.Active = s.stats.streamsActive.Load()
 	out.Streams.Snapshots = s.stats.snapshots.Load()
-	out.Streams.WriteFailures = s.stats.wsWriteFailures.Load()
-	out.Streams.WatchdogCloses = s.stats.watchdogCloses.Load()
+	out.Streams.WriteFailures = s.stats.writeFailures.Load()
 	cs := solvecache.ReadStats()
 	out.SolveCache.Models = cs.Models
 	out.SolveCache.Limit = cs.Limit

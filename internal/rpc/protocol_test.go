@@ -9,29 +9,6 @@ import (
 	"repro/internal/variant"
 )
 
-// simulateResult runs one swap.simulate stream to its terminal frame,
-// skipping progress notifications, and returns the result or the error.
-func simulateResult(t *testing.T, conn *WSConn, id int, params string) (SimulateResult, *Error) {
-	t.Helper()
-	if err := conn.WriteMessage([]byte(rpcCall(id, "swap.simulate", params))); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	for {
-		m := readMsg(t, conn)
-		if !m.isResponse() {
-			continue
-		}
-		if m.Error != nil {
-			return SimulateResult{}, m.Error
-		}
-		var res SimulateResult
-		if err := json.Unmarshal(m.Result, &res); err != nil {
-			t.Fatalf("decoding result: %v", err)
-		}
-		return res, nil
-	}
-}
-
 // TestSimulateAgreesWithBatchValidation pins the one-resolver property:
 // for every preset under both protocol variants, the swap.simulate stream
 // and the batch runner's Monte Carlo validation run the same protocol, so
@@ -40,12 +17,11 @@ func simulateResult(t *testing.T, conn *WSConn, id int, params string) (Simulate
 func TestSimulateAgreesWithBatchValidation(t *testing.T) {
 	const runs = 300
 	_, ts := newTestServer(t, Config{})
-	conn := dialTest(t, ts.URL)
 	id := 0
 	for _, sc := range scenario.Registry() {
 		for _, key := range []string{"basic", "collateral"} {
 			id++
-			got, rerr := simulateResult(t, conn, id, fmt.Sprintf(
+			got, rerr := simulateResult(t, ts.URL, id, fmt.Sprintf(
 				`{"scenario":%q,"variant":%q,"runs":%d,"everyPaths":1000000,"budgetMs":60000}`, sc.Name, key, runs))
 			if rerr != nil {
 				t.Fatalf("%s/%s: simulate failed: %+v", sc.Name, key, rerr)
@@ -71,7 +47,7 @@ func TestSimulateAgreesWithBatchValidation(t *testing.T) {
 		}
 	}
 	// A variant without a protocol run is rejected before the stream starts.
-	if _, rerr := simulateResult(t, conn, id+1, `{"scenario":"tableIII","variant":"uncertain"}`); rerr == nil || rerr.Code != CodeInvalidParams {
+	if _, rerr := simulateResult(t, ts.URL, id+1, `{"scenario":"tableIII","variant":"uncertain"}`); rerr == nil || rerr.Code != CodeInvalidParams {
 		t.Errorf("simulate variant uncertain: error %+v, want code %d", rerr, CodeInvalidParams)
 	}
 }
@@ -116,13 +92,12 @@ func TestSolveMaxRunsAppliesToScenarioRuns(t *testing.T) {
 // parameters fail strict decoding on both methods.
 func TestRetiredMCParamsRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	conn := dialTest(t, ts.URL)
 	for i, param := range []string{`"chunk":256`, `"maxPaths":1000`} {
 		resp, _ := post(t, ts.URL, rpcCall(1, "swap.solve", `{"scenario":"tableIII","mc":true,`+param+`}`))
 		if resp.Error == nil || resp.Error.Code != CodeInvalidParams {
 			t.Errorf("swap.solve with %s: error %+v, want code %d", param, resp.Error, CodeInvalidParams)
 		}
-		_, rerr := simulateResult(t, conn, i+1, `{"scenario":"tableIII","runs":100,`+param+`}`)
+		_, rerr := simulateResult(t, ts.URL, i+1, `{"scenario":"tableIII","runs":100,`+param+`}`)
 		if rerr == nil || rerr.Code != CodeInvalidParams {
 			t.Errorf("swap.simulate with %s: error %+v, want code %d", param, rerr, CodeInvalidParams)
 		}

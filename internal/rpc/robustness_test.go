@@ -3,6 +3,8 @@ package rpc
 import (
 	"context"
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -95,20 +97,16 @@ func TestSolvePanicSettlesWaiters(t *testing.T) {
 }
 
 // TestStreamPanicIsolated checks a panicking stream body becomes its
-// terminal -32603, releases its admission slot, and leaves the
-// connection serving.
+// terminal -32603, releases its admission slot, and leaves the daemon
+// streaming.
 func TestStreamPanicIsolated(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	s.stream = func(ctx context.Context, cancel context.CancelFunc, sess *wsSession, id json.RawMessage, cfg simulateConfig) Response {
+	s.stream = func(context.Context, json.RawMessage, simulateConfig, func(ProgressEvent) error) Response {
 		panic("boom")
 	}
-	conn := dialTest(t, ts.URL)
-	if err := conn.WriteMessage([]byte(rpcCall(1, "swap.simulate", `{"scenario":"tableIII"}`))); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	m := readMsg(t, conn)
+	m := openStream(t, streamClient, ts.URL, 1, `{"scenario":"tableIII"}`).terminal(t)
 	if m.Error == nil || m.Error.Code != CodeInternalError {
-		t.Fatalf("terminal frame = %+v, want -32603", m)
+		t.Fatalf("terminal line = %+v, want -32603", m)
 	}
 	if !strings.Contains(m.Error.Message, "stream panicked") {
 		t.Errorf("message = %q, want the stream panic named", m.Error.Message)
@@ -116,57 +114,32 @@ func TestStreamPanicIsolated(t *testing.T) {
 	if n := s.stats.panics.Load(); n != 1 {
 		t.Errorf("panics recovered = %d, want 1", n)
 	}
-	waitFor(t, func() bool { return s.stats.streamsActive.Load() == 0 }, "panicked stream still active")
+	if n := s.stats.streamsActive.Load(); n != 0 {
+		t.Errorf("active streams after the panic = %d, want 0", n)
+	}
 	if st := s.adm.stats(); st.InFlight != 0 {
 		t.Errorf("admission inFlight = %d after stream panic, want 0", st.InFlight)
 	}
-	// The connection survives: a real (short) stream completes after it.
+	// The daemon survives: a real (short) stream completes after it.
 	s.stream = s.runStream
-	if err := conn.WriteMessage([]byte(rpcCall(2, "swap.simulate",
-		`{"scenario":"tableIII","runs":500,"budgetMs":30000}`))); err != nil {
-		t.Fatalf("write after panic: %v", err)
-	}
-	for {
-		m = readMsg(t, conn)
-		if m.isResponse() && string(m.ID) == "2" {
-			break
-		}
-	}
-	if m.Error != nil {
-		t.Fatalf("stream after recovered panic: %+v", m.Error)
+	if _, rerr := simulateResult(t, ts.URL, 2, `{"scenario":"tableIII","runs":500,"budgetMs":30000}`); rerr != nil {
+		t.Fatalf("stream after recovered panic: %+v", rerr)
 	}
 }
 
-// TestWSInjectedPanic drives the call-path panic fault over the
-// WebSocket channel: the panic becomes -32603 and both connection and
-// daemon keep serving.
-func TestWSInjectedPanic(t *testing.T) {
+// TestInjectedPanic drives the call-path panic fault over HTTP: each
+// panic becomes -32603 and the daemon keeps answering.
+func TestInjectedPanic(t *testing.T) {
 	s, ts := newTestServer(t, Config{Fault: mustInjector(t, 3, "rpc.panic=1")})
-	conn := dialTest(t, ts.URL)
-	if err := conn.WriteMessage([]byte(rpcCall(1, "swap.solve", `{"scenario":"tableIII"}`))); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	m := readMsg(t, conn)
-	if m.Error == nil || m.Error.Code != CodeInternalError {
-		t.Fatalf("frame = %+v, want injected-panic -32603", m)
-	}
-	if n := s.stats.panics.Load(); n < 1 {
-		t.Errorf("panics recovered = %d, want >= 1", n)
-	}
-	// The connection and daemon survive the recovered panic: the next call
-	// still gets a response (another injected panic at probability 1, but
-	// answered — never a dead connection).
-	if err := conn.WriteMessage([]byte(rpcCall(2, "swapd.stats", ""))); err != nil {
-		t.Fatalf("write after panic: %v", err)
-	}
-	for {
-		m = readMsg(t, conn)
-		if m.isResponse() && string(m.ID) == "2" {
-			break
+	for i, method := range []string{"swap.solve", "swapd.stats"} {
+		r, _ := post(t, ts.URL, rpcCall(i+1, method, `{"scenario":"tableIII"}`))
+		if r.Error == nil || r.Error.Code != CodeInternalError {
+			t.Fatalf("%s: response %+v, want injected-panic -32603", method, r)
 		}
 	}
-	if n := s.stats.panics.Load(); n < 2 {
-		t.Errorf("panics recovered = %d, want >= 2 (the daemon kept answering)", n)
+	// Both calls were answered — never a dead daemon.
+	if n := s.stats.panics.Load(); n != 2 {
+		t.Errorf("panics recovered = %d, want 2", n)
 	}
 }
 
@@ -194,111 +167,31 @@ func TestInjectedErrorAndLatency(t *testing.T) {
 	}
 }
 
-// TestWSSlowLorisClosed checks the read deadline: a peer that starts a
-// frame and stalls is disconnected once the read timeout passes, instead
-// of holding the read loop (and the connection slot) forever.
-func TestWSSlowLorisClosed(t *testing.T) {
-	s, ts := newTestServer(t, Config{WSReadTimeout: 150 * time.Millisecond})
-	conn := dialTest(t, ts.URL)
-
-	// A whole request inside the window still answers.
-	if err := conn.WriteMessage([]byte(rpcCall(1, "scenario.list", ""))); err != nil {
-		t.Fatalf("write: %v", err)
+// TestBodyReadDeadline checks the slow-loris guard on POST /rpc: a
+// client that announces a body and trickles it is answered 400 and
+// disconnected once the read deadline passes, instead of holding a
+// handler forever.
+func TestBodyReadDeadline(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	s.ioTimeout = 100 * time.Millisecond
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
 	}
-	if m := readMsg(t, conn); m.Error != nil {
-		t.Fatalf("scenario.list = %+v", m.Error)
-	}
-
-	// Now drip one header byte and stall: the server must cut us off.
-	if _, err := conn.conn.Write([]byte{0x81}); err != nil {
-		t.Fatalf("raw write: %v", err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := conn.ReadMessage()
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("read returned a message from a half-sent frame")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("server kept a stalled connection past its read timeout")
-	}
-	waitFor(t, func() bool {
-		s.connMu.Lock()
-		defer s.connMu.Unlock()
-		return len(s.conns) == 0
-	}, "stalled connection never left the registry")
-}
-
-// TestWSWriteFaultCancelsStream checks the stalled-writer contract via
-// the ws.write.error fault: when progress writes fail, the stream is
-// cancelled rather than left blocking the engine, the failure is
-// counted, and the admission slot comes back.
-func TestWSWriteFaultCancelsStream(t *testing.T) {
-	s, ts := newTestServer(t, Config{Fault: mustInjector(t, 9, "ws.write.error=1")})
-	conn := dialTest(t, ts.URL)
-	if err := conn.WriteMessage([]byte(rpcCall(1, "swap.simulate",
-		`{"scenario":"tableIII","runs":500000,"everyPaths":256,"budgetMs":60000}`))); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	// Every server write fails (including the terminal response), so the
-	// contract is observed server-side: the write failure is tallied, the
-	// stream dies promptly, and its slot is released.
-	waitFor(t, func() bool { return s.stats.wsWriteFailures.Load() >= 1 }, "write failure never tallied")
-	waitFor(t, func() bool { return s.stats.streamsActive.Load() == 0 }, "stream outlived its dead writer")
-	waitFor(t, func() bool { return s.adm.stats().InFlight == 0 }, "admission slot leaked")
-}
-
-// TestWSFrameDropFault checks dropped inbound frames vanish without a
-// dispatch: the injector tallies the drop and no request is recorded.
-func TestWSFrameDropFault(t *testing.T) {
-	s, ts := newTestServer(t, Config{Fault: mustInjector(t, 11, "ws.frame.drop=1")})
-	conn := dialTest(t, ts.URL)
-	if err := conn.WriteMessage([]byte(rpcCall(1, "scenario.list", ""))); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	waitFor(t, func() bool { return s.cfg.Fault.Counts()[fault.KeyWSFrameDrop] >= 1 },
-		"drop point never fired")
-	if n := s.stats.requests.Load(); n != 0 {
-		t.Errorf("requests = %d, want 0 (the frame was dropped before dispatch)", n)
-	}
-}
-
-// TestWSFrameTruncateFault checks truncated inbound frames surface as
-// parse errors — corruption degrades to a JSON-RPC error, not a wedged
-// connection.
-func TestWSFrameTruncateFault(t *testing.T) {
-	_, ts := newTestServer(t, Config{Fault: mustInjector(t, 13, "ws.frame.truncate=1")})
-	conn := dialTest(t, ts.URL)
-	if err := conn.WriteMessage([]byte(rpcCall(1, "scenario.list", ""))); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	m := readMsg(t, conn)
-	if m.Error == nil || m.Error.Code != CodeParseError {
-		t.Fatalf("frame = %+v, want parse error from the truncated request", m)
-	}
-}
-
-// TestWSReadStallFault checks the ws.read.stall point delays dispatch
-// without breaking it.
-func TestWSReadStallFault(t *testing.T) {
-	s, ts := newTestServer(t, Config{Fault: mustInjector(t, 17, "ws.read.stall=1:30ms")})
-	conn := dialTest(t, ts.URL)
+	defer conn.Close()
 	start := time.Now()
-	if err := conn.WriteMessage([]byte(rpcCall(1, "scenario.list", ""))); err != nil {
+	if _, err := io.WriteString(conn, "POST /rpc HTTP/1.1\r\nHost: test\r\nContent-Length: 100\r\n\r\n{"); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	m := readMsg(t, conn)
-	if m.Error != nil {
-		t.Fatalf("scenario.list through a stalled read = %+v", m.Error)
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	got, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatalf("connection still open 5s into a trickled body: %v", err)
 	}
-	if elapsed := time.Since(start); elapsed < 25*time.Millisecond {
-		t.Errorf("response in %v, want >= ~30ms injected stall", elapsed)
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Errorf("trickled body cut off after %v, want ~100ms", elapsed)
 	}
-	if s.cfg.Fault.Counts()[fault.KeyWSReadStall] < 1 {
-		t.Error("stall point never tallied")
+	if !strings.HasPrefix(string(got), "HTTP/1.1 400") || !strings.Contains(string(got), "unreadable body") {
+		t.Errorf("response = %q, want a 400 naming the unreadable body", got)
 	}
 }

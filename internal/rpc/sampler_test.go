@@ -69,29 +69,14 @@ func TestSolveSamplerParam(t *testing.T) {
 	}
 }
 
-// TestWSSimulateSampler streams a sobol simulation: the terminal result
+// TestStreamSampler streams a sobol simulation: the terminal result
 // names the mode and carries the estimator half-width the adaptive
 // stopper uses; an unknown or retired mode fails before the stream starts.
-func TestWSSimulateSampler(t *testing.T) {
+func TestStreamSampler(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	conn := dialTest(t, ts.URL)
-	if err := conn.WriteMessage([]byte(rpcCall(11, "swap.simulate",
-		`{"scenario":"tableIII","runs":2000,"sampler":"sobol","budgetMs":30000}`))); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	var final *SimulateResult
-	for final == nil {
-		m := readMsg(t, conn)
-		if !m.isResponse() {
-			continue
-		}
-		if m.Error != nil {
-			t.Fatalf("stream failed: %+v", m.Error)
-		}
-		final = new(SimulateResult)
-		if err := json.Unmarshal(m.Result, final); err != nil {
-			t.Fatalf("decoding result: %v", err)
-		}
+	final, rerr := simulateResult(t, ts.URL, 11, `{"scenario":"tableIII","runs":2000,"sampler":"sobol","budgetMs":30000}`)
+	if rerr != nil {
+		t.Fatalf("stream failed: %+v", rerr)
 	}
 	if final.Sampler != "sobol" {
 		t.Errorf("final sampler = %q, want sobol", final.Sampler)
@@ -104,13 +89,9 @@ func TestWSSimulateSampler(t *testing.T) {
 	}
 
 	for _, bad := range []string{"halton", "antithetic"} {
-		if err := conn.WriteMessage([]byte(rpcCall(12, "swap.simulate",
-			`{"scenario":"tableIII","runs":100,"sampler":"`+bad+`"}`))); err != nil {
-			t.Fatalf("write: %v", err)
-		}
-		m := readMsg(t, conn)
-		if m.Error == nil || m.Error.Code != CodeInvalidParams {
-			t.Fatalf("sampler %q: frame = %+v, want CodeInvalidParams", bad, m)
+		_, rerr := simulateResult(t, ts.URL, 12, `{"scenario":"tableIII","runs":100,"sampler":"`+bad+`"}`)
+		if rerr == nil || rerr.Code != CodeInvalidParams {
+			t.Fatalf("sampler %q: error = %+v, want CodeInvalidParams", bad, rerr)
 		}
 	}
 }

@@ -47,18 +47,6 @@ type Config struct {
 	// ShedWindow is how long /healthz stays 503 after a shed (default 1s),
 	// so load balancers steer away while the daemon recovers.
 	ShedWindow time.Duration
-	// WSReadTimeout bounds each inbound WebSocket frame: a frame (and the
-	// idle gap before it) must complete within it or the connection is
-	// closed — the slow-loris guard (default 2m; keep it above MaxBudget
-	// so streaming clients idle-reading progress are not cut off).
-	WSReadTimeout time.Duration
-	// WSWriteTimeout bounds each outbound WebSocket frame write, so a
-	// stalled reader blocks a progress write for at most this long before
-	// the stream is cancelled (default 10s).
-	WSWriteTimeout time.Duration
-	// WatchdogGrace is how long past its budget a stream may linger before
-	// its connection is force-closed (default 5s).
-	WatchdogGrace time.Duration
 	// Store, when non-nil, is the persistent content-addressed result
 	// store the solve path reads through (variant.RunOpts.Store): a
 	// restarted daemon sharing a store directory serves warm quotes from
@@ -102,15 +90,6 @@ func (c Config) withDefaults() Config {
 	if c.ShedWindow <= 0 {
 		c.ShedWindow = time.Second
 	}
-	if c.WSReadTimeout <= 0 {
-		c.WSReadTimeout = 2 * time.Minute
-	}
-	if c.WSWriteTimeout <= 0 {
-		c.WSWriteTimeout = 10 * time.Second
-	}
-	if c.WatchdogGrace <= 0 {
-		c.WatchdogGrace = 5 * time.Second
-	}
 	if c.RespCacheSize == 0 {
 		c.RespCacheSize = 1024
 	}
@@ -120,14 +99,23 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// maxRequestBytes caps a request body (a request is a few hundred bytes;
+// a megabyte is already adversarial).
+const maxRequestBytes = 1 << 20
+
+// ioTimeout bounds each blocking socket edge a handler owns: reading the
+// request body (the slow-loris guard) and writing one stream line (the
+// stalled-reader guard).
+const ioTimeout = 10 * time.Second
+
 // Server is the JSON-RPC quote service over the solve/simulate core: HTTP
-// POST /rpc for request/response methods, GET /ws for the WebSocket
-// channel (everything HTTP serves, plus swap.simulate streams), GET
-// /healthz for liveness.
+// POST /rpc for every method (swap.simulate answers with a streamed
+// NDJSON response), GET /healthz for liveness.
 type Server struct {
 	cfg Config
 
-	// baseCtx parents every stream; Shutdown cancels it to drain them.
+	// baseCtx is cancelled by Shutdown: it wakes coalesced waiters and
+	// ends every stream.
 	baseCtx    context.Context
 	cancelBase context.CancelFunc
 	draining   atomic.Bool
@@ -146,14 +134,14 @@ type Server struct {
 
 	// stream runs one simulate stream body and returns its terminal
 	// response; a test seam, defaulting to runStream.
-	stream func(ctx context.Context, cancel context.CancelFunc, sess *wsSession, id json.RawMessage, cfg simulateConfig) Response
+	stream func(ctx context.Context, id json.RawMessage, cfg simulateConfig, progress func(ProgressEvent) error) Response
+
+	// ioTimeout is the body-read and stream-line-write bound; a test seam,
+	// defaulting to the ioTimeout constant.
+	ioTimeout time.Duration
 
 	// adm is the admission controller in front of the expensive methods.
 	adm *admission
-
-	// conns tracks live WebSocket connections for shutdown.
-	connMu sync.Mutex
-	conns  map[*WSConn]struct{}
 
 	stats serverStats
 }
@@ -169,11 +157,9 @@ type serverStats struct {
 	// panics counts handler panics converted to CodeInternalError
 	// responses instead of killing the daemon.
 	panics atomic.Uint64
-	// wsWriteFailures counts streams cancelled because a progress write
-	// failed or timed out; watchdogCloses counts connections force-closed
-	// after their stream outlived its budget past the grace period.
-	wsWriteFailures atomic.Uint64
-	watchdogCloses  atomic.Uint64
+	// writeFailures counts streams cancelled because a progress write
+	// failed or timed out.
+	writeFailures atomic.Uint64
 
 	methodMu sync.Mutex
 	byMethod map[string]uint64
@@ -193,7 +179,7 @@ func NewServer(cfg Config) *Server {
 		cfg:        cfg.withDefaults(),
 		baseCtx:    ctx,
 		cancelBase: cancel,
-		conns:      make(map[*WSConn]struct{}),
+		ioTimeout:  ioTimeout,
 		stats:      serverStats{start: time.Now(), byMethod: make(map[string]uint64)},
 	}
 	s.adm = newAdmission(s.cfg.MaxInflight, s.cfg.QueueDepth, s.cfg.QueueWait, s.cfg.ShedWindow)
@@ -207,7 +193,6 @@ func NewServer(cfg Config) *Server {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/rpc", s.handleHTTP)
-	mux.HandleFunc("/ws", s.handleWS)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case s.draining.Load():
@@ -225,10 +210,9 @@ func (s *Server) Handler() http.Handler {
 }
 
 // Shutdown drains the server: new requests are rejected with
-// CodeShuttingDown, streams are cancelled (each sends a terminal error
-// response before its goroutine exits), in-flight solves run to
-// completion, and WebSocket connections are closed. It returns ctx's
-// error if draining outlives it.
+// CodeShuttingDown, streams are cancelled (each writes its terminal error
+// line before its handler returns), and in-flight solves run to
+// completion. It returns ctx's error if draining outlives it.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	s.cancelBase()
@@ -243,12 +227,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		err = fmt.Errorf("rpc: shutdown: %w", ctx.Err())
 	}
-	s.connMu.Lock()
-	for c := range s.conns {
-		c.Close()
-	}
-	s.conns = make(map[*WSConn]struct{})
-	s.connMu.Unlock()
 	s.cfg.Logf("rpc: shutdown complete (drained=%v)", err == nil)
 	return err
 }
@@ -271,21 +249,18 @@ func (s *Server) handleHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	// Read one byte past the cap so truncation is detectable: a body of
-	// exactly wsMaxMessage+1 read bytes means the client sent more than
-	// the cap, which is a size rejection (413), not a parse error.
-	body, err := io.ReadAll(io.LimitReader(r.Body, wsMaxMessage+1))
+	body, err := s.readBody(w, r)
 	if err != nil {
 		s.stats.errors.Add(1)
 		writeHTTPResponse(w, http.StatusBadRequest,
 			NewErrorResponse(nil, Errorf(CodeParseError, "unreadable body: %v", err)))
 		return
 	}
-	if len(body) > wsMaxMessage {
+	if len(body) > maxRequestBytes {
 		s.stats.errors.Add(1)
 		writeHTTPResponse(w, http.StatusRequestEntityTooLarge,
 			NewErrorResponse(nil, Errorf(CodeInvalidRequest,
-				"request too large: body exceeds %d bytes", wsMaxMessage)))
+				"request too large: body exceeds %d bytes", maxRequestBytes)))
 		return
 	}
 	req, rerr := ParseRequest(body)
@@ -301,15 +276,47 @@ func (s *Server) handleHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	s.inflight.Add(1)
 	defer s.inflight.Done()
+	if req.Method == "swap.simulate" {
+		s.serveStream(w, r, req)
+		return
+	}
 	resp, ok := s.dispatch(r.Context(), req)
 	if !ok { // notification: no response body
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
+	s.writeResponse(w, resp)
+}
+
+// readBody reads the request body under the ioTimeout deadline, one byte
+// past the cap so truncation is detectable: a body of maxRequestBytes+1
+// read bytes means the client sent more than the cap, which is a size
+// rejection (413), not a parse error. The deadline is cleared afterwards:
+// once the body is read, net/http's background read watches the
+// connection for a client disconnect, and an expiring deadline there
+// would cancel a long stream's context mid-run. Writers without deadline
+// support (httptest.ResponseRecorder) read unbounded.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	rc := http.NewResponseController(w)
+	if err := rc.SetReadDeadline(time.Now().Add(s.ioTimeout)); err != nil && !errors.Is(err, http.ErrNotSupported) {
+		return nil, err
+	}
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes+1))
+	if err != nil {
+		return nil, err
+	}
+	if err := rc.SetReadDeadline(time.Time{}); err != nil && !errors.Is(err, http.ErrNotSupported) {
+		return nil, err
+	}
+	return body, nil
+}
+
+// writeResponse writes one JSON-RPC response, surfacing a shed at the
+// HTTP layer too (503 + Retry-After), so plain HTTP clients and proxies
+// can back off without parsing JSON-RPC.
+func (s *Server) writeResponse(w http.ResponseWriter, resp Response) {
 	status := http.StatusOK
 	if resp.Error != nil && resp.Error.Code == CodeOverloaded {
-		// Shed responses surface at the HTTP layer too, so plain HTTP
-		// clients and proxies can back off without parsing JSON-RPC.
 		status = http.StatusServiceUnavailable
 		w.Header().Set("Retry-After", retryAfterSeconds(s.adm.retryAfterMs()))
 	}
@@ -390,10 +397,6 @@ func (s *Server) call(ctx context.Context, req Request) (result any, rerr *Error
 		result, rerr = s.handleDiff(ctx, req.Params)
 	case "swapd.stats":
 		result, rerr = s.handleStats()
-	case "swap.simulate":
-		rerr = Errorf(CodeInvalidRequest, "swap.simulate streams over the WebSocket channel: connect to /ws")
-	case "swap.cancel":
-		rerr = Errorf(CodeInvalidRequest, "swap.cancel applies to WebSocket streams: connect to /ws")
 	default:
 		rerr = Errorf(CodeMethodNotFound, "unknown method %q", req.Method)
 	}

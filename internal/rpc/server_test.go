@@ -148,8 +148,8 @@ func TestHTTPErrorSurface(t *testing.T) {
 		{"bad variant", rpcCall(1, "swap.solve", `{"scenario":"tableIII","variant":"bogus"}`), CodeInvalidParams},
 		{"negative runs", rpcCall(1, "swap.solve", `{"scenario":"tableIII","runs":-1}`), CodeInvalidParams},
 		{"runs over cap", rpcCall(1, "swap.solve", `{"scenario":"tableIII","runs":2000000}`), CodeInvalidParams},
-		{"simulate over http", rpcCall(1, "swap.simulate", `{"scenario":"tableIII"}`), CodeInvalidRequest},
-		{"cancel over http", rpcCall(1, "swap.cancel", `{"id":1}`), CodeInvalidRequest},
+		{"simulate over http", rpcCall(1, "swap.simulate", `{"scenario":"tableIII","variant":"uncertain"}`), CodeInvalidParams},
+		{"cancel over http", rpcCall(1, "swap.cancel", `{"id":1}`), CodeMethodNotFound},
 		{"inline scenario invalid", rpcCall(1, "swap.solve", `{"scenario":{"name":"x","params":{},"pstar":-2}}`), CodeInvalidParams},
 	}
 	for _, tc := range cases {
@@ -427,7 +427,7 @@ func TestStatsCounters(t *testing.T) {
 // 413 + -32600 naming the limit.
 func TestOversizedBody(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	big := bytes.Repeat([]byte("x"), wsMaxMessage+2)
+	big := bytes.Repeat([]byte("x"), maxRequestBytes+2)
 	resp, err := http.Post(ts.URL+"/rpc", "application/json", bytes.NewReader(big))
 	if err != nil {
 		t.Fatalf("POST: %v", err)
@@ -449,7 +449,7 @@ func TestOversizedBody(t *testing.T) {
 
 	// A body exactly at the cap still parses (as garbage JSON here, but
 	// through the normal parse path, not the size rejection).
-	exact := bytes.Repeat([]byte("x"), wsMaxMessage)
+	exact := bytes.Repeat([]byte("x"), maxRequestBytes)
 	resp2, err := http.Post(ts.URL+"/rpc", "application/json", bytes.NewReader(exact))
 	if err != nil {
 		t.Fatalf("POST: %v", err)

@@ -3,9 +3,9 @@ package rpc
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http"
-	"sync"
 	"time"
 
 	"repro/internal/fault"
@@ -15,7 +15,7 @@ import (
 	"repro/internal/variant"
 )
 
-// SimulateParams are the parameters of swap.simulate (WebSocket only).
+// SimulateParams are the parameters of swap.simulate.
 type SimulateParams struct {
 	// Scenario is a preset name or inline Scenario object.
 	Scenario json.RawMessage `json:"scenario"`
@@ -87,218 +87,96 @@ type SimulateResult struct {
 	ElapsedUs         int64   `json:"elapsedUs"`
 }
 
-// CancelParams are the parameters of swap.cancel.
-type CancelParams struct {
-	// ID is the request ID of the stream to cancel.
-	ID json.RawMessage `json:"id"`
-}
-
-// wsSession is the per-connection state of the WebSocket channel: the
-// connection plus the cancel functions of its live streams, keyed by the
-// originating request ID's raw JSON.
-type wsSession struct {
-	conn *WSConn
-
-	mu      sync.Mutex
-	streams map[string]context.CancelFunc
-}
-
-// cancelStream cancels one stream by ID, reporting whether it was live.
-func (ws *wsSession) cancelStream(id string) bool {
-	ws.mu.Lock()
-	cancel, ok := ws.streams[id]
-	ws.mu.Unlock()
-	if ok {
-		cancel()
-	}
-	return ok
-}
-
-// cancelAll cancels every live stream (connection teardown).
-func (ws *wsSession) cancelAll() {
-	ws.mu.Lock()
-	cancels := make([]context.CancelFunc, 0, len(ws.streams))
-	for _, c := range ws.streams {
-		cancels = append(cancels, c)
-	}
-	ws.mu.Unlock()
-	for _, c := range cancels {
-		c()
-	}
-}
-
-// handleWS serves the WebSocket channel: every request/response method
-// plus swap.simulate streams and swap.cancel.
-func (s *Server) handleWS(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	conn, err := Upgrade(w, r)
-	if err != nil {
-		return // Upgrade already wrote the HTTP error
-	}
-	// Deadline hygiene: every inbound frame must complete within the read
-	// timeout (slow-loris guard), every outbound frame within the write
-	// timeout (stalled-reader guard).
-	conn.readTimeout = s.cfg.WSReadTimeout
-	conn.writeTimeout = s.cfg.WSWriteTimeout
-	conn.fault = s.cfg.Fault
-	s.connMu.Lock()
-	s.conns[conn] = struct{}{}
-	s.connMu.Unlock()
-	sess := &wsSession{conn: conn, streams: make(map[string]context.CancelFunc)}
-	defer func() {
-		sess.cancelAll()
-		s.connMu.Lock()
-		delete(s.conns, conn)
-		s.connMu.Unlock()
-		conn.Close()
-	}()
-	for {
-		msg, err := conn.ReadMessage()
-		if err != nil {
-			return // closed or broken connection; deferred cleanup cancels streams
-		}
-		// Read-side fault points: a stalled reader, a lost frame, a
-		// corrupted frame. Truncation feeds the parse-error path below.
-		if d, ok := s.cfg.Fault.Delay(fault.KeyWSReadStall); ok {
-			sleepCtx(s.baseCtx, d)
-		}
-		if s.cfg.Fault.Fire(fault.KeyWSFrameDrop) {
-			continue
-		}
-		if s.cfg.Fault.Fire(fault.KeyWSFrameTruncate) {
-			msg = msg[:len(msg)/2]
-		}
-		req, rerr := ParseRequest(msg)
-		if rerr != nil {
-			s.stats.errors.Add(1)
-			conn.WriteJSON(NewErrorResponse(req.ID, rerr))
-			continue
-		}
-		if s.draining.Load() {
-			conn.WriteJSON(NewErrorResponse(req.ID, Errorf(CodeShuttingDown, "server is shutting down")))
-			continue
-		}
-		switch req.Method {
-		case "swap.simulate":
-			s.startStream(sess, req)
-		case "swap.cancel":
-			s.stats.record(req.Method)
-			var p CancelParams
-			if rerr := decodeParams(req.Params, &p); rerr != nil {
-				conn.WriteJSON(NewErrorResponse(req.ID, rerr))
-				continue
-			}
-			found := sess.cancelStream(string(p.ID))
-			if !req.IsNotification() {
-				conn.WriteJSON(NewResponse(req.ID, map[string]bool{"canceled": found}))
-			}
-		default:
-			// Request/response methods share the HTTP dispatch path. Run
-			// them off the read loop so a slow solve cannot delay cancels.
-			s.inflight.Add(1)
-			go func(req Request) {
-				defer s.inflight.Done()
-				if resp, ok := s.dispatch(s.baseCtx, req); ok {
-					conn.WriteJSON(resp)
-				}
-			}(req)
-		}
-	}
-}
-
-// startStream validates a swap.simulate request and launches its stream
-// goroutine.
-func (s *Server) startStream(sess *wsSession, req Request) {
-	conn := sess.conn
+// serveStream runs one swap.simulate request as a streamed HTTP response:
+// application/x-ndjson, one JSON object per line, each line flushed —
+// zero or more swap.progress notifications, then the terminal JSON-RPC
+// response. Errors before the first line (no id, bad params, a shed) are
+// ordinary single-response replies under handleHTTP's status mapping.
+//
+// The stream runs on the handler goroutine under the request's context,
+// so a client that disconnects cancels it; the budget caps it, and drain
+// cancels it through baseCtx. Every line is written under the ioTimeout
+// deadline, and a progress write that fails cancels the engine: there is
+// no point computing snapshots nobody reads.
+func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, req Request) {
 	s.stats.record(req.Method)
-	if req.IsNotification() {
+	reply := func(rerr *Error) {
 		s.stats.errors.Add(1)
-		conn.WriteJSON(NewErrorResponse(nil, Errorf(CodeInvalidRequest, "swap.simulate requires an id (the stream handle)")))
+		s.writeResponse(w, NewErrorResponse(req.ID, rerr))
+	}
+	if req.IsNotification() {
+		reply(Errorf(CodeInvalidRequest, "swap.simulate requires an id (the stream handle)"))
 		return
 	}
 	var p SimulateParams
 	if rerr := decodeParams(req.Params, &p); rerr != nil {
-		s.stats.errors.Add(1)
-		conn.WriteJSON(NewErrorResponse(req.ID, rerr))
+		reply(rerr)
 		return
 	}
 	cfg, rerr := s.resolveSimulate(p)
 	if rerr != nil {
-		s.stats.errors.Add(1)
-		conn.WriteJSON(NewErrorResponse(req.ID, rerr))
+		reply(rerr)
 		return
 	}
+	ctx, cancel := context.WithTimeout(r.Context(), s.budget(p.BudgetMs))
+	defer cancel()
+	defer context.AfterFunc(s.baseCtx, cancel)()
 	// A stream is in-flight Monte Carlo work for its whole lifetime, so it
 	// holds an admission slot for its whole lifetime; saturation sheds it
-	// here with CodeOverloaded before any engine state is built. The
-	// bounded queue wait is the longest this can block the read loop.
-	if rerr := s.adm.acquire(s.baseCtx); rerr != nil {
-		s.stats.errors.Add(1)
-		conn.WriteJSON(NewErrorResponse(req.ID, rerr))
+	// here, before any engine state is built.
+	if rerr := s.adm.acquire(ctx); rerr != nil {
+		reply(rerr)
 		return
 	}
-	id := string(req.ID)
-	ctx, cancel := context.WithTimeout(s.baseCtx, s.budget(p.BudgetMs))
-	sess.mu.Lock()
-	if _, dup := sess.streams[id]; dup {
-		sess.mu.Unlock()
-		cancel()
-		s.adm.release()
-		s.stats.errors.Add(1)
-		conn.WriteJSON(NewErrorResponse(req.ID, Errorf(CodeInvalidRequest, "a stream with id %s is already running", id)))
-		return
-	}
-	sess.streams[id] = cancel
-	sess.mu.Unlock()
-
 	s.stats.streamsStarted.Add(1)
 	s.stats.streamsActive.Add(1)
-	s.inflight.Add(1)
-	streamDone := make(chan struct{})
-	// Watchdog: a stream that outlives its budget by more than the grace
-	// period has a wedged connection (the terminal write should complete
-	// within the write timeout); force-close it so the goroutine and the
-	// admission slot cannot leak behind a peer that never reads.
-	go func() {
-		select {
-		case <-streamDone:
-			return
-		case <-ctx.Done():
+
+	rc := http.NewResponseController(w)
+	// The deadline outlives the handler on a kept-alive connection; clear
+	// it so the connection's next response is not bound by this stream.
+	defer rc.SetWriteDeadline(time.Time{})
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	writeLine := func(v any) error {
+		data, err := json.Marshal(v)
+		if err != nil {
+			return err
 		}
-		grace := time.NewTimer(s.cfg.WatchdogGrace)
-		defer grace.Stop()
-		select {
-		case <-streamDone:
-		case <-grace.C:
-			s.stats.watchdogCloses.Add(1)
-			s.cfg.Logf("rpc: watchdog force-closing connection of stream %s", id)
-			conn.Close()
+		if err := rc.SetWriteDeadline(time.Now().Add(s.ioTimeout)); err != nil && !errors.Is(err, http.ErrNotSupported) {
+			return err
 		}
-	}()
-	go func() {
-		resp := s.guardStream(ctx, cancel, sess, req.ID, cfg)
-		// Settle the bookkeeping before the terminal frame goes out: a
-		// client that has read the frame must see the stream gone (no
-		// longer cancelable, not counted active, its slot released).
-		// inflight is released last, so drain still waits for the frame.
-		sess.mu.Lock()
-		delete(sess.streams, id)
-		sess.mu.Unlock()
-		cancel()
-		s.adm.release()
-		s.stats.streamsActive.Add(-1)
-		conn.WriteJSON(resp)
-		close(streamDone)
-		s.inflight.Done()
-	}()
+		if _, err := w.Write(append(data, '\n')); err != nil {
+			return err
+		}
+		return rc.Flush()
+	}
+	progress := func(ev ProgressEvent) error {
+		var err error
+		if s.cfg.Fault.Fire(fault.KeyStreamWriteError) {
+			err = errors.New("injected fault: " + fault.KeyStreamWriteError)
+		} else {
+			err = writeLine(Notification{JSONRPC: Version, Method: "swap.progress", Params: ev})
+		}
+		if err != nil {
+			s.stats.writeFailures.Add(1)
+			s.cfg.Logf("rpc: stream %s progress write failed, cancelling: %v", req.ID, err)
+			cancel()
+		}
+		return err
+	}
+	resp := s.guardStream(ctx, req.ID, cfg, progress)
+	// Settle the bookkeeping before the terminal line goes out: a client
+	// that has read it must see the stream gone (not counted active, its
+	// slot released). inflight is released by handleHTTP after the line,
+	// so drain still waits for it.
+	s.adm.release()
+	s.stats.streamsActive.Add(-1)
+	// A failed terminal write leaves nothing to do: the client is gone.
+	_ = writeLine(resp)
 }
 
 // guardStream runs one stream body with panic isolation: a stream panic
 // becomes its terminal error response, never a dead daemon.
-func (s *Server) guardStream(ctx context.Context, cancel context.CancelFunc, sess *wsSession, id json.RawMessage, cfg simulateConfig) (resp Response) {
+func (s *Server) guardStream(ctx context.Context, id json.RawMessage, cfg simulateConfig, progress func(ProgressEvent) error) (resp Response) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.stats.panics.Add(1)
@@ -306,7 +184,7 @@ func (s *Server) guardStream(ctx context.Context, cancel context.CancelFunc, ses
 			resp = NewErrorResponse(id, Errorf(CodeInternalError, "internal error: stream panicked"))
 		}
 	}()
-	return s.stream(ctx, cancel, sess, id, cfg)
+	return s.stream(ctx, id, cfg, progress)
 }
 
 // simulateConfig is a resolved swap.simulate request.
@@ -367,13 +245,10 @@ func (s *Server) resolveSimulate(p SimulateParams) (simulateConfig, *Error) {
 
 // runStream executes one simulate stream: progress notifications while
 // the engine runs, then it returns the terminal response (result, budget
-// error, or cancellation) for the caller to write. cancel aborts the
-// engine when the peer stops reading: a progress write that fails or
-// times out cancels the stream instead of blocking the Monte Carlo engine
-// behind a dead connection.
-func (s *Server) runStream(ctx context.Context, cancel context.CancelFunc, sess *wsSession, id json.RawMessage, cfg simulateConfig) Response {
+// error, or cancellation) for the caller to write. A progress write that
+// fails has already cancelled ctx, so the engine stops at its next wave.
+func (s *Server) runStream(ctx context.Context, id json.RawMessage, cfg simulateConfig, progress func(ProgressEvent) error) Response {
 	start := time.Now()
-	conn := sess.conn
 	snapshots := 0
 	lastSent := 0
 	writeFailed := false
@@ -384,23 +259,13 @@ func (s *Server) runStream(ctx context.Context, cancel context.CancelFunc, sess 
 		lastSent = p.Paths
 		snapshots++
 		s.stats.snapshots.Add(1)
-		err := conn.WriteJSON(Notification{
-			JSONRPC: Version,
-			Method:  "swap.progress",
-			Params: ProgressEvent{
-				ID: id, Paths: p.Paths, Successes: p.Successes, Chunks: p.Chunks,
-				SR: p.SuccessRate.P, Lo: p.SuccessRate.Lo, Hi: p.SuccessRate.Hi,
-				HalfWidth: p.EstHalfWidth, Stopped: p.Stopped,
-			},
-		})
-		if err != nil {
-			// OnProgress runs between engine waves on one goroutine, so
-			// plain variables suffice; the cancel bites at the next wave.
-			writeFailed = true
-			s.stats.wsWriteFailures.Add(1)
-			s.cfg.Logf("rpc: stream %s progress write failed, cancelling: %v", id, err)
-			cancel()
-		}
+		// OnProgress runs between engine waves on the handler goroutine,
+		// so plain variables suffice.
+		writeFailed = progress(ProgressEvent{
+			ID: id, Paths: p.Paths, Successes: p.Successes, Chunks: p.Chunks,
+			SR: p.SuccessRate.P, Lo: p.SuccessRate.Lo, Hi: p.SuccessRate.Hi,
+			HalfWidth: p.EstHalfWidth, Stopped: p.Stopped,
+		}) != nil
 	}
 	res, err := swapsim.MonteCarloCtx(ctx, cfg.mcc)
 	if err != nil {
