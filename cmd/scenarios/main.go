@@ -169,7 +169,7 @@ func runAtlas(args []string, out io.Writer) error {
 	if opts.Store != nil {
 		st := opts.Store.Stats()
 		fmt.Fprintf(out, "store: %d hits, %d misses, %d corrupt, %d puts (%s)\n",
-			st.Hits, st.Misses, st.Corrupt, st.Puts, opts.Store.Dir())
+			st.Hits, st.Misses, st.Corrupt, st.Puts, st.Dir)
 	}
 	if *outDir != "" {
 		if err := res.WriteArtifacts(*outDir); err != nil {

@@ -6,8 +6,7 @@
 //
 // Usage:
 //
-//	swapd [-addr :8547] [-budget-ms 2000] [-max-budget-ms 60000]
-//	      [-mc-workers 1] [-max-runs 1000000] [-quiet]
+//	swapd [-addr :8547] [-drain-timeout 30s]
 //	      [-max-inflight 64] [-queue-depth 64] [-queue-wait 25ms]
 //	      [-store dir] [-resp-cache 1024]
 //	      [-fault key=prob[:delay],...] [-fault-seed 1]
@@ -29,10 +28,11 @@
 // -store points at a persistent content-addressed result store shared
 // with `scenarios atlas`, so a restarted daemon starts warm. The shared
 // solve-model cache holds at most 512 models. Every request runs under a
-// context budget (budgetMs per request, capped at -max-budget-ms).
+// context budget: its budgetMs parameter (default 2s, capped at 60s). A
+// request's Monte Carlo runs on one worker and at most 1e6 runs.
 // SIGINT/SIGTERM trigger a graceful shutdown: new requests are rejected
-// with code -32000, in-flight solves drain, and streams end with a
-// terminal error response.
+// with code -32000, in-flight solves drain for up to -drain-timeout, and
+// streams end with a terminal error response.
 //
 // Expensive requests pass an admission controller (-max-inflight slots,
 // a -queue-depth x -queue-wait wait queue); saturation sheds with code
@@ -90,13 +90,8 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("swapd", flag.ContinueOnError)
 	var (
-		addr        = fs.String("addr", ":8547", "listen address (host:port)")
-		budgetMs    = fs.Int("budget-ms", 2000, "default per-request time budget in milliseconds")
-		maxBudgetMs = fs.Int("max-budget-ms", 60000, "cap on the budget a request may ask for")
-		mcWorkers   = fs.Int("mc-workers", 1, "Monte Carlo workers per request (parallelism is spent across requests)")
-		maxRuns     = fs.Int("max-runs", 1_000_000, "cap on the Monte Carlo runs/paths one request may demand")
-		drainFor    = fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight work")
-		quiet       = fs.Bool("quiet", false, "suppress the per-lifecycle-event log lines")
+		addr     = fs.String("addr", ":8547", "listen address (host:port)")
+		drainFor = fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight work")
 
 		maxInflight = fs.Int("max-inflight", 0, "cap on concurrent expensive requests (0 = default 64)")
 		queueDepth  = fs.Int("queue-depth", 0, "cap on requests waiting for an admission slot (0 = default 64)")
@@ -125,17 +120,9 @@ func run(args []string, out io.Writer) error {
 	if respSize == 0 {
 		respSize = -1 // Config treats 0 as "use the default"; the user said off.
 	}
-	logger := log.New(out, "swapd: ", log.LstdFlags)
-	logf := logger.Printf
-	if *quiet {
-		logf = func(string, ...any) {}
-	}
+	logf := log.New(out, "swapd: ", log.LstdFlags).Printf
 
 	srv := rpc.NewServer(rpc.Config{
-		DefaultBudget: time.Duration(*budgetMs) * time.Millisecond,
-		MaxBudget:     time.Duration(*maxBudgetMs) * time.Millisecond,
-		MCWorkers:     *mcWorkers,
-		MaxRuns:       *maxRuns,
 		MaxInflight:   *maxInflight,
 		QueueDepth:    *queueDepth,
 		QueueWait:     *queueWait,
@@ -155,8 +142,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	logf("listening on %s (budget %dms, max budget %dms, mc workers %d)",
-		ln.Addr(), *budgetMs, *maxBudgetMs, *mcWorkers)
+	logf("listening on %s", ln.Addr())
 	if st != nil {
 		logf("solve store: %s (%d entries)", *storeDir, st.Len())
 	}

@@ -158,10 +158,6 @@ var quotes = memo.Map[utility.Params, quoteResult]{Max: maxQuotes}
 // figure suite solves.
 const maxQuotes = 256
 
-// QuoteCacheStats reports the process-wide quote cache's cumulative hit
-// and miss counts.
-func QuoteCacheStats() (hits, misses uint64) { return quotes.Stats() }
-
 // Play runs the repeated engagement. Stage games are solved once per
 // distinct premium pair (at the reference price) and rescaled to the
 // prevailing price, which keeps thousand-round engagements fast.

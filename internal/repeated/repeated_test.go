@@ -294,7 +294,7 @@ func TestPlayConcurrentEngagementsShareQuoteCache(t *testing.T) {
 			t.Errorf("goroutine %d produced a different trajectory", i)
 		}
 	}
-	if hits, misses := QuoteCacheStats(); hits == 0 || misses == 0 {
+	if hits, misses := quotes.Stats(); hits == 0 || misses == 0 {
 		t.Errorf("quote cache not exercised: hits %d, misses %d", hits, misses)
 	}
 }

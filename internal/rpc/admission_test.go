@@ -153,8 +153,8 @@ func TestOverloadSheds(t *testing.T) {
 		MaxInflight: 1,
 		QueueDepth:  1,
 		QueueWait:   5 * time.Millisecond,
-		ShedWindow:  300 * time.Millisecond,
 	})
+	s.adm.shedWindow = 300 * time.Millisecond
 	started, unblock := blockSolve(s)
 
 	// Occupy the only slot.

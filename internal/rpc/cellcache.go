@@ -152,12 +152,19 @@ type cellCacheStats struct {
 	Evictions uint64 `json:"evictions"`
 }
 
-// report fills swapd.stats' respCache and coalescing blocks from one
-// snapshot.
-func (c *cellCache) report(out *StatsResult) {
+// coalescingStats is the in-flight tier's swapd.stats block.
+type coalescingStats struct {
+	Leaders  uint64  `json:"leaders"`
+	Waiters  uint64  `json:"waiters"`
+	HitRate  float64 `json:"hitRate"`
+	InFlight int     `json:"inFlight"`
+}
+
+// stats snapshots swapd.stats' respCache and coalescing blocks together.
+func (c *cellCache) stats() (cellCacheStats, coalescingStats) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out.RespCache = cellCacheStats{
+	resp := cellCacheStats{
 		Entries:    c.lru.Len(),
 		MaxEntries: max(c.max, 0),
 		Bytes:      c.bytes,
@@ -165,10 +172,9 @@ func (c *cellCache) report(out *StatsResult) {
 		Misses:     c.misses,
 		Evictions:  c.evictions,
 	}
-	out.Coalescing.Leaders = c.leaders
-	out.Coalescing.Waiters = c.waiters
-	out.Coalescing.InFlight = len(c.entries) - c.lru.Len()
+	co := coalescingStats{Leaders: c.leaders, Waiters: c.waiters, InFlight: len(c.entries) - c.lru.Len()}
 	if total := c.leaders + c.waiters; total > 0 {
-		out.Coalescing.HitRate = float64(c.waiters) / float64(total)
+		co.HitRate = float64(c.waiters) / float64(total)
 	}
+	return resp, co
 }

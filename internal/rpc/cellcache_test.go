@@ -27,7 +27,7 @@ func put(t *testing.T, c *cellCache, key, val string) {
 // snapshot reads c's swapd.stats blocks.
 func snapshot(c *cellCache) StatsResult {
 	var st StatsResult
-	c.report(&st)
+	st.RespCache, st.Coalescing = c.stats()
 	return st
 }
 

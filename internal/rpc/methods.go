@@ -10,6 +10,7 @@ import (
 	"repro/internal/qmc"
 	"repro/internal/scenario"
 	"repro/internal/solvecache"
+	"repro/internal/store"
 	"repro/internal/variant"
 )
 
@@ -28,7 +29,7 @@ type SolveParams struct {
 	MC bool `json:"mc,omitempty"`
 	// Runs and CIWidth are the batch runner's Monte Carlo knobs,
 	// meaningful with MC: the run count (default: the scenario's own,
-	// capped by the server's MaxRuns) and the adaptive CI target.
+	// capped by the server's run cap) and the adaptive CI target.
 	Runs    int     `json:"runs,omitempty"`
 	CIWidth float64 `json:"ciWidth,omitempty"`
 	// Sampler selects the validation's sampling mode: "" or "pseudo"
@@ -159,8 +160,8 @@ func (s *Server) resolveSolve(p SolveParams) (resolvedSolve, *Error) {
 	if runs == 0 && p.MC {
 		runs = sc.Runs()
 	}
-	if runs < 0 || runs > s.cfg.MaxRuns {
-		return resolvedSolve{}, Errorf(CodeInvalidParams, "runs must be in [0, %d]", s.cfg.MaxRuns)
+	if runs < 0 || runs > s.maxRuns {
+		return resolvedSolve{}, Errorf(CodeInvalidParams, "runs must be in [0, %d]", s.maxRuns)
 	}
 	if p.CIWidth < 0 || math.IsNaN(p.CIWidth) {
 		return resolvedSolve{}, Errorf(CodeInvalidParams, "ciWidth must be >= 0")
@@ -171,7 +172,7 @@ func (s *Server) resolveSolve(p SolveParams) (resolvedSolve, *Error) {
 	}
 	opts := variant.RunOpts{
 		Runs: p.Runs, CIWidth: p.CIWidth,
-		MCWorkers: s.cfg.MCWorkers,
+		MCWorkers: mcWorkers,
 		SkipMC:    !p.MC,
 		Sampler:   sampler,
 		// The persistent store is plumbing, not a solve input: the cell
@@ -282,7 +283,7 @@ func (s *Server) handleSolve(ctx context.Context, raw json.RawMessage) (any, *Er
 			ElapsedUs: time.Since(start).Microseconds(),
 		}, nil
 	}
-	ctx, cancel := context.WithTimeout(ctx, s.budget(p.BudgetMs))
+	ctx, cancel := context.WithTimeout(ctx, budget(p.BudgetMs))
 	defer cancel()
 	if rerr := s.adm.acquire(ctx); rerr != nil {
 		return nil, rerr
@@ -417,8 +418,8 @@ func (s *Server) handleDiff(ctx context.Context, raw json.RawMessage) (any, *Err
 	if rerr := decodeParams(raw, &p); rerr != nil {
 		return nil, rerr
 	}
-	if p.Runs < 0 || p.Runs > s.cfg.MaxRuns {
-		return nil, Errorf(CodeInvalidParams, "runs must be in [0, %d]", s.cfg.MaxRuns)
+	if p.Runs < 0 || p.Runs > s.maxRuns {
+		return nil, Errorf(CodeInvalidParams, "runs must be in [0, %d]", s.maxRuns)
 	}
 	eps := p.Eps
 	if eps == 0 {
@@ -427,10 +428,10 @@ func (s *Server) handleDiff(ctx context.Context, raw json.RawMessage) (any, *Err
 	if eps < 0 {
 		return nil, Errorf(CodeInvalidParams, "eps must be >= 0")
 	}
-	ctx, cancel := context.WithTimeout(ctx, s.budget(p.BudgetMs))
+	ctx, cancel := context.WithTimeout(ctx, budget(p.BudgetMs))
 	defer cancel()
 	opts := variant.RunOpts{
-		Runs: p.Runs, MCWorkers: s.cfg.MCWorkers, SkipMC: !p.MC,
+		Runs: p.Runs, MCWorkers: mcWorkers, SkipMC: !p.MC,
 		Variants: p.Variant,
 	}
 	var rows [2]variant.ScenarioReport
@@ -456,104 +457,42 @@ func (s *Server) handleDiff(ctx context.Context, raw json.RawMessage) (any, *Err
 	}, nil
 }
 
-// StatsResult is swapd.stats' result: the daemon's observable counters.
+// StatsResult is swapd.stats' result: each block is its owner's snapshot.
 type StatsResult struct {
-	UptimeMs int64 `json:"uptimeMs"`
-	Draining bool  `json:"draining"`
-	Requests struct {
-		Total    uint64            `json:"total"`
-		Errors   uint64            `json:"errors"`
-		ByMethod map[string]uint64 `json:"byMethod"`
-		// PanicsRecovered counts handler panics converted to -32603
-		// responses instead of crashing the daemon.
-		PanicsRecovered uint64 `json:"panicsRecovered"`
-	} `json:"requests"`
+	UptimeMs int64        `json:"uptimeMs"`
+	Draining bool         `json:"draining"`
+	Requests requestStats `json:"requests"`
 	// Admission is the load-shedding front door's state and tallies.
-	Admission  admissionStats `json:"admission"`
-	Coalescing struct {
-		Leaders  uint64  `json:"leaders"`
-		Waiters  uint64  `json:"waiters"`
-		HitRate  float64 `json:"hitRate"`
-		InFlight int     `json:"inFlight"`
-	} `json:"coalescing"`
-	Streams struct {
-		Started   uint64 `json:"started"`
-		Active    int64  `json:"active"`
-		Snapshots uint64 `json:"snapshots"`
-		// WriteFailures counts streams cancelled after a progress write
-		// failed or timed out.
-		WriteFailures uint64 `json:"writeFailures"`
-	} `json:"streams"`
+	Admission  admissionStats  `json:"admission"`
+	Coalescing coalescingStats `json:"coalescing"`
+	Streams    streamStats     `json:"streams"`
 	// Faults tallies injected faults by registry key (absent when no
 	// injector is armed — the production default).
 	Faults     map[string]uint64 `json:"faults,omitempty"`
-	SolveCache struct {
-		Models      int    `json:"models"`
-		Limit       int    `json:"limit"`
-		ModelHits   uint64 `json:"modelHits"`
-		ModelMisses uint64 `json:"modelMisses"`
-		Evicted     uint64 `json:"evicted"`
-		SolveHits   uint64 `json:"solveHits"`
-		SolveMisses uint64 `json:"solveMisses"`
-	} `json:"solveCache"`
+	SolveCache solvecache.Stats  `json:"solveCache"`
 	// RespCache is the cell tier's retained wire bytes (hits skip
 	// admission, solve and marshal); Coalescing above is the same tier's
 	// in-flight side. Both count cells.
 	RespCache cellCacheStats `json:"respCache"`
 	// Store reports the persistent content-addressed store, when one is
 	// configured.
-	Store *StoreStatsJSON `json:"store,omitempty"`
-}
-
-// StoreStatsJSON is the persistent store's swapd.stats block.
-type StoreStatsJSON struct {
-	Dir       string `json:"dir"`
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Corrupt   uint64 `json:"corrupt"`
-	Puts      uint64 `json:"puts"`
-	PutErrors uint64 `json:"putErrors"`
+	Store *store.Stats `json:"store,omitempty"`
 }
 
 // handleStats serves swapd.stats.
 func (s *Server) handleStats() (any, *Error) {
-	var out StatsResult
-	out.UptimeMs = time.Since(s.stats.start).Milliseconds()
-	out.Draining = s.draining.Load()
-	out.Requests.Total = s.stats.requests.Load()
-	out.Requests.Errors = s.stats.errors.Load()
-	out.Requests.PanicsRecovered = s.stats.panics.Load()
-	out.Admission = s.adm.stats()
-	out.Faults = s.cfg.Fault.Counts()
-	out.Requests.ByMethod = make(map[string]uint64)
-	s.stats.methodMu.Lock()
-	for m, n := range s.stats.byMethod {
-		out.Requests.ByMethod[m] = n
+	out := StatsResult{
+		UptimeMs:   time.Since(s.stats.start).Milliseconds(),
+		Draining:   s.draining.Load(),
+		Admission:  s.adm.stats(),
+		Faults:     s.cfg.Fault.Counts(),
+		SolveCache: solvecache.ReadStats(),
 	}
-	s.stats.methodMu.Unlock()
-	s.cells.report(&out)
-	out.Streams.Started = s.stats.streamsStarted.Load()
-	out.Streams.Active = s.stats.streamsActive.Load()
-	out.Streams.Snapshots = s.stats.snapshots.Load()
-	out.Streams.WriteFailures = s.stats.writeFailures.Load()
-	cs := solvecache.ReadStats()
-	out.SolveCache.Models = cs.Models
-	out.SolveCache.Limit = cs.Limit
-	out.SolveCache.ModelHits = cs.ModelHits
-	out.SolveCache.ModelMisses = cs.ModelMisses
-	out.SolveCache.Evicted = cs.Evicted
-	out.SolveCache.SolveHits = cs.SolveHits
-	out.SolveCache.SolveMisses = cs.SolveMisses
-	if s.cfg.Store != nil {
-		st := s.cfg.Store.Stats()
-		out.Store = &StoreStatsJSON{
-			Dir:       s.cfg.Store.Dir(),
-			Hits:      st.Hits,
-			Misses:    st.Misses,
-			Corrupt:   st.Corrupt,
-			Puts:      st.Puts,
-			PutErrors: st.PutErrors,
-		}
+	out.Requests, out.Streams = s.stats.snapshot()
+	out.RespCache, out.Coalescing = s.cells.stats()
+	if st := s.cfg.Store; st != nil {
+		snap := st.Stats()
+		out.Store = &snap
 	}
 	return out, nil
 }

@@ -52,7 +52,7 @@ func TestSimulateAgreesWithBatchValidation(t *testing.T) {
 	}
 }
 
-// TestSolveMaxRunsAppliesToScenarioRuns checks the -max-runs cap bounds
+// TestSolveMaxRunsAppliesToScenarioRuns checks the run cap bounds
 // the run count a validation would execute — the request's runs, else the
 // inline scenario's mcRuns — as swap.simulate does.
 func TestSolveMaxRunsAppliesToScenarioRuns(t *testing.T) {
@@ -70,7 +70,8 @@ func TestSolveMaxRunsAppliesToScenarioRuns(t *testing.T) {
 		}
 		return string(data)
 	}
-	_, ts := newTestServer(t, Config{MaxRuns: 100})
+	s, ts := newTestServer(t, Config{})
+	s.maxRuns = 100
 	for _, tc := range []struct {
 		name, params string
 	}{

@@ -19,20 +19,6 @@ import (
 
 // Config parameterises a Server. The zero value selects the defaults.
 type Config struct {
-	// DefaultBudget is the per-request time budget applied when a request
-	// names none (default 2s). Every request runs under a context
-	// deadline: solves return CodeBudgetExceeded when it passes, streams
-	// end with a terminal error response.
-	DefaultBudget time.Duration
-	// MaxBudget caps the budget a request may ask for (default 60s).
-	MaxBudget time.Duration
-	// MCWorkers bounds the concurrency of one request's Monte Carlo
-	// (default 1: the daemon spends its parallelism across requests, the
-	// same choice the batch runner makes across cells).
-	MCWorkers int
-	// MaxRuns caps the Monte Carlo run/path count a single request may
-	// demand (default 1e6), so one client cannot monopolise the process.
-	MaxRuns int
 	// MaxInflight bounds the expensive requests (swap.solve,
 	// scenario.diff, swap.simulate streams) running concurrently (default
 	// 64). Beyond it, requests queue briefly and are then shed with
@@ -44,9 +30,6 @@ type Config struct {
 	// over deep queues.
 	QueueDepth int
 	QueueWait  time.Duration
-	// ShedWindow is how long /healthz stays 503 after a shed (default 1s),
-	// so load balancers steer away while the daemon recovers.
-	ShedWindow time.Duration
 	// Store, when non-nil, is the persistent content-addressed result
 	// store the solve path reads through (variant.RunOpts.Store): a
 	// restarted daemon sharing a store directory serves warm quotes from
@@ -66,18 +49,6 @@ type Config struct {
 
 // withDefaults resolves the zero fields.
 func (c Config) withDefaults() Config {
-	if c.DefaultBudget <= 0 {
-		c.DefaultBudget = 2 * time.Second
-	}
-	if c.MaxBudget <= 0 {
-		c.MaxBudget = 60 * time.Second
-	}
-	if c.MCWorkers <= 0 {
-		c.MCWorkers = 1
-	}
-	if c.MaxRuns <= 0 {
-		c.MaxRuns = 1_000_000
-	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 64
 	}
@@ -87,9 +58,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueWait <= 0 {
 		c.QueueWait = 25 * time.Millisecond
 	}
-	if c.ShedWindow <= 0 {
-		c.ShedWindow = time.Second
-	}
 	if c.RespCacheSize == 0 {
 		c.RespCacheSize = 1024
 	}
@@ -98,6 +66,25 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// The daemon's fixed request policies.
+const (
+	// defaultBudget is the context deadline of a request that names no
+	// budgetMs (a lapsed solve returns CodeBudgetExceeded, a stream its
+	// terminal error); maxBudget caps the budget a request may ask for.
+	defaultBudget = 2 * time.Second
+	maxBudget     = 60 * time.Second
+	// mcWorkers is one request's Monte Carlo concurrency: the daemon
+	// spends its parallelism across requests, as the batch runner does
+	// across cells.
+	mcWorkers = 1
+	// maxRuns caps the Monte Carlo runs one request may demand, so one
+	// client cannot monopolise the process.
+	maxRuns = 1_000_000
+	// shedWindow is how long /healthz stays 503 after a shed, so load
+	// balancers steer away while the daemon recovers.
+	shedWindow = time.Second
+)
 
 // maxRequestBytes caps a request body (a request is a few hundred bytes;
 // a megabyte is already adversarial).
@@ -136,9 +123,11 @@ type Server struct {
 	// response; a test seam, defaulting to runStream.
 	stream func(ctx context.Context, id json.RawMessage, cfg simulateConfig, progress func(ProgressEvent) error) Response
 
-	// ioTimeout is the body-read and stream-line-write bound; a test seam,
-	// defaulting to the ioTimeout constant.
+	// ioTimeout is the body-read and stream-line-write bound; maxRuns the
+	// per-request Monte Carlo run cap. Test seams, defaulting to the
+	// constants of the same names.
 	ioTimeout time.Duration
+	maxRuns   int
 
 	// adm is the admission controller in front of the expensive methods.
 	adm *admission
@@ -146,30 +135,75 @@ type Server struct {
 	stats serverStats
 }
 
-// serverStats aggregates the daemon's observable counters.
+// methods are the served JSON-RPC methods; byMethod counts exactly these.
+var methods = [...]string{"swap.solve", "scenario.list", "scenario.diff", "swapd.stats", "swap.simulate"}
+
+// serverStats owns the request and stream counters; requestStats and
+// streamStats, their swapd.stats blocks, say what each one counts.
 type serverStats struct {
 	start          time.Time
 	requests       atomic.Uint64
 	errors         atomic.Uint64
+	panics         atomic.Uint64
 	streamsStarted atomic.Uint64
 	streamsActive  atomic.Int64
 	snapshots      atomic.Uint64
-	// panics counts handler panics converted to CodeInternalError
-	// responses instead of killing the daemon.
-	panics atomic.Uint64
-	// writeFailures counts streams cancelled because a progress write
-	// failed or timed out.
-	writeFailures atomic.Uint64
-
-	methodMu sync.Mutex
-	byMethod map[string]uint64
+	writeFailures  atomic.Uint64
+	// byMethod[i] counts requests for methods[i]. The set is fixed, so a
+	// client inventing method names grows no counter.
+	byMethod [len(methods)]atomic.Uint64
 }
 
 func (s *serverStats) record(method string) {
 	s.requests.Add(1)
-	s.methodMu.Lock()
-	s.byMethod[method]++
-	s.methodMu.Unlock()
+	for i, m := range methods {
+		if m == method {
+			s.byMethod[i].Add(1)
+			return
+		}
+	}
+}
+
+// requestStats is swapd.stats' requests block.
+type requestStats struct {
+	Total  uint64 `json:"total"`
+	Errors uint64 `json:"errors"`
+	// ByMethod holds the served methods requested at least once.
+	ByMethod map[string]uint64 `json:"byMethod"`
+	// PanicsRecovered counts handler panics converted to -32603
+	// responses instead of crashing the daemon.
+	PanicsRecovered uint64 `json:"panicsRecovered"`
+}
+
+// streamStats is swapd.stats' streams block.
+type streamStats struct {
+	Started   uint64 `json:"started"`
+	Active    int64  `json:"active"`
+	Snapshots uint64 `json:"snapshots"`
+	// WriteFailures counts streams cancelled after a progress write
+	// failed or timed out.
+	WriteFailures uint64 `json:"writeFailures"`
+}
+
+// snapshot reads the request and stream counters.
+func (s *serverStats) snapshot() (requestStats, streamStats) {
+	req := requestStats{
+		Total:           s.requests.Load(),
+		Errors:          s.errors.Load(),
+		ByMethod:        make(map[string]uint64),
+		PanicsRecovered: s.panics.Load(),
+	}
+	for i, m := range methods {
+		if n := s.byMethod[i].Load(); n > 0 {
+			req.ByMethod[m] = n
+		}
+	}
+	return req, streamStats{
+		Started:       s.streamsStarted.Load(),
+		Active:        s.streamsActive.Load(),
+		Snapshots:     s.snapshots.Load(),
+		WriteFailures: s.writeFailures.Load(),
+	}
 }
 
 // NewServer builds a Server; Handler exposes it, Shutdown drains it.
@@ -180,9 +214,10 @@ func NewServer(cfg Config) *Server {
 		baseCtx:    ctx,
 		cancelBase: cancel,
 		ioTimeout:  ioTimeout,
-		stats:      serverStats{start: time.Now(), byMethod: make(map[string]uint64)},
+		maxRuns:    maxRuns,
+		stats:      serverStats{start: time.Now()},
 	}
-	s.adm = newAdmission(s.cfg.MaxInflight, s.cfg.QueueDepth, s.cfg.QueueWait, s.cfg.ShedWindow)
+	s.adm = newAdmission(s.cfg.MaxInflight, s.cfg.QueueDepth, s.cfg.QueueWait, shedWindow)
 	s.cells = newCellCache(s.cfg.RespCacheSize)
 	s.solve = variant.RunCell
 	s.stream = s.runStream
@@ -232,15 +267,13 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // budget resolves a request's time budget from its budgetMs parameter.
-func (s *Server) budget(budgetMs int) time.Duration {
-	b := s.cfg.DefaultBudget
-	if budgetMs > 0 {
-		b = time.Duration(budgetMs) * time.Millisecond
+// The cap is applied before the conversion, which a client-sent count of
+// milliseconds could otherwise overflow into a negative budget.
+func budget(budgetMs int) time.Duration {
+	if budgetMs <= 0 {
+		return defaultBudget
 	}
-	if b > s.cfg.MaxBudget {
-		b = s.cfg.MaxBudget
-	}
-	return b
+	return time.Duration(min(budgetMs, int(maxBudget/time.Millisecond))) * time.Millisecond
 }
 
 // handleHTTP serves one JSON-RPC request over plain HTTP.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -358,6 +359,27 @@ func TestSolveBudgetExceeded(t *testing.T) {
 	}
 }
 
+// TestBudgetResolution checks how budgetMs resolves: none takes the
+// default, anything past the cap takes the cap, and a count too large for
+// a time.Duration is capped rather than wrapped into a lapsed budget.
+func TestBudgetResolution(t *testing.T) {
+	for _, tc := range []struct {
+		ms   int
+		want time.Duration
+	}{
+		{0, defaultBudget}, {-5, defaultBudget}, {250, 250 * time.Millisecond},
+		{120_000, maxBudget}, {1e13, maxBudget}, {math.MaxInt, maxBudget},
+	} {
+		if got := budget(tc.ms); got != tc.want {
+			t.Errorf("budget(%d) = %v, want %v", tc.ms, got, tc.want)
+		}
+	}
+	_, ts := newTestServer(t, Config{})
+	if resp, _ := post(t, ts.URL, rpcCall(1, "swap.solve", `{"scenario":"tableIII","variant":"basic","budgetMs":10000000000000}`)); resp.Error != nil {
+		t.Errorf("solve with an overlong budgetMs: %+v", resp.Error)
+	}
+}
+
 // TestShutdownRejectsNewRequests checks the draining behaviour: 503 +
 // CodeShuttingDown on /rpc, 503 on /healthz, and Shutdown drains
 // in-flight work.
@@ -419,6 +441,34 @@ func TestStatsCounters(t *testing.T) {
 	}
 	if res.Draining {
 		t.Error("draining reported on a live server")
+	}
+}
+
+// TestStatsByMethodBounded checks that client-chosen method names cannot
+// grow swapd.stats: 2000 distinct junk methods all count as requests and
+// errors, but byMethod keeps at most one key per served method.
+func TestStatsByMethodBounded(t *testing.T) {
+	s := NewServer(Config{})
+	const junk = 2000
+	for i := range junk {
+		req := Request{JSONRPC: Version, ID: json.RawMessage(`1`), Method: fmt.Sprintf("junk.%d.%s", i, strings.Repeat("x", 64))}
+		if resp, _ := s.dispatch(context.Background(), req); resp.Error == nil || resp.Error.Code != CodeMethodNotFound {
+			t.Fatalf("junk method: error %+v, want code %d", resp.Error, CodeMethodNotFound)
+		}
+	}
+	resp, _ := s.dispatch(context.Background(), Request{JSONRPC: Version, ID: json.RawMessage(`2`), Method: "swapd.stats"})
+	var res StatsResult
+	if err := json.Unmarshal(resp.Result, &res); err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Requests.ByMethod) > 5 {
+		t.Fatalf("byMethod holds %d keys after %d junk methods, want at most 5", len(res.Requests.ByMethod), junk)
+	}
+	if res.Requests.ByMethod["swapd.stats"] != 1 {
+		t.Errorf("byMethod = %v, want swapd.stats counted once", res.Requests.ByMethod)
+	}
+	if res.Requests.Total != junk+1 || res.Requests.Errors != junk {
+		t.Errorf("total %d, errors %d; want %d and %d", res.Requests.Total, res.Requests.Errors, junk+1, junk)
 	}
 }
 

@@ -118,7 +118,7 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, req Request
 		reply(rerr)
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.budget(p.BudgetMs))
+	ctx, cancel := context.WithTimeout(r.Context(), budget(p.BudgetMs))
 	defer cancel()
 	defer context.AfterFunc(s.baseCtx, cancel)()
 	// A stream is in-flight Monte Carlo work for its whole lifetime, so it
@@ -211,8 +211,8 @@ func (s *Server) resolveSimulate(p SimulateParams) (simulateConfig, *Error) {
 	if runs == 0 {
 		runs = sc.Runs()
 	}
-	if runs < 0 || runs > s.cfg.MaxRuns {
-		return simulateConfig{}, Errorf(CodeInvalidParams, "runs must be in [0, %d]", s.cfg.MaxRuns)
+	if runs < 0 || runs > s.maxRuns {
+		return simulateConfig{}, Errorf(CodeInvalidParams, "runs must be in [0, %d]", s.maxRuns)
 	}
 	if p.CIWidth < 0 || math.IsNaN(p.CIWidth) {
 		return simulateConfig{}, Errorf(CodeInvalidParams, "ciWidth must be >= 0")
@@ -238,7 +238,7 @@ func (s *Server) resolveSimulate(p SimulateParams) (simulateConfig, *Error) {
 		variantKey:   key,
 		everyPaths:   every,
 		mcc: swapsim.MCConfig{
-			Config: cfg, Runs: runs, Workers: s.cfg.MCWorkers, CIWidth: p.CIWidth,
+			Config: cfg, Runs: runs, Workers: mcWorkers, CIWidth: p.CIWidth,
 		},
 	}, nil
 }

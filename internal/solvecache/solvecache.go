@@ -58,15 +58,18 @@ func SharedModel(p utility.Params) (*core.Model, error) {
 // misses, evictions, and the aggregate solve-memo hits/misses across every
 // cached model.
 type Stats struct {
-	// ModelHits and ModelMisses count SharedModel lookups.
-	ModelHits, ModelMisses uint64
-	// Evicted counts models dropped to keep the cache within its bound.
-	Evicted uint64
 	// Models is the number of cached models; Limit is the constant bound.
-	Models, Limit int
+	Models int `json:"models"`
+	Limit  int `json:"limit"`
+	// ModelHits and ModelMisses count SharedModel lookups.
+	ModelHits   uint64 `json:"modelHits"`
+	ModelMisses uint64 `json:"modelMisses"`
+	// Evicted counts models dropped to keep the cache within its bound.
+	Evicted uint64 `json:"evicted"`
 	// SolveHits and SolveMisses aggregate the per-model solve-memo
 	// counters of every cached model.
-	SolveHits, SolveMisses uint64
+	SolveHits   uint64 `json:"solveHits"`
+	SolveMisses uint64 `json:"solveMisses"`
 }
 
 // WriteStats renders the process's solve- and quadrature-cache counters —

@@ -117,9 +117,6 @@ func Open(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // path maps a key to its entry file.
 func (s *Store) path(key string) string {
 	return filepath.Join(s.dir, key[:2], key)
@@ -265,18 +262,23 @@ func (s *Store) Len() int {
 	return n
 }
 
-// Stats reports the store's cumulative behaviour.
+// Stats reports the store's directory and cumulative behaviour.
 type Stats struct {
+	Dir string `json:"dir"`
 	// Hits and Misses count Get outcomes; Corrupt counts the subset of
 	// misses caused by undecodable entry files (each also removed).
-	Hits, Misses, Corrupt uint64
+	Hits    uint64 `json:"hits"`
+	Misses  uint64 `json:"misses"`
+	Corrupt uint64 `json:"corrupt"`
 	// Puts counts successful writes; PutErrors failed ones.
-	Puts, PutErrors uint64
+	Puts      uint64 `json:"puts"`
+	PutErrors uint64 `json:"putErrors"`
 }
 
 // Stats snapshots the counters.
 func (s *Store) Stats() Stats {
 	return Stats{
+		Dir:       s.dir,
 		Hits:      s.hits.Load(),
 		Misses:    s.misses.Load(),
 		Corrupt:   s.corrupt.Load(),

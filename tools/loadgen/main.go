@@ -64,6 +64,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/rpc"
 	"repro/internal/scenario"
 	"repro/internal/stats"
@@ -242,14 +243,23 @@ func run(args []string, out io.Writer) error {
 		wantDigests: *digestOut != "" || *digestAgainst != "" || *warm,
 	}
 	client := newClient(cfg.workers)
-	var rep Report
-	var digests map[int]string
-	rep.Results, digests = measure(client, base, cfg)
+	var (
+		rep      Report
+		digests  map[int]string
+		failures []string
+	)
+	rep.Results, digests, err = measure(client, base, cfg)
+	if err != nil {
+		failures = append(failures, err.Error())
+	}
 	// A -warm replay reissues the byte-identical seeded stream against the
 	// populated caches; its pass is the warm row.
 	var warmDiverged int
 	if *warm {
-		w, wdigests := measure(client, base, cfg)
+		w, wdigests, err := measure(client, base, cfg)
+		if err != nil {
+			failures = append(failures, "warm pass: "+err.Error())
+		}
 		rep.Warm = &w
 		// Cached bytes must decode to exactly what the cold pass solved:
 		// any request that succeeded in both passes must digest identically.
@@ -302,7 +312,6 @@ func run(args []string, out io.Writer) error {
 	// A spawned daemon must exit cleanly on SIGINT — a premature death or
 	// a refusal to drain is a crash (the chaos harness's zero-escaped-
 	// panics gate).
-	var failures []string
 	if err := stopDaemon(); err != nil {
 		failures = append(failures, err.Error())
 	}
@@ -519,10 +528,10 @@ func newClient(workers int) *http.Client {
 }
 
 // measure runs one pass of the stream between two swapd.stats snapshots
-// and reports the server's counters as the pass's deltas. Without both
-// snapshots the hit rate falls back to the client's coalesced share of
-// successful responses.
-func measure(client *http.Client, base string, cfg genConfig) (Results, map[int]string) {
+// and reports the server's counters as the pass's deltas; the error is a
+// failed checkPanicTally. Without both snapshots the hit rate falls back
+// to the client's coalesced share of successful responses.
+func measure(client *http.Client, base string, cfg genConfig) (Results, map[int]string, error) {
 	before, okBefore := fetchStats(client, base)
 	r, digests := generate(client, base, cfg)
 	after, okAfter := fetchStats(client, base)
@@ -530,7 +539,7 @@ func measure(client *http.Client, base string, cfg genConfig) (Results, map[int]
 		if ok := r.Requests - r.Errors; ok > 0 {
 			r.HitRate = float64(r.Coalesced) / float64(ok)
 		}
-		return r, digests
+		return r, digests, nil
 	}
 	leaders := after.Coalescing.Leaders - before.Coalescing.Leaders
 	waiters := after.Coalescing.Waiters - before.Coalescing.Waiters
@@ -543,7 +552,23 @@ func measure(client *http.Client, base string, cfg genConfig) (Results, map[int]
 	if after.Store != nil && before.Store != nil {
 		r.StoreHits = after.Store.Hits - before.Store.Hits
 	}
-	return r, digests
+	return r, digests, checkPanicTally(before, after)
+}
+
+// checkPanicTally checks that a pass's recovered panics equal its injected
+// rpc.panic fires, once the closing snapshot reports fault tallies; a key
+// the opening snapshot omits had fired 0 times. (Sheds are not compared:
+// chaos clients retry them.)
+func checkPanicTally(before, after rpc.StatsResult) error {
+	if after.Faults == nil {
+		return nil
+	}
+	fired := after.Faults[fault.KeyRPCPanic] - before.Faults[fault.KeyRPCPanic]
+	recovered := after.Requests.PanicsRecovered - before.Requests.PanicsRecovered
+	if recovered != fired {
+		return fmt.Errorf("server recovered %d panics but the injector fired %s %d times", recovered, fault.KeyRPCPanic, fired)
+	}
+	return nil
 }
 
 // generate runs the paced stream and aggregates the client-side
@@ -823,21 +848,25 @@ func post(client *http.Client, base string, body []byte) postResult {
 	return postResult{coalesced: served.Coalesced, cached: served.Cached, result: envelope.Result}
 }
 
-// fetchStats reads the server's cumulative counters (swapd.stats).
+// fetchStats reads the server's cumulative counters (swapd.stats), in up
+// to three tries: a chaos daemon injects errors into swapd.stats too.
 func fetchStats(client *http.Client, base string) (rpc.StatsResult, bool) {
 	body := []byte(`{"jsonrpc":"2.0","id":"stats","method":"swapd.stats"}`)
-	resp, err := client.Post(base+"/rpc", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return rpc.StatsResult{}, false
+	for range 3 {
+		resp, err := client.Post(base+"/rpc", "application/json", bytes.NewReader(body))
+		if err != nil {
+			continue
+		}
+		var envelope struct {
+			Result *rpc.StatsResult `json:"result"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&envelope)
+		resp.Body.Close()
+		if err == nil && envelope.Result != nil {
+			return *envelope.Result, true
+		}
 	}
-	defer resp.Body.Close()
-	var envelope struct {
-		Result *rpc.StatsResult `json:"result"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil || envelope.Result == nil {
-		return rpc.StatsResult{}, false
-	}
-	return *envelope.Result, true
+	return rpc.StatsResult{}, false
 }
 
 // digestResult canonicalises one solve result and hashes it: volatile

@@ -10,9 +10,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/rpc"
 )
 
@@ -149,5 +151,63 @@ func TestGenerateWithoutSuccessReportsZeroLatency(t *testing.T) {
 	}
 	if r.P50Us != 0 || r.P90Us != 0 || r.P99Us != 0 || r.MaxUs != 0 {
 		t.Errorf("percentiles = %v/%v/%v/%v, want zeros", r.P50Us, r.P90Us, r.P99Us, r.MaxUs)
+	}
+}
+
+// TestPanicTally checks the chaos harness's panic accounting: a pass
+// against a daemon whose injector panics on a fifth of the requests that
+// reach it recovers exactly the panics fired, and a pass whose recovered
+// panics differ from the fires fails the check. Without fault tallies
+// there is nothing to compare. Seed 11's rpc.panic draws spare the
+// opening snapshot, fire on the pass's first visit and never fire three
+// times in a row within 100 visits, so both snapshots are read.
+func TestPanicTally(t *testing.T) {
+	in, err := fault.NewFromSpec(11, "rpc.panic=0.2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := rpc.NewServer(rpc.Config{Fault: in})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	r, _, err := measure(newClient(2), ts.URL, genConfig{
+		qps: 200, duration: 100 * time.Millisecond, seed: 1, weights: []string{"tableIII"},
+		dupEvery: 2, dupBurst: 1, mcRuns: 100, workers: 2, chaos: true,
+	})
+	if err != nil || r.PanicsRecovered == 0 {
+		t.Fatalf("pass against a panicking daemon: %d panics recovered, check %v; want > 0 and nil", r.PanicsRecovered, err)
+	}
+
+	var before, after rpc.StatsResult
+	after.Requests.PanicsRecovered = 3
+	if err := checkPanicTally(before, after); err != nil {
+		t.Errorf("no fault tallies: %v, want no check", err)
+	}
+	after.Faults = map[string]uint64{fault.KeyRPCPanic: 3}
+	if err := checkPanicTally(before, after); err != nil {
+		t.Errorf("3 fires, 3 recoveries: %v", err)
+	}
+	after.Faults[fault.KeyRPCPanic] = 2
+	if err := checkPanicTally(before, after); err == nil || !strings.Contains(err.Error(), "recovered 3 panics") {
+		t.Errorf("3 recoveries, 2 fires: err = %v, want a mismatch", err)
+	}
+}
+
+// TestFetchStatsRetries checks that a swapd.stats read answered with an
+// error (a chaos daemon injects them into every cheap method) is retried
+// rather than costing the pass its server-side counters.
+func TestFetchStatsRetries(t *testing.T) {
+	h := rpc.NewServer(rpc.Config{}).Handler()
+	var calls atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) <= 2 {
+			io.WriteString(w, `{"jsonrpc":"2.0","id":"stats","error":{"code":-32603,"message":"injected fault: rpc.error"}}`)
+			return
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	st, ok := fetchStats(http.DefaultClient, ts.URL)
+	if !ok || st.Requests.ByMethod["swapd.stats"] != 1 {
+		t.Fatalf("fetchStats after two injected errors: ok=%v, stats %+v", ok, st.Requests)
 	}
 }
