@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/figures"
 	"repro/internal/plot"
-	"repro/internal/qmc"
 	"repro/internal/solvecache"
 	"repro/internal/utility"
 )
@@ -42,8 +41,6 @@ func run(args []string, out io.Writer) error {
 		height  = fs.Int("height", 18, "ASCII chart height")
 		workers = fs.Int("workers", 0, "worker-pool size for grid scans (0 = all CPUs; output is identical for any value)")
 		scen    = fs.String("scenario", "", "regenerate under a named scenario's parameters (see cmd/scenarios -list)")
-		ciWidth = fs.Float64("ci-width", 0, "montecarlo artifact: adaptive stop once the Wilson 95% half-width is <= this (0 = fixed runs)")
-		sampler = fs.String("sampler", "", `MC artifacts: sampling mode "pseudo" or "sobol" (default: per-artifact, see figures.Opts.Sampler)`)
 		timing  = fs.Bool("timing", false, "print a per-artifact-group wall-time breakdown after generation")
 		stats   = fs.Bool("cache-stats", false, "print solve-cache and quadrature-table hit/miss counters after generation")
 	)
@@ -54,18 +51,10 @@ func run(args []string, out io.Writer) error {
 		defer solvecache.WriteStats(out)
 	}
 
-	// Validate the mode but pass the raw string through: the unset flag must
-	// stay the zero Mode so each MC artifact keeps its own registry default
-	// (an explicit "pseudo" overrides a sobol-defaulted artifact).
-	if _, err := qmc.ParseMode(*sampler); err != nil {
-		return err
-	}
 	start := time.Now()
 	figs, timings, err := figures.GenerateTimed(utility.Default(), *only, figures.Opts{
-		Workers:   *workers,
-		Scenario:  *scen,
-		MCCIWidth: *ciWidth,
-		Sampler:   qmc.Mode(*sampler),
+		Workers:  *workers,
+		Scenario: *scen,
 	})
 	if err != nil {
 		return err

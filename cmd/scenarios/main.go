@@ -11,7 +11,6 @@
 //	scenarios -run all [-runs 4000] [-workers 0]
 //	scenarios -run all -variant all            # every registered variant
 //	scenarios -run high-vol,impatient-bob -variant basic,packetized
-//	scenarios -run all -ci-width 0.01 -runs 50000   # adaptive precision
 //	scenarios -diff tableIII,high-vol [-variant all]
 //	scenarios -export tableIII -o my.json   # template for custom scenarios
 //	scenarios -file my.json                 # run a user-defined scenario
@@ -44,7 +43,6 @@ import (
 
 	"repro/internal/atlas"
 	"repro/internal/config"
-	"repro/internal/qmc"
 	"repro/internal/scenario"
 	"repro/internal/solvecache"
 	"repro/internal/store"
@@ -71,10 +69,8 @@ func run(args []string, out io.Writer) error {
 		export   = fs.String("export", "", "write a preset as JSON (a template for -file scenarios)")
 		outPath  = fs.String("o", "", "output path for -export (default: stdout)")
 		variants = fs.String("variant", "", `variants to solve: "all", a comma-separated key list, or empty for each scenario's own selection`)
-		runs     = fs.Int("runs", 0, "override every scenario's Monte Carlo run count, the cap under -ci-width (0 = per-scenario default)")
+		runs     = fs.Int("runs", 0, "override every scenario's Monte Carlo run count (0 = per-scenario default)")
 		workers  = fs.Int("workers", 0, "cross-cell worker-pool size (0 = all CPUs; output is identical for any value)")
-		ciWidth  = fs.Float64("ci-width", 0, "adaptive Monte Carlo: stop once the Wilson 95% half-width is <= this (0 = fixed run count)")
-		sampler  = fs.String("sampler", "", `Monte Carlo sampling mode: "pseudo" (default) or "sobol"`)
 		stats    = fs.Bool("cache-stats", false, "print solve-cache and quadrature-table hit/miss counters after the run")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -83,15 +79,7 @@ func run(args []string, out io.Writer) error {
 	if *stats {
 		defer solvecache.WriteStats(out)
 	}
-	mode, err := qmc.ParseMode(*sampler)
-	if err != nil {
-		return err
-	}
-	opts := variant.RunOpts{
-		Runs: *runs, CIWidth: *ciWidth,
-		Variants: *variants,
-		Sampler:  mode,
-	}
+	opts := variant.RunOpts{Runs: *runs, Variants: *variants}
 
 	switch {
 	case *list:
@@ -129,7 +117,6 @@ func runAtlas(args []string, out io.Writer) error {
 		seed      = fs.Int64("seed", 1, "universe seed (scrambles sampling and seeds MC validation)")
 		variants  = fs.String("variant", "basic", `variants solved per cell: "all" or a comma-separated key list`)
 		runs      = fs.Int("runs", 0, "Monte Carlo run count per cell when -mc is set (0 = per-scenario default)")
-		ciWidth   = fs.Float64("ci-width", 0, "adaptive Monte Carlo half-width target (0 = fixed run count)")
 		mc        = fs.Bool("mc", false, "run each cell's Monte Carlo validation (default: analytic solves only)")
 		workers   = fs.Int("workers", 0, "cross-cell worker-pool size (0 = all CPUs)")
 		maxSolved = fs.Int("max-solved", -1, "fail if more than this many cells had to be solved (-1 = no gate; 0 gates a fully warm run)")
@@ -150,7 +137,6 @@ func runAtlas(args []string, out io.Writer) error {
 		},
 		Variants: *variants,
 		Runs:     *runs,
-		CIWidth:  *ciWidth,
 		SkipMC:   !*mc,
 		Workers:  *workers,
 	}

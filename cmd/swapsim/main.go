@@ -15,7 +15,8 @@
 // With -variant, the run goes through the internal/variant registry: the
 // named variant games are solved and — where the variant supports it —
 // cross-validated against an independent Monte Carlo protocol run, exactly
-// the per-cell check the scenario batch gates on.
+// the per-cell check the scenario batch gates on: the pseudo sampler at
+// -runs paths, so -sampler and -ci-width are usage errors with -variant.
 package main
 
 import (
@@ -109,6 +110,11 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *variants != "" {
+		// A variant's validation is defined by its scenario, seed and run
+		// count: it always runs the pseudo sampler for the full -runs.
+		if err := refuseFlags(fs, "-variant", "sampler", "ci-width"); err != nil {
+			return err
+		}
 		sc := scenario.Scenario{
 			Name:       name,
 			Params:     params,
@@ -120,11 +126,7 @@ func run(args []string, out io.Writer) error {
 			Packets:    *packets,
 			Rounds:     *rounds,
 		}
-		report, err := variant.Run(sc, variant.RunOpts{
-			Variants: *variants,
-			CIWidth:  *ciWidth,
-			Sampler:  mode,
-		})
+		report, err := variant.Run(sc, variant.RunOpts{Variants: *variants})
 		if err != nil {
 			return err
 		}
@@ -141,15 +143,8 @@ func run(args []string, out io.Writer) error {
 	if *packets > 0 {
 		// The packetized engine has no collateral, adaptive stop, trace or
 		// chain halts: refuse those flags rather than drop them silently.
-		var unused []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "q", "ci-width", "trace", "halta-from", "halta-until", "haltb-from", "haltb-until":
-				unused = append(unused, "-"+f.Name)
-			}
-		})
-		if len(unused) > 0 {
-			return fmt.Errorf("swapsim: %s cannot be combined with -packets", strings.Join(unused, ", "))
+		if err := refuseFlags(fs, "-packets", "q", "ci-width", "trace", "halta-from", "halta-until", "haltb-from", "haltb-until"); err != nil {
+			return err
 		}
 		res, err := packetized.Run(packetized.Config{
 			Params:               params,
@@ -243,6 +238,21 @@ func run(args []string, out io.Writer) error {
 	for _, s := range slices.Sorted(maps.Keys(res.Stages)) {
 		n := res.Stages[s]
 		fmt.Fprintf(out, "  %-20s %7d (%.2f%%)\n", s, n, 100*float64(n)/float64(res.Paths))
+	}
+	return nil
+}
+
+// refuseFlags is the usage error for the explicitly set flags among names,
+// which mode cannot honour.
+func refuseFlags(fs *flag.FlagSet, mode string, names ...string) error {
+	var unused []string
+	fs.Visit(func(f *flag.Flag) {
+		if slices.Contains(names, f.Name) {
+			unused = append(unused, "-"+f.Name)
+		}
+	})
+	if len(unused) > 0 {
+		return fmt.Errorf("swapsim: %s cannot be combined with %s", strings.Join(unused, ", "), mode)
 	}
 	return nil
 }

@@ -105,18 +105,23 @@ func TestPacketizedSampler(t *testing.T) {
 	}
 }
 
-// TestPacketizedRejectsUnusedFlags pins the usage error for flags the
-// packetized engine has no use for.
+// TestPacketizedRejectsUnusedFlags pins the usage error for flags a mode
+// has no use for: the packetized engine's, and the sampling flags under
+// -variant, whose validations always run the pseudo sampler at the full
+// run count.
 func TestPacketizedRejectsUnusedFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-packets", "2", "-trace"},
 		{"-packets", "2", "-q", "0.1"},
 		{"-packets", "2", "-ci-width", "0.01"},
 		{"-packets", "2", "-haltb-from", "7.5", "-haltb-until", "40"},
+		{"-variant", "basic", "-sampler", "sobol"},
+		{"-variant", "basic", "-sampler", "pseudo"},
+		{"-variant", "basic,collateral", "-ci-width", "0.01"},
 	} {
 		var sb strings.Builder
 		err := run(args, &sb)
-		if err == nil || !strings.Contains(err.Error(), "cannot be combined with -packets") {
+		if err == nil || !strings.Contains(err.Error(), "cannot be combined with "+args[0]) {
 			t.Errorf("%v: err = %v, want a usage error", args, err)
 		}
 		if sb.Len() != 0 {

@@ -34,13 +34,12 @@ type Options struct {
 	// Variants is the variant selection for every cell ("" = "basic": the
 	// frontier's headline game; "all" or a comma list widen it).
 	Variants string
-	// Runs, CIWidth and SkipMC configure each cell's Monte Carlo
-	// validation exactly as in variant.RunOpts. The atlas default (SkipMC
-	// true) is analytic-only: frontiers need the solved success rate, not
-	// a re-validation of the solver per cell.
-	Runs    int
-	CIWidth float64
-	SkipMC  bool
+	// Runs and SkipMC configure each cell's Monte Carlo validation
+	// exactly as in variant.RunOpts. The atlas default (SkipMC true) is
+	// analytic-only: frontiers need the solved success rate, not a
+	// re-validation of the solver per cell.
+	Runs   int
+	SkipMC bool
 	// Workers sizes the cross-cell worker pool (0 = all CPUs).
 	Workers int
 	// Store is the persistent cell store. Nil runs the sweep uncached
@@ -90,7 +89,6 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	}
 	ropts := variant.RunOpts{
 		Runs:     opts.Runs,
-		CIWidth:  opts.CIWidth,
 		SkipMC:   opts.SkipMC,
 		Variants: opts.Variants,
 		Store:    opts.Store,

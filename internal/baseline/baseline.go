@@ -18,7 +18,6 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/gbm"
 	"repro/internal/stats"
 	"repro/internal/utility"
 )
@@ -136,37 +135,10 @@ func (m *Model) SimulateSR(pstar float64, runs int, seed int64) (stats.Proportio
 	rng := rand.New(rand.NewSource(seed))
 	c, pr := m.params.Chains, m.params.Price
 	successes := 0
-	// Batched sampling: fill a slab of normals in one pass, then advance
-	// all paths through each confirmation leg with one vector step. The
-	// slab preserves the per-event draw order (z[2i] is path i's t2
-	// increment, z[2i+1] its t3 increment) and StepBatch matches Step bit
-	// for bit, so the estimate is byte-identical to the scalar loop.
-	const chunk = 512
-	var (
-		z      [2 * chunk]float64
-		zt     [2][chunk]float64
-		prices [chunk]float64
-	)
-	for start := 0; start < runs; start += chunk {
-		n := chunk
-		if rem := runs - start; rem < n {
-			n = rem
-		}
-		gbm.FillNormals(rng, z[:2*n])
-		for i := 0; i < n; i++ {
-			zt[0][i], zt[1][i] = z[2*i], z[2*i+1]
-			prices[i] = m.params.P0
-		}
-		if err := pr.StepBatch(prices[:n], prices[:n], zt[0][:n], c.TauA); err != nil {
-			return stats.Proportion{}, fmt.Errorf("baseline: %w", err)
-		}
-		if err := pr.StepBatch(prices[:n], prices[:n], zt[1][:n], c.TauB); err != nil {
-			return stats.Proportion{}, fmt.Errorf("baseline: %w", err)
-		}
-		for _, pT3 := range prices[:n] {
-			if pT3 > cut {
-				successes++
-			}
+	for i := 0; i < runs; i++ {
+		pT2 := pr.Step(rng, m.params.P0, c.TauA)
+		if pT3 := pr.Step(rng, pT2, c.TauB); pT3 > cut {
+			successes++
 		}
 	}
 	prop, err := stats.NewProportion(successes, runs)

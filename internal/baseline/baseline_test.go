@@ -193,9 +193,9 @@ func TestSimulateSRDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-// TestSimulateSRMatchesScalarLoop pins the slab-batched sampler to the
-// historical scalar loop: same rng stream, same success count, so the
-// batching refactor is byte-invisible to every committed artifact.
+// TestSimulateSRMatchesScalarLoop pins SimulateSR to the reference scalar
+// loop: same rng stream (each path draws its t2 then its t3 increment),
+// same success count, so every committed artifact keeps its bytes.
 func TestSimulateSRMatchesScalarLoop(t *testing.T) {
 	m := newModel(t)
 	const (
@@ -206,7 +206,6 @@ func TestSimulateSRMatchesScalarLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Runs straddling the internal chunk size exercise the partial tail.
 	for _, runs := range []int{1, 511, 512, 513, 2000} {
 		rng := rand.New(rand.NewSource(seed))
 		p := m.Params()
@@ -222,7 +221,7 @@ func TestSimulateSRMatchesScalarLoop(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := int(math.Round(prop.P * float64(runs))); got != want {
-			t.Errorf("runs=%d: batched successes %d, scalar reference %d", runs, got, want)
+			t.Errorf("runs=%d: SimulateSR successes %d, scalar reference %d", runs, got, want)
 		}
 	}
 }

@@ -73,16 +73,13 @@ type Bayesian struct {
 	m      *Model
 	priorA TypePrior
 	priorB TypePrior
-	// typed memoizes the per-type model clones so each (αA, αB) pair gets
-	// one solve memo shared across the stage computations.
-	typed memo.Map[[2]float64, *Model]
 	// units memoizes a type-αB B's unit-rate continuation region.
 	units memo.Map[float64, mathx.IntervalSet]
 }
 
-// bayesianMemoMax bounds each of a Bayesian solver's memos. A prior pair
-// needs at most |A|·(|B|+1) typed models and |B| unit regions; the bound
-// only matters to a caller querying many types outside the priors.
+// bayesianMemoMax bounds a Bayesian solver's region memo. A prior pair
+// needs |B| unit regions; the bound only matters to a caller querying many
+// types outside the priors.
 const bayesianMemoMax = 256
 
 // Bayesian returns the incomplete-information solver for the given priors
@@ -96,25 +93,22 @@ func (m *Model) Bayesian(priorA, priorB TypePrior) (*Bayesian, error) {
 	}
 	return &Bayesian{
 		m: m, priorA: priorA, priorB: priorB,
-		typed: memo.Map[[2]float64, *Model]{Max: bayesianMemoMax},
 		units: memo.Map[float64, mathx.IntervalSet]{Max: bayesianMemoMax},
 	}, nil
 }
 
-// typedModel returns a copy of the base model with the premia replaced,
-// memoized per type pair. The clone keeps the shared quadrature tables and
-// the discount constants (none depend on the premia) but gets its own solve
-// memo, since its parameter set differs from the base model's.
+// typedModel returns a copy of the base model with the premia replaced.
+// The copy keeps the shared quadrature tables and the discount constants
+// (none depend on the premia) and has no solve memo: the stage methods the
+// solver calls on it (cutoffT3, newT2Eval, t2RegionScan, aliceContT1Over,
+// successRateOver) read none, and a memoized method would panic on the
+// copy rather than serve the base model's cells.
 func (b *Bayesian) typedModel(alphaA, alphaB float64) *Model {
-	return b.typed.Do([2]float64{alphaA, alphaB}, func() *Model {
-		p := b.m.params
-		p.Alice.Alpha = alphaA
-		p.Bob.Alpha = alphaB
-		clone := *b.m
-		clone.params = p
-		clone.solve = newSolveMemo()
-		return &clone
-	})
+	typed := *b.m
+	typed.params.Alice.Alpha = alphaA
+	typed.params.Bob.Alpha = alphaB
+	typed.solve = nil
+	return &typed
 }
 
 // CutoffT3 returns the t3 cut-off for an A of type alphaA (Eq. 18 with her

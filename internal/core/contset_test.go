@@ -162,9 +162,9 @@ func TestBayesianScaledContSetMatchesDirectScan(t *testing.T) {
 	t.Logf("worst relative endpoint gap %.2g", worst)
 }
 
-// TestBayesianMemosBounded drives both of a Bayesian solver's memos past
-// bayesianMemoMax with B types outside the prior: neither retains more
-// than the bound, both count evictions, and a flushed region re-solves
+// TestBayesianMemosBounded drives a Bayesian solver's region memo past
+// bayesianMemoMax with B types outside the prior: it retains no more than
+// the bound, counts evictions, and a flushed region re-solves
 // bit-identically.
 func TestBayesianMemosBounded(t *testing.T) {
 	m, err := New(utility.Default())
@@ -184,16 +184,11 @@ func TestBayesianMemosBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for name, s := range map[string]interface {
-		Len() int
-		Evictions() uint64
-	}{"typed": &b.typed, "units": &b.units} {
-		if n := s.Len(); n > bayesianMemoMax {
-			t.Errorf("%s holds %d entries, bound is %d", name, n, bayesianMemoMax)
-		}
-		if s.Evictions() == 0 {
-			t.Errorf("%s recorded no evictions past its bound", name)
-		}
+	if n := b.units.Len(); n > bayesianMemoMax {
+		t.Errorf("units holds %d entries, bound is %d", n, bayesianMemoMax)
+	}
+	if b.units.Evictions() == 0 {
+		t.Error("units recorded no evictions past its bound")
 	}
 	again, err := b.ContSetT2(0.3, 2)
 	if err != nil {

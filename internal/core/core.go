@@ -83,7 +83,8 @@ type Model struct {
 	k consts
 
 	// solve memoizes the solve cells; held by pointer so that a Model is
-	// never copied with live memo state (see Bayesian.typedModel).
+	// never copied with live memo state (Bayesian.typedModel's copies
+	// carry none).
 	solve *solveMemo
 }
 

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"repro/internal/plot"
-	"repro/internal/qmc"
 	"repro/internal/scenario"
 	"repro/internal/sweep"
 	"repro/internal/utility"
@@ -83,16 +82,6 @@ type Opts struct {
 	// artifact can be regenerated under an alternative regime. Empty keeps
 	// the caller's params.
 	Scenario string
-	// MCCIWidth is the Monte Carlo validation artifact's CI half-width
-	// target: > 0 enables adaptive stopping, capped at the artifact's run
-	// count. Other artifacts ignore it.
-	MCCIWidth float64
-	// Sampler selects the sampling mode (internal/qmc) of the Monte Carlo
-	// artifacts (montecarlo, packetized). The zero value keeps each
-	// artifact's registry default — sobol for both, the mode their
-	// committed goldens pin; an explicit ModePseudo restores the full
-	// pseudo-stream run. Analytic artifacts ignore it.
-	Sampler qmc.Mode
 }
 
 // Generator produces one or more figures from a parameter set.
@@ -105,8 +94,7 @@ type RegistryEntry struct {
 }
 
 // Registry maps artifact group IDs to generators, in the paper's order.
-// MC validation scale and the §IV.B budget are fixed defaults here;
-// cmd/figures exposes flags for heavier runs.
+// The MC validation scale and the §IV.B budget are fixed here.
 func Registry() []RegistryEntry {
 	return []RegistryEntry{
 		{"tableI", TableI},
@@ -122,20 +110,7 @@ func Registry() []RegistryEntry {
 		{"fig10a", func(p utility.Params, o Opts) ([]Figure, error) { return Fig10a(p, DefaultBobBudget, o) }},
 		{"fig10b", func(p utility.Params, o Opts) ([]Figure, error) { return Fig10b(p, DefaultBobBudget, o) }},
 		{"fig11", func(p utility.Params, o Opts) ([]Figure, error) { return Fig11(p, DefaultBobBudget, o) }},
-		{"montecarlo", func(p utility.Params, o Opts) ([]Figure, error) {
-			// The validation artifact defaults to the sobol sampler with
-			// adaptive stopping: the replicate-t estimator reaches a 0.01
-			// half-width in a small fraction of DefaultMCRuns pseudo paths
-			// (see DESIGN.md, "Sampling modes"). An explicit -sampler
-			// pseudo restores the historical fixed-runs table.
-			if o.Sampler == "" {
-				o.Sampler = qmc.ModeSobol
-				if o.MCCIWidth == 0 {
-					o.MCCIWidth = 0.01
-				}
-			}
-			return MCValidation(p, DefaultMCRuns, o)
-		}},
+		{"montecarlo", func(p utility.Params, o Opts) ([]Figure, error) { return MCValidation(p, DefaultMCRuns, o) }},
 		{"baseline", BaselineComparison},
 		{"uncertainty", Uncertainty},
 		{"reputation", Reputation},

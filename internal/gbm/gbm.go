@@ -132,16 +132,6 @@ type NormalSource interface {
 	NormFloat64() float64
 }
 
-// FillNormals fills z with independent standard normals drawn from src in
-// one pass — the slab a batched path consumes. The draw order is exactly
-// the per-event order, so slab-then-step reproduces step-by-step sampling
-// byte for byte.
-func FillNormals(src NormalSource, z []float64) {
-	for i := range z {
-		z[i] = src.NormFloat64()
-	}
-}
-
 // Step samples P_{t+tau} given P_t = p with the exact lognormal increment.
 // Like PDF and CDF it panics on non-positive or non-finite (p, tau).
 func (g Process) Step(src NormalSource, p, tau float64) float64 {
@@ -149,35 +139,12 @@ func (g Process) Step(src NormalSource, p, tau float64) float64 {
 }
 
 // StepZ is Step with the standard normal increment z supplied by the
-// caller — the deterministic core shared by every sampler mode. The float
-// expression matches Step exactly, so pre-drawn slabs are bit-identical to
-// per-event draws.
+// caller — the deterministic core shared by every sampler mode. Step is
+// StepZ of the source's next draw, so a pre-drawn increment is
+// bit-identical to a per-event one.
 func (g Process) StepZ(p, tau, z float64) float64 {
 	mustArgs(p, tau)
 	return p * math.Exp((g.Mu-g.Sigma*g.Sigma/2)*tau+g.Sigma*math.Sqrt(tau)*z)
-}
-
-// StepBatch advances a vector of prices one increment of horizon tau each,
-// using pre-drawn standard normals: out[i] = StepZ(p[i], tau, z[i]),
-// bit-identical to the scalar calls. out may alias p; the three slices
-// must share a length. The drift and volatility terms are hoisted so the
-// loop is one multiply-exp per element.
-func (g Process) StepBatch(out, p, z []float64, tau float64) error {
-	if len(out) != len(p) || len(p) != len(z) {
-		return fmt.Errorf("%w: StepBatch lengths out=%d p=%d z=%d must match", ErrBadParam, len(out), len(p), len(z))
-	}
-	if !(tau > 0) || math.IsInf(tau, 0) {
-		return fmt.Errorf("%w: horizon tau=%g must be finite and > 0", ErrBadParam, tau)
-	}
-	drift := (g.Mu - g.Sigma*g.Sigma/2) * tau
-	vol := g.Sigma * math.Sqrt(tau)
-	for i, pi := range p {
-		if !(pi > 0) || math.IsInf(pi, 0) {
-			return fmt.Errorf("%w: price p[%d]=%g must be finite and > 0", ErrBadParam, i, pi)
-		}
-		out[i] = pi * math.Exp(drift+vol*z[i])
-	}
-	return nil
 }
 
 // Path samples n equally spaced steps of size dt starting from p0,

@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"math"
 	"time"
 
-	"repro/internal/qmc"
 	"repro/internal/scenario"
 	"repro/internal/solvecache"
 	"repro/internal/store"
@@ -27,15 +25,9 @@ type SolveParams struct {
 	// a quote needs the analytic solve; the simulation surface is
 	// swap.simulate).
 	MC bool `json:"mc,omitempty"`
-	// Runs and CIWidth are the batch runner's Monte Carlo knobs,
-	// meaningful with MC: the run count (default: the scenario's own,
-	// capped by the server's run cap) and the adaptive CI target.
-	Runs    int     `json:"runs,omitempty"`
-	CIWidth float64 `json:"ciWidth,omitempty"`
-	// Sampler selects the validation's sampling mode: "" or "pseudo"
-	// (default), or "sobol" (see internal/qmc). Requests
-	// with different samplers never coalesce.
-	Sampler string `json:"sampler,omitempty"`
+	// Runs is the validation's run count, meaningful with MC (default:
+	// the scenario's own, capped by the server's run cap).
+	Runs int `json:"runs,omitempty"`
 	// BudgetMs overrides the server's default request budget.
 	BudgetMs int `json:"budgetMs,omitempty"`
 }
@@ -55,7 +47,6 @@ type ReportJSON struct {
 type MCCheckJSON struct {
 	Game              string         `json:"game"`
 	Runs              int            `json:"runs"`
-	Stopped           bool           `json:"stopped,omitempty"`
 	Seed              int64          `json:"seed"`
 	SR                float64        `json:"sr"`
 	Lo                float64        `json:"lo"`
@@ -64,9 +55,6 @@ type MCCheckJSON struct {
 	Agrees            bool           `json:"agrees"`
 	Stages            map[string]int `json:"stages,omitempty"`
 	MeanDurationHours float64        `json:"meanDurationHours,omitempty"`
-	// Sampler names the validation's sampling mode; omitted for the
-	// pseudo default, so historical responses are unchanged.
-	Sampler string `json:"sampler,omitempty"`
 }
 
 // SolveResult is swap.solve's result as a client decodes it. The server
@@ -163,18 +151,10 @@ func (s *Server) resolveSolve(p SolveParams) (resolvedSolve, *Error) {
 	if runs < 0 || runs > s.maxRuns {
 		return resolvedSolve{}, Errorf(CodeInvalidParams, "runs must be in [0, %d]", s.maxRuns)
 	}
-	if p.CIWidth < 0 || math.IsNaN(p.CIWidth) {
-		return resolvedSolve{}, Errorf(CodeInvalidParams, "ciWidth must be >= 0")
-	}
-	sampler, err := qmc.ParseMode(p.Sampler)
-	if err != nil {
-		return resolvedSolve{}, Errorf(CodeInvalidParams, "%v", err)
-	}
 	opts := variant.RunOpts{
-		Runs: p.Runs, CIWidth: p.CIWidth,
+		Runs:      p.Runs,
 		MCWorkers: mcWorkers,
 		SkipMC:    !p.MC,
-		Sampler:   sampler,
 		// The persistent store is plumbing, not a solve input: the cell
 		// key ignores it.
 		Store: s.cfg.Store,
@@ -244,16 +224,12 @@ func reportJSON(r variant.Report) ReportJSON {
 		out.Values[v.Name] = v.V
 	}
 	if mc := r.MC; mc != nil {
-		check := &MCCheckJSON{
-			Game: mc.Game, Runs: mc.Runs, Stopped: mc.Stopped, Seed: mc.Seed,
+		out.MC = &MCCheckJSON{
+			Game: mc.Game, Runs: mc.Runs, Seed: mc.Seed,
 			SR: mc.SR.P, Lo: mc.SR.Lo, Hi: mc.SR.Hi,
 			Analytic: mc.Analytic, Agrees: mc.Agrees,
 			Stages: mc.Stages, MeanDurationHours: mc.MeanDurationHours,
 		}
-		if mc.Sampler.VarianceReduced() {
-			check.Sampler = string(mc.Sampler)
-		}
-		out.MC = check
 	}
 	return out
 }

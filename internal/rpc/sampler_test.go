@@ -1,97 +1,42 @@
 package rpc
 
-import (
-	"encoding/json"
-	"net/http"
-	"testing"
-)
+import "testing"
 
-// TestSolveSamplerParam pins the sampler parameter end to end: a sobol
-// solve succeeds and its MC check names the mode, the pseudo default
-// omits the field (historical responses unchanged), an unknown or retired
-// mode is CodeInvalidParams, and requests with different samplers never
-// share a cell key.
+// TestSolveSamplerParam pins swap.solve's Monte Carlo knobs. A batch
+// validation is defined by its scenario, seed and run count, so
+// swap.solve takes neither a sampler nor a CI target: each is an unknown
+// field under strict decoding, even at its old default.
 func TestSolveSamplerParam(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-
-	resp, status := post(t, ts.URL, rpcCall(1, "swap.solve",
-		`{"scenario":"tableIII","variant":"basic","mc":true,"runs":400,"sampler":"sobol"}`))
-	if status != http.StatusOK || resp.Error != nil {
-		t.Fatalf("sobol solve failed: status=%d error=%+v", status, resp.Error)
-	}
-	var res SolveResult
-	if err := json.Unmarshal(resp.Result, &res); err != nil {
-		t.Fatalf("decoding result: %v", err)
-	}
-	if len(res.Variants) != 1 || res.Variants[0].MC == nil {
-		t.Fatalf("result = %+v, want one variant with an MC check", res)
-	}
-	if got := res.Variants[0].MC.Sampler; got != "sobol" {
-		t.Errorf("MC check sampler = %q, want sobol", got)
-	}
-
-	resp, _ = post(t, ts.URL, rpcCall(2, "swap.solve",
-		`{"scenario":"tableIII","variant":"basic","mc":true,"runs":400}`))
-	if resp.Error != nil {
-		t.Fatalf("default solve failed: %+v", resp.Error)
-	}
-	res = SolveResult{} // Unmarshal merges into existing slice elements
-	if err := json.Unmarshal(resp.Result, &res); err != nil {
-		t.Fatalf("decoding result: %v", err)
-	}
-	if got := res.Variants[0].MC.Sampler; got != "" {
-		t.Errorf("pseudo MC check sampler = %q, want omitted", got)
-	}
-
-	for _, bad := range []string{"halton", "antithetic"} {
-		resp, _ = post(t, ts.URL, rpcCall(3, "swap.solve",
-			`{"scenario":"tableIII","sampler":"`+bad+`"}`))
+	_, ts := newTestServer(t, Config{})
+	for _, param := range []string{`"sampler":"pseudo"`, `"sampler":"sobol"`, `"ciWidth":0.01`} {
+		resp, _ := post(t, ts.URL, rpcCall(1, "swap.solve", `{"scenario":"tableIII","mc":true,"runs":400,`+param+`}`))
 		if resp.Error == nil || resp.Error.Code != CodeInvalidParams {
-			t.Fatalf("sampler %q: error = %+v, want CodeInvalidParams", bad, resp.Error)
+			t.Errorf("swap.solve with %s: error %+v, want code %d", param, resp.Error, CodeInvalidParams)
 		}
-	}
-
-	key := func(sampler string) string {
-		req, rerr := s.resolveSolve(SolveParams{
-			Scenario: json.RawMessage(`"tableIII"`),
-			Variant:  "basic", MC: true, Runs: 400, Sampler: sampler,
-		})
-		if rerr != nil {
-			t.Fatalf("resolve sampler=%q: %+v", sampler, rerr)
-		}
-		return req.keys[0]
-	}
-	if key("pseudo") != key("") {
-		t.Error("explicit pseudo and the default must coalesce")
-	}
-	if key("sobol") == key("pseudo") {
-		t.Error("different samplers must not share a cell key")
 	}
 }
 
-// TestStreamSampler streams a sobol simulation: the terminal result
-// names the mode and carries the estimator half-width the adaptive
-// stopper uses; an unknown or retired mode fails before the stream starts.
+// TestStreamSampler pins swap.simulate's Monte Carlo knobs: a sampler is
+// an unknown field, rejected before the stream starts, while ciWidth
+// stays, because the stream runs until the adaptive stop fires.
 func TestStreamSampler(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	final, rerr := simulateResult(t, ts.URL, 11, `{"scenario":"tableIII","runs":2000,"sampler":"sobol","budgetMs":30000}`)
-	if rerr != nil {
-		t.Fatalf("stream failed: %+v", rerr)
-	}
-	if final.Sampler != "sobol" {
-		t.Errorf("final sampler = %q, want sobol", final.Sampler)
-	}
-	if final.Paths != 2000 {
-		t.Errorf("paths = %d, want 2000", final.Paths)
-	}
-	if final.EstHalfWidth <= 0 || final.EstHalfWidth >= 1 {
-		t.Errorf("estimator half-width = %v, want in (0, 1)", final.EstHalfWidth)
+	for _, param := range []string{`"sampler":"pseudo"`, `"sampler":"sobol"`} {
+		_, rerr := simulateResult(t, ts.URL, 2, `{"scenario":"tableIII","runs":400,`+param+`}`)
+		if rerr == nil || rerr.Code != CodeInvalidParams {
+			t.Errorf("swap.simulate with %s: error %+v, want code %d", param, rerr, CodeInvalidParams)
+		}
 	}
 
-	for _, bad := range []string{"halton", "antithetic"} {
-		_, rerr := simulateResult(t, ts.URL, 12, `{"scenario":"tableIII","runs":100,"sampler":"`+bad+`"}`)
-		if rerr == nil || rerr.Code != CodeInvalidParams {
-			t.Fatalf("sampler %q: error = %+v, want CodeInvalidParams", bad, rerr)
-		}
+	const runs = 50000
+	final, rerr := simulateResult(t, ts.URL, 3, `{"scenario":"tableIII","runs":50000,"ciWidth":0.05,"budgetMs":30000}`)
+	if rerr != nil {
+		t.Fatalf("adaptive stream failed: %+v", rerr)
+	}
+	if !final.Stopped || final.Paths >= runs {
+		t.Errorf("ciWidth 0.05 ran %d of %d paths (stopped=%v), want an early stop", final.Paths, runs, final.Stopped)
+	}
+	if half := (final.Hi - final.Lo) / 2; half > 0.05 {
+		t.Errorf("half-width at stop %g, want <= 0.05", half)
 	}
 }

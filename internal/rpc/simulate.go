@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/mc"
-	"repro/internal/qmc"
 	"repro/internal/swapsim"
 	"repro/internal/variant"
 )
@@ -33,11 +32,6 @@ type SimulateParams struct {
 	// least this many merged paths (default 512; 1 streams every chunk of
 	// mc.ChunkSize paths).
 	EveryPaths int `json:"everyPaths,omitempty"`
-	// Sampler selects the sampling mode: "" or "pseudo" (default), or
-	// "sobol" (see internal/qmc). In sobol mode the streamed halfWidth is
-	// the sampler-aware estimator interval the adaptive stopper watches,
-	// not the Wilson width.
-	Sampler string `json:"sampler,omitempty"`
 	// BudgetMs overrides the server's default request budget.
 	BudgetMs int `json:"budgetMs,omitempty"`
 }
@@ -70,11 +64,6 @@ type SimulateResult struct {
 	SR       float64 `json:"sr"`
 	Lo       float64 `json:"lo"`
 	Hi       float64 `json:"hi"`
-	// Sampler names the run's sampling mode; omitted for the pseudo
-	// default. EstHalfWidth accompanies it: the sampler-aware estimator
-	// half-width the adaptive stopper compared against ciWidth.
-	Sampler      string  `json:"sampler,omitempty"`
-	EstHalfWidth float64 `json:"estHalfWidth,omitempty"`
 	// Stopped reports an adaptive early stop; Violations counts
 	// non-atomic outcomes (zero without failure injection).
 	Stopped    bool           `json:"stopped"`
@@ -220,15 +209,10 @@ func (s *Server) resolveSimulate(p SimulateParams) (simulateConfig, *Error) {
 	if p.EveryPaths < 0 {
 		return simulateConfig{}, Errorf(CodeInvalidParams, "everyPaths must be >= 0")
 	}
-	sampler, err := qmc.ParseMode(p.Sampler)
-	if err != nil {
-		return simulateConfig{}, Errorf(CodeInvalidParams, "%v", err)
-	}
 	cfg, _, _, err := variant.ProtocolConfig(key, sc)
 	if err != nil {
 		return simulateConfig{}, Errorf(CodeInvalidParams, "scenario %q: %v", sc.Name, err)
 	}
-	cfg.Sampler = sampler
 	every := p.EveryPaths
 	if every == 0 {
 		every = 512
@@ -272,16 +256,11 @@ func (s *Server) runStream(ctx context.Context, id json.RawMessage, cfg simulate
 		s.stats.errors.Add(1)
 		return NewErrorResponse(id, s.asRPCError(err))
 	}
-	out := SimulateResult{
+	return NewResponse(id, SimulateResult{
 		Scenario: cfg.scenarioName, Variant: cfg.variantKey,
 		Paths: res.Paths, SR: res.SuccessRate.P, Lo: res.SuccessRate.Lo, Hi: res.SuccessRate.Hi,
 		Stopped: res.Stopped, Violations: res.Violations, Stages: res.Stages,
 		MeanDurationHours: res.Duration.Mean,
 		Snapshots:         snapshots, ElapsedUs: time.Since(start).Microseconds(),
-	}
-	if res.Sampler.VarianceReduced() {
-		out.Sampler = string(res.Sampler)
-		out.EstHalfWidth = res.EstHalfWidth
-	}
-	return NewResponse(id, out)
+	})
 }

@@ -127,7 +127,7 @@ func ProtocolConfig(key string, sc scenario.Scenario) (cfg swapsim.Config, sr fl
 }
 
 // simulateCheck runs variant key's protocol (ProtocolConfig) through the
-// swapsim Monte Carlo engine under the batch knobs and packages the
+// swapsim Monte Carlo engine at the cell's run count and packages the
 // agreement check, labelled game — the shared protocol-level validation
 // of the basic and collateral variants.
 func simulateCheck(ctx *Context, sc scenario.Scenario, key, game string) (*MCCheck, error) {
@@ -135,21 +135,17 @@ func simulateCheck(ctx *Context, sc scenario.Scenario, key, game string) (*MCChe
 	if err != nil {
 		return nil, err
 	}
-	cfg.Sampler = ctx.Opts.Sampler
 	res, err := swapsim.MonteCarlo(swapsim.MCConfig{
 		Config:  cfg,
 		Runs:    ctx.Runs(sc),
 		Workers: ctx.Opts.MCWorkers,
-		CIWidth: ctx.Opts.CIWidth,
 	})
 	if err != nil {
 		return nil, err
 	}
 	check := newMCCheck(game, analytic, res.SuccessRate, res.Paths, sc.Seed)
-	check.Stopped = res.Stopped
 	check.Stages = res.Stages
 	check.MeanDurationHours = res.Duration.Mean
-	check.Sampler = res.Sampler
 	return check, nil
 }
 

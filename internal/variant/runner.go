@@ -9,7 +9,6 @@ import (
 	"slices"
 	"strings"
 
-	"repro/internal/qmc"
 	"repro/internal/scenario"
 	"repro/internal/store"
 	"repro/internal/sweep"
@@ -18,23 +17,14 @@ import (
 // RunOpts configures a batch run across the (scenario × variant) matrix.
 type RunOpts struct {
 	// Runs overrides every scenario's Monte Carlo run count (0 keeps each
-	// scenario's own setting — MCRuns, or scenario.DefaultMCRuns). It is
-	// the fixed sample size, and the adaptive cap.
+	// scenario's own setting — MCRuns, or scenario.DefaultMCRuns). A
+	// validation always runs exactly this many paths under the pseudo
+	// sampler.
 	Runs int
 	// MCWorkers bounds the concurrency of the inner Monte Carlo of a
 	// single cell. RunAll parallelises across cells and pins this to 1;
 	// Run on its own uses all CPUs when 0.
 	MCWorkers int
-	// CIWidth, when > 0, switches the swapsim validations to adaptive
-	// precision: sampling stops once the Wilson 95% half-width of the
-	// success rate is <= CIWidth, capped at the run count.
-	CIWidth float64
-	// Sampler selects how the protocol simulations draw price increments
-	// (see internal/qmc): "" or "pseudo" keeps the golden default stream;
-	// "sobol" is the variance-reduced mode. It applies to the
-	// swapsim-backed validations (basic, collateral); the variant games
-	// with bespoke closed-form samplers ignore it.
-	Sampler qmc.Mode
 	// Variants overrides every scenario's variant selection: "" defers to
 	// the scenario (or the default trio), "all" solves every registered
 	// variant, otherwise a comma-separated key list.
@@ -79,6 +69,12 @@ const cellSchema = 5
 // stored reports cannot silently mix with newly solved ones.
 const reportDigest = "ee814141e2d6a6b6bfe13db4b869b0e8821ea71a4a4759a7be7c2b8cd129eb03"
 
+// mcReportDigest pins the Monte Carlo half of the same bytes: the SHA-256
+// of the marshalled validation checks of three presets under basic and
+// collateral at 200 runs (see TestMCReportBytesPinned). A change that
+// moves them needs a cellSchema bump exactly as reportDigest does.
+const mcReportDigest = "da39dc6624e7fbbe4252bb946dc7cd4b27a35ea442825265fda22010bea6e6c4"
+
 // cellKeyMaterial is the complete solve input of one (scenario × variant)
 // cell, in canonical field order. MCWorkers is deliberately absent —
 // results are bit-reproducible per seed at any worker count — and
@@ -89,8 +85,6 @@ type cellKeyMaterial struct {
 	Scenario scenario.Scenario `json:"scenario"`
 	Variant  string            `json:"variant"`
 	Runs     int               `json:"runs"`
-	CIWidth  float64           `json:"ciWidth"`
-	Sampler  qmc.Mode          `json:"sampler"`
 	SkipMC   bool              `json:"skipMC"`
 }
 
@@ -107,8 +101,6 @@ func CellKey(sc scenario.Scenario, variantKey string, opts RunOpts) (string, err
 		Scenario: sc,
 		Variant:  variantKey,
 		Runs:     opts.Runs,
-		CIWidth:  opts.CIWidth,
-		Sampler:  opts.Sampler,
 		SkipMC:   opts.SkipMC,
 	})
 }
@@ -257,17 +249,7 @@ func RunAll(ctx context.Context, scs []scenario.Scenario, workers int, opts RunO
 
 // renderMC writes the validation block of one report.
 func renderMC(b *strings.Builder, mc *MCCheck) {
-	stopNote := ""
-	if mc.Stopped {
-		stopNote = ", adaptive early stop"
-	}
-	// The sampler note appears only for the variance-reduced modes, so
-	// default-mode renders stay byte-identical to the committed goldens.
-	samplerNote := ""
-	if mc.Sampler.VarianceReduced() {
-		samplerNote = ", sampler " + string(mc.Sampler)
-	}
-	fmt.Fprintf(b, "  Monte Carlo (%s, %d runs, seed %d%s%s):\n", mc.Game, mc.Runs, mc.Seed, samplerNote, stopNote)
+	fmt.Fprintf(b, "  Monte Carlo (%s, %d runs, seed %d):\n", mc.Game, mc.Runs, mc.Seed)
 	fmt.Fprintf(b, "    simulated SR: %.4f, Wilson 95%% [%.4f, %.4f], analytic %.4f, agrees: %v\n",
 		mc.SR.P, mc.SR.Lo, mc.SR.Hi, mc.Analytic, mc.Agrees)
 	if mc.Stages != nil {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/mc"
 	"repro/internal/scenario"
 	"repro/internal/utility"
 )
@@ -232,49 +231,5 @@ func TestDiffReportsPerVariantColumns(t *testing.T) {
 	self := Diff(ra, ra, 1e-6)
 	if !strings.Contains(self, "no differences") {
 		t.Errorf("self diff should be empty:\n%s", self)
-	}
-}
-
-func TestRunOptsAdaptivePrecisionKnobs(t *testing.T) {
-	sc := mustLookup(t, "tableIII")
-	get := func(opts RunOpts) *MCCheck {
-		t.Helper()
-		opts.Variants = "basic"
-		row, err := Run(sc, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := mustReport(t, row, "basic")
-		if r.MC == nil {
-			t.Fatal("basic variant did not validate")
-		}
-		return r.MC
-	}
-	// Default: the fixed run count is honoured exactly.
-	fixed := get(RunOpts{Runs: testRuns})
-	if fixed.Runs != testRuns || fixed.Stopped {
-		t.Errorf("fixed mode ran %d paths (stopped=%v), want exactly %d",
-			fixed.Runs, fixed.Stopped, testRuns)
-	}
-	// A loose CI target stops well before a large cap, at a chunk boundary.
-	adaptive := get(RunOpts{Runs: 50000, CIWidth: 0.05})
-	if !adaptive.Stopped {
-		t.Fatal("loose CI target did not stop early")
-	}
-	if adaptive.Runs >= 50000 || adaptive.Runs%mc.ChunkSize != 0 {
-		t.Errorf("adaptive ran %d paths, want a chunk-aligned early stop", adaptive.Runs)
-	}
-	if half := (adaptive.SR.Hi - adaptive.SR.Lo) / 2; half > 0.05 {
-		t.Errorf("half-width at stop %g, want <= 0.05", half)
-	}
-	// The run count caps adaptive sampling.
-	capped := get(RunOpts{Runs: 300, CIWidth: 1e-9})
-	if capped.Runs != 300 || capped.Stopped {
-		t.Errorf("capped run executed %d paths (stopped=%v), want 300 at the cap",
-			capped.Runs, capped.Stopped)
-	}
-	// The adaptive estimate agrees with the fixed one to CI precision.
-	if diff := adaptive.SR.P - fixed.SR.P; diff > 0.1 || diff < -0.1 {
-		t.Errorf("adaptive SR %.4f far from fixed SR %.4f", adaptive.SR.P, fixed.SR.P)
 	}
 }

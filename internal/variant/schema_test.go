@@ -53,3 +53,40 @@ func TestReportBytesPinned(t *testing.T) {
 		t.Fatalf("report bytes changed: bump cellSchema and re-pin (reportDigest = %q)", got)
 	}
 }
+
+// TestMCReportBytesPinned is TestReportBytesPinned's sibling for the Monte
+// Carlo half of stored reports: the validations of three presets under
+// basic and collateral, marshalled exactly as RunCell stores them (a
+// report's MC field) and hashed against mcReportDigest. A change to the
+// protocol simulator, its seeding or the MCCheck shape moves these bytes
+// while every analytic report stays put, and stored checks would then mix
+// with fresh ones. amd64-only for the same reason as its sibling.
+func TestMCReportBytesPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("report bytes are pinned on amd64; GOARCH=%s may fuse multiply-adds", runtime.GOARCH)
+	}
+	h := sha256.New()
+	for _, name := range []string{"tableIII", "high-vol", "deep-collateral"} {
+		sc, err := scenario.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row, err := Run(sc, RunOpts{Runs: 200, Variants: "basic,collateral"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range row.Reports {
+			if r.MC == nil {
+				t.Fatalf("%s/%s: no Monte Carlo check", name, r.Key)
+			}
+			data, err := json.Marshal(r.MC)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Write(data)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != mcReportDigest {
+		t.Fatalf("MC report bytes changed: bump cellSchema and re-pin (mcReportDigest = %q)", got)
+	}
+}

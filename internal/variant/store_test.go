@@ -37,8 +37,6 @@ func TestCellKeySensitivity(t *testing.T) {
 	}{
 		{"variant", sc, "collateral", base},
 		{"runs", sc, "basic", RunOpts{Runs: 500}},
-		{"ciWidth", sc, "basic", RunOpts{Runs: 400, CIWidth: 0.01}},
-		{"sampler", sc, "basic", RunOpts{Runs: 400, Sampler: "sobol"}},
 		{"skipMC", sc, "basic", RunOpts{Runs: 400, SkipMC: true}},
 	}
 	scMut := sc

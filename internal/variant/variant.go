@@ -26,7 +26,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/qmc"
 	"repro/internal/scenario"
 	"repro/internal/solvecache"
 	"repro/internal/stats"
@@ -136,10 +135,8 @@ func (r Report) MCAgrees() bool {
 type MCCheck struct {
 	// Game names the protocol experiment that was simulated.
 	Game string
-	// Runs is the number of protocol executions; Stopped reports an
-	// adaptive early stop (RunOpts.CIWidth).
-	Runs    int
-	Stopped bool
+	// Runs is the number of protocol executions.
+	Runs int
 	// Seed is the RNG seed the simulation ran under.
 	Seed int64
 	// SR is the empirical success proportion with its Wilson 95%
@@ -153,10 +150,6 @@ type MCCheck struct {
 	// MeanDurationHours averages completion time (0 when not tracked).
 	Stages            map[string]int
 	MeanDurationHours float64
-	// Sampler is the sampling mode the validation ran under; the zero
-	// value is the pseudo default (bespoke closed-form validations always
-	// report it).
-	Sampler qmc.Mode
 }
 
 // Agrees is the repository's one agreement rule between an analytic

@@ -58,6 +58,7 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -82,30 +83,34 @@ type Report struct {
 	// Note says how to regenerate the artifact.
 	Note string `json:"note"`
 	// Config echoes the generator settings the numbers were measured under.
-	Config struct {
-		QPS       int     `json:"qps"`
-		DurationS float64 `json:"duration_s"`
-		Seed      int64   `json:"seed"`
-		Mix       string  `json:"mix"`
-		DupEvery  int     `json:"dup_every"`
-		DupBurst  int     `json:"dup_burst"`
-		MCRuns    int     `json:"mc_runs"`
-		// Chaos records that the run retried retryable errors with
-		// backoff (the chaos-smoke client mode).
-		Chaos bool `json:"chaos,omitempty"`
-		// HotFrac/HotKeys describe the hot-key mix: HotFrac of non-burst
-		// requests draw Zipf-style from HotKeys distinct keyed solves, the
-		// rest are unique per request (0 = the classic preset mix).
-		HotFrac float64 `json:"hot_frac,omitempty"`
-		HotKeys int     `json:"hot_keys,omitempty"`
-		// WarmReplay records that the identical seeded stream ran twice
-		// against the same daemon; the second pass is the warm row.
-		WarmReplay bool `json:"warm_replay,omitempty"`
-	} `json:"config"`
+	Config runConfig `json:"config"`
 	// Results is the first (cold) pass; Warm, when -warm replayed the
 	// stream, the second pass against the already-populated caches.
 	Results Results  `json:"results"`
 	Warm    *Results `json:"warm,omitempty"`
+}
+
+// runConfig is the generator settings of one report. Two reports' numbers
+// are comparable only under equal settings (see printDeltas).
+type runConfig struct {
+	QPS       int     `json:"qps"`
+	DurationS float64 `json:"duration_s"`
+	Seed      int64   `json:"seed"`
+	Mix       string  `json:"mix"`
+	DupEvery  int     `json:"dup_every"`
+	DupBurst  int     `json:"dup_burst"`
+	MCRuns    int     `json:"mc_runs"`
+	// Chaos records that the run retried retryable errors with
+	// backoff (the chaos-smoke client mode).
+	Chaos bool `json:"chaos,omitempty"`
+	// HotFrac/HotKeys describe the hot-key mix: HotFrac of non-burst
+	// requests draw Zipf-style from HotKeys distinct keyed solves, the
+	// rest are unique per request (0 = the classic preset mix).
+	HotFrac float64 `json:"hot_frac,omitempty"`
+	HotKeys int     `json:"hot_keys,omitempty"`
+	// WarmReplay records that the identical seeded stream ran twice
+	// against the same daemon; the second pass is the warm row.
+	WarmReplay bool `json:"warm_replay,omitempty"`
 }
 
 // Results are one pass's measured aggregates. Latency percentiles are
@@ -981,7 +986,10 @@ func printReport(out io.Writer, rep Report) {
 
 // printDeltas reports the run against a committed baseline (informational:
 // wall-clock metrics are hardware-dependent, so the hard gates are the
-// absolute -min-qps/-max-p99-ms flags).
+// absolute -min-qps/-max-p99-ms flags). Deltas are printed only against a
+// baseline measured under an equal config, the cold row against the cold
+// row and the warm row against the warm row; otherwise one line names the
+// settings that differ, because the percentages would measure them.
 func printDeltas(out io.Writer, rep Report, path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -991,12 +999,37 @@ func printDeltas(out io.Writer, rep Report, path string) error {
 	if err := json.Unmarshal(data, &base); err != nil {
 		return fmt.Errorf("parsing %s: %w", path, err)
 	}
-	fmt.Fprintf(out, "vs %s: qps %+.1f%%  p99 %+.1f%%  hit rate %.1f%% -> %.1f%%\n",
-		path,
-		ratioDelta(rep.Results.SustainedQPS, base.Results.SustainedQPS),
-		ratioDelta(rep.Results.P99Us, base.Results.P99Us),
-		base.Results.HitRate*100, rep.Results.HitRate*100)
+	if diff := configDiff(base.Config, rep.Config); len(diff) > 0 {
+		fmt.Fprintf(out, "vs %s: not comparable, config differs: %s\n", path, strings.Join(diff, ", "))
+		return nil
+	}
+	delta := func(row string, cur, old Results) {
+		fmt.Fprintf(out, "vs %s%s: qps %+.1f%%  p99 %+.1f%%  hit rate %.1f%% -> %.1f%%\n",
+			path, row,
+			ratioDelta(cur.SustainedQPS, old.SustainedQPS),
+			ratioDelta(cur.P99Us, old.P99Us),
+			old.HitRate*100, cur.HitRate*100)
+	}
+	delta("", rep.Results, base.Results)
+	if rep.Warm != nil && base.Warm != nil {
+		delta(" (warm)", *rep.Warm, *base.Warm)
+	}
 	return nil
+}
+
+// configDiff names each setting whose value differs between two configs,
+// as "json_name base -> current", in field order.
+func configDiff(base, cur runConfig) []string {
+	bv, cv := reflect.ValueOf(base), reflect.ValueOf(cur)
+	var diff []string
+	for i := range bv.NumField() {
+		b, c := bv.Field(i).Interface(), cv.Field(i).Interface()
+		if b != c {
+			name, _, _ := strings.Cut(bv.Type().Field(i).Tag.Get("json"), ",")
+			diff = append(diff, fmt.Sprintf("%s %v -> %v", name, b, c))
+		}
+	}
+	return diff
 }
 
 // ratioDelta is the percentage change of cur against base.
