@@ -65,7 +65,9 @@ bench-json:
 # baseline's. The convergence benchmarks' pathsratio is gated at 1.0x
 # pseudo: no sampler may need more paths than pseudo, whose ratio is 1 by
 # definition (sobol sits at ~0.065; the adaptive stop is deterministic per
-# seed, so the gate cannot flake). BenchmarkFiguresFull — the
+# seed, so the gate cannot flake). A solve benchmark's evals/op (the t2
+# region scans' evaluation count, deterministic per tree) fails on any
+# rise over its baseline. BenchmarkFiguresFull — the
 # full 18-group artifact generation, first in the cold solve pass — is the
 # one wall-clock gate: 1.0s absolute, the sub-second reproduction promise
 # with wide headroom over the ~0.6s measured baseline.

@@ -60,6 +60,7 @@ func BenchmarkSolve_ModelNew(b *testing.B) {
 // hot root-finding primitive behind Eqs. 24/35.
 func BenchmarkSolve_ContSetCold(b *testing.B) {
 	p := utility.Default()
+	var evals uint64
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m, err := core.New(p)
@@ -69,7 +70,16 @@ func BenchmarkSolve_ContSetCold(b *testing.B) {
 		if _, _, err := m.ContRangeT2(2.0); err != nil {
 			b.Fatal(err)
 		}
+		evals += m.ScanEvals()
 	}
+	reportEvals(b, evals)
+}
+
+// reportEvals reports the t2 region scans' utility-difference evaluations
+// per op: the deterministic work behind a cold solve benchmark's ns/op,
+// which `make bench-check` gates against any rise.
+func reportEvals(b *testing.B, evals uint64) {
+	b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
 }
 
 // BenchmarkSolve_FeasibleRateRangeCold measures the t1 feasibility scan of
@@ -143,6 +153,7 @@ func BenchmarkSolve_UncertainCold(b *testing.B) {
 func BenchmarkSolve_Fig6Cold(b *testing.B) {
 	p := utility.Default()
 	grid := mathx.LinSpace(0.2, 3.2, 41)
+	var evals uint64
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m, err := core.New(p)
@@ -154,7 +165,9 @@ func BenchmarkSolve_Fig6Cold(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		evals += m.ScanEvals()
 	}
+	reportEvals(b, evals)
 }
 
 // BenchmarkSolve_Fig8Cold measures Fig. 8's engagement scans on a fresh
@@ -163,6 +176,7 @@ func BenchmarkSolve_Fig6Cold(b *testing.B) {
 // deposit ratio Q/P*, so each costs one t2 region scan.
 func BenchmarkSolve_Fig8Cold(b *testing.B) {
 	p := utility.Default()
+	var evals uint64
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m, err := core.New(p)
@@ -176,7 +190,9 @@ func BenchmarkSolve_Fig8Cold(b *testing.B) {
 		if c.FeasibleRatesAlice().Empty() || c.FeasibleRatesBob().Empty() {
 			b.Fatal("no engagement rates")
 		}
+		evals += m.ScanEvals()
 	}
+	reportEvals(b, evals)
 }
 
 // BenchmarkSolve_BayesianCold measures one curve of the uncertainty figure
@@ -187,6 +203,7 @@ func BenchmarkSolve_BayesianCold(b *testing.B) {
 	p := utility.Default()
 	grid := mathx.LinSpace(1.4, 2.8, 29)
 	prior := core.TypePrior{Values: []float64{0.2, 0.4}, Probs: []float64{0.5, 0.5}}
+	var evals uint64
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m, err := core.New(p)
@@ -202,7 +219,9 @@ func BenchmarkSolve_BayesianCold(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		evals += m.ScanEvals()
 	}
+	reportEvals(b, evals)
 }
 
 // BenchmarkSolve_ContSetWarm measures a memoized solve hit: the same cell

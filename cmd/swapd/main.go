@@ -55,6 +55,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
@@ -76,8 +77,45 @@ const (
 )
 
 // newHTTPServer wraps the daemon's handler in its connection deadlines.
+// Its Shutdown closes every connection that carries no request (see
+// quietConns).
 func newHTTPServer(h http.Handler) *http.Server {
-	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	quiet := &quietConns{state: make(map[net.Conn]http.ConnState)}
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout, ConnState: quiet.track}
+	srv.RegisterOnShutdown(quiet.close)
+	return srv
+}
+
+// quietConns tracks each open connection's state, so that shutting down
+// can close the ones that carry no request. http.Server.Shutdown closes
+// idle connections itself but counts one that has sent nothing
+// (StateNew) as active until it is 5 s old, so a silent client would hold
+// the exit that long after the RPC drain.
+type quietConns struct {
+	mu    sync.Mutex
+	state map[net.Conn]http.ConnState
+}
+
+func (q *quietConns) track(c net.Conn, s http.ConnState) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if s == http.StateClosed || s == http.StateHijacked {
+		delete(q.state, c)
+	} else {
+		q.state[c] = s
+	}
+}
+
+// close closes every new or idle connection. Shutdown runs it once its
+// listeners are closed, which the daemon does after the RPC drain.
+func (q *quietConns) close() {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for c, s := range q.state {
+		if s == http.StateNew || s == http.StateIdle {
+			c.Close()
+		}
+	}
 }
 
 func main() {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/dist"
 	"repro/internal/mathx"
@@ -168,6 +169,15 @@ func (e *t2Eval) bobCont(logy float64) float64 {
 	return e.m.k.discBTauB * val
 }
 
+// settled returns the t2 prices outside which Eq. 35 fixes the sign of
+// U^B_t2(cont) − y: cont > y for every y < below (every term is ≥ 0, the
+// released deposit among them) and cont < y for every y > above (TailProb
+// ≤ 1, PE_below ≤ P̄_t3, CDF ≤ 1). The factors ½ and 2 dwarf any rounding.
+func (e *t2Eval) settled() (below, above float64) {
+	k := &e.m.k
+	return 0.5 * k.discBTauB * e.qDiscB, 2 * k.discBTauB * (e.qDiscB + e.bobCont3 + k.growth2B*e.pbar + e.qBank)
+}
+
 // succ is the success probability of the t3 subgame seen from t2 price y
 // (the inner factor of Eq. 31): P[P_t3 > P̄_t3 | P_t2 = y].
 func (e *t2Eval) succ(logy float64) float64 {
@@ -261,7 +271,8 @@ func (m *Model) unitRegion(kappa float64) mathx.IntervalSet {
 // and the tests' reference.
 func (m *Model) contSetT2Scan(pstar, q float64) mathx.IntervalSet {
 	e := m.newT2Eval(pstar, q)
-	return m.t2RegionScan(pstar, q, e.pbar, e.bobCont)
+	below, above := e.settled()
+	return m.t2RegionScan(pstar, q, e.pbar, below, above, e.bobCont, &m.solve.scanEvals)
 }
 
 // t2RegionScan returns {y : bobCont(log y) > y}, B's t2 continuation
@@ -276,9 +287,13 @@ func (m *Model) contSetT2Scan(pstar, q float64) mathx.IntervalSet {
 // equal to the direct scan where the floor does not scale. As y → 0 the
 // cont utility tends to Q·e^{−rB·τb}(e^{−rB·τa} + e^{−rB(εb+τa)}) > 0 while
 // the stop utility y vanishes, and with Q = 0 both are linear in y, so the
-// sign at the floor holds down to 0.
-func (m *Model) t2RegionScan(pstar, q, pbar float64, bobCont func(logy float64) float64) mathx.IntervalSet {
-	diff := func(y float64) float64 { return bobCont(math.Log(y)) - y }
+// sign at the floor holds down to 0. Only the nodes between the settled
+// bounds below and above are scanned (mathx.FindAllRootsRefinedWithin);
+// the scan adds its diff evaluations to evals.
+func (m *Model) t2RegionScan(pstar, q, pbar, below, above float64, bobCont func(logy float64) float64, evals *atomic.Uint64) mathx.IntervalSet {
+	var n uint64
+	defer func() { evals.Add(n) }()
+	diff := func(y float64) float64 { n++; return bobCont(math.Log(y)) - y }
 	b := m.params.Bob
 	// Upper bound: U^B_t2(cont) ≤ q + (1+αB)P* + e^{2(µ−rB)τb}·P̄_t3 up to
 	// discount factors ≤ e^{|µ|τ}, so cont < stop surely beyond a small
@@ -287,7 +302,7 @@ func (m *Model) t2RegionScan(pstar, q, pbar float64, bobCont func(logy float64) 
 	hi := 4*((1+b.Alpha)*pstar+growth*pbar+q+1) + 2*m.params.P0
 	lo := 1e-7 * math.Min(m.params.P0, pstar)
 	logDiff := func(u float64) float64 { return diff(math.Exp(u)) }
-	logRoots := mathx.FindAllRootsRefined(logDiff, math.Log(lo), math.Log(hi), m.scanN, m.tol)
+	logRoots := mathx.FindAllRootsRefinedWithin(logDiff, math.Log(lo), math.Log(hi), m.scanN, math.Log(below), math.Log(above), m.tol)
 	roots := make([]float64, len(logRoots))
 	for i, u := range logRoots {
 		roots[i] = math.Exp(u)

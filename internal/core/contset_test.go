@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/config"
@@ -129,12 +131,7 @@ func successRateOverSet(m *Model, set mathx.IntervalSet, pstar, q float64) float
 func TestBayesianScaledContSetMatchesDirectScan(t *testing.T) {
 	m := newDefaultModel(t)
 	var worst float64
-	for _, prior := range []TypePrior{
-		PointPrior(0.3),
-		{Values: []float64{0.2, 0.4}, Probs: []float64{0.5, 0.5}},
-		{Values: []float64{0.1, 0.5}, Probs: []float64{0.5, 0.5}},
-		{Values: []float64{0.05, 0.55}, Probs: []float64{0.5, 0.5}},
-	} {
+	for _, prior := range uncertaintyPriors {
 		b, err := m.Bayesian(PointPrior(m.params.Alice.Alpha), prior)
 		if err != nil {
 			t.Fatal(err)
@@ -242,6 +239,153 @@ func TestPerModelTablesConcurrent(t *testing.T) {
 		}
 		if resp[i] != resp[0] {
 			t.Errorf("goroutine %d got a separate z-table", i)
+		}
+	}
+}
+
+// windowKappas are the deposit ratios κ = Q/P* the windowed t2 scan is
+// checked at: the basic game, Fig. 8's range, κ = 0.0193 just below Table
+// III's root birth (its region is [0, 0.397] ∪ [0.481, 1.215] there) and
+// deposits that dwarf the rate.
+var windowKappas = []float64{0, 1e-3, 0.01, 0.0193, 0.1, 0.5, 5, 50}
+
+// uncertaintyPriors are the uncertainty figure's priors over a premium.
+var uncertaintyPriors = []TypePrior{
+	PointPrior(0.3),
+	{Values: []float64{0.2, 0.4}, Probs: []float64{0.5, 0.5}},
+	{Values: []float64{0.1, 0.5}, Probs: []float64{0.5, 0.5}},
+	{Values: []float64{0.05, 0.55}, Probs: []float64{0.5, 0.5}},
+}
+
+// bayesianT2Mixture restates Bayesian.contSetT2Scan's inputs for the
+// tests: the typed Model with A's mean premium that brackets the scan,
+// the largest of A's types' settled bounds, and a type-αB B's t2 cont
+// utility averaged over A's types.
+func bayesianT2Mixture(b *Bayesian, alphaB, pstar float64) (ref *Model, above float64, bobCont func(logy float64) float64) {
+	evals := make([]t2Eval, len(b.priorA.Values))
+	for i, alphaA := range b.priorA.Values {
+		evals[i] = b.typedModel(alphaA, alphaB).newT2Eval(pstar, 0)
+		above = math.Max(above, 2*b.m.k.discBTauB*(evals[i].bobCont3+b.m.k.growth2B*evals[i].pbar))
+	}
+	bobCont = func(logy float64) float64 {
+		var u float64
+		for i := range evals {
+			u += b.priorA.Probs[i] * evals[i].bobCont(logy)
+		}
+		return u
+	}
+	return b.typedModel(b.priorA.Mean(), alphaB), above, bobCont
+}
+
+// sameBits reports whether two regions have bit-identical endpoints.
+func sameBits(a, b mathx.IntervalSet) bool {
+	x, y := a.Intervals(), b.Intervals()
+	if len(x) != len(y) {
+		return false
+	}
+	for i := range x {
+		if math.Float64bits(x[i].Lo) != math.Float64bits(y[i].Lo) || math.Float64bits(x[i].Hi) != math.Float64bits(y[i].Hi) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestWindowedT2ScanMatchesFullGrid checks that scanning only the nodes
+// between the settled bounds changes no region: on the presets and the 64
+// universe cells at every windowKappas ratio (at the unit rate and at the
+// scenario's rate), and for every B type of the uncertainty figure's
+// priors (with A's prior the figure's point prior and each of the same
+// priors), the region equals the full [0, n] window's bit for bit.
+func TestWindowedT2ScanMatchesFullGrid(t *testing.T) {
+	var windowed, full atomic.Uint64
+	for k, sc := range probeScenarios(t) {
+		m, err := New(sc.Params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kappa := range windowKappas {
+			for _, pstar := range []float64{1, sc.PStar} {
+				e := m.newT2Eval(pstar, kappa*pstar)
+				below, above := e.settled()
+				got := m.t2RegionScan(pstar, e.q, e.pbar, below, above, e.bobCont, &windowed)
+				want := m.t2RegionScan(pstar, e.q, e.pbar, 0, math.Inf(1), e.bobCont, &full)
+				if !sameBits(got, want) {
+					t.Errorf("params #%d (%s), P*=%g, κ=%g: windowed %v, full %v", k, sc.Name, pstar, kappa, got, want)
+				}
+			}
+		}
+	}
+	m := newDefaultModel(t)
+	for _, priorA := range uncertaintyPriors {
+		for _, priorB := range uncertaintyPriors {
+			b, err := m.Bayesian(priorA, priorB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, alphaB := range priorB.Values {
+				for _, pstar := range []float64{1, 2} {
+					got := b.contSetT2Scan(alphaB, pstar)
+					ref, _, bobCont := bayesianT2Mixture(b, alphaB, pstar)
+					want := ref.t2RegionScan(pstar, 0, ref.cutoffT3(pstar, 0), 0, math.Inf(1), bobCont, &full)
+					if !sameBits(got, want) {
+						t.Errorf("A prior %v, αB=%g, P*=%g: windowed %v, full %v", priorA.Values, alphaB, pstar, got, want)
+					}
+				}
+			}
+		}
+	}
+	windowed.Add(m.ScanEvals())
+	t.Logf("evaluations: windowed %d, full grid %d (%.1f%% fewer)",
+		windowed.Load(), full.Load(), 100*(1-float64(windowed.Load())/float64(full.Load())))
+}
+
+// TestSettledBoundsHold samples the settled ranges the window skips: on
+// the same cells and ratios, U^B_t2(cont) − y is positive at every sampled
+// y below the lower bound and negative at every sampled y above the upper
+// one, for the complete-information B and for every Bayesian B type.
+func TestSettledBoundsHold(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	check := func(name string, below, above float64, bobCont func(logy float64) float64) {
+		t.Helper()
+		for i := 0; i < 32; i++ {
+			// Log-uniform over 30 e-folds, plus the bounds' own neighbours.
+			s := math.Exp(-30 * rng.Float64())
+			if i == 0 {
+				s = 1 - 1e-12
+			}
+			if y := below * s; y > 0 && bobCont(math.Log(y))-y <= 0 {
+				t.Errorf("%s: diff(%g) = %g ≤ 0 below %g", name, y, bobCont(math.Log(y))-y, below)
+			}
+			if y := above / s; bobCont(math.Log(y))-y >= 0 {
+				t.Errorf("%s: diff(%g) = %g ≥ 0 above %g", name, y, bobCont(math.Log(y))-y, above)
+			}
+		}
+	}
+	for k, sc := range probeScenarios(t) {
+		m, err := New(sc.Params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kappa := range windowKappas {
+			for _, pstar := range []float64{1, sc.PStar} {
+				e := m.newT2Eval(pstar, kappa*pstar)
+				below, above := e.settled()
+				check(fmt.Sprintf("params #%d (%s), P*=%g, κ=%g", k, sc.Name, pstar, kappa), below, above, e.bobCont)
+			}
+		}
+	}
+	m := newDefaultModel(t)
+	for _, priorA := range uncertaintyPriors {
+		for _, priorB := range uncertaintyPriors {
+			b, err := m.Bayesian(priorA, priorB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, alphaB := range priorB.Values {
+				_, above, bobCont := bayesianT2Mixture(b, alphaB, 2)
+				check(fmt.Sprintf("A prior %v, αB=%g", priorA.Values, alphaB), 0, above, bobCont)
+			}
 		}
 	}
 }

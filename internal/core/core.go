@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/dist"
 	"repro/internal/mathx"
@@ -173,8 +174,9 @@ type solveMemo struct {
 	sr      memo.Map[solveKey, float64]            // successRate(pstar, q)
 	ranges  memo.Map[rangeKind, mathx.IntervalSet] // feasible/engagement sets
 
-	respOnce sync.Once
-	resp     *response // newResponse, the uncertain game's z-table
+	scanEvals atomic.Uint64 // utility-difference evaluations of the t2 region scans
+	respOnce  sync.Once
+	resp      *response // newResponse, the uncertain game's z-table
 }
 
 // newSolveMemo returns an empty solve memo with every map bounded by
@@ -196,6 +198,10 @@ func (m *Model) MemoStats() (hits, misses uint64) {
 	add(m.solve.ranges.Stats())
 	return
 }
+
+// ScanEvals reports how often the t2 region scans of the Model and its
+// Bayesian solvers have evaluated B's utility difference: their work.
+func (m *Model) ScanEvals() uint64 { return m.solve.scanEvals.Load() }
 
 // Option configures a Model.
 type Option func(*Model)

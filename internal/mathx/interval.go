@@ -79,6 +79,17 @@ func (s IntervalSet) Contains(x float64) bool {
 	return i > 0 && s.ivs[i-1].Contains(x)
 }
 
+// ContainsScaled reports whether x lies in s.Scale(k) without building
+// the scaled set: it compares x against the same products Lo·k and Hi·k,
+// so it answers exactly as s.Scale(k).Contains(x) does.
+func (s IntervalSet) ContainsScaled(x, k float64) bool {
+	if k <= 0 {
+		return false
+	}
+	i := sort.Search(len(s.ivs), func(i int) bool { return s.ivs[i].Lo*k > x })
+	return i > 0 && x >= s.ivs[i-1].Lo*k && x <= s.ivs[i-1].Hi*k
+}
+
 // TotalLen returns the sum of the interval lengths.
 func (s IntervalSet) TotalLen() float64 {
 	var sum float64

@@ -2,6 +2,7 @@ package mathx
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -197,5 +198,18 @@ func TestIntervalSetScale(t *testing.T) {
 	}
 	if got := s.Scale(1).TotalLen(); got != s.TotalLen() {
 		t.Errorf("identity scale changed length: %v", got)
+	}
+	// ContainsScaled answers exactly as the scaled copy's Contains, at the
+	// endpoints' own products too.
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 2000; i++ {
+		k := []float64{-1, 0, 1, 0.37, 2.5, 1e-3}[i%6]
+		x := 25 * rng.Float64()
+		if i%4 == 0 {
+			x = s.ivs[i%2].Hi * k
+		}
+		if got, want := s.ContainsScaled(x, k), s.Scale(k).Contains(x); got != want {
+			t.Errorf("ContainsScaled(%v, %v) = %v, Scale(%v).Contains = %v", x, k, got, k, want)
+		}
 	}
 }

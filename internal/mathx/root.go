@@ -84,7 +84,7 @@ func Brent(f Func1, a, b, tol float64) (float64, error) {
 // crossing; FindAllRootsRefined adds the search that recovers such a
 // region. Callers choose n densely enough for their problem.
 func FindAllRoots(f Func1, a, b float64, n int, tol float64) []float64 {
-	return scanRoots(f, a, b, n, tol, false)
+	return scanRoots(f, a, b, n, 0, n, tol, false)
 }
 
 // FindAllRootsRefined is FindAllRoots plus near-touch refinement. At every
@@ -98,24 +98,50 @@ func FindAllRoots(f Func1, a, b float64, n int, tol float64) []float64 {
 // minimum; when no search crosses zero, the result equals FindAllRoots'
 // bit for bit.
 func FindAllRootsRefined(f Func1, a, b float64, n int, tol float64) []float64 {
-	return scanRoots(f, a, b, n, tol, true)
+	return scanRoots(f, a, b, n, 0, n, tol, true)
 }
 
-// scanRoots is the panel scan behind FindAllRoots and FindAllRootsRefined.
-func scanRoots(f Func1, a, b float64, n int, tol float64, refine bool) []float64 {
-	if n < 1 || b <= a {
+// FindAllRootsRefinedWithin is FindAllRootsRefined for an f known to keep
+// one nonzero sign on [a, lo] and one on [hi, b]: it samples only the
+// nodes of the same n-panel grid from two below lo to two above hi, with
+// the node formula of the full scan, and searches only the panels and
+// near-touch brackets between them. Every panel and bracket it skips lies
+// where f has a fixed sign and holds no root, so the result equals
+// FindAllRootsRefined's bit for bit; lo ≤ a and hi ≥ b (±Inf included)
+// scan the full grid.
+func FindAllRootsRefinedWithin(f Func1, a, b float64, n int, lo, hi, tol float64) []float64 {
+	h := (b - a) / float64(n)
+	first, last := 0, n
+	if lo > a && lo < b {
+		first = int(math.Floor((lo-a)/h)) - 2
+	}
+	if hi > a && hi < b {
+		last = int(math.Ceil((hi-a)/h)) + 2
+	}
+	return scanRoots(f, a, b, n, max(first, 0), min(last, n), tol, true)
+}
+
+// node returns the i-th of the n+1 nodes of the n-panel grid over [a, b].
+func node(a, b, h float64, i, n int) float64 {
+	if i == n {
+		return b // avoid accumulation error at the right endpoint
+	}
+	return a + float64(i)*h
+}
+
+// scanRoots is the panel scan behind FindAllRoots and FindAllRootsRefined:
+// it samples nodes first..last of the n-panel grid over [a, b].
+func scanRoots(f Func1, a, b float64, n, first, last int, tol float64, refine bool) []float64 {
+	if n < 1 || b <= a || last <= first {
 		return nil
 	}
 	var roots []float64
 	h := (b - a) / float64(n)
 	var xp, fp float64 // the sample before x0, once x0 is interior
-	x0 := a
+	x0 := node(a, b, h, first, n)
 	f0 := f(x0)
-	for i := 1; i <= n; i++ {
-		x1 := a + float64(i)*h
-		if i == n {
-			x1 = b // avoid accumulation error at the right endpoint
-		}
+	for i := first + 1; i <= last; i++ {
+		x1 := node(a, b, h, i, n)
 		f1 := f(x1)
 		switch {
 		case f0 == 0:
@@ -126,7 +152,7 @@ func scanRoots(f Func1, a, b float64, n int, tol float64, refine bool) []float64
 			if r, err := Brent(f, x0, x1, tol); err == nil {
 				roots = append(roots, r)
 			}
-		case refine && i > 1 && f1 != 0 && (fp > 0) == (f0 > 0) &&
+		case refine && i > first+1 && f1 != 0 && (fp > 0) == (f0 > 0) &&
 			math.Abs(f0) <= math.Abs(fp) && math.Abs(f0) < math.Abs(f1):
 			roots = appendTouchRoots(roots, f, xp, x1, f0 > 0, tol)
 		}

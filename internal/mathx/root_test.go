@@ -158,6 +158,55 @@ func TestFindAllRootsRefinedKeepsCrossings(t *testing.T) {
 	}
 }
 
+// TestFindAllRootsRefinedWithinMatchesFullScan checks the windowed scan on
+// a cubic with three crossings plus a region narrower than one panel:
+// f > 0 on [0, 0.9] and f < 0 on [4.1, 8], so every settled range inside
+// those returns FindAllRootsRefined's roots bit for bit, while evaluating f
+// only within two panels of the unsettled range, and ranges reaching past
+// the domain scan the full grid. A range that wrongly settles a root loses
+// it.
+func TestFindAllRootsRefinedWithinMatchesFullScan(t *testing.T) {
+	const a, b, n, tol = 0.0, 8.0, 200, 1e-12
+	f := func(x float64) float64 {
+		z := (x - 1.7) / 0.005
+		return -(x-1)*(x-2.5)*(x-4) + 3/(1+z*z)
+	}
+	want := FindAllRootsRefined(f, a, b, n, tol)
+	if len(want) != 5 {
+		t.Fatalf("full scan found %v, want 5 roots", want)
+	}
+	same := func(got []float64) bool {
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	const h = (b - a) / n
+	for _, lo := range []float64{math.Inf(-1), -1, a, 0.013, 0.3, 0.57, 0.9} {
+		for _, hi := range []float64{4.1, 4.37, 6, 7.99, b, 9, math.Inf(1)} {
+			minX, maxX := math.Inf(1), math.Inf(-1)
+			got := FindAllRootsRefinedWithin(func(x float64) float64 {
+				minX, maxX = math.Min(minX, x), math.Max(maxX, x)
+				return f(x)
+			}, a, b, n, lo, hi, tol)
+			if !same(got) {
+				t.Fatalf("settled outside [%g, %g]: %v, full scan %v", lo, hi, got, want)
+			}
+			if minX < math.Max(a, lo-3*h) || maxX > math.Min(b, hi+3*h) {
+				t.Errorf("settled outside [%g, %g]: evaluated f on [%g, %g]", lo, hi, minX, maxX)
+			}
+		}
+	}
+	if got := FindAllRootsRefinedWithin(f, a, b, n, 1.2, math.Inf(1), tol); same(got) {
+		t.Errorf("a range settling the root at 1 still returned %v", got)
+	}
+}
+
 func TestLinSpace(t *testing.T) {
 	got := LinSpace(0, 1, 5)
 	want := []float64{0, 0.25, 0.5, 0.75, 1}

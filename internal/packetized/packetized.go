@@ -185,28 +185,25 @@ func Run(cfg Config) (Result, error) {
 		price := cfg.Params.P0
 		done := 0
 		for k := 0; k < cfg.Packets; k++ {
-			strat := fixed
+			// B's region is tested scaled in place (scale 1 at the fixed
+			// rate) rather than built as a scaled copy per packet.
+			region, scale, cutoff := fixed.BobContT2, 1.0, fixed.AliceCutoffT3
 			if cfg.Requote {
 				if !quotedViable {
 					break
 				}
-				scale := price / cfg.Params.P0
-				strat = core.Strategy{
-					PStar:          quoted.PStar * scale,
-					AliceInitiates: true,
-					BobContT2:      quoted.BobContT2.Scale(scale),
-					AliceCutoffT3:  quoted.AliceCutoffT3 * scale,
-				}
-			} else if !strat.AliceInitiates && !cfg.ForceInitiate && k == 0 {
+				scale = price / cfg.Params.P0
+				region, cutoff = quoted.BobContT2, quoted.AliceCutoffT3*scale
+			} else if !fixed.AliceInitiates && !cfg.ForceInitiate && k == 0 {
 				// A fixed rate outside the feasible band never starts.
 				break
 			}
 			pT2 := cfg.Params.Price.Step(src, price, cfg.Params.Chains.TauA)
-			success := strat.BobContT2.Contains(pT2)
+			success := region.ContainsScaled(pT2, scale)
 			var pEnd float64
 			if success {
 				pT3 := cfg.Params.Price.Step(src, pT2, cfg.Params.Chains.TauB)
-				success = pT3 > strat.AliceCutoffT3
+				success = pT3 > cutoff
 				pEnd = pT3
 			} else {
 				pEnd = pT2

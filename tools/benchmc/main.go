@@ -28,7 +28,11 @@
 // ("Name=seconds,...") it gates named benchmarks on absolute wall time per
 // op — the end-to-end full-figures ceiling (`make bench-check` pins
 // BenchmarkFiguresFull at 1.0s), the one deliberate exception to the
-// no-wall-gating rule because its headroom is wide. The table also
+// no-wall-gating rule because its headroom is wide. A solve benchmark's
+// evals/op (the t2 region scans' utility-difference evaluations per op,
+// deterministic for a given tree) fails the check whenever it rises above
+// a baseline that also reports it; a drop passes and shows as a delta, to
+// be re-baselined with its cause. The table also
 // reports the ns/op and paths/s deltas against the baseline for the
 // operator's eyes; wall-clock is hardware-dependent, so those columns are
 // deliberately not gated.
@@ -70,6 +74,9 @@ type Benchmark struct {
 	// PathsRatio is a convergence benchmark's paths-to-target divided by
 	// the pseudo sampler's — deterministic per seed, so gateable.
 	PathsRatio float64 `json:"paths_ratio,omitempty"`
+	// EvalsPerOp is a solve benchmark's count of t2 region scan
+	// utility-difference evaluations per op: its deterministic work.
+	EvalsPerOp float64 `json:"evals_per_op,omitempty"`
 	// Groups is the artifact-group count of the full-figures benchmark:
 	// the work covered by its gated wall time.
 	Groups float64 `json:"groups,omitempty"`
@@ -118,6 +125,8 @@ func parse(r io.Reader) ([]Benchmark, error) {
 				b.EffPathsPerSec = v
 			case "pathsratio":
 				b.PathsRatio = v
+			case "evals/op":
+				b.EvalsPerOp = v
 			case "groups":
 				b.Groups = v
 			}
@@ -180,7 +189,8 @@ func parseMaxWall(spec string) (map[string]float64, error) {
 
 // check compares a run against the merged baselines: allocs/op is gated at
 // maxRatio (a zero baseline admits only zero), pathsratio (when reported
-// and maxPathsRatio > 0) at its absolute ceiling, ns/op and paths/s are
+// and maxPathsRatio > 0) at its absolute ceiling, evals/op (when both
+// sides report it) at the baseline itself, ns/op and paths/s are
 // reported as informational deltas. The pathsratio gate is absolute, not relative to the baseline:
 // the adaptive stop is deterministic per seed, so a variance-reduced mode
 // drifting past its documented convergence bound is a correctness
@@ -190,9 +200,9 @@ func parseMaxWall(spec string) (map[string]float64, error) {
 // fails, so a rename cannot silently drop the gate).
 func check(current []Benchmark, base map[string]Benchmark, maxRatio, maxPathsRatio float64, maxWall map[string]float64, out io.Writer) error {
 	matched := 0
-	var allocFailures, pathsFailures []string
-	fmt.Fprintf(out, "%-40s %21s %8s %9s %9s %7s %s\n",
-		"benchmark", "allocs/op (vs base)", "ratio", "ns/op Δ", "paths/s Δ", "paths×", "gate")
+	var allocFailures, pathsFailures, evalsFailures []string
+	fmt.Fprintf(out, "%-40s %21s %8s %9s %9s %7s %9s %s\n",
+		"benchmark", "allocs/op (vs base)", "ratio", "ns/op Δ", "paths/s Δ", "paths×", "evals Δ", "gate")
 	for _, cur := range current {
 		ref, ok := base[cur.Name]
 		if !ok {
@@ -219,9 +229,14 @@ func check(current []Benchmark, base map[string]Benchmark, maxRatio, maxPathsRat
 				pathsFailures = append(pathsFailures, cur.Name)
 			}
 		}
-		fmt.Fprintf(out, "%-40s %10.0f %10.0f %7.2fx %9s %9s %7s %s\n",
+		if cur.EvalsPerOp > 0 && ref.EvalsPerOp > 0 && cur.EvalsPerOp > ref.EvalsPerOp {
+			status = "FAIL"
+			evalsFailures = append(evalsFailures, fmt.Sprintf("%s (%.0f > %.0f)", cur.Name, cur.EvalsPerOp, ref.EvalsPerOp))
+		}
+		fmt.Fprintf(out, "%-40s %10.0f %10.0f %7.2fx %9s %9s %7s %9s %s\n",
 			cur.Name, cur.AllocsPerOp, ref.AllocsPerOp, ratio,
-			delta(cur.NsPerOp, ref.NsPerOp), delta(cur.PathsPerSec, ref.PathsPerSec), pathsCol, status)
+			delta(cur.NsPerOp, ref.NsPerOp), delta(cur.PathsPerSec, ref.PathsPerSec), pathsCol,
+			delta(cur.EvalsPerOp, ref.EvalsPerOp), status)
 	}
 	if matched == 0 {
 		return fmt.Errorf("benchmc: no benchmark matched the baselines — regenerate with `make bench-json`")
@@ -253,6 +268,9 @@ func check(current []Benchmark, base map[string]Benchmark, maxRatio, maxPathsRat
 	}
 	if len(pathsFailures) > 0 {
 		errs = append(errs, fmt.Sprintf("paths-to-precision ratio exceeded %.2fx pseudo on: %s", maxPathsRatio, strings.Join(pathsFailures, ", ")))
+	}
+	if len(evalsFailures) > 0 {
+		errs = append(errs, fmt.Sprintf("evals/op rose on: %s", strings.Join(evalsFailures, ", ")))
 	}
 	if len(wallFailures) > 0 {
 		errs = append(errs, fmt.Sprintf("wall-time ceiling exceeded on: %s", strings.Join(wallFailures, ", ")))

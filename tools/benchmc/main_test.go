@@ -137,6 +137,46 @@ func TestParseGroupsMetric(t *testing.T) {
 	}
 }
 
+// TestEvalsGate exercises the evals/op gate: the count is parsed and
+// written, an equal or lower count passes (a drop shows as a delta), a
+// rise fails by name, and a side that does not report it is not gated.
+func TestEvalsGate(t *testing.T) {
+	const base = "BenchmarkSolve_Fig8Cold-2 \t 1\t 36212125 ns/op\t 77806 evals/op\t 200384 B/op\t 5918 allocs/op\n"
+	path := filepath.Join(t.TempDir(), "BENCH_solve.json")
+	if err := run([]string{"-o", path}, strings.NewReader(base), &strings.Builder{}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"evals_per_op": 77806`) {
+		t.Fatalf("baseline lacks evals_per_op:\n%s", raw)
+	}
+	for _, tc := range []struct {
+		name, evals string
+		fail        bool
+	}{
+		{"equal", "77806 evals/op\t", false},
+		{"drop", "70000 evals/op\t", false},
+		{"rise", "77807 evals/op\t", true},
+		{"unreported", "", false},
+	} {
+		run1 := strings.Replace(base, "77806 evals/op\t", tc.evals, 1)
+		var out strings.Builder
+		err := run([]string{"-against", path}, strings.NewReader(run1), &out)
+		if (err != nil) != tc.fail {
+			t.Errorf("%s: err = %v, want failure %v\n%s", tc.name, err, tc.fail, out.String())
+		}
+		if tc.fail && (err == nil || !strings.Contains(err.Error(), "BenchmarkSolve_Fig8Cold")) {
+			t.Errorf("%s: failure does not name the benchmark: %v", tc.name, err)
+		}
+		if tc.name == "drop" && !strings.Contains(out.String(), "-10.0%") {
+			t.Errorf("drop: table lacks the evals delta:\n%s", out.String())
+		}
+	}
+}
+
 // TestMaxWallGate exercises the absolute wall-time ceiling: a benchmark
 // under its Name=seconds budget passes, one over it fails by name, and a
 // gate naming a benchmark absent from the run fails rather than silently
