@@ -39,6 +39,9 @@ func TestBasicSolve(t *testing.T) {
 	}
 }
 
+// TestCollateralSolve checks the collateral solve's labels and pins its
+// engagement sets to the strings Fig. 8's golden prints for Q = 0.1: the
+// CLI and the figure are the two consumers of the engagement scans.
 func TestCollateralSolve(t *testing.T) {
 	out, err := capture(t, []string{"-pstar", "2", "-q", "0.1"})
 	if err != nil {
@@ -49,6 +52,36 @@ func TestCollateralSolve(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
+	golden, err := os.ReadFile("../../internal/figures/testdata/golden/fig8.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, fig, ok := strings.Cut(string(golden), "==== fig8-q0.1 ====")
+	if !ok {
+		t.Fatal("fig8.golden has no Q = 0.1 panel")
+	}
+	for _, pin := range []struct{ golden, cli string }{
+		{"Alice engages on 𝒫^A = ", "Alice's engagement rates 𝒫^A:"},
+		{"Bob engages on 𝒫^B = ", "Bob's engagement rates 𝒫^B:"},
+		{"intersection (both engage) = ", "joint engagement (intersection):"},
+	} {
+		want := lineAfter(t, fig, pin.golden)
+		if got := lineAfter(t, out, pin.cli); strings.TrimSpace(got) != want {
+			t.Errorf("%s %q, fig8.golden prints %q", pin.cli, strings.TrimSpace(got), want)
+		}
+	}
+}
+
+// lineAfter returns the rest of the first line of text that contains
+// label, after the label.
+func lineAfter(t *testing.T, text, label string) string {
+	t.Helper()
+	_, rest, ok := strings.Cut(text, label)
+	if !ok {
+		t.Fatalf("no %q line in:\n%s", label, text)
+	}
+	line, _, _ := strings.Cut(rest, "\n")
+	return line
 }
 
 func TestUncertainSolve(t *testing.T) {

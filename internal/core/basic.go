@@ -264,15 +264,21 @@ func (m *Model) contSetT2(pstar, q float64) mathx.IntervalSet {
 // direct scan at (P*, Q) to root tolerance (≤1e-9 relative on the presets
 // and the universe; TestScaledContSetMatchesDirectScan).
 func (m *Model) unitRegion(kappa float64) mathx.IntervalSet {
-	return m.solve.regions.Do(kappa, func() mathx.IntervalSet { return m.contSetT2Scan(1, kappa) })
+	return m.unitRegionNear(kappa, mathx.IntervalSet{})
 }
 
-// contSetT2Scan is the direct scan at (P*, Q): the scan behind unitRegion
-// and the tests' reference.
-func (m *Model) contSetT2Scan(pstar, q float64) mathx.IntervalSet {
+// unitRegionNear is unitRegion given prev, S at a nearby κ, whose roots the
+// scan carries: the hint changes its cost, never its result.
+func (m *Model) unitRegionNear(kappa float64, prev mathx.IntervalSet) mathx.IntervalSet {
+	return m.solve.regions.Do(kappa, func() mathx.IntervalSet { return m.contSetT2Scan(1, kappa, prev) })
+}
+
+// contSetT2Scan is the scan at (P*, Q) behind unitRegion; with an empty
+// prev it is the direct scan, the tests' reference.
+func (m *Model) contSetT2Scan(pstar, q float64, prev mathx.IntervalSet) mathx.IntervalSet {
 	e := m.newT2Eval(pstar, q)
 	below, above := e.settled()
-	return m.t2RegionScan(pstar, q, e.pbar, below, above, e.bobCont, &m.solve.scanEvals)
+	return m.t2RegionScan(pstar, q, e.pbar, below, above, e.bobCont, &m.solve.scanEvals, prev)
 }
 
 // t2RegionScan returns {y : bobCont(log y) > y}, B's t2 continuation
@@ -288,9 +294,9 @@ func (m *Model) contSetT2Scan(pstar, q float64) mathx.IntervalSet {
 // cont utility tends to Q·e^{−rB·τb}(e^{−rB·τa} + e^{−rB(εb+τa)}) > 0 while
 // the stop utility y vanishes, and with Q = 0 both are linear in y, so the
 // sign at the floor holds down to 0. Only the nodes between the settled
-// bounds below and above are scanned (mathx.FindAllRootsRefinedWithin);
-// the scan adds its diff evaluations to evals.
-func (m *Model) t2RegionScan(pstar, q, pbar, below, above float64, bobCont func(logy float64) float64, evals *atomic.Uint64) mathx.IntervalSet {
+// bounds below and above are scanned, or prev's roots carried when it has
+// the three Fig. 7 allows (mathx.FindRootsNear); evals counts diff calls.
+func (m *Model) t2RegionScan(pstar, q, pbar, below, above float64, bobCont func(logy float64) float64, evals *atomic.Uint64, prev mathx.IntervalSet) mathx.IntervalSet {
 	var n uint64
 	defer func() { evals.Add(n) }()
 	diff := func(y float64) float64 { n++; return bobCont(math.Log(y)) - y }
@@ -302,7 +308,10 @@ func (m *Model) t2RegionScan(pstar, q, pbar, below, above float64, bobCont func(
 	hi := 4*((1+b.Alpha)*pstar+growth*pbar+q+1) + 2*m.params.P0
 	lo := 1e-7 * math.Min(m.params.P0, pstar)
 	logDiff := func(u float64) float64 { return diff(math.Exp(u)) }
-	logRoots := mathx.FindAllRootsRefinedWithin(logDiff, math.Log(lo), math.Log(hi), m.scanN, math.Log(below), math.Log(above), m.tol)
+	logRoots, carried := mathx.FindRootsNear(logDiff, math.Log(lo), math.Log(hi), m.scanN, math.Log(below), math.Log(above), m.tol, prev.LogEdges(), 3)
+	if carried {
+		m.solve.carried.Add(1)
+	}
 	roots := make([]float64, len(logRoots))
 	for i, u := range logRoots {
 		roots[i] = math.Exp(u)
@@ -394,10 +403,15 @@ func (m *Model) aliceContT1Over(unit mathx.IntervalSet, pstar, q float64) float6
 // ends up continuing. With collateral q it is U^B_t1,c(cont) of Eq. 37
 // (discounted at rB; see DESIGN.md deviation 3).
 func (m *Model) bobContT1(pstar, q float64) float64 {
+	return m.bobContT1Over(m.unitRegion(q/pstar), pstar, q)
+}
+
+// bobContT1Over is bobContT1 over the t2 continuation region pstar·unit.
+func (m *Model) bobContT1Over(unit mathx.IntervalSet, pstar, q float64) float64 {
 	e := m.newT2Eval(pstar, q)
 	tr := m.transitionTauA(m.params.P0)
 	var contPart, peInside float64
-	for _, u := range m.unitRegion(q / pstar).Intervals() {
+	for _, u := range unit.Intervals() {
 		iv := mathx.Interval{Lo: u.Lo * pstar, Hi: u.Hi * pstar}
 		contPart += m.integrateT1(iv, e.bobCont)
 		peInside += tr.PartialExpectationBelow(iv.Hi) - tr.PartialExpectationBelow(iv.Lo)

@@ -163,7 +163,7 @@ func (b *Bayesian) contSetT2Scan(alphaB, pstar float64) mathx.IntervalSet {
 		return u
 	}
 	ref := b.typedModel(b.priorA.Mean(), alphaB)
-	return ref.t2RegionScan(pstar, 0, ref.cutoffT3(pstar, 0), 0, above, bobCont, &b.m.solve.scanEvals)
+	return ref.t2RegionScan(pstar, 0, ref.cutoffT3(pstar, 0), 0, above, bobCont, &b.m.solve.scanEvals, mathx.IntervalSet{})
 }
 
 // aliceContT1 is a type-αA A's t1 cont utility, averaging over B's types'

@@ -121,26 +121,30 @@ func (c *Collateral) BobUtilityT1(action Action, pstar float64) (float64, error)
 	}
 }
 
-// feasibleSet scans P* for the region where diff > 0, memoized per
-// (kind, Q) on the Model.
-func (c *Collateral) feasibleSet(kind byte, diff mathx.Func1) mathx.IntervalSet {
+// feasibleSet scans P* for the region where diff(P*, S(Q/P*)) > 0,
+// memoized per (kind, Q) on the Model. Each probe's region is the next
+// probe's hint (unitRegionNear).
+func (c *Collateral) feasibleSet(kind byte, diff func(p float64, unit mathx.IntervalSet) float64) mathx.IntervalSet {
 	return c.m.solve.ranges.Do(rangeKind{kind: kind, q: c.q}, func() mathx.IntervalSet {
+		var unit mathx.IntervalSet
+		f := func(p float64) float64 { unit = c.m.unitRegionNear(c.q/p, unit); return diff(p, unit) }
 		lo, hi := 1e-3, c.m.rateScanBound()+2*c.q
-		roots := mathx.FindAllRoots(diff, lo, hi, c.m.scanN/2, c.m.tol)
-		return mathx.FromSignChanges(diff, lo, hi, roots)
+		return mathx.FromSignChanges(f, lo, hi, mathx.FindAllRoots(f, lo, hi, c.m.scanN/2, c.m.tol))
 	})
 }
 
 // FeasibleRatesAlice returns 𝒫^A: exchange rates at which A prefers to
 // engage at t1 (U^A_t1,c(cont) > P* + Q). Memoized per Q on the Model.
 func (c *Collateral) FeasibleRatesAlice() mathx.IntervalSet {
-	return c.feasibleSet('A', func(p float64) float64 { return c.m.aliceContT1(p, c.q) - (p + c.q) })
+	return c.feasibleSet('A', func(p float64, unit mathx.IntervalSet) float64 { return c.m.aliceContT1Over(unit, p, c.q) - (p + c.q) })
 }
 
 // FeasibleRatesBob returns 𝒫^B: exchange rates at which B prefers to engage
 // at t1 (U^B_t1,c(cont) > P_t1 + Q). Memoized per Q on the Model.
 func (c *Collateral) FeasibleRatesBob() mathx.IntervalSet {
-	return c.feasibleSet('B', func(p float64) float64 { return c.m.bobContT1(p, c.q) - (c.m.params.P0 + c.q) })
+	return c.feasibleSet('B', func(p float64, unit mathx.IntervalSet) float64 {
+		return c.m.bobContT1Over(unit, p, c.q) - (c.m.params.P0 + c.q)
+	})
 }
 
 // FeasibleRatesIntersection returns 𝒫^A ∩ 𝒫^B: rates at which the

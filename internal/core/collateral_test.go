@@ -3,6 +3,9 @@ package core
 import (
 	"errors"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/mathx"
@@ -438,4 +441,82 @@ func TestT1QuadratureMatchesReference(t *testing.T) {
 		}
 	}
 	t.Logf("worst absolute gap %.2g", worst)
+}
+
+// hintFreeEngagement is feasibleSet without hints: the P* scan of diff
+// over per-rate regions from the direct scan (unitRegion).
+func hintFreeEngagement(m *Model, q float64, diff func(p float64) float64) mathx.IntervalSet {
+	lo, hi := 1e-3, m.rateScanBound()+2*q
+	return mathx.FromSignChanges(diff, lo, hi, mathx.FindAllRoots(diff, lo, hi, m.scanN/2, m.tol))
+}
+
+// TestEngagementRegionsMatchDirectScan checks that carrying roots between
+// the engagement scans' probes changes no region: on Fig. 8's model at
+// Q ∈ {0.01, 0.1} and on the presets and the 64 universe cells at
+// Q ∈ {0.01, 0.1, 0.5}, every κ that FeasibleRatesAlice and
+// FeasibleRatesBob visit holds the direct scan's region bit for bit, and
+// 𝒫^A and 𝒫^B equal those of a Model scanned without hints. It logs how
+// many of those scans fell back to the direct scan. The cells run on
+// GOMAXPROCS goroutines.
+func TestEngagementRegionsMatchDirectScan(t *testing.T) {
+	type cell struct {
+		name string
+		p    utility.Params
+		q    float64
+	}
+	cells := []cell{{"fig8", utility.Default(), 0.01}, {"fig8", utility.Default(), 0.1}}
+	for _, sc := range probeScenarios(t) {
+		for _, q := range []float64{0.01, 0.1, 0.5} {
+			cells = append(cells, cell{sc.Name, sc.Params, q})
+		}
+	}
+	var scans, carried, evals, refEvals atomic.Uint64
+	check := func(k int, cl cell) {
+		m, err := New(cl.p)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		ref, _ := New(cl.p)
+		c, _ := m.Collateral(cl.q)
+		q := cl.q
+		fa, fb := c.FeasibleRatesAlice(), c.FeasibleRatesBob()
+		wantA := hintFreeEngagement(ref, q, func(p float64) float64 { return ref.aliceContT1(p, q) - (p + q) })
+		wantB := hintFreeEngagement(ref, q, func(p float64) float64 { return ref.bobContT1(p, q) - (ref.params.P0 + q) })
+		if !sameBits(fa, wantA) || !sameBits(fb, wantB) {
+			t.Errorf("cell #%d (%s, Q=%g): 𝒫^A %v, 𝒫^B %v; without hints %v, %v", k, cl.name, q, fa, fb, wantA, wantB)
+		}
+		if n := m.solve.regions.Evictions(); n != 0 {
+			t.Errorf("cell #%d (%s, Q=%g): %d regions evicted before the check", k, cl.name, q, n)
+		}
+		m.solve.regions.Range(func(kappa float64, got mathx.IntervalSet) bool {
+			if want := ref.unitRegion(kappa); !sameBits(got, want) {
+				t.Errorf("cell #%d (%s, Q=%g), κ=%g: carried %v, direct %v", k, cl.name, q, kappa, got, want)
+			}
+			return true
+		})
+		_, misses := m.solve.regions.Stats()
+		scans.Add(misses)
+		carried.Add(m.solve.carried.Load())
+		evals.Add(m.ScanEvals())
+		refEvals.Add(ref.ScanEvals())
+	}
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for range runtime.GOMAXPROCS(0) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range next {
+				check(k, cells[k])
+			}
+		}()
+	}
+	for k := range cells {
+		next <- k
+	}
+	close(next)
+	wg.Wait()
+	t.Logf("%d t2 scans under the engagement scans: %d carried, %d fell back; evaluations %d, direct %d",
+		scans.Load(), carried.Load(), scans.Load()-carried.Load(), evals.Load(), refEvals.Load())
 }

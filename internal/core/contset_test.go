@@ -61,7 +61,7 @@ func TestNarrowT2RegionsPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := dense.contSetT2Scan(sc.PStar, 0).Bounds()
+		ref := dense.contSetT2Scan(sc.PStar, 0, mathx.IntervalSet{}).Bounds()
 		if relErr(iv.Lo, ref.Lo) > 1e-9 || relErr(iv.Hi, ref.Hi) > 1e-9 {
 			t.Errorf("%s: region %v, 4800-panel scan %v", sc.Name, iv, ref)
 		}
@@ -87,7 +87,7 @@ func TestScaledContSetMatchesDirectScan(t *testing.T) {
 		for _, q := range []float64{0, 0.01, 0.1, 0.5} {
 			for _, pstar := range []float64{0.3, 1, 1.7, sc.PStar, 2.4, 2.9, 4.5} {
 				got := m.contSetT2(pstar, q).Intervals()
-				direct := m.contSetT2Scan(pstar, q)
+				direct := m.contSetT2Scan(pstar, q, mathx.IntervalSet{})
 				want := direct.Intervals()
 				if len(got) != len(want) {
 					t.Fatalf("params #%d (%s), P*=%g, Q=%g: scaled region %v, direct %v", k, sc.Name, pstar, q, got, want)
@@ -308,8 +308,8 @@ func TestWindowedT2ScanMatchesFullGrid(t *testing.T) {
 			for _, pstar := range []float64{1, sc.PStar} {
 				e := m.newT2Eval(pstar, kappa*pstar)
 				below, above := e.settled()
-				got := m.t2RegionScan(pstar, e.q, e.pbar, below, above, e.bobCont, &windowed)
-				want := m.t2RegionScan(pstar, e.q, e.pbar, 0, math.Inf(1), e.bobCont, &full)
+				got := m.t2RegionScan(pstar, e.q, e.pbar, below, above, e.bobCont, &windowed, mathx.IntervalSet{})
+				want := m.t2RegionScan(pstar, e.q, e.pbar, 0, math.Inf(1), e.bobCont, &full, mathx.IntervalSet{})
 				if !sameBits(got, want) {
 					t.Errorf("params #%d (%s), P*=%g, κ=%g: windowed %v, full %v", k, sc.Name, pstar, kappa, got, want)
 				}
@@ -327,7 +327,7 @@ func TestWindowedT2ScanMatchesFullGrid(t *testing.T) {
 				for _, pstar := range []float64{1, 2} {
 					got := b.contSetT2Scan(alphaB, pstar)
 					ref, _, bobCont := bayesianT2Mixture(b, alphaB, pstar)
-					want := ref.t2RegionScan(pstar, 0, ref.cutoffT3(pstar, 0), 0, math.Inf(1), bobCont, &full)
+					want := ref.t2RegionScan(pstar, 0, ref.cutoffT3(pstar, 0), 0, math.Inf(1), bobCont, &full, mathx.IntervalSet{})
 					if !sameBits(got, want) {
 						t.Errorf("A prior %v, αB=%g, P*=%g: windowed %v, full %v", priorA.Values, alphaB, pstar, got, want)
 					}

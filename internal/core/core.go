@@ -175,6 +175,7 @@ type solveMemo struct {
 	ranges  memo.Map[rangeKind, mathx.IntervalSet] // feasible/engagement sets
 
 	scanEvals atomic.Uint64 // utility-difference evaluations of the t2 region scans
+	carried   atomic.Uint64 // t2 region scans that carried a nearby κ's roots
 	respOnce  sync.Once
 	resp      *response // newResponse, the uncertain game's z-table
 }

@@ -90,6 +90,21 @@ func (s IntervalSet) ContainsScaled(x, k float64) bool {
 	return i > 0 && x >= s.ivs[i-1].Lo*k && x <= s.ivs[i-1].Hi*k
 }
 
+// LogEdges returns the logarithms of the set's positive endpoints in
+// increasing order: for a set FromSignChanges built from 0, the roots it
+// was built from, in log coordinates.
+func (s IntervalSet) LogEdges() []float64 {
+	var out []float64
+	for _, iv := range s.ivs {
+		for _, x := range [2]float64{iv.Lo, iv.Hi} {
+			if x > 0 {
+				out = append(out, math.Log(x))
+			}
+		}
+	}
+	return out
+}
+
 // TotalLen returns the sum of the interval lengths.
 func (s IntervalSet) TotalLen() float64 {
 	var sum float64

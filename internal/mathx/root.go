@@ -110,15 +110,107 @@ func FindAllRootsRefined(f Func1, a, b float64, n int, tol float64) []float64 {
 // FindAllRootsRefined's bit for bit; lo ≤ a and hi ≥ b (±Inf included)
 // scan the full grid.
 func FindAllRootsRefinedWithin(f Func1, a, b float64, n int, lo, hi, tol float64) []float64 {
+	first, last := window(a, b, n, lo, hi)
+	return scanRoots(f, a, b, n, first, last, tol, true)
+}
+
+// FindRootsNear is FindAllRootsRefinedWithin for an f with at most
+// maxRoots roots in the window, given prev, the sorted roots of a nearby
+// member of f's family. When prev holds maxRoots roots it carries them
+// instead of scanning: each is mapped to its fractional node index on f's
+// own grid, nodes are evaluated outward from there until the sign
+// changes, and Brent refines exactly that panel. That is the bracket the
+// scan finds, and with maxRoots sign changes found no further root (no
+// near-touch pair either) can exist, so the roots equal
+// FindAllRootsRefinedWithin's bit for bit. carried is false when it
+// scanned instead: prev has another count (with fewer roots a pair can be
+// born anywhere f turns toward zero, which only the scan's near-touch
+// search sees), two of prev's roots lie within carryMinGap panels of each
+// other (a pair about to die), a root walks more than carryMaxWalk
+// panels or leaves the window, a panel crosses the wrong way or out of
+// order, the window's edge signs disagree with the count, or a node is
+// exactly zero.
+func FindRootsNear(f Func1, a, b float64, n int, lo, hi, tol float64, prev []float64, maxRoots int) (roots []float64, carried bool) {
+	first, last := window(a, b, n, lo, hi)
+	if len(prev) > 0 && len(prev) == maxRoots && n >= 1 && b > a && last > first {
+		if roots = carryRoots(f, a, b, n, first, last, tol, prev); roots != nil {
+			return roots, true
+		}
+	}
+	return scanRoots(f, a, b, n, first, last, tol, true), false
+}
+
+// carryMaxWalk bounds how many panels FindRootsNear walks from a carried
+// root's node before it scans instead; carryMinGap is the closest, in
+// panels, that two carried roots may lie.
+const carryMaxWalk, carryMinGap = 8, 3
+
+// carryRoots finds prev's roots on the grid as FindRootsNear describes,
+// or returns nil when it cannot vouch for the result.
+func carryRoots(f Func1, a, b float64, n, first, last int, tol float64, prev []float64) []float64 {
 	h := (b - a) / float64(n)
-	first, last := 0, n
+	zero := false
+	at := func(i int) float64 {
+		v := f(node(a, b, h, i, n))
+		zero = zero || v == 0
+		return v
+	}
+	// The signs alternate from the window's first node, and an odd count
+	// flips the sign at its last.
+	startPos := at(first) > 0
+	if (at(last) > 0) != (startPos != (len(prev)%2 == 1)) {
+		return nil
+	}
+	roots := make([]float64, 0, len(prev))
+	done := first - 1 // the panel of the root before
+	for j, p := range prev {
+		i := min(max(int(math.Floor((p-a)/h)), first), last-1)
+		if j > 0 && p-prev[j-1] < carryMinGap*h {
+			return nil
+		}
+		leftPos := startPos == (j%2 == 0) // f's sign just left of root j
+		fi, fj := at(i), at(i+1)
+		for walk := 0; (fi > 0) == (fj > 0); walk++ {
+			switch {
+			case walk == carryMaxWalk:
+				return nil
+			case (fi > 0) == leftPos: // both left of the root
+				if i++; i == last {
+					return nil
+				}
+				fi, fj = fj, at(i+1)
+			default:
+				if i--; i < first {
+					return nil
+				}
+				fi, fj = at(i), fi
+			}
+		}
+		if (fi > 0) != leftPos || i <= done || zero {
+			return nil
+		}
+		r, err := Brent(f, node(a, b, h, i, n), node(a, b, h, i+1, n), tol)
+		if err != nil {
+			return nil
+		}
+		roots = append(roots, r)
+		done = i
+	}
+	return roots
+}
+
+// window returns the first and last nodes of the n-panel grid over [a, b]
+// that FindAllRootsRefinedWithin samples for the unsettled range [lo, hi].
+func window(a, b float64, n int, lo, hi float64) (first, last int) {
+	h := (b - a) / float64(n)
+	first, last = 0, n
 	if lo > a && lo < b {
 		first = int(math.Floor((lo-a)/h)) - 2
 	}
 	if hi > a && hi < b {
 		last = int(math.Ceil((hi-a)/h)) + 2
 	}
-	return scanRoots(f, a, b, n, max(first, 0), min(last, n), tol, true)
+	return max(first, 0), min(last, n)
 }
 
 // node returns the i-th of the n+1 nodes of the n-panel grid over [a, b].

@@ -2,6 +2,7 @@ package mathx
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -205,6 +206,77 @@ func TestFindAllRootsRefinedWithinMatchesFullScan(t *testing.T) {
 	if got := FindAllRootsRefinedWithin(f, a, b, n, 1.2, math.Inf(1), tol); same(got) {
 		t.Errorf("a range settling the root at 1 still returned %v", got)
 	}
+}
+
+// TestFindRootsNearMatchesScan carries roots along families of functions
+// with at most three roots and checks every result against
+// FindAllRootsRefinedWithin bit for bit: a drifting cubic (carried after
+// the first member), a pair dying inside one panel and being born again,
+// a hint that jumped too far, and hints whose count or signs do not fit
+// f (all scanned).
+func TestFindRootsNearMatchesScan(t *testing.T) {
+	const a, b, n, tol = 0.0, 8.0, 200, 1e-12
+	lo, hi := 0.5, 7.5
+	same := func(got, want []float64) bool {
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	run := func(name string, f Func1, prev []float64, wantCarried bool) []float64 {
+		t.Helper()
+		want := FindAllRootsRefinedWithin(f, a, b, n, lo, hi, tol)
+		got, carried := FindRootsNear(f, a, b, n, lo, hi, tol, prev, 3)
+		if !same(got, want) {
+			t.Errorf("%s: carried %v from %v, scan %v", name, got, prev, want)
+		}
+		if carried != wantCarried {
+			t.Errorf("%s: carried = %v, want %v (prev %v, roots %v)", name, carried, wantCarried, prev, want)
+		}
+		return got
+	}
+	// Three roots drifting right by 1.25 panels per member.
+	var prev []float64
+	for k := 0; k <= 40; k++ {
+		c := 0.05 * float64(k)
+		f := func(x float64) float64 { return -(x - 1.013 - c) * (x - 2.507 - c/2) * (x - 4.011 - c) }
+		prev = run(fmt.Sprintf("drift c=%g", c), f, prev, k > 0)
+	}
+	// The pair around 3 shrinks into one panel (found by the scan's
+	// near-touch search), vanishes, and comes back.
+	prev = nil
+	carries := 0
+	for k := 0; k <= 60; k++ {
+		d := math.Abs(0.6 - 0.0203*float64(k)) // half-width of the pair
+		f := func(x float64) float64 { return -(x - 1.013) * ((x-3.007)*(x-3.007) - d*d + 1e-3) }
+		want := FindAllRootsRefinedWithin(f, a, b, n, lo, hi, tol)
+		got, carried := FindRootsNear(f, a, b, n, lo, hi, tol, prev, 3)
+		if !same(got, want) {
+			t.Errorf("pair d=%g: carried %v from %v, scan %v", d, got, prev, want)
+		}
+		if carried {
+			carries++
+			if prev[2]-prev[1] < carryMinGap*(b-a)/n {
+				t.Errorf("pair d=%g: carried %v, a pair within %d panels", d, prev, carryMinGap)
+			}
+		}
+		prev = got
+	}
+	if carries == 0 {
+		t.Error("the pair family never carried its roots")
+	}
+	t.Logf("the pair family carried %d of 61 members", carries)
+	cubic := func(x float64) float64 { return -(x - 1.013) * (x - 2.507) * (x - 4.011) }
+	run("jump of 20 panels", cubic, []float64{1.8, 3.3, 4.8}, false)
+	run("one-root hint", cubic, []float64{2.5}, false)
+	run("three-root hint, one root", func(x float64) float64 { return 2.013 - x }, []float64{1, 2.5, 4}, false)
+	run("three-root hint, flipped signs", func(x float64) float64 { return -cubic(x) }, []float64{1, 2.5, 4}, true)
+	run("no hint", cubic, nil, false)
 }
 
 func TestLinSpace(t *testing.T) {

@@ -282,34 +282,42 @@ func TestSobolIntegrationBeatsMC(t *testing.T) {
 	}
 }
 
-// TestSlabNormalsSlabThenTail pins the source's draw order: a path's
-// first MaxDim normals are its replicate's Sobol point, every later draw
-// comes from a pseudo stream seeded with the path seed, and Reset
-// repositions both — so a path is a pure function of (index, seed).
-func TestSlabNormalsSlabThenTail(t *testing.T) {
-	const seed = 11
+// TestSlabNormalsMatchesSobolNormals pins the source's draw order bit for
+// bit: for path indices on both sides of replicate and point boundaries, a
+// path that draws d = 1..MaxDim normals before the next Reset gets the
+// first d of Sobol.Normals at its replicate's point, the path after it
+// starts again at coordinate 0, and draws past MaxDim come from a pseudo
+// stream seeded with the path seed — so a path is a pure function of
+// (index, seed), however many coordinates the previous path drew.
+func TestSlabNormalsMatchesSobolNormals(t *testing.T) {
+	const seed = 29
 	n, err := NewSlabNormals(seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, index := range []int{0, 5, 8, 1234} {
-		pathSeed := int64(1000 + index)
-		n.Reset(index, pathSeed)
+	for _, index := range []int{0, 1, 7, 8, 9, 15, 16, 63, 64, 65, 1<<20 - 1, 1 << 20, 3<<24 + 5} {
 		s, err := NewSobol(MaxDim, sweep.Seed(seed, sobolScrambleShard+SobolReplicate(index)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		var want [MaxDim]float64
 		s.Normals(SobolPoint(index), want[:])
-		for d, w := range want {
-			if got := n.NormFloat64(); got != w {
-				t.Fatalf("index %d draw %d = %v, want slab %v", index, d, got, w)
+		for draws := 1; draws <= MaxDim; draws++ {
+			pathSeed := int64(7*index + draws)
+			n.Reset(index, pathSeed)
+			for d := 0; d < draws; d++ {
+				if got := n.NormFloat64(); math.Float64bits(got) != math.Float64bits(want[d]) {
+					t.Fatalf("index %d, %d draws: draw %d = %v, want %v", index, draws, d, got, want[d])
+				}
 			}
-		}
-		tail := rand.New(rand.NewSource(pathSeed))
-		for k := 0; k < 3; k++ {
-			if got, w := n.NormFloat64(), tail.NormFloat64(); got != w {
-				t.Fatalf("index %d tail draw %d = %v, want %v", index, k, got, w)
+			if draws < MaxDim {
+				continue
+			}
+			tail := rand.New(rand.NewSource(pathSeed))
+			for k := 0; k < 4; k++ {
+				if got, w := n.NormFloat64(), tail.NormFloat64(); math.Float64bits(got) != math.Float64bits(w) {
+					t.Fatalf("index %d tail draw %d = %v, want %v", index, k, got, w)
+				}
 			}
 		}
 	}

@@ -102,19 +102,24 @@ func (s *Sobol) Dim() int { return s.dim }
 // construction produces), so every dyadic prefix is the published net.
 // u must have at least Dim() capacity.
 func (s *Sobol) Point(index uint32, u []float64) {
-	const scale = 1.0 / (1 << sobolBits)
 	gray := index ^ (index >> 1)
 	u = u[:s.dim]
 	for d := range u {
-		var x uint32
-		v := &directions[d]
-		for j, k := 0, gray; k != 0; j, k = j+1, k>>1 {
-			if k&1 == 1 {
-				x ^= v[j]
-			}
-		}
-		u[d] = (float64(x^s.shift[d]) + 0.5) * scale
+		u[d] = s.coord(gray, d)
 	}
+}
+
+// coord is coordinate d of the shifted point with Gray-code index gray.
+func (s *Sobol) coord(gray uint32, d int) float64 {
+	const scale = 1.0 / (1 << sobolBits)
+	var x uint32
+	v := &directions[d]
+	for j, k := 0, gray; k != 0; j, k = j+1, k>>1 {
+		if k&1 == 1 {
+			x ^= v[j]
+		}
+	}
+	return (float64(x^s.shift[d]) + 0.5) * scale
 }
 
 // Normals fills z[:Dim()] with the point at index mapped through the
@@ -123,9 +128,12 @@ func (s *Sobol) Point(index uint32, u []float64) {
 func (s *Sobol) Normals(index uint32, z []float64) {
 	s.Point(index, z[:s.dim])
 	for d, u := range z[:s.dim] {
-		z[d] = math.Sqrt2 * math.Erfinv(2*u-1)
+		z[d] = normal(u)
 	}
 }
+
+// normal maps u in (0, 1) through the standard normal quantile Φ⁻¹.
+func normal(u float64) float64 { return math.Sqrt2 * math.Erfinv(2*u-1) }
 
 // sobolScrambleShard offsets the per-replicate scramble seeds into a
 // seed-stream region no path index reaches (path seeds use
@@ -134,17 +142,19 @@ func (s *Sobol) Normals(index uint32, z []float64) {
 const sobolScrambleShard = 1 << 30
 
 // SlabNormals is the standard-normal source of a sobol-mode simulation.
-// Each path first drains a slab of MaxDim normals — its Sobol point, at
-// SobolPoint(index) of replicate SobolReplicate(index)'s randomization —
+// Each path first draws the MaxDim normals of its Sobol point, at
+// SobolPoint(index) of replicate SobolReplicate(index)'s randomization,
 // then falls back to a pseudo tail seeded with the path seed, so paths
-// that consume more than MaxDim increments stay unbiased. The tail rides
-// one lazyrng source (math/rand's exact draws with an O(1) reseed), so
-// repositioning per path costs nothing. It implements gbm.NormalSource
-// and is not safe for concurrent use.
+// that consume more than MaxDim increments stay unbiased. A coordinate is
+// computed only when the path draws it: most paths draw far fewer.
+// The tail rides one lazyrng source (math/rand's exact draws with an O(1)
+// reseed), so repositioning per path costs nothing. It implements
+// gbm.NormalSource and is not safe for concurrent use.
 type SlabNormals struct {
 	sobols [SobolReplicates]*Sobol
-	slab   [MaxDim]float64
-	k      int
+	sobol  *Sobol // the path's replicate
+	gray   uint32 // the path's Gray-code point index
+	k      int    // coordinates drawn
 	tail   *lazyrng.Source
 	rng    *rand.Rand
 }
@@ -166,21 +176,20 @@ func NewSlabNormals(seed int64) (*SlabNormals, error) {
 }
 
 // Reset positions the source at the start of the path with the given
-// global index and path seed: the slab refills from the path's Sobol
-// point and the pseudo tail reseeds.
+// global index and path seed: the draws restart at the path's Sobol point
+// and the pseudo tail reseeds.
 func (n *SlabNormals) Reset(index int, pathSeed int64) {
-	n.sobols[SobolReplicate(index)].Normals(SobolPoint(index), n.slab[:])
-	n.k = 0
+	p := SobolPoint(index)
+	n.sobol, n.gray, n.k = n.sobols[SobolReplicate(index)], p^(p>>1), 0
 	n.tail.Seed(pathSeed)
 }
 
-// NormFloat64 returns the path's next standard normal: slab first, then
-// the pseudo tail.
+// NormFloat64 returns the path's next standard normal: the next
+// coordinate of its Sobol point, then the pseudo tail.
 func (n *SlabNormals) NormFloat64() float64 {
-	if n.k < len(n.slab) {
-		v := n.slab[n.k]
+	if n.k < MaxDim {
 		n.k++
-		return v
+		return normal(n.sobol.coord(n.gray, n.k-1))
 	}
 	return n.rng.NormFloat64()
 }

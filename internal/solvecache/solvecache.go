@@ -55,8 +55,8 @@ func SharedModel(p utility.Params) (*core.Model, error) {
 }
 
 // Stats reports the cache's cumulative behaviour: model-level hits and
-// misses, evictions, and the aggregate solve-memo hits/misses across every
-// cached model.
+// misses, evictions, and the aggregate solve-memo hits/misses and t2 scan
+// work across every cached model.
 type Stats struct {
 	// Models is the number of cached models; Limit is the constant bound.
 	Models int `json:"models"`
@@ -70,14 +70,17 @@ type Stats struct {
 	// counters of every cached model.
 	SolveHits   uint64 `json:"solveHits"`
 	SolveMisses uint64 `json:"solveMisses"`
+	// ScanEvals sums the cached models' t2 region scan evaluations
+	// (core.Model.ScanEvals): deterministic work, where the timings are not.
+	ScanEvals uint64 `json:"scanEvals"`
 }
 
 // WriteStats renders the process's solve- and quadrature-cache counters —
 // the diagnostic block behind the CLIs' -cache-stats flag.
 func WriteStats(w io.Writer) {
 	s := ReadStats()
-	fmt.Fprintf(w, "solve cache: %d/%d models (hits %d, misses %d, evicted %d); solve cells: hits %d, misses %d\n",
-		s.Models, s.Limit, s.ModelHits, s.ModelMisses, s.Evicted, s.SolveHits, s.SolveMisses)
+	fmt.Fprintf(w, "solve cache: %d/%d models (hits %d, misses %d, evicted %d); solve cells: hits %d, misses %d; t2 scan evals %d\n",
+		s.Models, s.Limit, s.ModelHits, s.ModelMisses, s.Evicted, s.SolveHits, s.SolveMisses, s.ScanEvals)
 	glH, glM, ghH, ghM := mathx.QuadCacheStats()
 	fmt.Fprintf(w, "quadrature tables: Gauss-Legendre hits %d, misses %d; Gauss-Hermite hits %d, misses %d\n",
 		glH, glM, ghH, ghM)
@@ -95,6 +98,7 @@ func ReadStats() Stats {
 		h, mi := m.MemoStats()
 		s.SolveHits += h
 		s.SolveMisses += mi
+		s.ScanEvals += m.ScanEvals()
 		return true
 	})
 	return s

@@ -203,7 +203,8 @@ func TestReadStatsCounts(t *testing.T) {
 	if _, err := SharedModel(p); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SharedModel(p); err != nil {
+	m, err := SharedModel(p)
+	if err != nil {
 		t.Fatal(err)
 	}
 	after := ReadStats()
@@ -213,11 +214,25 @@ func TestReadStatsCounts(t *testing.T) {
 	if after.Models == 0 {
 		t.Fatal("no models recorded")
 	}
+	// ScanEvals sums the cached models' scan work: a fresh scan on one of
+	// them adds exactly its evaluations.
+	c, err := m.Collateral(0.0371)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evals := m.ScanEvals()
+	if _, err := c.ContSetT2(1.93); err != nil {
+		t.Fatal(err)
+	}
+	spent := m.ScanEvals() - evals
+	if got := ReadStats().ScanEvals - after.ScanEvals; spent == 0 || got != spent {
+		t.Errorf("Stats.ScanEvals grew by %d over a scan of %d evaluations", got, spent)
+	}
 }
 
 // TestWriteStatsReportsBoundAndEvictions pins the -cache-stats line: the
 // model count over the constant bound, the hit, miss and eviction
-// counters, and the quadrature-table line.
+// counters, the t2 scan evaluations, and the quadrature-table line.
 func TestWriteStatsReportsBoundAndEvictions(t *testing.T) {
 	if _, err := SharedModel(utility.Default()); err != nil {
 		t.Fatal(err)
@@ -226,8 +241,8 @@ func TestWriteStatsReportsBoundAndEvictions(t *testing.T) {
 	WriteStats(&b)
 	out := b.String()
 	s := ReadStats()
-	want := fmt.Sprintf("solve cache: %d/%d models (hits %d, misses %d, evicted %d);",
-		s.Models, maxModels, s.ModelHits, s.ModelMisses, s.Evicted)
+	want := fmt.Sprintf("solve cache: %d/%d models (hits %d, misses %d, evicted %d); solve cells: hits %d, misses %d; t2 scan evals %d\n",
+		s.Models, maxModels, s.ModelHits, s.ModelMisses, s.Evicted, s.SolveHits, s.SolveMisses, s.ScanEvals)
 	if !strings.HasPrefix(out, want) {
 		t.Errorf("WriteStats = %q, want prefix %q", out, want)
 	}
