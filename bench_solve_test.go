@@ -12,6 +12,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/figures"
 	"repro/internal/mathx"
+	"repro/internal/packetized"
+	"repro/internal/qmc"
 	"repro/internal/scenario"
 	"repro/internal/utility"
 	"repro/internal/variant"
@@ -222,6 +224,38 @@ func BenchmarkSolve_BayesianCold(b *testing.B) {
 		evals += m.ScanEvals()
 	}
 	reportEvals(b, evals)
+}
+
+// BenchmarkSolve_PacketizedFigure runs the packetized figure's two
+// simulations on Table III, as figures.Packetized does: one
+// packetized.Sweep per rate mode at 5000 sobol runs, the fixed rate read at
+// n ∈ {1, 2, 4, 8, 16} under abort-on-failure, the re-quoted rate under
+// both failure semantics. It reports the normal variates drawn as
+// draws/op, deterministic per tree, which `make bench-check` gates against
+// any rise.
+func BenchmarkSolve_PacketizedFigure(b *testing.B) {
+	p := utility.Default()
+	var abort, both []packetized.Point
+	for _, cont := range []bool{false, true} {
+		for _, n := range []int{1, 2, 4, 8, 16} {
+			both = append(both, packetized.Point{Packets: n, ContinueAfterFailure: cont})
+		}
+	}
+	abort = both[:5]
+	var draws int
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for mode, points := range [][]packetized.Point{abort, both} {
+			_, d, err := packetized.Sweep(packetized.Config{
+				Params: p, PStar: 2.0, Requote: mode == 1, Runs: 5000, Seed: 77, Sampler: qmc.ModeSobol,
+			}, points)
+			if err != nil {
+				b.Fatal(err)
+			}
+			draws += d
+		}
+	}
+	b.ReportMetric(float64(draws)/float64(b.N), "draws/op")
 }
 
 // BenchmarkSolve_ContSetWarm measures a memoized solve hit: the same cell

@@ -125,44 +125,44 @@ func Packetized(p utility.Params, o Opts) ([]Figure, error) {
 		{"expected fraction (re-quoted, abort)", true, false, func(r packetized.Result) float64 { return r.ExpectedFraction }},
 		{"expected fraction (re-quoted, continue)", true, true, func(r packetized.Result) float64 { return r.ExpectedFraction }},
 	}
-	// The four plotted series draw on three distinct simulation configs (the
-	// two fixed-rate series read different metrics of the same runs), so each
-	// distinct (requote, continue) pair is simulated once per packet count.
-	configs := []struct{ requote, continue_ bool }{
-		{false, false},
-		{true, false},
-		{true, true},
-	}
-	cfgIdx := func(requote, cont bool) int {
-		for i, c := range configs {
-			if c.requote == requote && c.continue_ == cont {
-				return i
+	// The four plotted series read three (requote, continue) curves, and
+	// each rate mode is simulated once: packetized.Sweep reads every packet
+	// count and failure semantics from the same Sobol path per run. Only the
+	// re-quoted mode asks for continue-after-failure, so the fixed-rate runs
+	// stop at their first failure.
+	semantics := [][]bool{{false}, {false, true}} // by rate mode: fixed, re-quoted
+	results, err := sweep.Map(context.Background(), len(semantics), o.Workers,
+		func(mode int) ([]packetized.Result, error) {
+			var points []packetized.Point
+			for _, cont := range semantics[mode] {
+				for _, n := range ns {
+					points = append(points, packetized.Point{Packets: int(n), ContinueAfterFailure: cont})
+				}
 			}
-		}
-		return -1
-	}
-	results, err := sweep.Map(context.Background(), len(configs)*len(ns), o.Workers,
-		func(k int) (packetized.Result, error) {
-			c := configs[k/len(ns)]
-			return packetized.Run(packetized.Config{
-				Params:               p,
-				PStar:                2.0,
-				Packets:              int(ns[k%len(ns)]),
-				Requote:              c.requote,
-				ContinueAfterFailure: c.continue_,
-				Runs:                 runs,
-				Seed:                 77,
-				Sampler:              qmc.ModeSobol,
-			})
+			res, _, err := packetized.Sweep(packetized.Config{
+				Params:  p,
+				PStar:   2.0,
+				Requote: mode == 1,
+				Runs:    runs,
+				Seed:    77,
+				Sampler: qmc.ModeSobol,
+			}, points)
+			return res, err
 		})
 	if err != nil {
 		return nil, err
 	}
 	for _, k := range kinds {
-		ci := cfgIdx(k.requote, k.continue_)
+		mode, offset := 0, 0
+		if k.requote {
+			mode = 1
+		}
+		if k.continue_ {
+			offset = len(ns)
+		}
 		ys := make([]float64, len(ns))
 		for i := range ns {
-			ys[i] = k.metric(results[ci*len(ns)+i])
+			ys[i] = k.metric(results[mode][offset+i])
 		}
 		fig.Series = append(fig.Series, plot.Series{Name: k.name, X: ns, Y: ys})
 		fig.Notes = append(fig.Notes, fmt.Sprintf("%s at n=16: %.4f", k.name, ys[len(ys)-1]))

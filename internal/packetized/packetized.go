@@ -78,15 +78,14 @@ type Config struct {
 	Sampler qmc.Mode
 }
 
+// validate checks the fields every point of a simulation shares; the
+// packet counts are checked per point by newPlan.
 func (c Config) validate() error {
 	if err := c.Params.Validate(); err != nil {
 		return fmt.Errorf("packetized: %w", err)
 	}
 	if c.PStar <= 0 {
 		return fmt.Errorf("%w: PStar=%g", ErrBadConfig, c.PStar)
-	}
-	if c.Packets < 1 {
-		return fmt.Errorf("%w: packets=%d", ErrBadConfig, c.Packets)
 	}
 	if c.Runs < 1 {
 		return fmt.Errorf("%w: runs=%d", ErrBadConfig, c.Runs)
@@ -95,6 +94,16 @@ func (c Config) validate() error {
 		return fmt.Errorf("packetized: %w", err)
 	}
 	return nil
+}
+
+// Point names one result a simulation reads: a packet count and a failure
+// semantics.
+type Point struct {
+	// Packets is the number of equal packets n ≥ 1.
+	Packets int
+	// ContinueAfterFailure keeps trading the remaining packets after a
+	// withdrawal instead of aborting the engagement.
+	ContinueAfterFailure bool
 }
 
 // Result aggregates the Monte Carlo estimate.
@@ -117,129 +126,224 @@ type Result struct {
 // protocol cycle later), plays the basic game's threshold strategies (the
 // price thresholds are amount-invariant), and a withdrawal aborts the rest.
 func Run(cfg Config) (Result, error) {
-	if err := cfg.validate(); err != nil {
+	res, _, err := simulate(cfg, []Point{{Packets: cfg.Packets, ContinueAfterFailure: cfg.ContinueAfterFailure}})
+	if err != nil {
 		return Result{}, err
+	}
+	return res[0], nil
+}
+
+// Sweep simulates cfg's rate mode once and reads every point from the same
+// runs; cfg.Packets and cfg.ContinueAfterFailure are ignored. results[i] is
+// bit-identical to Run of cfg with points[i]'s packet count and failure
+// semantics. Under the sobol sampler each draw is a pure function of (seed,
+// run, draw index), and no per-packet decision reads the packet count, so
+// the first n packets of a longer run are the n-packet run and an
+// abort-on-failure run is the continue-after-failure run up to its first
+// failure. The pseudo sampler shares one stream across runs, where a longer
+// run would shift every later run's draws: Sweep refuses it with
+// ErrBadConfig. draws counts the standard normals the simulation drew.
+func Sweep(cfg Config, points []Point) (results []Result, draws int, err error) {
+	if mode, err := cfg.Sampler.Canon(); err == nil && mode != qmc.ModeSobol {
+		return nil, 0, fmt.Errorf("%w: sweep needs the sobol sampler, got %s", ErrBadConfig, mode)
+	}
+	return simulate(cfg, points)
+}
+
+// simulate runs the one simulation behind Run and Sweep on cfg's sampler.
+func simulate(cfg Config, points []Point) ([]Result, int, error) {
+	pl, err := newPlan(cfg, points)
+	if err != nil {
+		return nil, 0, err
+	}
+	if mode, _ := cfg.Sampler.Canon(); mode != qmc.ModeSobol {
+		// The pseudo sampler's runs share one sequential stream.
+		return pl.run(rand.New(rand.NewSource(cfg.Seed)), nil)
+	}
+	// The sobol sampler repositions the slab-fronted source at each run's
+	// Sobol point and pseudo tail.
+	norm, err := qmc.NewSlabNormals(cfg.Seed)
+	if err != nil {
+		return nil, 0, fmt.Errorf("packetized: %w", err)
+	}
+	return pl.run(norm, func(run int) { norm.Reset(run, sweep.Seed(cfg.Seed, run)) })
+}
+
+// plan is a validated configuration with its stage strategies solved and
+// the points its simulation reads.
+type plan struct {
+	cfg    Config
+	points []Point
+	// cycle spans a packet's initiation to the later of the two receipts.
+	cycle float64
+	// fixed plays every packet at cfg.PStar; quoted at the optimal rate,
+	// rescaled to each packet's opening price when quotedViable.
+	fixed, quoted core.Strategy
+	quotedViable  bool
+}
+
+func newPlan(cfg Config, points []Point) (*plan, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if len(points) == 0 {
+		return nil, fmt.Errorf("%w: no points", ErrBadConfig)
+	}
+	for _, pt := range points {
+		if pt.Packets < 1 {
+			return nil, fmt.Errorf("%w: packets=%d", ErrBadConfig, pt.Packets)
+		}
 	}
 	tl, err := timeline.Idealized(cfg.Params.Chains)
 	if err != nil {
-		return Result{}, fmt.Errorf("packetized: %w", err)
+		return nil, fmt.Errorf("packetized: %w", err)
 	}
-	// A packet cycle spans initiation to the later of the two receipts.
-	cycle := tl.TA
-	if tl.TB > cycle {
-		cycle = tl.TB
-	}
+	pl := &plan{cfg: cfg, points: points, cycle: max(tl.TA, tl.TB)}
 
 	// The stage solves route through the process-wide solve cache: the same
 	// parameter set solved by the figures, the scenario batch or another
 	// packet count shares one model and its memoized cells.
 	m, err := solvecache.SharedModel(cfg.Params)
 	if err != nil {
-		return Result{}, fmt.Errorf("packetized: %w", err)
+		return nil, fmt.Errorf("packetized: %w", err)
 	}
 	// Fixed-rate strategy solved once; re-quoting reuses scale invariance:
 	// the optimal rate and thresholds at price p are the P0-solution scaled
 	// by p/P0.
-	fixed, err := m.Strategy(cfg.PStar)
-	if err != nil {
-		return Result{}, fmt.Errorf("packetized: %w", err)
+	if pl.fixed, err = m.Strategy(cfg.PStar); err != nil {
+		return nil, fmt.Errorf("packetized: %w", err)
 	}
-	var quoted core.Strategy
-	var quotedViable bool
 	if cfg.Requote {
 		if pstar, _, err := m.OptimalRate(); err == nil {
-			quotedViable = true
-			if quoted, err = m.Strategy(pstar); err != nil {
-				return Result{}, fmt.Errorf("packetized: %w", err)
+			pl.quotedViable = true
+			if pl.quoted, err = m.Strategy(pstar); err != nil {
+				return nil, fmt.Errorf("packetized: %w", err)
 			}
 		} else if !errors.Is(err, core.ErrNotViable) {
-			return Result{}, fmt.Errorf("packetized: %w", err)
+			return nil, fmt.Errorf("packetized: %w", err)
 		}
 	}
+	return pl, nil
+}
 
-	mode, err := cfg.Sampler.Canon()
-	if err != nil {
-		return Result{}, fmt.Errorf("packetized: %w", err)
+// run is the one per-run loop: it walks each run's packets up to the
+// largest requested count and folds the run into every point's tally, in
+// run order. It stops a run at its first failure unless a point continues
+// after failure, and draws the rest of the cycle after every packet it
+// plays. Without reset the runs share one stream (the pseudo sampler), so
+// the rest draw after the last packet stays: dropping it would move every
+// later run. reset, when set, positions src at the start of each run, and
+// the last rest draw is skipped. draws counts the standard normals drawn.
+func (pl *plan) run(src gbm.NormalSource, reset func(run int)) (results []Result, draws int, err error) {
+	cfg, price0 := pl.cfg, pl.cfg.Params.P0
+	tauA, tauB := cfg.Params.Chains.TauA, cfg.Params.Chains.TauB
+	maxN, anyContinue := 0, false
+	for _, pt := range pl.points {
+		maxN = max(maxN, pt.Packets)
+		anyContinue = anyContinue || pt.ContinueAfterFailure
 	}
-	// src is the active normal source for the run: the shared sequential
-	// stream in pseudo mode, the slab-fronted source repositioned per run
-	// in sobol mode.
-	var (
-		src  gbm.NormalSource
-		norm *qmc.SlabNormals
-	)
-	if mode == qmc.ModeSobol {
-		if norm, err = qmc.NewSlabNormals(cfg.Seed); err != nil {
-			return Result{}, fmt.Errorf("packetized: %w", err)
-		}
-		src = norm
-	} else {
-		src = rand.New(rand.NewSource(cfg.Seed))
-	}
-	full := 0
-	var fracSum, fracSq, packetsSum float64
+	tallies := make([]tally, len(pl.points))
+	// done[k] counts the successes among a run's first k packets.
+	done := make([]int, maxN+1)
 	for run := 0; run < cfg.Runs; run++ {
-		if norm != nil {
-			norm.Reset(run, sweep.Seed(cfg.Seed, run))
+		if reset != nil {
+			reset(run)
 		}
-		price := cfg.Params.P0
-		done := 0
-		for k := 0; k < cfg.Packets; k++ {
+		price := price0
+		// played counts the packets walked, streak the successes before the
+		// first failure.
+		played, streak := 0, 0
+		for k := 0; k < maxN; k++ {
 			// B's region is tested scaled in place (scale 1 at the fixed
 			// rate) rather than built as a scaled copy per packet.
-			region, scale, cutoff := fixed.BobContT2, 1.0, fixed.AliceCutoffT3
+			region, scale, cutoff := pl.fixed.BobContT2, 1.0, pl.fixed.AliceCutoffT3
 			if cfg.Requote {
-				if !quotedViable {
+				if !pl.quotedViable {
 					break
 				}
-				scale = price / cfg.Params.P0
-				region, cutoff = quoted.BobContT2, quoted.AliceCutoffT3*scale
-			} else if !fixed.AliceInitiates && !cfg.ForceInitiate && k == 0 {
+				scale = price / price0
+				region, cutoff = pl.quoted.BobContT2, pl.quoted.AliceCutoffT3*scale
+			} else if !pl.fixed.AliceInitiates && !cfg.ForceInitiate && k == 0 {
 				// A fixed rate outside the feasible band never starts.
 				break
 			}
-			pT2 := cfg.Params.Price.Step(src, price, cfg.Params.Chains.TauA)
+			pT2 := cfg.Params.Price.Step(src, price, tauA)
+			draws++
 			success := region.ContainsScaled(pT2, scale)
-			var pEnd float64
+			// The branch, not a comparison of prices, says whether the T3
+			// step happened: a draw whose exponent rounds to 0 settles at
+			// exactly pT2.
+			pEnd, elapsed := pT2, tauA
 			if success {
-				pT3 := cfg.Params.Price.Step(src, pT2, cfg.Params.Chains.TauB)
-				success = pT3 > cutoff
-				pEnd = pT3
-			} else {
-				pEnd = pT2
+				pEnd = cfg.Params.Price.Step(src, pT2, tauB)
+				draws++
+				elapsed += tauB
+				success = pEnd > cutoff
 			}
+			played = k + 1
+			done[played] = done[k]
 			if success {
-				done++
-			} else if !cfg.ContinueAfterFailure {
+				done[played]++
+				if streak == k {
+					streak++
+				}
+			} else if !anyContinue {
+				break
+			}
+			if k == maxN-1 && reset != nil {
+				// The last packet's rest draw feeds only the next run of a
+				// shared stream; a run that restarts its draws skips it.
 				break
 			}
 			// The next packet opens after the remainder of the cycle.
-			elapsed := cfg.Params.Chains.TauA
-			if pEnd != pT2 {
-				elapsed += cfg.Params.Chains.TauB
-			}
-			if rest := cycle - elapsed; rest > 0 {
+			if rest := pl.cycle - elapsed; rest > 0 {
 				price = cfg.Params.Price.Step(src, pEnd, rest)
+				draws++
 			} else {
 				price = pEnd
 			}
 		}
-		frac := float64(done) / float64(cfg.Packets)
-		fracSum += frac
-		fracSq += frac * frac
-		packetsSum += float64(done)
-		if done == cfg.Packets {
-			full++
+		for i, pt := range pl.points {
+			d := min(pt.Packets, streak)
+			if pt.ContinueAfterFailure {
+				d = done[min(pt.Packets, played)]
+			}
+			tallies[i].add(d, pt.Packets)
 		}
 	}
+	results = make([]Result, len(pl.points))
+	for i, pt := range pl.points {
+		if results[i], err = tallies[i].result(cfg.Runs, cfg.PStar, pt.Packets); err != nil {
+			return nil, 0, err
+		}
+	}
+	return results, draws, nil
+}
 
-	prop, err := stats.NewProportion(full, cfg.Runs)
+// tally accumulates one point's runs.
+type tally struct {
+	full                        int
+	fracSum, fracSq, packetsSum float64
+}
+
+func (t *tally) add(done, packets int) {
+	frac := float64(done) / float64(packets)
+	t.fracSum += frac
+	t.fracSq += frac * frac
+	t.packetsSum += float64(done)
+	if done == packets {
+		t.full++
+	}
+}
+
+func (t *tally) result(runs int, pstar float64, packets int) (Result, error) {
+	prop, err := stats.NewProportion(t.full, runs)
 	if err != nil {
 		return Result{}, fmt.Errorf("packetized: %w", err)
 	}
-	n := float64(cfg.Runs)
-	mean := fracSum / n
-	variance := fracSq/n - mean*mean
+	n := float64(runs)
+	mean := t.fracSum / n
+	variance := t.fracSq/n - mean*mean
 	if variance < 0 {
 		variance = 0
 	}
@@ -247,8 +351,8 @@ func Run(cfg Config) (Result, error) {
 		FullCompletion:   prop,
 		ExpectedFraction: mean,
 		FractionStdErr:   sqrtOverN(variance, n),
-		MeanPacketsDone:  packetsSum / n,
-		ExposurePerRound: cfg.PStar / float64(cfg.Packets),
+		MeanPacketsDone:  t.packetsSum / n,
+		ExposurePerRound: pstar / float64(packets),
 	}, nil
 }
 

@@ -29,10 +29,12 @@
 // op — the end-to-end full-figures ceiling (`make bench-check` pins
 // BenchmarkFiguresFull at 1.0s), the one deliberate exception to the
 // no-wall-gating rule because its headroom is wide. A solve benchmark's
-// evals/op (the t2 region scans' utility-difference evaluations per op,
-// deterministic for a given tree) fails the check whenever it rises above
-// a baseline that also reports it; a drop passes and shows as a delta, to
-// be re-baselined with its cause. The table also
+// work counters, evals/op (the t2 region scans' utility-difference
+// evaluations per op) and draws/op (the normal variates a simulation
+// draws per op), are deterministic for a given tree: either fails the
+// check whenever it rises above a baseline that also reports it; a drop
+// passes and shows as a delta, to be re-baselined with its cause. The
+// table also
 // reports the ns/op and paths/s deltas against the baseline for the
 // operator's eyes; wall-clock is hardware-dependent, so those columns are
 // deliberately not gated.
@@ -77,6 +79,9 @@ type Benchmark struct {
 	// EvalsPerOp is a solve benchmark's count of t2 region scan
 	// utility-difference evaluations per op: its deterministic work.
 	EvalsPerOp float64 `json:"evals_per_op,omitempty"`
+	// DrawsPerOp is a simulation benchmark's count of standard normal
+	// draws per op: its deterministic work.
+	DrawsPerOp float64 `json:"draws_per_op,omitempty"`
 	// Groups is the artifact-group count of the full-figures benchmark:
 	// the work covered by its gated wall time.
 	Groups float64 `json:"groups,omitempty"`
@@ -127,6 +132,8 @@ func parse(r io.Reader) ([]Benchmark, error) {
 				b.PathsRatio = v
 			case "evals/op":
 				b.EvalsPerOp = v
+			case "draws/op":
+				b.DrawsPerOp = v
 			case "groups":
 				b.Groups = v
 			}
@@ -187,10 +194,20 @@ func parseMaxWall(spec string) (map[string]float64, error) {
 	return gates, nil
 }
 
+// workCounters are the deterministic work metrics check gates at their
+// baselines.
+var workCounters = []struct {
+	unit string
+	get  func(Benchmark) float64
+}{
+	{"evals/op", func(b Benchmark) float64 { return b.EvalsPerOp }},
+	{"draws/op", func(b Benchmark) float64 { return b.DrawsPerOp }},
+}
+
 // check compares a run against the merged baselines: allocs/op is gated at
 // maxRatio (a zero baseline admits only zero), pathsratio (when reported
-// and maxPathsRatio > 0) at its absolute ceiling, evals/op (when both
-// sides report it) at the baseline itself, ns/op and paths/s are
+// and maxPathsRatio > 0) at its absolute ceiling, each work counter (when
+// both sides report it) at the baseline itself, ns/op and paths/s are
 // reported as informational deltas. The pathsratio gate is absolute, not relative to the baseline:
 // the adaptive stop is deterministic per seed, so a variance-reduced mode
 // drifting past its documented convergence bound is a correctness
@@ -200,9 +217,9 @@ func parseMaxWall(spec string) (map[string]float64, error) {
 // fails, so a rename cannot silently drop the gate).
 func check(current []Benchmark, base map[string]Benchmark, maxRatio, maxPathsRatio float64, maxWall map[string]float64, out io.Writer) error {
 	matched := 0
-	var allocFailures, pathsFailures, evalsFailures []string
-	fmt.Fprintf(out, "%-40s %21s %8s %9s %9s %7s %9s %s\n",
-		"benchmark", "allocs/op (vs base)", "ratio", "ns/op Δ", "paths/s Δ", "paths×", "evals Δ", "gate")
+	var allocFailures, pathsFailures, workFailures []string
+	fmt.Fprintf(out, "%-40s %21s %8s %9s %9s %7s %9s %9s %s\n",
+		"benchmark", "allocs/op (vs base)", "ratio", "ns/op Δ", "paths/s Δ", "paths×", "evals Δ", "draws Δ", "gate")
 	for _, cur := range current {
 		ref, ok := base[cur.Name]
 		if !ok {
@@ -229,14 +246,16 @@ func check(current []Benchmark, base map[string]Benchmark, maxRatio, maxPathsRat
 				pathsFailures = append(pathsFailures, cur.Name)
 			}
 		}
-		if cur.EvalsPerOp > 0 && ref.EvalsPerOp > 0 && cur.EvalsPerOp > ref.EvalsPerOp {
-			status = "FAIL"
-			evalsFailures = append(evalsFailures, fmt.Sprintf("%s (%.0f > %.0f)", cur.Name, cur.EvalsPerOp, ref.EvalsPerOp))
+		for _, w := range workCounters {
+			if c, r := w.get(cur), w.get(ref); c > 0 && r > 0 && c > r {
+				status = "FAIL"
+				workFailures = append(workFailures, fmt.Sprintf("%s %s (%.0f > %.0f)", cur.Name, w.unit, c, r))
+			}
 		}
-		fmt.Fprintf(out, "%-40s %10.0f %10.0f %7.2fx %9s %9s %7s %9s %s\n",
+		fmt.Fprintf(out, "%-40s %10.0f %10.0f %7.2fx %9s %9s %7s %9s %9s %s\n",
 			cur.Name, cur.AllocsPerOp, ref.AllocsPerOp, ratio,
 			delta(cur.NsPerOp, ref.NsPerOp), delta(cur.PathsPerSec, ref.PathsPerSec), pathsCol,
-			delta(cur.EvalsPerOp, ref.EvalsPerOp), status)
+			delta(cur.EvalsPerOp, ref.EvalsPerOp), delta(cur.DrawsPerOp, ref.DrawsPerOp), status)
 	}
 	if matched == 0 {
 		return fmt.Errorf("benchmc: no benchmark matched the baselines — regenerate with `make bench-json`")
@@ -269,8 +288,8 @@ func check(current []Benchmark, base map[string]Benchmark, maxRatio, maxPathsRat
 	if len(pathsFailures) > 0 {
 		errs = append(errs, fmt.Sprintf("paths-to-precision ratio exceeded %.2fx pseudo on: %s", maxPathsRatio, strings.Join(pathsFailures, ", ")))
 	}
-	if len(evalsFailures) > 0 {
-		errs = append(errs, fmt.Sprintf("evals/op rose on: %s", strings.Join(evalsFailures, ", ")))
+	if len(workFailures) > 0 {
+		errs = append(errs, fmt.Sprintf("work counters rose on: %s", strings.Join(workFailures, ", ")))
 	}
 	if len(wallFailures) > 0 {
 		errs = append(errs, fmt.Sprintf("wall-time ceiling exceeded on: %s", strings.Join(wallFailures, ", ")))

@@ -141,7 +141,17 @@ func TestParseGroupsMetric(t *testing.T) {
 // written, an equal or lower count passes (a drop shows as a delta), a
 // rise fails by name, and a side that does not report it is not gated.
 func TestEvalsGate(t *testing.T) {
-	const base = "BenchmarkSolve_Fig8Cold-2 \t 1\t 36212125 ns/op\t 77806 evals/op\t 200384 B/op\t 5918 allocs/op\n"
+	testWorkGate(t, "BenchmarkSolve_Fig8Cold", "evals/op", "evals_per_op")
+}
+
+// TestDrawsGate exercises the draws/op gate the same way.
+func TestDrawsGate(t *testing.T) {
+	testWorkGate(t, "BenchmarkSolve_PacketizedFigure", "draws/op", "draws_per_op")
+}
+
+func testWorkGate(t *testing.T, name, unit, key string) {
+	t.Helper()
+	base := name + "-2 \t 1\t 36212125 ns/op\t 77806 " + unit + "\t 200384 B/op\t 5918 allocs/op\n"
 	path := filepath.Join(t.TempDir(), "BENCH_solve.json")
 	if err := run([]string{"-o", path}, strings.NewReader(base), &strings.Builder{}); err != nil {
 		t.Fatal(err)
@@ -150,29 +160,29 @@ func TestEvalsGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(raw), `"evals_per_op": 77806`) {
-		t.Fatalf("baseline lacks evals_per_op:\n%s", raw)
+	if !strings.Contains(string(raw), `"`+key+`": 77806`) {
+		t.Fatalf("baseline lacks %s:\n%s", key, raw)
 	}
 	for _, tc := range []struct {
-		name, evals string
+		name, count string
 		fail        bool
 	}{
-		{"equal", "77806 evals/op\t", false},
-		{"drop", "70000 evals/op\t", false},
-		{"rise", "77807 evals/op\t", true},
+		{"equal", "77806 " + unit + "\t", false},
+		{"drop", "70000 " + unit + "\t", false},
+		{"rise", "77807 " + unit + "\t", true},
 		{"unreported", "", false},
 	} {
-		run1 := strings.Replace(base, "77806 evals/op\t", tc.evals, 1)
+		run1 := strings.Replace(base, "77806 "+unit+"\t", tc.count, 1)
 		var out strings.Builder
 		err := run([]string{"-against", path}, strings.NewReader(run1), &out)
 		if (err != nil) != tc.fail {
 			t.Errorf("%s: err = %v, want failure %v\n%s", tc.name, err, tc.fail, out.String())
 		}
-		if tc.fail && (err == nil || !strings.Contains(err.Error(), "BenchmarkSolve_Fig8Cold")) {
-			t.Errorf("%s: failure does not name the benchmark: %v", tc.name, err)
+		if tc.fail && (err == nil || !strings.Contains(err.Error(), name+" "+unit)) {
+			t.Errorf("%s: failure does not name the benchmark and counter: %v", tc.name, err)
 		}
 		if tc.name == "drop" && !strings.Contains(out.String(), "-10.0%") {
-			t.Errorf("drop: table lacks the evals delta:\n%s", out.String())
+			t.Errorf("drop: table lacks the %s delta:\n%s", unit, out.String())
 		}
 	}
 }
