@@ -6,7 +6,7 @@ GO ?= go
 
 # Coverage floors enforced by `make cover` and CI.
 COVER_PKGS = repro/internal/scenario repro/internal/core repro/internal/mc \
-	repro/internal/memo repro/internal/solvecache repro/internal/lazyrng \
+	repro/internal/memo repro/internal/solvecache \
 	repro/internal/variant repro/internal/packetized repro/internal/repeated \
 	repro/internal/baseline repro/internal/rpc repro/internal/qmc \
 	repro/internal/fault repro/internal/store repro/internal/config \

@@ -26,9 +26,19 @@ func TestListShowsPresetsAndVariants(t *testing.T) {
 	}
 }
 
+// agreeRuns sizes the Monte Carlo checks of the tests that expect 0
+// disagreements. variant.Agrees accepts the analytic value inside the
+// Wilson 95% interval widened by 0.01; at n runs its half-width is
+// 1.96σ with σ ≤ 0.5/√n, so a correct cell fails only when its estimate
+// lands more than 1.96σ + 0.01 from the truth. At 4000 runs that is
+// beyond 3.2σ, a false-failure rate under 0.13% per check (2Φ(−3.2)),
+// under 0.7% for the five run-sized checks of a six-variant row. At 400
+// runs it was 2.5σ, over 1% per check.
+const agreeRuns = "4000"
+
 func TestRunSubset(t *testing.T) {
 	var sb strings.Builder
-	if err := run([]string{"-run", "tableIII,high-vol", "-runs", "400"}, &sb); err != nil {
+	if err := run([]string{"-run", "tableIII,high-vol", "-runs", agreeRuns}, &sb); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	out := sb.String()
@@ -46,7 +56,7 @@ func TestRunSubset(t *testing.T) {
 
 func TestRunVariantAll(t *testing.T) {
 	var sb strings.Builder
-	if err := run([]string{"-run", "tableIII", "-variant", "all", "-runs", "400"}, &sb); err != nil {
+	if err := run([]string{"-run", "tableIII", "-variant", "all", "-runs", agreeRuns}, &sb); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	out := sb.String()

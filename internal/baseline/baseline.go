@@ -16,9 +16,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/stats"
+	"repro/internal/sweep"
 	"repro/internal/utility"
 )
 
@@ -132,7 +132,7 @@ func (m *Model) SimulateSR(pstar float64, runs int, seed int64) (stats.Proportio
 	if runs < 1 {
 		return stats.Proportion{}, fmt.Errorf("%w: runs=%d must be >= 1", ErrBadParam, runs)
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := sweep.NewRand(seed)
 	c, pr := m.params.Chains, m.params.Price
 	successes := 0
 	for i := 0; i < runs; i++ {

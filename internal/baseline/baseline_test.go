@@ -3,10 +3,10 @@ package baseline
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/sweep"
 	"repro/internal/utility"
 )
 
@@ -207,7 +207,7 @@ func TestSimulateSRMatchesScalarLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, runs := range []int{1, 511, 512, 513, 2000} {
-		rng := rand.New(rand.NewSource(seed))
+		rng := sweep.NewRand(seed)
 		p := m.Params()
 		want := 0
 		for i := 0; i < runs; i++ {

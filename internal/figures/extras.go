@@ -63,7 +63,10 @@ func Uncertainty(p utility.Params, o Opts) ([]Figure, error) {
 }
 
 // Reputation traces the repeated-game extension (§V.B): per-round quoting
-// and success under three reputation regimes with a shared price path.
+// and success under three reputation regimes with a shared price path, one
+// panel per party. Which party withdraws first is decided by the price
+// path, so both premia are plotted: the damage shows in the withdrawing
+// party's panel.
 func Reputation(p utility.Params, _ Opts) ([]Figure, error) {
 	regimes := []struct {
 		name string
@@ -75,11 +78,17 @@ func Reputation(p utility.Params, _ Opts) ([]Figure, error) {
 		{"forgiving", repeated.Config{Params: p, Rounds: 150, GapHours: 24, Seed: 11,
 			ReputationLoss: 0.2, ReputationGain: 0.02, IdleRecovery: 0.15, AlphaMax: 0.6}},
 	}
-	fig := Figure{
-		ID:     "reputation",
+	figA := Figure{
+		ID:     "reputation-alphaA",
 		Title:  "Extension: Alice's reputation αA over repeated swaps (150 rounds)",
 		XLabel: "Round",
 		YLabel: "αA entering the round",
+	}
+	figB := Figure{
+		ID:     "reputation-alphaB",
+		Title:  "Extension: Bob's reputation αB over repeated swaps (150 rounds)",
+		XLabel: "Round",
+		YLabel: "αB entering the round",
 	}
 	for _, reg := range regimes {
 		res, err := repeated.Play(reg.cfg)
@@ -87,15 +96,18 @@ func Reputation(p utility.Params, _ Opts) ([]Figure, error) {
 			return nil, err
 		}
 		xs := make([]float64, len(res.Rounds))
-		ys := make([]float64, len(res.Rounds))
+		as := make([]float64, len(res.Rounds))
+		bs := make([]float64, len(res.Rounds))
 		for i, r := range res.Rounds {
 			xs[i] = float64(r.Index)
-			ys[i] = r.AlphaA
+			as[i] = r.AlphaA
+			bs[i] = r.AlphaB
 		}
-		fig.Series = append(fig.Series, plot.Series{Name: reg.name, X: xs, Y: ys})
-		fig.Notes = append(fig.Notes, fmt.Sprintf("%s: %s", reg.name, res.CooperationSummary()))
+		figA.Series = append(figA.Series, plot.Series{Name: reg.name, X: xs, Y: as})
+		figB.Series = append(figB.Series, plot.Series{Name: reg.name, X: xs, Y: bs})
+		figA.Notes = append(figA.Notes, fmt.Sprintf("%s: %s", reg.name, res.CooperationSummary()))
 	}
-	return []Figure{fig}, nil
+	return []Figure{figA, figB}, nil
 }
 
 // Packetized compares the single-shot HTLC swap against the packetized

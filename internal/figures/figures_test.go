@@ -379,21 +379,39 @@ func TestReputationRegimes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := figs[0]
-	if len(f.Series) != 3 {
-		t.Fatalf("got %d series, want 3", len(f.Series))
+	if len(figs) != 2 {
+		t.Fatalf("got %d panels, want αA and αB", len(figs))
 	}
-	// Static regime keeps αA constant; fragile ends lower than it starts.
-	static := f.Series[0].Y
-	for i, v := range static {
-		if v != static[0] {
-			t.Fatalf("static αA moved at round %d: %v", i, v)
+	damaged := 0
+	for _, f := range figs {
+		if len(f.Series) != 3 {
+			t.Fatalf("%s: got %d series, want 3", f.ID, len(f.Series))
+		}
+		// Static regime keeps both premia constant.
+		static := f.Series[0].Y
+		for i, v := range static {
+			if v != static[0] {
+				t.Fatalf("%s: static α moved at round %d: %v", f.ID, i, v)
+			}
+		}
+		// The fragile regime has no gain and no recovery, so no premium
+		// ever rises.
+		fragile := f.Series[1].Y
+		for i := 1; i < len(fragile); i++ {
+			if fragile[i] > fragile[i-1] {
+				t.Errorf("%s: fragile α rose at round %d: %v -> %v", f.ID, i, fragile[i-1], fragile[i])
+			}
+		}
+		if fragile[len(fragile)-1] < fragile[0] {
+			damaged++
 		}
 	}
-	fragile := f.Series[1].Y
-	if fragile[len(fragile)-1] >= fragile[0] {
-		t.Errorf("fragile αA should end below start: %v -> %v",
-			fragile[0], fragile[len(fragile)-1])
+	// Over 150 rounds at a per-round SR near 0.7 some party withdraws (the
+	// chance that none does is below 1e-20): its fragile curve ends below
+	// its start, apart from the static one. Which party it is depends on
+	// the price path.
+	if damaged == 0 {
+		t.Error("fragile regime should end below its start in the withdrawing party's panel")
 	}
 }
 

@@ -30,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/gbm"
@@ -69,12 +68,12 @@ type Config struct {
 	// Seed drives the price paths.
 	Seed int64
 	// Sampler selects how price increments are drawn (internal/qmc).
-	// Pseudo — the zero value — keeps the historical single sequential
-	// stream byte-for-byte. Sobol draws each run's first qmc.MaxDim
-	// increments from a scrambled Sobol point (replicate-striped like the
-	// MC engine) padded by a per-run pseudo tail, so runs with many
-	// packets stay unbiased. Under sobol FractionStdErr is still the
-	// i.i.d. formula and overstates the error — a conservative bound.
+	// Pseudo — the zero value — draws each run from the PCG stream of
+	// the run's seed. Sobol draws each run's first qmc.MaxDim increments
+	// from a scrambled Sobol point (replicate-striped like the MC engine)
+	// padded by a per-run pseudo tail, so runs with many packets stay
+	// unbiased. Under sobol FractionStdErr is still the i.i.d. formula and
+	// overstates the error — a conservative bound.
 	Sampler qmc.Mode
 }
 
@@ -126,7 +125,7 @@ type Result struct {
 // protocol cycle later), plays the basic game's threshold strategies (the
 // price thresholds are amount-invariant), and a withdrawal aborts the rest.
 func Run(cfg Config) (Result, error) {
-	res, _, err := simulate(cfg, []Point{{Packets: cfg.Packets, ContinueAfterFailure: cfg.ContinueAfterFailure}})
+	res, _, err := Sweep(cfg, []Point{{Packets: cfg.Packets, ContinueAfterFailure: cfg.ContinueAfterFailure}})
 	if err != nil {
 		return Result{}, err
 	}
@@ -136,32 +135,24 @@ func Run(cfg Config) (Result, error) {
 // Sweep simulates cfg's rate mode once and reads every point from the same
 // runs; cfg.Packets and cfg.ContinueAfterFailure are ignored. results[i] is
 // bit-identical to Run of cfg with points[i]'s packet count and failure
-// semantics. Under the sobol sampler each draw is a pure function of (seed,
+// semantics. Under either sampler each draw is a pure function of (seed,
 // run, draw index), and no per-packet decision reads the packet count, so
 // the first n packets of a longer run are the n-packet run and an
 // abort-on-failure run is the continue-after-failure run up to its first
-// failure. The pseudo sampler shares one stream across runs, where a longer
-// run would shift every later run's draws: Sweep refuses it with
-// ErrBadConfig. draws counts the standard normals the simulation drew.
+// failure. draws counts the standard normals the simulation drew.
 func Sweep(cfg Config, points []Point) (results []Result, draws int, err error) {
-	if mode, err := cfg.Sampler.Canon(); err == nil && mode != qmc.ModeSobol {
-		return nil, 0, fmt.Errorf("%w: sweep needs the sobol sampler, got %s", ErrBadConfig, mode)
-	}
-	return simulate(cfg, points)
-}
-
-// simulate runs the one simulation behind Run and Sweep on cfg's sampler.
-func simulate(cfg Config, points []Point) ([]Result, int, error) {
 	pl, err := newPlan(cfg, points)
 	if err != nil {
 		return nil, 0, err
 	}
+	// Each run restarts its draws at run seed sweep.Seed(cfg.Seed, run):
+	// the pseudo sampler reseeds the PCG stream, the sobol sampler
+	// repositions the slab-fronted source at the run's Sobol point and
+	// pseudo tail.
 	if mode, _ := cfg.Sampler.Canon(); mode != qmc.ModeSobol {
-		// The pseudo sampler's runs share one sequential stream.
-		return pl.run(rand.New(rand.NewSource(cfg.Seed)), nil)
+		rng := sweep.NewRand(0)
+		return pl.run(rng, func(run int) { rng.Seed(sweep.Seed(cfg.Seed, run)) })
 	}
-	// The sobol sampler repositions the slab-fronted source at each run's
-	// Sobol point and pseudo tail.
 	norm, err := qmc.NewSlabNormals(cfg.Seed)
 	if err != nil {
 		return nil, 0, fmt.Errorf("packetized: %w", err)
@@ -226,14 +217,11 @@ func newPlan(cfg Config, points []Point) (*plan, error) {
 	return pl, nil
 }
 
-// run is the one per-run loop: it walks each run's packets up to the
-// largest requested count and folds the run into every point's tally, in
-// run order. It stops a run at its first failure unless a point continues
-// after failure, and draws the rest of the cycle after every packet it
-// plays. Without reset the runs share one stream (the pseudo sampler), so
-// the rest draw after the last packet stays: dropping it would move every
-// later run. reset, when set, positions src at the start of each run, and
-// the last rest draw is skipped. draws counts the standard normals drawn.
+// run is the one per-run loop: reset positions src at the start of each
+// run, which walks its packets up to the largest requested count and folds
+// into every point's tally, in run order. It stops a run at its first
+// failure unless a point continues after failure, and draws the rest of
+// the cycle between packets. draws counts the standard normals drawn.
 func (pl *plan) run(src gbm.NormalSource, reset func(run int)) (results []Result, draws int, err error) {
 	cfg, price0 := pl.cfg, pl.cfg.Params.P0
 	tauA, tauB := cfg.Params.Chains.TauA, cfg.Params.Chains.TauB
@@ -246,9 +234,7 @@ func (pl *plan) run(src gbm.NormalSource, reset func(run int)) (results []Result
 	// done[k] counts the successes among a run's first k packets.
 	done := make([]int, maxN+1)
 	for run := 0; run < cfg.Runs; run++ {
-		if reset != nil {
-			reset(run)
-		}
+		reset(run)
 		price := price0
 		// played counts the packets walked, streak the successes before the
 		// first failure.
@@ -290,9 +276,7 @@ func (pl *plan) run(src gbm.NormalSource, reset func(run int)) (results []Result
 			} else if !anyContinue {
 				break
 			}
-			if k == maxN-1 && reset != nil {
-				// The last packet's rest draw feeds only the next run of a
-				// shared stream; a run that restarts its draws skips it.
+			if k == maxN-1 {
 				break
 			}
 			// The next packet opens after the remainder of the cycle.

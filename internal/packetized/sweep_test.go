@@ -26,11 +26,11 @@ func sameBits(a, b Result) bool {
 }
 
 // TestSweepMatchesRun checks the prefix argument behind Sweep: every point
-// of one shared simulation equals a standalone Run by Float64bits, on every
-// preset at rates inside and outside the feasible band, with re-quoting
-// and forced initiation on and off. Each configuration is swept twice:
-// with both failure semantics, and with abort-on-failure only, where the
-// runs stop at their first failure.
+// of one shared simulation equals a standalone Run by Float64bits, under
+// both samplers on every preset at rates inside and outside the feasible
+// band, with re-quoting and forced initiation on and off. Each
+// configuration is swept twice: with both failure semantics, and with
+// abort-on-failure only, where the runs stop at their first failure.
 func TestSweepMatchesRun(t *testing.T) {
 	ns := []int{1, 2, 3, 4, 8, 16}
 	var both, abortOnly []Point
@@ -41,34 +41,36 @@ func TestSweepMatchesRun(t *testing.T) {
 	}
 	abortOnly = both[:len(ns)]
 	checked := 0
-	for _, sc := range scenario.Registry() {
-		for _, pstar := range []float64{1.6, 2.0, 2.4, 5.0} {
-			for _, requote := range []bool{false, true} {
-				for _, force := range []bool{false, true} {
-					cfg := Config{
-						Params: sc.Params, PStar: pstar, Requote: requote, ForceInitiate: force,
-						Runs: 300, Seed: sc.Seed, Sampler: qmc.ModeSobol,
-					}
-					for _, points := range [][]Point{both, abortOnly} {
-						got, draws, err := Sweep(cfg, points)
-						if err != nil {
-							t.Fatalf("%s P*=%g: %v", sc.Name, pstar, err)
+	for _, mode := range []qmc.Mode{qmc.ModePseudo, qmc.ModeSobol} {
+		for _, sc := range scenario.Registry() {
+			for _, pstar := range []float64{1.6, 2.0, 2.4, 5.0} {
+				for _, requote := range []bool{false, true} {
+					for _, force := range []bool{false, true} {
+						cfg := Config{
+							Params: sc.Params, PStar: pstar, Requote: requote, ForceInitiate: force,
+							Runs: 300, Seed: sc.Seed, Sampler: mode,
 						}
-						if len(got) != len(points) || draws < 0 {
-							t.Fatalf("%s P*=%g: %d results, %d draws", sc.Name, pstar, len(got), draws)
-						}
-						for i, pt := range points {
-							one := cfg
-							one.Packets, one.ContinueAfterFailure = pt.Packets, pt.ContinueAfterFailure
-							want, err := Run(one)
+						for _, points := range [][]Point{both, abortOnly} {
+							got, draws, err := Sweep(cfg, points)
 							if err != nil {
-								t.Fatal(err)
+								t.Fatalf("%s %s P*=%g: %v", mode, sc.Name, pstar, err)
 							}
-							if !sameBits(got[i], want) {
-								t.Errorf("%s P*=%g requote=%v force=%v %+v:\n sweep %+v\n run   %+v",
-									sc.Name, pstar, requote, force, pt, got[i], want)
+							if len(got) != len(points) || draws < 0 {
+								t.Fatalf("%s %s P*=%g: %d results, %d draws", mode, sc.Name, pstar, len(got), draws)
 							}
-							checked++
+							for i, pt := range points {
+								one := cfg
+								one.Packets, one.ContinueAfterFailure = pt.Packets, pt.ContinueAfterFailure
+								want, err := Run(one)
+								if err != nil {
+									t.Fatal(err)
+								}
+								if !sameBits(got[i], want) {
+									t.Errorf("%s %s P*=%g requote=%v force=%v %+v:\n sweep %+v\n run   %+v",
+										mode, sc.Name, pstar, requote, force, pt, got[i], want)
+								}
+								checked++
+							}
 						}
 					}
 				}
@@ -78,23 +80,16 @@ func TestSweepMatchesRun(t *testing.T) {
 	t.Logf("%d sweep results matched standalone runs", checked)
 }
 
-// TestSweepRefusesPseudo checks that Sweep runs only under the sobol
-// sampler, whose runs each restart their draws, and rejects empty or
-// non-positive packet counts.
-func TestSweepRefusesPseudo(t *testing.T) {
-	points := []Point{{Packets: 2}, {Packets: 4, ContinueAfterFailure: true}}
-	for _, mode := range []qmc.Mode{"", qmc.ModePseudo} {
+// TestSweepRejectsBadPoints checks that Sweep, under either sampler,
+// rejects empty or non-positive packet counts.
+func TestSweepRejectsBadPoints(t *testing.T) {
+	for _, mode := range []qmc.Mode{"", qmc.ModePseudo, qmc.ModeSobol} {
 		cfg := baseConfig()
 		cfg.Sampler = mode
-		if _, _, err := Sweep(cfg, points); !errors.Is(err, ErrBadConfig) {
-			t.Errorf("sampler %q: err = %v, want ErrBadConfig", mode, err)
-		}
-	}
-	cfg := baseConfig()
-	cfg.Sampler = qmc.ModeSobol
-	for _, bad := range [][]Point{nil, {{Packets: 0}}, {{Packets: 2}, {Packets: -1}}} {
-		if _, _, err := Sweep(cfg, bad); !errors.Is(err, ErrBadConfig) {
-			t.Errorf("points %v: err = %v, want ErrBadConfig", bad, err)
+		for _, bad := range [][]Point{nil, {{Packets: 0}}, {{Packets: 2}, {Packets: -1}}} {
+			if _, _, err := Sweep(cfg, bad); !errors.Is(err, ErrBadConfig) {
+				t.Errorf("sampler %q, points %v: err = %v, want ErrBadConfig", mode, bad, err)
+			}
 		}
 	}
 }
@@ -147,9 +142,10 @@ func TestT3StepWithZeroExponent(t *testing.T) {
 	if !region.Contains(target) || region.Contains(over) || !(target > cutoff) {
 		t.Fatalf("setup: target %v or stretched %v does not separate the region %v", target, over, region)
 	}
-	// Per packet: the t2 draw, the t3 draw, the rest of the cycle.
-	src := &scripted{z: []float64{0, 0, zRest, 0, 0, 0}}
-	res, draws, err := pl.run(src, nil)
+	// Per packet: the t2 draw and the t3 draw, with the rest of the cycle
+	// drawn between packets.
+	src := &scripted{z: []float64{0, 0, zRest, 0, 0}}
+	res, draws, err := pl.run(src, func(int) {})
 	if err != nil {
 		t.Fatal(err)
 	}

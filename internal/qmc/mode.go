@@ -2,14 +2,13 @@
 // Carlo engine: the sampler-mode vocabulary shared by every layer that
 // names one (engine config, batch runner, CLIs, RPC params), a scrambled
 // Sobol low-discrepancy sequence with vendored direction numbers
-// (stdlib-only, like lazyrng's cooked table), and the slab-fronted normal
-// source the sobol-mode simulators draw price increments from.
+// (stdlib-only), and the slab-fronted normal source the sobol-mode
+// simulators draw price increments from.
 //
 // The two modes trade structure for statistical efficiency:
 //
-//   - Pseudo is the repository's historical sampler — lazily seeded
-//     math/rand-compatible draws — and stays the golden default: every
-//     committed artifact pins its stream byte-for-byte.
+//   - Pseudo is plain pseudo-random sampling from the repository's one
+//     PCG stream (sweep.Rand, reseeded per path) and is the default.
 //   - Sobol replaces the price increments with a digitally shifted Sobol
 //     sequence mapped through the normal quantile, run as R independent
 //     randomizations (replicates) so the estimator keeps an unbiased,

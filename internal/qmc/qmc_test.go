@@ -313,7 +313,7 @@ func TestSlabNormalsMatchesSobolNormals(t *testing.T) {
 			if draws < MaxDim {
 				continue
 			}
-			tail := rand.New(rand.NewSource(pathSeed))
+			tail := sweep.NewRand(pathSeed)
 			for k := 0; k < 4; k++ {
 				if got, w := n.NormFloat64(), tail.NormFloat64(); math.Float64bits(got) != math.Float64bits(w) {
 					t.Fatalf("index %d tail draw %d = %v, want %v", index, k, got, w)

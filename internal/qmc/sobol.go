@@ -3,9 +3,7 @@ package qmc
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
-	"repro/internal/lazyrng"
 	"repro/internal/sweep"
 )
 
@@ -21,9 +19,8 @@ const sobolBits = 32
 // joeKuo holds the vendored direction-number parameters of dimensions
 // 2..MaxDim — the (s, a, m) rows of Joe & Kuo's new-joe-kuo-6.21201
 // table (https://web.maths.unsw.edu.au/~fkuo/sobol/, BSD-licensed data;
-// vendored like lazyrng's cooked table so the package stays
-// stdlib-only). Dimension 1 is the van der Corput sequence and needs no
-// parameters.
+// vendored so the package stays stdlib-only). Dimension 1 is the van der
+// Corput sequence and needs no parameters.
 var joeKuo = []struct {
 	s uint // degree of the primitive polynomial
 	a uint // polynomial coefficient bits a_1..a_{s-1}
@@ -39,8 +36,7 @@ var joeKuo = []struct {
 }
 
 // directions precomputes the 32 direction numbers of every supported
-// dimension once at init (MaxDim × 32 uint32s — smaller than one lazyrng
-// vector).
+// dimension once at init (MaxDim × 32 uint32s).
 var directions [MaxDim][sobolBits]uint32
 
 func init() {
@@ -85,7 +81,7 @@ func NewSobol(dim int, scrambleSeed int64) (*Sobol, error) {
 		return nil, fmt.Errorf("qmc: sobol dimension %d out of range [1, %d]", dim, MaxDim)
 	}
 	s := &Sobol{dim: dim}
-	mix := lazyrng.NewSplitMix(scrambleSeed)
+	mix := sweep.NewSplitMix(scrambleSeed)
 	for d := 0; d < dim; d++ {
 		s.shift[d] = uint32(mix.Uint64() >> 32)
 	}
@@ -147,24 +143,22 @@ const sobolScrambleShard = 1 << 30
 // then falls back to a pseudo tail seeded with the path seed, so paths
 // that consume more than MaxDim increments stay unbiased. A coordinate is
 // computed only when the path draws it: most paths draw far fewer.
-// The tail rides one lazyrng source (math/rand's exact draws with an O(1)
-// reseed), so repositioning per path costs nothing. It implements
-// gbm.NormalSource and is not safe for concurrent use.
+// The tail rides one PCG stream (sweep.Rand, reseeded in O(1)), so
+// repositioning per path costs nothing. It implements gbm.NormalSource and
+// is not safe for concurrent use.
 type SlabNormals struct {
 	sobols [SobolReplicates]*Sobol
 	sobol  *Sobol // the path's replicate
 	gray   uint32 // the path's Gray-code point index
 	k      int    // coordinates drawn
-	tail   *lazyrng.Source
-	rng    *rand.Rand
+	tail   *sweep.Rand
 }
 
 // NewSlabNormals builds the source of a run with base seed seed: one
 // scrambled sequence per replicate, replicate r shifted by
 // sweep.Seed(seed, sobolScrambleShard+r).
 func NewSlabNormals(seed int64) (*SlabNormals, error) {
-	n := &SlabNormals{tail: lazyrng.New(0)}
-	n.rng = rand.New(n.tail)
+	n := &SlabNormals{tail: sweep.NewRand(0)}
 	for r := range n.sobols {
 		s, err := NewSobol(MaxDim, sweep.Seed(seed, sobolScrambleShard+r))
 		if err != nil {
@@ -191,5 +185,5 @@ func (n *SlabNormals) NormFloat64() float64 {
 		n.k++
 		return normal(n.sobol.coord(n.gray, n.k-1))
 	}
-	return n.rng.NormFloat64()
+	return n.tail.NormFloat64()
 }

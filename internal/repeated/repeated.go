@@ -18,11 +18,11 @@ package repeated
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/mathx"
 	"repro/internal/memo"
+	"repro/internal/sweep"
 	"repro/internal/utility"
 )
 
@@ -169,7 +169,7 @@ func Play(cfg Config) (Result, error) {
 	if alphaMax == 0 {
 		alphaMax = 1
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := sweep.NewRand(cfg.Seed)
 	price := cfg.Params.P0
 	alpha0A := cfg.Params.Alice.Alpha
 	alpha0B := cfg.Params.Bob.Alpha
@@ -304,7 +304,7 @@ func roundKey(a float64) float64 {
 // playRound samples the stage-game outcome from the threshold strategies
 // over the price transitions (the same sampling the analytic SR of Eq. 31
 // integrates in closed form).
-func playRound(rng *rand.Rand, params utility.Params, strat core.Strategy, round *Round) {
+func playRound(rng *sweep.Rand, params utility.Params, strat core.Strategy, round *Round) {
 	// An absorbed (underflowed-to-0) market price stays at 0 through both
 	// legs; the draws are still consumed to keep the stream aligned.
 	step := func(p, tau float64) float64 {

@@ -3,9 +3,11 @@ package rpc
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/scenario"
+	"repro/internal/stats"
 	"repro/internal/variant"
 )
 
@@ -13,13 +15,30 @@ import (
 // for every preset under both protocol variants, the swap.simulate stream
 // and the batch runner's Monte Carlo validation run the same protocol, so
 // at equal runs, seed and sampler they count the same paths and
-// successes.
+// successes. Deep-collateral's collateral cell also checks that SR_c
+// agrees with the simulation under variant.Agrees, at a run count sized
+// so that a correct simulator fails with probability at most
+// agreeFalseFailure: Agrees accepts SR_c within the Wilson 95% interval
+// (half-width ≈ 1.96σ) widened by 0.01, so a failure needs |p̂ − SR_c| >
+// 1.96σ + 0.01, and σ ≤ 0.5/√n for any SR. Setting 1.96σ + 0.01 = zσ for
+// the two-sided normal quantile z of agreeFalseFailure gives
+// n = ((z − 1.96)/(2·0.01))², 9318 runs at 1e-4.
 func TestSimulateAgreesWithBatchValidation(t *testing.T) {
-	const runs = 300
+	const (
+		runs              = 300
+		agreeFalseFailure = 1e-4
+	)
+	z := math.Sqrt2 * math.Erfinv(1-agreeFalseFailure)
+	deepRuns := int(math.Ceil(math.Pow((z-1.96)/(2*0.01), 2)))
 	_, ts := newTestServer(t, Config{})
 	id := 0
 	for _, sc := range scenario.Registry() {
 		for _, key := range []string{"basic", "collateral"} {
+			runs := runs
+			deep := sc.Name == "deep-collateral" && key == "collateral"
+			if deep {
+				runs = deepRuns
+			}
 			id++
 			got, rerr := simulateResult(t, ts.URL, id, fmt.Sprintf(
 				`{"scenario":%q,"variant":%q,"runs":%d,"everyPaths":1000000,"budgetMs":60000}`, sc.Name, key, runs))
@@ -38,11 +57,9 @@ func TestSimulateAgreesWithBatchValidation(t *testing.T) {
 				t.Errorf("%s/%s: simulate %d paths at SR %.4f, batch validation %d paths at SR %.4f",
 					sc.Name, key, got.Paths, got.SR, check.Runs, check.SR.P)
 			}
-			if sc.Name == "deep-collateral" && key == "collateral" {
-				if sr := row.Reports[0].SR; sr < got.Lo || sr > got.Hi {
-					t.Errorf("deep-collateral: SR_c %.4f outside the simulated Wilson interval [%.4f, %.4f]",
-						sr, got.Lo, got.Hi)
-				}
+			if sr := row.Reports[0].SR; deep && !variant.Agrees(sr, stats.Proportion{P: got.SR, Lo: got.Lo, Hi: got.Hi}) {
+				t.Errorf("deep-collateral: SR_c %.4f disagrees with the simulated Wilson interval [%.4f, %.4f] over %d runs",
+					sr, got.Lo, got.Hi, got.Paths)
 			}
 		}
 	}

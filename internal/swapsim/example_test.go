@@ -60,9 +60,9 @@ func ExampleMonteCarlo() {
 	fmt.Println("  (this is the crash-failure atomicity violation motivating AC3-style protocols)")
 	// Output:
 	// 20000 protocol executions at P* = 2.0:
-	//   empirical SR: 0.7150 [0.7088, 0.7213] (14301/20000)
+	//   empirical SR: 0.7180 [0.7118, 0.7242] (14361/20000)
 	//   analytic SR:  0.7143 (Eq. 31)
-	//   outcomes: map[completed:14301 t2-stop:2846 t3-stop:2853], atomicity violations: 0
+	//   outcomes: map[completed:14361 t2-stop:2818 t3-stop:2821], atomicity violations: 0
 	//
 	// Honest run (Table I verification): stage=completed
 	//   Alice Δ = (-2 TokenA, +1 TokenB), Bob Δ = (+2 TokenA, -1 TokenB)

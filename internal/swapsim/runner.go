@@ -3,16 +3,15 @@ package swapsim
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/agent"
 	"repro/internal/chain"
 	"repro/internal/gbm"
-	"repro/internal/lazyrng"
 	"repro/internal/mc"
 	"repro/internal/oracle"
 	"repro/internal/qmc"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 	"repro/internal/timeline"
 )
 
@@ -20,10 +19,9 @@ import (
 const balanceScale = 2
 
 // secretStreamSalt decorrelates the secret-byte stream from the price
-// stream: both are reseeded per path from the same path seed, and the
-// price source must reproduce math/rand's draws exactly (the goldens pin
-// them), so the secret reader gets the seed XORed with an arbitrary
-// constant instead of a derived stream.
+// stream: both are reseeded per path from the same path seed, the price
+// source directly, the secret reader with the seed XORed with an arbitrary
+// constant — a different generator on a different seed.
 const secretStreamSalt = 0x5eC2e7B17e50F
 
 // Runner executes protocol paths with a preallocated simulation stack —
@@ -42,16 +40,13 @@ type Runner struct {
 	sched  *sim.Scheduler
 	chainA *chain.Chain
 	chainB *chain.Chain
-	// src drives the price path: a lazily seeded replica of math/rand's
-	// stream, so the per-path reseed is O(1) instead of the 607-element
-	// vector computation that used to dominate per-path CPU, while every
-	// draw stays bit-identical to rand.NewSource (the goldens pin it).
-	src *lazyrng.Source
-	rng *rand.Rand
+	// rng drives the price path: the PCG stream reseeded in O(1) with
+	// each path's seed.
+	rng *sweep.Rand
 	// secrets is the preallocated reseedable splitmix64 source behind
 	// Alice's per-path preimages (deterministic, allocation- and
 	// syscall-free; secret bytes never influence an outcome).
-	secrets *lazyrng.SplitMix
+	secrets *sweep.SplitMix
 	// norm is the slab-fronted normal source the feed draws from in sobol
 	// mode (nil in pseudo mode, where the feed holds rng directly).
 	norm  *qmc.SlabNormals
@@ -108,11 +103,10 @@ func NewRunner(cfg Config) (*Runner, error) {
 	r.fundBobB = balanceScale * 1
 	r.fundBobA = balanceScale * cfg.Collateral
 
-	r.src = lazyrng.New(cfg.Seed)
-	r.rng = rand.New(r.src)
-	r.secrets = lazyrng.NewSplitMix(cfg.Seed ^ secretStreamSalt)
-	// Pseudo mode hands the feed the raw *rand.Rand — the exact source the
-	// goldens pin — while sobol mode interposes the slab-fronted source.
+	r.rng = sweep.NewRand(cfg.Seed)
+	r.secrets = sweep.NewSplitMix(cfg.Seed ^ secretStreamSalt)
+	// Pseudo mode hands the feed the PCG stream itself, while sobol mode
+	// interposes the slab-fronted source.
 	var feedSrc gbm.NormalSource = r.rng
 	if mode == qmc.ModeSobol {
 		if r.norm, err = qmc.NewSlabNormals(cfg.Seed); err != nil {
@@ -151,7 +145,7 @@ func (r *Runner) RunOutcome(seed int64) (Outcome, error) {
 // leading increments from point SobolPoint(index) of replicate
 // SobolReplicate(index)'s scrambled sequence, falling back to the seeded
 // pseudo stream past qmc.MaxDim draws. In pseudo mode the index is
-// ignored and the draw stream is byte-identical to the historical runner.
+// ignored and the path draws the PCG stream of seed.
 // The returned Outcome's decision logs alias scratch buffers that the
 // next run overwrites; callers that keep a path's log must copy it.
 func (r *Runner) RunOutcomeIndexed(index int, seed int64) (Outcome, error) {
@@ -182,7 +176,7 @@ func (r *Runner) RunOutcomeIndexed(index int, seed int64) (Outcome, error) {
 			return Outcome{}, fmt.Errorf("swapsim: %w", err)
 		}
 	}
-	r.src.Seed(seed)
+	r.rng.Seed(seed)
 	r.secrets.Seed(seed ^ secretStreamSalt)
 	if err := r.feed.Reset(r.cfg.Params.P0); err != nil {
 		return Outcome{}, fmt.Errorf("swapsim: %w", err)

@@ -11,6 +11,9 @@
 // any aggregation that consumes it in slice order — does not depend on
 // scheduling. For stochastic tasks, derive the per-shard RNG seed from the
 // index with Seed so the draw sequence is a function of the index alone.
+// The package also holds the repository's random streams (rand.go): Rand,
+// the one pseudo-random stream every simulator draws from, and SplitMix,
+// the secret-byte source.
 package sweep
 
 import (
@@ -133,17 +136,4 @@ func MapTiles[T any](ctx context.Context, n, workers, tile int, fn func(lo, hi i
 		return nil, err
 	}
 	return results, nil
-}
-
-// Seed derives a deterministic per-shard RNG seed from a base seed and a
-// shard index via a splitmix64 finaliser, so neighbouring shards get
-// decorrelated streams and the mapping is stable across worker counts.
-func Seed(base int64, shard int) int64 {
-	z := uint64(base) + uint64(shard)*0x9E3779B97F4A7C15
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return int64(z)
 }

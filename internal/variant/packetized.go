@@ -40,29 +40,24 @@ func (packetizedGame) packets(sc scenario.Scenario) int {
 	return DefaultPackets
 }
 
-// Solve runs the packetized Monte Carlo experiment in both failure
-// semantics (deterministic in the scenario seed): abort-on-failure, the
-// trust-is-broken reading, and continue-after-failure, the companion
-// protocol's case. The headline metric is the abort-mode expected
-// completed fraction of the notional.
+// Solve runs the packetized Monte Carlo experiment once and reads both
+// failure semantics from it (deterministic in the scenario seed):
+// abort-on-failure, the trust-is-broken reading, and
+// continue-after-failure, the companion protocol's case. The headline
+// metric is the abort-mode expected completed fraction of the notional.
 func (g packetizedGame) Solve(ctx *Context, sc scenario.Scenario) (Report, error) {
 	n := g.packets(sc)
 	cfg := packetized.Config{
-		Params:  sc.Params,
-		PStar:   sc.PStar,
-		Packets: n,
-		Runs:    ctx.Runs(sc),
-		Seed:    sweep.Seed(sc.Seed, seedShardPacketized),
+		Params: sc.Params,
+		PStar:  sc.PStar,
+		Runs:   ctx.Runs(sc),
+		Seed:   sweep.Seed(sc.Seed, seedShardPacketized),
 	}
-	abort, err := packetized.Run(cfg)
+	res, _, err := packetized.Sweep(cfg, []packetized.Point{{Packets: n}, {Packets: n, ContinueAfterFailure: true}})
 	if err != nil {
 		return Report{}, err
 	}
-	cfg.ContinueAfterFailure = true
-	cont, err := packetized.Run(cfg)
-	if err != nil {
-		return Report{}, err
-	}
+	abort, cont := res[0], res[1]
 	return Report{
 		SR:      abort.ExpectedFraction,
 		SRLabel: "expected completed fraction (abort-on-failure)",
