@@ -58,10 +58,10 @@ bench-json:
 	$(GO) run ./tools/benchmc -o BENCH_solve.json \
 		-note "Amortized solve engine baseline: BenchmarkFiguresFull once in its own cold process, the BenchmarkSolve_ suite at -benchtime=20x in a second one, so first-iteration warm-up does not reach the gated allocs/op; regenerate with make bench-json, CI gates allocs/op at 2x, evals/op and draws/op at any rise and BenchmarkFiguresFull wall time at 1.0s via make bench-check. Recorded with $$($(GO) env GOVERSION) $$($(GO) env GOOS)/$$($(GO) env GOARCH), GOMAXPROCS=$${GOMAXPROCS:-$$(nproc)}." < $$tmp
 
-# CI's bench-regression smoke (bench-mc-regression and
-# bench-solve-regression jobs): a short run of both suites must stay
-# within 2x of the committed baselines' allocs/op, reported in one merged
-# table (wall-clock is not gated — allocs are hardware-independent). The
+# CI's bench-regression smoke (the bench-mc-regression job; the
+# bench-solve-regression job is the pprof smoke): a short run of both
+# suites must stay within 2x of the committed baselines' allocs/op,
+# reported in one merged table (wall-clock is not gated — allocs are hardware-independent). The
 # MC suite runs 0.2s per benchmark — enough iterations that one-time pool
 # warm-up amortizes to zero against the zero-alloc path baseline. The
 # convergence benchmarks' pathsratio is gated at 1.0x
@@ -87,10 +87,10 @@ bench-check:
 	@set -e; bindir=$$(mktemp -d); trap 'rm -rf '$$bindir EXIT; \
 	$(GO) build -o $$bindir/swapd ./cmd/swapd; \
 	$(GO) run ./tools/loadgen -spawn $$bindir/swapd -duration 5s -qps 1200 \
-		-min-qps 500 -max-p99-ms 50 -require-coalesce -against BENCH_rpc.json; \
+		-min-qps 500 -max-p99-ms 50 -require-coalesce; \
 	$(GO) run ./tools/loadgen -spawn $$bindir/swapd -spawn-args "-resp-cache 16384" \
 		-duration 4s -qps 400 -hot-frac 0.5 -hot-keys 8 -mc-runs 1000 -warm \
-		-min-warm-hit 0.9 -warm-faster -against BENCH_rpc.json
+		-min-warm-hit 0.9 -warm-faster
 
 # Regenerate the RPC-layer baseline (commit the result; see tools/loadgen).
 # The hot-key + -warm run makes the artifact carry a cold row (results)
@@ -110,7 +110,7 @@ swapd-smoke:
 	@set -e; bindir=$$(mktemp -d); trap 'rm -rf '$$bindir EXIT; \
 	$(GO) build -o $$bindir/swapd ./cmd/swapd; \
 	$(GO) run ./tools/loadgen -spawn $$bindir/swapd -duration 10s -qps 1200 \
-		-min-qps 1000 -max-p99-ms 30 -require-coalesce -against BENCH_rpc.json
+		-min-qps 1000 -max-p99-ms 30 -require-coalesce
 
 # The chaos harness (CI's chaos-smoke job): build swapd with the race
 # detector, record a fault-free digest run, then replay the same seeded

@@ -228,19 +228,19 @@ func BenchmarkExtension_Packetized(b *testing.B) {
 	cfg := packetized.Config{
 		Params:  utility.Default(),
 		PStar:   2.0,
-		Packets: 8,
 		Requote: true,
 		Runs:    2000,
 		Seed:    77,
 	}
+	points := []packetized.Point{{Packets: 8}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := packetized.Run(cfg)
+		res, _, err := packetized.Sweep(cfg, points)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.FullCompletion.N != 2000 {
+		if res[0].FullCompletion.N != 2000 {
 			b.Fatal("short run")
 		}
 	}

@@ -282,14 +282,14 @@ func BenchmarkSolve_ContSetWarm(b *testing.B) {
 // the Table III scenario without the Monte Carlo validations — the
 // analytic (scenario × variant) cell cost the variant registry amortizes
 // through the shared solve cache. The sampled variants (packetized,
-// repeated) run their seeded experiments at a small fixed size so the
-// gated allocs/op stay deterministic.
+// repeated) run their seeded experiments at a fixed size (256 packetized
+// runs, the repeated game's 200 rounds) so the gated allocs/op stay
+// deterministic.
 func BenchmarkSolve_VariantMatrixAnalytic(b *testing.B) {
 	sc, err := scenario.Lookup("tableIII")
 	if err != nil {
 		b.Fatal(err)
 	}
-	sc.Rounds = 64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -320,15 +320,14 @@ func BenchmarkSolve_VariantPacketized(b *testing.B) {
 	}
 }
 
-// BenchmarkSolve_VariantRepeated runs one full repeated cell — a 64-round
-// engagement through the process-wide quote memo plus its static-premia
-// validation.
+// BenchmarkSolve_VariantRepeated runs one full repeated cell — the
+// variant's 200-round engagement through the process-wide quote memo plus
+// its static-premia validation.
 func BenchmarkSolve_VariantRepeated(b *testing.B) {
 	sc, err := scenario.Lookup("tableIII")
 	if err != nil {
 		b.Fatal(err)
 	}
-	sc.Rounds = 64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -152,6 +152,11 @@ func runAtlas(args []string, out io.Writer) error {
 		return err
 	}
 	fmt.Fprintln(out, res.Summary())
+	if *mc {
+		// A disagreement is reported, not gated: at the bench's run counts
+		// a few of the universe's checks miss by chance.
+		fmt.Fprintln(out, res.MCSummary())
+	}
 	if opts.Store != nil {
 		st := opts.Store.Stats()
 		fmt.Fprintf(out, "store: %d hits, %d misses, %d corrupt, %d puts (%s)\n",

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -201,6 +202,25 @@ func TestAtlasSubcommandIncremental(t *testing.T) {
 		"-store", t.TempDir(), "-max-solved", "0"}, &sb)
 	if err == nil || !strings.Contains(err.Error(), "gate allows 0") {
 		t.Errorf("cold store with -max-solved 0 returned %v, want gate failure", err)
+	}
+}
+
+// TestAtlasPrintsMCVerdicts checks that an -mc sweep prints one verdict
+// line over every check, and an analytic sweep prints none.
+func TestAtlasPrintsMCVerdicts(t *testing.T) {
+	base := []string{"atlas", "-chains", "btc,evm", "-samples", "2", "-seed", "3", "-out", t.TempDir()}
+	var mc, plain strings.Builder
+	if err := run(append(base, "-mc", "-runs", "200"), &mc); err != nil {
+		t.Fatalf("-mc run: %v\n%s", err, mc.String())
+	}
+	if !regexp.MustCompile(`(?m)^mc: \d+ of 4 checks disagree`).MatchString(mc.String()) {
+		t.Errorf("-mc output lacks the verdict line:\n%s", mc.String())
+	}
+	if err := run(base, &plain); err != nil {
+		t.Fatalf("analytic run: %v\n%s", err, plain.String())
+	}
+	if strings.Contains(plain.String(), "mc: ") {
+		t.Errorf("analytic sweep printed an MC verdict:\n%s", plain.String())
 	}
 }
 

@@ -16,7 +16,8 @@
 // named variant games are solved and — where the variant supports it —
 // cross-validated against an independent Monte Carlo protocol run, exactly
 // the per-cell check the scenario batch gates on: the pseudo sampler at
-// -runs paths, so -sampler and -ci-width are usage errors with -variant.
+// -runs paths, so -sampler and -ci-width are usage errors with -variant, as
+// is -packets (the packetized variant plays its fixed packet count).
 package main
 
 import (
@@ -63,7 +64,6 @@ func run(args []string, out io.Writer) error {
 		sampler    = fs.String("sampler", "", `sampling mode: "pseudo" (default) or "sobol"`)
 		scen       = fs.String("scenario", "", "simulate under a named scenario's parameters, rate, deposit and seed (explicit flags override)")
 		variants   = fs.String("variant", "", `simulate through the variant registry: "all" or a comma-separated key list`)
-		rounds     = fs.Int("rounds", 0, "round count for the repeated variant (0 = variant default)")
 		budget     = fs.Float64("budget", 0, "Bob's holdings cap for the uncertain variant (0 = unconstrained)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -90,12 +90,6 @@ func run(args []string, out io.Writer) error {
 		if !visited["seed"] {
 			*seed = sc.Seed
 		}
-		if !visited["packets"] {
-			*packets = sc.Packets
-		}
-		if !visited["rounds"] {
-			*rounds = sc.Rounds
-		}
 		if !visited["budget"] {
 			*budget = sc.BobBudget
 		}
@@ -111,8 +105,9 @@ func run(args []string, out io.Writer) error {
 
 	if *variants != "" {
 		// A variant's validation is defined by its scenario, seed and run
-		// count: it always runs the pseudo sampler for the full -runs.
-		if err := refuseFlags(fs, "-variant", "sampler", "ci-width"); err != nil {
+		// count: it always runs the pseudo sampler for the full -runs. The
+		// packetized variant plays variant.DefaultPackets packets.
+		if err := refuseFlags(fs, "-variant", "sampler", "ci-width", "packets"); err != nil {
 			return err
 		}
 		sc := scenario.Scenario{
@@ -123,8 +118,6 @@ func run(args []string, out io.Writer) error {
 			BobBudget:  *budget,
 			MCRuns:     *runs,
 			Seed:       *seed,
-			Packets:    *packets,
-			Rounds:     *rounds,
 		}
 		report, err := variant.Run(sc, variant.RunOpts{Variants: *variants})
 		if err != nil {
@@ -146,19 +139,18 @@ func run(args []string, out io.Writer) error {
 		if err := refuseFlags(fs, "-packets", "q", "ci-width", "trace", "halta-from", "halta-until", "haltb-from", "haltb-until"); err != nil {
 			return err
 		}
-		res, err := packetized.Run(packetized.Config{
-			Params:               params,
-			PStar:                *pstar,
-			Packets:              *packets,
-			Requote:              *requote,
-			ContinueAfterFailure: *keepGoing,
-			Runs:                 *runs,
-			Seed:                 *seed,
-			Sampler:              mode,
-		})
+		results, _, err := packetized.Sweep(packetized.Config{
+			Params:  params,
+			PStar:   *pstar,
+			Requote: *requote,
+			Runs:    *runs,
+			Seed:    *seed,
+			Sampler: mode,
+		}, []packetized.Point{{Packets: *packets, ContinueAfterFailure: *keepGoing}})
 		if err != nil {
 			return err
 		}
+		res := results[0]
 		fmt.Fprintf(out, "packetized swap: n=%d packets at P*=%g (requote=%v continue=%v, %d runs)\n",
 			*packets, *pstar, *requote, *keepGoing, *runs)
 		fmt.Fprintf(out, "  full completion:    %v\n", res.FullCompletion)

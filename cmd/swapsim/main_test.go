@@ -89,14 +89,15 @@ func TestPacketizedMode(t *testing.T) {
 }
 
 // TestPacketizedSampler pins -sampler on the packetized path: a sobol run
-// prints what packetized.Run reports under sobol, not the pseudo estimate.
+// prints what packetized.Sweep reports under sobol, not the pseudo estimate.
 func TestPacketizedSampler(t *testing.T) {
-	res, err := packetized.Run(packetized.Config{
-		Params: utility.Default(), PStar: 2, Packets: 4, Runs: 4000, Seed: 1, Sampler: qmc.ModeSobol,
-	})
+	results, _, err := packetized.Sweep(packetized.Config{
+		Params: utility.Default(), PStar: 2, Runs: 4000, Seed: 1, Sampler: qmc.ModeSobol,
+	}, []packetized.Point{{Packets: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := results[0]
 	var pseudo, sobol strings.Builder
 	if err := run([]string{"-packets", "4", "-runs", "4000"}, &pseudo); err != nil {
 		t.Fatalf("pseudo run: %v", err)
@@ -114,9 +115,9 @@ func TestPacketizedSampler(t *testing.T) {
 }
 
 // TestPacketizedRejectsUnusedFlags pins the usage error for flags a mode
-// has no use for: the packetized engine's, and the sampling flags under
-// -variant, whose validations always run the pseudo sampler at the full
-// run count.
+// has no use for: the packetized engine's, and under -variant the sampling
+// flags, whose validations always run the pseudo sampler at the full run
+// count, and -packets, since the packetized variant plays a fixed count.
 func TestPacketizedRejectsUnusedFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-packets", "2", "-trace"},
@@ -126,6 +127,7 @@ func TestPacketizedRejectsUnusedFlags(t *testing.T) {
 		{"-variant", "basic", "-sampler", "sobol"},
 		{"-variant", "basic", "-sampler", "pseudo"},
 		{"-variant", "basic,collateral", "-ci-width", "0.01"},
+		{"-variant", "packetized", "-packets", "2"},
 	} {
 		var sb strings.Builder
 		err := run(args, &sb)
@@ -244,11 +246,14 @@ func TestVariantMode(t *testing.T) {
 
 func TestVariantModeRepeatedRounds(t *testing.T) {
 	var sb strings.Builder
-	if err := run([]string{"-variant", "repeated", "-rounds", "80", "-runs", "400"}, &sb); err != nil {
+	if err := run([]string{"-variant", "repeated", "-runs", "400"}, &sb); err != nil {
 		t.Fatalf("run: %v\n%s", err, sb.String())
 	}
-	if !strings.Contains(sb.String(), "engagement: 80 rounds") {
-		t.Errorf("output missing the 80-round engagement header:\n%s", sb.String())
+	if want := fmt.Sprintf("engagement: %d rounds", variant.DefaultRounds); !strings.Contains(sb.String(), want) {
+		t.Errorf("output missing %q:\n%s", want, sb.String())
+	}
+	if err := run([]string{"-variant", "repeated", "-rounds", "80"}, &sb); err == nil {
+		t.Error("-rounds accepted: the engagement length is the variant's constant")
 	}
 }
 

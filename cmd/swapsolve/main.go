@@ -1,24 +1,28 @@
-// Command swapsolve solves the HTLC atomic-swap game of arXiv:2011.11325
-// for a given parameter set and prints the subgame-perfect thresholds, the
-// feasible exchange-rate range (Eq. 29), the success rate (Eq. 31), and —
-// with -q or -uncertain — the corresponding extension results.
+// Command swapsolve solves the HTLC atomic-swap games of arXiv:2011.11325
+// for a given parameter set and prints the variant registry's reports
+// (internal/variant): by default the paper's three games — the §III basic
+// game (thresholds, feasible range, SR of Eq. 31), the §IV.A collateral
+// game at deposit -q and the §IV.B uncertain-rate game under -budget —
+// followed by the two views no report carries: the collateral engagement
+// rates 𝒫^A, 𝒫^B and their intersection (when Q > 0), and B's optimal
+// lock X*(P_t2) over a grid of t2 prices.
 //
 // Usage:
 //
-//	swapsolve [-pstar 2.0] [-q 0.1] [-uncertain] [-budget 5] [model flags]
+//	swapsolve [-pstar 2.0] [-q 0.1] [-budget 5] [model flags]
 //	swapsolve -sweep 0.2:3.2:61 [-workers 8]   # parallel SR(P*) grid scan
 //	swapsolve -scenario high-vol               # solve a named scenario
+//	swapsolve -variant uncertain -budget 5     # one game's report only
 //	swapsolve -variant all                     # every registered variant game
 //	swapsolve -scenario high-vol -variant packetized,repeated
 //
 // Model flags default to Table III (see -help). With -scenario, the named
-// scenario (cmd/scenarios -list) supplies the parameter set, rate and
-// deposit, and any explicitly set flag overrides that field. With -variant,
-// the parameter set is solved through the internal/variant registry —
-// analytic solves only; protocol simulation lives in swapsim — for the
-// named variant games ("all" for every one). The -sweep grid scan runs
-// through the internal/sweep worker pool; its output is identical for
-// every -workers value.
+// scenario (cmd/scenarios -list) supplies the parameter set, rate, deposit,
+// budget and seed, and any explicitly set flag overrides that field. An
+// explicit -variant prints exactly the named games' reports ("all" for
+// every one); solves are analytic only, protocol simulation lives in
+// swapsim. The -sweep grid scan runs through the internal/sweep worker
+// pool; its output is identical for every -workers value.
 package main
 
 import (
@@ -51,16 +55,13 @@ func main() {
 func run(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("swapsolve", flag.ContinueOnError)
 	var (
-		pstar     = fs.Float64("pstar", 2.0, "agreed exchange rate P* (Token_a per Token_b)")
-		q         = fs.Float64("q", 0, "per-agent collateral deposit Q (0 = basic game)")
-		uncertain = fs.Bool("uncertain", false, "solve the uncertain-exchange-rate extension (§IV.B)")
-		budget    = fs.Float64("budget", 0, "Bob's Token_b holdings cap for -uncertain (0 = unconstrained Eq. 44)")
+		pstar     = fs.Float64("pstar", 2.0, "agreed exchange rate P* (Token_a per Token_b); A's committed amount in the uncertain game")
+		q         = fs.Float64("q", 0, "per-agent collateral deposit Q (0 = the collateral game degenerates to the basic game)")
+		budget    = fs.Float64("budget", 0, "Bob's Token_b holdings cap in the uncertain game (0 = unconstrained Eq. 44)")
 		sweepSpec = fs.String("sweep", "", "sweep SR over a lo:hi:n exchange-rate grid instead of solving one rate")
 		workers   = fs.Int("workers", 0, "worker-pool size for -sweep (0 = all CPUs)")
 		scen      = fs.String("scenario", "", "start from a named scenario's parameters (explicit flags override)")
-		variants  = fs.String("variant", "", `solve through the variant registry: "all" or a comma-separated key list`)
-		packets   = fs.Int("packets", 0, "packet count for the packetized variant (0 = variant default)")
-		rounds    = fs.Int("rounds", 0, "round count for the repeated variant (0 = variant default)")
+		variants  = fs.String("variant", "", `print only these variant games' reports: "all" or a comma-separated key list (empty = basic, collateral and uncertain plus the engagement and X* views)`)
 		seed      = fs.Int64("seed", 1, "seed of the sampled variants (packetized, repeated)")
 
 		alphaA = fs.Float64("alphaA", 0.3, "Alice's success premium")
@@ -86,83 +87,112 @@ func run(args []string, out *os.File) error {
 		defer solvecache.WriteStats(out)
 	}
 
-	params := utility.Params{
-		Alice:  utility.AgentParams{Alpha: *alphaA, R: *rA},
-		Bob:    utility.AgentParams{Alpha: *alphaB, R: *rB},
-		Chains: timeline.Chains{TauA: *tauA, TauB: *tauB, EpsB: *epsB},
-		Price:  gbm.Process{Mu: *mu, Sigma: *sigma},
-		P0:     *p0,
+	sc := scenario.Scenario{
+		Name: "cli",
+		Params: utility.Params{
+			Alice:  utility.AgentParams{Alpha: *alphaA, R: *rA},
+			Bob:    utility.AgentParams{Alpha: *alphaB, R: *rB},
+			Chains: timeline.Chains{TauA: *tauA, TauB: *tauB, EpsB: *epsB},
+			Price:  gbm.Process{Mu: *mu, Sigma: *sigma},
+			P0:     *p0,
+		},
+		PStar:      *pstar,
+		Collateral: *q,
+		BobBudget:  *budget,
+		Seed:       *seed,
 	}
-	name := "cli"
 	if *scen != "" {
-		sc, err := scenario.Lookup(*scen)
+		preset, err := scenario.Lookup(*scen)
 		if err != nil {
 			return err
 		}
-		name = sc.Name
 		visited := map[string]bool{}
 		fs.Visit(func(f *flag.Flag) { visited[f.Name] = true })
-		params = overrideParams(sc.Params, params, visited)
+		sc.Name = preset.Name
+		sc.Params = overrideParams(preset.Params, sc.Params, visited)
 		if !visited["pstar"] {
-			*pstar = sc.PStar
+			sc.PStar = preset.PStar
 		}
 		if !visited["q"] {
-			*q = sc.Collateral
+			sc.Collateral = preset.Collateral
 		}
 		if !visited["budget"] {
-			*budget = sc.BobBudget
+			sc.BobBudget = preset.BobBudget
 		}
 		if !visited["seed"] {
-			*seed = sc.Seed
+			sc.Seed = preset.Seed
 		}
-		if !visited["packets"] {
-			*packets = sc.Packets
-		}
-		if !visited["rounds"] {
-			*rounds = sc.Rounds
-		}
-	}
-
-	if *variants != "" {
-		sc := scenario.Scenario{
-			Name:       name,
-			Params:     params,
-			PStar:      *pstar,
-			Collateral: *q,
-			BobBudget:  *budget,
-			Seed:       *seed,
-			Packets:    *packets,
-			Rounds:     *rounds,
-		}
-		report, err := variant.Run(sc, variant.RunOpts{Variants: *variants, SkipMC: true})
-		if err != nil {
-			return err
-		}
-		_, err = fmt.Fprint(out, report.Render())
-		return err
-	}
-
-	// Route through the shared solve cache: a -sweep re-solves one model's
-	// cells, and repeated CLI invocations inside one process (tests) share
-	// them.
-	m, err := solvecache.SharedModel(params)
-	if err != nil {
-		return err
 	}
 
 	if *sweepSpec != "" {
-		if *uncertain {
-			return fmt.Errorf("-sweep supports the basic and collateral games only; drop -uncertain")
+		if *variants != "" {
+			return fmt.Errorf("-sweep scans the basic or collateral SR(P*) only; drop -variant")
 		}
-		return solveSweep(out, m, *sweepSpec, *q, *workers)
+		// Route through the shared solve cache: a -sweep re-solves one
+		// model's cells.
+		m, err := solvecache.SharedModel(sc.Params)
+		if err != nil {
+			return err
+		}
+		return solveSweep(out, m, *sweepSpec, sc.Collateral, *workers)
 	}
-	if *uncertain {
-		return solveUncertain(out, m, *pstar, *budget)
+	report, err := variant.Run(sc, variant.RunOpts{Variants: *variants, SkipMC: true})
+	if err != nil {
+		return err
 	}
-	if *q > 0 {
-		return solveCollateral(out, m, *pstar, *q)
+	if _, err := fmt.Fprint(out, report.Render()); err != nil {
+		return err
 	}
-	return solveBasic(out, m, *pstar)
+	if *variants != "" {
+		return nil
+	}
+	m, err := solvecache.SharedModel(sc.Params)
+	if err != nil {
+		return err
+	}
+	if sc.Collateral > 0 {
+		if err := printEngagement(out, m, sc.Collateral); err != nil {
+			return err
+		}
+	}
+	return printLockSizes(out, m, sc.PStar, sc.BobBudget)
+}
+
+// printEngagement prints the rates at which each agent engages in the
+// collateral game at deposit q (Fig. 8's sets), which the collateral
+// report, solved at one rate, does not carry.
+func printEngagement(out *os.File, m *core.Model, q float64) error {
+	col, err := m.Collateral(q)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, " collateral engagement rates at Q = %g\n", q)
+	fmt.Fprintf(out, "  Alice's engagement rates 𝒫^A:            %v\n", col.FeasibleRatesAlice())
+	fmt.Fprintf(out, "  Bob's engagement rates 𝒫^B:              %v\n", col.FeasibleRatesBob())
+	fmt.Fprintf(out, "  joint engagement (intersection):         %v\n", col.FeasibleRatesIntersection())
+	return nil
+}
+
+// printLockSizes prints B's optimal lock X*(P_t2) against A's committed
+// amount aLock over a grid of t2 prices, under the budget cap the
+// uncertain report solves with.
+func printLockSizes(out *os.File, m *core.Model, aLock, budget float64) error {
+	u := m.Uncertain()
+	if budget > 0 {
+		var err error
+		if u, err = m.UncertainWithBudget(budget); err != nil {
+			return err
+		}
+	}
+	fmt.Fprintf(out, " uncertain lock sizing: Bob's optimal lock against a = %g Token_a\n", aLock)
+	for _, y := range []float64{0.5, 1, 2, 4, 8} {
+		x, excess, err := u.OptimalLockB(y, aLock)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "  X*(P_t2=%g) = %.4f (Bob's excess utility %.4f)\n", y, x, excess)
+	}
+	return nil
 }
 
 // overrideParams starts from a scenario's parameter set and applies every
@@ -259,118 +289,5 @@ func solveSweep(out *os.File, m *core.Model, spec string, q float64, workers int
 		}
 	}
 	fmt.Fprintf(out, "  best rate on grid: P* = %.4f (SR = %.4f)\n", grid[best], srs[best])
-	return nil
-}
-
-func solveBasic(out *os.File, m *core.Model, pstar float64) error {
-	cut, err := m.CutoffT3(pstar)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "basic HTLC swap game at P* = %g\n", pstar)
-	fmt.Fprintf(out, "  Alice's t3 reveal cut-off P̄_t3 (Eq. 18): %.4f\n", cut)
-
-	iv, ok, err := m.ContRangeT2(pstar)
-	if err != nil {
-		return err
-	}
-	if ok {
-		fmt.Fprintf(out, "  Bob's t2 continuation range (Eq. 24):    (%.4f, %.4f)\n", iv.Lo, iv.Hi)
-	} else {
-		fmt.Fprintf(out, "  Bob's t2 continuation range (Eq. 24):    empty — B never locks\n")
-	}
-
-	rng, ok, err := m.FeasibleRateRange()
-	if err != nil {
-		return err
-	}
-	if ok {
-		fmt.Fprintf(out, "  feasible exchange-rate range (Eq. 29):   (%.4f, %.4f)\n", rng.Lo, rng.Hi)
-	} else {
-		fmt.Fprintf(out, "  feasible exchange-rate range (Eq. 29):   empty — A never initiates\n")
-	}
-
-	sr, err := m.SuccessRate(pstar)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "  success rate SR(P*) (Eq. 31):            %.4f\n", sr)
-
-	if opt, srOpt, err := m.OptimalRate(); err == nil {
-		fmt.Fprintf(out, "  SR-maximising rate:                      %.4f (SR = %.4f)\n", opt, srOpt)
-	}
-	strat, err := m.Strategy(pstar)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "  Alice initiates at this rate:            %v\n", strat.AliceInitiates)
-	return nil
-}
-
-func solveCollateral(out *os.File, m *core.Model, pstar, q float64) error {
-	col, err := m.Collateral(q)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "collateral HTLC swap game at P* = %g, Q = %g\n", pstar, q)
-	cut, err := col.CutoffT3(pstar)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "  Alice's t3 cut-off P̄_t3,c (Eq. 33):      %.4f\n", cut)
-	set, err := col.ContSetT2(pstar)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "  Bob's t2 continuation set 𝒫_t2:          %v\n", set)
-	fmt.Fprintf(out, "  Alice's engagement rates 𝒫^A:            %v\n", col.FeasibleRatesAlice())
-	fmt.Fprintf(out, "  Bob's engagement rates 𝒫^B:              %v\n", col.FeasibleRatesBob())
-	fmt.Fprintf(out, "  joint engagement (intersection):         %v\n", col.FeasibleRatesIntersection())
-	sr, err := col.SuccessRate(pstar)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "  success rate SR_c(P*) (Eq. 40):          %.4f\n", sr)
-	srBasic, err := m.SuccessRate(pstar)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "  improvement over Q=0:                    %+.4f\n", sr-srBasic)
-	return nil
-}
-
-func solveUncertain(out *os.File, m *core.Model, aLock, budget float64) error {
-	u := m.Uncertain()
-	label := "unconstrained (printed Eq. 44)"
-	if budget > 0 {
-		var err error
-		if u, err = m.UncertainWithBudget(budget); err != nil {
-			return err
-		}
-		label = fmt.Sprintf("budget-capped at %g Token_b", budget)
-	}
-	fmt.Fprintf(out, "uncertain-exchange-rate game, Alice locks a = %g Token_a (%s)\n", aLock, label)
-	for _, y := range []float64{0.5, 1, 2, 4, 8} {
-		x, excess, err := u.OptimalLockB(y, aLock)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "  X*(P_t2=%g) = %.4f (Bob's excess utility %.4f)\n", y, x, excess)
-	}
-	ex, err := u.AliceExcessUtilityT1(aLock)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "  Alice's excess utility (Eq. 45):          %.4f\n", ex)
-	sr, err := u.SuccessRate(aLock)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "  success rate SR_x (Eq. 46):               %.4f\n", sr)
-	srBasic, err := m.SuccessRate(aLock)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "  basic-game SR at the same P*:             %.4f\n", srBasic)
 	return nil
 }

@@ -32,14 +32,15 @@ func TestBasicSolve(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	for _, want := range []string{"1.4811", "Eq. 29", "0.7143", "true"} {
+	for _, want := range []string{"1.4811", "Eq. 30", "0.7143", "true",
+		"variant basic", "variant collateral", "variant uncertain", "X*(P_t2=1)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
 }
 
-// TestCollateralSolve checks the collateral solve's labels and pins its
+// TestCollateralSolve checks the collateral report's labels and pins the
 // engagement sets to the strings Fig. 8's golden prints for Q = 0.1: the
 // CLI and the figure are the two consumers of the engagement scans.
 func TestCollateralSolve(t *testing.T) {
@@ -85,7 +86,7 @@ func lineAfter(t *testing.T, text, label string) string {
 }
 
 func TestUncertainSolve(t *testing.T) {
-	out, err := capture(t, []string{"-uncertain", "-budget", "5", "-pstar", "4"})
+	out, err := capture(t, []string{"-budget", "5", "-pstar", "4"})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -95,12 +96,20 @@ func TestUncertainSolve(t *testing.T) {
 		}
 	}
 	// Unconstrained variant.
-	out2, err := capture(t, []string{"-uncertain", "-pstar", "4"})
+	out2, err := capture(t, []string{"-pstar", "4"})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if !strings.Contains(out2, "unconstrained") {
 		t.Errorf("output missing unconstrained label:\n%s", out2)
+	}
+	// An explicit -variant prints the report alone, without the X* view.
+	only, err := capture(t, []string{"-variant", "uncertain", "-budget", "5", "-pstar", "4"})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if !strings.Contains(only, "budget-capped") || strings.Contains(only, "X*(") || strings.Contains(only, "variant basic") {
+		t.Errorf("-variant uncertain should print only the uncertain report:\n%s", only)
 	}
 }
 
@@ -124,21 +133,30 @@ func TestBadFlagsAndParams(t *testing.T) {
 	if _, err := capture(t, []string{"-pstar", "-1"}); err == nil {
 		t.Error("negative rate should fail")
 	}
+	if _, err := capture(t, []string{"-sweep", "1:3:5", "-variant", "basic"}); err == nil {
+		t.Error("-sweep with -variant should fail")
+	}
 }
 
 func TestBadBudgetRejected(t *testing.T) {
 	// A negative or non-finite budget is a usage error, not a silent
 	// fallback to the unconstrained game.
 	for _, b := range []string{"-3", "NaN", "Inf", "-Inf"} {
-		out, err := capture(t, []string{"-uncertain", "-budget", b})
+		out, err := capture(t, []string{"-budget", b})
 		if err == nil || !strings.Contains(err.Error(), "-budget") {
 			t.Errorf("-budget %s: err = %v, want a -budget usage error; output:\n%s", b, err, out)
 		}
 	}
 }
 
+// body drops the report's first line, which names the scenario.
+func body(out string) string {
+	_, rest, _ := strings.Cut(out, "\n")
+	return rest
+}
+
 func TestScenarioFlagLoadsPreset(t *testing.T) {
-	ref, err := capture(t, []string{"-q", "0.5"})
+	ref, err := capture(t, []string{"-q", "0.5", "-budget", "5", "-seed", "7"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,15 +164,18 @@ func TestScenarioFlagLoadsPreset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != ref {
-		t.Errorf("-scenario deep-collateral should match -q 0.5 at Table III params:\n got: %s\nwant: %s", got, ref)
+	if !strings.HasPrefix(got, "scenario deep-collateral ") {
+		t.Errorf("report does not name the scenario:\n%s", got)
+	}
+	if body(got) != body(ref) {
+		t.Errorf("-scenario deep-collateral should match -q 0.5 -budget 5 at Table III params:\n got: %s\nwant: %s", got, ref)
 	}
 }
 
 func TestScenarioFlagExplicitOverride(t *testing.T) {
 	// An explicit -sigma on top of high-vol must override the preset's 0.2,
 	// landing exactly on the Table III solution with the preset's Q=0.1.
-	ref, err := capture(t, []string{"-sigma", "0.1", "-q", "0.1"})
+	ref, err := capture(t, []string{"-sigma", "0.1", "-q", "0.1", "-budget", "5"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,14 +183,14 @@ func TestScenarioFlagExplicitOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != ref {
+	if body(got) != body(ref) {
 		t.Errorf("explicit -sigma should override the scenario:\n got: %s\nwant: %s", got, ref)
 	}
 	plain, err := capture(t, []string{"-scenario", "high-vol"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain == ref {
+	if body(plain) == body(ref) {
 		t.Error("high-vol without overrides should differ from Table III")
 	}
 }
@@ -200,11 +221,11 @@ func TestVariantAllSolvesEveryGame(t *testing.T) {
 }
 
 func TestVariantSubsetWithKnobs(t *testing.T) {
-	out, err := capture(t, []string{"-variant", "packetized", "-packets", "2", "-seed", "5"})
+	out, err := capture(t, []string{"-variant", "packetized", "-seed", "5"})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	for _, want := range []string{"variant packetized", "packets n=2", "per-round exposure"} {
+	for _, want := range []string{"variant packetized", "packets n=4", "per-round exposure"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}

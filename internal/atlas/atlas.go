@@ -79,6 +79,13 @@ type Result struct {
 	// not the universe, and are excluded from serialized artifacts.
 	Solved int `json:"-"`
 	Loaded int `json:"-"`
+	// Checks counts the cells that carry a Monte Carlo check, and
+	// Disagree names ("scenario/variant") those whose check disagrees
+	// with the analytic solve, in universe order. A loaded cell carries
+	// its stored check, so cold and warm sweeps report the same verdicts.
+	// Like the split above, they are excluded from serialized artifacts.
+	Checks   int      `json:"-"`
+	Disagree []string `json:"-"`
 }
 
 // Run sweeps the universe once.
@@ -108,6 +115,12 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	for _, sr := range reports {
 		from, to := pairOf(sr.Scenario.Name)
 		for _, r := range sr.Reports {
+			if r.MC != nil {
+				res.Checks++
+				if !r.MC.Agrees {
+					res.Disagree = append(res.Disagree, sr.Scenario.Name+"/"+r.Key)
+				}
+			}
 			res.Cells = append(res.Cells, Cell{
 				Scenario: sr.Scenario.Name,
 				From:     from,
@@ -147,6 +160,16 @@ func pairOf(name string) (from, to string) {
 func (r *Result) Summary() string {
 	return fmt.Sprintf("atlas: %d cells over %d scenarios, solved %d, loaded %d",
 		len(r.Cells), r.Spec.Cells(), r.Solved, r.Loaded)
+}
+
+// MCSummary is the one-line verdict of the sweep's Monte Carlo checks,
+// naming every cell whose check disagrees.
+func (r *Result) MCSummary() string {
+	s := fmt.Sprintf("mc: %d of %d checks disagree", len(r.Disagree), r.Checks)
+	if len(r.Disagree) > 0 {
+		s += " (" + strings.Join(r.Disagree, ", ") + ")"
+	}
+	return s
 }
 
 // frontierBuckets is the σ resolution of the frontier table.

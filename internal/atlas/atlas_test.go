@@ -4,11 +4,13 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/store"
+	"repro/internal/variant"
 )
 
 func smallOpts(t *testing.T) Options {
@@ -137,5 +139,48 @@ func TestPairOf(t *testing.T) {
 	}
 	if f, to := pairOf("tableIII"); f != "" || to != "" {
 		t.Errorf("pairOf of a preset name = %q, %q, want empty", f, to)
+	}
+}
+
+// TestMCVerdictsCollected checks that an -mc sweep collects every check's
+// verdict: the disagreeing cells are the ones variant.RunAll reports for
+// the same universe, and a warm sweep reads the same verdicts from the
+// stored checks.
+func TestMCVerdictsCollected(t *testing.T) {
+	opts := smallOpts(t)
+	opts.SkipMC = false
+	opts.Runs = 200
+	scs, err := opts.Spec.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := variant.RunAll(context.Background(), scs, 2, variant.RunOpts{Runs: opts.Runs, Variants: "basic"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, row := range rows {
+		for _, key := range row.Disagreements() {
+			want = append(want, row.Scenario.Name+"/"+key)
+		}
+	}
+	s, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Store = s
+	for _, pass := range []string{"cold", "warm"} {
+		res, err := Run(context.Background(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Checks != opts.Spec.Cells() || !slices.Equal(res.Disagree, want) {
+			t.Errorf("%s sweep: %d checks, disagreeing %v; want %d checks, disagreeing %v",
+				pass, res.Checks, res.Disagree, opts.Spec.Cells(), want)
+		}
+	}
+	got := (&Result{Checks: 4, Disagree: []string{"u-btc-evm-001/basic", "u-evm-btc-002/basic"}}).MCSummary()
+	if want := "mc: 2 of 4 checks disagree (u-btc-evm-001/basic, u-evm-btc-002/basic)"; got != want {
+		t.Errorf("MCSummary = %q, want %q", got, want)
 	}
 }

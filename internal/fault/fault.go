@@ -3,8 +3,8 @@
 // keyed to one registered injection point in the RPC server or its
 // streamed responses ("rpc.latency", "stream.write.error", …); at each point
 // the server asks the injector whether the fault fires. Decisions are
-// seeded: a per-key counter indexes into a SplitMix64 stream, so two runs
-// that visit a point the same number of times draw the same fire/no-fire
+// seeded: a per-key counter indexes a sweep.Seed stream, so two runs that
+// visit a point the same number of times draw the same fire/no-fire
 // sequence regardless of wall clock or goroutine identity.
 //
 // The nil *Injector is the production default: every method on a nil
@@ -18,6 +18,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/sweep"
 )
 
 // Registered injection-point keys. The key names the site and the fault it
@@ -66,20 +68,20 @@ type Rule struct {
 	Delay time.Duration
 }
 
-// point is the per-key runtime state: the rule plus the deterministic
-// draw counter and the fired tally.
+// point is the per-key runtime state: the rule, the base of its draw
+// stream (the seed xor the key's hash), the deterministic draw counter and
+// the fired tally.
 type point struct {
-	rule    Rule
-	keyHash uint64
-	seq     atomic.Uint64
-	fired   atomic.Uint64
+	rule  Rule
+	base  int64
+	seq   atomic.Uint64
+	fired atomic.Uint64
 }
 
 // Injector decides, deterministically per (seed, key, visit index),
 // whether a registered fault fires. The zero-size nil injector disables
 // everything.
 type Injector struct {
-	seed   uint64
 	points map[string]*point
 }
 
@@ -88,7 +90,7 @@ type Injector struct {
 // non-negative; duplicate keys are rejected (one rule per point keeps the
 // draw sequence unambiguous).
 func New(seed int64, rules []Rule) (*Injector, error) {
-	in := &Injector{seed: uint64(seed), points: make(map[string]*point, len(rules))}
+	in := &Injector{points: make(map[string]*point, len(rules))}
 	for _, r := range rules {
 		if _, ok := registry[r.Key]; !ok {
 			return nil, fmt.Errorf("fault: unknown injection point %q (known: %s)",
@@ -103,7 +105,7 @@ func New(seed int64, rules []Rule) (*Injector, error) {
 		if _, dup := in.points[r.Key]; dup {
 			return nil, fmt.Errorf("fault: duplicate rule for %q", r.Key)
 		}
-		in.points[r.Key] = &point{rule: r, keyHash: fnv1a(r.Key)}
+		in.points[r.Key] = &point{rule: r, base: seed ^ int64(fnv1a(r.Key))}
 	}
 	return in, nil
 }
@@ -164,7 +166,7 @@ func (in *Injector) Fire(key string) bool {
 	n := p.seq.Add(1) - 1
 	// The draw is indexed by (seed, key, visit): deterministic under any
 	// goroutine interleaving that preserves per-key visit counts.
-	u := float64(splitmix64(in.seed^p.keyHash+n*0x9e3779b97f4a7c15)>>11) / (1 << 53)
+	u := float64(uint64(sweep.Seed(p.base, int(n+1)))>>11) / (1 << 53)
 	if u >= p.rule.Prob {
 		return false
 	}
@@ -201,18 +203,6 @@ func (in *Injector) Counts() map[string]uint64 {
 
 // Enabled reports whether any rule is armed (false for nil injectors).
 func (in *Injector) Enabled() bool { return in != nil && len(in.points) > 0 }
-
-// splitmix64 is the SplitMix64 finalizer: a bijective mix whose outputs
-// pass statistical tests even on sequential inputs.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
 
 // fnv1a hashes a key into the draw stream's offset (FNV-1a 64).
 func fnv1a(s string) uint64 {

@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"strings"
 	"testing"
@@ -171,6 +173,39 @@ func TestRegistry(t *testing.T) {
 	for _, k := range []string{KeyRPCLatency, KeyRPCError, KeyRPCPanic, KeyStreamWriteError} {
 		if !strings.Contains(strings.Join(keys, " "), k) {
 			t.Errorf("constant %q missing from registry", k)
+		}
+	}
+}
+
+// TestFireSequencePinned pins the first 1000 fire decisions of every
+// registered key at seed 42, at the chaos harness's probabilities and at
+// 0.5: each digest hashes the decisions in visit order. A change to the
+// draw (its mix, the key hash or the visit indexing) moves a digest.
+func TestFireSequencePinned(t *testing.T) {
+	want := map[string]string{
+		KeyRPCError:         "9e30b9f60e6f5547a118731d06d60607",
+		KeyRPCLatency:       "8098535081d4030d87963966d638a4a1",
+		KeyRPCPanic:         "5e11a11a69472b6afaf61c1734e55dab",
+		KeyStreamWriteError: "f76571ebc37e5bbfca1cbde1b4b7f974",
+	}
+	probs := []float64{0.01, 0.03, 0.05, 0.5}
+	for _, key := range Keys() {
+		h := sha256.New()
+		for _, p := range probs {
+			in, err := New(42, []Rule{{Key: key, Prob: p}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var seq [1000]byte
+			for i := range seq {
+				if in.Fire(key) {
+					seq[i] = 1
+				}
+			}
+			h.Write(seq[:])
+		}
+		if got := hex.EncodeToString(h.Sum(nil)[:16]); got != want[key] {
+			t.Errorf("%s: fire decisions hash %s, want %s", key, got, want[key])
 		}
 	}
 }

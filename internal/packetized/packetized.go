@@ -50,14 +50,9 @@ type Config struct {
 	Params utility.Params
 	// PStar is the agreed exchange rate (total Token_a per total Token_b).
 	PStar float64
-	// Packets is the number of equal packets n ≥ 1.
-	Packets int
 	// Requote re-solves the SR-maximising rate for each packet at its
 	// opening price instead of keeping PStar fixed.
 	Requote bool
-	// ContinueAfterFailure keeps trading the remaining packets after a
-	// withdrawal instead of aborting the engagement.
-	ContinueAfterFailure bool
 	// ForceInitiate starts the engagement even when the fixed rate lies
 	// outside A's feasible band, so the completion estimate conditions on
 	// initiation exactly as the analytic SR of Eq. 31 does — the mode the
@@ -77,8 +72,8 @@ type Config struct {
 	Sampler qmc.Mode
 }
 
-// validate checks the fields every point of a simulation shares; the
-// packet counts are checked per point by newPlan.
+// validate checks the simulation's fields; the packet counts are checked
+// per point by newPlan.
 func (c Config) validate() error {
 	if err := c.Params.Validate(); err != nil {
 		return fmt.Errorf("packetized: %w", err)
@@ -120,26 +115,19 @@ type Result struct {
 	ExposurePerRound float64
 }
 
-// Run executes the Monte Carlo experiment. Each run walks the packets in
-// sequence: packet k opens at the price where packet k−1 settled (one full
-// protocol cycle later), plays the basic game's threshold strategies (the
-// price thresholds are amount-invariant), and a withdrawal aborts the rest.
-func Run(cfg Config) (Result, error) {
-	res, _, err := Sweep(cfg, []Point{{Packets: cfg.Packets, ContinueAfterFailure: cfg.ContinueAfterFailure}})
-	if err != nil {
-		return Result{}, err
-	}
-	return res[0], nil
-}
-
-// Sweep simulates cfg's rate mode once and reads every point from the same
-// runs; cfg.Packets and cfg.ContinueAfterFailure are ignored. results[i] is
-// bit-identical to Run of cfg with points[i]'s packet count and failure
-// semantics. Under either sampler each draw is a pure function of (seed,
-// run, draw index), and no per-packet decision reads the packet count, so
-// the first n packets of a longer run are the n-packet run and an
-// abort-on-failure run is the continue-after-failure run up to its first
-// failure. draws counts the standard normals the simulation drew.
+// Sweep executes the Monte Carlo experiment: it simulates cfg's rate mode
+// once and reads every point from the same runs. Each run walks the
+// packets in sequence: packet k opens at the price where packet k−1
+// settled (one full protocol cycle later) and plays the basic game's
+// threshold strategies (the price thresholds are amount-invariant); a
+// withdrawal aborts the rest unless the point continues after failure.
+//
+// results[i] is bit-identical to a one-point Sweep of points[i]. Under
+// either sampler each draw is a pure function of (seed, run, draw index),
+// and no per-packet decision reads the packet count, so the first n
+// packets of a longer run are the n-packet run and an abort-on-failure run
+// is the continue-after-failure run up to its first failure. draws counts
+// the standard normals the simulation drew.
 func Sweep(cfg Config, points []Point) (results []Result, draws int, err error) {
 	pl, err := newPlan(cfg, points)
 	if err != nil {

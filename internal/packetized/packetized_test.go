@@ -11,29 +11,40 @@ import (
 
 func baseConfig() Config {
 	return Config{
-		Params:  utility.Default(),
-		PStar:   2.0,
-		Packets: 4,
-		Runs:    20000,
-		Seed:    9,
+		Params: utility.Default(),
+		PStar:  2.0,
+		Runs:   20000,
+		Seed:   9,
 	}
+}
+
+// basePoint is the abort-on-failure point the tests read by default.
+var basePoint = Point{Packets: 4}
+
+// runPoint simulates one point: a one-point Sweep.
+func runPoint(cfg Config, pt Point) (Result, error) {
+	res, _, err := Sweep(cfg, []Point{pt})
+	if err != nil {
+		return Result{}, err
+	}
+	return res[0], nil
 }
 
 func TestConfigValidation(t *testing.T) {
 	tests := []struct {
 		name   string
-		mutate func(*Config)
+		mutate func(*Config, *Point)
 	}{
-		{"badParams", func(c *Config) { c.Params.P0 = 0 }},
-		{"zeroRate", func(c *Config) { c.PStar = 0 }},
-		{"zeroPackets", func(c *Config) { c.Packets = 0 }},
-		{"zeroRuns", func(c *Config) { c.Runs = 0 }},
+		{"badParams", func(c *Config, _ *Point) { c.Params.P0 = 0 }},
+		{"zeroRate", func(c *Config, _ *Point) { c.PStar = 0 }},
+		{"zeroPackets", func(_ *Config, pt *Point) { pt.Packets = 0 }},
+		{"zeroRuns", func(c *Config, _ *Point) { c.Runs = 0 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			cfg := baseConfig()
-			tt.mutate(&cfg)
-			if _, err := Run(cfg); err == nil {
+			cfg, pt := baseConfig(), basePoint
+			tt.mutate(&cfg, &pt)
+			if _, err := runPoint(cfg, pt); err == nil {
 				t.Error("want error, got nil")
 			}
 		})
@@ -68,9 +79,8 @@ func TestAmountInvarianceOfThresholds(t *testing.T) {
 func TestSinglePacketMatchesAnalyticSR(t *testing.T) {
 	// n = 1 is exactly the single-shot game: full completion ≈ SR(P*).
 	cfg := baseConfig()
-	cfg.Packets = 1
 	cfg.Runs = 60000
-	res, err := Run(cfg)
+	res, err := runPoint(cfg, Point{Packets: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,9 +108,7 @@ func TestFractionDominatesFullCompletion(t *testing.T) {
 	// The completed fraction is ≥ the all-or-nothing indicator pointwise,
 	// so its mean dominates the full-completion probability.
 	for _, n := range []int{2, 4, 8} {
-		cfg := baseConfig()
-		cfg.Packets = n
-		res, err := Run(cfg)
+		res, err := runPoint(baseConfig(), Point{Packets: n})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,9 +130,7 @@ func TestFixedRateFullCompletionDecaysWithPackets(t *testing.T) {
 	// price eventually exits the viable band: P(all complete) falls in n.
 	var prev float64 = 1.1
 	for _, n := range []int{1, 4, 16} {
-		cfg := baseConfig()
-		cfg.Packets = n
-		res, err := Run(cfg)
+		res, err := runPoint(baseConfig(), Point{Packets: n})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,15 +145,13 @@ func TestRequoteBeatsFixedRateOnFraction(t *testing.T) {
 	// Re-quoting each packet at the prevailing price removes the drift
 	// penalty: the expected completed fraction improves on the fixed-rate
 	// protocol for multi-packet swaps.
-	cfgFixed := baseConfig()
-	cfgFixed.Packets = 8
-	fixed, err := Run(cfgFixed)
+	cfg := baseConfig()
+	fixed, err := runPoint(cfg, Point{Packets: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgQuote := cfgFixed
-	cfgQuote.Requote = true
-	quoted, err := Run(cfgQuote)
+	cfg.Requote = true
+	quoted, err := runPoint(cfg, Point{Packets: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +165,7 @@ func TestInfeasibleFixedRateNeverStarts(t *testing.T) {
 	cfg := baseConfig()
 	cfg.PStar = 5 // far outside the feasible band
 	cfg.Runs = 2000
-	res, err := Run(cfg)
+	res, err := runPoint(cfg, basePoint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,11 +175,11 @@ func TestInfeasibleFixedRateNeverStarts(t *testing.T) {
 }
 
 func TestDeterministicForSeed(t *testing.T) {
-	a, err := Run(baseConfig())
+	a, err := runPoint(baseConfig(), basePoint)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(baseConfig())
+	b, err := runPoint(baseConfig(), basePoint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +190,7 @@ func TestDeterministicForSeed(t *testing.T) {
 }
 
 func TestFractionStdErrSensible(t *testing.T) {
-	res, err := Run(baseConfig())
+	res, err := runPoint(baseConfig(), basePoint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,10 +216,8 @@ func TestContinueSemanticsKeepFractionNearPerPacketSR(t *testing.T) {
 	}
 	for _, n := range []int{2, 8, 16} {
 		cfg := baseConfig()
-		cfg.Packets = n
 		cfg.Requote = true
-		cfg.ContinueAfterFailure = true
-		res, err := Run(cfg)
+		res, err := runPoint(cfg, Point{Packets: n, ContinueAfterFailure: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,16 +230,13 @@ func TestContinueSemanticsKeepFractionNearPerPacketSR(t *testing.T) {
 
 func TestContinueDominatesAbort(t *testing.T) {
 	for _, n := range []int{4, 8} {
-		abort := baseConfig()
-		abort.Packets = n
-		abort.Requote = true
-		cont := abort
-		cont.ContinueAfterFailure = true
-		a, err := Run(abort)
+		cfg := baseConfig()
+		cfg.Requote = true
+		a, err := runPoint(cfg, Point{Packets: n})
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := Run(cont)
+		c, err := runPoint(cfg, Point{Packets: n, ContinueAfterFailure: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,8 +252,8 @@ func TestForceInitiateConditionsOnInitiation(t *testing.T) {
 	// rational engagement never starts, so the completed fraction is zero …
 	p := utility.Default()
 	p.Price.Sigma = 0.2
-	cfg := Config{Params: p, PStar: 2.0, Packets: 1, Runs: 2000, Seed: 3}
-	rational, err := Run(cfg)
+	cfg := Config{Params: p, PStar: 2.0, Runs: 2000, Seed: 3}
+	rational, err := runPoint(cfg, Point{Packets: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +263,7 @@ func TestForceInitiateConditionsOnInitiation(t *testing.T) {
 	// … while forcing initiation samples the basic game conditioned on
 	// initiation, exactly what the analytic SR of Eq. 31 measures.
 	cfg.ForceInitiate = true
-	forced, err := Run(cfg)
+	forced, err := runPoint(cfg, Point{Packets: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,14 +289,14 @@ func TestForceInitiateConditionsOnInitiation(t *testing.T) {
 func TestSamplerModesAgree(t *testing.T) {
 	base := baseConfig()
 	base.Runs = 40000
-	pseudo, err := Run(base)
+	pseudo, err := runPoint(base, basePoint)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, mode := range []qmc.Mode{qmc.ModeSobol} {
 		cfg := base
 		cfg.Sampler = mode
-		res, err := Run(cfg)
+		res, err := runPoint(cfg, basePoint)
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
@@ -310,7 +309,7 @@ func TestSamplerModesAgree(t *testing.T) {
 			t.Errorf("%s fraction %.4f vs pseudo %.4f (|delta| = %.4f)",
 				mode, res.ExpectedFraction, pseudo.ExpectedFraction, d)
 		}
-		again, err := Run(cfg)
+		again, err := runPoint(cfg, basePoint)
 		if err != nil {
 			t.Fatalf("%s rerun: %v", mode, err)
 		}
@@ -326,16 +325,15 @@ func TestSamplerModesAgree(t *testing.T) {
 func TestSamplerRequoteAndContinue(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Runs = 8000
-	cfg.Packets = 8
 	cfg.Requote = true
-	cfg.ContinueAfterFailure = true
 	cfg.Sampler = qmc.ModeSobol
-	sobol, err := Run(cfg)
+	pt := Point{Packets: 8, ContinueAfterFailure: true}
+	sobol, err := runPoint(cfg, pt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Sampler = qmc.ModePseudo
-	pseudo, err := Run(cfg)
+	pseudo, err := runPoint(cfg, pt)
 	if err != nil {
 		t.Fatal(err)
 	}

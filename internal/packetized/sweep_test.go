@@ -26,7 +26,7 @@ func sameBits(a, b Result) bool {
 }
 
 // TestSweepMatchesRun checks the prefix argument behind Sweep: every point
-// of one shared simulation equals a standalone Run by Float64bits, under
+// of one shared simulation equals a one-point Sweep by Float64bits, under
 // both samplers on every preset at rates inside and outside the feasible
 // band, with re-quoting and forced initiation on and off. Each
 // configuration is swept twice: with both failure semantics, and with
@@ -59,9 +59,7 @@ func TestSweepMatchesRun(t *testing.T) {
 								t.Fatalf("%s %s P*=%g: %d results, %d draws", mode, sc.Name, pstar, len(got), draws)
 							}
 							for i, pt := range points {
-								one := cfg
-								one.Packets, one.ContinueAfterFailure = pt.Packets, pt.ContinueAfterFailure
-								want, err := Run(one)
+								want, err := runPoint(cfg, pt)
 								if err != nil {
 									t.Fatal(err)
 								}
@@ -77,7 +75,7 @@ func TestSweepMatchesRun(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d sweep results matched standalone runs", checked)
+	t.Logf("%d sweep results matched one-point sweeps", checked)
 }
 
 // TestSweepRejectsBadPoints checks that Sweep, under either sampler,

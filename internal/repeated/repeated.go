@@ -193,13 +193,9 @@ func Play(cfg Config) (Result, error) {
 			// lies inside her feasible range).
 			round.Initiated = true
 			res.Initiations++
-			strat := core.Strategy{
-				PStar:          round.PStar,
-				AliceInitiates: true,
-				BobContT2:      quote.regionOverP0.Scale(refP * scale),
-				AliceCutoffT3:  quote.cutoffOverP0 * refP * scale,
-			}
-			playRound(rng, cfg.Params, strat, &round)
+			// B's region is tested scaled in place rather than built as a
+			// scaled copy per round.
+			playRound(rng, cfg.Params, quote.regionOverP0, refP*scale, quote.cutoffOverP0*refP*scale, &round)
 		}
 
 		// Reputation dynamics.
@@ -301,10 +297,11 @@ func roundKey(a float64) float64 {
 	return float64(int64(a/quantum+0.5)) * quantum
 }
 
-// playRound samples the stage-game outcome from the threshold strategies
-// over the price transitions (the same sampling the analytic SR of Eq. 31
-// integrates in closed form).
-func playRound(rng *sweep.Rand, params utility.Params, strat core.Strategy, round *Round) {
+// playRound samples the stage-game outcome from the threshold strategies —
+// B continues at t2 inside region scaled by k, A reveals at t3 above
+// cutoff — over the price transitions (the same sampling the analytic SR
+// of Eq. 31 integrates in closed form).
+func playRound(rng *sweep.Rand, params utility.Params, region mathx.IntervalSet, k, cutoff float64, round *Round) {
 	// An absorbed (underflowed-to-0) market price stays at 0 through both
 	// legs; the draws are still consumed to keep the stream aligned.
 	step := func(p, tau float64) float64 {
@@ -315,12 +312,12 @@ func playRound(rng *sweep.Rand, params utility.Params, strat core.Strategy, roun
 		return 0
 	}
 	pT2 := step(round.Price, params.Chains.TauA)
-	if !strat.BobContT2.Contains(pT2) {
+	if !region.ContainsScaled(pT2, k) {
 		round.WithdrewB = true
 		return
 	}
 	pT3 := step(pT2, params.Chains.TauB)
-	if pT3 <= strat.AliceCutoffT3 {
+	if pT3 <= cutoff {
 		round.WithdrewA = true
 		return
 	}

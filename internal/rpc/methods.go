@@ -132,6 +132,21 @@ func resolveScenario(raw json.RawMessage) (scenario.Scenario, *Error) {
 	return sc, nil
 }
 
+// resolveRuns resolves the run count a request executes on sc — the
+// request's runs, else the scenario's own — and applies the run cap to it.
+// swap.solve and scenario.diff apply it whether or not the request asks
+// for validation, because a sampled variant's report is itself a run-sized
+// Monte Carlo.
+func (s *Server) resolveRuns(runs int, sc scenario.Scenario) (int, *Error) {
+	if runs == 0 {
+		runs = sc.Runs()
+	}
+	if runs < 0 || runs > s.maxRuns {
+		return 0, Errorf(CodeInvalidParams, "runs must be in [0, %d]", s.maxRuns)
+	}
+	return runs, nil
+}
+
 // resolveSolve validates and resolves swap.solve parameters.
 func (s *Server) resolveSolve(p SolveParams) (resolvedSolve, *Error) {
 	sc, rerr := resolveScenario(p.Scenario)
@@ -142,14 +157,8 @@ func (s *Server) resolveSolve(p SolveParams) (resolvedSolve, *Error) {
 	if err != nil {
 		return resolvedSolve{}, Errorf(CodeInvalidParams, "%v", err)
 	}
-	// The cap applies to the run count the validation would execute: the
-	// request's runs, else the scenario's own.
-	runs := p.Runs
-	if runs == 0 && p.MC {
-		runs = sc.Runs()
-	}
-	if runs < 0 || runs > s.maxRuns {
-		return resolvedSolve{}, Errorf(CodeInvalidParams, "runs must be in [0, %d]", s.maxRuns)
+	if _, rerr := s.resolveRuns(p.Runs, sc); rerr != nil {
+		return resolvedSolve{}, rerr
 	}
 	opts := variant.RunOpts{
 		Runs:      p.Runs,
@@ -394,9 +403,6 @@ func (s *Server) handleDiff(ctx context.Context, raw json.RawMessage) (any, *Err
 	if rerr := decodeParams(raw, &p); rerr != nil {
 		return nil, rerr
 	}
-	if p.Runs < 0 || p.Runs > s.maxRuns {
-		return nil, Errorf(CodeInvalidParams, "runs must be in [0, %d]", s.maxRuns)
-	}
 	eps := p.Eps
 	if eps == 0 {
 		eps = 1e-4
@@ -410,12 +416,19 @@ func (s *Server) handleDiff(ctx context.Context, raw json.RawMessage) (any, *Err
 		Runs: p.Runs, MCWorkers: mcWorkers, SkipMC: !p.MC,
 		Variants: p.Variant,
 	}
-	var rows [2]variant.ScenarioReport
+	var scs [2]scenario.Scenario
 	for i, raw := range []json.RawMessage{p.A, p.B} {
 		sc, rerr := resolveScenario(raw)
+		if rerr == nil {
+			_, rerr = s.resolveRuns(p.Runs, sc)
+		}
 		if rerr != nil {
 			return nil, rerr
 		}
+		scs[i] = sc
+	}
+	var rows [2]variant.ScenarioReport
+	for i, sc := range scs {
 		row, err := variant.Run(sc, opts)
 		if err != nil {
 			return nil, s.asRPCError(err)

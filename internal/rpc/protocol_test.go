@@ -69,9 +69,11 @@ func TestSimulateAgreesWithBatchValidation(t *testing.T) {
 	}
 }
 
-// TestSolveMaxRunsAppliesToScenarioRuns checks the run cap bounds
-// the run count a validation would execute — the request's runs, else the
-// inline scenario's mcRuns — as swap.simulate does.
+// TestSolveMaxRunsAppliesToScenarioRuns checks the run cap bounds the run
+// count a cell would execute — the request's runs, else the inline
+// scenario's mcRuns — as swap.simulate does, on swap.solve and
+// scenario.diff alike. The cap holds without mc too: the packetized
+// variant's analytic report is itself a run-sized Monte Carlo.
 func TestSolveMaxRunsAppliesToScenarioRuns(t *testing.T) {
 	sc, err := scenario.Lookup("tableIII")
 	if err != nil {
@@ -94,11 +96,24 @@ func TestSolveMaxRunsAppliesToScenarioRuns(t *testing.T) {
 	}{
 		{"request runs", `{"scenario":"tableIII","variant":"basic","mc":true,"runs":5000}`},
 		{"scenario mcRuns", `{"scenario":` + inline(5000) + `,"variant":"basic","mc":true}`},
+		{"sampled solve", `{"scenario":` + inline(5000) + `,"variant":"packetized"}`},
 	} {
 		resp, _ := post(t, ts.URL, rpcCall(1, "swap.solve", tc.params))
 		if resp.Error == nil || resp.Error.Code != CodeInvalidParams {
 			t.Errorf("%s over the cap: error %+v, want code %d", tc.name, resp.Error, CodeInvalidParams)
 		}
+	}
+	under := inline(80)
+	for _, b := range []string{under + `,"runs":5000`, inline(5000)} {
+		params := `{"a":` + under + `,"b":` + b + `,"variant":"packetized"}`
+		resp, _ := post(t, ts.URL, rpcCall(1, "scenario.diff", params))
+		if resp.Error == nil || resp.Error.Code != CodeInvalidParams {
+			t.Errorf("scenario.diff over the cap: error %+v, want code %d", resp.Error, CodeInvalidParams)
+		}
+	}
+	resp, _ := post(t, ts.URL, rpcCall(1, "scenario.diff", `{"a":`+under+`,"b":`+under+`,"variant":"packetized"}`))
+	if resp.Error != nil {
+		t.Errorf("scenario.diff under the cap: %+v", resp.Error)
 	}
 	res := solveResult(t, ts.URL, `{"scenario":`+inline(80)+`,"variant":"basic","mc":true}`)
 	if mc := res.Variants[0].MC; mc == nil || mc.Runs != 80 {

@@ -196,12 +196,9 @@ func (s *Server) resolveSimulate(p SimulateParams) (simulateConfig, *Error) {
 	if key == "" {
 		key = "basic"
 	}
-	runs := p.Runs
-	if runs == 0 {
-		runs = sc.Runs()
-	}
-	if runs < 0 || runs > s.maxRuns {
-		return simulateConfig{}, Errorf(CodeInvalidParams, "runs must be in [0, %d]", s.maxRuns)
+	runs, rerr := s.resolveRuns(p.Runs, sc)
+	if rerr != nil {
+		return simulateConfig{}, rerr
 	}
 	if p.CIWidth < 0 || math.IsNaN(p.CIWidth) {
 		return simulateConfig{}, Errorf(CodeInvalidParams, "ciWidth must be >= 0")

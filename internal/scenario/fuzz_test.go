@@ -21,12 +21,12 @@ func FuzzScenarioJSON(f *testing.F) {
 			sc.Params.Chains.TauA, sc.Params.Chains.TauB, sc.Params.Chains.EpsB,
 			sc.Params.Price.Mu, sc.Params.Price.Sigma, sc.Params.P0,
 			sc.PStar, sc.Collateral, sc.BobBudget, sc.MCRuns, sc.Seed,
-			"basic+packetized+repeated", sc.Packets, sc.Rounds)
+			"basic+packetized+repeated")
 	}
 	f.Fuzz(func(t *testing.T, name string,
 		alphaA, rA, alphaB, rB, tauA, tauB, epsB, mu, sigma, p0,
 		pstar, collateral, budget float64, runs int, seed int64,
-		variants string, packets, rounds int) {
+		variants string) {
 		// The fuzzer cannot supply a []string directly; "+" joins variant
 		// keys (a character Validate permits inside a key).
 		var vs []string
@@ -49,8 +49,6 @@ func FuzzScenarioJSON(f *testing.F) {
 			MCRuns:     runs,
 			Seed:       seed,
 			Variants:   vs,
-			Packets:    packets,
-			Rounds:     rounds,
 		}
 		if sc.Validate() != nil {
 			t.Skip()

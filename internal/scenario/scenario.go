@@ -12,8 +12,8 @@
 // presets and JSON load/save admits user-defined ones.
 //
 // A Scenario is pure data: it names the regime and, through the Variants
-// field and the per-variant knobs (Packets, Rounds), selects which of the
-// registered variant games internal/variant solves for it. The batch
+// field, selects which of the registered variant games internal/variant
+// solves for it. The batch
 // runner that fans the (scenario × variant) matrix through the
 // internal/sweep worker pool lives in internal/variant, which layers on
 // top of this package.
@@ -75,12 +75,6 @@ type Scenario struct {
 	// validated here; whether a key is actually registered is checked by
 	// the variant runner, which owns the registry.
 	Variants []string `json:"variants,omitempty"`
-	// Packets is the packetized variant's packet count n (0 = the variant
-	// default).
-	Packets int `json:"packets,omitempty"`
-	// Rounds is the repeated variant's engagement length (0 = the variant
-	// default).
-	Rounds int `json:"rounds,omitempty"`
 }
 
 // Validate checks the scenario for use by the solvers and the simulator.
@@ -118,12 +112,6 @@ func (s Scenario) Validate() error {
 			return fmt.Errorf("%w: %q: duplicate variant key %q", ErrBadScenario, s.Name, v)
 		}
 		seen[v] = true
-	}
-	if s.Packets < 0 {
-		return fmt.Errorf("%w: %q: packets=%d must be >= 0", ErrBadScenario, s.Name, s.Packets)
-	}
-	if s.Rounds < 0 {
-		return fmt.Errorf("%w: %q: rounds=%d must be >= 0", ErrBadScenario, s.Name, s.Rounds)
 	}
 	return nil
 }
@@ -292,8 +280,6 @@ func DiffParams(a, b Scenario) []string {
 	add("pstar", a.PStar, b.PStar)
 	add("collateral", a.Collateral, b.Collateral)
 	add("bobBudget", a.BobBudget, b.BobBudget)
-	add("packets", float64(a.Packets), float64(b.Packets))
-	add("rounds", float64(a.Rounds), float64(b.Rounds))
 	if va, vb := strings.Join(a.Variants, "+"), strings.Join(b.Variants, "+"); va != vb {
 		out = append(out, fmt.Sprintf("variants: %q -> %q", va, vb))
 	}

@@ -83,8 +83,6 @@ func TestValidateRejectsBadScenarios(t *testing.T) {
 		"comma variant":   func(s *Scenario) { s.Variants = []string{"a,b"} },
 		"space variant":   func(s *Scenario) { s.Variants = []string{"a b"} },
 		"dup variant":     func(s *Scenario) { s.Variants = []string{"basic", "basic"} },
-		"neg packets":     func(s *Scenario) { s.Packets = -1 },
-		"neg rounds":      func(s *Scenario) { s.Rounds = -1 },
 	}
 	for name, mutate := range cases {
 		sc := good
@@ -128,16 +126,12 @@ func TestJSONRoundTripVariantFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc.Variants = []string{"basic", "packetized", "repeated"}
-	sc.Packets = 8
-	sc.Rounds = 64
 	var buf bytes.Buffer
 	if err := sc.Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	for _, want := range []string{`"variants"`, `"packets": 8`, `"rounds": 64`} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("JSON missing %s:\n%s", want, buf.String())
-		}
+	if !strings.Contains(buf.String(), `"variants"`) {
+		t.Errorf("JSON missing \"variants\":\n%s", buf.String())
 	}
 	got, err := Load(&buf)
 	if err != nil {
@@ -149,7 +143,7 @@ func TestJSONRoundTripVariantFields(t *testing.T) {
 }
 
 // TestPresetJSONOmitsVariantFields pins the JSON compatibility contract:
-// none of the committed presets carries variant-selection fields, so their
+// none of the committed presets carries a variant selection, so their
 // exported JSON is byte-identical to the pre-variant format.
 func TestPresetJSONOmitsVariantFields(t *testing.T) {
 	for _, sc := range Registry() {
@@ -157,7 +151,7 @@ func TestPresetJSONOmitsVariantFields(t *testing.T) {
 		if err := sc.Save(&buf); err != nil {
 			t.Fatalf("%s: Save: %v", sc.Name, err)
 		}
-		for _, field := range []string{"variants", "packets", "rounds"} {
+		for _, field := range []string{"variants"} {
 			if strings.Contains(buf.String(), field) {
 				t.Errorf("%s: preset JSON leaks zero-valued %q:\n%s", sc.Name, field, buf.String())
 			}
@@ -168,6 +162,13 @@ func TestPresetJSONOmitsVariantFields(t *testing.T) {
 func TestLoadRejectsUnknownFieldsAndInvalid(t *testing.T) {
 	if _, err := Load(strings.NewReader(`{"name":"x","bogus":1}`)); err == nil {
 		t.Error("unknown field accepted")
+	}
+	// The packet count and engagement length are the variants' constants,
+	// not scenario fields.
+	for _, field := range []string{`"packets":8`, `"rounds":64`} {
+		if _, err := Load(strings.NewReader(`{"name":"x",` + field + `}`)); err == nil {
+			t.Errorf("retired field %s accepted", field)
+		}
 	}
 	if _, err := Load(strings.NewReader(`{"name":"x","pstar":2}`)); err == nil {
 		t.Error("invalid params accepted")
@@ -231,13 +232,9 @@ func TestDiffParams(t *testing.T) {
 		t.Errorf("diffs = %v, want sigma, pstar, collateral", diffs)
 	}
 	d := a
-	d.Packets, d.Rounds = 8, 64
 	d.Variants = []string{"packetized"}
 	diffs = DiffParams(a, d)
-	joined := strings.Join(diffs, "\n")
-	for _, want := range []string{"packets", "rounds", "variants"} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("diffs %v missing %q", diffs, want)
-		}
+	if len(diffs) != 1 || !strings.Contains(diffs[0], "variants") {
+		t.Errorf("diffs = %v, want only variants", diffs)
 	}
 }

@@ -59,13 +59,12 @@ func TestPacketizedFailureSemanticsAcrossPresets(t *testing.T) {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			t.Parallel()
-			sc.Packets = 4
 			r, err := g.Solve(&Context{Opts: RunOpts{Runs: crosscheckRuns}}, sc)
 			if err != nil {
 				t.Fatal(err)
 			}
 			exposure, _ := r.Value("exposurePerRound")
-			if want := sc.PStar / 4; exposure != want {
+			if want := sc.PStar / DefaultPackets; exposure != want {
 				t.Errorf("exposure per round = %v, want %v", exposure, want)
 			}
 			abortFrac := r.SR
@@ -101,9 +100,8 @@ func TestRepeatedMatchesAnalyticAcrossPresets(t *testing.T) {
 		t.Run(sc.Name, func(t *testing.T) {
 			t.Parallel()
 			// Long engagements tighten the Wilson interval to ±~2%.
-			sc.Rounds = 2000
 			ctx := &Context{}
-			r, err := g.Solve(ctx, sc)
+			r, err := repeatedGame{}.play(sc, 2000)
 			if err != nil {
 				t.Fatal(err)
 			}

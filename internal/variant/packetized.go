@@ -8,9 +8,9 @@ import (
 	"repro/internal/sweep"
 )
 
-// DefaultPackets is the packet count solved when a scenario leaves the
-// knob at zero — enough splitting for the exposure reduction to show
-// without drowning the per-round success signal.
+// DefaultPackets is the packet count the variant solves: enough splitting
+// for the exposure reduction to show without drowning the per-round
+// success signal.
 const DefaultPackets = 4
 
 // Seed shards decorrelating the sampled variants' RNG streams from each
@@ -32,21 +32,13 @@ func (packetizedGame) Describe() string {
 	return "the companion protocol [20]: n packetized HTLC rounds bound per-round exposure"
 }
 
-// packets resolves the scenario's packet count.
-func (packetizedGame) packets(sc scenario.Scenario) int {
-	if sc.Packets > 0 {
-		return sc.Packets
-	}
-	return DefaultPackets
-}
-
 // Solve runs the packetized Monte Carlo experiment once and reads both
 // failure semantics from it (deterministic in the scenario seed):
 // abort-on-failure, the trust-is-broken reading, and
 // continue-after-failure, the companion protocol's case. The headline
 // metric is the abort-mode expected completed fraction of the notional.
-func (g packetizedGame) Solve(ctx *Context, sc scenario.Scenario) (Report, error) {
-	n := g.packets(sc)
+func (packetizedGame) Solve(ctx *Context, sc scenario.Scenario) (Report, error) {
+	const n = DefaultPackets
 	cfg := packetized.Config{
 		Params: sc.Params,
 		PStar:  sc.PStar,
@@ -96,16 +88,15 @@ func (packetizedGame) MCValidate(ctx *Context, sc scenario.Scenario, _ Report) (
 	}
 	runs := ctx.Runs(sc)
 	seed := sweep.Seed(sc.Seed, seedShardPacketizedValidate)
-	res, err := packetized.Run(packetized.Config{
+	res, _, err := packetized.Sweep(packetized.Config{
 		Params:        sc.Params,
 		PStar:         sc.PStar,
-		Packets:       1,
 		ForceInitiate: true,
 		Runs:          runs,
 		Seed:          seed,
-	})
+	}, []packetized.Point{{Packets: 1}})
 	if err != nil {
 		return nil, err
 	}
-	return newMCCheck("packetized n=1 ≡ basic", analytic, res.FullCompletion, runs, seed), nil
+	return newMCCheck("packetized n=1 ≡ basic", analytic, res[0].FullCompletion, runs, seed), nil
 }

@@ -9,9 +9,9 @@ import (
 	"repro/internal/sweep"
 )
 
-// DefaultRounds is the engagement length solved when a scenario leaves
-// the knob at zero: long enough for a Wilson interval tight enough to
-// catch a broken quote solver, short enough to stay interactive.
+// DefaultRounds is the engagement length the variant plays: long enough
+// for a Wilson interval tight enough to catch a broken quote solver, short
+// enough to stay interactive.
 const DefaultRounds = 200
 
 // repeatedGameGap is the market time between consecutive opportunities,
@@ -33,16 +33,13 @@ func (repeatedGame) Describe() string {
 	return "the §V.B repeated engagement: per-round re-quoting at the SR-maximising rate"
 }
 
-// rounds resolves the scenario's engagement length.
-func (repeatedGame) rounds(sc scenario.Scenario) int {
-	if sc.Rounds > 0 {
-		return sc.Rounds
-	}
-	return DefaultRounds
+func (g repeatedGame) Solve(_ *Context, sc scenario.Scenario) (Report, error) {
+	return g.play(sc, DefaultRounds)
 }
 
-func (g repeatedGame) Solve(ctx *Context, sc scenario.Scenario) (Report, error) {
-	rounds := g.rounds(sc)
+// play reports an engagement of the given length: Solve plays
+// DefaultRounds, the cross-check a longer one for a tighter interval.
+func (repeatedGame) play(sc scenario.Scenario, rounds int) (Report, error) {
 	res, err := repeated.Play(repeated.Config{
 		Params:   sc.Params,
 		Rounds:   rounds,

@@ -275,14 +275,7 @@ func (sr ScenarioReport) Render() string {
 		sc.Params.Alice.Alpha, sc.Params.Alice.R, sc.Params.Bob.Alpha, sc.Params.Bob.R,
 		sc.Params.Chains.TauA, sc.Params.Chains.TauB, sc.Params.Chains.EpsB,
 		sc.Params.Price.Mu, sc.Params.Price.Sigma, sc.Params.P0)
-	fmt.Fprintf(&b, "  knobs:  P*=%g Q=%g budget=%g", sc.PStar, sc.Collateral, sc.BobBudget)
-	if sc.Packets > 0 {
-		fmt.Fprintf(&b, " packets=%d", sc.Packets)
-	}
-	if sc.Rounds > 0 {
-		fmt.Fprintf(&b, " rounds=%d", sc.Rounds)
-	}
-	b.WriteString("\n")
+	fmt.Fprintf(&b, "  knobs:  P*=%g Q=%g budget=%g\n", sc.PStar, sc.Collateral, sc.BobBudget)
 	for _, r := range sr.Reports {
 		fmt.Fprintf(&b, " variant %s — %s\n", r.Key, r.Desc)
 		for _, line := range r.Lines {

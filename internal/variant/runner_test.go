@@ -192,14 +192,13 @@ func TestSkipMCSuppressesValidation(t *testing.T) {
 
 func TestRenderMentionsEveryHeadline(t *testing.T) {
 	sc := mustLookup(t, "tableIII")
-	sc.Packets, sc.Rounds = 4, 100
 	row, err := Run(sc, RunOpts{Runs: 200, Variants: "all"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := row.Render()
 	for _, want := range []string{
-		"scenario tableIII", "packets=4", "rounds=100",
+		"scenario tableIII", "packets n=4", "engagement: 200 rounds",
 		"variant basic", "cut-off", "continuation range", "feasible",
 		"variant collateral", "SR_c", "variant uncertain", "SR_x",
 		"variant packetized", "expected fraction", "per-round exposure",

@@ -10,7 +10,7 @@
 //
 //	loadgen -spawn ./bin/swapd -duration 10s -qps 1200 -o BENCH_rpc.json
 //	loadgen -addr http://127.0.0.1:8547 -duration 5s -qps 800 \
-//	  -against BENCH_rpc.json -min-qps 600 -max-p99-ms 80 -require-coalesce
+//	  -min-qps 600 -max-p99-ms 80 -require-coalesce
 //	loadgen -spawn ./bin/swapd -spawn-args "-fault rpc.error=0.05 -fault-seed 42" \
 //	  -chaos -duration 6s -require-shed -min-goodput 50 -digest-against d.json
 //	loadgen -spawn ./bin/swapd -hot-frac 0.6 -hot-keys 8 -warm \
@@ -58,7 +58,6 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
-	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -91,7 +90,7 @@ type Report struct {
 }
 
 // runConfig is the generator settings of one report. Two reports' numbers
-// are comparable only under equal settings (see printDeltas).
+// are comparable only under equal settings.
 type runConfig struct {
 	QPS       int     `json:"qps"`
 	DurationS float64 `json:"duration_s"`
@@ -183,7 +182,6 @@ func run(args []string, out io.Writer) error {
 		chaos    = fs.Bool("chaos", false, "retry shed/internal/transport errors with jittered backoff honoring retryAfterMs")
 		output   = fs.String("o", "", "write the JSON report here ('-' or empty = stdout only)")
 		note     = fs.String("note", "regenerate with `make bench-rpc-json`", "note field of the report")
-		against  = fs.String("against", "", "baseline BENCH_rpc.json to report deltas against")
 
 		digestOut     = fs.String("digest-out", "", "write a result-digest file (request index -> canonical result hash)")
 		digestAgainst = fs.String("digest-against", "", "digest file to compare against: shared successes must hash identically")
@@ -292,11 +290,6 @@ func run(args []string, out io.Writer) error {
 	rep.Config.WarmReplay = *warm
 
 	printReport(out, rep)
-	if *against != "" {
-		if err := printDeltas(out, rep, *against); err != nil {
-			return err
-		}
-	}
 	if *output != "" && *output != "-" {
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
@@ -982,60 +975,4 @@ func printReport(out io.Writer, rep Report) {
 		fmt.Fprintf(out, "warm: %d requests (%d errors), p50 %.2fms  p99 %.2fms, %d cached responses, %d retained-cell hits, %d store hits\n",
 			w.Requests, w.Errors, w.P50Us/1000, w.P99Us/1000, w.CachedResponses, w.RespCacheHits, w.StoreHits)
 	}
-}
-
-// printDeltas reports the run against a committed baseline (informational:
-// wall-clock metrics are hardware-dependent, so the hard gates are the
-// absolute -min-qps/-max-p99-ms flags). Deltas are printed only against a
-// baseline measured under an equal config, the cold row against the cold
-// row and the warm row against the warm row; otherwise one line names the
-// settings that differ, because the percentages would measure them.
-func printDeltas(out io.Writer, rep Report, path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var base Report
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("parsing %s: %w", path, err)
-	}
-	if diff := configDiff(base.Config, rep.Config); len(diff) > 0 {
-		fmt.Fprintf(out, "vs %s: not comparable, config differs: %s\n", path, strings.Join(diff, ", "))
-		return nil
-	}
-	delta := func(row string, cur, old Results) {
-		fmt.Fprintf(out, "vs %s%s: qps %+.1f%%  p99 %+.1f%%  hit rate %.1f%% -> %.1f%%\n",
-			path, row,
-			ratioDelta(cur.SustainedQPS, old.SustainedQPS),
-			ratioDelta(cur.P99Us, old.P99Us),
-			old.HitRate*100, cur.HitRate*100)
-	}
-	delta("", rep.Results, base.Results)
-	if rep.Warm != nil && base.Warm != nil {
-		delta(" (warm)", *rep.Warm, *base.Warm)
-	}
-	return nil
-}
-
-// configDiff names each setting whose value differs between two configs,
-// as "json_name base -> current", in field order.
-func configDiff(base, cur runConfig) []string {
-	bv, cv := reflect.ValueOf(base), reflect.ValueOf(cur)
-	var diff []string
-	for i := range bv.NumField() {
-		b, c := bv.Field(i).Interface(), cv.Field(i).Interface()
-		if b != c {
-			name, _, _ := strings.Cut(bv.Type().Field(i).Tag.Get("json"), ",")
-			diff = append(diff, fmt.Sprintf("%s %v -> %v", name, b, c))
-		}
-	}
-	return diff
-}
-
-// ratioDelta is the percentage change of cur against base.
-func ratioDelta(cur, base float64) float64 {
-	if base == 0 {
-		return 0
-	}
-	return (cur - base) / base * 100
 }

@@ -2,10 +2,7 @@ package main
 
 import (
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -65,55 +62,5 @@ func TestKeyedBodyStableAndDistinct(t *testing.T) {
 	}
 	if paramsOf(keyedBody(cfg, 1, 4)) == paramsOf(keyedBody(cfg, 1, 5)) {
 		t.Error("adjacent keys collide")
-	}
-}
-
-// TestPrintDeltasNeedsEqualConfig pins -against: percentages appear only
-// against a baseline measured under an equal config, the warm row is
-// compared with the baseline's warm row, and a differing config gets one
-// line naming the differing settings and no percentages.
-func TestPrintDeltasNeedsEqualConfig(t *testing.T) {
-	var base Report
-	base.Config.QPS, base.Config.DurationS, base.Config.HotFrac, base.Config.WarmReplay = 800, 10, 0.5, true
-	base.Results = Results{SustainedQPS: 800, P99Us: 4000, HitRate: 0.1}
-	base.Warm = &Results{SustainedQPS: 800, P99Us: 1000, HitRate: 0.1}
-	data, err := json.Marshal(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "base.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	same := base
-	same.Warm = &Results{SustainedQPS: 800, P99Us: 1000, HitRate: 0.1}
-	var out strings.Builder
-	if err := printDeltas(&out, same, path); err != nil {
-		t.Fatal(err)
-	}
-	want := "vs " + path + ": qps +0.0%  p99 +0.0%  hit rate 10.0% -> 10.0%\n" +
-		"vs " + path + " (warm): qps +0.0%  p99 +0.0%  hit rate 10.0% -> 10.0%\n"
-	if out.String() != want {
-		t.Errorf("equal config printed\n%s\nwant\n%s", out.String(), want)
-	}
-
-	other := same
-	other.Config.QPS, other.Config.HotFrac = 1200, 0
-	out.Reset()
-	if err := printDeltas(&out, other, path); err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
-	if strings.Contains(got, "%") || strings.Count(got, "\n") != 1 {
-		t.Errorf("differing config printed deltas:\n%s", got)
-	}
-	for _, field := range []string{"qps 800 -> 1200", "hot_frac 0.5 -> 0"} {
-		if !strings.Contains(got, field) {
-			t.Errorf("differing config line %q does not name %q", got, field)
-		}
-	}
-	if strings.Contains(got, "duration_s") || strings.Contains(got, "warm_replay") {
-		t.Errorf("differing config line %q names an equal setting", got)
 	}
 }
