@@ -1,5 +1,5 @@
 // Ablation benchmarks for the numerical design choices called out in
-// DESIGN.md: quadrature order, threshold-scan resolution, and the grid-DP
+// DESIGN.md: threshold-scan resolution and the grid-DP
 // resolution of the cross-check engine. Each benchmark reports the accuracy
 // impact of the cheaper configuration as a custom metric (deviation from
 // the reference configuration ×1e9, reported as "err_1e9") alongside its
@@ -20,7 +20,7 @@ import (
 // referenceSR computes SR(2.0) at a deliberately lavish configuration.
 func referenceSR(b *testing.B) float64 {
 	b.Helper()
-	m, err := core.New(utility.Default(), core.WithQuadOrder(256), core.WithScanPoints(4000))
+	m, err := core.New(utility.Default(), core.WithScanPoints(4000))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -48,24 +48,6 @@ func benchSolverConfig(b *testing.B, opts ...core.Option) {
 	}
 	b.StopTimer()
 	b.ReportMetric(math.Abs(sr-ref)*1e9, "err_1e9")
-}
-
-// BenchmarkAblation_QuadOrder16 .. 128: Gauss–Legendre order for the stage
-// integrals (default 64).
-func BenchmarkAblation_QuadOrder16(b *testing.B) {
-	benchSolverConfig(b, core.WithQuadOrder(16))
-}
-
-func BenchmarkAblation_QuadOrder32(b *testing.B) {
-	benchSolverConfig(b, core.WithQuadOrder(32))
-}
-
-func BenchmarkAblation_QuadOrder64(b *testing.B) {
-	benchSolverConfig(b, core.WithQuadOrder(64))
-}
-
-func BenchmarkAblation_QuadOrder128(b *testing.B) {
-	benchSolverConfig(b, core.WithQuadOrder(128))
 }
 
 // BenchmarkAblation_ScanPoints150 .. 2400: panels in the threshold

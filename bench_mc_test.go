@@ -182,8 +182,8 @@ func BenchmarkMC_ConvergencePseudo(b *testing.B) {
 }
 
 // BenchmarkMC_ConvergenceSobol measures the scrambled-Sobol sequence,
-// the mode that delivers the headline precision win (~0.17x the pseudo
-// paths at Table III).
+// the mode that delivers the headline precision win (0.06452x the pseudo
+// paths at Table III, BENCH_mc.json's paths_ratio).
 func BenchmarkMC_ConvergenceSobol(b *testing.B) {
 	benchConvergence(b, qmc.ModeSobol)
 }

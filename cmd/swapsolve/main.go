@@ -108,7 +108,7 @@ func run(args []string, out *os.File) error {
 		}
 		visited := map[string]bool{}
 		fs.Visit(func(f *flag.Flag) { visited[f.Name] = true })
-		sc.Name = preset.Name
+		sc.Name, sc.Description = preset.Name, preset.Description
 		sc.Params = overrideParams(preset.Params, sc.Params, visited)
 		if !visited["pstar"] {
 			sc.PStar = preset.PStar

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/scenario"
 )
 
 // capture runs run() with stdout redirected to a temp file and returns the
@@ -169,6 +171,32 @@ func TestScenarioFlagLoadsPreset(t *testing.T) {
 	}
 	if body(got) != body(ref) {
 		t.Errorf("-scenario deep-collateral should match -q 0.5 -budget 5 at Table III params:\n got: %s\nwant: %s", got, ref)
+	}
+}
+
+// TestReportHeaderDescribesScenario checks the report's first line: a
+// preset's name and description, and a flag-built run's name alone, with
+// no dash left dangling.
+func TestReportHeaderDescribesScenario(t *testing.T) {
+	preset, err := scenario.Lookup("high-vol")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-scenario", "high-vol"}, "scenario high-vol — " + preset.Description + "\n"},
+		{[]string{"-scenario", "high-vol", "-sigma", "0.1"}, "scenario high-vol — " + preset.Description + "\n"},
+		{[]string{"-pstar", "2"}, "scenario cli\n"},
+	} {
+		out, err := capture(t, c.args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first, _, _ := strings.Cut(out, "\n"); first+"\n" != c.want {
+			t.Errorf("%v: header %q, want %q", c.args, first, strings.TrimSuffix(c.want, "\n"))
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync/atomic"
 
-	"repro/internal/dist"
 	"repro/internal/mathx"
 )
 
@@ -178,12 +177,6 @@ func (e *t2Eval) settled() (below, above float64) {
 	return 0.5 * k.discBTauB * e.qDiscB, 2 * k.discBTauB * (e.qDiscB + e.bobCont3 + k.growth2B*e.pbar + e.qBank)
 }
 
-// succ is the success probability of the t3 subgame seen from t2 price y
-// (the inner factor of Eq. 31): P[P_t3 > P̄_t3 | P_t2 = y].
-func (e *t2Eval) succ(logy float64) float64 {
-	return e.m.transitionTauBAtLog(logy).TailProbAtLog(e.pbar, e.logPbar)
-}
-
 // aliceContT2 is U^A_t2(cont) at t2 price y (Eq. 20; Eq. 34 when q > 0).
 func (m *Model) aliceContT2(y, pstar, q float64) float64 {
 	e := m.newT2Eval(pstar, q)
@@ -256,7 +249,7 @@ func (m *Model) contSetT2(pstar, q float64) mathx.IntervalSet {
 // P* = 1 with deposit κ, scanned once per κ and memoized. It is the one
 // region path of the Model: the region at (P*, Q) is P*·S(Q/P*), so every
 // rate and deposit with the same ratio shares one scan, the basic game is
-// the κ = 0 entry, and the t1Probe tables are built over S(0).
+// the κ = 0 entry, which the feasibility scan and the optimum search read.
 //
 // Every term of U^B_t2(cont) − U^B_t2(stop) is 1-homogeneous in (P*, y, Q)
 // jointly: P̄_t3 of Eq. 33 and bobContT3 are, the deposit terms ∝ Q, and
@@ -285,7 +278,7 @@ func (m *Model) contSetT2Scan(pstar, q float64, prev mathx.IntervalSet) mathx.In
 // region for a cont utility bobCont at rate pstar, collateral q and t3
 // cut-off pbar. It brackets the region by B's parameters and scans in
 // log-price space, matching the lognormal geometry of the transition law,
-// with the near-touch refinement of mathx.FindAllRootsRefined: a region
+// with the near-touch refinement of mathx.FindRootsNear's scan: a region
 // narrower than one of the m.scanN panels is still found.
 //
 // The scan starts at a floor above 0, but a region that contains the floor
@@ -338,39 +331,59 @@ func (m *Model) ContRangeT2(pstar float64) (mathx.Interval, bool, error) {
 
 // ---- Stage t1 (Eqs. 25–28) ----
 
-// t1BulkSigmas is the half-width, in standard deviations of log price, of
-// the t1→t2 density's bulk, the part of it integrateT1 integrates.
-const t1BulkSigmas = 8
+// t1Joint is the bivariate normal law, seen from t1, of X = log P_t2 and
+// Y = log P_t3 at one (P*, Q), with ρ = √(τa/(τa+τb)). A t2 utility's
+// integral over a t2 interval is a sum of its rectangle probabilities
+// P[X ∈ (a, b], Y ≷ log P̄_t3], a partial expectation E[e^Y; ·] being
+// E[e^Y] times one under the e^Y-weighted law (DESIGN.md, "The t1
+// integrals in closed form").
+type t1Joint struct {
+	k      *consts
+	muX    float64 // E[X]
+	cut    float64 // (log P̄_t3 − E[Y])/sd(Y); −∞ when P̄_t3 = 0
+	meanT3 float64 // E[P_t3] = E[e^Y]
+}
 
-// integrateT1 integrates g(log y) against the t1→t2 price density over
-// iv by Gauss–Legendre quadrature, in place on the mapped nodes
-// (IntegrateMapped reproduces Integrate bit for bit). The panel is iv
-// clipped to the density's bulk, ±t1BulkSigmas σ around its log-mean: one
-// panel over a region far wider than a narrow density misses it
-// (σ√τa = 0.015 on u-evm-doge-011, whose collateral regions reach down
-// to 0). The clip drops about 1e-15 of the density's mass, so an integral
-// below that loses its relative precision (a region outside the bulk
-// integrates to 0). Where the bulk covers iv, the panel is iv itself.
-func (m *Model) integrateT1(iv mathx.Interval, g func(logy float64) float64) float64 {
-	tr := m.transitionTauA(m.params.P0)
-	w := t1BulkSigmas * tr.Sigma
-	a, b := math.Max(iv.Lo, math.Exp(tr.Mu-w)), math.Min(iv.Hi, math.Exp(tr.Mu+w))
-	if a >= b {
+// t1TailScore is the standard score beyond which mass treats a limit as
+// infinite: the tail it drops, Φ(−9) = 1.1e-19, is under the t1
+// integrals' tolerance, and over the atlas universe a third of the
+// feasibility scans' rectangles lie wholly beyond it.
+const t1TailScore = 9
+
+// newT1Joint returns the t1 law at e's rate and cut-off.
+func (m *Model) newT1Joint(e *t2Eval) t1Joint {
+	muX := math.Log(m.params.P0) + m.k.driftTauA
+	muY, sd := muX+m.k.driftTauB, m.k.sigT3
+	return t1Joint{k: &m.k, muX: muX, cut: (e.logPbar - muY) / sd, meanT3: math.Exp(muY + sd*sd/2)}
+}
+
+// scores returns the standard scores of X at the t2 prices lo and hi.
+func (j *t1Joint) scores(lo, hi float64) (a, b float64) {
+	sig := j.k.sigTauA
+	return (math.Log(lo) - j.muX) / sig, (math.Log(hi) - j.muX) / sig
+}
+
+// mass returns P[X ∈ (a, b], Y > cut] when up, else with Y ≤ cut, for X's
+// scores a < b; tilted evaluates it under the e^Y-weighted law, where the
+// scores fall by sd(X) and sd(Y).
+func (j *t1Joint) mass(a, b float64, up, tilted bool) float64 {
+	k := j.cut
+	if tilted {
+		a, b, k = a-j.k.sigTauA, b-j.k.sigTauA, k-j.k.sigT3
+	}
+	law := j.k.bvn
+	if up { // Y > k is −Y < −k, and (X, −Y) has correlation −ρ
+		law, k = law.Neg(), -k
+	}
+	for _, x := range [...]*float64{&a, &b, &k} {
+		if math.Abs(*x) > t1TailScore {
+			*x = math.Inf(int(math.Copysign(1, *x)))
+		}
+	}
+	if a == b || math.IsInf(k, -1) {
 		return 0
 	}
-	// Stack-backed scratch for the default 64-point rule; larger orders
-	// spill to the heap.
-	var arr [64]float64
-	buf := arr[:0]
-	if n := m.gl.N(); n > len(arr) {
-		buf = make([]float64, 0, n)
-	}
-	nodes := m.gl.MapNodes(buf, a, b)
-	for i, y := range nodes {
-		logy := math.Log(y)
-		nodes[i] = tr.PDFAtLog(y, logy) * g(logy)
-	}
-	return m.gl.IntegrateMapped(nodes, a, b)
+	return law.Rect(a, b, k)
 }
 
 // aliceContT1 is U^A_t1(cont) (Eq. 25): the discounted expectation of A's
@@ -382,20 +395,25 @@ func (m *Model) aliceContT1(pstar, q float64) float64 {
 }
 
 // aliceContT1Over is aliceContT1 over the t2 continuation region
-// pstar·unit. Every t1 integral takes its region as a unit-rate region and
-// scales the endpoints inline, so a memoized region is iterated without a
-// scaled copy.
+// pstar·unit, a sum of t1Joint masses. Every t1 integral takes its region
+// as a unit-rate region and scales the endpoints inline, so a memoized
+// region is iterated without a scaled copy.
 func (m *Model) aliceContT1Over(unit mathx.IntervalSet, pstar, q float64) float64 {
 	e := m.newT2Eval(pstar, q)
+	j := m.newT1Joint(&e)
 	tr := m.transitionTauA(m.params.P0)
 	var contPart, prob float64
-	for _, u := range unit.Intervals() {
-		iv := mathx.Interval{Lo: u.Lo * pstar, Hi: u.Hi * pstar}
-		contPart += m.integrateT1(iv, e.aliceCont)
-		prob += tr.CDF(iv.Hi) - tr.CDF(iv.Lo)
+	for u := range unit.All() {
+		lo, hi := u.Lo*pstar, u.Hi*pstar
+		a, b := j.scores(lo, hi)
+		contPart += e.contCoefA*j.meanT3*j.mass(a, b, true, true) + e.aliceStop3*j.mass(a, b, false, false)
+		if q != 0 { // the deposit term vanishes in the basic game
+			contPart += e.qReturn * j.mass(a, b, true, false)
+		}
+		prob += tr.CDF(hi) - tr.CDF(lo)
 	}
 	stopVal := m.aliceStopT2(pstar) + 2*q*m.k.collStopA
-	return m.k.discATauA * (contPart + (1-prob)*stopVal)
+	return m.k.discATauA * (m.k.discATauB*contPart + (1-prob)*stopVal)
 }
 
 // bobContT1 is U^B_t1(cont) (Eq. 26, with the upper stop region restored —
@@ -406,20 +424,26 @@ func (m *Model) bobContT1(pstar, q float64) float64 {
 	return m.bobContT1Over(m.unitRegion(q/pstar), pstar, q)
 }
 
-// bobContT1Over is bobContT1 over the t2 continuation region pstar·unit.
+// bobContT1Over is bobContT1 over the t2 continuation region pstar·unit,
+// a sum of t1Joint masses.
 func (m *Model) bobContT1Over(unit mathx.IntervalSet, pstar, q float64) float64 {
 	e := m.newT2Eval(pstar, q)
+	j := m.newT1Joint(&e)
 	tr := m.transitionTauA(m.params.P0)
 	var contPart, peInside float64
-	for _, u := range unit.Intervals() {
-		iv := mathx.Interval{Lo: u.Lo * pstar, Hi: u.Hi * pstar}
-		contPart += m.integrateT1(iv, e.bobCont)
-		peInside += tr.PartialExpectationBelow(iv.Hi) - tr.PartialExpectationBelow(iv.Lo)
+	for u := range unit.All() {
+		lo, hi := u.Lo*pstar, u.Hi*pstar
+		a, b := j.scores(lo, hi)
+		contPart += e.bobCont3*j.mass(a, b, true, false) + m.k.growth2B*j.meanT3*j.mass(a, b, false, true)
+		if q != 0 { // the deposit terms vanish in the basic game
+			contPart += e.qDiscB*(tr.CDF(hi)-tr.CDF(lo)) + e.qBank*j.mass(a, b, false, false)
+		}
+		peInside += tr.PartialExpectationBelow(hi) - tr.PartialExpectationBelow(lo)
 	}
 	// On the stop region B's utility is the price itself (Eq. 23), so the
 	// stop contribution is the complementary partial expectation.
 	stopPart := tr.Mean() - peInside
-	return m.k.discBTauA * (contPart + stopPart)
+	return m.k.discBTauA * (m.k.discBTauB*contPart + stopPart)
 }
 
 // AliceUtilityT1 evaluates U^A_t1 (Eqs. 25 and 27).
@@ -461,116 +485,16 @@ func (m *Model) rateScanBound() float64 {
 	return 5*(1+a.Alpha)*m.params.P0*math.Exp(math.Max(pr.Mu, 0)*horizon) + 2
 }
 
-// t1Probe evaluates the basic game's t1 integrals — U^A_t1(cont) of Eq. 25
-// and SR of Eq. 31 — at many exchange rates from one unit-rate node table.
-// It is the kernel behind the several hundred interior probes of the
-// feasibility scan and the optimum search.
-//
-// With q = 0, substitute y = P*·u. B's region at rate P* is P*·U for the
-// unit-rate region U = S(0) (unitRegion); U^A_t2(cont) is 1-homogeneous in
-// (P*, y) and the t3 success probability is 0-homogeneous; and
-// P*·pdf_{P0}(P*·u) = pdf_{P0/P*}(u) for the lognormal t1→t2 transition.
-// Both integrals over P*·U therefore become integrals over U whose
-// integrand values at U's Gauss–Legendre nodes do not depend on P*: a
-// probe only reweights them by the transition density, one exp per node
-// (plus two CDF calls per interval for A's stop probability), where an
-// exact evaluation pays a log, an exp and two erfc per node.
-//
-// Probe values equal one Gauss–Legendre panel per interval of P*·U to
-// rounding (≤1e-12 relative), but not bit for bit, so they are never
-// memoized or served to an exact query. That is the exact per-rate path
-// except where integrateT1 clips an interval to a narrow density's bulk,
-// which the table cannot follow: the bulk moves with P* in the unit
-// coordinate. A table lives for one scan: it is built inside
-// the FeasibleRateRange memo closure or one OptimalRate call and dropped
-// with it, so a Model retains only the scans' results.
-type t1Probe struct {
-	m   *Model
-	ivs []mathx.Interval // U's intervals, for the stop probability
-	muA float64          // log P0 + drift over τa: the transition's log-mean at P* = 1
-	// One entry per quadrature node u_i of U, interval by interval.
-	logU  []float64 // log u_i
-	coef  []float64 // w_i·half/(u_i·σA·√(2π)): mapped weight times density prefactor
-	alice []float64 // U^A_t2(cont)(u_i) at P* = 1
-	succ  []float64 // P[P_t3 > P̄_t3 | P_t2 = u_i] at P* = 1
-}
-
-// newT1Probe builds the unit-rate node table over S(0).
-func (m *Model) newT1Probe() *t1Probe {
-	ivs := m.unitRegion(0).Intervals()
-	n := m.gl.N() * len(ivs)
-	buf := make([]float64, 4*n)
-	p := &t1Probe{
-		m:     m,
-		ivs:   ivs,
-		muA:   math.Log(m.params.P0) + m.k.driftTauA,
-		logU:  buf[:0:n],
-		coef:  buf[n : n : 2*n],
-		alice: buf[2*n : 2*n : 3*n],
-		succ:  buf[3*n : 3*n],
-	}
-	e := m.newT2Eval(1, 0)
-	// logU holds the mapped nodes u_i until the loop below takes their logs.
-	for _, iv := range ivs {
-		p.logU = m.gl.MapNodes(p.logU, iv.Lo, iv.Hi)
-		p.coef = m.gl.MapWeights(p.coef, iv.Lo, iv.Hi)
-	}
-	for i, u := range p.logU {
-		logu := math.Log(u)
-		p.logU[i] = logu
-		p.coef[i] /= math.Sqrt2 * math.SqrtPi * u * m.k.sigTauA
-		p.alice = append(p.alice, e.aliceCont(logu))
-		p.succ = append(p.succ, e.succ(logu))
-	}
-	return p
-}
-
-// integrate returns Σ coef_i·exp(−z_i²/2)·vals_i with z_i the node's score
-// under the unit-coordinate transition law LogNormal(mu, σA): the t1
-// integral, over U, of a unit-rate integrand tabulated in vals.
-func (p *t1Probe) integrate(mu float64, vals []float64) float64 {
-	sig := p.m.k.sigTauA
-	var sum float64
-	for i, logu := range p.logU {
-		z := (logu - mu) / sig
-		sum += p.coef[i] * math.Exp(-0.5*z*z) * vals[i]
-	}
-	return sum
-}
-
-// aliceContT1 is U^A_t1(cont) (Eq. 25) at rate pstar, from the table.
-func (p *t1Probe) aliceContT1(pstar float64) float64 {
-	m := p.m
-	mu := p.muA - math.Log(pstar)
-	contPart := pstar * p.integrate(mu, p.alice)
-	tr := dist.LogNormal{Mu: mu, Sigma: m.k.sigTauA}
-	var prob float64
-	for _, iv := range p.ivs {
-		prob += tr.CDF(iv.Hi) - tr.CDF(iv.Lo)
-	}
-	stopPart := (1 - prob) * m.aliceStopT2(pstar)
-	return m.k.discATauA * (contPart + stopPart)
-}
-
-// successRate is SR(P*) (Eq. 31) at rate pstar, from the table; an empty
-// region tabulates no nodes and yields 0, as the exact path does.
-func (p *t1Probe) successRate(pstar float64) float64 {
-	return mathx.Clamp(p.integrate(p.muA-math.Log(pstar), p.succ), 0, 1)
-}
-
 // FeasibleRateRange returns the exchange-rate range (P̲*, P̄*) of Eq. 30
 // within which A initiates the swap at t1; with Table III parameters this is
 // the paper's Eq. 29, approximately (1.5, 2.5). ok is false when no rate is
 // viable (for instance under an exceedingly high discount rate, §III.F.2).
-// The scan — several hundred t1 evaluations — is memoized on the Model.
-// Each probe reweights one unit-rate node table (t1Probe), so the whole
-// scan costs one unit-rate root scan plus one exp per node and probe; the
-// boundary rates agree with a scan over the exact aliceContT1 to root
-// tolerance.
+// The scan — several hundred closed-form t1 evaluations over the one
+// unit-rate region S(0) — is memoized on the Model.
 func (m *Model) FeasibleRateRange() (mathx.Interval, bool, error) {
 	set := m.solve.ranges.Do(rangeKind{kind: 'F'}, func() mathx.IntervalSet {
-		probe := m.newT1Probe()
-		diff := func(pstar float64) float64 { return probe.aliceContT1(pstar) - pstar }
+		unit := m.unitRegion(0)
+		diff := func(pstar float64) float64 { return m.aliceContT1Over(unit, pstar, 0) - pstar }
 		lo, hi := 1e-3, m.rateScanBound()
 		roots := mathx.FindAllRoots(diff, lo, hi, m.scanN/2, m.tol)
 		return mathx.FromSignChanges(diff, lo, hi, roots)
@@ -596,13 +520,15 @@ func (m *Model) successRate(pstar, q float64) float64 {
 	})
 }
 
-// successRateOver integrates SR(P*) (Eq. 31) over the t2 continuation
-// region pstar·unit (see aliceContT1Over); an empty region yields 0.
+// successRateOver is SR(P*) (Eq. 31) over the t2 continuation region
+// pstar·unit (see aliceContT1Over): P[P_t2 in the region, P_t3 > P̄_t3].
 func (m *Model) successRateOver(unit mathx.IntervalSet, pstar, q float64) float64 {
 	e := m.newT2Eval(pstar, q)
+	j := m.newT1Joint(&e)
 	var sr float64
-	for _, u := range unit.Intervals() {
-		sr += m.integrateT1(mathx.Interval{Lo: u.Lo * pstar, Hi: u.Hi * pstar}, e.succ)
+	for u := range unit.All() {
+		a, b := j.scores(u.Lo*pstar, u.Hi*pstar)
+		sr += j.mass(a, b, true, false)
 	}
 	return mathx.Clamp(sr, 0, 1)
 }
@@ -611,15 +537,11 @@ func (m *Model) successRateOver(unit mathx.IntervalSet, pstar, q float64) float6
 // range (the concave optimum of §III.F), along with the achieved success
 // rate. It returns ErrNotViable when no rate is feasible at t1. The
 // feasible range is memoized on the Model; the search itself is one
-// GridMax over a fresh t1Probe table and is not.
+// GridMax over successRateOver and is not, and the SR at the returned
+// rate is memoized as SuccessRate's.
 //
-// The search runs on t1Probe evaluations; the reported SR is the exact
-// SuccessRate at the returned rate. Compare results by that SR, not by the
-// rate: where SR sits on a plateau at ≈1 the maximiser is set by rounding.
-// Moving the probes from direct quadrature over the scaled unit region to
-// the t1Probe table, a change at rounding level, moved the returned rate by
-// more than 1e-4 on 7 of the 1536 cells of the atlas universe (at most
-// 0.003) while the SR there stayed equal to 1e-14.
+// Compare results by that SR, not by the rate: where SR sits on a plateau
+// at ≈1 the maximiser is set by rounding (DESIGN.md, "Plateau caveat").
 func (m *Model) OptimalRate() (pstar, sr float64, err error) {
 	rng, ok, err := m.FeasibleRateRange()
 	if err != nil {
@@ -628,10 +550,8 @@ func (m *Model) OptimalRate() (pstar, sr float64, err error) {
 	if !ok {
 		return 0, 0, fmt.Errorf("%w: no feasible exchange rate at t1", ErrNotViable)
 	}
-	// Bracket the optimum with cheap probe evaluations, then report the
-	// achieved SR from the exact memoized path so callers printing the
-	// value see the same bits as a direct SuccessRate(arg) call.
-	arg, _ := mathx.GridMax(m.newT1Probe().successRate, rng.Lo, rng.Hi, 64, 1e-9)
+	unit := m.unitRegion(0)
+	arg, _ := mathx.GridMax(func(p float64) float64 { return m.successRateOver(unit, p, 0) }, rng.Lo, rng.Hi, 64, 1e-9)
 	return arg, m.successRate(arg, 0), nil
 }
 

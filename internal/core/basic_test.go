@@ -30,7 +30,7 @@ func TestNewValidatesParams(t *testing.T) {
 	if _, err := New(bad); err == nil {
 		t.Error("New with bad params should fail")
 	}
-	if m, err := New(utility.Default(), WithQuadOrder(32), WithHermiteOrder(16), WithScanPoints(200)); err != nil || m == nil {
+	if m, err := New(utility.Default(), WithHermiteOrder(16), WithScanPoints(200)); err != nil || m == nil {
 		t.Errorf("New with options failed: %v", err)
 	}
 }
@@ -195,7 +195,10 @@ func TestBobUtilityT2MatchesQuadrature(t *testing.T) {
 	p := m.Params()
 	tauB := p.Chains.TauB
 	for _, y := range []float64{0.8, 1.5, 2.0, 2.8} {
-		tr := m.transition(y, tauB)
+		tr, err := p.Price.Transition(y, tauB)
+		if err != nil {
+			t.Fatal(err)
+		}
 		contT3, _ := m.BobUtilityT3(Cont, 1, pstar) // constant in price
 		integral := gl.IntegratePanels(func(x float64) float64 {
 			stopT3, _ := m.BobUtilityT3(Stop, x, pstar)
@@ -221,7 +224,10 @@ func TestAliceUtilityT2MatchesQuadrature(t *testing.T) {
 	p := m.Params()
 	tauB := p.Chains.TauB
 	for _, y := range []float64{0.9, 2.0, 3.1} {
-		tr := m.transition(y, tauB)
+		tr, err := p.Price.Transition(y, tauB)
+		if err != nil {
+			t.Fatal(err)
+		}
 		stopT3, _ := m.AliceUtilityT3(Stop, 1, pstar)
 		integral := gl.IntegratePanels(func(x float64) float64 {
 			contT3, _ := m.AliceUtilityT3(Cont, x, pstar)

@@ -98,8 +98,8 @@ func (m *Model) Bayesian(priorA, priorB TypePrior) (*Bayesian, error) {
 }
 
 // typedModel returns a copy of the base model with the premia replaced.
-// The copy keeps the shared quadrature tables and the discount constants
-// (none depend on the premia) and has no solve memo: the stage methods the
+// The copy keeps the shared quadrature table and the discount and t1-law
+// constants (none depend on the premia) and has no solve memo: the stage methods the
 // solver calls on it (cutoffT3, newT2Eval, t2RegionScan, aliceContT1Over,
 // successRateOver) read none, and a memoized method would panic on the
 // copy rather than serve the base model's cells.

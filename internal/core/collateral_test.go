@@ -388,61 +388,6 @@ func TestCollateralSweepAgainstAlternateParams(t *testing.T) {
 	}
 }
 
-// t1Reference integrates U^A_t1(cont), U^B_t1(cont) and SR (Eqs. 36, 37
-// and 40; Eqs. 25, 26 and 31 at Q = 0) over B's region at (P*, Q) on 250
-// 16-node Gauss–Legendre panels per interval: every panel is narrower than
-// the t1→t2 density of any probe cell.
-func t1Reference(m *Model, pstar, q float64) (alice, bob, sr float64) {
-	const panels = 250
-	gl := mathx.SharedGaussLegendre(16)
-	e := m.newT2Eval(pstar, q)
-	tr := m.transitionTauA(m.params.P0)
-	weighted := func(g func(logy float64) float64) mathx.Func1 {
-		return func(y float64) float64 { return tr.PDF(y) * g(math.Log(y)) }
-	}
-	var aliceCont, bobCont, prob, peInside float64
-	for _, iv := range m.contSetT2(pstar, q).Intervals() {
-		aliceCont += gl.IntegratePanels(weighted(e.aliceCont), iv.Lo, iv.Hi, panels)
-		bobCont += gl.IntegratePanels(weighted(e.bobCont), iv.Lo, iv.Hi, panels)
-		sr += gl.IntegratePanels(weighted(e.succ), iv.Lo, iv.Hi, panels)
-		prob += tr.CDF(iv.Hi) - tr.CDF(iv.Lo)
-		peInside += tr.PartialExpectationBelow(iv.Hi) - tr.PartialExpectationBelow(iv.Lo)
-	}
-	alice = m.k.discATauA * (aliceCont + (1-prob)*(m.aliceStopT2(pstar)+2*q*m.k.collStopA))
-	bob = m.k.discBTauA * (bobCont + tr.Mean() - peInside)
-	return alice, bob, mathx.Clamp(sr, 0, 1)
-}
-
-// TestT1QuadratureMatchesReference checks the t1 integrals of the basic
-// and collateral games against t1Reference on the presets and the 64
-// universe cells, at Q ∈ {0, 0.01, 0.1, 0.5} and four rates: SR, U^A_t1
-// and U^B_t1 agree to 1e-9 absolute. A collateral region that reaches down
-// to 0 spans far more than a narrow t1→t2 density; one 64-node panel over
-// it reported SR_c = 0.979753 on u-evm-doge-011 at P* = 2, Q = 0.1, where
-// the reference reads 1.
-func TestT1QuadratureMatchesReference(t *testing.T) {
-	var worst float64
-	for k, sc := range probeScenarios(t) {
-		m, err := New(sc.Params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, q := range []float64{0, 0.01, 0.1, 0.5} {
-			for _, pstar := range []float64{1.7, 2, 2.4, 2.9} {
-				wantA, wantB, wantSR := t1Reference(m, pstar, q)
-				gotA, gotB, gotSR := m.aliceContT1(pstar, q), m.bobContT1(pstar, q), m.successRate(pstar, q)
-				e := math.Max(math.Abs(gotSR-wantSR), math.Max(math.Abs(gotA-wantA), math.Abs(gotB-wantB)))
-				worst = math.Max(worst, e)
-				if e > 1e-9 {
-					t.Errorf("params #%d (%s), P*=%g, Q=%g: (SR %v, U^A_t1 %v, U^B_t1 %v), reference (%v, %v, %v)",
-						k, sc.Name, pstar, q, gotSR, gotA, gotB, wantSR, wantA, wantB)
-				}
-			}
-		}
-	}
-	t.Logf("worst absolute gap %.2g", worst)
-}
-
 // hintFreeEngagement is feasibleSet without hints: the P* scan of diff
 // over per-rate regions from the direct scan (unitRegion).
 func hintFreeEngagement(m *Model, q float64, diff func(p float64) float64) mathx.IntervalSet {

@@ -76,7 +76,10 @@ func TestNarrowT2RegionsPinned(t *testing.T) {
 // across the feasibility scan and deposits Q ∈ {0, 0.01, 0.1, 0.5},
 // contSetT2's scaled unit region S(Q/P*) has as many intervals as a direct
 // scan at (P*, Q), and its endpoints and the SR integrated over it agree
-// with the direct scan's to 1e-9 relative.
+// with the direct scan's to 1e-9 relative. An SR below 1e-6 is compared to
+// 1e-15 absolute, the closed-form t1 integrals' precision there: a
+// deep-tail SR of 1e-30 is a difference of bivariate-normal values that
+// are exact to about 1e-16 absolute, not to 1e-9 of itself.
 func TestScaledContSetMatchesDirectScan(t *testing.T) {
 	var worstIv, worstSR float64
 	for k, sc := range probeScenarios(t) {
@@ -101,7 +104,7 @@ func TestScaledContSetMatchesDirectScan(t *testing.T) {
 				}
 				srGot := m.successRate(pstar, q)
 				srWant := successRateOverSet(m, direct, pstar, q)
-				e := relErr(srGot, srWant)
+				e := math.Abs(srGot-srWant) / math.Max(srWant, 1e-6)
 				worstSR = math.Max(worstSR, e)
 				if e > 1e-9 {
 					t.Errorf("params #%d (%s), P*=%g, Q=%g: scaled SR %v, direct %v", k, sc.Name, pstar, q, srGot, srWant)
@@ -109,19 +112,14 @@ func TestScaledContSetMatchesDirectScan(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("worst relative gap: region endpoints %.2g, SR %.2g", worstIv, worstSR)
+	t.Logf("worst relative gap: region endpoints %.2g, SR %.2g (relative to max(SR, 1e-6))", worstIv, worstSR)
 }
 
-// successRateOverSet is SR(P*) of Eqs. 31/40 integrated over an explicit
-// t2 region at rate pstar, the quadrature successRate runs on its scaled
-// unit region.
+// successRateOverSet is SR(P*) of Eqs. 31/40 over an explicit t2 region at
+// rate pstar, through the closed form successRate runs on its scaled unit
+// region.
 func successRateOverSet(m *Model, set mathx.IntervalSet, pstar, q float64) float64 {
-	e := m.newT2Eval(pstar, q)
-	var sr float64
-	for _, iv := range set.Intervals() {
-		sr += m.integrateT1(iv, e.succ)
-	}
-	return mathx.Clamp(sr, 0, 1)
+	return m.successRateOver(set.Scale(1/pstar), pstar, q)
 }
 
 // TestBayesianScaledContSetMatchesDirectScan checks the same invariance

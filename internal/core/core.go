@@ -14,9 +14,9 @@
 //     (Eqs. 41–46), where B picks the amount X* to lock and A picks the
 //     amount P* to commit.
 //
-// The stage integrals are evaluated in closed form through the truncated
-// lognormal moments of internal/dist wherever the integrand is affine in the
-// future price, and by Gauss–Legendre or Gauss–Hermite quadrature otherwise.
+// The stage integrals are evaluated in closed form through internal/dist —
+// truncated lognormal moments at t2, bivariate normal rectangles at t1 —
+// except the uncertain game's, which use Gauss–Hermite quadrature.
 package core
 
 import (
@@ -74,7 +74,6 @@ func (a Action) String() string {
 // options — are computed once and shared.
 type Model struct {
 	params utility.Params
-	gl     *mathx.GaussLegendre
 	gh     *mathx.GaussHermite
 	scanN  int
 	tol    float64
@@ -90,12 +89,13 @@ type Model struct {
 }
 
 // consts is the precomputed `exp((r−µ)τ)` discount-factor family of the
-// stage utilities, plus the lognormal transition constants for the two
-// decision horizons. Every field stores the bit-exact value of the
-// subexpression it replaces (same math.Exp/math.Sqrt argument expressions
-// as the original equations), so routing through consts cannot move any
-// result by even one ULP. None of the fields depend on the premia α, which
-// is what allows Bayesian's typed clones to share them.
+// stage utilities, the lognormal transition constants for the two
+// decision horizons and the t1 law's (t1Joint). Every field stores the
+// bit-exact value of the subexpression it replaces (same math.Exp/math.Sqrt
+// argument expressions as the original equations), so routing through
+// consts cannot move any result by even one ULP. None of the fields depend
+// on the premia α, which is what allows Bayesian's typed clones to share
+// them.
 type consts struct {
 	// Alice's discount family.
 	refundT3    float64 // exp(−rA(εb+2τa)): t8 refund seen from t3 (Eq. 16)
@@ -111,10 +111,14 @@ type consts struct {
 	growth2B  float64 // exp(2(µ−rB)τb): B's two-stage growth (Eq. 17)
 	discBTauA float64 // exp(−rB·τa): one-stage discount at t1 (Eq. 26)
 	discBTauB float64 // exp(−rB·τb): one-stage discount at t2 (Eq. 21)
-	// Lognormal transition constants: transition(p, τ) is
+	// Lognormal transition constants: Price.Transition(p, τ) is
 	// LogNormal{Mu: log(p) + drift, Sigma: sig} for each horizon.
 	driftTauA, sigTauA float64
 	driftTauB, sigTauB float64
+	// sd(log P_t3) = σ√(τa+τb) seen from t1, and Φ₂ at the correlation
+	// ρ = √(τa/(τa+τb)) of log P_t2 and log P_t3 (immutable tables).
+	sigT3 float64
+	bvn   dist.BivariateNormal
 }
 
 // computeConsts evaluates the discount family for a validated parameter
@@ -138,6 +142,8 @@ func computeConsts(p utility.Params) consts {
 		sigTauA:     pr.Sigma * math.Sqrt(c.TauA),
 		driftTauB:   (pr.Mu - pr.Sigma*pr.Sigma/2) * c.TauB,
 		sigTauB:     pr.Sigma * math.Sqrt(c.TauB),
+		sigT3:       pr.Sigma * math.Sqrt(c.TauA+c.TauB),
+		bvn:         dist.NewBivariateNormal(math.Sqrt(c.TauA / (c.TauA + c.TauB))),
 	}
 }
 
@@ -167,8 +173,8 @@ const solveMemoMax = 1024
 // the basic game is κ = 0), the success rate per (P*, Q), the scan-sized
 // range searches, and the uncertain game's z-table, which every rate
 // shares. A t1 continuation value or an uncertain-game expectation is one
-// quadrature pass that the figure suite repeats in under 5% of its calls,
-// so it is recomputed, not retained.
+// closed-form or quadrature pass that the figure suite repeats in under 5%
+// of its calls, so it is recomputed, not retained.
 type solveMemo struct {
 	regions memo.Map[float64, mathx.IntervalSet]   // unitRegion(κ)
 	sr      memo.Map[solveKey, float64]            // successRate(pstar, q)
@@ -207,15 +213,6 @@ func (m *Model) ScanEvals() uint64 { return m.solve.scanEvals.Load() }
 // Option configures a Model.
 type Option func(*Model)
 
-// WithQuadOrder sets the Gauss–Legendre order used for the finite-interval
-// stage integrals (default 64). The node table comes from the process-wide
-// shared cache.
-func WithQuadOrder(n int) Option {
-	return func(m *Model) {
-		m.gl = mathx.SharedGaussLegendre(n)
-	}
-}
-
 // WithHermiteOrder sets the Gauss–Hermite order used for full-line
 // expectations in the uncertain-amount extension (default 48). The node
 // table comes from the process-wide shared cache.
@@ -240,7 +237,6 @@ func New(p utility.Params, opts ...Option) (*Model, error) {
 	}
 	m := &Model{
 		params: p,
-		gl:     mathx.SharedGaussLegendre(64),
 		gh:     mathx.SharedGaussHermite(48),
 		scanN:  600,
 		tol:    1e-11,
@@ -256,25 +252,14 @@ func New(p utility.Params, opts ...Option) (*Model, error) {
 // Params returns the model's parameter set.
 func (m *Model) Params() utility.Params { return m.params }
 
-// transition returns the lognormal law of the price tau hours ahead of
-// price p. p and tau are validated by construction at every call site.
-func (m *Model) transition(p, tau float64) dist.LogNormal {
-	l, err := m.params.Price.Transition(p, tau)
-	if err != nil {
-		// Unreachable for validated prices; fail loudly in development.
-		panic(err)
-	}
-	return l
-}
-
-// transitionTauA is transition(p, Chains.TauA) through the precomputed
-// drift/volatility constants — bit-identical to the validated path for
-// p > 0, which every call site guarantees.
+// transitionTauA is the law of the price τa hours ahead of p > 0,
+// Price.Transition(p, Chains.TauA) through the precomputed drift and
+// volatility constants, bit for bit.
 func (m *Model) transitionTauA(p float64) dist.LogNormal {
 	return dist.LogNormal{Mu: math.Log(p) + m.k.driftTauA, Sigma: m.k.sigTauA}
 }
 
-// transitionTauBAtLog is transition(p, Chains.TauB) for a caller that has
+// transitionTauBAtLog is the law τb hours ahead for a caller that has
 // already computed logp = math.Log(p); see transitionTauA.
 func (m *Model) transitionTauBAtLog(logp float64) dist.LogNormal {
 	return dist.LogNormal{Mu: logp + m.k.driftTauB, Sigma: m.k.sigTauB}

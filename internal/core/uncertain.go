@@ -217,7 +217,7 @@ func (u *Uncertain) OptimalLockB(pT2, aLock float64) (xStar, excess float64, err
 // t1, of f at B's best response log z*(P_t2) to the commitment aLock
 // (−Inf where B declines). Eqs. 45 and 46 are both such an expectation.
 func (u *Uncertain) expectT2(aLock float64, f func(lz float64) float64) float64 {
-	tr := u.m.transition(u.m.params.P0, u.m.params.Chains.TauA)
+	tr := u.m.transitionTauA(u.m.params.P0)
 	logCap := math.Log(u.budget / aLock)
 	return u.m.gh.ExpectNormal(func(logy float64) float64 {
 		lz, _ := u.best(logCap + logy)

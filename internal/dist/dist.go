@@ -104,15 +104,6 @@ func (l LogNormal) PartialExpectationAbove(k float64) float64 {
 // variant reproduces its plain counterpart bit for bit, because score(x)
 // uses math.Log(x) and nothing else about x.
 
-// PDFAtLog is PDF with the evaluation point's logarithm precomputed.
-func (l LogNormal) PDFAtLog(x, logx float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	z := (logx - l.Mu) / l.Sigma
-	return invSqrt2Pi / (x * l.Sigma) * math.Exp(-0.5*z*z)
-}
-
 // CDFAtLog is CDF with the threshold's logarithm precomputed.
 func (l LogNormal) CDFAtLog(x, logx float64) float64 {
 	if x <= 0 {

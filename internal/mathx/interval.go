@@ -2,6 +2,7 @@ package mathx
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"sort"
 	"strings"
@@ -66,6 +67,18 @@ func (s IntervalSet) Intervals() []Interval {
 	out := make([]Interval, len(s.ivs))
 	copy(out, s.ivs)
 	return out
+}
+
+// All iterates over the disjoint intervals in increasing order without
+// copying them, for hot loops that only read the set.
+func (s IntervalSet) All() iter.Seq[Interval] {
+	return func(yield func(Interval) bool) {
+		for _, iv := range s.ivs {
+			if !yield(iv) {
+				return
+			}
+		}
+	}
 }
 
 // Empty reports whether the set contains no points.

@@ -73,6 +73,10 @@ func MustGaussLegendre(n int) *GaussLegendre {
 // N reports the number of nodes in the rule.
 func (gl *GaussLegendre) N() int { return len(gl.nodes) }
 
+// Node returns the i-th node on [−1, 1] and its weight, in increasing
+// order of the nodes.
+func (gl *GaussLegendre) Node(i int) (x, w float64) { return gl.nodes[i], gl.weights[i] }
+
 // Integrate approximates the integral of f over [a, b]. If a > b the result
 // has the conventional negated sign. Integration over an empty interval
 // returns zero.
@@ -85,50 +89,6 @@ func (gl *GaussLegendre) Integrate(f Func1, a, b float64) float64 {
 	var sum float64
 	for i, x := range gl.nodes {
 		sum += gl.weights[i] * f(mid+half*x)
-	}
-	return half * sum
-}
-
-// MapNodes appends the rule's nodes affinely mapped onto [a, b] to dst
-// (usually dst[:0] of a reusable scratch buffer) and returns the extended
-// slice. Together with IntegrateMapped it forms the scratch-free evaluation
-// path: callers evaluate the integrand over the mapped nodes in place —
-// vals[i] = f(nodes[i]) may overwrite the node buffer — and combine with
-// IntegrateMapped, reproducing Integrate's result bit for bit without a
-// closure or per-call allocation.
-func (gl *GaussLegendre) MapNodes(dst []float64, a, b float64) []float64 {
-	mid := 0.5 * (a + b)
-	half := 0.5 * (b - a)
-	for _, x := range gl.nodes {
-		dst = append(dst, mid+half*x)
-	}
-	return dst
-}
-
-// MapWeights appends the rule's weights scaled onto [a, b] — half-width
-// times each weight — to dst and returns the extended slice, so that
-// Σ w[i]·f(nodes[i]) over MapWeights and MapNodes approximates the
-// integral of f. It serves callers that fold the weights into a reusable
-// node table.
-func (gl *GaussLegendre) MapWeights(dst []float64, a, b float64) []float64 {
-	half := 0.5 * (b - a)
-	for _, w := range gl.weights {
-		dst = append(dst, half*w)
-	}
-	return dst
-}
-
-// IntegrateMapped combines integrand values evaluated at MapNodes(dst, a, b)
-// into the quadrature sum. The accumulation order matches Integrate exactly,
-// so for the same integrand the two paths return identical floats.
-func (gl *GaussLegendre) IntegrateMapped(vals []float64, a, b float64) float64 {
-	if a == b {
-		return 0
-	}
-	half := 0.5 * (b - a)
-	var sum float64
-	for i, v := range vals {
-		sum += gl.weights[i] * v
 	}
 	return half * sum
 }

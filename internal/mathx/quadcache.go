@@ -2,36 +2,21 @@ package mathx
 
 import "repro/internal/memo"
 
-// Process-wide quadrature-table caches. Node/weight tables are pure
-// functions of the order and immutable after construction, so one table per
-// order can be shared by every Model and worker in the process; reads after
-// first construction are lock-free. The Newton construction of a 64-point
-// rule costs tens of microseconds — per grid-scan point, it used to be a
-// measurable slice of every figure sweep.
-var (
-	sharedGL memo.Map[int, *GaussLegendre]
-	sharedGH memo.Map[int, *GaussHermite]
-)
-
-// SharedGaussLegendre returns the process-wide n-point Gauss–Legendre rule,
-// computing it on first use. The returned rule is shared: it is safe for
-// concurrent use (all methods are read-only) and must not be mutated.
-// It panics on n <= 0, like MustGaussLegendre.
-func SharedGaussLegendre(n int) *GaussLegendre {
-	return sharedGL.Do(n, func() *GaussLegendre { return MustGaussLegendre(n) })
-}
+// sharedGH caches one immutable Gauss–Hermite table per order for every
+// Model and worker in the process: the Newton construction of a 48-point
+// rule costs tens of microseconds, a measurable slice of a figure sweep.
+var sharedGH memo.Map[int, *GaussHermite]
 
 // SharedGaussHermite returns the process-wide n-point Gauss–Hermite rule,
-// computing it on first use. The same sharing contract as
-// SharedGaussLegendre applies.
+// computing it on first use. The returned rule is shared: it is safe for
+// concurrent use (all methods are read-only) and must not be mutated.
+// It panics on n <= 0, like MustGaussHermite.
 func SharedGaussHermite(n int) *GaussHermite {
 	return sharedGH.Do(n, func() *GaussHermite { return MustGaussHermite(n) })
 }
 
-// QuadCacheStats reports the hit/miss counters of the shared quadrature
-// table caches (Legendre then Hermite), for cache introspection tooling.
-func QuadCacheStats() (glHits, glMisses, ghHits, ghMisses uint64) {
-	glHits, glMisses = sharedGL.Stats()
-	ghHits, ghMisses = sharedGH.Stats()
-	return
+// QuadCacheStats reports the hit/miss counters of the shared Gauss–Hermite
+// table cache, for cache introspection tooling.
+func QuadCacheStats() (hits, misses uint64) {
+	return sharedGH.Stats()
 }

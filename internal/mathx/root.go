@@ -81,55 +81,41 @@ func Brent(f Func1, a, b, tol float64) (float64, error) {
 // returned in increasing order. It samples each panel once, so a pair of
 // roots inside one panel — a region where f is positive (or negative) that
 // is narrower than the panel — is dropped, as is a touch without a
-// crossing; FindAllRootsRefined adds the search that recovers such a
+// crossing; FindRootsNear's scan adds the search that recovers such a
 // region. Callers choose n densely enough for their problem.
 func FindAllRoots(f Func1, a, b float64, n int, tol float64) []float64 {
 	return scanRoots(f, a, b, n, 0, n, tol, false)
 }
 
-// FindAllRootsRefined is FindAllRoots plus near-touch refinement. At every
-// interior sample where |f| has a discrete local minimum and f keeps its
-// sign over the two adjacent panels, it golden-section searches those
-// panels, to tol, for the extremum of f toward zero; when that extremum
-// crosses zero, Brent's method refines the root on each side of it. A
-// region narrower than one panel is thus found whenever f is unimodal
-// across the two panels around it. The cost is one golden-section search
-// (about log(2h/tol)/log(φ) evaluations for panel width h) per such local
-// minimum; when no search crosses zero, the result equals FindAllRoots'
-// bit for bit.
-func FindAllRootsRefined(f Func1, a, b float64, n int, tol float64) []float64 {
-	return scanRoots(f, a, b, n, 0, n, tol, true)
-}
-
-// FindAllRootsRefinedWithin is FindAllRootsRefined for an f known to keep
-// one nonzero sign on [a, lo] and one on [hi, b]: it samples only the
-// nodes of the same n-panel grid from two below lo to two above hi, with
-// the node formula of the full scan, and searches only the panels and
-// near-touch brackets between them. Every panel and bracket it skips lies
-// where f has a fixed sign and holds no root, so the result equals
-// FindAllRootsRefined's bit for bit; lo ≤ a and hi ≥ b (±Inf included)
-// scan the full grid.
-func FindAllRootsRefinedWithin(f Func1, a, b float64, n int, lo, hi, tol float64) []float64 {
-	first, last := window(a, b, n, lo, hi)
-	return scanRoots(f, a, b, n, first, last, tol, true)
-}
-
-// FindRootsNear is FindAllRootsRefinedWithin for an f with at most
-// maxRoots roots in the window, given prev, the sorted roots of a nearby
-// member of f's family. When prev holds maxRoots roots it carries them
-// instead of scanning: each is mapped to its fractional node index on f's
-// own grid, nodes are evaluated outward from there until the sign
-// changes, and Brent refines exactly that panel. That is the bracket the
-// scan finds, and with maxRoots sign changes found no further root (no
-// near-touch pair either) can exist, so the roots equal
-// FindAllRootsRefinedWithin's bit for bit. carried is false when it
-// scanned instead: prev has another count (with fewer roots a pair can be
-// born anywhere f turns toward zero, which only the scan's near-touch
-// search sees), two of prev's roots lie within carryMinGap panels of each
-// other (a pair about to die), a root walks more than carryMaxWalk
-// panels or leaves the window, a panel crosses the wrong way or out of
-// order, the window's edge signs disagree with the count, or a node is
-// exactly zero.
+// FindRootsNear returns the roots of f on [a, b] for an f known to keep
+// one nonzero sign on [a, lo] and one on [hi, b], with at most maxRoots
+// roots between, given prev, the sorted roots of a nearby member of f's
+// family.
+//
+// Without a usable prev it scans the nodes of FindAllRoots' n-panel grid
+// from two below lo to two above hi (lo ≤ a and hi ≥ b, ±Inf included,
+// scan it all): every panel and bracket it skips lies where f has a fixed
+// sign. The scan adds near-touch refinement: at every interior sample
+// where |f| has a discrete local minimum and f keeps its sign over the
+// two adjacent panels, it golden-section searches them, to tol, for the
+// extremum of f toward zero, and Brent refines a root on each side of one
+// that crosses it. A region narrower than one panel is thus found
+// whenever f is unimodal across the two panels around it; when no search
+// crosses zero, the roots equal FindAllRoots' bit for bit.
+//
+// When prev holds maxRoots roots it carries them instead of scanning:
+// each is mapped to its fractional node index on f's own grid, nodes are
+// evaluated outward from there until the sign changes, and Brent refines
+// exactly that panel. That is the bracket the scan finds, and with
+// maxRoots sign changes found no further root (no near-touch pair either)
+// can exist, so the roots equal the scan's bit for bit. carried is false
+// when it scanned instead: prev has another count (with fewer roots a
+// pair can be born anywhere f turns toward zero, which only the scan's
+// near-touch search sees), two of prev's roots lie within carryMinGap
+// panels of each other (a pair about to die), a root walks more than
+// carryMaxWalk panels or leaves the window, a panel crosses the wrong way
+// or out of order, the window's edge signs disagree with the count, or a
+// node is exactly zero.
 func FindRootsNear(f Func1, a, b float64, n int, lo, hi, tol float64, prev []float64, maxRoots int) (roots []float64, carried bool) {
 	first, last := window(a, b, n, lo, hi)
 	if len(prev) > 0 && len(prev) == maxRoots && n >= 1 && b > a && last > first {
@@ -200,7 +186,7 @@ func carryRoots(f Func1, a, b float64, n, first, last int, tol float64, prev []f
 }
 
 // window returns the first and last nodes of the n-panel grid over [a, b]
-// that FindAllRootsRefinedWithin samples for the unsettled range [lo, hi].
+// that FindRootsNear's scan samples for the unsettled range [lo, hi].
 func window(a, b float64, n int, lo, hi float64) (first, last int) {
 	h := (b - a) / float64(n)
 	first, last = 0, n
@@ -221,8 +207,9 @@ func node(a, b, h float64, i, n int) float64 {
 	return a + float64(i)*h
 }
 
-// scanRoots is the panel scan behind FindAllRoots and FindAllRootsRefined:
-// it samples nodes first..last of the n-panel grid over [a, b].
+// scanRoots is the panel scan behind FindAllRoots and FindRootsNear: it
+// samples nodes first..last of the n-panel grid over [a, b], with
+// near-touch refinement when refine is set.
 func scanRoots(f Func1, a, b float64, n, first, last int, tol float64, refine bool) []float64 {
 	if n < 1 || b <= a || last <= first {
 		return nil

@@ -114,12 +114,20 @@ func TestFindAllRootsDegenerateInput(t *testing.T) {
 	}
 }
 
-// TestFindAllRootsRefinedFindsSubPanelRegion pins the near-touch search: a
+// refinedScan is FindRootsNear's scan of the window [lo, hi], the
+// reference its carried roots must equal bit for bit.
+func refinedScan(f Func1, a, b float64, n int, lo, hi, tol float64) []float64 {
+	first, last := window(a, b, n, lo, hi)
+	return scanRoots(f, a, b, n, first, last, tol, true)
+}
+
+// TestRefinedScanFindsSubPanelRegion pins the near-touch search: a
 // Lorentzian bump 2/(1+((x−c)/w)²) − 1, positive exactly on (c−w, c+w) and
 // five times narrower than one panel, is dropped by FindAllRoots and found
-// by FindAllRootsRefined, for a bump and for the mirrored dip. A touch
-// without a crossing stays rootless.
-func TestFindAllRootsRefinedFindsSubPanelRegion(t *testing.T) {
+// by FindRootsNear's scan of the whole grid, for a bump and for the
+// mirrored dip. A touch without a crossing stays rootless.
+func TestRefinedScanFindsSubPanelRegion(t *testing.T) {
+	inf := math.Inf(1)
 	const c, w = 0.537, 0.01
 	bump := func(x float64) float64 { z := (x - c) / w; return 2/(1+z*z) - 1 }
 	dip := func(x float64) float64 { return -bump(x) }
@@ -127,27 +135,27 @@ func TestFindAllRootsRefinedFindsSubPanelRegion(t *testing.T) {
 		if got := FindAllRoots(f, 0, 1, 10, 1e-13); got != nil {
 			t.Fatalf("%s: FindAllRoots found %v, want nil (the region is inside one panel)", name, got)
 		}
-		got := FindAllRootsRefined(f, 0, 1, 10, 1e-13)
+		got, _ := FindRootsNear(f, 0, 1, 10, -inf, inf, 1e-13, nil, 3)
 		if len(got) != 2 || !almostEqual(got[0], c-w, 1e-10) || !almostEqual(got[1], c+w, 1e-10) {
-			t.Errorf("%s: FindAllRootsRefined = %v, want [%v %v]", name, got, c-w, c+w)
+			t.Errorf("%s: FindRootsNear = %v, want [%v %v]", name, got, c-w, c+w)
 		}
 	}
 	touch := func(x float64) float64 { return -(x - c) * (x - c) }
-	if got := FindAllRootsRefined(touch, 0, 1, 10, 1e-13); got != nil {
-		t.Errorf("touch: FindAllRootsRefined = %v, want nil", got)
+	if got, _ := FindRootsNear(touch, 0, 1, 10, -inf, inf, 1e-13, nil, 3); got != nil {
+		t.Errorf("touch: FindRootsNear = %v, want nil", got)
 	}
 }
 
-// TestFindAllRootsRefinedKeepsCrossings checks that the refinement leaves
-// every well-separated crossing exactly where FindAllRoots puts it.
-func TestFindAllRootsRefinedKeepsCrossings(t *testing.T) {
+// TestRefinedScanKeepsCrossings checks that the near-touch refinement
+// leaves every well-separated crossing exactly where FindAllRoots puts it.
+func TestRefinedScanKeepsCrossings(t *testing.T) {
 	for _, f := range []Func1{
 		func(x float64) float64 { return (x - 1) * (x - 2) * (x - 3) },
 		math.Sin,
 		func(x float64) float64 { return x*x + 1 },
 	} {
 		want := FindAllRoots(f, 0.5, 7, 200, 1e-12)
-		got := FindAllRootsRefined(f, 0.5, 7, 200, 1e-12)
+		got := refinedScan(f, 0.5, 7, 200, math.Inf(-1), math.Inf(1), 1e-12)
 		if len(got) != len(want) {
 			t.Fatalf("refined %v, plain %v", got, want)
 		}
@@ -159,20 +167,20 @@ func TestFindAllRootsRefinedKeepsCrossings(t *testing.T) {
 	}
 }
 
-// TestFindAllRootsRefinedWithinMatchesFullScan checks the windowed scan on
+// TestWindowedScanMatchesFullScan checks FindRootsNear's windowed scan on
 // a cubic with three crossings plus a region narrower than one panel:
 // f > 0 on [0, 0.9] and f < 0 on [4.1, 8], so every settled range inside
-// those returns FindAllRootsRefined's roots bit for bit, while evaluating f
-// only within two panels of the unsettled range, and ranges reaching past
-// the domain scan the full grid. A range that wrongly settles a root loses
-// it.
-func TestFindAllRootsRefinedWithinMatchesFullScan(t *testing.T) {
+// those returns the full refined scan's roots bit for bit, while
+// evaluating f only within two panels of the unsettled range, and ranges
+// reaching past the domain scan the full grid. A range that wrongly
+// settles a root loses it.
+func TestWindowedScanMatchesFullScan(t *testing.T) {
 	const a, b, n, tol = 0.0, 8.0, 200, 1e-12
 	f := func(x float64) float64 {
 		z := (x - 1.7) / 0.005
 		return -(x-1)*(x-2.5)*(x-4) + 3/(1+z*z)
 	}
-	want := FindAllRootsRefined(f, a, b, n, tol)
+	want := refinedScan(f, a, b, n, math.Inf(-1), math.Inf(1), tol)
 	if len(want) != 5 {
 		t.Fatalf("full scan found %v, want 5 roots", want)
 	}
@@ -191,10 +199,10 @@ func TestFindAllRootsRefinedWithinMatchesFullScan(t *testing.T) {
 	for _, lo := range []float64{math.Inf(-1), -1, a, 0.013, 0.3, 0.57, 0.9} {
 		for _, hi := range []float64{4.1, 4.37, 6, 7.99, b, 9, math.Inf(1)} {
 			minX, maxX := math.Inf(1), math.Inf(-1)
-			got := FindAllRootsRefinedWithin(func(x float64) float64 {
+			got, _ := FindRootsNear(func(x float64) float64 {
 				minX, maxX = math.Min(minX, x), math.Max(maxX, x)
 				return f(x)
-			}, a, b, n, lo, hi, tol)
+			}, a, b, n, lo, hi, tol, nil, 3)
 			if !same(got) {
 				t.Fatalf("settled outside [%g, %g]: %v, full scan %v", lo, hi, got, want)
 			}
@@ -203,14 +211,14 @@ func TestFindAllRootsRefinedWithinMatchesFullScan(t *testing.T) {
 			}
 		}
 	}
-	if got := FindAllRootsRefinedWithin(f, a, b, n, 1.2, math.Inf(1), tol); same(got) {
+	if got, _ := FindRootsNear(f, a, b, n, 1.2, math.Inf(1), tol, nil, 3); same(got) {
 		t.Errorf("a range settling the root at 1 still returned %v", got)
 	}
 }
 
 // TestFindRootsNearMatchesScan carries roots along families of functions
-// with at most three roots and checks every result against
-// FindAllRootsRefinedWithin bit for bit: a drifting cubic (carried after
+// with at most three roots and checks every result against its windowed
+// scan (refinedScan) bit for bit: a drifting cubic (carried after
 // the first member), a pair dying inside one panel and being born again,
 // a hint that jumped too far, and hints whose count or signs do not fit
 // f (all scanned).
@@ -230,7 +238,7 @@ func TestFindRootsNearMatchesScan(t *testing.T) {
 	}
 	run := func(name string, f Func1, prev []float64, wantCarried bool) []float64 {
 		t.Helper()
-		want := FindAllRootsRefinedWithin(f, a, b, n, lo, hi, tol)
+		want := refinedScan(f, a, b, n, lo, hi, tol)
 		got, carried := FindRootsNear(f, a, b, n, lo, hi, tol, prev, 3)
 		if !same(got, want) {
 			t.Errorf("%s: carried %v from %v, scan %v", name, got, prev, want)
@@ -254,7 +262,7 @@ func TestFindRootsNearMatchesScan(t *testing.T) {
 	for k := 0; k <= 60; k++ {
 		d := math.Abs(0.6 - 0.0203*float64(k)) // half-width of the pair
 		f := func(x float64) float64 { return -(x - 1.013) * ((x-3.007)*(x-3.007) - d*d + 1e-3) }
-		want := FindAllRootsRefinedWithin(f, a, b, n, lo, hi, tol)
+		want := refinedScan(f, a, b, n, lo, hi, tol)
 		got, carried := FindRootsNear(f, a, b, n, lo, hi, tol, prev, 3)
 		if !same(got, want) {
 			t.Errorf("pair d=%g: carried %v from %v, scan %v", d, got, prev, want)

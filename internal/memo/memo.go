@@ -32,6 +32,12 @@ type Map[K comparable, V any] struct {
 	// overshoot by one entry per inserting goroutine. Set Max before first
 	// use.
 	Max int
+	// Evict, when set, receives each completed entry a flush drops, on the
+	// flushing goroutine after the entry has left the map; in-flight and
+	// poisoned entries are dropped without a call. It lets the map's owner
+	// fold what an evicted value accumulated into running totals. Set it
+	// before first use.
+	Evict func(key K, val V)
 
 	m       sync.Map     // K -> *entry[V]
 	n       atomic.Int64 // retained entries
@@ -107,10 +113,19 @@ func (c *Map[K, V]) flush() {
 	if c.n.Load() < int64(c.Max) {
 		return // a concurrent miss flushed first
 	}
-	c.m.Range(func(k, _ any) bool {
+	c.m.Range(func(k, e any) bool {
 		c.m.Delete(k)
 		c.n.Add(-1)
 		c.evicted.Add(1)
+		if ent := e.(*entry[V]); c.Evict != nil {
+			select {
+			case <-ent.done:
+				if ent.panicked == nil {
+					c.Evict(k.(K), ent.val)
+				}
+			default:
+			}
+		}
 		return true
 	})
 }

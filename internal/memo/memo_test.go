@@ -221,6 +221,36 @@ func TestMaxClearsAndCountsEvictions(t *testing.T) {
 	}
 }
 
+// TestEvictReceivesFlushedEntries checks the eviction hook: a flush hands
+// it every completed entry it drops, once, and nothing else — not the
+// entry whose miss triggered the flush, nor a poisoned one.
+func TestEvictReceivesFlushedEntries(t *testing.T) {
+	got := map[int]int{}
+	m := Map[int, int]{Max: 3, Evict: func(k, v int) {
+		if _, dup := got[k]; dup {
+			t.Errorf("key %d evicted twice", k)
+		}
+		got[k] = v
+	}}
+	for k := 0; k < 2; k++ {
+		m.Do(k, func() int { return 10 * k })
+	}
+	func() {
+		defer func() { _ = recover() }()
+		m.Do(2, func() int { panic("boom") })
+	}()
+	if len(got) != 0 {
+		t.Fatalf("Evict called before any flush: %v", got)
+	}
+	m.Do(3, func() int { return 30 })
+	if len(got) != 2 || got[0] != 0 || got[1] != 10 {
+		t.Fatalf("after one flush Evict received %v, want map[0:0 1:10]", got)
+	}
+	if m.Evictions() != 3 || m.Len() != 1 {
+		t.Fatalf("Evictions() = %d, Len() = %d, want 3, 1", m.Evictions(), m.Len())
+	}
+}
+
 // TestConcurrentDoAtBound hammers a small bounded map from many goroutines
 // (run with -race in CI): every caller gets its key's value, the map stays
 // within Max plus one entry per goroutine, and evictions plus retained

@@ -242,10 +242,10 @@ func solveQuote(params utility.Params, refP, alphaA, alphaB float64) (cachedQuot
 	params.Bob.Alpha = roundKey(alphaB)
 	params.P0 = refP
 	res := quotes.Do(params, func() quoteResult {
-		// The lighter numerical configuration: repeated-game trajectories
-		// visit dozens of premium pairs, and threshold errors far below
-		// the premium quantum do not change sampled outcomes.
-		m, err := core.New(params, core.WithScanPoints(200), core.WithQuadOrder(32))
+		// The lighter scan: repeated-game trajectories visit dozens of
+		// premium pairs, and threshold errors far below the premium
+		// quantum do not change sampled outcomes.
+		m, err := core.New(params, core.WithScanPoints(200))
 		if err != nil {
 			return quoteResult{err: err}
 		}

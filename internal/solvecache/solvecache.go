@@ -16,6 +16,7 @@ package solvecache
 import (
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/mathx"
@@ -35,7 +36,28 @@ const maxModels = 512
 // exactly when they compare ==, which equates +0 and −0 (the solvers'
 // results do not depend on the sign of a zero parameter) and never holds
 // for the NaNs that validation rejects.
-var models = memo.Map[utility.Params, *core.Model]{Max: maxModels}
+var models = memo.Map[utility.Params, *core.Model]{Max: maxModels, Evict: retire}
+
+// retired holds the solve counters of the evicted models, folded in as a
+// flush drops each one, so the totals ReadStats reports cover every model
+// built, not only the resident ones. The lock is taken on the flush path
+// and by ReadStats, never on a cache hit.
+var retired struct {
+	sync.Mutex
+	solveHits, solveMisses, scanEvals uint64
+}
+
+// retire folds an evicted model's solve counters into retired. Work a
+// caller still does on the model after its eviction is not counted.
+func retire(_ utility.Params, m *core.Model) {
+	h, mi := m.MemoStats()
+	evals := m.ScanEvals()
+	retired.Lock()
+	defer retired.Unlock()
+	retired.solveHits += h
+	retired.solveMisses += mi
+	retired.scanEvals += evals
+}
 
 // SharedModel returns the process-wide solver for the parameter set with
 // core's default quadrature options, constructing and caching it on first
@@ -56,7 +78,7 @@ func SharedModel(p utility.Params) (*core.Model, error) {
 
 // Stats reports the cache's cumulative behaviour: model-level hits and
 // misses, evictions, and the aggregate solve-memo hits/misses and t2 scan
-// work across every cached model.
+// work across every model built.
 type Stats struct {
 	// Models is the number of cached models; Limit is the constant bound.
 	Models int `json:"models"`
@@ -67,11 +89,13 @@ type Stats struct {
 	// Evicted counts models dropped to keep the cache within its bound.
 	Evicted uint64 `json:"evicted"`
 	// SolveHits and SolveMisses aggregate the per-model solve-memo
-	// counters of every cached model.
+	// counters of every model built: the cached models' current counts
+	// plus each evicted model's counts at its eviction.
 	SolveHits   uint64 `json:"solveHits"`
 	SolveMisses uint64 `json:"solveMisses"`
-	// ScanEvals sums the cached models' t2 region scan evaluations
-	// (core.Model.ScanEvals): deterministic work, where the timings are not.
+	// ScanEvals sums the t2 region scan evaluations
+	// (core.Model.ScanEvals) of every model built, as SolveHits does:
+	// deterministic work, where the timings are not.
 	ScanEvals uint64 `json:"scanEvals"`
 }
 
@@ -81,12 +105,13 @@ func WriteStats(w io.Writer) {
 	s := ReadStats()
 	fmt.Fprintf(w, "solve cache: %d/%d models (hits %d, misses %d, evicted %d); solve cells: hits %d, misses %d; t2 scan evals %d\n",
 		s.Models, s.Limit, s.ModelHits, s.ModelMisses, s.Evicted, s.SolveHits, s.SolveMisses, s.ScanEvals)
-	glH, glM, ghH, ghM := mathx.QuadCacheStats()
-	fmt.Fprintf(w, "quadrature tables: Gauss-Legendre hits %d, misses %d; Gauss-Hermite hits %d, misses %d\n",
-		glH, glM, ghH, ghM)
+	ghH, ghM := mathx.QuadCacheStats()
+	fmt.Fprintf(w, "quadrature tables: Gauss-Hermite hits %d, misses %d\n", ghH, ghM)
 }
 
-// ReadStats snapshots the cache counters.
+// ReadStats snapshots the cache counters. The solve totals are exact
+// whenever no flush is in progress; a snapshot taken during one may miss
+// the models it has dropped but not yet folded in.
 func ReadStats() Stats {
 	s := Stats{
 		Evicted: models.Evictions(),
@@ -94,6 +119,9 @@ func ReadStats() Stats {
 		Limit:   maxModels,
 	}
 	s.ModelHits, s.ModelMisses = models.Stats()
+	retired.Lock()
+	defer retired.Unlock()
+	s.SolveHits, s.SolveMisses, s.ScanEvals = retired.solveHits, retired.solveMisses, retired.scanEvals
 	models.Range(func(_ utility.Params, m *core.Model) bool {
 		h, mi := m.MemoStats()
 		s.SolveHits += h

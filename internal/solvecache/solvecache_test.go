@@ -197,6 +197,42 @@ func TestBoundFlushesPastMaxModels(t *testing.T) {
 	}
 }
 
+// TestSolveTotalsSurviveEviction builds more than maxModels models
+// serially, solving on each before the next is built: the solve-cell and
+// scan totals grow by exactly the sum over every model built, across the
+// flush that evicts most of them, and never fall.
+func TestSolveTotalsSurviveEviction(t *testing.T) {
+	before := ReadStats()
+	prev := before
+	var hits, misses, evals uint64
+	for i := 0; i < maxModels+64; i++ {
+		p := utility.Default()
+		p.Bob.Alpha = 0.6 + 1e-6*float64(i)
+		m, err := SharedModel(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pstar := range []float64{1.9, 2, 1.9} { // the second 1.9 is a solve-cell hit
+			if _, err := m.SuccessRate(pstar); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h, mi := m.MemoStats()
+		hits, misses, evals = hits+h, misses+mi, evals+m.ScanEvals()
+		s := ReadStats()
+		if s.SolveHits < prev.SolveHits || s.SolveMisses < prev.SolveMisses || s.ScanEvals < prev.ScanEvals {
+			t.Fatalf("after model %d the totals fell: %+v, then %+v", i, prev, s)
+		}
+		prev = s
+	}
+	if prev.Evicted == before.Evicted {
+		t.Fatal("no model was evicted")
+	}
+	if got := [3]uint64{prev.SolveHits - before.SolveHits, prev.SolveMisses - before.SolveMisses, prev.ScanEvals - before.ScanEvals}; got != [3]uint64{hits, misses, evals} {
+		t.Errorf("totals grew by (hits, misses, scan evals) %v, the models built hold %v", got, [3]uint64{hits, misses, evals})
+	}
+}
+
 func TestReadStatsCounts(t *testing.T) {
 	p := utility.Default()
 	before := ReadStats()
@@ -246,7 +282,7 @@ func TestWriteStatsReportsBoundAndEvictions(t *testing.T) {
 	if !strings.HasPrefix(out, want) {
 		t.Errorf("WriteStats = %q, want prefix %q", out, want)
 	}
-	if !strings.Contains(out, "\nquadrature tables: Gauss-Legendre hits ") {
+	if !strings.Contains(out, "\nquadrature tables: Gauss-Hermite hits ") {
 		t.Errorf("WriteStats = %q, missing the quadrature-table line", out)
 	}
 }
