@@ -56,7 +56,7 @@ bench-json:
 	$(GO) test -bench='^BenchmarkFiguresFull$$' -benchmem -benchtime=1x -run='^$$' . > $$tmp; \
 	$(GO) test -bench='^BenchmarkSolve_' -benchmem -benchtime=20x -run='^$$' . >> $$tmp; \
 	$(GO) run ./tools/benchmc -o BENCH_solve.json \
-		-note "Amortized solve engine baseline: BenchmarkFiguresFull once in its own cold process, the BenchmarkSolve_ suite at -benchtime=20x in a second one, so first-iteration warm-up does not reach the gated allocs/op; regenerate with make bench-json, CI gates allocs/op at 2x, evals/op and draws/op at any rise and BenchmarkFiguresFull wall time at 1.0s via make bench-check. Recorded with $$($(GO) env GOVERSION) $$($(GO) env GOOS)/$$($(GO) env GOARCH), GOMAXPROCS=$${GOMAXPROCS:-$$(nproc)}." < $$tmp
+		-note "Amortized solve engine baseline: BenchmarkFiguresFull once in its own cold process, the BenchmarkSolve_ suite at -benchtime=20x in a second one, so first-iteration warm-up does not reach the gated allocs/op; regenerate with make bench-json, CI gates allocs/op at 2x, evals/op, rate_evals/op and draws/op at any rise and BenchmarkFiguresFull wall time at 1.0s via make bench-check. Recorded with $$($(GO) env GOVERSION) $$($(GO) env GOOS)/$$($(GO) env GOARCH), GOMAXPROCS=$${GOMAXPROCS:-$$(nproc)}." < $$tmp
 
 # CI's bench-regression smoke (the bench-mc-regression job; the
 # bench-solve-regression job is the pprof smoke): a short run of both
@@ -68,9 +68,10 @@ bench-json:
 # pseudo: no sampler may need more paths than pseudo, whose ratio is 1 by
 # definition (sobol sits at ~0.065; the adaptive stop is deterministic per
 # seed, so the gate cannot flake). A solve benchmark's work counters,
-# evals/op (the t2 region scans' evaluation count) and draws/op (a
-# simulation's normal draws), are deterministic per tree and fail on any
-# rise over their baseline. BenchmarkFiguresFull — the full 18-group
+# evals/op (the t2 region scans' evaluation count), rate_evals/op (the
+# exchange-rate scans' evaluation count) and draws/op (a simulation's
+# normal draws), are deterministic per tree and fail on any rise over
+# their baseline. BenchmarkFiguresFull — the full 18-group
 # artifact generation, run once in its own cold process — is the one
 # wall-clock gate: 1.0s absolute, the sub-second reproduction promise with
 # wide headroom over the ~0.6s measured baseline. The solve suite runs at
@@ -137,21 +138,37 @@ chaos-smoke:
 		-require-shed -min-goodput 30 -max-p99-ms 1000 -max-error-rate 0.25
 
 # The scenario-universe atlas's incrementality gate (CI's atlas-smoke
-# job): sweep the default universe twice against one persistent store.
-# The second sweep must load every cell from disk (-max-solved 0 fails
-# the run if even one cell re-solves), produce byte-identical artifacts,
-# and finish at least 10x faster than the cold sweep — the whole point
-# of content-addressed results.
+# job): sweep a 1536-cell universe (-samples 128: three times the solve
+# cache's 512 models, so it flushes mid-sweep) with its Monte Carlo
+# validation (-mc -runs 1000) twice against one persistent store, both
+# at -workers 1. The second sweep must load every cell from disk
+# (-max-solved 0 fails the run if even one cell re-solves), produce
+# byte-identical artifacts, and finish at least 10x faster than the cold
+# sweep — the whole point of content-addressed results. The validation
+# keeps the cold sweep's cost in solving and simulating rather than in
+# process start, which the warm sweep shares. Between the two, an
+# uncached analytic sweep of the same cells at the default worker count
+# must print the cold sweep's solve-work line: the scan totals count
+# every model's work, including what a worker still solves on a model
+# after a flush dropped it. (At more than one worker a -mc sweep's line
+# may vary: each cell looks its model up twice, and a flush between the
+# two rebuilds it.)
 atlas-smoke:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf '$$dir EXIT; \
 	$(GO) build -o $$dir/scenarios ./cmd/scenarios; \
+	sweep="atlas -samples 128 -mc -runs 1000 -workers 1 -store $$dir/store"; \
 	echo "atlas-smoke: cold sweep"; \
 	start=$$(date +%s%N); \
-	$$dir/scenarios atlas -store $$dir/store -out $$dir/cold; \
+	one=$$($$dir/scenarios $$sweep -out $$dir/cold -cache-stats | grep '^solve work:'); \
 	cold_ms=$$(( ($$(date +%s%N) - start) / 1000000 )); \
+	echo "atlas-smoke: uncached analytic sweep at the default worker count"; \
+	all=$$($$dir/scenarios atlas -samples 128 -cache-stats | grep '^solve work:'); \
+	echo "  cold, -workers 1: $$one"; echo "  uncached, default: $$all"; \
+	if [ -z "$$one" ] || [ "$$one" != "$$all" ]; then \
+		echo "atlas-smoke: solve work differs between worker counts" >&2; exit 1; fi; \
 	echo "atlas-smoke: warm sweep (must solve 0 cells)"; \
 	start=$$(date +%s%N); \
-	$$dir/scenarios atlas -store $$dir/store -out $$dir/warm -max-solved 0; \
+	$$dir/scenarios $$sweep -out $$dir/warm -max-solved 0; \
 	warm_ms=$$(( ($$(date +%s%N) - start) / 1000000 )); \
 	cmp $$dir/cold/atlas_cells.json $$dir/warm/atlas_cells.json; \
 	cmp $$dir/cold/atlas_frontier.txt $$dir/warm/atlas_frontier.txt; \

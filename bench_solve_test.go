@@ -62,7 +62,7 @@ func BenchmarkSolve_ModelNew(b *testing.B) {
 // hot root-finding primitive behind Eqs. 24/35.
 func BenchmarkSolve_ContSetCold(b *testing.B) {
 	p := utility.Default()
-	var evals uint64
+	var work coldWork
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m, err := core.New(p)
@@ -72,21 +72,36 @@ func BenchmarkSolve_ContSetCold(b *testing.B) {
 		if _, _, err := m.ContRangeT2(2.0); err != nil {
 			b.Fatal(err)
 		}
-		evals += m.ScanEvals()
+		work.add(m)
 	}
-	reportEvals(b, evals)
+	work.report(b)
 }
 
-// reportEvals reports the t2 region scans' utility-difference evaluations
-// per op: the deterministic work behind a cold solve benchmark's ns/op,
-// which `make bench-check` gates against any rise.
-func reportEvals(b *testing.B, evals uint64) {
-	b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
+// coldWork sums the work counters of a cold solve benchmark's fresh
+// Models: the deterministic work behind its ns/op, which `make
+// bench-check` gates against any rise.
+type coldWork struct{ scan, rate uint64 }
+
+// add counts one fresh Model's work.
+func (w *coldWork) add(m *core.Model) {
+	w.scan += m.ScanEvals()
+	w.rate += m.RateEvals()
+}
+
+// report reports the t2 region scans' utility-difference evaluations per
+// op as evals/op and, for a benchmark that scans exchange rates, their t1
+// utility evaluations per op as rate_evals/op.
+func (w coldWork) report(b *testing.B) {
+	b.ReportMetric(float64(w.scan)/float64(b.N), "evals/op")
+	if w.rate > 0 {
+		b.ReportMetric(float64(w.rate)/float64(b.N), "rate_evals/op")
+	}
 }
 
 // BenchmarkSolve_FeasibleRateRangeCold measures the t1 feasibility scan of
 // Eq. 30 on a fresh Model per iteration: one unit-rate root scan, then
-// several hundred probe evaluations of A's t1 utility. It runs on Table
+// the probes of A's t1 utility between the rates where its sign is
+// settled, reported as rate_evals/op. It runs on Table
 // III and on the generated btc→evm cell u-btc-evm-001 (seed 1, a feasible
 // one), the per-cell cost the atlas pays for every basic report.
 func BenchmarkSolve_FeasibleRateRangeCold(b *testing.B) {
@@ -103,6 +118,7 @@ func BenchmarkSolve_FeasibleRateRangeCold(b *testing.B) {
 		p    utility.Params
 	}{{"tableIII", tableIII.Params}, {"btc-evm", universe[1].Params}} {
 		b.Run(c.name, func(b *testing.B) {
+			var work coldWork
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				m, err := core.New(c.p)
@@ -112,7 +128,9 @@ func BenchmarkSolve_FeasibleRateRangeCold(b *testing.B) {
 				if _, ok, err := m.FeasibleRateRange(); err != nil || !ok {
 					b.Fatalf("feasible range: ok=%v err=%v", ok, err)
 				}
+				work.add(m)
 			}
+			work.report(b)
 		})
 	}
 }
@@ -151,11 +169,11 @@ func BenchmarkSolve_UncertainCold(b *testing.B) {
 // BenchmarkSolve_Fig6Cold measures one Fig. 6 curve on a fresh Model per
 // iteration: SR(P*) (Eq. 31) at the figure's 41 rates on Table III. Every
 // rate's t2 region is the unit-rate region scaled by P*, so the curve costs
-// one root scan plus 41 quadratures.
+// one root scan plus 41 closed-form SR evaluations.
 func BenchmarkSolve_Fig6Cold(b *testing.B) {
 	p := utility.Default()
 	grid := mathx.LinSpace(0.2, 3.2, 41)
-	var evals uint64
+	var work coldWork
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m, err := core.New(p)
@@ -167,9 +185,9 @@ func BenchmarkSolve_Fig6Cold(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		evals += m.ScanEvals()
+		work.add(m)
 	}
-	reportEvals(b, evals)
+	work.report(b)
 }
 
 // BenchmarkSolve_Fig8Cold measures Fig. 8's engagement scans on a fresh
@@ -178,7 +196,7 @@ func BenchmarkSolve_Fig6Cold(b *testing.B) {
 // deposit ratio Q/P*, so each costs one t2 region scan.
 func BenchmarkSolve_Fig8Cold(b *testing.B) {
 	p := utility.Default()
-	var evals uint64
+	var work coldWork
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m, err := core.New(p)
@@ -192,9 +210,9 @@ func BenchmarkSolve_Fig8Cold(b *testing.B) {
 		if c.FeasibleRatesAlice().Empty() || c.FeasibleRatesBob().Empty() {
 			b.Fatal("no engagement rates")
 		}
-		evals += m.ScanEvals()
+		work.add(m)
 	}
-	reportEvals(b, evals)
+	work.report(b)
 }
 
 // BenchmarkSolve_BayesianCold measures one curve of the uncertainty figure
@@ -205,7 +223,7 @@ func BenchmarkSolve_BayesianCold(b *testing.B) {
 	p := utility.Default()
 	grid := mathx.LinSpace(1.4, 2.8, 29)
 	prior := core.TypePrior{Values: []float64{0.2, 0.4}, Probs: []float64{0.5, 0.5}}
-	var evals uint64
+	var work coldWork
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m, err := core.New(p)
@@ -221,9 +239,9 @@ func BenchmarkSolve_BayesianCold(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		evals += m.ScanEvals()
+		work.add(m)
 	}
-	reportEvals(b, evals)
+	work.report(b)
 }
 
 // BenchmarkSolve_PacketizedFigure runs the packetized figure's two

@@ -42,7 +42,7 @@ func run(args []string, out io.Writer) error {
 		workers = fs.Int("workers", 0, "worker-pool size for grid scans (0 = all CPUs; output is identical for any value)")
 		scen    = fs.String("scenario", "", "regenerate under a named scenario's parameters (see cmd/scenarios -list)")
 		timing  = fs.Bool("timing", false, "print a per-artifact-group wall-time breakdown after generation")
-		stats   = fs.Bool("cache-stats", false, "print solve-cache and quadrature-table hit/miss counters after generation")
+		stats   = fs.Bool("cache-stats", false, "print the solve-cache counters, the scans' work and the Gauss-Hermite table counters after generation")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -71,7 +71,7 @@ func run(args []string, out io.Writer) error {
 		variants = fs.String("variant", "", `variants to solve: "all", a comma-separated key list, or empty for each scenario's own selection`)
 		runs     = fs.Int("runs", 0, "override every scenario's Monte Carlo run count (0 = per-scenario default)")
 		workers  = fs.Int("workers", 0, "cross-cell worker-pool size (0 = all CPUs; output is identical for any value)")
-		stats    = fs.Bool("cache-stats", false, "print solve-cache and quadrature-table hit/miss counters after the run")
+		stats    = fs.Bool("cache-stats", false, "print the solve-cache counters, the scans' work and the Gauss-Hermite table counters after the run")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -120,7 +120,7 @@ func runAtlas(args []string, out io.Writer) error {
 		mc        = fs.Bool("mc", false, "run each cell's Monte Carlo validation (default: analytic solves only)")
 		workers   = fs.Int("workers", 0, "cross-cell worker-pool size (0 = all CPUs)")
 		maxSolved = fs.Int("max-solved", -1, "fail if more than this many cells had to be solved (-1 = no gate; 0 gates a fully warm run)")
-		stats     = fs.Bool("cache-stats", false, "print solve-cache and quadrature-table counters after the sweep")
+		stats     = fs.Bool("cache-stats", false, "print the solve-cache counters, the scans' work and the Gauss-Hermite table counters after the sweep")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -75,7 +75,7 @@ func run(args []string, out *os.File) error {
 		mu     = fs.Float64("mu", 0.002, "price drift per hour")
 		sigma  = fs.Float64("sigma", 0.1, "price volatility per sqrt-hour")
 
-		stats = fs.Bool("cache-stats", false, "print solve-cache and quadrature-table hit/miss counters before exit")
+		stats = fs.Bool("cache-stats", false, "print the solve-cache counters, the scans' work and the Gauss-Hermite table counters before exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -3,8 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
+	"repro/internal/dist"
 	"repro/internal/mathx"
 )
 
@@ -169,12 +169,78 @@ func (e *t2Eval) bobCont(logy float64) float64 {
 }
 
 // settled returns the t2 prices outside which Eq. 35 fixes the sign of
-// U^B_t2(cont) − y: cont > y for every y < below (every term is ≥ 0, the
-// released deposit among them) and cont < y for every y > above (TailProb
-// ≤ 1, PE_below ≤ P̄_t3, CDF ≤ 1). The factors ½ and 2 dwarf any rounding.
+// U^B_t2(cont) − y. Above: cont < y for every y > above (TailProb ≤ 1,
+// PE_below ≤ P̄_t3, CDF ≤ 1). Below, with a deposit: cont > y for every
+// y < below (every term is ≥ 0, the released deposit among them). Below,
+// in the basic game: cont < y for every y < below, where basicBelow
+// certifies it (DESIGN.md, "Settled windows"); without that certificate
+// below is 0 and the scan starts at its floor. The factors ½ and 2 dwarf
+// any rounding.
 func (e *t2Eval) settled() (below, above float64) {
 	k := &e.m.k
-	return 0.5 * k.discBTauB * e.qDiscB, 2 * k.discBTauB * (e.qDiscB + e.bobCont3 + k.growth2B*e.pbar + e.qBank)
+	above = 2 * k.discBTauB * (e.qDiscB + e.bobCont3 + k.growth2B*e.pbar + e.qBank)
+	if e.q == 0 {
+		return e.basicBelow(), above
+	}
+	return 0.5 * k.discBTauB * e.qDiscB, above
+}
+
+// basicBelow returns a t2 price below which U^B_t2(cont) − y < 0 in the
+// basic game, or 0 when it cannot certify one. With PE_below ≤ y·e^{µτb},
+// the difference is at most D_B·bobCont3·P[P_t3 > P̄_t3 | y] − γ·y, where
+// γ = 1 − e^{3(µ−rB)τb}. While the tail's score is ≤ 0 and its sd
+// σ√τb < millsBound, tail/y rises in y, so the bound is negative below
+// the largest such y at which it is at most −γ·y/2.
+func (e *t2Eval) basicBelow() float64 {
+	m := e.m
+	gamma := -math.Expm1(3 * (m.params.Price.Mu - m.params.Bob.R) * m.params.Chains.TauB)
+	sig := m.k.sigTauB
+	if gamma < settledMinGap || sig >= millsBound {
+		return 0
+	}
+	tail := m.k.discBTauB * e.bobCont3
+	logZero := e.logPbar - m.k.driftTauB // where the tail's score is 0
+	certified := func(logy float64) bool {
+		tr := m.transitionTauBAtLog(logy)
+		return tail*tr.TailProbAtLog(e.pbar, e.logPbar) <= 0.5*gamma*math.Exp(logy)
+	}
+	logy, ok := settledEdge(logZero-40*sig, logZero, certified)
+	if !ok {
+		return 0
+	}
+	return math.Exp(logy)
+}
+
+// millsBound is φ(0)/Φ(0) = √(2/π), the least inverse Mills ratio
+// φ(z)/Φ(z) over z ≤ 0 (the ratio falls as z grows). For a score
+// z(x) = (log x − µ)/s with s < millsBound, Φ(z(x))/x therefore rises in
+// x wherever z(x) ≤ 0: its derivative has the sign of φ(z)/s − Φ(z).
+const millsBound = 0.7978845608028654
+
+// settledMinGap is the least slack, γ or 1 − c (DESIGN.md, "Settled
+// windows"), a settled window is certified from: below it the margin of
+// half the slack no longer dwarfs rounding, and the scan is not windowed.
+const settledMinGap = 1e-6
+
+// settledEdge bisects [from, to] for the edge of a certified range, where
+// certified holds from from up to some point and fails beyond it, toward
+// to. It returns the last point found certified, to itself if certified
+// holds there, and false if it fails at from.
+func settledEdge(from, to float64, certified func(float64) bool) (float64, bool) {
+	if !certified(from) {
+		return from, false
+	}
+	if certified(to) {
+		return to, true
+	}
+	for range 32 {
+		if mid := 0.5 * (from + to); certified(mid) {
+			from = mid
+		} else {
+			to = mid
+		}
+	}
+	return from, true
 }
 
 // aliceContT2 is U^A_t2(cont) at t2 price y (Eq. 20; Eq. 34 when q > 0).
@@ -271,7 +337,7 @@ func (m *Model) unitRegionNear(kappa float64, prev mathx.IntervalSet) mathx.Inte
 func (m *Model) contSetT2Scan(pstar, q float64, prev mathx.IntervalSet) mathx.IntervalSet {
 	e := m.newT2Eval(pstar, q)
 	below, above := e.settled()
-	return m.t2RegionScan(pstar, q, e.pbar, below, above, e.bobCont, &m.solve.scanEvals, prev)
+	return m.t2RegionScan(pstar, q, e.pbar, below, above, e.bobCont, &m.solve.work, prev)
 }
 
 // t2RegionScan returns {y : bobCont(log y) > y}, B's t2 continuation
@@ -288,10 +354,10 @@ func (m *Model) contSetT2Scan(pstar, q float64, prev mathx.IntervalSet) mathx.In
 // the stop utility y vanishes, and with Q = 0 both are linear in y, so the
 // sign at the floor holds down to 0. Only the nodes between the settled
 // bounds below and above are scanned, or prev's roots carried when it has
-// the three Fig. 7 allows (mathx.FindRootsNear); evals counts diff calls.
-func (m *Model) t2RegionScan(pstar, q, pbar, below, above float64, bobCont func(logy float64) float64, evals *atomic.Uint64, prev mathx.IntervalSet) mathx.IntervalSet {
+// the three Fig. 7 allows (mathx.FindRootsNear); work counts diff calls.
+func (m *Model) t2RegionScan(pstar, q, pbar, below, above float64, bobCont func(logy float64) float64, work *scanWork, prev mathx.IntervalSet) mathx.IntervalSet {
 	var n uint64
-	defer func() { evals.Add(n) }()
+	defer func() { work.addScan(n) }()
 	diff := func(y float64) float64 { n++; return bobCont(math.Log(y)) - y }
 	b := m.params.Bob
 	// Upper bound: U^B_t2(cont) ≤ q + (1+αB)P* + e^{2(µ−rB)τb}·P̄_t3 up to
@@ -489,17 +555,71 @@ func (m *Model) rateScanBound() float64 {
 // within which A initiates the swap at t1; with Table III parameters this is
 // the paper's Eq. 29, approximately (1.5, 2.5). ok is false when no rate is
 // viable (for instance under an exceedingly high discount rate, §III.F.2).
-// The scan — several hundred closed-form t1 evaluations over the one
-// unit-rate region S(0) — is memoized on the Model.
+// The scan evaluates U^A_t1(cont) − P* in closed form over the one
+// unit-rate region S(0), only at the nodes of its grid between the rates
+// settledRates certifies negative beyond, and is memoized on the Model.
+// Its roots are those of the full grid bit for bit; on Table III it takes
+// 80 evaluations, Brent's included, where the full grid takes 317.
 func (m *Model) FeasibleRateRange() (mathx.Interval, bool, error) {
 	set := m.solve.ranges.Do(rangeKind{kind: 'F'}, func() mathx.IntervalSet {
 		unit := m.unitRegion(0)
-		diff := func(pstar float64) float64 { return m.aliceContT1Over(unit, pstar, 0) - pstar }
+		var n uint64
+		defer func() { m.solve.work.addRate(n) }()
+		diff := func(pstar float64) float64 { n++; return m.aliceContT1Over(unit, pstar, 0) - pstar }
 		lo, hi := 1e-3, m.rateScanBound()
-		roots := mathx.FindAllRoots(diff, lo, hi, m.scanN/2, m.tol)
+		var roots []float64
+		if below, above := m.settledRates(unit, lo, hi); below < above {
+			roots = mathx.FindRootsWithin(diff, lo, hi, m.scanN/2, below, above, m.tol)
+		}
 		return mathx.FromSignChanges(diff, lo, hi, roots)
 	})
 	return set.Bounds(), !set.Empty(), nil
+}
+
+// settledRates returns rates on the scan range [lo, hi] outside which
+// U^A_t1(cont) − P* < 0 is certified: at every P* ≤ below and every
+// P* ≥ above (below = lo and above = hi certify nothing; below ≥ above
+// certifies every rate). A's cont utility is at most K·P̃[X ∈ P*·S(0)] +
+// c·P*, where X = log P_t2, P̃ is the e^Y-weighted t1 law of t1Joint's
+// tilted masses, K = e^{−rA(τa+τb)}·contCoefA·E[P_t3], and c =
+// e^{−rA(3τa+τb+εb)} bounds the discount of both refund terms, whose
+// probabilities sum to at most 1. Over the hull (s, t] of S(0), P̃[X >
+// P*·s] falls as P* grows, and P̃[X ≤ P*·t]/P* rises while its score is ≤ 0
+// if sd(X) < millsBound, so each side's edge is one bisection for where
+// the bound reaches −(1−c)·P*/2 (DESIGN.md, "Settled windows").
+func (m *Model) settledRates(unit mathx.IntervalSet, lo, hi float64) (below, above float64) {
+	k := &m.k
+	c := math.Max(k.discATauA*k.discATauB*k.refundT3, k.discATauA*k.stopT2A)
+	if 1-c < settledMinGap {
+		return lo, hi
+	}
+	if unit.Empty() { // U^A_t1(cont) is c·P*
+		return hi, lo
+	}
+	e := m.newT2Eval(1, 0)
+	j := m.newT1Joint(&e)
+	scale := k.discATauA * k.discATauB * e.contCoefA * j.meanT3
+	slack := 0.5 * (1 - c)
+	sig := k.sigTauA
+	tilted := dist.LogNormal{Mu: j.muX + sig*sig, Sigma: sig}
+	hull := unit.Bounds()
+	ulo, uhi := math.Log(lo), math.Log(hi)
+	below, above = lo, hi
+	if u, ok := settledEdge(uhi, ulo, func(u float64) bool {
+		p := math.Exp(u)
+		return scale*tilted.TailProb(p*hull.Lo) <= slack*p
+	}); ok {
+		above = math.Exp(u)
+	}
+	if zero := tilted.Mu - math.Log(hull.Hi); sig < millsBound && zero > ulo {
+		if u, ok := settledEdge(ulo, math.Min(zero, uhi), func(u float64) bool {
+			p := math.Exp(u)
+			return scale*tilted.CDF(p*hull.Hi) <= slack*p
+		}); ok {
+			below = math.Exp(u)
+		}
+	}
+	return below, above
 }
 
 // SuccessRate evaluates SR(P*) of Eq. 31: the probability, at initiation,

@@ -145,15 +145,16 @@ func (b *Bayesian) unitRegion(alphaB float64) mathx.IntervalSet {
 // contSetT2Scan is the direct scan of a type-αB B's region at rate pstar:
 // the unit-rate scan behind ContSetT2 and the tests' reference. His t2
 // cont utility averages the reveal branch over A's types; the scan is
-// bracketed by the type with A's mean premium, settled above the largest
-// of the types' bounds and counted on the base Model.
+// bracketed by the type with A's mean premium, settled below the least
+// and above the largest of the types' bounds (the mixture's difference is
+// the types' differences averaged) and counted on the base Model.
 func (b *Bayesian) contSetT2Scan(alphaB, pstar float64) mathx.IntervalSet {
 	evals := make([]t2Eval, len(b.priorA.Values))
-	var above float64
+	below, above := math.Inf(1), 0.0
 	for i, alphaA := range b.priorA.Values {
 		evals[i] = b.typedModel(alphaA, alphaB).newT2Eval(pstar, 0)
-		_, ab := evals[i].settled()
-		above = math.Max(above, ab)
+		bl, ab := evals[i].settled()
+		below, above = math.Min(below, bl), math.Max(above, ab)
 	}
 	bobCont := func(logy float64) float64 {
 		var u float64
@@ -163,7 +164,7 @@ func (b *Bayesian) contSetT2Scan(alphaB, pstar float64) mathx.IntervalSet {
 		return u
 	}
 	ref := b.typedModel(b.priorA.Mean(), alphaB)
-	return ref.t2RegionScan(pstar, 0, ref.cutoffT3(pstar, 0), 0, above, bobCont, &b.m.solve.scanEvals, mathx.IntervalSet{})
+	return ref.t2RegionScan(pstar, 0, ref.cutoffT3(pstar, 0), below, above, bobCont, &b.m.solve.work, mathx.IntervalSet{})
 }
 
 // aliceContT1 is a type-αA A's t1 cont utility, averaging over B's types'

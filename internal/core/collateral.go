@@ -127,7 +127,9 @@ func (c *Collateral) BobUtilityT1(action Action, pstar float64) (float64, error)
 func (c *Collateral) feasibleSet(kind byte, diff func(p float64, unit mathx.IntervalSet) float64) mathx.IntervalSet {
 	return c.m.solve.ranges.Do(rangeKind{kind: kind, q: c.q}, func() mathx.IntervalSet {
 		var unit mathx.IntervalSet
-		f := func(p float64) float64 { unit = c.m.unitRegionNear(c.q/p, unit); return diff(p, unit) }
+		var n uint64
+		defer func() { c.m.solve.work.addRate(n) }()
+		f := func(p float64) float64 { n++; unit = c.m.unitRegionNear(c.q/p, unit); return diff(p, unit) }
 		lo, hi := 1e-3, c.m.rateScanBound()+2*c.q
 		return mathx.FromSignChanges(f, lo, hi, mathx.FindAllRoots(f, lo, hi, c.m.scanN/2, c.m.tol))
 	})

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/config"
@@ -257,12 +256,14 @@ var uncertaintyPriors = []TypePrior{
 
 // bayesianT2Mixture restates Bayesian.contSetT2Scan's inputs for the
 // tests: the typed Model with A's mean premium that brackets the scan,
-// the largest of A's types' settled bounds, and a type-αB B's t2 cont
-// utility averaged over A's types.
-func bayesianT2Mixture(b *Bayesian, alphaB, pstar float64) (ref *Model, above float64, bobCont func(logy float64) float64) {
+// the least of A's types' settled lower bounds and the largest of their
+// upper ones, and a type-αB B's t2 cont utility averaged over A's types.
+func bayesianT2Mixture(b *Bayesian, alphaB, pstar float64) (ref *Model, below, above float64, bobCont func(logy float64) float64) {
 	evals := make([]t2Eval, len(b.priorA.Values))
+	below = math.Inf(1)
 	for i, alphaA := range b.priorA.Values {
 		evals[i] = b.typedModel(alphaA, alphaB).newT2Eval(pstar, 0)
+		below = math.Min(below, evals[i].basicBelow())
 		above = math.Max(above, 2*b.m.k.discBTauB*(evals[i].bobCont3+b.m.k.growth2B*evals[i].pbar))
 	}
 	bobCont = func(logy float64) float64 {
@@ -272,7 +273,7 @@ func bayesianT2Mixture(b *Bayesian, alphaB, pstar float64) (ref *Model, above fl
 		}
 		return u
 	}
-	return b.typedModel(b.priorA.Mean(), alphaB), above, bobCont
+	return b.typedModel(b.priorA.Mean(), alphaB), below, above, bobCont
 }
 
 // sameBits reports whether two regions have bit-identical endpoints.
@@ -296,7 +297,7 @@ func sameBits(a, b mathx.IntervalSet) bool {
 // priors (with A's prior the figure's point prior and each of the same
 // priors), the region equals the full [0, n] window's bit for bit.
 func TestWindowedT2ScanMatchesFullGrid(t *testing.T) {
-	var windowed, full atomic.Uint64
+	var windowed, full scanWork
 	for k, sc := range probeScenarios(t) {
 		m, err := New(sc.Params)
 		if err != nil {
@@ -324,7 +325,7 @@ func TestWindowedT2ScanMatchesFullGrid(t *testing.T) {
 			for _, alphaB := range priorB.Values {
 				for _, pstar := range []float64{1, 2} {
 					got := b.contSetT2Scan(alphaB, pstar)
-					ref, _, bobCont := bayesianT2Mixture(b, alphaB, pstar)
+					ref, _, _, bobCont := bayesianT2Mixture(b, alphaB, pstar)
 					want := ref.t2RegionScan(pstar, 0, ref.cutoffT3(pstar, 0), 0, math.Inf(1), bobCont, &full, mathx.IntervalSet{})
 					if !sameBits(got, want) {
 						t.Errorf("A prior %v, αB=%g, P*=%g: windowed %v, full %v", priorA.Values, alphaB, pstar, got, want)
@@ -333,18 +334,20 @@ func TestWindowedT2ScanMatchesFullGrid(t *testing.T) {
 			}
 		}
 	}
-	windowed.Add(m.ScanEvals())
-	t.Logf("evaluations: windowed %d, full grid %d (%.1f%% fewer)",
-		windowed.Load(), full.Load(), 100*(1-float64(windowed.Load())/float64(full.Load())))
+	w, f := windowed.scanEvals.Load()+m.ScanEvals(), full.scanEvals.Load()
+	t.Logf("evaluations: windowed %d, full grid %d (%.1f%% fewer)", w, f, 100*(1-float64(w)/float64(f)))
 }
 
 // TestSettledBoundsHold samples the settled ranges the window skips: on
-// the same cells and ratios, U^B_t2(cont) − y is positive at every sampled
-// y below the lower bound and negative at every sampled y above the upper
-// one, for the complete-information B and for every Bayesian B type.
+// the same cells and ratios, U^B_t2(cont) − y has the sign each bound
+// claims at every sampled y beyond it. Above the upper bound it is
+// negative. Below the lower bound it is positive with a deposit and
+// negative in the basic game (κ = 0), for the complete-information B and
+// for every Bayesian B type's mixture.
 func TestSettledBoundsHold(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	check := func(name string, below, above float64, bobCont func(logy float64) float64) {
+	var basicEdges int
+	check := func(name string, below, above float64, belowPos bool, bobCont func(logy float64) float64) {
 		t.Helper()
 		for i := 0; i < 32; i++ {
 			// Log-uniform over 30 e-folds, plus the bounds' own neighbours.
@@ -352,8 +355,10 @@ func TestSettledBoundsHold(t *testing.T) {
 			if i == 0 {
 				s = 1 - 1e-12
 			}
-			if y := below * s; y > 0 && bobCont(math.Log(y))-y <= 0 {
-				t.Errorf("%s: diff(%g) = %g ≤ 0 below %g", name, y, bobCont(math.Log(y))-y, below)
+			if y := below * s; y > 0 {
+				if d := bobCont(math.Log(y)) - y; (d > 0) != belowPos || d == 0 {
+					t.Errorf("%s: diff(%g) = %g below %g, want positive %v", name, y, d, below, belowPos)
+				}
 			}
 			if y := above / s; bobCont(math.Log(y))-y >= 0 {
 				t.Errorf("%s: diff(%g) = %g ≥ 0 above %g", name, y, bobCont(math.Log(y))-y, above)
@@ -369,9 +374,15 @@ func TestSettledBoundsHold(t *testing.T) {
 			for _, pstar := range []float64{1, sc.PStar} {
 				e := m.newT2Eval(pstar, kappa*pstar)
 				below, above := e.settled()
-				check(fmt.Sprintf("params #%d (%s), P*=%g, κ=%g", k, sc.Name, pstar, kappa), below, above, e.bobCont)
+				if kappa == 0 && below > 0 {
+					basicEdges++
+				}
+				check(fmt.Sprintf("params #%d (%s), P*=%g, κ=%g", k, sc.Name, pstar, kappa), below, above, kappa > 0, e.bobCont)
 			}
 		}
+	}
+	if basicEdges == 0 {
+		t.Error("no basic-game cell has a settled lower bound")
 	}
 	m := newDefaultModel(t)
 	for _, priorA := range uncertaintyPriors {
@@ -381,9 +392,113 @@ func TestSettledBoundsHold(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, alphaB := range priorB.Values {
-				_, above, bobCont := bayesianT2Mixture(b, alphaB, 2)
-				check(fmt.Sprintf("A prior %v, αB=%g", priorA.Values, alphaB), 0, above, bobCont)
+				_, below, above, bobCont := bayesianT2Mixture(b, alphaB, 2)
+				check(fmt.Sprintf("A prior %v, αB=%g", priorA.Values, alphaB), below, above, false, bobCont)
 			}
 		}
 	}
+	t.Logf("%d basic-game scans with a settled lower bound", basicEdges)
+}
+
+// rateScanPoints are the scan resolutions the rate-window tests cover: the
+// default and the repeated game's lighter scan.
+var rateScanPoints = []int{600, 200}
+
+// TestSettledRatesHold samples the exchange-rate ranges the feasibility
+// scan skips: on the presets and the 64 universe cells, at both scan
+// resolutions, U^A_t1(cont) − P* is negative at every sampled rate below
+// the lower settled rate and above the upper one, the settled rates
+// themselves included. The cells with ρ = √(τa/(τa+τb)) ≥ 0.925, where
+// the t1 masses take Genz's high-correlation branch, are among them.
+func TestSettledRatesHold(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var samples, highRho int
+	for k, sc := range probeScenarios(t) {
+		for _, n := range rateScanPoints {
+			m, err := New(sc.Params, WithScanPoints(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			unit := m.unitRegion(0)
+			lo, hi := 1e-3, m.rateScanBound()
+			below, above := m.settledRates(unit, lo, hi)
+			if c := sc.Params.Chains; math.Sqrt(c.TauA/(c.TauA+c.TauB)) >= 0.925 && (below > lo || above < hi) {
+				highRho++
+			}
+			check := func(from, to float64) {
+				t.Helper()
+				for i := 0; i < 24 && from < to; i++ {
+					p := from * math.Pow(to/from, rng.Float64())
+					switch i {
+					case 0:
+						p = from
+					case 1:
+						p = to
+					}
+					samples++
+					if d := m.aliceContT1Over(unit, p, 0) - p; d >= 0 {
+						t.Errorf("params #%d (%s), scanN %d: U^A_t1 − P* = %g ≥ 0 at settled P* = %g (settled below %g, above %g)", k, sc.Name, n, d, p, below, above)
+					}
+				}
+			}
+			check(lo, math.Min(below, hi))
+			check(math.Max(above, lo), hi)
+		}
+	}
+	if highRho == 0 {
+		t.Error("no probe cell with ρ ≥ 0.925 has a settled rate range")
+	}
+	t.Logf("%d settled rates sampled; %d scans of cells with ρ ≥ 0.925 skip rates", samples, highRho)
+}
+
+// TestFeasibleRateRangeMatchesFullScan checks that scanning only the
+// rates between the settled ones changes nothing: on the presets and the
+// 64 universe cells, at both scan resolutions, the windowed scan's roots
+// equal FindAllRoots' over the whole grid bit for bit, and so does the
+// range FeasibleRateRange reports.
+func TestFeasibleRateRangeMatchesFullScan(t *testing.T) {
+	var windowed, full uint64
+	for k, sc := range probeScenarios(t) {
+		for _, n := range rateScanPoints {
+			m, err := New(sc.Params, WithScanPoints(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gotOK, err := m.FeasibleRateRange()
+			if err != nil {
+				t.Fatal(err)
+			}
+			windowed += m.RateEvals()
+			unit := m.unitRegion(0)
+			diff := func(p float64) float64 { full++; return m.aliceContT1Over(unit, p, 0) - p }
+			lo, hi := 1e-3, m.rateScanBound()
+			wantRoots := mathx.FindAllRoots(diff, lo, hi, m.scanN/2, m.tol)
+			var gotRoots []float64
+			if below, above := m.settledRates(unit, lo, hi); below < above {
+				gotRoots = mathx.FindRootsWithin(func(p float64) float64 { return m.aliceContT1Over(unit, p, 0) - p }, lo, hi, m.scanN/2, below, above, m.tol)
+			}
+			want := mathx.FromSignChanges(diff, lo, hi, wantRoots)
+			name := fmt.Sprintf("params #%d (%s), scanN %d", k, sc.Name, n)
+			if !sameRoots(gotRoots, wantRoots) {
+				t.Errorf("%s: windowed roots %v, full grid %v", name, gotRoots, wantRoots)
+			}
+			if gotOK != !want.Empty() || gotOK && !sameBits(mathx.NewIntervalSet(got), mathx.NewIntervalSet(want.Bounds())) {
+				t.Errorf("%s: FeasibleRateRange %v (ok %v), full grid %v", name, got, gotOK, want)
+			}
+		}
+	}
+	t.Logf("rate evaluations: windowed %d, full grid %d (%.1f%% fewer)", windowed, full, 100*(1-float64(windowed)/float64(full)))
+}
+
+// sameRoots reports whether two root lists are bit-identical.
+func sameRoots(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

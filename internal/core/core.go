@@ -180,10 +180,10 @@ type solveMemo struct {
 	sr      memo.Map[solveKey, float64]            // successRate(pstar, q)
 	ranges  memo.Map[rangeKind, mathx.IntervalSet] // feasible/engagement sets
 
-	scanEvals atomic.Uint64 // utility-difference evaluations of the t2 region scans
-	carried   atomic.Uint64 // t2 region scans that carried a nearby κ's roots
-	respOnce  sync.Once
-	resp      *response // newResponse, the uncertain game's z-table
+	work     scanWork      // the scans' evaluation counts
+	carried  atomic.Uint64 // t2 region scans that carried a nearby κ's roots
+	respOnce sync.Once
+	resp     *response // newResponse, the uncertain game's z-table
 }
 
 // newSolveMemo returns an empty solve memo with every map bounded by
@@ -208,7 +208,41 @@ func (m *Model) MemoStats() (hits, misses uint64) {
 
 // ScanEvals reports how often the t2 region scans of the Model and its
 // Bayesian solvers have evaluated B's utility difference: their work.
-func (m *Model) ScanEvals() uint64 { return m.solve.scanEvals.Load() }
+func (m *Model) ScanEvals() uint64 { return m.solve.work.scanEvals.Load() }
+
+// RateEvals reports how often the Model's exchange-rate scans (the
+// feasible range and the collateral engagement sets) have evaluated a t1
+// utility difference: their work.
+func (m *Model) RateEvals() uint64 { return m.solve.work.rateEvals.Load() }
+
+// scanWork counts scan evaluations, the solver's deterministic work. A scan
+// adds its count once, when it ends, to the work it was given and to the
+// process-wide totals, so no evaluation touches an atomic.
+type scanWork struct {
+	scanEvals atomic.Uint64 // t2 region scans' utility-difference evaluations
+	rateEvals atomic.Uint64 // exchange-rate scans' t1 utility evaluations
+}
+
+// totals counts the scans of every Model the process has built.
+var totals scanWork
+
+// addScan and addRate count one finished scan's n evaluations.
+func (w *scanWork) addScan(n uint64) {
+	w.scanEvals.Add(n)
+	totals.scanEvals.Add(n)
+}
+
+func (w *scanWork) addRate(n uint64) {
+	w.rateEvals.Add(n)
+	totals.rateEvals.Add(n)
+}
+
+// WorkTotals reports the scan evaluations of every Model the process has
+// built, cached or not, each counted when its scan ends: the sums of
+// ScanEvals and RateEvals over them.
+func WorkTotals() (scanEvals, rateEvals uint64) {
+	return totals.scanEvals.Load(), totals.rateEvals.Load()
+}
 
 // Option configures a Model.
 type Option func(*Model)

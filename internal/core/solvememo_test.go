@@ -84,3 +84,30 @@ func feasible(t *testing.T, m *Model) (lo, hi float64, ok bool) {
 	}
 	return iv.Lo, iv.Hi, ok
 }
+
+// TestWorkTotalsCountEveryModel solves on two Models built directly, with
+// a scan-point option as the repeated game's are: WorkTotals grows by
+// exactly the t2 and rate scan evaluations the two Models count.
+func TestWorkTotalsCountEveryModel(t *testing.T) {
+	scan0, rate0 := WorkTotals()
+	var scan, rate uint64
+	for _, opts := range [][]Option{nil, {WithScanPoints(200)}} {
+		m, err := New(utility.Default(), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feasible(t, m)
+		c, err := m.Collateral(0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.ContSetT2(2); err != nil {
+			t.Fatal(err)
+		}
+		scan, rate = scan+m.ScanEvals(), rate+m.RateEvals()
+	}
+	scan1, rate1 := WorkTotals()
+	if scan1-scan0 != scan || rate1-rate0 != rate || scan == 0 || rate == 0 {
+		t.Errorf("totals grew by (scan, rate evals) (%d, %d), the Models count (%d, %d)", scan1-scan0, rate1-rate0, scan, rate)
+	}
+}

@@ -87,6 +87,16 @@ func FindAllRoots(f Func1, a, b float64, n int, tol float64) []float64 {
 	return scanRoots(f, a, b, n, 0, n, tol, false)
 }
 
+// FindRootsWithin is FindAllRoots for an f known to keep one nonzero sign
+// on [a, lo] and one on [hi, b]: it samples only the nodes of the same
+// n-panel grid from two below lo to two above hi (the window of
+// FindRootsNear's scan), so every bracket, and every root, is
+// FindAllRoots' bit for bit.
+func FindRootsWithin(f Func1, a, b float64, n int, lo, hi, tol float64) []float64 {
+	first, last := window(a, b, n, lo, hi)
+	return scanRoots(f, a, b, n, first, last, tol, false)
+}
+
 // FindRootsNear returns the roots of f on [a, b] for an f known to keep
 // one nonzero sign on [a, lo] and one on [hi, b], with at most maxRoots
 // roots between, given prev, the sorted roots of a nearby member of f's

@@ -38,25 +38,24 @@ const maxModels = 512
 // for the NaNs that validation rejects.
 var models = memo.Map[utility.Params, *core.Model]{Max: maxModels, Evict: retire}
 
-// retired holds the solve counters of the evicted models, folded in as a
-// flush drops each one, so the totals ReadStats reports cover every model
-// built, not only the resident ones. The lock is taken on the flush path
-// and by ReadStats, never on a cache hit.
+// retired holds the solve-memo counters of the evicted models, folded in
+// as a flush drops each one, so the totals ReadStats reports cover every
+// model built, not only the resident ones. The lock is taken on the flush
+// path and by ReadStats, never on a cache hit.
 var retired struct {
 	sync.Mutex
-	solveHits, solveMisses, scanEvals uint64
+	solveHits, solveMisses uint64
 }
 
-// retire folds an evicted model's solve counters into retired. Work a
-// caller still does on the model after its eviction is not counted.
+// retire folds an evicted model's solve-memo counters into retired.
+// Lookups a caller still makes on the model after its eviction are not
+// counted.
 func retire(_ utility.Params, m *core.Model) {
 	h, mi := m.MemoStats()
-	evals := m.ScanEvals()
 	retired.Lock()
 	defer retired.Unlock()
 	retired.solveHits += h
 	retired.solveMisses += mi
-	retired.scanEvals += evals
 }
 
 // SharedModel returns the process-wide solver for the parameter set with
@@ -77,8 +76,8 @@ func SharedModel(p utility.Params) (*core.Model, error) {
 }
 
 // Stats reports the cache's cumulative behaviour: model-level hits and
-// misses, evictions, and the aggregate solve-memo hits/misses and t2 scan
-// work across every model built.
+// misses, evictions, the aggregate solve-memo hits/misses across every
+// model it built, and the scan work of every model the process built.
 type Stats struct {
 	// Models is the number of cached models; Limit is the constant bound.
 	Models int `json:"models"`
@@ -93,40 +92,49 @@ type Stats struct {
 	// plus each evicted model's counts at its eviction.
 	SolveHits   uint64 `json:"solveHits"`
 	SolveMisses uint64 `json:"solveMisses"`
-	// ScanEvals sums the t2 region scan evaluations
-	// (core.Model.ScanEvals) of every model built, as SolveHits does:
-	// deterministic work, where the timings are not.
+	// ScanEvals and RateEvals sum the t2 region scans' and the
+	// exchange-rate scans' evaluations (core.WorkTotals) over every model
+	// the process built, cached or not, all the work done on each
+	// included: deterministic work, where the timings are not.
 	ScanEvals uint64 `json:"scanEvals"`
+	RateEvals uint64 `json:"rateEvals"`
 }
 
-// WriteStats renders the process's solve- and quadrature-cache counters —
-// the diagnostic block behind the CLIs' -cache-stats flag.
+// WriteStats renders the process's solve-cache, scan-work and
+// Gauss–Hermite table counters — the diagnostic block behind the CLIs'
+// -cache-stats flag. The work line sums every scan the process ran, so it
+// does not depend on the worker count wherever each model is solved once
+// per build (make atlas-smoke gates that on the analytic atlas sweep); a
+// caller that fetches a model again after a flush may rebuild it and
+// repeat its scans.
 func WriteStats(w io.Writer) {
 	s := ReadStats()
-	fmt.Fprintf(w, "solve cache: %d/%d models (hits %d, misses %d, evicted %d); solve cells: hits %d, misses %d; t2 scan evals %d\n",
-		s.Models, s.Limit, s.ModelHits, s.ModelMisses, s.Evicted, s.SolveHits, s.SolveMisses, s.ScanEvals)
+	fmt.Fprintf(w, "solve cache: %d/%d models (hits %d, misses %d, evicted %d); solve cells: hits %d, misses %d\n",
+		s.Models, s.Limit, s.ModelHits, s.ModelMisses, s.Evicted, s.SolveHits, s.SolveMisses)
+	fmt.Fprintf(w, "solve work: t2 scan evals %d, rate scan evals %d\n", s.ScanEvals, s.RateEvals)
 	ghH, ghM := mathx.QuadCacheStats()
 	fmt.Fprintf(w, "quadrature tables: Gauss-Hermite hits %d, misses %d\n", ghH, ghM)
 }
 
-// ReadStats snapshots the cache counters. The solve totals are exact
+// ReadStats snapshots the cache counters. The solve-memo totals are exact
 // whenever no flush is in progress; a snapshot taken during one may miss
-// the models it has dropped but not yet folded in.
+// the models it has dropped but not yet folded in. The work totals count
+// every scan finished by the time of the snapshot.
 func ReadStats() Stats {
 	s := Stats{
 		Evicted: models.Evictions(),
 		Models:  models.Len(),
 		Limit:   maxModels,
 	}
+	s.ScanEvals, s.RateEvals = core.WorkTotals()
 	s.ModelHits, s.ModelMisses = models.Stats()
 	retired.Lock()
 	defer retired.Unlock()
-	s.SolveHits, s.SolveMisses, s.ScanEvals = retired.solveHits, retired.solveMisses, retired.scanEvals
+	s.SolveHits, s.SolveMisses = retired.solveHits, retired.solveMisses
 	models.Range(func(_ utility.Params, m *core.Model) bool {
 		h, mi := m.MemoStats()
 		s.SolveHits += h
 		s.SolveMisses += mi
-		s.ScanEvals += m.ScanEvals()
 		return true
 	})
 	return s

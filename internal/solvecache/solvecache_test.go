@@ -147,6 +147,46 @@ func TestConcurrentSharedModel(t *testing.T) {
 	}
 }
 
+// TestWorkTotalsUnderConcurrentScans scans distinct models from several
+// goroutines at once (run with -race in CI): the work totals grow by
+// exactly the work the scans added to the models' own counts.
+func TestWorkTotalsUnderConcurrentScans(t *testing.T) {
+	before := ReadStats()
+	spent := make([][2]uint64, 32)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < len(spent); i += 4 {
+				p := utility.Default()
+				p.Alice.Alpha = 0.5 + 1e-3*float64(i)
+				m, err := SharedModel(p)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				scan, rate := m.ScanEvals(), m.RateEvals()
+				if _, _, err := m.FeasibleRateRange(); err != nil {
+					t.Error(err)
+					return
+				}
+				spent[i] = [2]uint64{m.ScanEvals() - scan, m.RateEvals() - rate}
+			}
+		}(g)
+	}
+	wg.Wait()
+	var want [2]uint64
+	for _, s := range spent {
+		want[0] += s[0]
+		want[1] += s[1]
+	}
+	after := ReadStats()
+	if got := [2]uint64{after.ScanEvals - before.ScanEvals, after.RateEvals - before.RateEvals}; got != want {
+		t.Errorf("totals grew by (scan, rate evals) %v, the models hold %v", got, want)
+	}
+}
+
 // TestBoundFlushesPastMaxModels streams three times the bound's worth of
 // distinct parameter sets through the cache: it never holds more than
 // maxModels models, counts the flushed ones as evictions, and an evicted
@@ -204,7 +244,7 @@ func TestBoundFlushesPastMaxModels(t *testing.T) {
 func TestSolveTotalsSurviveEviction(t *testing.T) {
 	before := ReadStats()
 	prev := before
-	var hits, misses, evals uint64
+	var hits, misses, evals, rates uint64
 	for i := 0; i < maxModels+64; i++ {
 		p := utility.Default()
 		p.Bob.Alpha = 0.6 + 1e-6*float64(i)
@@ -217,10 +257,15 @@ func TestSolveTotalsSurviveEviction(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		if i%64 == 0 {
+			if _, _, err := m.FeasibleRateRange(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		h, mi := m.MemoStats()
-		hits, misses, evals = hits+h, misses+mi, evals+m.ScanEvals()
+		hits, misses, evals, rates = hits+h, misses+mi, evals+m.ScanEvals(), rates+m.RateEvals()
 		s := ReadStats()
-		if s.SolveHits < prev.SolveHits || s.SolveMisses < prev.SolveMisses || s.ScanEvals < prev.ScanEvals {
+		if s.SolveHits < prev.SolveHits || s.SolveMisses < prev.SolveMisses || s.ScanEvals < prev.ScanEvals || s.RateEvals < prev.RateEvals {
 			t.Fatalf("after model %d the totals fell: %+v, then %+v", i, prev, s)
 		}
 		prev = s
@@ -228,8 +273,39 @@ func TestSolveTotalsSurviveEviction(t *testing.T) {
 	if prev.Evicted == before.Evicted {
 		t.Fatal("no model was evicted")
 	}
-	if got := [3]uint64{prev.SolveHits - before.SolveHits, prev.SolveMisses - before.SolveMisses, prev.ScanEvals - before.ScanEvals}; got != [3]uint64{hits, misses, evals} {
-		t.Errorf("totals grew by (hits, misses, scan evals) %v, the models built hold %v", got, [3]uint64{hits, misses, evals})
+	got := [4]uint64{prev.SolveHits - before.SolveHits, prev.SolveMisses - before.SolveMisses, prev.ScanEvals - before.ScanEvals, prev.RateEvals - before.RateEvals}
+	if want := [4]uint64{hits, misses, evals, rates}; got != want || rates == 0 {
+		t.Errorf("totals grew by (hits, misses, scan evals, rate evals) %v, the models built hold %v", got, want)
+	}
+}
+
+// TestWorkTotalsCountLateWork solves on a model after a flush has evicted
+// it, as a worker still holding it does: the scan and rate totals grow by
+// exactly the work that model does after its eviction.
+func TestWorkTotalsCountLateWork(t *testing.T) {
+	p := utility.Default()
+	p.Bob.Alpha = 0.45
+	held, err := SharedModel(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evicted := ReadStats().Evicted
+	for i := 0; ReadStats().Evicted == evicted; i++ {
+		q := utility.Default()
+		q.Bob.Alpha = 0.9 + 1e-6*float64(i)
+		if _, err := SharedModel(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := ReadStats()
+	scan, rate := held.ScanEvals(), held.RateEvals()
+	if _, _, err := held.FeasibleRateRange(); err != nil {
+		t.Fatal(err)
+	}
+	spent := [2]uint64{held.ScanEvals() - scan, held.RateEvals() - rate}
+	after := ReadStats()
+	if got := [2]uint64{after.ScanEvals - before.ScanEvals, after.RateEvals - before.RateEvals}; got != spent || spent[0] == 0 || spent[1] == 0 {
+		t.Errorf("totals grew by (scan, rate evals) %v over an evicted model's work of %v", got, spent)
 	}
 }
 
@@ -266,9 +342,9 @@ func TestReadStatsCounts(t *testing.T) {
 	}
 }
 
-// TestWriteStatsReportsBoundAndEvictions pins the -cache-stats line: the
-// model count over the constant bound, the hit, miss and eviction
-// counters, the t2 scan evaluations, and the quadrature-table line.
+// TestWriteStatsReportsBoundAndEvictions pins the -cache-stats lines: the
+// model count over the constant bound with the hit, miss and eviction
+// counters, the scan work, and the quadrature-table line.
 func TestWriteStatsReportsBoundAndEvictions(t *testing.T) {
 	if _, err := SharedModel(utility.Default()); err != nil {
 		t.Fatal(err)
@@ -277,8 +353,8 @@ func TestWriteStatsReportsBoundAndEvictions(t *testing.T) {
 	WriteStats(&b)
 	out := b.String()
 	s := ReadStats()
-	want := fmt.Sprintf("solve cache: %d/%d models (hits %d, misses %d, evicted %d); solve cells: hits %d, misses %d; t2 scan evals %d\n",
-		s.Models, maxModels, s.ModelHits, s.ModelMisses, s.Evicted, s.SolveHits, s.SolveMisses, s.ScanEvals)
+	want := fmt.Sprintf("solve cache: %d/%d models (hits %d, misses %d, evicted %d); solve cells: hits %d, misses %d\nsolve work: t2 scan evals %d, rate scan evals %d\n",
+		s.Models, maxModels, s.ModelHits, s.ModelMisses, s.Evicted, s.SolveHits, s.SolveMisses, s.ScanEvals, s.RateEvals)
 	if !strings.HasPrefix(out, want) {
 		t.Errorf("WriteStats = %q, want prefix %q", out, want)
 	}

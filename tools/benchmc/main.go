@@ -30,14 +30,14 @@
 // BenchmarkFiguresFull at 1.0s), the one deliberate exception to the
 // no-wall-gating rule because its headroom is wide. A solve benchmark's
 // work counters, evals/op (the t2 region scans' utility-difference
-// evaluations per op) and draws/op (the normal variates a simulation
-// draws per op), are deterministic for a given tree: either fails the
-// check whenever it rises above a baseline that also reports it; a drop
-// passes and shows as a delta, to be re-baselined with its cause. The
-// table also
-// reports the ns/op and paths/s deltas against the baseline for the
-// operator's eyes; wall-clock is hardware-dependent, so those columns are
-// deliberately not gated.
+// evaluations per op), rate_evals/op (the exchange-rate scans' t1
+// utility evaluations per op) and draws/op (the normal variates a
+// simulation draws per op), are deterministic for a given tree: each
+// fails the check whenever it rises above a baseline that also reports
+// it; a drop passes and shows as a delta, to be re-baselined with its
+// cause. The table also reports the ns/op and paths/s deltas against the
+// baseline for the operator's eyes; wall-clock is hardware-dependent, so
+// those columns are deliberately not gated.
 package main
 
 import (
@@ -79,6 +79,9 @@ type Benchmark struct {
 	// EvalsPerOp is a solve benchmark's count of t2 region scan
 	// utility-difference evaluations per op: its deterministic work.
 	EvalsPerOp float64 `json:"evals_per_op,omitempty"`
+	// RateEvalsPerOp is a solve benchmark's count of exchange-rate scan
+	// t1 utility evaluations per op: deterministic work too.
+	RateEvalsPerOp float64 `json:"rate_evals_per_op,omitempty"`
 	// DrawsPerOp is a simulation benchmark's count of standard normal
 	// draws per op: its deterministic work.
 	DrawsPerOp float64 `json:"draws_per_op,omitempty"`
@@ -132,6 +135,8 @@ func parse(r io.Reader) ([]Benchmark, error) {
 				b.PathsRatio = v
 			case "evals/op":
 				b.EvalsPerOp = v
+			case "rate_evals/op":
+				b.RateEvalsPerOp = v
 			case "draws/op":
 				b.DrawsPerOp = v
 			case "groups":
@@ -201,6 +206,7 @@ var workCounters = []struct {
 	get  func(Benchmark) float64
 }{
 	{"evals/op", func(b Benchmark) float64 { return b.EvalsPerOp }},
+	{"rate_evals/op", func(b Benchmark) float64 { return b.RateEvalsPerOp }},
 	{"draws/op", func(b Benchmark) float64 { return b.DrawsPerOp }},
 }
 
@@ -218,8 +224,8 @@ var workCounters = []struct {
 func check(current []Benchmark, base map[string]Benchmark, maxRatio, maxPathsRatio float64, maxWall map[string]float64, out io.Writer) error {
 	matched := 0
 	var allocFailures, pathsFailures, workFailures []string
-	fmt.Fprintf(out, "%-40s %21s %8s %9s %9s %7s %9s %9s %s\n",
-		"benchmark", "allocs/op (vs base)", "ratio", "ns/op Δ", "paths/s Δ", "paths×", "evals Δ", "draws Δ", "gate")
+	fmt.Fprintf(out, "%-40s %21s %8s %9s %9s %7s %9s %9s %9s %s\n",
+		"benchmark", "allocs/op (vs base)", "ratio", "ns/op Δ", "paths/s Δ", "paths×", "evals Δ", "rates Δ", "draws Δ", "gate")
 	for _, cur := range current {
 		ref, ok := base[cur.Name]
 		if !ok {
@@ -252,10 +258,11 @@ func check(current []Benchmark, base map[string]Benchmark, maxRatio, maxPathsRat
 				workFailures = append(workFailures, fmt.Sprintf("%s %s (%.0f > %.0f)", cur.Name, w.unit, c, r))
 			}
 		}
-		fmt.Fprintf(out, "%-40s %10.0f %10.0f %7.2fx %9s %9s %7s %9s %9s %s\n",
+		fmt.Fprintf(out, "%-40s %10.0f %10.0f %7.2fx %9s %9s %7s %9s %9s %9s %s\n",
 			cur.Name, cur.AllocsPerOp, ref.AllocsPerOp, ratio,
 			delta(cur.NsPerOp, ref.NsPerOp), delta(cur.PathsPerSec, ref.PathsPerSec), pathsCol,
-			delta(cur.EvalsPerOp, ref.EvalsPerOp), delta(cur.DrawsPerOp, ref.DrawsPerOp), status)
+			delta(cur.EvalsPerOp, ref.EvalsPerOp), delta(cur.RateEvalsPerOp, ref.RateEvalsPerOp),
+			delta(cur.DrawsPerOp, ref.DrawsPerOp), status)
 	}
 	if matched == 0 {
 		return fmt.Errorf("benchmc: no benchmark matched the baselines — regenerate with `make bench-json`")

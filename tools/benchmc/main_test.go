@@ -144,6 +144,11 @@ func TestEvalsGate(t *testing.T) {
 	testWorkGate(t, "BenchmarkSolve_Fig8Cold", "evals/op", "evals_per_op")
 }
 
+// TestRateEvalsGate exercises the rate_evals/op gate the same way.
+func TestRateEvalsGate(t *testing.T) {
+	testWorkGate(t, "BenchmarkSolve_FeasibleRateRangeCold/tableIII", "rate_evals/op", "rate_evals_per_op")
+}
+
 // TestDrawsGate exercises the draws/op gate the same way.
 func TestDrawsGate(t *testing.T) {
 	testWorkGate(t, "BenchmarkSolve_PacketizedFigure", "draws/op", "draws_per_op")
