@@ -51,7 +51,7 @@ bench-smoke:
 # BENCH_solve.json for the amortized solve engine.
 bench-json:
 	$(GO) test -bench='^BenchmarkMC_' -benchmem -run='^$$' . | $(GO) run ./tools/benchmc -o BENCH_mc.json \
-		-note "Monte Carlo engine benchmark baseline; regenerate with make bench-json, CI gates allocs/op at 2x via make bench-check. Recorded with $$($(GO) env GOVERSION) $$($(GO) env GOOS)/$$($(GO) env GOARCH), GOMAXPROCS=$${GOMAXPROCS:-$$(nproc)}."
+		-note "Monte Carlo engine benchmark baseline; regenerate with make bench-json, CI gates allocs/op at 2x and hashes/op and events/op at any rise via make bench-check. Recorded with $$($(GO) env GOVERSION) $$($(GO) env GOOS)/$$($(GO) env GOARCH), GOMAXPROCS=$${GOMAXPROCS:-$$(nproc)}."
 	@set -e; tmp=$$(mktemp); trap 'rm -f '$$tmp EXIT; \
 	$(GO) test -bench='^BenchmarkFiguresFull$$' -benchmem -benchtime=1x -run='^$$' . > $$tmp; \
 	$(GO) test -bench='^BenchmarkSolve_' -benchmem -benchtime=20x -run='^$$' . >> $$tmp; \
@@ -70,8 +70,10 @@ bench-json:
 # seed, so the gate cannot flake). A solve benchmark's work counters,
 # evals/op (the t2 region scans' evaluation count), rate_evals/op (the
 # exchange-rate scans' evaluation count) and draws/op (a simulation's
-# normal draws), are deterministic per tree and fail on any rise over
-# their baseline. BenchmarkFiguresFull — the full 18-group
+# normal draws), and BenchmarkMC_PathReused's hashes/op (SHA-256 per
+# path) and events/op (scheduler events per path, over a fixed set of
+# paths), are deterministic per tree and fail on any rise over their
+# baseline. BenchmarkFiguresFull — the full 18-group
 # artifact generation, run once in its own cold process — is the one
 # wall-clock gate: 1.0s absolute, the sub-second reproduction promise with
 # wide headroom over the ~0.6s measured baseline. The solve suite runs at
@@ -147,12 +149,12 @@ chaos-smoke:
 # sweep — the whole point of content-addressed results. The validation
 # keeps the cold sweep's cost in solving and simulating rather than in
 # process start, which the warm sweep shares. Between the two, an
-# uncached analytic sweep of the same cells at the default worker count
-# must print the cold sweep's solve-work line: the scan totals count
-# every model's work, including what a worker still solves on a model
-# after a flush dropped it. (At more than one worker a -mc sweep's line
-# may vary: each cell looks its model up twice, and a flush between the
-# two rebuilds it.)
+# uncached analytic sweep and an uncached -mc sweep of the same cells at
+# the default worker count must each print the cold sweep's solve-work
+# line: the scan totals count every model's work, including what a
+# worker still solves on a model after a flush dropped it, and a cell's
+# Monte Carlo validation reads the model its solve read, so a flush
+# between the two cannot rebuild it and repeat its scans.
 atlas-smoke:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf '$$dir EXIT; \
 	$(GO) build -o $$dir/scenarios ./cmd/scenarios; \
@@ -163,8 +165,10 @@ atlas-smoke:
 	cold_ms=$$(( ($$(date +%s%N) - start) / 1000000 )); \
 	echo "atlas-smoke: uncached analytic sweep at the default worker count"; \
 	all=$$($$dir/scenarios atlas -samples 128 -cache-stats | grep '^solve work:'); \
-	echo "  cold, -workers 1: $$one"; echo "  uncached, default: $$all"; \
-	if [ -z "$$one" ] || [ "$$one" != "$$all" ]; then \
+	echo "atlas-smoke: uncached -mc sweep at the default worker count"; \
+	mc=$$($$dir/scenarios atlas -samples 128 -mc -runs 1000 -cache-stats | grep '^solve work:'); \
+	echo "  cold, -workers 1: $$one"; echo "  uncached, default: $$all"; echo "  uncached -mc, default: $$mc"; \
+	if [ -z "$$one" ] || [ "$$one" != "$$all" ] || [ "$$one" != "$$mc" ]; then \
 		echo "atlas-smoke: solve work differs between worker counts" >&2; exit 1; fi; \
 	echo "atlas-smoke: warm sweep (must solve 0 cells)"; \
 	start=$$(date +%s%N); \
@@ -218,6 +222,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzScenarioJSON -fuzztime=10s -run='^$$' ./internal/scenario
 	$(GO) test -fuzz=FuzzRPCRequest -fuzztime=10s -run='^$$' ./internal/rpc
 	$(GO) test -fuzz=FuzzSobol -fuzztime=10s -run='^$$' ./internal/qmc
+	$(GO) test -fuzz=FuzzHasher -fuzztime=10s -run='^$$' ./internal/htlc
 
 # Batch-run every scenario preset across every registered variant (fails
 # when any variant's MC validation disagrees with its analytic solve).

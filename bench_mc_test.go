@@ -58,10 +58,42 @@ func BenchmarkMC_PathLegacyAlloc(b *testing.B) {
 	}
 }
 
+// pathWorkPaths is the fixed path count BenchmarkMC_PathReused's work
+// counters average over, so they do not depend on b.N.
+const pathWorkPaths = 4096
+
+// pathWork runs the first pathWorkPaths paths of BenchmarkMC_PathReused's
+// stream on a fresh Runner and returns its SHA-256 computations and fired
+// scheduler events per path: deterministic work, gated at any rise.
+var pathWork = sync.OnceValues(func() (work struct{ hashes, events float64 }, err error) {
+	cfg, err := mcBenchConfig()
+	if err != nil {
+		return work, err
+	}
+	runner, err := swapsim.NewRunner(cfg)
+	if err != nil {
+		return work, err
+	}
+	for i := 0; i < pathWorkPaths; i++ {
+		if _, err := runner.RunOutcome(sweep.Seed(1, i)); err != nil {
+			return work, err
+		}
+	}
+	work.hashes = float64(runner.Hashes()) / pathWorkPaths
+	work.events = float64(runner.Events()) / pathWorkPaths
+	return work, nil
+})
+
 // BenchmarkMC_PathReused runs the same paths on one reusable Runner —
 // preallocated stack reset between paths — isolating the win the engine's
-// per-worker state reuse delivers.
+// per-worker state reuse delivers. hashes/op and events/op are the
+// Runner's SHA-256 computations and fired scheduler events per path over
+// the stream's first pathWorkPaths paths.
 func BenchmarkMC_PathReused(b *testing.B) {
+	work, err := pathWork()
+	if err != nil {
+		b.Fatal(err)
+	}
 	runner, err := swapsim.NewRunner(mcConfig(b))
 	if err != nil {
 		b.Fatal(err)
@@ -73,6 +105,8 @@ func BenchmarkMC_PathReused(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(work.hashes, "hashes/op")
+	b.ReportMetric(work.events, "events/op")
 }
 
 // benchEngine measures end-to-end engine throughput: each iteration is a

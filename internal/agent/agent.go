@@ -42,6 +42,9 @@ type Env struct {
 	Feed *PriceFeed
 	// Timeline fixes the idealized decision times (Eq. 13).
 	Timeline timeline.Timeline
+	// Hasher hashes Alice's secret at its draw; the chains' claims share
+	// it (chain.Config.Hasher). Nil hashes with htlc.HashOf.
+	Hasher *htlc.Hasher
 }
 
 func (e Env) validate() error {
@@ -172,7 +175,7 @@ func (a *Alice) actT1() {
 		a.record("t1", 0, core.Stop, "rate-outside-feasible-range")
 		return
 	}
-	hash, err := htlc.FillSecret(a.secretStore[:], a.SecretSource)
+	hash, err := htlc.FillSecret(a.secretStore[:], a.SecretSource, a.env.Hasher)
 	if err != nil {
 		a.record("t1", 0, core.Stop, "secret-generation-failed: "+err.Error())
 		return

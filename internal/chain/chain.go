@@ -125,22 +125,25 @@ type Chain struct {
 	tau   float64
 	eps   float64
 	sched *sim.Scheduler
+	// hasher checks claims against their locks (nil: htlc.HashOf).
+	hasher *htlc.Hasher
 
 	// Ledger state lives in slices scanned linearly (a run touches a few
 	// accounts and contracts), so Reset only truncates. Contract n in
 	// creation order has ID htlcID(n), transaction n in order txID(n).
+	// contracts and order are also the reuse pools of the Monte Carlo hot
+	// path: the pointers past their length are recycled objects (zeroed
+	// transactions, contracts Init re-arms), and newTx and newContract
+	// take the next one before allocating.
 	balances    []balance
 	contracts   []*htlc.Contract
 	order       []*Tx
 	haltedUntil float64
 	observers   []SecretObserver
 
-	// Reuse pools and caches for the Monte Carlo hot path: transactions
-	// and contracts recycled across Reset, and the deterministic ID
-	// strings (a pure function of the chain name and a counter that
-	// restarts at every Reset, so each run regenerates the same strings).
-	txFree  []*Tx
-	ctFree  []*htlc.Contract
+	// The deterministic ID strings, cached: a pure function of the chain
+	// name and a counter that restarts at every Reset, so each run
+	// regenerates the same strings.
 	txIDs   []string // txIDs[n-1] = "<name>-tx%04d" for counter n
 	htlcIDs []string // "<name>-htlc%04d"
 }
@@ -155,6 +158,10 @@ type Config struct {
 	Tau float64
 	// Eps is the mempool discoverability delay in hours (0 <= Eps <= Tau).
 	Eps float64
+	// Hasher hashes claimed preimages; the two chains of one swap share
+	// their runner's, so a revealed secret is hashed once for both claims.
+	// Nil hashes every claim afresh (htlc.HashOf).
+	Hasher *htlc.Hasher
 }
 
 // New creates a chain bound to the scheduler.
@@ -169,7 +176,7 @@ func New(cfg Config, sched *sim.Scheduler) (*Chain, error) {
 	case cfg.Eps < 0 || cfg.Eps > cfg.Tau:
 		return nil, fmt.Errorf("%w: eps=%g must be in [0, tau=%g]", ErrBadConfig, cfg.Eps, cfg.Tau)
 	}
-	return &Chain{name: cfg.Name, asset: cfg.Asset, tau: cfg.Tau, eps: cfg.Eps, sched: sched}, nil
+	return &Chain{name: cfg.Name, asset: cfg.Asset, tau: cfg.Tau, eps: cfg.Eps, sched: sched, hasher: cfg.Hasher}, nil
 }
 
 // balance is one account's available funds.
@@ -192,40 +199,41 @@ func (c *Chain) slot(account string) *float64 {
 
 // Reset rewinds the chain to its freshly constructed state — no balances,
 // contracts, transactions, observers or halt window — while keeping the
-// allocated slice capacity for reuse, and recycling every transaction and
-// contract object into the chain's free pools. The caller must reset the
-// shared scheduler in the same breath: pending events referencing the old
-// run would otherwise fire against the cleared state.
+// allocated slice capacity for reuse: every transaction is zeroed and,
+// with every contract, stays past its slice's length for newTx and
+// newContract to recycle. The caller must reset the shared scheduler in
+// the same breath: pending events referencing the old run would otherwise
+// fire against the cleared state.
 func (c *Chain) Reset() {
 	c.balances = c.balances[:0]
 	for _, tx := range c.order {
 		*tx = Tx{secret: tx.secret[:0]}
 	}
-	c.txFree = append(c.txFree, c.order...)
-	c.ctFree = append(c.ctFree, c.contracts...)
 	c.order = c.order[:0]
 	c.contracts = c.contracts[:0]
 	c.haltedUntil = 0
 	c.observers = c.observers[:0]
 }
 
-// newTx returns a zeroed transaction from the free pool, or a fresh one.
+// newTx returns the zeroed transaction past order's length, or a fresh
+// one; submit appends it to order at once, into the slot it came from.
 func (c *Chain) newTx() *Tx {
-	if n := len(c.txFree); n > 0 {
-		tx := c.txFree[n-1]
-		c.txFree = c.txFree[:n-1]
-		return tx
+	if n := len(c.order); n < cap(c.order) {
+		if tx := c.order[:n+1][n]; tx != nil {
+			return tx
+		}
 	}
 	return &Tx{}
 }
 
-// newContract returns a recycled contract from the free pool, or a fresh
-// one; the caller re-arms it with Init.
+// newContract returns the recycled contract past contracts' length, or a
+// fresh one; the caller re-arms it with Init, and addContract takes it
+// into the slot it came from.
 func (c *Chain) newContract() *htlc.Contract {
-	if n := len(c.ctFree); n > 0 {
-		ct := c.ctFree[n-1]
-		c.ctFree = c.ctFree[:n-1]
-		return ct
+	if n := len(c.contracts); n < cap(c.contracts) {
+		if ct := c.contracts[:n+1][n]; ct != nil {
+			return ct
+		}
 	}
 	return &htlc.Contract{}
 }
@@ -406,7 +414,6 @@ func (c *Chain) apply(tx *Tx, now float64) error {
 		}
 		ct := c.newContract()
 		if err := ct.Init(tx.ContractID, tx.from, tx.to, c.asset, tx.amount, tx.lock, tx.expiry); err != nil {
-			c.ctFree = append(c.ctFree, ct)
 			return err
 		}
 		*c.slot(tx.from) -= tx.amount
@@ -417,7 +424,7 @@ func (c *Chain) apply(tx *Tx, now float64) error {
 		if err != nil {
 			return err
 		}
-		if err := ct.Claim(tx.secret, now); err != nil {
+		if err := ct.ClaimWith(c.hasher, tx.secret, now); err != nil {
 			return err
 		}
 		*c.slot(ct.Recipient) += ct.Amount
@@ -530,12 +537,17 @@ func (c *Chain) debit(account string, amount float64) error {
 	return nil
 }
 
-// addContract hosts a new contract. A lock submitted before an earlier one
-// confirmed shares its ID; the later contract then replaces the earlier.
+// addContract hosts a new contract from newContract. A lock submitted
+// before an earlier one confirmed shares its ID; the later contract then
+// replaces the earlier, which takes the later one's place in the pool, so
+// no pooled pointer is hosted twice.
 func (c *Chain) addContract(ct *htlc.Contract) {
 	for i, old := range c.contracts {
 		if old.ID == ct.ID {
 			c.contracts[i] = ct
+			if n := len(c.contracts); n < cap(c.contracts) {
+				c.contracts[:n+1][n] = old
+			}
 			return
 		}
 	}

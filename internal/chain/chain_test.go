@@ -561,3 +561,51 @@ func TestReplayedPathRegeneratesIDs(t *testing.T) {
 		t.Errorf("TxByID of unsubmitted ID err = %v, want ErrUnknownTx", err)
 	}
 }
+
+// TestReplacedContractReturnsToThePool checks the pool under a replaced
+// contract: two locks submitted before either confirms share an ID, and
+// the later replaces the earlier. A third lock on the recycled pool must
+// get an object of its own, not the one hosted under the shared ID.
+func TestReplacedContractReturnsToThePool(t *testing.T) {
+	c, s := newTestChain(t)
+	if err := c.Mint("alice", 100); err != nil {
+		t.Fatal(err)
+	}
+	lockAndConfirm(t, c, s, 1)
+	lockAndConfirm(t, c, s, 1)
+	s.Reset()
+	c.Reset()
+	if err := c.Mint("alice", 100); err != nil {
+		t.Fatal(err)
+	}
+	_, hash, err := htlc.NewSecret(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, shared, err := c.SubmitLock("alice", "bob", 2, hash, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, again, err := c.SubmitLock("alice", "bob", 3, hash, 50); err != nil || again != shared {
+		t.Fatalf("second pending lock ID = %s, %v; want the shared %s", again, err, shared)
+	}
+	s.RunUntil(c.Tau())
+	third := lockAndConfirm(t, c, s, 4)
+	if third == shared {
+		t.Fatalf("third lock reused the shared ID %s", shared)
+	}
+	replaced, err := c.Contract(shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, err := c.Contract(third)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct == replaced {
+		t.Fatal("the third lock's contract is the object hosted under the shared ID")
+	}
+	if replaced.Amount != 3 || ct.Amount != 4 {
+		t.Errorf("amounts = %v under %s, %v under %s; want 3 and 4", replaced.Amount, shared, ct.Amount, third)
+	}
+}

@@ -9,7 +9,7 @@ package htlc
 import (
 	"crypto/rand"
 	"crypto/sha256"
-	"crypto/subtle"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -42,7 +42,7 @@ type Hash [sha256.Size]byte
 // tests may pass a deterministic reader) and returns it with its hash.
 func NewSecret(r io.Reader) (Secret, Hash, error) {
 	s := make(Secret, SecretSize)
-	h, err := FillSecret(s, r)
+	h, err := FillSecret(s, r, nil)
 	if err != nil {
 		return nil, Hash{}, err
 	}
@@ -50,10 +50,11 @@ func NewSecret(r io.Reader) (Secret, Hash, error) {
 }
 
 // FillSecret draws a fresh secret from r into buf — which must be
-// SecretSize bytes — and returns its hash. It is NewSecret without the
-// allocation: the simulator's reusable agents draw every path's secret
-// into one preallocated buffer.
-func FillSecret(buf Secret, r io.Reader) (Hash, error) {
+// SecretSize bytes — and returns its hash as hs computes it (nil hs:
+// HashOf). It is NewSecret without the allocation: the simulator's
+// reusable agents draw every path's secret into one preallocated buffer,
+// and hand the path's Hasher the digest the claims will check.
+func FillSecret(buf Secret, r io.Reader, hs *Hasher) (Hash, error) {
 	if len(buf) != SecretSize {
 		return Hash{}, fmt.Errorf("%w: secret buffer of %d bytes, want %d", ErrBadContract, len(buf), SecretSize)
 	}
@@ -63,7 +64,7 @@ func FillSecret(buf Secret, r io.Reader) (Hash, error) {
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return Hash{}, fmt.Errorf("htlc: generating secret: %w", err)
 	}
-	return HashOf(buf), nil
+	return hs.Sum(buf), nil
 }
 
 // HashOf returns the hash lock of a secret.
@@ -71,9 +72,62 @@ func HashOf(s Secret) Hash { return sha256.Sum256(s) }
 
 // Verify reports whether the secret is the preimage of the hash, in
 // constant time.
-func (h Hash) Verify(s Secret) bool {
-	got := HashOf(s)
-	return subtle.ConstantTimeCompare(got[:], h[:]) == 1
+func (h Hash) Verify(s Secret) bool { return h.matches(HashOf(s)) }
+
+// matches compares a digest with the lock in constant time.
+func (h Hash) matches(got Hash) bool { return equal32(got[:], h[:]) }
+
+// equal32 reports whether two 32-byte strings are equal, in constant time:
+// subtle.ConstantTimeCompare a word at a time, ORing the XORs of the four
+// words so the time does not depend on where the strings differ.
+func equal32(a, b []byte) bool {
+	_, _ = a[31], b[31]
+	var d uint64
+	for i := 0; i < 32; i += 8 {
+		d |= binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:])
+	}
+	return d == 0
+}
+
+// Hasher computes hash locks and remembers the last SecretSize-byte
+// preimage it hashed with that preimage's digest, so one swap — whose
+// contracts on both chains share the lock H(s), and whose claims reveal
+// the same s — hashes its secret once: at the draw, not again at every
+// claim. A preimage that differs from the remembered one in any byte (the
+// comparison is constant-time) or in length is hashed afresh, so Sum is
+// always sha256.Sum256 and the set of accepted claims is unchanged. A nil
+// *Hasher is valid: it hashes every preimage (HashOf) and counts nothing.
+// Not safe for concurrent use.
+type Hasher struct {
+	last   [SecretSize]byte
+	sum    Hash
+	primed bool
+	hashes int
+}
+
+// Sum returns the SHA-256 digest of s.
+func (hs *Hasher) Sum(s Secret) Hash {
+	if hs == nil {
+		return HashOf(s)
+	}
+	if len(s) == SecretSize && hs.primed && equal32(s, hs.last[:]) {
+		return hs.sum
+	}
+	hs.hashes++
+	sum := HashOf(s)
+	if len(s) == SecretSize {
+		copy(hs.last[:], s)
+		hs.sum, hs.primed = sum, true
+	}
+	return sum
+}
+
+// Hashes returns the number of SHA-256 computations Sum has made.
+func (hs *Hasher) Hashes() int {
+	if hs == nil {
+		return 0
+	}
+	return hs.hashes
 }
 
 // State is the lifecycle state of a contract.
@@ -153,17 +207,11 @@ func (c *Contract) Init(id, sender, recipient, asset string, amount float64, loc
 	case expiry <= 0:
 		return fmt.Errorf("%w: expiry %g must be > 0", ErrBadContract, expiry)
 	}
-	*c = Contract{
-		ID:        id,
-		Sender:    sender,
-		Recipient: recipient,
-		Asset:     asset,
-		Amount:    amount,
-		Lock:      lock,
-		Expiry:    expiry,
-		state:     Locked,
-		secret:    c.secret[:0],
-	}
+	// Every field is assigned in place: a struct literal would be built
+	// in a temporary and copied over c on every Monte Carlo lock.
+	c.ID, c.Sender, c.Recipient, c.Asset = id, sender, recipient, asset
+	c.Amount, c.Lock, c.Expiry = amount, lock, expiry
+	c.state, c.secret = Locked, c.secret[:0]
 	return nil
 }
 
@@ -182,15 +230,22 @@ func (c *Contract) Secret() Secret {
 
 // Claim settles the contract to the recipient if the secret matches and the
 // contract has not expired (claims are valid up to and including the expiry
-// instant, matching t5 ≤ tb of Eq. 8).
+// instant, matching t5 ≤ tb of Eq. 8). It is ClaimWith with a nil Hasher.
 func (c *Contract) Claim(secret Secret, now float64) error {
+	return c.ClaimWith(nil, secret, now)
+}
+
+// ClaimWith is Claim with the preimage hashed by hs: the simulator's chains
+// share their swap's Hasher, so a claim revealing the secret it already
+// hashed costs a constant-time comparison instead of a SHA-256.
+func (c *Contract) ClaimWith(hs *Hasher, secret Secret, now float64) error {
 	if c.state != Locked {
 		return fmt.Errorf("%w: state %v", ErrNotLocked, c.state)
 	}
 	if now > c.Expiry {
 		return fmt.Errorf("%w: now=%g > expiry=%g", ErrExpired, now, c.Expiry)
 	}
-	if !c.Lock.Verify(secret) {
+	if !c.Lock.matches(hs.Sum(secret)) {
 		return ErrBadSecret
 	}
 	// Reuse the buffer's storage (recycled contracts already carry one):

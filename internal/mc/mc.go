@@ -154,14 +154,38 @@ type Result struct {
 	Chunks int
 }
 
+// stageCount is one terminal stage's tally within a chunk.
+type stageCount struct {
+	stage string
+	n     int
+}
+
 // chunkResult is one chunk's aggregate, merged into the stream in chunk
 // order.
 type chunkResult struct {
 	n, successes, violations int
-	stages                   map[string]int
-	dur                      stats.Welford
+	// stages tallies the chunk's end stages in first-seen order: a path
+	// ends in one of a handful of stages, so a linear scan beats a map
+	// insert per path. The merge folds it into Result.Stages.
+	stages []stageCount
+	dur    stats.Welford
 	// repSucc/repN count successes and paths per Sobol replicate.
 	repSucc, repN [qmc.SobolReplicates]int
+}
+
+// chunkStages is the stage tally's initial capacity: more than the six
+// end stages a protocol path can reach.
+const chunkStages = 8
+
+// tallyStage counts one path that ended in stage.
+func (cr *chunkResult) tallyStage(stage string) {
+	for i := range cr.stages {
+		if cr.stages[i].stage == stage {
+			cr.stages[i].n++
+			return
+		}
+	}
+	cr.stages = append(cr.stages, stageCount{stage: stage, n: 1})
 }
 
 // tReplicates975 is the two-sided 95% Student-t critical value at
@@ -207,7 +231,7 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		if hi > cfg.MaxPaths {
 			hi = cfg.MaxPaths
 		}
-		cr := chunkResult{stages: make(map[string]int)}
+		cr := chunkResult{stages: make([]stageCount, 0, chunkStages)}
 		for i := lo; i < hi; i++ {
 			p, err := r.RunPath(i, sweep.Seed(cfg.Seed, i))
 			if err != nil {
@@ -220,7 +244,7 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 			if !p.Atomic {
 				cr.violations++
 			}
-			cr.stages[p.Stage]++
+			cr.tallyStage(p.Stage)
 			cr.dur.Add(p.Duration)
 			if mode == qmc.ModeSobol {
 				rep := qmc.SobolReplicate(i)
@@ -284,8 +308,8 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 			res.Paths += cr.n
 			res.Successes += cr.successes
 			res.Violations += cr.violations
-			for s, n := range cr.stages {
-				res.Stages[s] += n
+			for _, sc := range cr.stages {
+				res.Stages[sc.stage] += sc.n
 			}
 			res.Duration.Merge(cr.dur)
 			res.Chunks++

@@ -119,7 +119,11 @@ func (s *Scheduler) ScheduleCall(at float64, prio int, fn func(a1, a2 any), a1, 
 		s.slab = append(s.slab, event{})
 	}
 	s.seq++
-	s.slab[slot] = event{at: at, prio: prio, seq: s.seq, call: fn, a1: a1, a2: a2}
+	// Field by field: a composite literal is built on the stack and then
+	// copied into the slot, a measurable share of every path.
+	ev := &s.slab[slot]
+	ev.at, ev.prio, ev.seq = at, prio, s.seq
+	ev.call, ev.a1, ev.a2 = fn, a1, a2
 	s.heap = append(s.heap, slot)
 	s.siftUp(len(s.heap) - 1)
 	return nil

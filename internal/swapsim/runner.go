@@ -7,6 +7,7 @@ import (
 	"repro/internal/agent"
 	"repro/internal/chain"
 	"repro/internal/gbm"
+	"repro/internal/htlc"
 	"repro/internal/mc"
 	"repro/internal/oracle"
 	"repro/internal/qmc"
@@ -55,10 +56,18 @@ type Runner struct {
 	bob   *agent.Bob
 	orc   *oracle.Oracle
 
+	// hasher hashes the path's secret at Alice's draw and checks both
+	// chains' claims against it, so a path computes one SHA-256.
+	hasher *htlc.Hasher
+	// events counts the scheduler events fired over every path run.
+	events int
+
 	fundAliceA, fundBobB, fundBobA float64
 
-	// aliceLog and bobLog are per-path decision scratch, reused across
-	// paths; the Outcome returned by RunOutcome aliases them.
+	// out is the last path's outcome; aliceLog and bobLog are its
+	// per-path decision scratch, reused across paths, which out (and the
+	// copy RunOutcome returns) aliases.
+	out              Outcome
 	aliceLog, bobLog []agent.Decision
 }
 
@@ -78,7 +87,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
-	r := &Runner{cfg: cfg}
+	r := &Runner{cfg: cfg, hasher: &htlc.Hasher{}}
 
 	if r.tl, err = timeline.Idealized(cfg.Params.Chains); err != nil {
 		return nil, fmt.Errorf("swapsim: %w", err)
@@ -86,13 +95,13 @@ func NewRunner(cfg Config) (*Runner, error) {
 	r.sched = sim.NewScheduler()
 	if r.chainA, err = chain.New(chain.Config{
 		Name: "chain_a", Asset: "TokenA",
-		Tau: cfg.Params.Chains.TauA, Eps: 0,
+		Tau: cfg.Params.Chains.TauA, Eps: 0, Hasher: r.hasher,
 	}, r.sched); err != nil {
 		return nil, fmt.Errorf("swapsim: %w", err)
 	}
 	if r.chainB, err = chain.New(chain.Config{
 		Name: "chain_b", Asset: "TokenB",
-		Tau: cfg.Params.Chains.TauB, Eps: cfg.Params.Chains.EpsB,
+		Tau: cfg.Params.Chains.TauB, Eps: cfg.Params.Chains.EpsB, Hasher: r.hasher,
 	}, r.sched); err != nil {
 		return nil, fmt.Errorf("swapsim: %w", err)
 	}
@@ -117,7 +126,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if r.feed, err = agent.NewPriceFeed(cfg.Params.Price, cfg.Params.P0, feedSrc); err != nil {
 		return nil, fmt.Errorf("swapsim: %w", err)
 	}
-	env := agent.Env{Sched: r.sched, ChainA: r.chainA, ChainB: r.chainB, Feed: r.feed, Timeline: r.tl}
+	env := agent.Env{Sched: r.sched, ChainA: r.chainA, ChainB: r.chainB, Feed: r.feed, Timeline: r.tl, Hasher: r.hasher}
 	if r.alice, err = agent.NewAlice(env, AliceAccount, BobAccount, cfg.Strategy, 1, r.secrets); err != nil {
 		return nil, fmt.Errorf("swapsim: %w", err)
 	}
@@ -149,6 +158,22 @@ func (r *Runner) RunOutcome(seed int64) (Outcome, error) {
 // The returned Outcome's decision logs alias scratch buffers that the
 // next run overwrites; callers that keep a path's log must copy it.
 func (r *Runner) RunOutcomeIndexed(index int, seed int64) (Outcome, error) {
+	if err := r.run(index, seed); err != nil {
+		return Outcome{}, err
+	}
+	return r.out, nil
+}
+
+// Hashes returns the SHA-256 computations of every path the runner ran.
+func (r *Runner) Hashes() int { return r.hasher.Hashes() }
+
+// Events returns the scheduler events fired over every path the runner
+// ran.
+func (r *Runner) Events() int { return r.events }
+
+// run executes the path at index with seed into r.out (see
+// RunOutcomeIndexed).
+func (r *Runner) run(index int, seed int64) error {
 	if r.norm != nil {
 		r.norm.Reset(index, seed)
 	}
@@ -160,33 +185,33 @@ func (r *Runner) RunOutcomeIndexed(index int, seed int64) (Outcome, error) {
 	r.chainA.Reset()
 	r.chainB.Reset()
 	if err := armHalt(r.sched, r.chainA, &r.cfg.HaltA); err != nil {
-		return Outcome{}, fmt.Errorf("swapsim: %w", err)
+		return fmt.Errorf("swapsim: %w", err)
 	}
 	if err := armHalt(r.sched, r.chainB, &r.cfg.HaltB); err != nil {
-		return Outcome{}, fmt.Errorf("swapsim: %w", err)
+		return fmt.Errorf("swapsim: %w", err)
 	}
 	if err := r.chainA.Mint(AliceAccount, r.fundAliceA); err != nil {
-		return Outcome{}, fmt.Errorf("swapsim: %w", err)
+		return fmt.Errorf("swapsim: %w", err)
 	}
 	if err := r.chainB.Mint(BobAccount, r.fundBobB); err != nil {
-		return Outcome{}, fmt.Errorf("swapsim: %w", err)
+		return fmt.Errorf("swapsim: %w", err)
 	}
 	if r.fundBobA > 0 {
 		if err := r.chainA.Mint(BobAccount, r.fundBobA); err != nil {
-			return Outcome{}, fmt.Errorf("swapsim: %w", err)
+			return fmt.Errorf("swapsim: %w", err)
 		}
 	}
 	r.rng.Seed(seed)
 	r.secrets.Seed(seed ^ secretStreamSalt)
 	if err := r.feed.Reset(r.cfg.Params.P0); err != nil {
-		return Outcome{}, fmt.Errorf("swapsim: %w", err)
+		return fmt.Errorf("swapsim: %w", err)
 	}
 	r.alice.Reset()
 	r.bob.Reset()
 	if r.orc != nil {
 		r.orc.Reset()
 		if err := r.orc.CollectDeposits(); err != nil {
-			return Outcome{}, fmt.Errorf("swapsim: %w", err)
+			return fmt.Errorf("swapsim: %w", err)
 		}
 	}
 
@@ -196,16 +221,17 @@ func (r *Runner) RunOutcomeIndexed(index int, seed int64) (Outcome, error) {
 	balB0Bob := r.chainB.Balance(BobAccount)
 
 	if err := r.alice.Start(); err != nil {
-		return Outcome{}, fmt.Errorf("swapsim: %w", err)
+		return fmt.Errorf("swapsim: %w", err)
 	}
 	if err := r.bob.Start(); err != nil {
-		return Outcome{}, fmt.Errorf("swapsim: %w", err)
+		return fmt.Errorf("swapsim: %w", err)
 	}
-	r.sched.Run()
+	r.events += r.sched.Run()
 
 	r.aliceLog = r.alice.AppendDecisions(r.aliceLog[:0])
 	r.bobLog = r.bob.AppendDecisions(r.bobLog[:0])
-	out := Outcome{
+	out := &r.out
+	*out = Outcome{
 		EndTime:        r.sched.Now(),
 		PT2:            math.NaN(),
 		PT3:            math.NaN(),
@@ -240,17 +266,17 @@ func (r *Runner) RunOutcomeIndexed(index int, seed int64) (Outcome, error) {
 		}
 	}
 
-	out.Stage, out.Success, out.Atomic = classify(r.cfg, out)
-	return out, nil
+	out.Stage, out.Success, out.Atomic = classify(&r.cfg, out)
+	return nil
 }
 
 // RunPath implements mc.Runner: one reused-state path, reduced to the
 // engine's streaming aggregate.
 func (r *Runner) RunPath(index int, seed int64) (mc.Path, error) {
-	out, err := r.RunOutcomeIndexed(index, seed)
-	if err != nil {
+	if err := r.run(index, seed); err != nil {
 		return mc.Path{}, err
 	}
+	out := &r.out
 	return mc.Path{
 		Success:  out.Success,
 		Atomic:   out.Atomic,

@@ -156,7 +156,7 @@ func escrowPaidTo(c *chain.Chain, account string) float64 {
 }
 
 // classify determines the end stage and atomicity from balance deltas.
-func classify(cfg Config, out Outcome) (Stage, bool, bool) {
+func classify(cfg *Config, out *Outcome) (Stage, bool, bool) {
 	pstar := cfg.Strategy.PStar
 	eq := func(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
@@ -176,7 +176,7 @@ func classify(cfg Config, out Outcome) (Stage, bool, bool) {
 }
 
 // failStage reads the decision logs to name the first stop.
-func failStage(out Outcome) Stage {
+func failStage(out *Outcome) Stage {
 	for _, d := range out.AliceDecisions {
 		if d.Stage == "t1" && d.Action == core.Stop {
 			return StageNotInitiated

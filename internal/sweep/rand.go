@@ -1,6 +1,9 @@
 package sweep
 
-import "math/rand/v2"
+import (
+	"encoding/binary"
+	"math/rand/v2"
+)
 
 // golden is splitmix64's state increment, 2⁶⁴ divided by the golden ratio.
 const golden = 0x9E3779B97F4A7C15
@@ -47,14 +50,13 @@ func (s *SplitMix) Uint64() uint64 {
 	return mix64(s.state)
 }
 
-// Read fills p with pseudorandom bytes (io.Reader; never fails).
+// Read fills p with pseudorandom bytes (io.Reader; never fails): each
+// value of the stream as eight little-endian bytes, the last one cut to
+// the bytes p has left.
 func (s *SplitMix) Read(p []byte) (int, error) {
 	n := len(p)
 	for len(p) >= 8 {
-		v := s.Uint64()
-		for i := 0; i < 8; i++ {
-			p[i] = byte(v >> (8 * i))
-		}
+		binary.LittleEndian.PutUint64(p, s.Uint64())
 		p = p[8:]
 	}
 	if len(p) > 0 {

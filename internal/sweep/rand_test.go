@@ -57,6 +57,40 @@ func TestSplitMixReadDeterministic(t *testing.T) {
 	}
 }
 
+// TestSplitMixReadMatchesByteLoop pins Read's bytes for a fixed seed
+// against the byte-at-a-time fill it replaced: each stream value as
+// little-endian bytes, the tail cut from one more value.
+func TestSplitMixReadMatchesByteLoop(t *testing.T) {
+	byteLoop := func(s *SplitMix, p []byte) {
+		for len(p) >= 8 {
+			v := s.Uint64()
+			for i := 0; i < 8; i++ {
+				p[i] = byte(v >> (8 * i))
+			}
+			p = p[8:]
+		}
+		if len(p) > 0 {
+			v := s.Uint64()
+			for i := range p {
+				p[i] = byte(v >> (8 * i))
+			}
+		}
+	}
+	for _, n := range []int{32, 13} {
+		got, want := make([]byte, n), make([]byte, n)
+		s, ref := NewSplitMix(41), NewSplitMix(41)
+		for round := 0; round < 3; round++ {
+			if k, err := s.Read(got); k != n || err != nil {
+				t.Fatalf("Read(%d bytes) = (%d, %v)", n, k, err)
+			}
+			byteLoop(ref, want)
+			if string(got) != string(want) {
+				t.Fatalf("%d bytes, round %d: Read %x, byte loop %x", n, round, got, want)
+			}
+		}
+	}
+}
+
 // TestRandIsStdlibPCG pins what Rand is: the stdlib PCG seeded with
 // (seed, pcgStream), drawn through rand.New — the way the simulators
 // consume it.

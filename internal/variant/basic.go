@@ -99,6 +99,12 @@ func ProtocolConfig(key string, sc scenario.Scenario) (cfg swapsim.Config, sr fl
 	if err != nil {
 		return swapsim.Config{}, 0, false, err
 	}
+	return protocolConfig(m, key, sc)
+}
+
+// protocolConfig is ProtocolConfig on the scenario's model m, which a
+// batch cell's validation hands over from its solve.
+func protocolConfig(m *core.Model, key string, sc scenario.Scenario) (cfg swapsim.Config, sr float64, initiates bool, err error) {
 	var strat core.Strategy
 	collateral := 0.0
 	switch {
@@ -126,12 +132,16 @@ func ProtocolConfig(key string, sc scenario.Scenario) (cfg swapsim.Config, sr fl
 	return swapsim.Config{Params: sc.Params, Strategy: strat, Collateral: collateral, Seed: sc.Seed}, sr, initiates, nil
 }
 
-// simulateCheck runs variant key's protocol (ProtocolConfig) through the
-// swapsim Monte Carlo engine at the cell's run count and packages the
-// agreement check, labelled game — the shared protocol-level validation
-// of the basic and collateral variants.
+// simulateCheck runs variant key's protocol (ProtocolConfig, on the model
+// the cell's solve read) through the swapsim Monte Carlo engine at the
+// cell's run count and packages the agreement check, labelled game — the
+// shared protocol-level validation of the basic and collateral variants.
 func simulateCheck(ctx *Context, sc scenario.Scenario, key, game string) (*MCCheck, error) {
-	cfg, analytic, _, err := ProtocolConfig(key, sc)
+	m, err := ctx.Model(sc.Params)
+	if err != nil {
+		return nil, err
+	}
+	cfg, analytic, _, err := protocolConfig(m, key, sc)
 	if err != nil {
 		return nil, err
 	}

@@ -68,15 +68,31 @@ type MCValidator interface {
 // Context carries the shared solve machinery of one (scenario × variant)
 // cell: the Monte Carlo knobs of the batch run plus access to the
 // process-wide solve cache. A zero Context is valid and uses the default
-// run options.
+// run options. Not safe for concurrent use.
 type Context struct {
 	// Opts are the batch runner's Monte Carlo knobs.
 	Opts RunOpts
+
+	// model is the last model Model returned, for params: a cell's solve
+	// and its Monte Carlo validation read one model, even when the shared
+	// cache evicts it in between and would rebuild it and repeat its
+	// scans.
+	model  *core.Model
+	params utility.Params
 }
 
-// Model returns the process-wide shared solver for the parameter set.
+// Model returns the process-wide shared solver for the parameter set,
+// looking it up once per Context.
 func (c *Context) Model(p utility.Params) (*core.Model, error) {
-	return solvecache.SharedModel(p)
+	if c.model != nil && c.params == p {
+		return c.model, nil
+	}
+	m, err := solvecache.SharedModel(p)
+	if err != nil {
+		return nil, err
+	}
+	c.model, c.params = m, p
+	return m, nil
 }
 
 // Runs resolves a scenario's Monte Carlo run count under the batch

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"repro/internal/scenario"
+	"repro/internal/solvecache"
 	"repro/internal/stats"
+	"repro/internal/utility"
 )
 
 func TestRegistryOrderAndLookup(t *testing.T) {
@@ -179,5 +181,30 @@ func TestMatrixColumns(t *testing.T) {
 	}
 	if Matrix(nil) != "" {
 		t.Error("empty matrix should render empty")
+	}
+}
+
+// TestContextKeepsItsModelAcrossFlushes checks that a cell's solve and its
+// Monte Carlo validation read one model: a flush of the shared cache
+// between the two does not make the cell's Context rebuild the model and
+// repeat its scans.
+func TestContextKeepsItsModelAcrossFlushes(t *testing.T) {
+	p := utility.Default()
+	ctx := &Context{}
+	m, err := ctx.Model(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flushSharedCaches(t, p)
+	if again, err := ctx.Model(p); err != nil || again != m {
+		t.Fatalf("Model after a flush = %p, %v; want the cell's model %p", again, err, m)
+	}
+	if shared, err := solvecache.SharedModel(p); err != nil || shared == m {
+		t.Fatalf("the flush left the cell's model in the shared cache (%v)", err)
+	}
+	other := p
+	other.P0 = 2.5
+	if om, err := ctx.Model(other); err != nil || om == m || om.Params() != other {
+		t.Fatalf("Model for other params = %p, %v; want a model of its own", om, err)
 	}
 }

@@ -31,9 +31,11 @@
 // no-wall-gating rule because its headroom is wide. A solve benchmark's
 // work counters, evals/op (the t2 region scans' utility-difference
 // evaluations per op), rate_evals/op (the exchange-rate scans' t1
-// utility evaluations per op) and draws/op (the normal variates a
-// simulation draws per op), are deterministic for a given tree: each
-// fails the check whenever it rises above a baseline that also reports
+// utility evaluations per op), draws/op (the normal variates a
+// simulation draws per op), and a protocol-path benchmark's hashes/op
+// (SHA-256 computations per path) and events/op (scheduler events fired
+// per path), are deterministic for a given tree: each fails the check
+// whenever it rises above a baseline that also reports
 // it; a drop passes and shows as a delta, to be re-baselined with its
 // cause. The table also reports the ns/op and paths/s deltas against the
 // baseline for the operator's eyes; wall-clock is hardware-dependent, so
@@ -85,6 +87,11 @@ type Benchmark struct {
 	// DrawsPerOp is a simulation benchmark's count of standard normal
 	// draws per op: its deterministic work.
 	DrawsPerOp float64 `json:"draws_per_op,omitempty"`
+	// HashesPerOp and EventsPerOp are a protocol-path benchmark's SHA-256
+	// computations and fired scheduler events per path: deterministic
+	// work too.
+	HashesPerOp float64 `json:"hashes_per_op,omitempty"`
+	EventsPerOp float64 `json:"events_per_op,omitempty"`
 	// Groups is the artifact-group count of the full-figures benchmark:
 	// the work covered by its gated wall time.
 	Groups float64 `json:"groups,omitempty"`
@@ -139,6 +146,10 @@ func parse(r io.Reader) ([]Benchmark, error) {
 				b.RateEvalsPerOp = v
 			case "draws/op":
 				b.DrawsPerOp = v
+			case "hashes/op":
+				b.HashesPerOp = v
+			case "events/op":
+				b.EventsPerOp = v
 			case "groups":
 				b.Groups = v
 			}
@@ -202,12 +213,14 @@ func parseMaxWall(spec string) (map[string]float64, error) {
 // workCounters are the deterministic work metrics check gates at their
 // baselines.
 var workCounters = []struct {
-	unit string
-	get  func(Benchmark) float64
+	unit, col string
+	get       func(Benchmark) float64
 }{
-	{"evals/op", func(b Benchmark) float64 { return b.EvalsPerOp }},
-	{"rate_evals/op", func(b Benchmark) float64 { return b.RateEvalsPerOp }},
-	{"draws/op", func(b Benchmark) float64 { return b.DrawsPerOp }},
+	{"evals/op", "evals Δ", func(b Benchmark) float64 { return b.EvalsPerOp }},
+	{"rate_evals/op", "rates Δ", func(b Benchmark) float64 { return b.RateEvalsPerOp }},
+	{"draws/op", "draws Δ", func(b Benchmark) float64 { return b.DrawsPerOp }},
+	{"hashes/op", "hashes Δ", func(b Benchmark) float64 { return b.HashesPerOp }},
+	{"events/op", "events Δ", func(b Benchmark) float64 { return b.EventsPerOp }},
 }
 
 // check compares a run against the merged baselines: allocs/op is gated at
@@ -224,8 +237,11 @@ var workCounters = []struct {
 func check(current []Benchmark, base map[string]Benchmark, maxRatio, maxPathsRatio float64, maxWall map[string]float64, out io.Writer) error {
 	matched := 0
 	var allocFailures, pathsFailures, workFailures []string
-	fmt.Fprintf(out, "%-40s %21s %8s %9s %9s %7s %9s %9s %9s %s\n",
-		"benchmark", "allocs/op (vs base)", "ratio", "ns/op Δ", "paths/s Δ", "paths×", "evals Δ", "rates Δ", "draws Δ", "gate")
+	fmt.Fprintf(out, "%-40s %21s %8s %9s %9s %7s", "benchmark", "allocs/op (vs base)", "ratio", "ns/op Δ", "paths/s Δ", "paths×")
+	for _, w := range workCounters {
+		fmt.Fprintf(out, " %9s", w.col)
+	}
+	fmt.Fprintln(out, " gate")
 	for _, cur := range current {
 		ref, ok := base[cur.Name]
 		if !ok {
@@ -252,17 +268,18 @@ func check(current []Benchmark, base map[string]Benchmark, maxRatio, maxPathsRat
 				pathsFailures = append(pathsFailures, cur.Name)
 			}
 		}
-		for _, w := range workCounters {
-			if c, r := w.get(cur), w.get(ref); c > 0 && r > 0 && c > r {
-				status = "FAIL"
-				workFailures = append(workFailures, fmt.Sprintf("%s %s (%.0f > %.0f)", cur.Name, w.unit, c, r))
-			}
-		}
-		fmt.Fprintf(out, "%-40s %10.0f %10.0f %7.2fx %9s %9s %7s %9s %9s %9s %s\n",
+		fmt.Fprintf(out, "%-40s %10.0f %10.0f %7.2fx %9s %9s %7s",
 			cur.Name, cur.AllocsPerOp, ref.AllocsPerOp, ratio,
-			delta(cur.NsPerOp, ref.NsPerOp), delta(cur.PathsPerSec, ref.PathsPerSec), pathsCol,
-			delta(cur.EvalsPerOp, ref.EvalsPerOp), delta(cur.RateEvalsPerOp, ref.RateEvalsPerOp),
-			delta(cur.DrawsPerOp, ref.DrawsPerOp), status)
+			delta(cur.NsPerOp, ref.NsPerOp), delta(cur.PathsPerSec, ref.PathsPerSec), pathsCol)
+		for _, w := range workCounters {
+			c, r := w.get(cur), w.get(ref)
+			if c > 0 && r > 0 && c > r {
+				status = "FAIL"
+				workFailures = append(workFailures, fmt.Sprintf("%s %s (%g > %g)", cur.Name, w.unit, c, r))
+			}
+			fmt.Fprintf(out, " %9s", delta(c, r))
+		}
+		fmt.Fprintln(out, " "+status)
 	}
 	if matched == 0 {
 		return fmt.Errorf("benchmc: no benchmark matched the baselines — regenerate with `make bench-json`")

@@ -154,6 +154,16 @@ func TestDrawsGate(t *testing.T) {
 	testWorkGate(t, "BenchmarkSolve_PacketizedFigure", "draws/op", "draws_per_op")
 }
 
+// TestHashesGate exercises the hashes/op gate the same way.
+func TestHashesGate(t *testing.T) {
+	testWorkGate(t, "BenchmarkMC_PathReused", "hashes/op", "hashes_per_op")
+}
+
+// TestEventsGate exercises the events/op gate the same way.
+func TestEventsGate(t *testing.T) {
+	testWorkGate(t, "BenchmarkMC_PathReused", "events/op", "events_per_op")
+}
+
 func testWorkGate(t *testing.T, name, unit, key string) {
 	t.Helper()
 	base := name + "-2 \t 1\t 36212125 ns/op\t 77806 " + unit + "\t 200384 B/op\t 5918 allocs/op\n"
